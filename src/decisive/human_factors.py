@@ -257,27 +257,26 @@ def trust_pipeline(
     surfaced as a note per affected item, never enforced silently.
     """
     failed = sorted({r.participant_id for r in dataset.rows if not r.manip_pass})
-    rows = [r for r in dataset.rows if r.manip_pass]
+    # one pass over the valid rows; buckets keep row order, which the
+    # floating-point sums below depend on
+    buckets: dict[tuple[str, str, str], list[int]] = {}
+    for r in dataset.rows:
+        if r.manip_pass:
+            buckets.setdefault((r.instrument, r.item_id, r.condition), []).append(r.score)
 
     for label in (condition_a, condition_b):
-        if not any(r.condition == label for r in rows):
+        if not any(cond == label for _, _, cond in buckets):
             raise EmptyCondition(f"no valid rows for condition {label!r}")
 
     items = sorted(
-        {(r.instrument, r.item_id) for r in rows if r.condition in (condition_a, condition_b)}
+        {(inst, item) for inst, item, cond in buckets if cond in (condition_a, condition_b)}
     )
     notes: list[str] = []
     comparisons = []
     for instrument, item_id in items:
         sides = []
         for label in (condition_a, condition_b):
-            scores = [
-                float(r.score)
-                for r in rows
-                if r.instrument == instrument
-                and r.item_id == item_id
-                and r.condition == label
-            ]
+            scores = [float(v) for v in buckets.get((instrument, item_id, label), ())]
             if len(scores) >= 4:
                 kept, removed, warning = iqr_filter(scores)
                 if warning:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,29 +147,39 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     has_vel = all(c in idx for c in VEL_COLUMNS)
     has_acc = all(c in idx for c in ACC_COLUMNS)
 
-    t, pos, vel, acc = [], [], [], []
+    fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
+    cols = [idx[c] for c in fields]
+    width = max(cols) + 1
+    samples = []
     prev_t = None
     for line, row in rows:
-        ti = _number(row[idx["t"]], line)
+        if len(row) < width:
+            raise MissingColumn(f"row has {len(row)} fields, needs {width}", line)
+        values = [_number(row[i], line) for i in cols]
+        if not all(map(math.isfinite, values)):
+            text = next(row[i] for i, v in zip(cols, values) if not math.isfinite(v))
+            raise NonNumericField(f"{text!r} is not a finite number", line)
+        ti = values[0]
         if prev_t is not None and ti <= prev_t:
             raise NonMonotonicTime(f"time {ti} does not increase past {prev_t}", line)
         prev_t = ti
-        t.append(ti)
-        pos.append([_number(row[idx[c]], line) for c in ("x", "y", "z")])
-        if has_vel:
-            vel.append([_number(row[idx[c]], line) for c in VEL_COLUMNS])
-        if has_acc:
-            acc.append([_number(row[idx[c]], line) for c in ACC_COLUMNS])
+        samples.append(values)
 
-    if len(t) < 2:
+    if len(samples) < 2:
         raise ParseError("telemetry needs at least two samples", str(path))
+    table = np.array(samples)  # one column per entry of `fields`
+
+    def triple(first: int) -> np.ndarray:
+        # a contiguous copy, so numpy reductions run as they would on a separate array
+        return np.ascontiguousarray(table[:, first:first + 3])
+
     traj = Trajectory(
-        t=np.array(t),
-        pos=np.array(pos),
-        vel=np.array(vel) if has_vel else None,
-        acc=np.array(acc) if has_acc else None,
+        t=np.ascontiguousarray(table[:, 0]),
+        pos=triple(1),
+        vel=triple(4) if has_vel else None,
+        acc=triple(7 if has_vel else 4) if has_acc else None,
     )
-    report.counts["samples"] = len(t)
+    report.counts["samples"] = len(samples)
     return traj, report
 
 

@@ -165,6 +165,10 @@ def plot_svg(kind: str, data) -> bytes:
 
 
 def _ncap_scatter(points: Sequence[tuple[str, float, float]]) -> bytes:
+    # html.escape(quote=False) escapes &, < and > exactly as XML text needs;
+    # imported here so other commands do not pay for it at start-up
+    from html import escape
+
     if not points:
         raise EmptyData("no systems to plot")
     w, h, margin = 480, 360, 50.0
@@ -216,7 +220,7 @@ def _ncap_scatter(points: Sequence[tuple[str, float, float]]) -> bytes:
         )
         parts.append(
             f'<text x="{_fmt(sx(level) + 7)}" y="{_fmt(sy(potential) - 6)}" '
-            f'font-size="11">{label}</text>\n'
+            f'font-size="11">{escape(label, quote=False)}</text>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts).encode("utf-8")

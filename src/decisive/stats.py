@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import EmptySample, InvalidP0, TooFewValues
 
-#: exact enumeration is used up to this per-group size; C(16, 8) = 12870 labelings
+#: the rank test is exact while the smaller group has at most this many values
 EXACT_LIMIT = 8
 
 
@@ -115,14 +115,47 @@ def _midranks(pooled: Sequence[float]) -> list[float]:
     return ranks
 
 
+def _count_subsets_at_most(values: Sequence[int], k: int, limit: int) -> int:
+    """Number of k-element subsets (by position) of `values` whose sum is <= limit.
+
+    A shift-algorithm count (Streitberg & Roehmel 1986) over the tie blocks:
+    counts[size][s] holds the exact number of size-element subsets of the blocks
+    seen so far that sum to s. Taking j of a block's m equal values r multiplies
+    a count by C(m, j) and adds j * r to its sum. Values are non-negative, so a
+    sum above `limit` can never come back under it and is dropped at once.
+    Cost is O(D * k**2 * limit) for D distinct values.
+    """
+    counts: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    counts[0][0] = 1
+    for r, m in sorted(Counter(values).items()):
+        # larger sizes first, so each update reads counts from before this block
+        for size in range(k, 0, -1):
+            row = counts[size]
+            for j in range(1, min(m, size) + 1):
+                shift = j * r
+                if shift > limit:
+                    break
+                ways = math.comb(m, j)
+                for s, c in counts[size - j].items():
+                    s += shift
+                    if s <= limit:
+                        row[s] = row.get(s, 0) + ways * c
+    return sum(counts[k].values())
+
+
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test with midrank ties.
 
     U = min(U_a, U_b). For min(n1, n2) <= EXACT_LIMIT the p-value is exact:
-    all C(n1+n2, n1) group labelings of the pooled midranks are enumerated and
-    the one-sided tail P(U_a <= u) is doubled (capped at 1). Larger samples
-    use the tie-corrected normal approximation with a 0.5 continuity
-    correction.
+    the one-sided tail P(U_a <= u) over all C(n1+n2, n1) equally likely group
+    labelings of the pooled midranks is counted exactly and doubled (capped
+    at 1). The count runs over the tie blocks of the smaller group's possible
+    rank sums (see `_count_subsets_at_most`); with few distinct values, as on a
+    Likert scale, its cost grows linearly with the larger group. With ties the
+    null distribution is not symmetric, so the tail stays on U_a whichever
+    group is smaller.
+    Larger samples use the tie-corrected normal approximation with a 0.5
+    continuity correction.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -136,19 +169,24 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     u_a = rank_sum_a - n1 * (n1 + 1) / 2.0
     u_b = n1 * n2 - u_a
     u = min(u_a, u_b)
+    n = n1 + n2
 
     if min(n1, n2) <= EXACT_LIMIT:
-        total = math.comb(n1 + n2, n1)
-        tail = sum(
-            1
-            for idx in combinations(range(n1 + n2), n1)
-            if sum(ranks[i] for i in idx) - n1 * (n1 + 1) / 2.0 <= u + 1e-12
-        )
+        total = math.comb(n, n1)
+        # midranks are half-integers, so doubled rank sums compare exactly as ints:
+        # U_a <= u  <=>  doubled rank-sum(a) <= 2u + n1(n1 + 1)
+        doubled = [int(2.0 * r) for r in ranks]
+        limit = int(2.0 * u) + n1 * (n1 + 1)
+        if n1 <= n2:
+            tail = _count_subsets_at_most(doubled, n1, limit)
+        else:
+            # count over the smaller group: rank-sum(a) <= T  <=>  rank-sum(b) >= S - T,
+            # with doubled total 2S = n(n + 1)
+            tail = total - _count_subsets_at_most(doubled, n2, n * (n + 1) - limit - 1)
         p = min(1.0, 2.0 * tail / total)
         return MannWhitneyResult(u, p, "exact")
 
     # normal approximation with tie correction
-    n = n1 + n2
     tie_term = 0.0
     seen = {}
     for v in pooled:

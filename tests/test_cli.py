@@ -200,6 +200,18 @@ class TestPlot:
         assert code == 0
         xml.dom.minidom.parse(str(target))
 
+    def test_ncap_scatter_escapes_system_ids(self, capsys, tmp_path):
+        doc = json.loads((CAMPAIGN / "features.json").read_text())
+        doc["systems"][0]["id"] = "A&B <x>"
+        features = tmp_path / "features.json"
+        features.write_text(json.dumps(doc))
+        target = tmp_path / "scatter.svg"
+        code, _out, _err = run(capsys, "plot", "--kind", "ncap-scatter",
+                               "--features", features, "--out", target)
+        assert code == 0
+        texts = xml.dom.minidom.parse(str(target)).getElementsByTagName("text")
+        assert "A&B <x>" in [t.firstChild.data for t in texts]
+
     def test_deviation(self, capsys, tmp_path):
         path_file = tmp_path / "path.json"
         path_file.write_text(json.dumps({"vertices": [[0, 1, 1], [3, 1, 1]]}))
@@ -209,6 +221,21 @@ class TestPlot:
                                "--path", path_file, "--out", target)
         assert code == 0
         xml.dom.minidom.parse(str(target))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.2,2,1", "row has 3 fields, needs 4"),
+        ("0.2,nan,1,1", "'nan' is not a finite number"),
+    ])
+    def test_bad_telemetry_row_names_line(self, capsys, tmp_path, bad_row, message):
+        telemetry = tmp_path / "tel.csv"
+        telemetry.write_text(f"t,x,y,z\n0,0,1,1\n0.1,1,1,1\n{bad_row}\n0.3,3,1,1\n")
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({"vertices": [[0, 1, 1], [3, 1, 1]]}))
+        code, out, err = run(capsys, "plot", "--kind", "deviation",
+                             "--telemetry", telemetry, "--path", path_file)
+        assert code == 1
+        assert out == ""
+        assert f"{message} (at 4)" in err
 
     def test_byte_identical_over_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -1,10 +1,13 @@
+import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decisive import stats
 from decisive.errors import EmptySample, InvalidP0, TooFewValues
 from decisive.stats import (
     completion_confidence,
@@ -172,6 +175,75 @@ class TestMannWhitney:
         assert result.method == "normal"
         assert 0.0 <= result.p_two_sided <= 1.0
         assert result.p_two_sided < 0.05
+
+
+def likert(rng, n, shift=0):
+    return [min(7, rng.randint(1, 7) + shift) for _ in range(n)]
+
+
+class TestExactCount:
+    """The exact path counts tie blocks instead of enumerating labelings.
+
+    Its p must equal the enumeration oracle bit for bit, including when group
+    a is the larger one and the count runs over the complement.
+    """
+
+    @pytest.mark.parametrize("n1, n2, kind", [
+        (8, 12, "likert"),
+        (12, 8, "likert"),
+        (8, 10, "tie-free"),
+        (10, 8, "tie-free"),
+        (8, 9, "all tied"),
+        (9, 8, "all tied"),
+    ])
+    def test_matches_oracle_up_to_8x12(self, n1, n2, kind):
+        rng = random.Random(n1 * 100 + n2)
+        if kind == "likert":
+            a, b = likert(rng, n1), likert(rng, n2, shift=1)
+        elif kind == "tie-free":
+            pooled = rng.sample(range(1000), n1 + n2)
+            a, b = pooled[:n1], pooled[n1:]
+        else:
+            a, b = [4] * n1, [4] * n2
+        expected_u, expected_p = oracle_mann_whitney(a, b)
+        result = mann_whitney(a, b)
+        assert result.method == "exact"
+        assert result.u == expected_u
+        assert result.p_two_sided == expected_p
+
+    def test_matches_oracle_on_random_ties(self):
+        rng = random.Random(86)
+        for _ in range(120):
+            n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+            spread = rng.choice([1, 2, 3, 7, 1000])
+            a = [rng.randint(1, spread) for _ in range(n1)]
+            b = [rng.randint(1, spread) for _ in range(n2)]
+            expected_u, expected_p = oracle_mann_whitney(a, b)
+            result = mann_whitney(a, b)
+            assert result.method == "exact"
+            assert (result.u, result.p_two_sided) == (expected_u, expected_p)
+
+    @pytest.mark.parametrize("n1, n2", [(8, 400), (400, 8)])
+    def test_likert_8_vs_400_stays_exact_and_fast(self, n1, n2, monkeypatch):
+        rng = random.Random(n1 + 2 * n2)
+        a, b = likert(rng, n1), likert(rng, n2, shift=1)
+        start = time.perf_counter()
+        result = mann_whitney(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert result.method == "exact"
+        # the tie-corrected normal approximation is close at this size
+        monkeypatch.setattr(stats, "EXACT_LIMIT", 0)
+        normal = mann_whitney(a, b)
+        assert normal.method == "normal"
+        assert abs(result.p_two_sided - normal.p_two_sided) < 0.05
+
+    @pytest.mark.parametrize("a, b", [([1] * 8, [7] * 400), ([1] * 400, [7] * 8)])
+    def test_separated_groups_count_one_labeling(self, a, b):
+        # only the observed labeling has U_a = 0
+        result = mann_whitney(a, b)
+        assert result.method == "exact"
+        assert result.u == 0.0
+        assert result.p_two_sided == 2.0 / math.comb(408, 8)
 
 
 class TestMeanStd:
