@@ -314,27 +314,21 @@ def _collision_tables(campaign, base: Path) -> list[ReportTable]:
                 continue
             traj = _load_trial_trajectory(base, trial)
             collided = trial.collisions > 0
-            dist = coll.flight_min_distance(traj, obstacle, collided)
-            ttc = coll.flight_min_ttc(traj, obstacle, collided)
-            severity = coll.masi(traj)
-            delta_v = (
-                coll.max_delta_v(traj, trial.t_collision)
-                if trial.t_collision is not None
-                else None
-            )
-            numeric.add_row(test_id, trial.suas_id, trial.trial_id,
-                            trial.collisions, dist, ttc, severity, delta_v)
-            per_suas.setdefault(trial.suas_id, []).append((collided, dist, ttc, severity, delta_v))
+            m = coll.flight_metrics(traj, obstacle, collided, trial.t_collision)
+            numeric.add_row(test_id, trial.suas_id, trial.trial_id, trial.collisions,
+                            m.min_distance, m.min_ttc, m.severity, m.delta_v)
+            per_suas.setdefault(trial.suas_id, []).append((collided, m))
         for suas_id, rows in sorted(per_suas.items()):
-            dvs = [r[4] for r in rows if r[4] is not None]
+            flights = [m for _, m in rows]
+            dvs = [m.delta_v for m in flights if m.delta_v is not None]
             numeric.add_row(
                 test_id,
                 suas_id,
                 "count/average",
-                sum(1 for r in rows if r[0]),  # flights with a collision
-                coll.aggregate_flights([r[1] for r in rows]),
-                coll.aggregate_flights([r[2] for r in rows]),
-                coll.aggregate_flights([r[3] for r in rows]),
+                sum(1 for collided, _ in rows if collided),  # flights with a collision
+                coll.aggregate_flights([m.min_distance for m in flights]),
+                coll.aggregate_flights([m.min_ttc for m in flights]),
+                coll.aggregate_flights([m.severity for m in flights]),
                 coll.aggregate_flights(dvs) if dvs else None,
             )
     if numeric.rows:
@@ -772,10 +766,7 @@ def cmd_plot(args) -> int:
             tuple(tuple(v) for v in spec["vertices"]), bool(spec.get("closed", False))
         )
         traj = apply_marker_offset(traj)
-        series = [
-            (float(traj.t[i]), nav_mod.point_path_deviation(traj.pos[i], path))
-            for i in range(len(traj))
-        ]
+        series = list(zip(traj.t.tolist(), nav_mod.deviation_series(traj.pos, path).tolist()))
         data = plot_svg("deviation", series)
     _write_output(data, args.out)
     return 0

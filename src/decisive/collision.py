@@ -82,32 +82,71 @@ def speeds(traj: Trajectory) -> np.ndarray:
 def ttc_series(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(TTC values, validity mask); samples slower than STATIONARY_SPEED are masked out."""
     dist, _ = distance_to_obstacle(traj, obstacle)
-    spd = speeds(traj)
+    return _ttc(dist, speeds(traj))
+
+
+def _ttc(dist: np.ndarray, spd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mask = spd >= STATIONARY_SPEED
-    ttc = np.full(len(traj), np.inf)
+    ttc = np.full(len(dist), np.inf)
     ttc[mask] = dist[mask] / spd[mask]
     return ttc, mask
 
 
 def min_ttc(traj: Trajectory, obstacle: ObstacleGeometry) -> float:
-    ttc, mask = ttc_series(traj, obstacle)
+    return _min_ttc(*ttc_series(traj, obstacle))
+
+
+def _min_ttc(ttc: np.ndarray, mask: np.ndarray) -> float:
     if not mask.any():
         raise AllStationary("no sample moves faster than the stationary cutoff")
     return float(ttc[mask].min())
 
 
-def flight_min_distance(traj: Trajectory, obstacle: ObstacleGeometry, collided: bool = False) -> float:
-    """Flight minimum distance; collision flights score 0 by definition."""
-    if collided:
-        return 0.0
-    return distance_to_obstacle(traj, obstacle)[1]
+@dataclass(frozen=True)
+class FlightMetrics:
+    """One flight's row of the obstacle-avoidance table."""
+
+    min_distance: float
+    min_ttc: float
+    severity: float
+    delta_v: Optional[float]
 
 
-def flight_min_ttc(traj: Trajectory, obstacle: ObstacleGeometry, collided: bool = False) -> float:
-    """Flight minimum TTC; collision flights score 0 by definition."""
+def flight_metrics(
+    traj: Trajectory,
+    obstacle: ObstacleGeometry,
+    collided: bool = False,
+    t_collision: Optional[float] = None,
+) -> FlightMetrics:
+    """Minimum distance and TTC, severity index and, given t_collision, max delta-v.
+
+    Collision flights score 0 distance and 0 TTC by definition. The obstacle
+    distance series is computed once, and missing velocity or acceleration is
+    derived at most once, when first needed; values and errors, in their order,
+    are those of min_ttc, masi and max_delta_v called one after another.
+    """
+    derived = []  # derive_kinematics(traj), once something needs it
+
+    def kinematics(present: bool) -> Trajectory:
+        if present:
+            return traj
+        if not derived:
+            derived.append(derive_kinematics(traj))
+        return derived[0]
+
     if collided:
-        return 0.0
-    return min_ttc(traj, obstacle)
+        dist = ttc = 0.0
+    else:
+        series, dist = distance_to_obstacle(traj, obstacle)
+        vel = kinematics(traj.vel is not None).vel
+        ttc = _min_ttc(*_ttc(series, np.linalg.norm(vel, axis=1)))
+    severity = masi(kinematics(traj.acc is not None))
+    delta_v = (
+        max_delta_v(kinematics(traj.vel is not None), t_collision)
+        if t_collision is not None
+        else None
+    )
+    return FlightMetrics(dist, ttc, severity, delta_v)
 
 
 def aggregate_flights(per_flight: Sequence[float]) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,20 +86,33 @@ def _total(fn):
     return wrapper
 
 
+def _header(reader, path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumn("file is empty", str(path))
+    return [h.strip() for h in header]
+
+
 def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header, [(1-based file line, row), ...]) for a CSV file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("file is empty", str(path))
+        header = _header(reader, path)
         rows = [
             (lineno, row)
             for lineno, row in enumerate(reader, start=2)
             if any(cell.strip() for cell in row)
         ]
-    return [h.strip() for h in header], rows
+    return header, rows
+
+
+def _rows_of_width(rows, width: int):
+    """The rows in order, raising at the first one with fewer than `width` fields."""
+    for line, row in rows:
+        if len(row) < width:
+            raise MissingColumn(f"row has {len(row)} fields, needs {width}", line)
+        yield line, row
 
 
 def _number(text: str, line: int) -> float:
@@ -128,7 +142,12 @@ ACC_COLUMNS = ("ax", "ay", "az")
 def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     """Load a telemetry trace: t,x,y,z with optional vx,vy,vz and ax,ay,az."""
     report = ParseReport(str(path))
-    header, rows = _read_rows(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = _header(csv.reader(fh), path)
+        try:
+            body = fh.read()
+        except UnicodeDecodeError:  # the row loop re-reads the file and reports it
+            body = None
     for col in REQUIRED_TELEMETRY:
         if col not in header:
             raise MissingColumn(f"missing column {col!r}", str(path))
@@ -149,25 +168,9 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
 
     fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
     cols = [idx[c] for c in fields]
-    width = max(cols) + 1
-    samples = []
-    prev_t = None
-    for line, row in rows:
-        if len(row) < width:
-            raise MissingColumn(f"row has {len(row)} fields, needs {width}", line)
-        values = [_number(row[i], line) for i in cols]
-        if not all(map(math.isfinite, values)):
-            text = next(row[i] for i, v in zip(cols, values) if not math.isfinite(v))
-            raise NonNumericField(f"{text!r} is not a finite number", line)
-        ti = values[0]
-        if prev_t is not None and ti <= prev_t:
-            raise NonMonotonicTime(f"time {ti} does not increase past {prev_t}", line)
-        prev_t = ti
-        samples.append(values)
-
-    if len(samples) < 2:
-        raise ParseError("telemetry needs at least two samples", str(path))
-    table = np.array(samples)  # one column per entry of `fields`
+    table = _telemetry_columns(body, cols)
+    if table is None:
+        table = _telemetry_rows(path, cols)
 
     def triple(first: int) -> np.ndarray:
         # a contiguous copy, so numpy reductions run as they would on a separate array
@@ -179,8 +182,49 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
         vel=triple(4) if has_vel else None,
         acc=triple(7 if has_vel else 4) if has_acc else None,
     )
-    report.counts["samples"] = len(samples)
+    report.counts["samples"] = len(table)
     return traj, report
+
+
+def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
+    """The `cols` of every data row in `body` converted at once, one table column each.
+
+    None when the whole-column conversion cannot vouch for the text: no text,
+    a quote anywhere (numpy would split quoted cells differently from csv), a
+    cell numpy does not convert, a non-finite value, time that does not
+    increase, or fewer than two rows. `_telemetry_rows` then decides, and is the
+    only source of error messages and their line numbers.
+    """
+    if body is None or '"' in body or not body.strip():
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", usecols=cols, ndmin=2,
+                           comments=None)
+    except ValueError:
+        return None
+    if len(table) < 2 or not np.isfinite(table).all() or not (np.diff(table[:, 0]) > 0).all():
+        return None
+    return table
+
+
+def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
+    """The same table as `_telemetry_columns`, row by row, raising at the first bad line."""
+    _, rows = _read_rows(path)
+    samples = []
+    prev_t = None
+    for line, row in _rows_of_width(rows, max(cols) + 1):
+        values = [_number(row[i], line) for i in cols]
+        if not all(map(math.isfinite, values)):
+            text = next(row[i] for i, v in zip(cols, values) if not math.isfinite(v))
+            raise NonNumericField(f"{text!r} is not a finite number", line)
+        ti = values[0]
+        if prev_t is not None and ti <= prev_t:
+            raise NonMonotonicTime(f"time {ti} does not increase past {prev_t}", line)
+        prev_t = ti
+        samples.append(values)
+    if len(samples) < 2:
+        raise ParseError("telemetry needs at least two samples", str(path))
+    return np.array(samples)
 
 
 def write_telemetry(traj: Trajectory, path) -> None:
@@ -334,7 +378,7 @@ def parse_survey(path) -> tuple[SurveyDataset, ParseReport]:
     idx = {c: header.index(c) for c in SURVEY_COLUMNS}
 
     by_key: dict[tuple[str, str, str], SurveyRow] = {}
-    for line, row in rows:
+    for line, row in _rows_of_width(rows, max(idx.values()) + 1):
         instrument = row[idx["instrument"]].strip()
         if instrument not in ("CTPA", "HCTM"):
             raise UnknownInstrument(f"instrument {instrument!r}", line)
@@ -381,7 +425,7 @@ def parse_sagat(path) -> tuple[list[SagatResponse], ParseReport]:
             raise MissingColumn(f"missing column {col!r}", str(path))
     idx = {c: header.index(c) for c in SAGAT_COLUMNS}
     out = []
-    for line, row in rows:
+    for line, row in _rows_of_width(rows, max(idx.values()) + 1):
         level = _number(row[idx["sa_level"]], line)
         if level not in (1.0, 2.0):
             raise ScoreOutOfRange(f"sa_level {row[idx['sa_level']]!r} must be 1 or 2", line)

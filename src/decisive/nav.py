@@ -45,25 +45,31 @@ class DeviationSummary:
     std_ad: float
 
 
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    s = float((p - a) @ ab) / denom
-    s = min(max(s, 0.0), 1.0)
-    return float(np.linalg.norm(p - (a + s * ab)))
+def deviation_series(pos, path: ReferencePath) -> np.ndarray:
+    """Distance from each row of `pos` (n x 3) to the nearest clamped path segment.
+
+    One pass per segment over all samples, keeping a running minimum, so
+    memory stays O(samples) whatever the path length.
+    """
+    pos = np.asarray(pos, dtype=float)
+    best = np.full(len(pos), np.inf)
+    for a, b in path.segments():
+        ab = b - a
+        s = np.clip((pos - a) @ ab / (ab @ ab), 0.0, 1.0)
+        np.minimum(best, np.linalg.norm(pos - (a + s[:, None] * ab), axis=1), out=best)
+    return best
 
 
 def point_path_deviation(p: Sequence[float], path: ReferencePath) -> float:
     """Minimum distance from a point to the path's clamped segments."""
-    point = np.asarray(p, dtype=float)
-    return min(_segment_distance(point, a, b) for a, b in path.segments())
+    return float(deviation_series(np.asarray(p, dtype=float)[None, :], path)[0])
 
 
 def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
     """Mean per-sample deviation from the path, equal weight per recorded sample."""
     if len(traj) < 1:
         raise EmptySpan("no samples")
-    return float(np.mean([point_path_deviation(p, path) for p in traj.pos]))
+    return float(np.mean(deviation_series(traj.pos, path)))
 
 
 def deviation_summary(flights: Sequence[tuple[Trajectory, ReferencePath]]) -> DeviationSummary:

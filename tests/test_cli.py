@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from decisive.cli import main
+from decisive.core import apply_marker_offset
+from decisive.ingest import parse_telemetry
+from decisive.nav import ReferencePath, deviation_series
+from decisive.report import plot_svg
 
 REPO = Path(__file__).resolve().parents[1]
 CAMPAIGN = REPO / "sample_campaign"
@@ -186,6 +190,27 @@ class TestSaTrust:
         assert "Trust comparison" in out
         assert "manipulation check" in err  # e10 fails the check
 
+    def test_short_survey_row_names_line(self, capsys, tmp_path):
+        lines = (CAMPAIGN / "surveys.csv").read_text().splitlines()
+        lines.insert(3, "c01,HCTM,hctm03,5")  # file line 4
+        survey = tmp_path / "surveys.csv"
+        survey.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "trust", "--survey", survey,
+                             "--condition-a", "caged", "--condition-b", "exposed")
+        assert code == 1
+        assert out == ""
+        assert "row has 4 fields, needs 6 (at 4)" in err
+
+    def test_short_sagat_row_names_line(self, capsys, tmp_path):
+        lines = (CAMPAIGN / "sagat.csv").read_text().splitlines()
+        lines.insert(2, "p1,q001,landolt_red,1")  # file line 3
+        sagat = tmp_path / "sagat.csv"
+        sagat.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "sa", "--sagat", sagat)
+        assert code == 1
+        assert out == ""
+        assert "row has 4 fields, needs 5 (at 3)" in err
+
     def test_trust_missing_condition(self, capsys):
         code, _out, _err = run(capsys, "trust", "--survey", CAMPAIGN / "surveys.csv",
                                "--condition-a", "caged", "--condition-b", "underwater")
@@ -221,6 +246,28 @@ class TestPlot:
                                "--path", path_file, "--out", target)
         assert code == 0
         xml.dom.minidom.parse(str(target))
+
+    def test_deviation_points_are_the_kernel_series(self, capsys, tmp_path):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({"vertices": [[0, 1, 1], [3, 1, 1], [3, 3, 1]],
+                                         "closed": True}))
+        target = tmp_path / "dev.svg"
+        code, _out, _err = run(capsys, "plot", "--kind", "deviation",
+                               "--telemetry", CAMPAIGN / "wf_alpha_1.csv",
+                               "--path", path_file, "--out", target)
+        assert code == 0
+        traj = apply_marker_offset(parse_telemetry(CAMPAIGN / "wf_alpha_1.csv")[0])
+        path = ReferencePath(((0, 1, 1), (3, 1, 1), (3, 3, 1)), closed=True)
+        series = deviation_series(traj.pos, path)
+        expected = plot_svg("deviation", list(zip(traj.t.tolist(), series.tolist())))
+
+        def points(svg):
+            return xml.dom.minidom.parseString(svg).getElementsByTagName(
+                "polyline")[0].getAttribute("points").split()
+
+        got = points(target.read_bytes())
+        assert len(got) == len(traj)
+        assert got == points(expected)
 
     @pytest.mark.parametrize("bad_row, message", [
         ("0.2,2,1", "row has 3 fields, needs 4"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+
+from decisive import collision
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,8 +15,7 @@ from decisive.collision import (
     collision_count,
     derive_kinematics,
     distance_to_obstacle,
-    flight_min_distance,
-    flight_min_ttc,
+    flight_metrics,
     masi,
     max_delta_v,
     min_ttc,
@@ -24,6 +25,7 @@ from decisive.collision import (
 from decisive.core import ObstacleGeometry, Trajectory, TrialRecord
 from decisive.errors import (
     AllStationary,
+    DecisiveError,
     CollisionOutsideSpan,
     InsufficientSamples,
     MissingCategory,
@@ -121,8 +123,8 @@ class TestMinTtc:
 
     def test_collision_flight_scores_zero(self):
         flight = approach_traj()
-        assert flight_min_ttc(flight, WALL, collided=True) == 0.0
-        assert flight_min_distance(flight, WALL, collided=True) == 0.0
+        m = flight_metrics(flight, WALL, collided=True)
+        assert (m.min_ttc, m.min_distance) == (0.0, 0.0)
 
     def test_min_never_exceeds_single_sample_ratio(self):
         flight = approach_traj(speed=0.7, start=1.5)
@@ -130,6 +132,70 @@ class TestMinTtc:
         got = min_ttc(flight, WALL)
         for d, in zip(series):
             assert got <= d / 0.7 + 1e-12
+
+
+def one_call_per_metric(flight, obstacle, collided, t_collision):
+    """The table row as separate calls, each deriving what it lacks."""
+    try:
+        return (
+            0.0 if collided else distance_to_obstacle(flight, obstacle)[1],
+            0.0 if collided else min_ttc(flight, obstacle),
+            masi(flight),
+            None if t_collision is None else max_delta_v(flight, t_collision),
+        )
+    except DecisiveError as exc:
+        return type(exc), str(exc)
+
+
+class TestFlightMetrics:
+    APPROACH = approach_traj(speed=0.6, start=1.2, dt=0.05)
+
+    def variant(self, n, kinematics):
+        """The first n samples of APPROACH, keeping vel and/or a made-up acc."""
+        a = self.APPROACH
+        acc = np.tile([0.0, 0.4, 0.0], (n, 1))
+        return Trajectory(t=a.t[:n], pos=a.pos[:n],
+                          vel=a.vel[:n] if "vel" in kinematics else None,
+                          acc=acc if "acc" in kinematics else None)
+
+    @pytest.mark.parametrize("n", [2, 3, 30])
+    @pytest.mark.parametrize("kinematics", ["", "vel", "acc", "vel+acc"])
+    @pytest.mark.parametrize("collided, t_collision", [
+        (False, None), (False, 0.06), (True, None), (True, 0.06), (True, 9.0)])
+    def test_same_values_and_errors_with_one_derivation(
+            self, n, kinematics, collided, t_collision, monkeypatch):
+        flight = self.variant(n, kinematics)
+        want = one_call_per_metric(flight, WALL, collided, t_collision)
+        calls = {"distance": 0, "derive": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(collision, "distance_to_obstacle",
+                            counted("distance", distance_to_obstacle))
+        monkeypatch.setattr(collision, "derive_kinematics",
+                            counted("derive", derive_kinematics))
+        try:
+            m = flight_metrics(flight, WALL, collided, t_collision)
+            got = (m.min_distance, m.min_ttc, m.severity, m.delta_v)
+        except DecisiveError as exc:
+            got = type(exc), str(exc)
+        assert got == want
+        assert calls["distance"] == (0 if collided else 1)
+        assert calls["derive"] <= 1
+
+    def test_positions_only_two_samples_is_insufficient(self):
+        with pytest.raises(InsufficientSamples):
+            flight_metrics(self.variant(2, ""), WALL)
+
+    def test_stationary_error_comes_before_missing_acceleration(self):
+        hover = Trajectory(t=np.array([0.0, 1.0]), pos=np.array([[1.0, 0.5, 1.0]] * 2),
+                           vel=np.zeros((2, 3)))
+        with pytest.raises(AllStationary):
+            flight_metrics(hover, WALL)
 
 
 class TestMasi:

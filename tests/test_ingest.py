@@ -1,17 +1,23 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from decisive import ingest
+
 from decisive.collision import collision_count
 from decisive.errors import (
     CyclicCascade,
+    DecisiveError,
     DanglingReference,
     MalformedTuple,
     MissingColumn,
     MissingDirection,
     NonMonotonicTime,
     NonNumericField,
+    ParseError,
     SchemaVersionUnsupported,
     ScoreOutOfRange,
     UnknownCategory,
@@ -94,6 +100,127 @@ class TestTelemetry:
         assert np.array_equal(traj.t, again.t)
         assert np.array_equal(traj.pos, again.pos)
         assert np.array_equal(traj.vel, again.vel)
+
+
+SAMPLE = Path(__file__).resolve().parents[1] / "sample_campaign"
+
+
+def _outcome(path):
+    """parse_telemetry's result as plain data, or its error's class, text and location."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a parse reports only through its ParseReport
+            traj, report = parse_telemetry(path)
+    except DecisiveError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "location", None))
+    arrays = [None if a is None else (a.shape, a.tobytes()) for a in
+              (traj.t, traj.pos, traj.vel, traj.acc)]
+    return ("ok", arrays, report.warnings, report.counts)
+
+
+class TestTelemetryColumnsAgreeWithRowLoop:
+    """The whole-column parse gives the row loop's arrays, or defers to its error."""
+
+    HEADERS = {
+        "pos": "t,x,y,z",
+        "vel": "t,x,y,z,vx,vy,vz",
+        "acc": "t,x,y,z,ax,ay,az",
+        "vel+acc": "t,x,y,z,vx,vy,vz,ax,ay,az",
+        "unknown": "mode,t,x,note,y,z,vx,vy,vz,extra",
+    }
+
+    def check(self, path, monkeypatch, fast: bool):
+        """Compare with the row loop; `fast` says whether the column parse takes the file."""
+        taken = []
+        columns = ingest._telemetry_columns
+
+        def spy(body, cols):
+            table = columns(body, cols)
+            taken.append(table is not None)
+            return table
+
+        monkeypatch.setattr(ingest, "_telemetry_columns", spy)
+        got = _outcome(path)
+        monkeypatch.setattr(ingest, "_telemetry_columns", lambda body, cols: None)
+        assert got == _outcome(path)
+        assert taken == [fast]
+        return got
+
+    @pytest.mark.parametrize("name", ["wf_alpha_1.csv", "oa_alpha_1.csv"])
+    def test_sample_telemetry(self, name, monkeypatch):
+        assert self.check(SAMPLE / name, monkeypatch, fast=True)[0] == "ok"
+
+    @pytest.mark.parametrize("layout", sorted(HEADERS))
+    def test_column_layouts(self, layout, tmp_path, monkeypatch):
+        header = self.HEADERS[layout].split(",")
+        rng = np.random.default_rng(5)
+        rows = []
+        for i in range(40):
+            cells = {c: repr(float(v)) for c, v in zip(header, rng.normal(size=len(header)))}
+            cells.update(t=repr(0.05 * i), mode="hover", note="n/a")
+            rows.append(",".join(cells[c] for c in header))
+        p = write(tmp_path / "t.csv", "\n".join([",".join(header)] + rows) + "\n")
+        assert self.check(p, monkeypatch, fast=True)[0] == "ok"
+
+    def test_number_spellings(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        formats = [lambda v: repr(float(v)), "{:.3e}".format, "{:.17g}".format, "{:+.6f}".format,
+                   lambda v: f" {v:.4f}\t", lambda v: str(int(v * 100))]
+        rows = ["t,x,y,z"]
+        for i in range(300):
+            cells = [formats[k % len(formats)](v)
+                     for k, v in enumerate(rng.normal(scale=50, size=3), start=i)]
+            rows.append(",".join([f"{i}.5"] + cells))
+        p = write(tmp_path / "t.csv", "\n".join(rows) + "\n")
+        assert self.check(p, monkeypatch, fast=True)[0] == "ok"
+
+    def test_crlf_line_endings(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"t,x,y,z\r\n0,0,0,1\r\n0.1,1,0,1\r\n\r\n0.2,2,0,1\r\n")
+        assert self.check(p, monkeypatch, fast=True)[0] == "ok"
+
+    @pytest.mark.parametrize("row", [
+        '"0.15",1.5,0,1',  # a quoted number
+        "0.15,1_000,0,1",  # an underscore digit separator
+        ",,,",  # a row whose cells are all blank is skipped
+        "   ",  # so is a whitespace-only line
+    ])
+    def test_row_loop_accepts_what_columns_reject(self, row, tmp_path, monkeypatch):
+        p = write(tmp_path / "t.csv", f"t,x,y,z\n0,0,0,1\n0.1,1,0,1\n{row}\n0.2,2,0,1\n")
+        assert self.check(p, monkeypatch, fast=False)[0] == "ok"
+
+    def test_quoted_cell_in_unknown_column(self, tmp_path, monkeypatch):
+        # csv keeps "a,b" as one cell; a plain comma split would read code, x, y as x, y, z
+        p = write(tmp_path / "t.csv",
+                  't,note,code,x,y,z\n0,"a,b",5,1,2,3\n0.1,"c,d",6,4,5,6\n0.2,e,7,7,8,9\n')
+        got = self.check(p, monkeypatch, fast=False)
+        traj, _ = parse_telemetry(p)
+        assert got[0] == "ok" and traj.pos[:, 0].tolist() == [1.0, 4.0, 7.0]
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("#0.15,1,0,1", NonNumericField, "cannot parse '#0.15' as a number (at 4)"),
+        ("0.15,1,0", MissingColumn, "row has 3 fields, needs 4 (at 4)"),
+        ("0.15,nan,0,1", NonNumericField, "'nan' is not a finite number (at 4)"),
+        ("0.15,1,-inf,1", NonNumericField, "'-inf' is not a finite number (at 4)"),
+        ("0.1,1,0,1", NonMonotonicTime, "time 0.1 does not increase past 0.1 (at 4)"),
+    ])
+    def test_bad_row_keeps_row_loop_error(self, row, error, message, tmp_path, monkeypatch):
+        p = write(tmp_path / "t.csv", f"t,x,y,z\n0,0,0,1\n0.1,1,0,1\n{row}\n0.2,2,0,1\n")
+        got = self.check(p, monkeypatch, fast=False)
+        assert got[1:3] == (error, message)
+
+    def test_undecodable_byte_past_the_header(self, tmp_path, monkeypatch):
+        rows = "".join(f"{0.01 * i:.2f},1,0,1\n" for i in range(2000))  # past one read chunk
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"t,x,y,z\n" + rows.encode() + b"20.5,\xff,0,1\n")
+        got = self.check(p, monkeypatch, fast=False)
+        assert got[1] is ParseError and "can't decode byte 0xff" in got[2]
+
+    @pytest.mark.parametrize("body", ["", "0,0,0,1\n", "\n\n"])
+    def test_fewer_than_two_samples(self, body, tmp_path, monkeypatch):
+        p = write(tmp_path / "t.csv", "t,x,y,z\n" + body)
+        got = self.check(p, monkeypatch, fast=False)
+        assert got[2].startswith("telemetry needs at least two samples")
 
 
 def manifest_doc(**overrides):

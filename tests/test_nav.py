@@ -9,6 +9,7 @@ from decisive.nav import (
     ReferencePath,
     average_deviation,
     classify_aperture_trial,
+    deviation_series,
     deviation_summary,
     point_path_deviation,
     traversal_speed,
@@ -33,6 +34,54 @@ def dense_oracle_distance(p, path: ReferencePath, step=0.001):
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
         best = min(best, float(np.min(np.linalg.norm(pts - p, axis=1))))
     return best
+
+
+def scalar_deviation(p, path: ReferencePath) -> float:
+    """One point, one segment at a time: the clamped projection, written out in scalars."""
+    p = np.asarray(p, float)
+    best = math.inf
+    for a, b in path.segments():
+        ab = b - a
+        s = min(max(float((p - a) @ ab) / float(ab @ ab), 0.0), 1.0)
+        best = min(best, float(np.linalg.norm(p - (a + s * ab))))
+    return best
+
+
+class TestDeviationSeries:
+    def test_matches_scalar_oracle_on_random_paths(self):
+        rng = np.random.default_rng(23)
+        paths = closed = 0
+        while paths < 120:
+            verts = rng.uniform(-3, 3, size=(rng.integers(2, 7), 3))
+            try:
+                path = ReferencePath(tuple(map(tuple, verts)), closed=bool(rng.integers(2)))
+            except ValueError:
+                continue
+            paths += 1
+            closed += path.closed
+            (a0, b0), (a1, b1) = path.segments()[0], path.segments()[-1]
+            beyond = np.concatenate([
+                a0 - rng.uniform(0.1, 2.0, (10, 1)) * (b0 - a0),  # before the first segment
+                b1 + rng.uniform(0.1, 2.0, (10, 1)) * (b1 - a1),  # past the last one
+            ])
+            pos = np.concatenate([rng.uniform(-5, 5, size=(60, 3)), beyond, verts])
+            got = deviation_series(pos, path)
+            want = np.array([scalar_deviation(p, path) for p in pos])
+            assert got.shape == (len(pos),)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert 0 < closed < paths
+
+    def test_point_path_deviation_is_one_row(self):
+        path = ReferencePath(((0, 0, 1), (3, 0, 1), (3, 2, 1)), closed=True)
+        pos = np.random.default_rng(4).uniform(-1, 4, size=(25, 3))
+        one_rows = [float(deviation_series(p[None, :], path)[0]) for p in pos]
+        assert [point_path_deviation(p, path) for p in pos] == one_rows
+        # a batch may round differently from one row in the last place
+        assert np.allclose(one_rows, deviation_series(pos, path), rtol=0, atol=1e-12)
+
+    def test_no_samples(self):
+        path = ReferencePath(((0, 0, 0), (1, 0, 0)))
+        assert deviation_series(np.empty((0, 3)), path).shape == (0,)
 
 
 class TestPointPathDeviation:
