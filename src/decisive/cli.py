@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import cfis as cfis_mod
@@ -23,7 +24,7 @@ from . import nav as nav_mod
 from . import ncap as ncap_mod
 from . import stats as stats_mod
 from .core import apply_marker_offset
-from .errors import DecisiveError, ParseError
+from .errors import DataQualityWarning, DecisiveError, ParseError
 from .ingest import (
     ground_truth_from_test,
     nlos_positions_from_test,
@@ -64,6 +65,18 @@ def _emit_report_warnings(report) -> None:
         _warn(f"{report.source}: {message} (at {location})")
 
 
+def _data_quality_to_warn(showwarning):
+    """A `warnings.showwarning` that prints DataQualityWarning through `_warn`."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        if issubclass(category, DataQualityWarning):
+            _warn(str(message))
+        else:
+            showwarning(message, category, filename, lineno, file, line)
+
+    return show
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are input errors: exit 1, not argparse's default 2
     def error(self, message):
@@ -74,7 +87,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="decisive", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -152,7 +164,11 @@ def main(argv=None) -> int:
         "plot": cmd_plot,
     }
     try:
-        return handlers[args.command](args)
+        with warnings.catch_warnings():
+            # every occurrence, not once per code location
+            warnings.simplefilter("always", DataQualityWarning)
+            warnings.showwarning = _data_quality_to_warn(warnings.showwarning)
+            return handlers[args.command](args)
     except ParseError as exc:
         _diag(str(exc))
         return 1
@@ -408,7 +424,7 @@ def _field_tables(campaign, base: Path) -> list[ReportTable]:
             successes = sum(1 for t in mine if t.outcome == "success")
             failures = len(mine) - successes
             if mine:
-                rate = stats_mod.completion_rate(successes, failures).rate
+                rate = stats_mod.completion_rate(successes, failures)
                 confidences = [
                     stats_mod.completion_confidence(successes, failures, p0)
                     for p0 in COMPLETION_P0

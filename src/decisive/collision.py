@@ -29,9 +29,6 @@ GRAVITY = 9.8  # m/s^2
 #: dividing by near-zero hover speeds would blow the index up
 STATIONARY_SPEED = 0.05  # m/s
 
-#: default |a| threshold for the collision-time suggestion helper
-COLLISION_ACCEL_HINT = 3.0  # m/s^2
-
 
 @dataclass(frozen=True)
 class CollisionKinematics:
@@ -167,11 +164,6 @@ def masi(traj: Trajectory, kin: CollisionKinematics = CollisionKinematics()) -> 
     return float(mag.max()) / kin.g
 
 
-def peak_deceleration(traj: Trajectory, kin: CollisionKinematics = CollisionKinematics()) -> float:
-    """Maximum flight deceleration in m/s^2 (severity index times g)."""
-    return masi(traj, kin) * kin.g
-
-
 def max_delta_v(traj: Trajectory, t_c: float, window: float = 0.3) -> float:
     """Largest velocity change within `window` seconds after the collision at t_c.
 
@@ -233,22 +225,6 @@ def _moving_average(mat: np.ndarray, width: int) -> np.ndarray:
     return np.column_stack(
         [np.convolve(padded[:, k], kernel, mode="valid") for k in range(mat.shape[1])]
     )
-
-
-def suggest_collision_time(traj: Trajectory, threshold: float = COLLISION_ACCEL_HINT) -> Optional[float]:
-    """First time |a| exceeds the threshold; a hint only, never authoritative.
-
-    The annotated collision time in the trial record always wins.
-    """
-    source = traj if traj.acc is not None else derive_kinematics(traj)
-    mag = np.linalg.norm(source.acc, axis=1)
-    hits = np.nonzero(mag > threshold)[0]
-    return float(source.t[hits[0]]) if hits.size else None
-
-
-def collision_count(trials: Sequence[TrialRecord]) -> int:
-    """Number of flights in which the sUAS collided at least once."""
-    return sum(1 for t in trials if t.collisions > 0)
 
 
 def category_distribution(

@@ -6,13 +6,10 @@ as immutable numpy arrays; every operation returns a new value.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
-
-from .errors import DataQualityWarning, EmptySpan
 
 Vec3 = tuple[float, float, float]
 
@@ -20,24 +17,6 @@ OA_CATEGORIES = ("OA-A1", "OA-B1", "OA-B2", "OA-B3", "OA-B4", "OA-C1")
 CR_CATEGORIES = ("CR-A1", "CR-A2", "CR-A3", "CR-B1", "CR-B2", "CR-B3", "CR-B4", "CR-C1")
 APERTURE_TIERS = ("A1", "A2", "A3", "B1")
 OBSTACLE_MATERIALS = ("wall", "mesh", "chain_link", "door_closed", "door_45", "door_open")
-
-
-@dataclass(frozen=True)
-class PoseSample:
-    """One tracked pose: time, position, optional velocity and acceleration."""
-
-    t: float
-    pos: Vec3
-    vel: Optional[Vec3] = None
-    acc: Optional[Vec3] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValueError("sample time must be finite")
-        for name in ("pos", "vel", "acc"):
-            v = getattr(self, name)
-            if v is not None and not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
 
 
 def _as_matrix(rows, name: str) -> np.ndarray:
@@ -64,7 +43,6 @@ class Trajectory:
     acc: Optional[np.ndarray] = None
     source: str = "internal"
     marker_offset: Vec3 = (0.0, 0.0, 0.0)
-    gap_flag: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -91,33 +69,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.size
-
-    @property
-    def span(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-    @property
-    def samples(self) -> list[PoseSample]:
-        out = []
-        for i in range(len(self)):
-            out.append(PoseSample(
-                float(self.t[i]),
-                tuple(self.pos[i]),
-                tuple(self.vel[i]) if self.vel is not None else None,
-                tuple(self.acc[i]) if self.acc is not None else None,
-            ))
-        return out
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[PoseSample], **kwargs) -> "Trajectory":
-        samples = list(samples)
-        t = [s.t for s in samples]
-        pos = [s.pos for s in samples]
-        vel = [s.vel for s in samples] if all(s.vel is not None for s in samples) else None
-        acc = [s.acc for s in samples] if all(s.acc is not None for s in samples) else None
-        return cls(t=np.array(t), pos=np.array(pos),
-                   vel=None if vel is None else np.array(vel),
-                   acc=None if acc is None else np.array(acc), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -215,47 +166,3 @@ def apply_marker_offset(traj: Trajectory) -> Trajectory:
     """Translate every position by -marker_offset (marker frame -> body center)."""
     offset = np.asarray(traj.marker_offset, dtype=float)
     return replace(traj, pos=traj.pos - offset, marker_offset=(0.0, 0.0, 0.0))
-
-
-def resample_uniform(traj: Trajectory, rate_hz: float) -> Trajectory:
-    """Resample onto the uniform grid t0 + k/rate_hz by per-axis linear interpolation.
-
-    The result's `gap_flag` is set when any source gap exceeds 3/rate_hz
-    (tracker dropout); downstream metrics may exclude flagged spans.
-    """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    step = 1.0 / rate_hz
-    if traj.span < step:
-        raise EmptySpan(f"trajectory spans {traj.span:.6g} s, needs {step:.6g} s")
-    n_steps = int(np.floor(traj.span * rate_hz + 1e-9))
-    new_t = traj.t[0] + np.arange(n_steps + 1) * step
-
-    def interp(mat):
-        return np.column_stack([np.interp(new_t, traj.t, mat[:, k]) for k in range(3)])
-
-    gap = bool(np.any(np.diff(traj.t) > 3.0 * step))
-    return Trajectory(
-        t=new_t,
-        pos=interp(traj.pos),
-        vel=None if traj.vel is None else interp(traj.vel),
-        acc=None if traj.acc is None else interp(traj.acc),
-        source=traj.source,
-        marker_offset=traj.marker_offset,
-        gap_flag=gap,
-    )
-
-
-def tracker_calibration(static_traj: Trajectory) -> tuple[Vec3, Vec3]:
-    """Accuracy and precision of a static tracker recording.
-
-    Accuracy is the per-axis mean of positions, precision the per-axis sample
-    standard deviation (n-1).
-    """
-    if len(static_traj) < 2:
-        raise EmptySpan("calibration needs at least two samples")
-    mean = static_traj.pos.mean(axis=0)
-    std = static_traj.pos.std(axis=0, ddof=1)
-    if np.any(std > 0.05):
-        warnings.warn("static recording drifts more than 5 cm", DataQualityWarning)
-    return tuple(mean), tuple(std)

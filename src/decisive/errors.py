@@ -117,10 +117,6 @@ class ZeroDuration(DecisiveError):
     pass
 
 
-class InconsistentFlags(DecisiveError):
-    """Trial flags contradict each other (e.g. ripped without contact)."""
-
-
 class MissingCategory(DecisiveError):
     """Trial lacks the categorical outcome needed for a distribution."""
 
@@ -179,10 +175,6 @@ class NonPositiveScore(DecisiveError):
 
 class NonPositiveParam(DecisiveError):
     """Attention-allocation parameters must be strictly positive."""
-
-
-class DegenerateFit(DecisiveError):
-    """Interpolation impossible: all observed rates are identical."""
 
 
 class EmptyCondition(DecisiveError):

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
-    DataQualityWarning,
-    DegenerateFit,
     EmptyCondition,
     EmptySample,
     LengthMismatch,
@@ -39,20 +36,6 @@ class SeParams:
         return self.expectancy * self.saliency * self.value / self.effort
 
 
-@dataclass(frozen=True)
-class SeevWeights:
-    """Linear coefficients for the probability-of-attending form."""
-
-    s: float = 1.0
-    ef: float = 1.0
-    ex: float = 1.0
-    v: float = 1.0
-
-    def __post_init__(self):
-        if self.s == self.ef == self.ex == self.v == 0:
-            raise NonPositiveParam("at least one coefficient must be non-zero")
-
-
 def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
     """Attention proportion per situation element: f_i = A_i / sum(A)."""
     if not params:
@@ -60,44 +43,6 @@ def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
     resources = {p.se_id: p.attention_resource for p in params}
     total = sum(resources.values())
     return {se: a / total for se, a in resources.items()}
-
-
-def probability_attending(
-    properties: Mapping[str, tuple[float, float, float, float]],
-    weights: SeevWeights,
-) -> dict[str, float]:
-    """P(SE) = s*S - ef*EF + ex*EX + v*V per element, clamped at zero."""
-    out = {}
-    for se_id, (sal, effort, expect, val) in properties.items():
-        p = weights.s * sal - weights.ef * effort + weights.ex * expect + weights.v * val
-        if p < 0:
-            warnings.warn(f"{se_id}: P(SE) clamped from {p:.4g} to 0", DataQualityWarning)
-            p = 0.0
-        out[se_id] = p
-    return out
-
-
-def virtual_proportion(
-    present: Sequence[tuple[float, float]], missing_rate: float
-) -> float:
-    """Predict a missing element's proportion from (correct rate, proportion) pairs.
-
-    A least-squares line through the observed pairs is evaluated at the
-    missing element's correct rate. Callers renormalize the completed vector
-    and mark the value as virtual in reports.
-    """
-    if len(present) < 2:
-        raise DegenerateFit("need at least two observed pairs")
-    rates = [r for r, _ in present]
-    props = [p for _, p in present]
-    n = len(present)
-    mean_r = sum(rates) / n
-    mean_p = sum(props) / n
-    sxx = sum((r - mean_r) ** 2 for r in rates)
-    if sxx == 0:
-        raise DegenerateFit("all correct rates are equal")
-    slope = sum((r - mean_r) * (p - mean_p) for r, p in present) / sxx
-    return mean_p + slope * (missing_rate - mean_r)
 
 
 @dataclass(frozen=True)
@@ -157,7 +102,7 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
     """Operator situation awareness: weighted sum of perception levels.
 
     Weights are renormalized to sum to 1, so any attention-allocation vector
-    or normalized probability-of-attending vector can be passed directly.
+    can be passed directly.
     """
     if set(weights) != set(perception):
         raise LengthMismatch("weights and perception vectors cover different elements")
@@ -216,9 +161,6 @@ class SurveyRow:
 @dataclass(frozen=True)
 class SurveyDataset:
     rows: tuple[SurveyRow, ...]
-
-    def conditions(self) -> list[str]:
-        return sorted({r.condition for r in self.rows})
 
 
 @dataclass(frozen=True)

@@ -227,25 +227,6 @@ def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
     return np.array(samples)
 
 
-def write_telemetry(traj: Trajectory, path) -> None:
-    """Write a trajectory back out in the telemetry CSV format."""
-    header = list(REQUIRED_TELEMETRY)
-    if traj.vel is not None:
-        header += list(VEL_COLUMNS)
-    if traj.acc is not None:
-        header += list(ACC_COLUMNS)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(traj)):
-            row = [repr(float(traj.t[i]))] + [repr(float(v)) for v in traj.pos[i]]
-            if traj.vel is not None:
-                row += [repr(float(v)) for v in traj.vel[i]]
-            if traj.acc is not None:
-                row += [repr(float(v)) for v in traj.acc[i]]
-            writer.writerow(row)
-
-
 # --- campaign manifest ----------------------------------------------------------
 
 @_total
@@ -569,14 +550,17 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
         systems[fis_name] = Fis(fis_name, inputs, outputs, tuple(rules))
 
     cascade = {}
-    for combined, axes in doc.get("cascade", {}).items():
+    stages = doc.get("cascade", {})
+    for combined, axes in stages.items():
         if combined not in systems:
             raise UnknownTerm(f"cascade target {combined!r} not defined")
         for axis in axes:
             if axis not in systems:
                 raise UnknownTerm(f"cascade input {axis!r} not defined")
+            # the cascade runs one combining stage over axis systems only
+            if axis in stages:
+                raise CyclicCascade(f"cascade stage {combined!r} takes combining stage {axis!r}")
         cascade[combined] = tuple(axes)
-    _check_acyclic(cascade)
 
     config = FisConfig(
         name=doc.get("name", Path(str(path)).stem),
@@ -589,17 +573,6 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     )
     report.counts["fis"] = len(systems)
     return config, report
-
-
-def _check_acyclic(cascade: dict[str, tuple[str, ...]]) -> None:
-    def walk(node, seen):
-        if node in seen:
-            raise CyclicCascade(f"cycle through {node!r}")
-        for child in cascade.get(node, ()):
-            walk(child, seen | {node})
-
-    for root in cascade:
-        walk(root, set())
 
 
 # --- checklist criteria -----------------------------------------------------------
@@ -636,12 +609,17 @@ def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseR
         if col not in header:
             raise MissingColumn(f"missing column {col!r}", str(path))
     idx = {c: header.index(c) for c in FIDUCIAL_COLUMNS}
+    # a missing fiducial has no position, so its row may stop before x and y
+    unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
+    mapped_width = max(idx.values()) + 1
     out = []
-    for line, row in rows:
+    for line, row in _rows_of_width(rows, unmapped_width):
         mapped = row[idx["mapped"]].strip()
         if mapped == "missing":
             xy = None
         else:
+            if len(row) < mapped_width:
+                raise MissingColumn(f"row has {len(row)} fields, needs {mapped_width}", line)
             xy = (_number(row[idx["x"]], line), _number(row[idx["y"]], line))
         half = _number(row[idx["half"]], line)
         if half not in (1.0, 2.0):

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Trajectory
-from .errors import DataQualityWarning, EmptySpan, InconsistentFlags, ZeroDuration
+from .errors import DataQualityWarning, EmptySpan, ZeroDuration
 from .stats import mean_std
 
 
@@ -106,14 +106,3 @@ def traversal_speed(length_m: float, duration_min: float) -> float:
     if duration_min <= 0:
         raise ZeroDuration("duration must be positive")
     return length_m / (duration_min * 60.0)
-
-
-def classify_aperture_trial(passed: bool, contact: bool, ripped: bool) -> str:
-    """Tier an aperture pass-through: A1 clean, A2 contact, A3 tear, B1 failed."""
-    if ripped and not contact:
-        raise InconsistentFlags("ripped implies contact")
-    if not passed:
-        return "B1"
-    if not contact:
-        return "A1"
-    return "A3" if ripped else "A2"

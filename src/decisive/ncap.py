@@ -36,10 +36,6 @@ class FeatureTable:
     features: tuple[Feature, ...]
     values: dict[str, dict[str, object]]  # system id -> feature name -> value
 
-    @property
-    def system_ids(self) -> list[str]:
-        return list(self.values)
-
 
 def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
     """Encode every system's feature values to strictly positive numbers.
@@ -143,10 +139,6 @@ class NcapResult:
     absolute_distance: float
     relative_distance: float
     rank: int
-
-    @property
-    def coordinate(self) -> tuple[float, float]:
-        return (float(self.n_al), self.n_cp)
 
 
 def component_potential(

@@ -13,19 +13,12 @@ from .errors import EmptySample, InvalidP0, TooFewValues
 EXACT_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    successes: int
-    failures: int
-    rate: float
-    confidence_at: tuple[tuple[float, float], ...] = ()
-
-
-def completion_rate(successes: int, failures: int) -> CompletionResult:
+def completion_rate(successes: int, failures: int) -> float:
+    """Share of trials that succeeded."""
     total = successes + failures
     if total < 1:
         raise EmptySample("no trials")
-    return CompletionResult(successes, failures, successes / total)
+    return successes / total
 
 
 def completion_confidence(successes: int, failures: int, p0: float) -> float:

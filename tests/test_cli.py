@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 import xml.dom.minidom
 from pathlib import Path
 
@@ -63,6 +64,12 @@ class TestValidate:
                                "--test", "bogus")
         assert code == 1
 
+    def test_seed_flag_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "--seed", "1", "validate", CAMPAIGN / "campaign.json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: decisive")
+
 
 class TestMetrics:
     @pytest.mark.parametrize("category", ["nav", "collision", "field", "mapping"])
@@ -77,6 +84,39 @@ class TestMetrics:
                               "--test", "field", "--format", "csv")
         assert code == 0
         assert "Runtime" not in out.splitlines()[0]  # csv has no md titles
+
+    def test_data_quality_warnings_use_the_warning_channel(self, capsys, tmp_path):
+        campaign = shutil.copytree(CAMPAIGN, tmp_path / "campaign")
+        manifest = campaign / "campaign.json"
+        doc = json.loads(manifest.read_text())
+        keep = {"wf_alpha_1.csv", "wf_bravo_1.csv"}
+        doc["trials"] = [t for t in doc["trials"] if t["test_id"] != "wall-follow-1m"
+                         or t["telemetry"] in keep]
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metrics", manifest, "--test", "nav")
+        assert code == 0
+        lines = err.splitlines()
+        assert lines.count("warning: single flight: std reported as 0") == 2
+        assert "DataQualityWarning" not in err
+        assert "warnings.warn" not in err
+        target = tmp_path / "nav.md"
+        code, _, err_out = run(capsys, "metrics", manifest, "--test", "nav", "--out", target)
+        assert code == 0
+        assert err_out == err
+        assert out == target.read_text()
+        assert "| wall-follow-1m | alpha | 1 |" in out
+        assert "| wall-follow-1m | bravo | 1 |" in out
+
+    def test_short_fiducial_row_names_line(self, capsys, tmp_path):
+        campaign = shutil.copytree(CAMPAIGN, tmp_path / "campaign")
+        observations = campaign / "fiducials.csv"
+        lines = observations.read_text().splitlines()
+        lines.insert(2, "B,1,0.5")  # file line 3
+        observations.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "metrics", campaign / "campaign.json", "--test", "mapping")
+        assert code == 1
+        assert out == ""
+        assert "row has 3 fields, needs 5 (at 3)" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "nav.md"

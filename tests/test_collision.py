@@ -12,15 +12,12 @@ from decisive.collision import (
     GRAVITY,
     aggregate_flights,
     category_distribution,
-    collision_count,
     derive_kinematics,
     distance_to_obstacle,
     flight_metrics,
     masi,
     max_delta_v,
     min_ttc,
-    peak_deceleration,
-    suggest_collision_time,
 )
 from decisive.core import ObstacleGeometry, Trajectory, TrialRecord
 from decisive.errors import (
@@ -239,12 +236,6 @@ class TestMasi:
         rotated = masi(traj(t, pos @ rot.T, acc=acc @ rot.T))
         assert rotated == pytest.approx(base, abs=1e-9)
 
-    def test_peak_deceleration_byproduct(self):
-        t = np.arange(0, 1.01, 0.1)
-        acc = np.column_stack([1.96 * np.ones_like(t), np.zeros_like(t), np.zeros_like(t)])
-        pos = np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
-        assert peak_deceleration(traj(t, pos, acc=acc)) == pytest.approx(1.96)
-
 
 class TestMaxDeltaV:
     def make_step_flight(self, rate_hz=20.0, step=-0.5, t_c=1.0):
@@ -312,15 +303,6 @@ class TestDeriveKinematics:
         with pytest.raises(InsufficientSamples):
             derive_kinematics(traj([0, 1], [(0, 0, 0), (1, 0, 0)]))
 
-    def test_suggest_collision_time(self):
-        t = np.arange(0, 2.01, 0.05)
-        ax = np.where(t >= 1.0, 5.0, 0.0)
-        acc = np.column_stack([ax, np.zeros_like(t), np.zeros_like(t)])
-        pos = np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
-        assert suggest_collision_time(traj(t, pos, acc=acc)) == pytest.approx(1.0)
-        quiet = np.zeros_like(acc)
-        assert suggest_collision_time(traj(t, pos, acc=quiet)) is None
-
 
 def make_trial(i, collisions=0, oa=None, cr=None, test="oa-wall"):
     return TrialRecord(
@@ -353,8 +335,3 @@ class TestCategoryDistribution:
     def test_missing_category(self):
         with pytest.raises(MissingCategory):
             category_distribution([make_trial(0)], "oa")
-
-    def test_collision_count(self):
-        trials = [make_trial(0, collisions=1), make_trial(1, collisions=2),
-                  make_trial(2), make_trial(3), make_trial(4)]
-        assert collision_count(trials) == 2

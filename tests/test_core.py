@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decisive.core import (
-    PoseSample,
-    Trajectory,
-    apply_marker_offset,
-    resample_uniform,
-    tracker_calibration,
-)
-from decisive.errors import EmptySpan
+from decisive.core import Trajectory, apply_marker_offset
 
 
 def make_traj(t, xs, **kwargs):
@@ -39,13 +32,7 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             make_traj([0.0, 1.0], [0.0, math.nan])
         with pytest.raises(ValueError):
-            PoseSample(t=math.inf, pos=(0, 0, 0))
-
-    def test_samples_round_trip(self):
-        traj = make_traj([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
-        again = Trajectory.from_samples(traj.samples)
-        assert np.array_equal(again.t, traj.t)
-        assert np.array_equal(again.pos, traj.pos)
+            make_traj([0.0, math.inf], [0.0, 1.0])
 
 
 class TestMarkerOffset:
@@ -86,79 +73,3 @@ class TestMarkerOffset:
         traj = make_traj(list(range(len(xs))), xs, marker_offset=offset)
         out = apply_marker_offset(traj)
         assert np.array_equal(np.diff(out.pos, axis=0), np.diff(traj.pos, axis=0))
-
-
-class TestResample:
-    def test_linear_interpolation(self):
-        traj = make_traj([0.0, 1.0], [0.0, 1.0])
-        out = resample_uniform(traj, 2.0)
-        assert np.allclose(out.t, [0.0, 0.5, 1.0])
-        assert np.allclose(out.pos[:, 0], [0.0, 0.5, 1.0])
-
-    def test_idempotent_on_grid(self):
-        t = np.arange(11) * 0.1
-        traj = make_traj(t, np.sin(t))
-        out = resample_uniform(traj, 10.0)
-        assert np.allclose(out.t, traj.t)
-        assert np.allclose(out.pos, traj.pos)
-
-    def test_grid_timestamps_exact(self):
-        traj = make_traj([0.0, 0.31, 0.62, 1.0], [0.0, 1.0, 2.0, 3.0])
-        out = resample_uniform(traj, 4.0)
-        assert np.array_equal(out.t, 0.0 + np.arange(5) * 0.25)
-
-    def test_sine_against_analytic_oracle(self):
-        t = np.arange(0, 2.0, 0.01)  # 100 Hz
-        traj = make_traj(t, np.sin(2 * np.pi * t))
-        out = resample_uniform(traj, 10.0)
-        expected = np.sin(2 * np.pi * out.t)
-        assert np.max(np.abs(out.pos[:, 0] - expected)) < 1e-3
-
-    def test_interpolation_stays_in_bracket_hull(self):
-        rng = np.random.default_rng(7)
-        t = np.sort(rng.uniform(0, 5, 40))
-        t[0], t[-1] = 0.0, 5.0
-        xs = rng.normal(size=40)
-        traj = make_traj(t, xs)
-        out = resample_uniform(traj, 7.0)
-        for ti, xi in zip(out.t, out.pos[:, 0]):
-            left = np.searchsorted(t, ti, side="right") - 1
-            right = min(left + 1, len(t) - 1)
-            lo = min(xs[left], xs[right]) - 1e-12
-            hi = max(xs[left], xs[right]) + 1e-12
-            assert lo <= xi <= hi
-
-    def test_gap_flag(self):
-        traj = make_traj([0.0, 0.1, 0.9, 1.0], [0.0, 1.0, 2.0, 3.0])
-        assert resample_uniform(traj, 10.0).gap_flag
-        assert not resample_uniform(make_traj([0.0, 0.5, 1.0], [0, 1, 2]), 2.0).gap_flag
-
-    def test_too_short_span(self):
-        traj = make_traj([0.0, 0.05], [0.0, 1.0])
-        with pytest.raises(EmptySpan):
-            resample_uniform(traj, 10.0)
-
-
-class TestTrackerCalibration:
-    def test_constant_input(self):
-        pos = np.ones((5, 3))
-        traj = Trajectory(t=np.arange(5.0), pos=pos)
-        accuracy, precision = tracker_calibration(traj)
-        assert accuracy == (1.0, 1.0, 1.0)
-        assert precision == (0.0, 0.0, 0.0)
-
-    def test_two_point_sample_std(self):
-        # x in {0.9, 1.1}: mean 1.0, sample std sqrt(2 * 0.1^2 / 1) = 0.1414
-        pos = np.array([[0.9, 0.0, 0.0], [1.1, 0.0, 0.0]])
-        traj = Trajectory(t=np.array([0.0, 1.0]), pos=pos)
-        accuracy, precision = tracker_calibration(traj)
-        assert accuracy[0] == pytest.approx(1.0)
-        assert precision[0] == pytest.approx(0.141421, abs=1e-6)
-
-    def test_gaussian_noise_statistical(self):
-        rng = np.random.default_rng(42)
-        pos = rng.normal(loc=[1, 2, 0.5], scale=0.01, size=(10_000, 3))
-        traj = Trajectory(t=np.arange(10_000, dtype=float), pos=pos)
-        _, precision = tracker_calibration(traj)
-        for axis in range(3):
-            assert abs(precision[axis] - 0.01) / 0.01 < 0.15

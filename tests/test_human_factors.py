@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decisive.errors import (
-    DegenerateFit,
     EmptyCondition,
     LengthMismatch,
     NonPositiveParam,
@@ -13,7 +12,6 @@ from decisive.errors import (
 from decisive.human_factors import (
     SagatResponse,
     SeParams,
-    SeevWeights,
     SurveyDataset,
     SurveyRow,
     attention_allocation,
@@ -21,10 +19,8 @@ from decisive.human_factors import (
     osa_summary,
     perception_level,
     perception_vectors,
-    probability_attending,
     sagat_correct_rates,
     trust_pipeline,
-    virtual_proportion,
 )
 
 # golden attention-allocation column: ten elements summing to 1.000
@@ -68,46 +64,6 @@ class TestAttentionAllocation:
     def test_non_positive_param(self):
         with pytest.raises(NonPositiveParam):
             SeParams("bad", 0.0, 1.0, 1.0, 1.0)
-
-
-class TestProbabilityAttending:
-    def test_salience_only(self):
-        p = probability_attending({"se": (0.6, 0.0, 0.0, 0.0)}, SeevWeights(1, 0, 0, 0))
-        assert p["se"] == pytest.approx(0.6)
-
-    def test_effort_clamps_at_zero(self):
-        with pytest.warns(UserWarning):
-            p = probability_attending({"se": (0.0, 0.3, 0.0, 0.0)}, SeevWeights(0, 1, 0, 0))
-        assert p["se"] == 0.0
-
-    def test_weighted_sum(self):
-        p = probability_attending(
-            {"se": (0.5, 0.2, 0.4, 0.8)}, SeevWeights(1.0, 0.5, 1.0, 1.0)
-        )
-        assert p["se"] == pytest.approx(0.5 - 0.1 + 0.4 + 0.8)
-
-
-class TestVirtualProportion:
-    def test_exact_line(self):
-        assert virtual_proportion([(0.5, 0.05), (1.0, 0.10)], 0.75) == pytest.approx(0.075)
-
-    def test_through_observed_point(self):
-        assert virtual_proportion([(0.5, 0.05), (1.0, 0.10)], 0.5) == pytest.approx(0.05)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateFit):
-            virtual_proportion([(0.5, 0.05), (0.5, 0.10)], 0.7)
-        with pytest.raises(DegenerateFit):
-            virtual_proportion([(0.5, 0.05)], 0.7)
-
-    def test_renormalized_vector_is_probability(self):
-        present = [(0.5, 0.30), (0.8, 0.45), (0.9, 0.15)]
-        vp = virtual_proportion(present, 0.7)
-        full = [p for _, p in present] + [max(vp, 0.0)]
-        total = sum(full)
-        normalized = [p / total for p in full]
-        assert sum(normalized) == pytest.approx(1.0)
-        assert all(0.0 <= p <= 1.0 for p in normalized)
 
 
 def response(participant, se, level, correct, q="q"):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from decisive.core import Trajectory
-from decisive.errors import InconsistentFlags, ZeroDuration
+from decisive.errors import ZeroDuration
 from decisive.nav import (
     ReferencePath,
     average_deviation,
-    classify_aperture_trial,
     deviation_series,
     deviation_summary,
     point_path_deviation,
@@ -224,32 +223,3 @@ class TestTraversalSpeed:
     def test_zero_duration(self):
         with pytest.raises(ZeroDuration):
             traversal_speed(10.0, 0.0)
-
-
-class TestApertureTiers:
-    @pytest.mark.parametrize(
-        "flags,tier",
-        [
-            ((True, False, False), "A1"),
-            ((True, True, False), "A2"),
-            ((True, True, True), "A3"),
-            ((False, False, False), "B1"),
-            ((False, True, False), "B1"),
-            ((False, True, True), "B1"),
-        ],
-    )
-    def test_classification(self, flags, tier):
-        assert classify_aperture_trial(*flags) == tier
-
-    def test_inconsistent(self):
-        with pytest.raises(InconsistentFlags):
-            classify_aperture_trial(True, False, True)
-
-    def test_exhaustive_minus_inconsistent(self):
-        order = {"A1": 0, "A2": 1, "A3": 2, "B1": 3}
-        for passed in (False, True):
-            for contact in (False, True):
-                for ripped in (False, True):
-                    if ripped and not contact:
-                        continue
-                    assert classify_aperture_trial(passed, contact, ripped) in order

@@ -46,8 +46,9 @@ class TestCompletionConfidence:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rate(self):
-        result = completion_rate(4, 1)
-        assert result.rate == pytest.approx(0.8)
+        rate = completion_rate(4, 1)
+        assert isinstance(rate, float)
+        assert rate == pytest.approx(0.8)
         with pytest.raises(EmptySample):
             completion_rate(0, 0)
 
