@@ -8,8 +8,6 @@ success, 1 for input or validation problems, 2 for computation failures.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import warnings
@@ -23,18 +21,23 @@ from . import mapping as mapping_mod
 from . import nav as nav_mod
 from . import ncap as ncap_mod
 from . import stats as stats_mod
-from .core import apply_marker_offset
+from .core import tests_of_kind
 from .errors import DataQualityWarning, DecisiveError, ParseError
 from .ingest import (
     ground_truth_from_test,
     nlos_positions_from_test,
     obstacle_from_test,
     parse_campaign,
+    parse_capabilities,
     parse_criteria,
     parse_feature_sheet,
+    parse_feature_weights,
     parse_fiducial_observations,
     parse_fis_config,
+    parse_reference_path,
+    parse_sa_weights,
     parse_sagat,
+    parse_scores,
     parse_survey,
     parse_telemetry,
     reference_path_from_test,
@@ -56,21 +59,15 @@ def _diag(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _emit_report_warnings(report) -> None:
-    for location, message in report.warnings:
-        _warn(f"{report.source}: {message} (at {location})")
-
-
 def _data_quality_to_warn(showwarning):
-    """A `warnings.showwarning` that prints DataQualityWarning through `_warn`."""
+    """A `warnings.showwarning` that prints each DataQualityWarning as a `warning:` line.
+
+    This is the only place the CLI reports a non-fatal data issue.
+    """
 
     def show(message, category, filename, lineno, file=None, line=None):
         if issubclass(category, DataQualityWarning):
-            _warn(str(message))
+            print(f"warning: {message}", file=sys.stderr)
         else:
             showwarning(message, category, filename, lineno, file, line)
 
@@ -172,7 +169,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _diag(str(exc))
         return 1
-    except (FileNotFoundError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         _diag(f"invalid input: {exc}")
         return 1
     except DecisiveError as exc:
@@ -197,7 +194,6 @@ def _emit_tables(tables, args) -> int:
 
 def cmd_validate(args) -> int:
     campaign, report = parse_campaign(args.manifest)
-    _emit_report_warnings(report)
     counts = ", ".join(f"{v} {k}" for k, v in report.counts.items())
     print(f"{args.manifest}: OK ({counts})", file=sys.stderr)
     return 0
@@ -205,15 +201,8 @@ def cmd_validate(args) -> int:
 
 # --- metrics -----------------------------------------------------------------
 
-def _load_trial_trajectory(manifest_dir: Path, trial):
-    traj, report = parse_telemetry(manifest_dir / trial.telemetry)
-    _emit_report_warnings(report)
-    return apply_marker_offset(traj)
-
-
 def cmd_metrics(args) -> int:
-    campaign, report = parse_campaign(args.manifest)
-    _emit_report_warnings(report)
+    campaign, _ = parse_campaign(args.manifest)
     builders = {
         "nav": _nav_tables,
         "collision": _collision_tables,
@@ -225,10 +214,6 @@ def cmd_metrics(args) -> int:
         _diag(f"no {args.test} tests in {args.manifest}")
         return 1
     return _emit_tables(tables, args)
-
-
-def _tests_of_kind(campaign, kind):
-    return [t for t in campaign.tests.values() if t.get("kind") == kind]
 
 
 def _nav_tables(campaign, base: Path) -> list[ReportTable]:
@@ -269,7 +254,7 @@ def _nav_tables(campaign, base: Path) -> list[ReportTable]:
         ],
     )
 
-    for test in _tests_of_kind(campaign, "nav"):
+    for test in tests_of_kind(campaign, "nav"):
         test_id = test["test_id"]
         trials = campaign.trials_for_test(test_id)
         by_suas = sorted({t.suas_id for t in trials})
@@ -278,7 +263,7 @@ def _nav_tables(campaign, base: Path) -> list[ReportTable]:
             mine = [t for t in trials if t.suas_id == suas_id]
             flights = [t for t in mine if t.telemetry]
             if path and flights:
-                trajs = [(_load_trial_trajectory(base, t), path) for t in flights]
+                trajs = [(parse_telemetry(base / t.telemetry)[0], path) for t in flights]
                 summary = nav_mod.deviation_summary(trajs)
                 per_flight = " ".join(f"{ad:.3f}" for ad in summary.per_flight_ad)
                 deviation.add_row(test_id, suas_id, len(flights), per_flight,
@@ -320,7 +305,7 @@ def _collision_tables(campaign, base: Path) -> list[ReportTable]:
             Column("max delta-v", "number", 3, "m/s"),
         ],
     )
-    for test in _tests_of_kind(campaign, "collision"):
+    for test in tests_of_kind(campaign, "collision"):
         test_id = test["test_id"]
         obstacle = obstacle_from_test(test)
         trials = campaign.trials_for_test(test_id)
@@ -328,7 +313,7 @@ def _collision_tables(campaign, base: Path) -> list[ReportTable]:
         for trial in sorted(trials, key=lambda t: t.trial_id):
             if not trial.telemetry:
                 continue
-            traj = _load_trial_trajectory(base, trial)
+            traj, _ = parse_telemetry(base / trial.telemetry)
             collided = trial.collisions > 0
             m = coll.flight_metrics(traj, obstacle, collided, trial.t_collision)
             numeric.add_row(test_id, trial.suas_id, trial.trial_id, trial.collisions,
@@ -412,7 +397,7 @@ def _field_tables(campaign, base: Path) -> list[ReportTable]:
             Column("percentage", "number", 0, "%"),
         ],
     )
-    for test in _tests_of_kind(campaign, "field"):
+    for test in tests_of_kind(campaign, "field"):
         test_id = test["test_id"]
         trials = campaign.trials_for_test(test_id)
         for suas_id in sorted({t.suas_id for t in trials}):
@@ -441,8 +426,7 @@ def _field_tables(campaign, base: Path) -> list[ReportTable]:
                     obstructions = "; ".join(f"{c} {m}" for c, m in best.obstructions)
                     nlos.add_row(test_id, mode, best.distance, obstructions)
         if test.get("criteria") and test.get("responses"):
-            criteria, crit_report = parse_criteria(base / test["criteria"])
-            _emit_report_warnings(crit_report)
+            criteria, _ = parse_criteria(base / test["criteria"])
             for suas_id in sorted(test["responses"]):
                 result = field_mod.requirements_met(test["responses"][suas_id], criteria)
                 for field_name in sorted(result.per_field):
@@ -456,7 +440,7 @@ def _field_tables(campaign, base: Path) -> list[ReportTable]:
 
 def _mapping_tables(campaign, base: Path) -> list[ReportTable]:
     tables = []
-    for test in _tests_of_kind(campaign, "mapping"):
+    for test in tests_of_kind(campaign, "mapping"):
         test_id = test["test_id"]
         truth = ground_truth_from_test(test)
         if truth:
@@ -481,13 +465,12 @@ def _mapping_tables(campaign, base: Path) -> list[ReportTable]:
             [Column("metric"), Column("value", "number", 1), Column("unit")],
         )
         if test.get("observations") and truth:
-            obs, obs_report = parse_fiducial_observations(base / test["observations"])
-            _emit_report_warnings(obs_report)
+            obs, _ = parse_fiducial_observations(base / test["observations"])
             summary.add_row("coverage", mapping_mod.fiducial_coverage(obs, truth), "%")
             try:
                 summary.add_row("global error", mapping_mod.global_error(obs, truth), "cm")
             except DecisiveError as exc:
-                _warn(f"{test_id}: global error skipped: {exc}")
+                warnings.warn(f"{test_id}: global error skipped: {exc}", DataQualityWarning)
         if test.get("shape_classes"):
             classes = [test["shape_classes"][k] for k in sorted(test["shape_classes"])]
             summary.add_row("shape accuracy", mapping_mod.shape_accuracy_rate(classes), "%")
@@ -524,33 +507,25 @@ def _load_weight_scheme(weights_arg: str, sheet) -> ncap_mod.WeightScheme:
         if missing:
             raise ParseError(f"no degree-of-autonomy for features: {', '.join(missing)}")
         return ncap_mod.WeightScheme.degree_of_autonomy(sheet.degrees)
-    with open(weights_arg, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    missing = [n for n in names if n not in raw]
-    if missing:
-        raise ParseError(f"weight file lacks features: {', '.join(missing)}")
-    return ncap_mod.WeightScheme.explicit({n: float(raw[n]) for n in names})
+    return ncap_mod.WeightScheme.explicit(parse_feature_weights(weights_arg, names))
 
 
 def _ncap_results(args):
-    sheet, report = parse_feature_sheet(args.features)
-    _emit_report_warnings(report)
+    sheet, _ = parse_feature_sheet(args.features)
     scheme = _load_weight_scheme(args.weights, sheet)
     potentials = ncap_mod.component_potential(sheet.table, scheme)
 
     caps_by_id = dict(sheet.capabilities)
     if args.caps:
-        with open(args.caps, encoding="utf-8") as fh:
-            for sid, flags in json.load(fh).items():
-                caps_by_id[sid] = {k: bool(v) for k, v in flags.items()}
+        caps_by_id.update(parse_capabilities(args.caps))
     missing = [sid for sid in potentials if sid not in caps_by_id]
     if missing:
         raise ParseError(f"no capability flags for: {', '.join(sorted(missing))}")
 
-    scores = {}
-    for sid, potential in potentials.items():
-        caps = ncap_mod.AutonomyCapabilities(**caps_by_id[sid])
-        scores[sid] = (ncap_mod.autonomy_level(caps), potential)
+    scores = {
+        sid: (ncap_mod.autonomy_level(caps_by_id[sid]), potential)
+        for sid, potential in potentials.items()
+    }
     return ncap_mod.autonomy_distances(scores)
 
 
@@ -574,67 +549,48 @@ def cmd_ncap(args) -> int:
 
 # --- cfis ----------------------------------------------------------------------
 
-def _read_scores_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("scores file is empty", str(path))
-        rows = list(reader)
-    return [f.strip() for f in reader.fieldnames], rows
-
-
 def cmd_cfis(args) -> int:
-    config, report = parse_fis_config(args.fis)
-    _emit_report_warnings(report)
-    header, rows = _read_scores_csv(args.scores)
-    for col in ("suas_id", "test_id"):
-        if col not in header:
-            raise ParseError(f"scores file missing column {col!r}", str(args.scores))
+    config, _ = parse_fis_config(args.fis)
+    axis_vars = {
+        name: set(fis.inputs)
+        for name, fis in config.fis.items()
+        if name not in config.cascade
+    }
+    precomputed, rows = parse_scores(args.scores, set().union(*axis_vars.values()))
 
     tables = []
     per_suas: dict[str, dict[str, float]] = {}
-    if set(header) == {"suas_id", "test_id", "score"}:
-        for row in rows:
-            score = float(row["score"])
-            per_suas.setdefault(row["suas_id"], {})[row["test_id"]] = score
+    if precomputed:
+        for suas_id, test_id, numbers in rows:
+            per_suas.setdefault(suas_id, {})[test_id] = numbers["score"]
     else:
-        axis_vars = {
-            name: set(fis.inputs)
-            for name, fis in config.fis.items()
-            if name not in config.cascade
-        }
         detail = ReportTable(
             "Contextual autonomy per test",
             [Column("sUAS"), Column("test")]
             + [Column(f"{axis} score", "number", 3) for axis in sorted(axis_vars)]
             + [Column("combined", "number", 3), Column("normalized", "number", 2)],
         )
-        for row in rows:
-            inputs = {}
-            for axis, variables in axis_vars.items():
-                vals = {
-                    v: float(row[v])
-                    for v in variables
-                    if row.get(v) not in (None, "")
-                }
-                if set(vals) == variables:
-                    inputs[axis] = vals
+        for suas_id, test_id, numbers in rows:
+            inputs = {
+                axis: {v: numbers[v] for v in variables}
+                for axis, variables in axis_vars.items()
+                if variables <= numbers.keys()
+            }
             if not inputs:
                 raise ParseError(
-                    f"row for {row['suas_id']}/{row['test_id']} matches no axis inputs",
-                    str(args.scores),
+                    f"row for {suas_id}/{test_id} matches no axis inputs", str(args.scores)
                 )
             result = cfis_mod.cascade_eval(config, inputs)
             ideal = cfis_mod.ideal_combined(config, inputs)
             normalized = cfis_mod.normalized_test_score(result.combined, ideal)
             detail.add_row(
-                row["suas_id"],
-                row["test_id"],
+                suas_id,
+                test_id,
                 *[result.axis_scores.get(a) for a in sorted(axis_vars)],
                 result.combined,
                 normalized,
             )
-            per_suas.setdefault(row["suas_id"], {})[row["test_id"]] = normalized
+            per_suas.setdefault(suas_id, {})[test_id] = normalized
         tables.append(detail)
 
     predictive = ReportTable(
@@ -651,29 +607,14 @@ def cmd_cfis(args) -> int:
 # --- sa ------------------------------------------------------------------------
 
 def cmd_sa(args) -> int:
-    responses, report = parse_sagat(args.sagat)
-    _emit_report_warnings(report)
+    responses, _ = parse_sagat(args.sagat)
     rates = hf.sagat_correct_rates(responses)
     vectors = hf.perception_vectors(responses)
 
-    missions = {}
     if args.weights:
-        with open(args.weights, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        missions = doc.get("missions", {}) if isinstance(doc, dict) else {}
-        if "params" in doc:
-            params = [
-                hf.SeParams(se, spec["saliency"], spec["effort"],
-                            spec["expectancy"], spec["value"])
-                for se, spec in doc["params"].items()
-            ]
-            weights = hf.attention_allocation(params)
-        elif "weights" in doc:
-            weights = {se: float(w) for se, w in doc["weights"].items()}
-        else:
-            weights = {se: float(w) for se, w in doc.items()}
+        weights, missions = parse_sa_weights(args.weights)
     else:
-        weights = {se: 1.0 for se in rates}
+        weights, missions = {se: 1.0 for se in rates}, {}
 
     rate_table = ReportTable(
         "SAGAT correct rate",
@@ -720,13 +661,8 @@ def cmd_sa(args) -> int:
 # --- trust --------------------------------------------------------------------
 
 def cmd_trust(args) -> int:
-    dataset, report = parse_survey(args.survey)
-    _emit_report_warnings(report)
+    dataset, _ = parse_survey(args.survey)
     result = hf.trust_pipeline(dataset, args.condition_a, args.condition_b)
-    for participant in result.removed_participants:
-        _warn(f"removed participant (failed manipulation check): {participant}")
-    for note in result.outlier_notes:
-        _warn(note)
 
     table = ReportTable(
         f"Trust comparison: {args.condition_a} vs {args.condition_b}",
@@ -750,8 +686,7 @@ def cmd_trust(args) -> int:
 # --- report ---------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    campaign, report = parse_campaign(args.manifest)
-    _emit_report_warnings(report)
+    campaign, _ = parse_campaign(args.manifest)
     base = args.manifest.parent
     tables = []
     for builder in (_nav_tables, _collision_tables, _field_tables, _mapping_tables):
@@ -774,14 +709,8 @@ def cmd_plot(args) -> int:
     else:
         if not (args.telemetry and args.path):
             raise ParseError("--telemetry and --path are required for deviation plots")
-        traj, report = parse_telemetry(args.telemetry)
-        _emit_report_warnings(report)
-        with open(args.path, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        path = nav_mod.ReferencePath(
-            tuple(tuple(v) for v in spec["vertices"]), bool(spec.get("closed", False))
-        )
-        traj = apply_marker_offset(traj)
+        traj, _ = parse_telemetry(args.telemetry)
+        path = parse_reference_path(args.path)
         series = list(zip(traj.t.tolist(), nav_mod.deviation_series(traj.pos, path).tolist()))
         data = plot_svg("deviation", series)
     _write_output(data, args.out)

@@ -1,12 +1,12 @@
-"""Unit-bearing domain types plus trajectory preparation.
+"""Unit-bearing domain types.
 
 All quantities are SI: seconds, meters, m/s, m/s^2. Trajectories are stored
-as immutable numpy arrays; every operation returns a new value.
+as immutable numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,18 +31,12 @@ def _as_matrix(rows, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered pose samples from internal telemetry or an external tracker.
-
-    `marker_offset` is the rigid offset of the tracked marker from the body
-    center; `apply_marker_offset` removes it.
-    """
+    """Time-ordered pose samples from internal telemetry or an external tracker."""
 
     t: np.ndarray
     pos: np.ndarray
     vel: Optional[np.ndarray] = None
     acc: Optional[np.ndarray] = None
-    source: str = "internal"
-    marker_offset: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -64,8 +58,6 @@ class Trajectory:
                 if v.shape[0] != t.size:
                     raise ValueError(f"{name} length must match timestamps")
                 object.__setattr__(self, name, v)
-        if self.source not in ("internal", "external"):
-            raise ValueError("source must be 'internal' or 'external'")
 
     def __len__(self) -> int:
         return self.t.size
@@ -160,9 +152,6 @@ class Campaign:
         return [t for t in self.trials if t.test_id == test_id]
 
 
-# --- operations ---------------------------------------------------------------
-
-def apply_marker_offset(traj: Trajectory) -> Trajectory:
-    """Translate every position by -marker_offset (marker frame -> body center)."""
-    offset = np.asarray(traj.marker_offset, dtype=float)
-    return replace(traj, pos=traj.pos - offset, marker_offset=(0.0, 0.0, 0.0))
+def tests_of_kind(campaign: Campaign, kind: str) -> list[dict]:
+    """The campaign's test definitions of one category: nav, collision, field or mapping."""
+    return [t for t in campaign.tests.values() if t.get("kind") == kind]

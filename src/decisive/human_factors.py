@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
+    DataQualityWarning,
     EmptyCondition,
     EmptySample,
     LengthMismatch,
@@ -179,26 +181,20 @@ class ItemComparison:
 @dataclass(frozen=True)
 class TrustReport:
     items: tuple[ItemComparison, ...]
-    removed_participants: tuple[str, ...]
-    outlier_notes: tuple[str, ...]
-    preference: dict[str, int] = field(default_factory=dict)
-    preference_reasons: tuple[str, ...] = ()
 
 
-def trust_pipeline(
-    dataset: SurveyDataset,
-    condition_a: str,
-    condition_b: str,
-    preferences: Optional[Mapping[str, str]] = None,
-    preference_reasons: Sequence[str] = (),
-) -> TrustReport:
+def trust_pipeline(dataset: SurveyDataset, condition_a: str, condition_b: str) -> TrustReport:
     """Manipulation-check filter, per-item IQR outlier removal, then item-wise tests.
 
     Outliers are fenced within each condition's per-item sample so genuine
-    between-condition shifts are not discarded. The 10% removal guidance is
-    surfaced as a note per affected item, never enforced silently.
+    between-condition shifts are not discarded. Each removed participant and
+    each item past the 10% removal guidance is reported as a
+    DataQualityWarning, never enforced silently.
     """
-    failed = sorted({r.participant_id for r in dataset.rows if not r.manip_pass})
+    for participant in sorted({r.participant_id for r in dataset.rows if not r.manip_pass}):
+        warnings.warn(
+            f"removed participant (failed manipulation check): {participant}", DataQualityWarning
+        )
     # one pass over the valid rows; buckets keep row order, which the
     # floating-point sums below depend on
     buckets: dict[tuple[str, str, str], list[int]] = {}
@@ -213,7 +209,6 @@ def trust_pipeline(
     items = sorted(
         {(inst, item) for inst, item, cond in buckets if cond in (condition_a, condition_b)}
     )
-    notes: list[str] = []
     comparisons = []
     for instrument, item_id in items:
         sides = []
@@ -222,7 +217,8 @@ def trust_pipeline(
             if len(scores) >= 4:
                 kept, removed, warning = iqr_filter(scores)
                 if warning:
-                    notes.append(f"{instrument} {item_id} [{label}]: {warning}")
+                    note = f"{instrument} {item_id} [{label}]: {warning}"
+                    warnings.warn(note, DataQualityWarning)
                 scores = kept
             if not scores:
                 raise EmptyCondition(f"{instrument} {item_id}: no scores for {label!r}")
@@ -245,10 +241,4 @@ def trust_pipeline(
                 t_p,
             )
         )
-
-    tally: dict[str, int] = {}
-    for choice in (preferences or {}).values():
-        tally[choice] = tally.get(choice, 0) + 1
-    return TrustReport(
-        tuple(comparisons), tuple(failed), tuple(notes), tally, tuple(preference_reasons)
-    )
+    return TrustReport(tuple(comparisons))

@@ -1,7 +1,9 @@
 """Parsers for every on-disk input: telemetry, manifests, surveys, sheets, configs.
 
-Every parser is total: a file either yields a value plus a ParseReport or a
-structured error naming the offending location. Formats are deliberately
+Every parser is total: a file either yields a value (for the data files, plus
+a ParseReport of what was loaded) or a structured error naming the offending
+location. Non-fatal issues are issued as DataQualityWarnings, each naming the
+file and location, at the moment they are found. Formats are deliberately
 plain: CSV with required headers for recorded data, JSON with an explicit
 schema_version for manifests and configuration. UTF-8, '.' decimal separator,
 ',' delimiter.
@@ -14,6 +16,7 @@ import functools
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .core import (
 )
 from .errors import (
     CyclicCascade,
+    DataQualityWarning,
     DanglingReference,
     MalformedTuple,
     MissingColumn,
@@ -46,10 +50,16 @@ from .errors import (
     UnknownTerm,
 )
 from .field import Criterion, NlosPosition
-from .human_factors import SagatResponse, SurveyDataset, SurveyRow
+from .human_factors import (
+    SagatResponse,
+    SeParams,
+    SurveyDataset,
+    SurveyRow,
+    attention_allocation,
+)
 from .mapping import FiducialGroundTruth, FiducialObservation
 from .nav import ReferencePath
-from .ncap import ABSENT, Feature, FeatureTable
+from .ncap import ABSENT, AutonomyCapabilities, Feature, FeatureTable
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
@@ -59,14 +69,13 @@ HCTM_ITEM_COUNT = 12
 
 @dataclass
 class ParseReport:
-    """What was loaded and every warning raised along the way."""
+    """What a parser loaded from `source`; `warn` issues a located DataQualityWarning."""
 
     source: str
-    warnings: list[tuple[object, str]] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
 
     def warn(self, location, message: str) -> None:
-        self.warnings.append((location, message))
+        warnings.warn(f"{self.source}: {message} (at {location})", DataQualityWarning)
 
 
 def _total(fn):
@@ -84,6 +93,14 @@ def _total(fn):
             raise ParseError(f"malformed input ({exc})", str(path))
 
     return wrapper
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", str(path))
 
 
 def _header(reader, path) -> list[str]:
@@ -234,11 +251,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
     """Load and cross-validate a campaign manifest."""
     path = Path(path)
     report = ParseReport(str(path))
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+    doc = _load_json(path)
 
     version = doc.get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
@@ -323,11 +336,21 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
     return Campaign(suas=suas, tests=tests, environments=environments, trials=tuple(trials)), report
 
 
+def _reference_path(spec) -> ReferencePath:
+    return ReferencePath(tuple(tuple(v) for v in spec["vertices"]), bool(spec.get("closed", False)))
+
+
 def reference_path_from_test(test: dict) -> ReferencePath:
     spec = test.get("path")
     if spec is None:
         raise ParseError(f"test {test.get('test_id')} has no path")
-    return ReferencePath(tuple(tuple(v) for v in spec["vertices"]), bool(spec.get("closed", False)))
+    return _reference_path(spec)
+
+
+@_total
+def parse_reference_path(path) -> ReferencePath:
+    """A reference path file, shaped like a nav test's `path`: vertices + closed flag."""
+    return _reference_path(_load_json(path))
 
 
 def obstacle_from_test(test: dict) -> ObstacleGeometry:
@@ -423,6 +446,25 @@ def parse_sagat(path) -> tuple[list[SagatResponse], ParseReport]:
     return out, report
 
 
+@_total
+def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
+    """Attention weights per element, and the missions, of an `sa --weights` file.
+
+    Weights come from SEEV `params`, an explicit `weights` map, or the top
+    level itself; `missions` maps a mission name to the elements it covers.
+    """
+    doc = _load_json(path)
+    missions = doc.get("missions", {})
+    if "params" in doc:
+        params = [
+            SeParams(se, spec["saliency"], spec["effort"], spec["expectancy"], spec["value"])
+            for se, spec in doc["params"].items()
+        ]
+        return attention_allocation(params), missions
+    weights = doc["weights"] if "weights" in doc else doc
+    return {se: float(w) for se, w in weights.items()}, missions
+
+
 # --- feature sheets ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -430,18 +472,18 @@ class FeatureSheet:
     """A feature table plus the per-system extras a sheet may carry."""
 
     table: FeatureTable
-    capabilities: dict[str, dict[str, bool]]
+    capabilities: dict[str, AutonomyCapabilities]
     degrees: dict[str, int]
+
+
+def _capabilities(flags: dict) -> AutonomyCapabilities:
+    return AutonomyCapabilities(**{k: bool(v) for k, v in flags.items()})
 
 
 @_total
 def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
     report = ParseReport(str(path))
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+    doc = _load_json(path)
 
     direction_map = {"higher": "higher_better", "lower": "lower_better"}
     features = []
@@ -479,11 +521,27 @@ def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
             for k, v in system.get("values", {}).items()
         }
         if "capabilities" in system:
-            capabilities[sid] = {k: bool(v) for k, v in system["capabilities"].items()}
+            capabilities[sid] = _capabilities(system["capabilities"])
 
     table = FeatureTable(tuple(features), values)
     report.counts.update(features=len(features), systems=len(values))
     return FeatureSheet(table, capabilities, degrees), report
+
+
+@_total
+def parse_capabilities(path) -> dict[str, AutonomyCapabilities]:
+    """A `--caps` file: {"<system id>": {"perception": true, ...}, ...}."""
+    return {sid: _capabilities(flags) for sid, flags in _load_json(path).items()}
+
+
+@_total
+def parse_feature_weights(path, names) -> dict[str, float]:
+    """An explicit weight file: {"<feature>": weight, ...} covering every name in `names`."""
+    raw = _load_json(path)
+    missing = [n for n in names if n not in raw]
+    if missing:
+        raise ParseError(f"weight file lacks features: {', '.join(missing)}")
+    return {n: float(raw[n]) for n in names}
 
 
 # --- FIS configuration ----------------------------------------------------------
@@ -491,11 +549,7 @@ def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
 @_total
 def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     report = ParseReport(str(path))
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+    doc = _load_json(path)
 
     systems = {}
     for fis_name, spec in doc.get("fis", {}).items():
@@ -575,17 +629,42 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     return config, report
 
 
+# --- cfis scores -----------------------------------------------------------------
+
+@_total
+def parse_scores(path, variables: set[str]) -> tuple[bool, list[tuple[str, str, dict[str, float]]]]:
+    """A `cfis --scores` CSV: (precomputed, [(suas_id, test_id, numbers), ...]).
+
+    A file whose columns are exactly suas_id,test_id,score holds precomputed
+    scores, and each row's numbers are {"score": value}. Any other file holds
+    FIS inputs, and each row's numbers are its non-empty `variables` cells.
+    A repeated column reads its last copy.
+    """
+    header, rows = _read_rows(path)
+    for col in ("suas_id", "test_id"):
+        if col not in header:
+            raise MissingColumn(f"scores file missing column {col!r}", str(path))
+    precomputed = set(header) == {"suas_id", "test_id", "score"}
+    ids = [i for i, c in enumerate(header) if c in ("suas_id", "test_id")]
+    width = len(header) if precomputed else max(ids) + 1
+    out = []
+    for line, row in _rows_of_width(rows, width):
+        cells = dict(zip(header, row))
+        if precomputed:
+            numbers = {"score": _number(cells["score"], line)}
+        else:
+            numbers = {v: _number(cells[v], line) for v in variables if cells.get(v, "") != ""}
+        out.append((cells["suas_id"], cells["test_id"], numbers))
+    return precomputed, out
+
+
 # --- checklist criteria -----------------------------------------------------------
 
 @_total
 def parse_criteria(path) -> tuple[list[Criterion], ParseReport]:
     """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
     report = ParseReport(str(path))
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+    doc = _load_json(path)
     out = []
     for field_name, spec in doc.items():
         try:

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,13 @@ from decisive.cfis import (
     predictive_score,
     sweep_outputs,
 )
-from decisive.errors import AllTestsMissing, NonPositiveScore, NoRuleFired, ZeroDenominator
+from decisive.errors import (
+    AllTestsMissing,
+    DataQualityWarning,
+    NonPositiveScore,
+    NoRuleFired,
+    ZeroDenominator,
+)
 from decisive.ingest import parse_fis_config
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "src" / "decisive" / "configs" / "takeoff_land.json"
@@ -36,8 +43,10 @@ PREDICTIVE_ROWS = {
 
 @pytest.fixture(scope="module")
 def config():
-    cfg, report = parse_fis_config(CONFIG_PATH)
-    assert not report.warnings
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        cfg, _ = parse_fis_config(CONFIG_PATH)
+    assert not record
     return cfg
 
 
@@ -222,13 +231,15 @@ class TestShippedConfig:
 
     def test_sweep_outputs_in_unit_interval(self, config):
         for fis in config.fis.values():
-            outputs = sweep_outputs(fis, 2000, seed=7)
+            if fis.name == "ec":  # the shipped ec rulebase leaves input regions unscored
+                with pytest.warns(DataQualityWarning, match="fired no rule"):
+                    outputs = sweep_outputs(fis, 2000, seed=7)
+            else:
+                outputs = sweep_outputs(fis, 2000, seed=7)
             assert outputs, f"{fis.name}: sweep produced nothing"
             assert all(0.0 <= o <= 1.0 for o in outputs)
 
     def test_mc_and_combined_fire_everywhere(self, config):
-        import warnings
-
         for name in ("mc", "combined"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from decisive.cli import main
-from decisive.core import apply_marker_offset
+from decisive.cli import DEFAULT_FIS, main
 from decisive.ingest import parse_telemetry
 from decisive.nav import ReferencePath, deviation_series
 from decisive.report import plot_svg
@@ -21,6 +20,22 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+def campaign_copy(tmp_path):
+    return shutil.copytree(CAMPAIGN, tmp_path / "campaign")
+
+
+def path_file(tmp_path):
+    return write(tmp_path / "path.json", json.dumps({"vertices": [[0, 1, 1], [3, 1, 1]]}))
+
+
+TRUST = ["--condition-a", "caged", "--condition-b", "exposed"]
 
 
 class TestValidate:
@@ -188,6 +203,12 @@ class TestCfis:
         assert code == 0
         assert "charlie,4,0.92" in out
 
+    def test_score_header_cells_are_stripped(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv", "suas_id, test_id, score\ncharlie,takeoff,0.5\n")
+        code, out, _err = run(capsys, "cfis", "--scores", scores, "--format", "csv")
+        assert code == 0
+        assert "charlie,1,0.50" in out
+
     def test_uncovered_inputs_is_computation_error(self, capsys, tmp_path):
         scores = tmp_path / "scores.csv"
         # mixed difficulty bands: the sparse environment stage fires no rule
@@ -296,7 +317,7 @@ class TestPlot:
                                "--telemetry", CAMPAIGN / "wf_alpha_1.csv",
                                "--path", path_file, "--out", target)
         assert code == 0
-        traj = apply_marker_offset(parse_telemetry(CAMPAIGN / "wf_alpha_1.csv")[0])
+        traj, _ = parse_telemetry(CAMPAIGN / "wf_alpha_1.csv")
         path = ReferencePath(((0, 1, 1), (3, 1, 1), (3, 3, 1)), closed=True)
         series = deviation_series(traj.pos, path)
         expected = plot_svg("deviation", list(zip(traj.t.tolist(), series.tolist())))
@@ -346,3 +367,142 @@ class TestReport:
         run(capsys, "report", CAMPAIGN / "campaign.json", "--out", target)
         assert sorted(p.name for p in CAMPAIGN.iterdir()) == before
         assert target.exists()
+
+
+def unknown_column(tmp_path):
+    telemetry = write(tmp_path / "tel.csv", "t,x,y,z,note\n0,0,1,1,a\n0.1,1,1,1,b\n")
+    return (["plot", "--kind", "deviation", "--telemetry", telemetry,
+             "--path", path_file(tmp_path)],
+            f"warning: {telemetry}: ignoring unknown column 'note' (at 1)")
+
+
+def duplicate_survey_row(tmp_path):
+    lines = (CAMPAIGN / "surveys.csv").read_text().splitlines()
+    survey = write(tmp_path / "s.csv", "\n".join(lines[:3] + lines[2:]) + "\n")  # line 4 repeats 3
+    key = tuple(lines[2].split(",")[:3])
+    return (["trust", "--survey", survey, *TRUST],
+            f"warning: {survey}: duplicate response for {key}; keeping the later row (at 4)")
+
+
+def item_count_mismatch(tmp_path):
+    lines = (CAMPAIGN / "surveys.csv").read_text().splitlines()
+    survey = write(tmp_path / "s.csv", "\n".join(lines[:2] + lines[3:]) + "\n")
+    participant, instrument = lines[2].split(",")[:2]
+    return (["trust", "--survey", survey, *TRUST],
+            f"warning: {survey}: {participant}: {instrument} has 11 items, expected 12 "
+            f"(at {survey})")
+
+
+def membership_gap(tmp_path):
+    doc = json.loads(DEFAULT_FIS.read_text())
+    doc["fis"]["mc"]["inputs"]["crashes"]["terms"]["medium"] = [0.5, 1.5, 1.6]  # 1.6-1.75 uncovered
+    config = write(tmp_path / "fis.json", json.dumps(doc))
+    return (["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"],
+            f"warning: {config}: variable 'crashes' has membership gaps (at mc)")
+
+
+def single_flight(tmp_path):
+    manifest = campaign_copy(tmp_path) / "campaign.json"
+    doc = json.loads(manifest.read_text())
+    doc["trials"] = [t for t in doc["trials"] if t["test_id"] != "wall-follow-1m"
+                     or t["telemetry"] == "wf_alpha_1.csv"]
+    manifest.write_text(json.dumps(doc))
+    return (["metrics", manifest, "--test", "nav"], "warning: single flight: std reported as 0")
+
+
+def removed_participant(tmp_path):
+    return (["trust", "--survey", CAMPAIGN / "surveys.csv", *TRUST],
+            "warning: removed participant (failed manipulation check): e10")
+
+
+def iqr_note(tmp_path):
+    return (["trust", "--survey", CAMPAIGN / "surveys.csv", *TRUST],
+            "warning: CTPA ctpa1 [caged]: IQR rule removed 3/10 values (>10%); "
+            "consider collecting more data")
+
+
+def global_error_skipped(tmp_path):
+    campaign = campaign_copy(tmp_path)
+    observations = campaign / "fiducials.csv"
+    lines = observations.read_text().splitlines()
+    observations.write_text("\n".join(lines[:5]) + "\n")  # fiducials A and B only
+    return (["metrics", campaign / "campaign.json", "--test", "mapping"],
+            "warning: map-loop: global error skipped: need >= 3 matched fiducials, have 2")
+
+
+class TestWarningLines:
+    @pytest.mark.parametrize("case", [
+        unknown_column, duplicate_survey_row, item_count_mismatch, membership_gap,
+        single_flight, removed_participant, iqr_note, global_error_skipped,
+    ], ids=lambda case: case.__name__)
+    def test_each_kind_prints_one_exact_line(self, capsys, tmp_path, case):
+        argv, line = case(tmp_path)
+        code, _out, err = run(capsys, *argv)
+        assert code == 0
+        assert err.splitlines().count(line) == 1
+
+    def test_warning_before_a_failure_precedes_the_error(self, capsys, tmp_path):
+        telemetry = write(tmp_path / "tel.csv", "t,x,y,z,note\n0,0,1,1,a\n0.1,1,1\n")
+        code, out, err = run(capsys, "plot", "--kind", "deviation", "--telemetry", telemetry,
+                             "--path", path_file(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"warning: {telemetry}: ignoring unknown column 'note' (at 1)",
+            "error: row has 3 fields, needs 4 (at 3)",
+        ]
+
+
+def sa_params_list(tmp_path):
+    weights = write(tmp_path / "w.json", json.dumps({"params": [1, 2]}))
+    return ["sa", "--sagat", CAMPAIGN / "sagat.csv", "--weights", weights], weights
+
+
+def ncap_caps_list(tmp_path):
+    caps = write(tmp_path / "caps.json", "[1]")
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--caps", caps], caps
+
+
+def ncap_caps_unknown_flag(tmp_path):
+    caps = write(tmp_path / "caps.json", json.dumps({"alpha": {"teleport": True}}))
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--caps", caps], caps
+
+
+def ncap_weight_not_a_number(tmp_path):
+    names = [f["name"] for f in json.loads((CAMPAIGN / "features.json").read_text())["features"]]
+    weights = write(tmp_path / "w.json", json.dumps({name: [1] for name in names}))
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--weights", weights], weights
+
+
+def plot_path_list(tmp_path):
+    path = write(tmp_path / "path.json", "[1, 2]")
+    return (["plot", "--kind", "deviation", "--telemetry", CAMPAIGN / "wf_alpha_1.csv",
+             "--path", path], path)
+
+
+def plot_path_without_vertices(tmp_path):
+    path = write(tmp_path / "path.json", json.dumps({"x": 1}))
+    return (["plot", "--kind", "deviation", "--telemetry", CAMPAIGN / "wf_alpha_1.csv",
+             "--path", path], path)
+
+
+class TestMalformedSideFiles:
+    @pytest.mark.parametrize("case", [
+        sa_params_list, ncap_caps_list, ncap_caps_unknown_flag, ncap_weight_not_a_number,
+        plot_path_list, plot_path_without_vertices,
+    ], ids=lambda case: case.__name__)
+    def test_input_error_names_the_file(self, capsys, tmp_path, case):
+        argv, bad = case(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and f"(at {bad})" in err
+
+    def test_non_numeric_score_names_the_line(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv",
+                       "suas_id,test_id,score\nalpha,t1,0.5\nalpha,t2,abc\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores)
+        assert code == 1
+        assert out == ""
+        assert err == "error: cannot parse 'abc' as a number (at 3)\n"

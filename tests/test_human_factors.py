@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decisive.errors import (
+    DataQualityWarning,
     EmptyCondition,
     LengthMismatch,
     NonPositiveParam,
@@ -179,8 +180,11 @@ class TestTrustPipeline:
         rows = survey_rows("A", ["p1", "p2", "p3"], lambda p: [("i1", 4)])
         rows += survey_rows("B", ["p4", "p5"], lambda p: [("i1", 5)])
         rows += survey_rows("B", ["cheater"], lambda p: [("i1", 7)], manip=False)
-        report = trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
-        assert report.removed_participants == ("cheater",)
+        with pytest.warns(DataQualityWarning) as record:
+            report = trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
+        assert [str(w.message) for w in record] == [
+            "removed participant (failed manipulation check): cheater"
+        ]
         # the failed participant's score is excluded from the mean
         assert report.items[0].mean_b == pytest.approx(5.0)
 
@@ -188,19 +192,6 @@ class TestTrustPipeline:
         rows = survey_rows("A", ["p1"], lambda p: [("i1", 4)])
         with pytest.raises(EmptyCondition):
             trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
-
-    def test_preference_tally(self):
-        rows = survey_rows("A", ["p1", "p2"], lambda p: [("i1", 4)])
-        rows += survey_rows("B", ["p3", "p4"], lambda p: [("i1", 5)])
-        report = trust_pipeline(
-            SurveyDataset(tuple(rows)),
-            "A",
-            "B",
-            preferences={"p1": "A", "p2": "B", "p3": "B"},
-            preference_reasons=("quieter", "has a cage"),
-        )
-        assert report.preference == {"A": 1, "B": 2}
-        assert "quieter" in report.preference_reasons
 
     def test_outliers_fenced_within_condition(self):
         # a genuine between-condition shift must survive the IQR filter

@@ -9,6 +9,7 @@ from decisive import ingest
 
 from decisive.errors import (
     CyclicCascade,
+    DataQualityWarning,
     DecisiveError,
     DanglingReference,
     MalformedTuple,
@@ -104,16 +105,18 @@ SAMPLE = Path(__file__).resolve().parents[1] / "sample_campaign"
 
 
 def _outcome(path):
-    """parse_telemetry's result as plain data, or its error's class, text and location."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a parse reports only through its ParseReport
+    """parse_telemetry's result as plain data, or its error's class, text and location,
+    with the messages of the warnings it issued on the way."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
             traj, report = parse_telemetry(path)
-    except DecisiveError as exc:
-        return ("error", type(exc), str(exc), getattr(exc, "location", None))
+        except DecisiveError as exc:
+            return ("error", type(exc), str(exc), getattr(exc, "location", None),
+                    [str(w.message) for w in record])
     arrays = [None if a is None else (a.shape, a.tobytes()) for a in
               (traj.t, traj.pos, traj.vel, traj.acc)]
-    return ("ok", arrays, report.warnings, report.counts)
+    return ("ok", arrays, [str(w.message) for w in record], report.counts)
 
 
 class TestTelemetryColumnsAgreeWithRowLoop:
@@ -192,8 +195,9 @@ class TestTelemetryColumnsAgreeWithRowLoop:
         p = write(tmp_path / "t.csv",
                   't,note,code,x,y,z\n0,"a,b",5,1,2,3\n0.1,"c,d",6,4,5,6\n0.2,e,7,7,8,9\n')
         got = self.check(p, monkeypatch, fast=False)
-        traj, _ = parse_telemetry(p)
-        assert got[0] == "ok" and traj.pos[:, 0].tolist() == [1.0, 4.0, 7.0]
+        with pytest.warns(DataQualityWarning, match="unknown column"):
+            traj, _ = parse_telemetry(p)
+        assert got[0] == "ok" and len(got[2]) == 2 and traj.pos[:, 0].tolist() == [1.0, 4.0, 7.0]
 
     @pytest.mark.parametrize("row, error, message", [
         ("#0.15,1,0,1", NonNumericField, "cannot parse '#0.15' as a number (at 4)"),
@@ -236,9 +240,9 @@ def manifest_doc(**overrides):
 class TestCampaign:
     def test_empty_campaign_warns(self, tmp_path):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc()))
-        campaign, report = parse_campaign(p)
+        with pytest.warns(DataQualityWarning, match="no trials"):
+            campaign, _ = parse_campaign(p)
         assert campaign.trials == ()
-        assert any("no trials" in msg for _, msg in report.warnings)
 
     def test_unknown_category(self, tmp_path):
         doc = manifest_doc(trials=[{
@@ -305,17 +309,18 @@ class TestSurvey:
             tmp_path / "s.csv",
             self.HEADER + "p1,CTPA,i1,4,true,A\np1,CTPA,i1,6,true,A\n",
         )
-        dataset, report = parse_survey(p)
+        with pytest.warns(DataQualityWarning, match="duplicate"):
+            dataset, _ = parse_survey(p)
         assert len(dataset.rows) == 1
         assert dataset.rows[0].score == 6
-        assert any("duplicate" in msg for _, msg in report.warnings)
 
     def test_item_count_warning(self, tmp_path):
         lines = [f"p1,CTPA,i{i},4,true,A" for i in range(1, 10)]  # all 9 CTPA items
         lines += [f"p2,HCTM,i{i},4,true,A" for i in range(1, 4)]  # only 3 of 12
         p = write(tmp_path / "s.csv", self.HEADER + "\n".join(lines) + "\n")
-        _, report = parse_survey(p)
-        warned = [msg for _, msg in report.warnings]
+        with pytest.warns(DataQualityWarning) as record:
+            parse_survey(p)
+        warned = [str(w.message) for w in record]
         assert any("p2" in msg and "12" in msg for msg in warned)
         assert not any("p1" in msg for msg in warned)
 
@@ -364,7 +369,7 @@ class TestFeatureSheet:
         p = write(tmp_path / "f.json", json.dumps(self.sheet()))
         sheet, report = parse_feature_sheet(p)
         assert report.counts == {"features": 3, "systems": 2}
-        assert sheet.capabilities["alpha"]["perception"] is True
+        assert sheet.capabilities["alpha"].perception is True
 
     def test_missing_direction(self, tmp_path):
         doc = self.sheet(features=[{"name": "flight_time"}])
@@ -439,8 +444,8 @@ class TestFisConfig:
         doc["fis"]["mc"]["inputs"]["crashes"]["terms"] = {"low": [0, 0, 1.0]}
         doc["fis"]["mc"]["rules"] = [{"if": {"crashes": "low"}, "then": "good"}]
         p = write(tmp_path / "f.json", json.dumps(doc))
-        _, report = parse_fis_config(p)
-        assert any("gaps" in msg for _, msg in report.warnings)
+        with pytest.warns(DataQualityWarning, match="variable 'crashes' has membership gaps"):
+            parse_fis_config(p)
 
     def test_shipped_ruleset_dimensions(self):
         from decisive.cli import DEFAULT_FIS
