@@ -7,6 +7,7 @@ as immutable numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -100,7 +101,7 @@ class TrialRecord:
     t_collision: Optional[float] = None
     duration: float = 0.0  # minutes
     laps: Optional[int] = None
-    telemetry: Optional[str] = None
+    telemetry: Optional[Path] = None  # resolved against the manifest's directory
     notes: str = ""
 
     def __post_init__(self):
@@ -144,7 +145,7 @@ class Campaign:
     """A full evaluation: sUAS under test, test definitions, trials, telemetry refs."""
 
     suas: dict = field(default_factory=dict)          # suas_id -> descriptor dict
-    tests: dict = field(default_factory=dict)         # test_id -> definition dict
+    tests: dict = field(default_factory=dict)         # test_id -> ingest.CampaignTest
     environments: dict = field(default_factory=dict)  # env_id -> EnvironmentProfile
     trials: tuple[TrialRecord, ...] = ()
 
@@ -152,6 +153,6 @@ class Campaign:
         return [t for t in self.trials if t.test_id == test_id]
 
 
-def tests_of_kind(campaign: Campaign, kind: str) -> list[dict]:
-    """The campaign's test definitions of one category: nav, collision, field or mapping."""
-    return [t for t in campaign.tests.values() if t.get("kind") == kind]
+def tests_of_kind(campaign: Campaign, kind: str) -> list:
+    """The campaign's tests of one category: nav, collision, field or mapping."""
+    return [t for t in campaign.tests.values() if t.kind == kind]

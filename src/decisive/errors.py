@@ -40,13 +40,18 @@ class CollisionOutsideSpan(DecisiveError):
 # --- parsing ----------------------------------------------------------------
 
 class ParseError(DecisiveError):
-    """Base for structured file-parsing failures; carries a location."""
+    """Base for structured file-parsing failures; carries a location (a line or a file).
+
+    `source`, the file of a line, is filled in by the parser that read the file.
+    """
 
     def __init__(self, message: str, location: str | int | None = None):
-        self.location = location
-        if location is not None:
-            message = f"{message} (at {location})"
         super().__init__(message)
+        self.message, self.location, self.source = message, location, None
+
+    def __str__(self) -> str:
+        where = ":".join(str(p) for p in (self.source, self.location) if p is not None)
+        return f"{self.message} (at {where})" if where else self.message
 
 
 class MissingColumn(ParseError):

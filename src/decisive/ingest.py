@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import mapping
 from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
 from .core import (
     APERTURE_TIERS,
@@ -37,6 +38,7 @@ from .errors import (
     CyclicCascade,
     DataQualityWarning,
     DanglingReference,
+    DecisiveError,
     MalformedTuple,
     MissingColumn,
     MissingDirection,
@@ -83,10 +85,12 @@ def _total(fn):
 
     @functools.wraps(fn)
     def wrapper(path, *args, **kwargs):
-        from .errors import DecisiveError
-
         try:
             return fn(path, *args, **kwargs)
+        except ParseError as exc:
+            if exc.source is None and isinstance(exc.location, int):
+                exc.source = str(path)  # a line number names this file
+            raise
         except DecisiveError:
             raise
         except (TypeError, AttributeError, KeyError, ValueError, IndexError, csv.Error) as exc:
@@ -246,9 +250,139 @@ def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
 
 # --- campaign manifest ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class CampaignTest:
+    """One manifest test, its category's blocks converted; a block it lacks stays empty."""
+
+    test_id: str
+    kind: str | None
+    path: ReferencePath | None = None
+    waypoint: tuple[float, ...] | None = None
+    length_m: float | None = None
+    obstacle: ObstacleGeometry | None = None
+    nlos_positions: tuple[NlosPosition, ...] = ()
+    criteria: Path | None = None
+    responses: dict[str, dict] | None = None
+    fiducials: tuple[FiducialGroundTruth, ...] = ()
+    observations: Path | None = None
+    shape_classes: dict[str, str] | None = None
+    dimensions: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # reported, truth
+    fov: tuple[int, int] | None = None  # visible, total
+    acuity_levels: tuple[float, ...] | None = None
+
+
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+
+
+def _json(value, kind):
+    """`value` if it is a JSON value of `kind`: dict, list, str, or float for any number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number if kind is float else isinstance(value, kind)):
+        raise TypeError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
+def _numbers(value, *sizes) -> tuple[float, ...]:
+    """A JSON array of numbers; `sizes`, when given, are the lengths it may have."""
+    numbers = tuple(_json(v, float) for v in _json(value, list))
+    if sizes and len(numbers) not in sizes:
+        raise ValueError(f"expected {' or '.join(map(str, sizes))} numbers, got {len(numbers)}")
+    return numbers
+
+
+def _obstructions(value) -> tuple[tuple[int, str], ...]:
+    return tuple((int(count), material) for count, material in value)
+
+
+def _reference_path(spec) -> ReferencePath:
+    spec = _json(spec, dict)
+    vertices = tuple(_numbers(v, 3) for v in _json(spec["vertices"], list))
+    return ReferencePath(vertices, bool(spec.get("closed", False)))
+
+
+def _obstacle(spec) -> ObstacleGeometry:
+    spec = _json(spec, dict)
+    return ObstacleGeometry(spec.get("kind", "plane_segment"), _numbers(spec["p0"], 2),
+                            _numbers(spec["p1"], 2), _json(spec["height"], float),
+                            spec.get("material", "wall"))
+
+
+def _nlos_position(e: dict) -> NlosPosition:
+    latency = e.get("latency_ms")
+    return NlosPosition(_json(e["label"], str), _json(e["distance"], float),
+                        _obstructions(e.get("obstructions", ())), e.get("connect", "none"),
+                        e.get("fly", "not_possible"),
+                        None if latency is None else _json(latency, float))
+
+
+def _fiducial(e: dict) -> FiducialGroundTruth:
+    return FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
+                               _json(e["min_traversal"], float), int(_json(e["min_turns"], float)))
+
+
+def _pair(value, first: str, second: str, convert) -> tuple:
+    value = _json(value, dict)
+    return convert(value[first]), convert(value[second])
+
+
+#: each category's blocks, named as in the manifest and in CampaignTest, with their converters
+_TEST_BLOCKS = {
+    "nav": {
+        "path": _reference_path,
+        "waypoint": lambda v: _numbers(v, 2, 3),
+        "length_m": lambda v: _json(v, float),
+    },
+    "collision": {"obstacle": _obstacle},
+    "field": {
+        "nlos_positions": lambda v: tuple(_nlos_position(_json(e, dict)) for e in _json(v, list)),
+        "criteria": Path,  # a file beside the manifest
+        "responses": lambda v: {suas: _json(r, dict) for suas, r in _json(v, dict).items()},
+    },
+    "mapping": {
+        "fiducials": lambda v: tuple(_fiducial(_json(e, dict)) for e in _json(v, list)),
+        "observations": Path,
+        "shape_classes": lambda v: {k: _json(c, str) for k, c in _json(v, dict).items()},
+        "dimensions": lambda v: _pair(v, "reported", "truth", _numbers),
+        "fov": lambda v: _pair(v, "visible", "total", lambda n: int(_json(n, float))),
+        "acuity_levels": _numbers,
+    },
+}
+
+#: the report's metric of each block it computes from the block alone, run once at load
+#: so that a block the report could not compute fails there
+_BLOCK_METRICS = {
+    "shape_classes": lambda classes: mapping.shape_accuracy_rate(list(classes.values())),
+    "dimensions": lambda dims: mapping.dimensional_accuracy(*dims),
+    "fov": lambda fov: mapping.fov_coverage(*fov),
+    "acuity_levels": mapping.acuity_summary,
+}
+
+
+def _campaign_test(entry: dict, manifest: Path) -> CampaignTest:
+    """A test entry as a CampaignTest; a test of an unknown kind keeps no blocks."""
+    test_id, kind, blocks = entry["test_id"], entry.get("kind"), {}
+    for key, convert in _TEST_BLOCKS.get(kind, {}).items():
+        value = entry.get(key)
+        if not value and key != "obstacle":  # every block but a collision obstacle is optional
+            continue
+        try:
+            blocks[key] = convert(value)
+            if key in _BLOCK_METRICS:
+                _BLOCK_METRICS[key](blocks[key])
+        except (DecisiveError, TypeError, ValueError, KeyError, AttributeError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ParseError(f"test {test_id}: bad {key!r} block ({reason})", str(manifest))
+        if isinstance(blocks[key], Path):
+            blocks[key] = manifest.parent / blocks[key]
+            if not blocks[key].is_file():
+                raise DanglingReference(f"test {test_id}: {key} file {value!r} not found",
+                                        str(manifest))
+    return CampaignTest(test_id, kind, **blocks)
+
+
 @_total
 def parse_campaign(path) -> tuple[Campaign, ParseReport]:
-    """Load and cross-validate a campaign manifest."""
+    """Load and cross-validate a campaign manifest, converting every test block it reads."""
     path = Path(path)
     report = ParseReport(str(path))
     doc = _load_json(path)
@@ -272,7 +406,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             lighting=entry.get("lighting", "lighted"),
             dims=tuple(entry["dims"]) if "dims" in entry else None,
             surfaces=tuple(entry.get("surfaces", ())),
-            obstructions=tuple((int(c), m) for c, m in entry.get("obstructions", ())),
+            obstructions=_obstructions(entry.get("obstructions", ())),
             indoor=bool(entry.get("indoor", True)),
             lux=entry.get("lux"),
         )
@@ -284,19 +418,21 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             raise ParseError("test entry missing 'test_id'", str(path))
         env_ref = entry.get("environment")
         if env_ref is not None and env_ref not in environments:
-            raise DanglingReference(f"test {test_id} references environment {env_ref!r}")
-        tests[test_id] = entry
+            raise DanglingReference(
+                f"test {test_id} references environment {env_ref!r}", str(path)
+            )
+        tests[test_id] = _campaign_test(entry, path)
 
     trials = []
     for entry in doc.get("trials", []):
         trial_id = entry.get("trial_id", "?")
         if entry.get("test_id") not in tests:
             raise DanglingReference(
-                f"trial {trial_id} references unknown test {entry.get('test_id')!r}"
+                f"trial {trial_id} references unknown test {entry.get('test_id')!r}", str(path)
             )
         if entry.get("suas_id") not in suas:
             raise DanglingReference(
-                f"trial {trial_id} references unknown sUAS {entry.get('suas_id')!r}"
+                f"trial {trial_id} references unknown sUAS {entry.get('suas_id')!r}", str(path)
             )
         for key, vocab in (
             ("oa_category", OA_CATEGORIES),
@@ -305,10 +441,12 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
         ):
             value = entry.get(key)
             if value is not None and value not in vocab:
-                raise UnknownCategory(f"trial {trial_id}: {key} {value!r}")
-        telemetry = entry.get("telemetry")
-        if telemetry is not None and not (path.parent / telemetry).exists():
-            raise DanglingReference(f"trial {trial_id}: telemetry file {telemetry!r} not found")
+                raise UnknownCategory(f"trial {trial_id}: {key} {value!r}", str(path))
+        telemetry = entry.get("telemetry") and path.parent / entry["telemetry"]
+        if telemetry and not telemetry.is_file():
+            raise DanglingReference(
+                f"trial {trial_id}: telemetry file {entry['telemetry']!r} not found", str(path)
+            )
         trials.append(
             TrialRecord(
                 trial_id=trial_id,
@@ -336,34 +474,10 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
     return Campaign(suas=suas, tests=tests, environments=environments, trials=tuple(trials)), report
 
 
-def _reference_path(spec) -> ReferencePath:
-    return ReferencePath(tuple(tuple(v) for v in spec["vertices"]), bool(spec.get("closed", False)))
-
-
-def reference_path_from_test(test: dict) -> ReferencePath:
-    spec = test.get("path")
-    if spec is None:
-        raise ParseError(f"test {test.get('test_id')} has no path")
-    return _reference_path(spec)
-
-
 @_total
 def parse_reference_path(path) -> ReferencePath:
     """A reference path file, shaped like a nav test's `path`: vertices + closed flag."""
     return _reference_path(_load_json(path))
-
-
-def obstacle_from_test(test: dict) -> ObstacleGeometry:
-    spec = test.get("obstacle")
-    if spec is None:
-        raise ParseError(f"test {test.get('test_id')} has no obstacle")
-    return ObstacleGeometry(
-        kind=spec.get("kind", "plane_segment"),
-        p0=tuple(spec["p0"]),
-        p1=tuple(spec["p1"]),
-        height=float(spec["height"]),
-        material=spec.get("material", "wall"),
-    )
 
 
 # --- surveys --------------------------------------------------------------------
@@ -461,7 +575,7 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
             for se, spec in doc["params"].items()
         ]
         return attention_allocation(params), missions
-    weights = doc["weights"] if "weights" in doc else doc
+    weights = doc.get("weights", {k: v for k, v in doc.items() if k != "missions"})
     return {se: float(w) for se, w in weights.items()}, missions
 
 
@@ -711,33 +825,3 @@ def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseR
             raise ParseError(str(exc), line)
     report.counts["observations"] = len(out)
     return out, report
-
-
-def ground_truth_from_test(test: dict) -> list[FiducialGroundTruth]:
-    out = []
-    for entry in test.get("fiducials", []):
-        out.append(
-            FiducialGroundTruth(
-                fiducial_id=entry["id"],
-                gt_xy=tuple(entry["xy"]),
-                min_traversal=float(entry["min_traversal"]),
-                min_turns=int(entry["min_turns"]),
-            )
-        )
-    return out
-
-
-def nlos_positions_from_test(test: dict) -> list[NlosPosition]:
-    out = []
-    for entry in test.get("nlos_positions", []):
-        out.append(
-            NlosPosition(
-                label=entry["label"],
-                distance=float(entry["distance"]),
-                obstructions=tuple((int(c), m) for c, m in entry.get("obstructions", ())),
-                connect=entry.get("connect", "none"),
-                fly=entry.get("fly", "not_possible"),
-                latency_ms=entry.get("latency_ms"),
-            )
-        )
-    return out

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from decisive.cli import DEFAULT_FIS, main
 from decisive.ingest import parse_telemetry
@@ -48,7 +51,7 @@ class TestValidate:
         doc = json.loads((CAMPAIGN / "campaign.json").read_text())
         doc["trials"] = [{"trial_id": "ghost", "test_id": "no-such-test",
                           "suas_id": "alpha", "outcome": "success"}]
-        bad = tmp_path / "bad.json"
+        bad = campaign_copy(tmp_path) / "bad.json"  # beside the files the tests reference
         bad.write_text(json.dumps(doc))
         code, _out, err = run(capsys, "validate", bad)
         assert code == 1
@@ -131,7 +134,7 @@ class TestMetrics:
         code, out, err = run(capsys, "metrics", campaign / "campaign.json", "--test", "mapping")
         assert code == 1
         assert out == ""
-        assert "row has 3 fields, needs 5 (at 3)" in err
+        assert f"row has 3 fields, needs 5 (at {observations}:3)" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "nav.md"
@@ -232,6 +235,14 @@ class TestSaTrust:
         assert "OSA by mission" in out
         assert "| overall |" in out
 
+    def test_sa_bare_weights_with_missions(self, capsys, tmp_path):
+        weights = write(tmp_path / "w.json", json.dumps(
+            {"landolt_red": 1, "altitude": 2, "missions": {"m": ["altitude"]}}))
+        code, out, err = run(capsys, "sa", "--sagat", CAMPAIGN / "sagat.csv", "--weights", weights)
+        assert code == 0, err
+        assert "OSA by mission" in out
+        assert "| m |" in out and "| overall |" in out
+
     def test_sa_uniform_weights_without_file(self, capsys):
         code, out, _err = run(capsys, "sa", "--sagat", CAMPAIGN / "sagat.csv")
         assert code == 0
@@ -260,7 +271,7 @@ class TestSaTrust:
                              "--condition-a", "caged", "--condition-b", "exposed")
         assert code == 1
         assert out == ""
-        assert "row has 4 fields, needs 6 (at 4)" in err
+        assert f"row has 4 fields, needs 6 (at {survey}:4)" in err
 
     def test_short_sagat_row_names_line(self, capsys, tmp_path):
         lines = (CAMPAIGN / "sagat.csv").read_text().splitlines()
@@ -270,7 +281,7 @@ class TestSaTrust:
         code, out, err = run(capsys, "sa", "--sagat", sagat)
         assert code == 1
         assert out == ""
-        assert "row has 4 fields, needs 5 (at 3)" in err
+        assert f"row has 4 fields, needs 5 (at {sagat}:3)" in err
 
     def test_trust_missing_condition(self, capsys):
         code, _out, _err = run(capsys, "trust", "--survey", CAMPAIGN / "surveys.csv",
@@ -343,7 +354,7 @@ class TestPlot:
                              "--telemetry", telemetry, "--path", path_file)
         assert code == 1
         assert out == ""
-        assert f"{message} (at 4)" in err
+        assert f"{message} (at {telemetry}:4)" in err
 
     def test_byte_identical_over_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -449,7 +460,7 @@ class TestWarningLines:
         assert out == ""
         assert err.splitlines() == [
             f"warning: {telemetry}: ignoring unknown column 'note' (at 1)",
-            "error: row has 3 fields, needs 4 (at 3)",
+            f"error: row has 3 fields, needs 4 (at {telemetry}:3)",
         ]
 
 
@@ -505,4 +516,101 @@ class TestMalformedSideFiles:
         code, out, err = run(capsys, "cfis", "--scores", scores)
         assert code == 1
         assert out == ""
-        assert err == "error: cannot parse 'abc' as a number (at 3)\n"
+        assert err == f"error: cannot parse 'abc' as a number (at {scores}:3)\n"
+
+
+def with_test_block(directory, test_id, key, value):
+    """The sample campaign's manifest, written into `directory`, with one test block replaced."""
+    doc = json.loads((CAMPAIGN / "campaign.json").read_text())
+    next(t for t in doc["tests"] if t["test_id"] == test_id)[key] = value
+    manifest = directory / "campaign.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+class TestMalformedTestBlocks:
+    @pytest.mark.parametrize("test_id, kind, key, value", [
+        ("wall-follow-1m", "nav", "path", [1, 2]),
+        ("map-loop", "mapping", "shape_classes", ["a", "b"]),
+        ("oa-wall", "collision", "obstacle", {"p0": [0, 0]}),
+        ("endurance-indoor", "field", "nlos_positions", [{"label": "X"}]),
+        ("map-loop", "mapping", "fov", {"visible": 1}),
+        ("endurance-indoor", "field", "criteria", "nope.json"),
+        ("map-loop", "mapping", "observations", "gone.csv"),
+        # well typed, but values the report's own metric rejects
+        ("map-loop", "mapping", "fov", {"visible": 17, "total": 16}),
+        ("map-loop", "mapping", "acuity_levels", [8, 9]),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_validate_fails_where_metrics_and_report_do(self, capsys, tmp_path,
+                                                        test_id, kind, key, value):
+        manifest = with_test_block(campaign_copy(tmp_path), test_id, key, value)
+        results = [run(capsys, *argv) for argv in (
+            ["validate", manifest], ["metrics", manifest, "--test", kind], ["report", manifest])]
+        err = results[0][2]
+        assert results == [(1, "", err)] * 3
+        assert err.startswith(f"error: test {test_id}: ") and err.endswith(f"(at {manifest})\n")
+        assert key in err and "Traceback" not in err
+
+    def test_unknown_kind_is_ignored(self, capsys, tmp_path):
+        directory = campaign_copy(tmp_path)
+        doc = json.loads((directory / "campaign.json").read_text())
+        doc["tests"].append({"test_id": "thermal", "kind": "thermal", "path": [1, 2]})
+        manifest = directory / "campaign.json"
+        manifest.write_text(json.dumps(doc))
+        assert run(capsys, "validate", manifest)[0] == 0
+        code, out, _err = run(capsys, "report", manifest)
+        assert code == 0
+        assert out == (REPO / "tests" / "golden" / "report.md").read_text()
+
+
+# every block a test category reads, with the sample test that carries it
+TEST_BLOCKS = (
+    [("wall-follow-1m", "nav", key) for key in ("path", "waypoint", "length_m")]
+    + [("oa-wall", "collision", "obstacle")]
+    + [("endurance-indoor", "field", key) for key in ("nlos_positions", "criteria", "responses")]
+    + [("map-loop", "mapping", key) for key in ("fiducials", "observations", "shape_classes",
+                                                 "dimensions", "fov", "acuity_levels")]
+)
+# keys the blocks' objects use, so that a dict may hold some of them but not all
+BLOCK_KEYS = ["vertices", "closed", "p0", "p1", "height", "label", "distance", "id", "xy",
+              "reported", "truth", "visible", "total", "alpha"]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 30),
+                    st.floats(-5, 30, allow_nan=False), st.text(max_size=4))
+WRONG_VALUES = st.one_of(
+    st.lists(SCALARS, max_size=3),
+    st.text(max_size=6),
+    st.integers(-5, 30) | st.floats(-5, 30, allow_nan=False),
+    st.none(),
+    st.dictionaries(st.sampled_from(BLOCK_KEYS), SCALARS, max_size=2),
+    st.sampled_from([[], {}]),
+)
+
+
+def call(*argv):
+    """`main` in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scratch_campaign(tmp_path_factory):
+    return shutil.copytree(CAMPAIGN, tmp_path_factory.mktemp("blocks") / "campaign")
+
+
+class TestValidateAgreesWithMetrics:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(block=st.sampled_from(TEST_BLOCKS), value=WRONG_VALUES)
+    def test_wrong_block_values(self, scratch_campaign, block, value):
+        test_id, kind, key = block
+        manifest = with_test_block(scratch_campaign, test_id, key, value)
+        validated = call("validate", manifest)
+        code, out, err = call("metrics", manifest, "--test", kind)
+        assert validated[0] == code
+        assert "Traceback" not in validated[2] + err
+        if code == 1:
+            assert (out, err) == ("", validated[2])
+            assert err.startswith(f"error: test {test_id}: ") and err.endswith(f"(at {manifest})\n")
+        else:
+            assert code == 0 and out.startswith("### ")

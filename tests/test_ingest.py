@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,10 @@ from decisive.errors import (
     UnknownInstrument,
     UnknownTerm,
 )
+from decisive.core import ObstacleGeometry
+from decisive.field import NlosPosition
 from decisive.ingest import (
+    CampaignTest,
     parse_campaign,
     parse_criteria,
     parse_feature_sheet,
@@ -63,6 +67,13 @@ class TestTelemetry:
         with pytest.raises(NonNumericField) as exc:
             parse_telemetry(p)
         assert exc.value.location == 3
+
+    def test_row_error_names_file_and_line(self, tmp_path):
+        p = write(tmp_path / "t.csv", "t,x,y,z\n0,0,0,1\n0.1,oops,0,1\n")
+        with pytest.raises(NonNumericField) as exc:
+            parse_telemetry(p)
+        assert (exc.value.source, exc.value.location) == (str(p), 3)
+        assert str(exc.value) == f"cannot parse 'oops' as a number (at {p}:3)"
 
     def test_missing_column(self, tmp_path):
         p = write(tmp_path / "t.csv", "t,x,y\n0,0,0\n1,1,1\n")
@@ -200,16 +211,16 @@ class TestTelemetryColumnsAgreeWithRowLoop:
         assert got[0] == "ok" and len(got[2]) == 2 and traj.pos[:, 0].tolist() == [1.0, 4.0, 7.0]
 
     @pytest.mark.parametrize("row, error, message", [
-        ("#0.15,1,0,1", NonNumericField, "cannot parse '#0.15' as a number (at 4)"),
-        ("0.15,1,0", MissingColumn, "row has 3 fields, needs 4 (at 4)"),
-        ("0.15,nan,0,1", NonNumericField, "'nan' is not a finite number (at 4)"),
-        ("0.15,1,-inf,1", NonNumericField, "'-inf' is not a finite number (at 4)"),
-        ("0.1,1,0,1", NonMonotonicTime, "time 0.1 does not increase past 0.1 (at 4)"),
+        ("#0.15,1,0,1", NonNumericField, "cannot parse '#0.15' as a number"),
+        ("0.15,1,0", MissingColumn, "row has 3 fields, needs 4"),
+        ("0.15,nan,0,1", NonNumericField, "'nan' is not a finite number"),
+        ("0.15,1,-inf,1", NonNumericField, "'-inf' is not a finite number"),
+        ("0.1,1,0,1", NonMonotonicTime, "time 0.1 does not increase past 0.1"),
     ])
     def test_bad_row_keeps_row_loop_error(self, row, error, message, tmp_path, monkeypatch):
         p = write(tmp_path / "t.csv", f"t,x,y,z\n0,0,0,1\n0.1,1,0,1\n{row}\n0.2,2,0,1\n")
         got = self.check(p, monkeypatch, fast=False)
-        assert got[1:3] == (error, message)
+        assert got[1:3] == (error, f"{message} (at {p}:4)")
 
     def test_undecodable_byte_past_the_header(self, tmp_path, monkeypatch):
         rows = "".join(f"{0.01 * i:.2f},1,0,1\n" for i in range(2000))  # past one read chunk
@@ -230,7 +241,8 @@ def manifest_doc(**overrides):
         "schema_version": 1,
         "suas": [{"id": "alpha"}],
         "environments": [{"id": "lab", "lighting": "lighted"}],
-        "tests": [{"test_id": "oa-wall", "kind": "collision", "environment": "lab"}],
+        "tests": [{"test_id": "oa-wall", "kind": "collision", "environment": "lab",
+                   "obstacle": {"p0": [0, 0], "p1": [3, 0], "height": 2}}],
         "trials": [],
     }
     doc.update(overrides)
@@ -289,6 +301,66 @@ class TestCampaign:
         campaign, report = parse_campaign(p)
         assert report.counts["trials"] == 5
         assert sum(1 for t in campaign.trials if t.collisions > 0) == 2
+
+
+class TestCampaignTests:
+    def test_sample_blocks_are_typed(self):
+        campaign, _ = parse_campaign(SAMPLE / "campaign.json")
+        nav = campaign.tests["wall-follow-1m"]
+        assert nav.path.vertices == ((0.0, 1.0, 1.0), (3.0, 1.0, 1.0)) and not nav.path.closed
+        assert nav.waypoint == (3.0, 1.0, 0.0) and nav.length_m is None
+        assert campaign.tests["aperture-doorway"].length_m == 7.8
+        assert campaign.tests["oa-wall"].obstacle == ObstacleGeometry(
+            "plane_segment", (0.0, 0.0), (3.0, 0.0), 2.0, "wall")
+        field = campaign.tests["endurance-indoor"]
+        assert field.nlos_positions[1] == NlosPosition("1", 14.0, ((1, "drywall"),), "good",
+                                                       "possible")
+        assert field.criteria == SAMPLE / "criteria.json"
+        assert field.responses["bravo"]["battery_type"] == "Li-ion"
+        mapping = campaign.tests["map-loop"]
+        assert [(g.fiducial_id, g.gt_xy) for g in mapping.fiducials][2] == ("C", (4.0, 3.0))
+        assert mapping.observations == SAMPLE / "fiducials.csv"
+        assert mapping.shape_classes["D"] == "shifted"
+        assert mapping.dimensions == ((3.9, 3.05), (4.0, 3.0)) and mapping.fov == (11, 16)
+        assert mapping.acuity_levels == (8.0, 8.0, 8.0, 20.0, 8.0, 8.0, 8.0, 8.0, 3.0)
+        assert all(t.telemetry is None or t.telemetry.parent == SAMPLE for t in campaign.trials)
+
+    def load(self, tmp_path, test):
+        p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[test])))
+        with pytest.warns(DataQualityWarning, match="no trials"):
+            return parse_campaign(p)[0].tests[test["test_id"]]
+
+    def test_absent_null_and_empty_blocks_stay_empty(self, tmp_path):
+        test = {"test_id": "n", "kind": "nav", "path": None, "waypoint": [], "length_m": 0}
+        assert self.load(tmp_path, test) == CampaignTest("n", "nav")
+
+    def test_unknown_kind_keeps_no_blocks(self, tmp_path):
+        test = {"test_id": "x", "kind": "thermal", "path": [1, 2], "fov": "wide"}
+        assert self.load(tmp_path, test) == CampaignTest("x", "thermal")
+
+    @pytest.mark.parametrize("test, message", [
+        ({"kind": "collision"}, "bad 'obstacle' block (expected an object, got null)"),
+        ({"kind": "nav", "waypoint": [1, "2"]}, "bad 'waypoint' block (expected a number, got \"2\")"),
+        ({"kind": "nav", "path": {"vertices": [[0, 0], [1, 1]]}},
+         "bad 'path' block (expected 3 numbers, got 2)"),
+        ({"kind": "mapping", "fiducials": [{"id": "A", "xy": [0, 0], "min_traversal": 5}]},
+         "bad 'fiducials' block (missing key 'min_turns')"),
+        ({"kind": "mapping", "dimensions": {"reported": [1], "truth": [1, 2]}},
+         "bad 'dimensions' block (1 reported vs 2 truth values)"),
+        ({"kind": "field", "responses": {"alpha": "yes"}},
+         "bad 'responses' block (expected an object, got \"yes\")"),
+    ])
+    def test_bad_block_names_test_and_manifest(self, tmp_path, test, message):
+        p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[{"test_id": "t1", **test}])))
+        with pytest.raises(ParseError) as exc:
+            parse_campaign(p)
+        assert str(exc.value) == f"test t1: {message} (at {p})"
+
+    def test_missing_side_file_is_dangling(self, tmp_path):
+        test = {"test_id": "m", "kind": "mapping", "observations": "gone.csv"}
+        p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[test])))
+        with pytest.raises(DanglingReference, match="test m: observations file 'gone.csv' not found"):
+            parse_campaign(p)
 
 
 class TestSurvey:
@@ -482,13 +554,13 @@ class TestFiducialObservations:
     def test_short_row_names_line(self, tmp_path):
         p = write(tmp_path / "f.csv",
                   "fiducial_id,half,x,y,mapped\nA,1,0.0,0.0,complete\nB,1,0.5\n")
-        with pytest.raises(MissingColumn, match=r"row has 3 fields, needs 5 \(at 3\)"):
+        with pytest.raises(MissingColumn, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
             parse_fiducial_observations(p)
 
     def test_missing_row_may_stop_before_position(self, tmp_path):
         p = write(tmp_path / "f.csv",
                   "fiducial_id,half,mapped,x,y\nA,2,missing\nB,1,complete\n")
-        with pytest.raises(MissingColumn, match=r"row has 3 fields, needs 5 \(at 3\)"):
+        with pytest.raises(MissingColumn, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
             parse_fiducial_observations(p)
         obs, _ = parse_fiducial_observations(write(tmp_path / "g.csv",
                                                     "fiducial_id,half,mapped,x,y\nA,2,missing\n"))
