@@ -17,11 +17,17 @@ from decisive.cli import main
 
 import test_acceptance
 
+#: goldens checked outside the acceptance suite, by tests/test_cli.py
+MORE_GOLDEN_COMMANDS = {
+    "report.json": test_acceptance.GOLDEN_COMMANDS["report.md"] + ["--format", "json"],
+}
+
 
 def refresh():
     golden_dir = Path(__file__).parent / "golden"
     golden_dir.mkdir(exist_ok=True)
-    for name, argv in sorted(test_acceptance.GOLDEN_COMMANDS.items()):
+    commands = {**test_acceptance.GOLDEN_COMMANDS, **MORE_GOLDEN_COMMANDS}
+    for name, argv in sorted(commands.items()):
         target = golden_dir / name
         code = main(argv + ["--out", str(target)])
         if code != 0:

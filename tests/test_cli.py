@@ -372,6 +372,11 @@ class TestReport:
                       "Fiducial difficulty"):
             assert title in out
 
+    def test_json_report_matches_golden(self, capsys):
+        code, out, _err = run(capsys, "report", CAMPAIGN / "campaign.json", "--format", "json")
+        assert code == 0
+        assert out == (REPO / "tests" / "golden" / "report.json").read_text(encoding="utf-8")
+
     def test_writes_nothing_outside_out_target(self, capsys, tmp_path):
         before = sorted(p.name for p in CAMPAIGN.iterdir())
         target = tmp_path / "report.md"
