@@ -108,15 +108,18 @@ def _midranks(pooled: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _count_subsets_at_most(values: Sequence[int], k: int, limit: int) -> int:
-    """Number of k-element subsets (by position) of `values` whose sum is <= limit.
+def _count_tails(values: Sequence[int], k: int, observed: int) -> tuple[int, int]:
+    """How many k-element subsets (by position) of `values` sum to at most, and to at
+    least, `observed`.
 
     A shift-algorithm count (Streitberg & Roehmel 1986) over the tie blocks:
     counts[size][s] holds the exact number of size-element subsets of the blocks
     seen so far that sum to s. Taking j of a block's m equal values r multiplies
     a count by C(m, j) and adds j * r to its sum. Values are non-negative, so a
-    sum above `limit` can never come back under it and is dropped at once.
-    Cost is O(D * k**2 * limit) for D distinct values.
+    sum above `observed` can never come back under it and is dropped at once.
+    The upper tail is the total minus the lower one plus the count at
+    `observed`, which the same pass holds. Cost is O(D * k**2 * observed) for D
+    distinct values.
     """
     counts: list[dict[int, int]] = [{} for _ in range(k + 1)]
     counts[0][0] = 1
@@ -126,27 +129,28 @@ def _count_subsets_at_most(values: Sequence[int], k: int, limit: int) -> int:
             row = counts[size]
             for j in range(1, min(m, size) + 1):
                 shift = j * r
-                if shift > limit:
+                if shift > observed:
                     break
                 ways = math.comb(m, j)
                 for s, c in counts[size - j].items():
                     s += shift
-                    if s <= limit:
+                    if s <= observed:
                         row[s] = row.get(s, 0) + ways * c
-    return sum(counts[k].values())
+    at_most = sum(counts[k].values())
+    return at_most, math.comb(len(values), k) - at_most + counts[k].get(observed, 0)
 
 
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test with midrank ties.
 
     U = min(U_a, U_b). For min(n1, n2) <= EXACT_LIMIT the p-value is exact:
-    the one-sided tail P(U_a <= u) over all C(n1+n2, n1) equally likely group
-    labelings of the pooled midranks is counted exactly and doubled (capped
-    at 1). The count runs over the tie blocks of the smaller group's possible
-    rank sums (see `_count_subsets_at_most`); with few distinct values, as on a
-    Likert scale, its cost grows linearly with the larger group. With ties the
-    null distribution is not symmetric, so the tail stays on U_a whichever
-    group is smaller.
+    over all C(n1+n2, n1) equally likely group labelings of the pooled
+    midranks, both tails P(U_a <= observed) and P(U_a >= observed) are counted
+    exactly, and p is twice the smaller one, capped at 1. With ties and
+    n1 != n2 the null distribution is not symmetric, so one tail doubled is
+    not enough. The count runs over the tie blocks of the smaller group's
+    possible rank sums (see `_count_tails`); with few distinct values, as on a
+    Likert scale, its cost grows linearly with the larger group.
     Larger samples use the tie-corrected normal approximation with a 0.5
     continuity correction.
     """
@@ -165,18 +169,13 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     n = n1 + n2
 
     if min(n1, n2) <= EXACT_LIMIT:
-        total = math.comb(n, n1)
-        # midranks are half-integers, so doubled rank sums compare exactly as ints:
-        # U_a <= u  <=>  doubled rank-sum(a) <= 2u + n1(n1 + 1)
+        # midranks are half-integers, so doubled rank sums compare exactly as ints;
+        # U_a orders labelings as rank-sum(a) does and opposite to rank-sum(b), so
+        # the two tails of either group's rank sum are those of U_a, swapped or not
         doubled = [int(2.0 * r) for r in ranks]
-        limit = int(2.0 * u) + n1 * (n1 + 1)
-        if n1 <= n2:
-            tail = _count_subsets_at_most(doubled, n1, limit)
-        else:
-            # count over the smaller group: rank-sum(a) <= T  <=>  rank-sum(b) >= S - T,
-            # with doubled total 2S = n(n + 1)
-            tail = total - _count_subsets_at_most(doubled, n2, n * (n + 1) - limit - 1)
-        p = min(1.0, 2.0 * tail / total)
+        small = doubled[:n1] if n1 <= n2 else doubled[n1:]
+        lower, upper = _count_tails(doubled, len(small), sum(small))
+        p = min(1.0, 2.0 * min(lower, upper) / math.comb(n, n1))
         return MannWhitneyResult(u, p, "exact")
 
     # normal approximation with tie correction

@@ -93,19 +93,21 @@ class TestQuartiles:
 
 
 def oracle_mann_whitney(a, b):
-    """Independent enumeration oracle.
+    """Independent enumeration oracle, from the definition.
 
-    U is counted by direct pairwise comparison (ties worth 1/2) and the
-    two-sided p doubles the left tail of U over all labelings of the pooled
-    raw values. No rank machinery shared with the implementation.
+    U_a counts, over all pairs, how often a's value is above b's (ties worth
+    1/2). The two-sided p is twice the smaller of the two tails
+    P(U_a <= observed) and P(U_a >= observed) over all labelings of the pooled
+    raw values, capped at 1. No rank machinery shared with the implementation.
     """
     n1, n2 = len(a), len(b)
     pooled = list(a) + list(b)
 
     def u_of(group_a):
-        group_b = [pooled[i] for i in range(len(pooled)) if i not in set(group_a)]
+        chosen = set(group_a)
+        group_b = [pooled[i] for i in range(len(pooled)) if i not in chosen]
         u = 0.0
-        for x in (pooled[i] for i in group_a):
+        for x in (pooled[i] for i in chosen):
             for y in group_b:
                 if x > y:
                     u += 1.0
@@ -113,15 +115,14 @@ def oracle_mann_whitney(a, b):
                     u += 0.5
         return u
 
-    observed_a = u_of(range(n1))
-    observed = min(observed_a, n1 * n2 - observed_a)
-    count = 0
-    total = 0
+    observed = u_of(range(n1))
+    lower = upper = total = 0
     for labeling in combinations(range(n1 + n2), n1):
+        u = u_of(labeling)  # a sum of halves, so exact
         total += 1
-        if u_of(labeling) <= observed + 1e-9:
-            count += 1
-    return observed, min(1.0, 2.0 * count / total)
+        lower += u <= observed
+        upper += u >= observed
+    return min(observed, n1 * n2 - observed), min(1.0, 2.0 * min(lower, upper) / total)
 
 
 class TestMannWhitney:
@@ -134,6 +135,13 @@ class TestMannWhitney:
         result = mann_whitney([1, 2, 3], [4, 5, 6])
         assert result.u == 0.0
         assert result.p_two_sided == pytest.approx(0.1)  # 2/20 labelings
+
+    @pytest.mark.parametrize("a, b", [([7, 7, 7], [1, 1]), ([1, 1], [7, 7, 7])])
+    def test_tied_unequal_groups_take_the_smaller_tail(self, a, b):
+        # only the observed labeling is this extreme in either direction: p = 2 / C(5, 2)
+        assert oracle_mann_whitney(a, b) == (0.0, 0.2)
+        result = mann_whitney(a, b)
+        assert (result.u, result.p_two_sided) == (0.0, 0.2)
 
     def test_empty(self):
         with pytest.raises(EmptySample):
