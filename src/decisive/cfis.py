@@ -22,22 +22,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-DEFAULT_OUTPUT_LEVELS = {
-    "very_bad": 0.0,
-    "bad": 0.25,
-    "medium": 0.5,
-    "good": 0.75,
-    "very_good": 1.0,
-}
-
-#: uniform terms used by combining stages unless the config overrides them
-DEFAULT_AXIS_TERMS = {
-    "low": (0.0, 0.0, 0.5),
-    "medium": (0.0, 0.5, 1.0),
-    "high": (0.5, 1.0, 1.0),
-}
-
-
 @dataclass(frozen=True)
 class TriangularMf:
     """Triangle (a, b, c) over [lo, hi]; a == b or b == c makes a shoulder."""
@@ -206,15 +190,10 @@ def ideal_combined(config: FisConfig, inputs: Mapping[str, Mapping[str, float]])
     return cascade_eval(config, patched).combined
 
 
-def predictive_score(
-    test_scores: Mapping[str, Optional[float]],
-    weights: Optional[Mapping[str, float]] = None,
-) -> float:
-    """Weighted-product combination of per-test scores into a mission score.
+def predictive_score(test_scores: Mapping[str, Optional[float]]) -> float:
+    """Mission score: the geometric mean of the completed tests' scores.
 
-    Missing tests (None) are dropped and the remaining weights renormalized
-    to sum to 1; equal weights therefore reduce to the geometric mean of the
-    completed tests.
+    Missing tests (None) are dropped before the mean is taken.
     """
     present = {k: v for k, v in test_scores.items() if v is not None}
     if not present:
@@ -222,13 +201,7 @@ def predictive_score(
     for name, score in present.items():
         if not 0.0 < score <= 1.0:
             raise NonPositiveScore(f"{name}={score} outside (0, 1]")
-    if weights is None:
-        weights = {k: 1.0 for k in present}
-    total_w = sum(weights[k] for k in present)
-    if total_w <= 0:
-        raise ZeroDenominator("weights of completed tests sum to zero")
-    log_p = sum(weights[k] / total_w * math.log(present[k]) for k in present)
-    return math.exp(log_p)
+    return math.exp(sum(1.0 / len(present) * math.log(v) for v in present.values()))
 
 
 def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:

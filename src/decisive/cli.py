@@ -27,7 +27,7 @@ from .ingest import (
     parse_telemetry,
 )
 from .nav import deviation_series
-from .report import plot_svg, render_tables
+from .report import deviation_svg, ncap_scatter_svg, render_tables
 
 DEFAULT_FIS = Path(__file__).parent / "configs" / "takeoff_land.json"
 
@@ -216,14 +216,14 @@ def cmd_plot(args) -> int:
             raise ParseError("--features is required for ncap-scatter")
         results = tables.ncap_results(args.features, args.weights, args.caps)
         points = [(r.suas_id, float(r.n_al), r.n_cp) for r in results]
-        data = plot_svg("ncap-scatter", points)
+        data = ncap_scatter_svg(points)
     else:
         if not (args.telemetry and args.path):
             raise ParseError("--telemetry and --path are required for deviation plots")
         traj, _ = parse_telemetry(args.telemetry)
         path = parse_reference_path(args.path)
         series = list(zip(traj.t.tolist(), deviation_series(traj.pos, path).tolist()))
-        data = plot_svg("deviation", series)
+        data = deviation_svg(series)
     _write_output(data, args.out)
     return 0
 

@@ -29,21 +29,11 @@ GRAVITY = 9.8  # m/s^2
 #: dividing by near-zero hover speeds would blow the index up
 STATIONARY_SPEED = 0.05  # m/s
 
+#: seconds after the collision over which the velocity change is taken
+DELTA_V_WINDOW = 0.3
 
-@dataclass(frozen=True)
-class CollisionKinematics:
-    """Severity-index conventions: g is fixed; vertical axis off by default.
-
-    Horizontal-plane flight is assumed so sudden drops (vehicle failures, not
-    impacts) do not contaminate the severity index; set include_vertical for
-    genuinely three-dimensional missions.
-    """
-
-    include_vertical: bool = False
-
-    @property
-    def g(self) -> float:
-        return GRAVITY
+#: odd width of the moving average smoothing a differentiated acceleration
+SMOOTH_WIDTH = 5
 
 
 def distance_to_obstacle(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[np.ndarray, float]:
@@ -70,35 +60,6 @@ def distance_to_obstacle(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[
     return series, float(series.min())
 
 
-def speeds(traj: Trajectory) -> np.ndarray:
-    """Per-sample speed magnitude, differentiating positions when velocity is absent."""
-    source = traj if traj.vel is not None else derive_kinematics(traj)
-    return np.linalg.norm(source.vel, axis=1)
-
-
-def ttc_series(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """(TTC values, validity mask); samples slower than STATIONARY_SPEED are masked out."""
-    dist, _ = distance_to_obstacle(traj, obstacle)
-    return _ttc(dist, speeds(traj))
-
-
-def _ttc(dist: np.ndarray, spd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = spd >= STATIONARY_SPEED
-    ttc = np.full(len(dist), np.inf)
-    ttc[mask] = dist[mask] / spd[mask]
-    return ttc, mask
-
-
-def min_ttc(traj: Trajectory, obstacle: ObstacleGeometry) -> float:
-    return _min_ttc(*ttc_series(traj, obstacle))
-
-
-def _min_ttc(ttc: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        raise AllStationary("no sample moves faster than the stationary cutoff")
-    return float(ttc[mask].min())
-
-
 @dataclass(frozen=True)
 class FlightMetrics:
     """One flight's row of the obstacle-avoidance table."""
@@ -117,10 +78,12 @@ def flight_metrics(
 ) -> FlightMetrics:
     """Minimum distance and TTC, severity index and, given t_collision, max delta-v.
 
+    TTC is each sample's obstacle distance over its speed; samples slower than
+    STATIONARY_SPEED are left out, and a flight with none faster fails.
     Collision flights score 0 distance and 0 TTC by definition. The obstacle
     distance series is computed once, and missing velocity or acceleration is
-    derived at most once, when first needed; values and errors, in their order,
-    are those of min_ttc, masi and max_delta_v called one after another.
+    derived at most once, when first needed; values and errors come in the
+    order TTC, masi, max_delta_v.
     """
     derived = []  # derive_kinematics(traj), once something needs it
 
@@ -135,8 +98,11 @@ def flight_metrics(
         dist = ttc = 0.0
     else:
         series, dist = distance_to_obstacle(traj, obstacle)
-        vel = kinematics(traj.vel is not None).vel
-        ttc = _min_ttc(*_ttc(series, np.linalg.norm(vel, axis=1)))
+        speed = np.linalg.norm(kinematics(traj.vel is not None).vel, axis=1)
+        moving = speed >= STATIONARY_SPEED
+        if not moving.any():
+            raise AllStationary("no sample moves faster than the stationary cutoff")
+        ttc = float((series[moving] / speed[moving]).min())
     severity = masi(kinematics(traj.acc is not None))
     delta_v = (
         max_delta_v(kinematics(traj.vel is not None), t_collision)
@@ -153,30 +119,29 @@ def aggregate_flights(per_flight: Sequence[float]) -> float:
     return float(np.mean(per_flight))
 
 
-def masi(traj: Trajectory, kin: CollisionKinematics = CollisionKinematics()) -> float:
-    """Peak acceleration magnitude over the flight, normalized by g (dimensionless)."""
-    source = traj if traj.acc is not None else derive_kinematics(traj)
-    acc = source.acc
-    if kin.include_vertical:
-        mag = np.linalg.norm(acc, axis=1)
-    else:
-        mag = np.hypot(acc[:, 0], acc[:, 1])
-    return float(mag.max()) / kin.g
+def masi(traj: Trajectory) -> float:
+    """Peak horizontal acceleration magnitude over the flight, over g (dimensionless).
+
+    The vertical axis is left out so that sudden drops (vehicle failures, not
+    impacts) do not contaminate the severity index.
+    """
+    acc = (traj if traj.acc is not None else derive_kinematics(traj)).acc
+    return float(np.hypot(acc[:, 0], acc[:, 1]).max()) / GRAVITY
 
 
-def max_delta_v(traj: Trajectory, t_c: float, window: float = 0.3) -> float:
-    """Largest velocity change within `window` seconds after the collision at t_c.
+def max_delta_v(traj: Trajectory, t_c: float) -> float:
+    """Largest velocity change within DELTA_V_WINDOW seconds after the collision at t_c.
 
     Velocity at t_c is interpolated; the maximum of |v(tau) - v(t_c)| is taken
-    over samples in (t_c, t_c + window]. Sampling inside the window must be at
-    least 10 Hz for the estimate to be meaningful.
+    over samples in (t_c, t_c + DELTA_V_WINDOW]. Sampling inside the window must
+    be at least 10 Hz for the estimate to be meaningful.
     """
     source = traj if traj.vel is not None else derive_kinematics(traj)
     t = source.t
     if not (t[0] <= t_c <= t[-1]):
         raise CollisionOutsideSpan(f"t_c={t_c} outside [{t[0]}, {t[-1]}]")
 
-    t_end = min(t_c + window, float(t[-1]))
+    t_end = min(t_c + DELTA_V_WINDOW, float(t[-1]))
     in_window = (t >= t_c) & (t <= t_end)
     window_times = t[in_window]
     # gaps are measured over the window including its edges
@@ -185,32 +150,27 @@ def max_delta_v(traj: Trajectory, t_c: float, window: float = 0.3) -> float:
         raise RateTooLow("need >= 10 Hz sampling in the post-collision window")
 
     v0 = np.array([np.interp(t_c, t, source.vel[:, k]) for k in range(3)])
-    after = (t > t_c) & (t <= t_c + window)
+    after = (t > t_c) & (t <= t_c + DELTA_V_WINDOW)
     if not after.any():
         return 0.0
     dv = np.linalg.norm(source.vel[after] - v0, axis=1)
     return float(dv.max())
 
 
-def derive_kinematics(traj: Trajectory, smooth_width: int = 5) -> Trajectory:
+def derive_kinematics(traj: Trajectory) -> Trajectory:
     """Fill missing velocity/acceleration by central differences.
 
     Interior samples use central differences, the ends one-sided differences.
-    Acceleration gets a moving-average smoothing of odd width `smooth_width`
-    (1 disables smoothing).
+    Acceleration gets a moving average of odd width SMOOTH_WIDTH.
     """
     if len(traj) < 3:
         raise InsufficientSamples("differentiation needs at least 3 samples")
-    if smooth_width < 1 or smooth_width % 2 == 0:
-        raise ValueError("smooth_width must be odd and >= 1")
 
     t = traj.t
     vel = traj.vel if traj.vel is not None else _differentiate(traj.pos, t)
     acc = traj.acc
     if acc is None:
-        acc = _differentiate(vel, t)
-        if smooth_width > 1:
-            acc = _moving_average(acc, smooth_width)
+        acc = _moving_average(_differentiate(vel, t), SMOOTH_WIDTH)
     return replace(traj, vel=vel, acc=acc)
 
 

@@ -126,14 +126,6 @@ class MissingCategory(DecisiveError):
     """Trial lacks the categorical outcome needed for a distribution."""
 
 
-class DuplicateTarget(DecisiveError):
-    pass
-
-
-class ZeroFps(DecisiveError):
-    pass
-
-
 class LengthMismatch(DecisiveError):
     pass
 

@@ -1,44 +1,13 @@
-"""Field-readiness metrics: endurance, room clearing, noise, NLOS comms, checklists."""
+"""Field-readiness metrics: endurance, NLOS comms range and requirement checklists."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import (
-    DataQualityWarning,
-    DuplicateTarget,
-    EmptySample,
-    ZeroDuration,
-    ZeroFps,
-)
-from .stats import mean_std
+from .errors import EmptySample, ZeroDuration
 
 FIGURE8_LAP_M = 13.0  # nominal length of one figure-8 lap
-
-ACUITY_LEVELS_MM = (20.0, 8.0, 3.0, 1.3, 0.5)
-
-#: acuity targets available per surface class and in the whole room
-ROOM_TARGETS = {"wall": 18, "floor": 5, "ceiling": 5}
-ROOM_TARGETS_TOTAL = 28
-
-
-@dataclass(frozen=True)
-class AcuityObservation:
-    """One inspected acuity target and the finest level resolved on it."""
-
-    target_id: str  # e.g. WL-2, F-3, C-5
-    surface: str  # wall | floor | ceiling
-    resolved_level: Optional[float] = None  # mm, one of ACUITY_LEVELS_MM
-
-    def __post_init__(self):
-        if self.surface not in ROOM_TARGETS:
-            raise ValueError(f"unknown surface {self.surface!r}")
-        if self.resolved_level is not None and not any(
-            abs(self.resolved_level - lvl) < 1e-9 for lvl in ACUITY_LEVELS_MM
-        ):
-            raise ValueError(f"{self.resolved_level} mm is not an acuity level")
 
 
 @dataclass(frozen=True)
@@ -71,67 +40,6 @@ def endurance_metrics(laps: int, duration_min: float) -> tuple[float, float]:
     return distance, distance / (duration_min * 60.0)
 
 
-@dataclass(frozen=True)
-class SurfaceClearing:
-    seen: int
-    total: int
-    coverage_pct: float
-    acuity_mean: Optional[float]
-    acuity_std: Optional[float]
-
-
-def room_clearing_summary(
-    observations: Sequence[AcuityObservation], duration_min: float
-) -> dict[str, SurfaceClearing]:
-    """Coverage and mean acuity per surface class plus a 'total' row.
-
-    Acuity statistics cover only the targets actually seen; coverage is
-    against the fixed 18/5/5 target counts (28 in the room).
-    """
-    ids = [o.target_id for o in observations]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateTarget(f"duplicate targets: {', '.join(dupes)}")
-    if not observations:
-        warnings.warn("no targets inspected: coverage is 0%", DataQualityWarning)
-    for surface, total in ROOM_TARGETS.items():
-        count = sum(1 for o in observations if o.surface == surface)
-        if count > total:
-            raise ValueError(f"{count} {surface} targets observed, room only has {total}")
-
-    out: dict[str, SurfaceClearing] = {}
-    for surface, total in ROOM_TARGETS.items():
-        obs = [o for o in observations if o.surface == surface]
-        out[surface] = _clearing_row(obs, total)
-    out["total"] = _clearing_row(list(observations), ROOM_TARGETS_TOTAL)
-    return out
-
-
-def _clearing_row(obs: Sequence[AcuityObservation], total: int) -> SurfaceClearing:
-    seen = [o for o in obs if o.resolved_level is not None]
-    if seen:
-        mean, std = mean_std([o.resolved_level for o in seen])
-    else:
-        mean = std = None
-    return SurfaceClearing(len(seen), total, 100.0 * len(seen) / total, mean, std)
-
-
-def noise_summary(
-    ambient_db: Sequence[float], condition_samples: Mapping[str, Sequence[float]]
-) -> dict[str, tuple[float, float]]:
-    """Per-condition (mean dB, delta over ambient mean)."""
-    if not ambient_db:
-        raise EmptySample("no ambient readings")
-    ambient_mean, _ = mean_std(ambient_db)
-    out = {}
-    for condition, samples in condition_samples.items():
-        if not samples:
-            raise EmptySample(f"no readings for condition {condition!r}")
-        mean, _ = mean_std(samples)
-        out[condition] = (mean, mean - ambient_mean)
-    return out
-
-
 def nlos_max_performance(
     positions: Sequence[NlosPosition],
 ) -> tuple[Optional[NlosPosition], Optional[NlosPosition]]:
@@ -144,26 +52,6 @@ def nlos_max_performance(
     flying = [p for p in positions if p.connect == "good" and p.fly == "possible"]
     pick = lambda group: max(group, key=lambda p: p.distance) if group else None
     return pick(static), pick(flying)
-
-
-def video_latency(frame_count: int, fps: float) -> float:
-    """Video delay in milliseconds from counted frames at the recording rate."""
-    if fps <= 0:
-        raise ZeroFps("fps must be positive")
-    if frame_count < 0:
-        raise ValueError("frame count must be non-negative")
-    return 1000.0 * frame_count / fps
-
-
-def latency_summary(latencies_ms: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample std of latency trials; fewer than 10 trials warns."""
-    if not latencies_ms:
-        raise EmptySample("no latency trials")
-    if len(latencies_ms) < 10:
-        warnings.warn(
-            f"only {len(latencies_ms)} latency trials (10 recommended)", DataQualityWarning
-        )
-    return mean_std(latencies_ms)
 
 
 # --- requirement checklists ------------------------------------------------

@@ -248,6 +248,61 @@ def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
     return np.array(samples)
 
 
+# --- checklist criteria -----------------------------------------------------------
+
+@_total
+def parse_criteria(path) -> tuple[list[Criterion], ParseReport]:
+    """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
+    report = ParseReport(str(path))
+    doc = _load_json(path)
+    out = []
+    for field_name, spec in doc.items():
+        try:
+            out.append(Criterion(field_name, spec["op"], spec["value"]))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"criterion {field_name!r}: {exc}", str(path))
+    report.counts["criteria"] = len(out)
+    return out, report
+
+
+# --- fiducial observations -----------------------------------------------------
+
+FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
+
+
+@_total
+def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseReport]:
+    report = ParseReport(str(path))
+    header, rows = _read_rows(path)
+    for col in FIDUCIAL_COLUMNS:
+        if col not in header:
+            raise MissingColumn(f"missing column {col!r}", str(path))
+    idx = {c: header.index(c) for c in FIDUCIAL_COLUMNS}
+    # a missing fiducial has no position, so its row may stop before x and y
+    unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
+    mapped_width = max(idx.values()) + 1
+    out = []
+    for line, row in _rows_of_width(rows, unmapped_width):
+        mapped = row[idx["mapped"]].strip()
+        if mapped == "missing":
+            xy = None
+        else:
+            if len(row) < mapped_width:
+                raise MissingColumn(f"row has {len(row)} fields, needs {mapped_width}", line)
+            xy = (_number(row[idx["x"]], line), _number(row[idx["y"]], line))
+        half = _number(row[idx["half"]], line)
+        if half not in (1.0, 2.0):
+            raise ScoreOutOfRange(f"half must be 1 or 2, got {row[idx['half']]!r}", line)
+        try:
+            out.append(
+                FiducialObservation(row[idx["fiducial_id"]].strip(), int(half), xy, mapped)
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), line)
+    report.counts["observations"] = len(out)
+    return out, report
+
+
 # --- campaign manifest ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -261,10 +316,10 @@ class CampaignTest:
     length_m: float | None = None
     obstacle: ObstacleGeometry | None = None
     nlos_positions: tuple[NlosPosition, ...] = ()
-    criteria: Path | None = None
+    criteria: tuple[Criterion, ...] = ()
     responses: dict[str, dict] | None = None
     fiducials: tuple[FiducialGroundTruth, ...] = ()
-    observations: Path | None = None
+    observations: tuple[FiducialObservation, ...] = ()
     shape_classes: dict[str, str] | None = None
     dimensions: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # reported, truth
     fov: tuple[int, int] | None = None  # visible, total
@@ -288,6 +343,14 @@ def _numbers(value, *sizes) -> tuple[float, ...]:
     if sizes and len(numbers) not in sizes:
         raise ValueError(f"expected {' or '.join(map(str, sizes))} numbers, got {len(numbers)}")
     return numbers
+
+
+def _count(value) -> int:
+    """A JSON number that is a non-negative integer."""
+    number = _json(value, float)
+    if number < 0 or not number.is_integer():
+        raise ValueError(f"expected a non-negative integer, got {json.dumps(value)}")
+    return int(number)
 
 
 def _obstructions(value) -> tuple[tuple[int, str], ...]:
@@ -335,18 +398,21 @@ _TEST_BLOCKS = {
     "collision": {"obstacle": _obstacle},
     "field": {
         "nlos_positions": lambda v: tuple(_nlos_position(_json(e, dict)) for e in _json(v, list)),
-        "criteria": Path,  # a file beside the manifest
+        "criteria": lambda v: _json(v, str),  # a file beside the manifest, see _SIDE_FILES
         "responses": lambda v: {suas: _json(r, dict) for suas, r in _json(v, dict).items()},
     },
     "mapping": {
         "fiducials": lambda v: tuple(_fiducial(_json(e, dict)) for e in _json(v, list)),
-        "observations": Path,
+        "observations": lambda v: _json(v, str),
         "shape_classes": lambda v: {k: _json(c, str) for k, c in _json(v, dict).items()},
         "dimensions": lambda v: _pair(v, "reported", "truth", _numbers),
         "fov": lambda v: _pair(v, "visible", "total", lambda n: int(_json(n, float))),
         "acuity_levels": _numbers,
     },
 }
+
+#: the blocks that name a file beside the manifest, with the parser of that file
+_SIDE_FILES = {"criteria": parse_criteria, "observations": parse_fiducial_observations}
 
 #: the report's metric of each block it computes from the block alone, run once at load
 #: so that a block the report could not compute fails there
@@ -372,12 +438,20 @@ def _campaign_test(entry: dict, manifest: Path) -> CampaignTest:
         except (DecisiveError, TypeError, ValueError, KeyError, AttributeError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ParseError(f"test {test_id}: bad {key!r} block ({reason})", str(manifest))
-        if isinstance(blocks[key], Path):
-            blocks[key] = manifest.parent / blocks[key]
-            if not blocks[key].is_file():
-                raise DanglingReference(f"test {test_id}: {key} file {value!r} not found",
-                                        str(manifest))
+        if key in _SIDE_FILES:
+            blocks[key] = _side_file(test_id, key, blocks[key], manifest)
     return CampaignTest(test_id, kind, **blocks)
+
+
+def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
+    """The parsed contents of the file, beside the manifest, that a test's `key` block names.
+
+    A malformed file fails with its parser's error, which names that file.
+    """
+    path = manifest.parent / name
+    if not path.is_file():
+        raise DanglingReference(f"test {test_id}: {key} file {name!r} not found", str(manifest))
+    return tuple(_SIDE_FILES[key](path)[0])
 
 
 @_total
@@ -442,6 +516,12 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             value = entry.get(key)
             if value is not None and value not in vocab:
                 raise UnknownCategory(f"trial {trial_id}: {key} {value!r}", str(path))
+        typed = {}
+        for key, convert in (("laps", _count), ("t_collision_s", lambda v: _json(v, float))):
+            try:
+                typed[key] = None if entry.get(key) is None else convert(entry[key])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"trial {trial_id}: bad {key!r} field ({exc})", str(path))
         telemetry = entry.get("telemetry") and path.parent / entry["telemetry"]
         if telemetry and not telemetry.is_file():
             raise DanglingReference(
@@ -458,9 +538,9 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
                 oa_category=entry.get("oa_category"),
                 cr_category=entry.get("cr_category"),
                 aperture_tier=entry.get("aperture_tier"),
-                t_collision=entry.get("t_collision_s"),
+                t_collision=typed["t_collision_s"],
                 duration=float(entry.get("duration_min", 0.0)),
-                laps=entry.get("laps"),
+                laps=typed["laps"],
                 telemetry=telemetry,
                 notes=entry.get("notes", ""),
             )
@@ -770,58 +850,3 @@ def parse_scores(path, variables: set[str]) -> tuple[bool, list[tuple[str, str, 
             numbers = {v: _number(cells[v], line) for v in variables if cells.get(v, "") != ""}
         out.append((cells["suas_id"], cells["test_id"], numbers))
     return precomputed, out
-
-
-# --- checklist criteria -----------------------------------------------------------
-
-@_total
-def parse_criteria(path) -> tuple[list[Criterion], ParseReport]:
-    """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
-    report = ParseReport(str(path))
-    doc = _load_json(path)
-    out = []
-    for field_name, spec in doc.items():
-        try:
-            out.append(Criterion(field_name, spec["op"], spec["value"]))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"criterion {field_name!r}: {exc}", str(path))
-    report.counts["criteria"] = len(out)
-    return out, report
-
-
-# --- fiducial observations -----------------------------------------------------
-
-FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
-
-
-@_total
-def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseReport]:
-    report = ParseReport(str(path))
-    header, rows = _read_rows(path)
-    for col in FIDUCIAL_COLUMNS:
-        if col not in header:
-            raise MissingColumn(f"missing column {col!r}", str(path))
-    idx = {c: header.index(c) for c in FIDUCIAL_COLUMNS}
-    # a missing fiducial has no position, so its row may stop before x and y
-    unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
-    mapped_width = max(idx.values()) + 1
-    out = []
-    for line, row in _rows_of_width(rows, unmapped_width):
-        mapped = row[idx["mapped"]].strip()
-        if mapped == "missing":
-            xy = None
-        else:
-            if len(row) < mapped_width:
-                raise MissingColumn(f"row has {len(row)} fields, needs {mapped_width}", line)
-            xy = (_number(row[idx["x"]], line), _number(row[idx["y"]], line))
-        half = _number(row[idx["half"]], line)
-        if half not in (1.0, 2.0):
-            raise ScoreOutOfRange(f"half must be 1 or 2, got {row[idx['half']]!r}", line)
-        try:
-            out.append(
-                FiducialObservation(row[idx["fiducial_id"]].strip(), int(half), xy, mapped)
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
-    report.counts["observations"] = len(out)
-    return out, report

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CountOutOfRange, EmptySample, LengthMismatch, TooFewFiducials
-from .field import ACUITY_LEVELS_MM
 from .stats import mean_std
 
 #: difficulty thresholds; configuration values fitted to the ten labeled
@@ -19,6 +18,7 @@ EASY_TURNS = 2
 
 SHAPE_CLASSES = ("complete", "incomplete", "shifted")
 MAPPED_STATES = ("complete", "partial", "missing")
+ACUITY_LEVELS_MM = (20.0, 8.0, 3.0, 1.3, 0.5)
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,12 @@ def _validate(table: ReportTable) -> None:
 
 
 def render_table(table: ReportTable, fmt: str = "md", ascii_glyphs: bool = False) -> bytes:
-    """Render one table to UTF-8 bytes; identical input gives identical bytes."""
+    """Render one table as Markdown or CSV to UTF-8 bytes; identical input gives identical bytes."""
     _validate(table)
     if fmt == "md":
         text = _render_md(table, ascii_glyphs)
     elif fmt == "csv":
         text = _render_csv(table, ascii_glyphs)
-    elif fmt == "json":
-        text = _render_json(table, ascii_glyphs)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return text.encode("utf-8")
@@ -110,9 +108,8 @@ def _render_csv(table: ReportTable, ascii_glyphs: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(table: ReportTable, ascii_glyphs: bool) -> str:
-    import json
-
+def _json_doc(table: ReportTable, ascii_glyphs: bool) -> dict:
+    _validate(table)
     rows = []
     for row in table.rows:
         entry = {}
@@ -123,15 +120,16 @@ def _render_json(table: ReportTable, ascii_glyphs: bool) -> str:
             else:
                 entry[_header_text(col)] = _format_cell(cell, col, ascii_glyphs)
         rows.append(entry)
-    return json.dumps({"title": table.title, "rows": rows}, indent=2, ensure_ascii=False) + "\n"
+    return {"title": table.title, "rows": rows}
 
 
 def render_tables(tables: Sequence[ReportTable], fmt: str = "md", ascii_glyphs: bool = False) -> bytes:
-    """Concatenate several tables; blocks are blank-line separated."""
+    """Render several tables: Markdown or CSV blocks separated by a blank line, or one
+    JSON array of {"title", "rows"} objects."""
     if fmt == "json":
         import json
 
-        docs = [json.loads(render_table(t, "json", ascii_glyphs)) for t in tables]
+        docs = [_json_doc(t, ascii_glyphs) for t in tables]
         return (json.dumps(docs, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
     return b"\n".join(render_table(t, fmt, ascii_glyphs) for t in tables)
 
@@ -149,22 +147,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def plot_svg(kind: str, data) -> bytes:
-    """Render a plot to standalone SVG bytes, deterministically.
+def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
+    """Standalone SVG of (label, autonomy level, component potential) points.
 
-    kinds:
-      ncap-scatter: data is a list of (label, level, potential) points,
-                    level on x in [0, 4], potential on y.
-      deviation:    data is a list of (t seconds, deviation meters) samples.
+    Level is on x in [0, 4], potential on y.
     """
-    if kind == "ncap-scatter":
-        return _ncap_scatter(data)
-    if kind == "deviation":
-        return _deviation_plot(data)
-    raise ValueError(f"unknown plot kind {kind!r}")
-
-
-def _ncap_scatter(points: Sequence[tuple[str, float, float]]) -> bytes:
     # html.escape(quote=False) escapes &, < and > exactly as XML text needs;
     # imported here so other commands do not pay for it at start-up
     from html import escape
@@ -226,7 +213,8 @@ def _ncap_scatter(points: Sequence[tuple[str, float, float]]) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def _deviation_plot(samples: Sequence[tuple[float, float]]) -> bytes:
+def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
+    """Standalone SVG polyline of (t seconds, deviation meters) samples."""
     if not samples:
         raise EmptyData("no deviation samples")
     w, h, margin = 480, 240, 45.0

@@ -1,8 +1,8 @@
 """Report tables: parsed inputs in, the ReportTables each subcommand prints out.
 
 The campaign builders read the typed tests of a parsed Campaign, load the
-telemetry, criteria and observations files those name as they need them, and
-leave out a table that got no rows. The others take their subcommand's parsed
+telemetry files its trials name as they need them, and leave out a table that
+got no rows. The others take their subcommand's parsed
 inputs. Tables come back in the order they are printed.
 """
 
@@ -24,10 +24,8 @@ from .core import APERTURE_TIERS, Campaign, tests_of_kind
 from .errors import DataQualityWarning, DecisiveError, ParseError
 from .ingest import (
     parse_capabilities,
-    parse_criteria,
     parse_feature_sheet,
     parse_feature_weights,
-    parse_fiducial_observations,
     parse_scores,
     parse_telemetry,
 )
@@ -184,9 +182,8 @@ def field_tables(campaign: Campaign) -> list[ReportTable]:
                     obstructions = "; ".join(f"{c} {m}" for c, m in best.obstructions)
                     nlos.add_row(test_id, mode, best.distance, obstructions)
         if test.criteria and test.responses:
-            criteria, _ = parse_criteria(test.criteria)
             for suas_id in sorted(test.responses):
-                result = field_mod.requirements_met(test.responses[suas_id], criteria)
+                result = field_mod.requirements_met(test.responses[suas_id], test.criteria)
                 for field_name in sorted(result.per_field):
                     met = "good" if result.per_field[field_name] else "none"
                     checklist.add_row(test_id, suas_id, field_name, met, result.percentage)
@@ -196,7 +193,7 @@ def field_tables(campaign: Campaign) -> list[ReportTable]:
 def mapping_tables(campaign: Campaign) -> list[ReportTable]:
     tables = []
     for test in tests_of_kind(campaign, "mapping"):
-        test_id, truth = test.test_id, test.fiducials
+        test_id, truth, obs = test.test_id, test.fiducials, test.observations
         if truth:
             difficulty = ReportTable(f"Fiducial difficulty: {test_id}", [
                 Column("fiducial"), Column("min traversal", "number", 0, "m"),
@@ -211,8 +208,7 @@ def mapping_tables(campaign: Campaign) -> list[ReportTable]:
 
         summary = ReportTable(f"Map metrics: {test_id}",
                               [Column("metric"), Column("value", "number", 1), Column("unit")])
-        if test.observations and truth:
-            obs, _ = parse_fiducial_observations(test.observations)
+        if obs and truth:
             summary.add_row("coverage", mapping_mod.fiducial_coverage(obs, truth), "%")
             try:
                 summary.add_row("global error", mapping_mod.global_error(obs, truth), "cm")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from decisive.cli import DEFAULT_FIS, main
 from decisive.ingest import parse_telemetry
 from decisive.nav import ReferencePath, deviation_series
-from decisive.report import plot_svg
+from decisive.report import deviation_svg
 
 REPO = Path(__file__).resolve().parents[1]
 CAMPAIGN = REPO / "sample_campaign"
@@ -331,7 +331,7 @@ class TestPlot:
         traj, _ = parse_telemetry(CAMPAIGN / "wf_alpha_1.csv")
         path = ReferencePath(((0, 1, 1), (3, 1, 1), (3, 3, 1)), closed=True)
         series = deviation_series(traj.pos, path)
-        expected = plot_svg("deviation", list(zip(traj.t.tolist(), series.tolist())))
+        expected = deviation_svg(list(zip(traj.t.tolist(), series.tolist())))
 
         def points(svg):
             return xml.dom.minidom.parseString(svg).getElementsByTagName(
@@ -524,37 +524,57 @@ class TestMalformedSideFiles:
         assert err == f"error: cannot parse 'abc' as a number (at {scores}:3)\n"
 
 
-def with_test_block(directory, test_id, key, value):
-    """The sample campaign's manifest, written into `directory`, with one test block replaced."""
+def with_entry(directory, entry_id, key, value):
+    """The sample campaign's manifest, written into `directory`, with one key of one test
+    or trial replaced."""
     doc = json.loads((CAMPAIGN / "campaign.json").read_text())
-    next(t for t in doc["tests"] if t["test_id"] == test_id)[key] = value
+    entries = doc["tests"] + doc["trials"]
+    next(e for e in entries if e.get("trial_id", e["test_id"]) == entry_id)[key] = value
     manifest = directory / "campaign.json"
     manifest.write_text(json.dumps(doc))
     return manifest
 
 
 class TestMalformedTestBlocks:
-    @pytest.mark.parametrize("test_id, kind, key, value", [
-        ("wall-follow-1m", "nav", "path", [1, 2]),
-        ("map-loop", "mapping", "shape_classes", ["a", "b"]),
-        ("oa-wall", "collision", "obstacle", {"p0": [0, 0]}),
-        ("endurance-indoor", "field", "nlos_positions", [{"label": "X"}]),
-        ("map-loop", "mapping", "fov", {"visible": 1}),
-        ("endurance-indoor", "field", "criteria", "nope.json"),
-        ("map-loop", "mapping", "observations", "gone.csv"),
+    @pytest.mark.parametrize("owner, kind, key, value", [
+        ("test wall-follow-1m", "nav", "path", [1, 2]),
+        ("test map-loop", "mapping", "shape_classes", ["a", "b"]),
+        ("test oa-wall", "collision", "obstacle", {"p0": [0, 0]}),
+        ("test endurance-indoor", "field", "nlos_positions", [{"label": "X"}]),
+        ("test map-loop", "mapping", "fov", {"visible": 1}),
+        ("test endurance-indoor", "field", "criteria", "nope.json"),
+        ("test map-loop", "mapping", "observations", "gone.csv"),
         # well typed, but values the report's own metric rejects
-        ("map-loop", "mapping", "fov", {"visible": 17, "total": 16}),
-        ("map-loop", "mapping", "acuity_levels", [8, 9]),
+        ("test map-loop", "mapping", "fov", {"visible": 17, "total": 16}),
+        ("test map-loop", "mapping", "acuity_levels", [8, 9]),
+        # trial fields the tables compute with
+        ("trial t011", "field", "laps", "10"),
+        ("trial t006", "collision", "t_collision_s", "x"),
     ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
     def test_validate_fails_where_metrics_and_report_do(self, capsys, tmp_path,
-                                                        test_id, kind, key, value):
-        manifest = with_test_block(campaign_copy(tmp_path), test_id, key, value)
+                                                        owner, kind, key, value):
+        manifest = with_entry(campaign_copy(tmp_path), owner.split()[1], key, value)
         results = [run(capsys, *argv) for argv in (
             ["validate", manifest], ["metrics", manifest, "--test", kind], ["report", manifest])]
         err = results[0][2]
         assert results == [(1, "", err)] * 3
-        assert err.startswith(f"error: test {test_id}: ") and err.endswith(f"(at {manifest})\n")
+        assert err.startswith(f"error: {owner}: ") and err.endswith(f"(at {manifest})\n")
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("test_id, kind, key, other", [
+        ("endurance-indoor", "field", "criteria", "sagat.csv"),
+        ("map-loop", "mapping", "observations", "features.json"),
+    ])
+    def test_malformed_side_file_fails_validate_too(self, capsys, tmp_path,
+                                                    test_id, kind, key, other):
+        directory = campaign_copy(tmp_path)
+        manifest = with_entry(directory, test_id, key, other)
+        results = [run(capsys, *argv) for argv in (
+            ["validate", manifest], ["metrics", manifest, "--test", kind], ["report", manifest])]
+        err = results[0][2]
+        assert results == [(1, "", err)] * 3
+        assert err.startswith("error: ") and err.endswith(f"(at {directory / other})\n")
+        assert "Traceback" not in err
 
     def test_unknown_kind_is_ignored(self, capsys, tmp_path):
         directory = campaign_copy(tmp_path)
@@ -609,7 +629,7 @@ class TestValidateAgreesWithMetrics:
     @given(block=st.sampled_from(TEST_BLOCKS), value=WRONG_VALUES)
     def test_wrong_block_values(self, scratch_campaign, block, value):
         test_id, kind, key = block
-        manifest = with_test_block(scratch_campaign, test_id, key, value)
+        manifest = with_entry(scratch_campaign, test_id, key, value)
         validated = call("validate", manifest)
         code, out, err = call("metrics", manifest, "--test", kind)
         assert validated[0] == code

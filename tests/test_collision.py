@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decisive.collision import (
-    CollisionKinematics,
-    GRAVITY,
+    STATIONARY_SPEED,
     aggregate_flights,
     category_distribution,
     derive_kinematics,
@@ -17,7 +16,6 @@ from decisive.collision import (
     flight_metrics,
     masi,
     max_delta_v,
-    min_ttc,
 )
 from decisive.core import ObstacleGeometry, Trajectory, TrialRecord
 from decisive.errors import (
@@ -98,10 +96,23 @@ class TestDistanceToObstacle:
         assert minimum == 0.0
 
 
+def oracle_min_ttc(flight, obstacle):
+    """Minimum time to collision from the definition: each sample's obstacle distance
+    over its speed, samples slower than STATIONARY_SPEED left out."""
+    distances, _ = distance_to_obstacle(flight, obstacle)
+    vel = (flight if flight.vel is not None else derive_kinematics(flight)).vel
+    speeds = np.linalg.norm(vel, axis=1)
+    ratios = [d / v for d, v in zip(distances, speeds) if v >= STATIONARY_SPEED]
+    if not ratios:
+        raise AllStationary("no sample moves faster than the stationary cutoff")
+    return float(min(ratios))
+
+
 class TestMinTtc:
     def test_constant_approach(self):
         flight = approach_traj(speed=0.5, start=1.0)
-        ttc = min_ttc(flight, WALL)
+        ttc = flight_metrics(flight, WALL).min_ttc
+        assert ttc == oracle_min_ttc(flight, WALL)
         # last pre-contact sample sits just above the stop height
         assert ttc < 0.2
         first = distance_to_obstacle(flight, WALL)[0][0] / 0.5
@@ -116,7 +127,9 @@ class TestMinTtc:
         vel = [(0.0, 0.0, 0.0)] * 5
         flight = traj(range(5), pos, vel)
         with pytest.raises(AllStationary):
-            min_ttc(flight, WALL)
+            oracle_min_ttc(flight, WALL)
+        with pytest.raises(AllStationary):
+            flight_metrics(flight, WALL)
 
     def test_collision_flight_scores_zero(self):
         flight = approach_traj()
@@ -126,7 +139,7 @@ class TestMinTtc:
     def test_min_never_exceeds_single_sample_ratio(self):
         flight = approach_traj(speed=0.7, start=1.5)
         series, _ = distance_to_obstacle(flight, WALL)
-        got = min_ttc(flight, WALL)
+        got = flight_metrics(flight, WALL).min_ttc
         for d, in zip(series):
             assert got <= d / 0.7 + 1e-12
 
@@ -136,7 +149,7 @@ def one_call_per_metric(flight, obstacle, collided, t_collision):
     try:
         return (
             0.0 if collided else distance_to_obstacle(flight, obstacle)[1],
-            0.0 if collided else min_ttc(flight, obstacle),
+            0.0 if collided else oracle_min_ttc(flight, obstacle),
             masi(flight),
             None if t_collision is None else max_delta_v(flight, t_collision),
         )
@@ -214,13 +227,12 @@ class TestMasi:
         per_flight = [0.17, 0.2, 0.14, 0.15, 0.16]
         assert aggregate_flights(per_flight) == pytest.approx(0.164)
 
-    def test_vertical_excluded_by_default(self):
+    def test_vertical_excluded(self):
         t = np.arange(0, 1.01, 0.1)
         acc = np.column_stack([np.zeros_like(t), np.zeros_like(t), 5.0 * np.ones_like(t)])
         pos = np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
         flight = traj(t, pos, acc=acc)
         assert masi(flight) == pytest.approx(0.0)
-        assert masi(flight, CollisionKinematics(include_vertical=True)) == pytest.approx(5.0 / GRAVITY)
 
     @given(theta=st.floats(0, 2 * math.pi))
     def test_rotation_invariance(self, theta):
@@ -288,16 +300,9 @@ class TestDeriveKinematics:
     def test_quadratic_position(self):
         t = np.arange(0, 2.01, 0.05)
         pos = np.column_stack([t**2, np.zeros_like(t), np.zeros_like(t)])
-        out = derive_kinematics(traj(t, pos), smooth_width=1)
-        assert np.allclose(out.acc[2:-2, 0], 2.0, atol=1e-6)
-
-    def test_smoothing_width_one_is_identity(self):
-        t = np.arange(0, 1.01, 0.1)
-        rng = np.random.default_rng(1)
-        pos = rng.normal(size=(len(t), 3))
-        a = derive_kinematics(traj(t, pos), smooth_width=1)
-        b = derive_kinematics(traj(t, pos), smooth_width=1)
-        assert np.array_equal(a.acc, b.acc)
+        out = derive_kinematics(traj(t, pos))
+        # the ends take one-sided differences, and the width-5 average spreads them two samples in
+        assert np.allclose(out.acc[4:-4, 0], 2.0, atol=1e-6)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):

@@ -1,17 +1,12 @@
 import pytest
 
-from decisive.errors import DuplicateTarget, EmptySample, ZeroDuration, ZeroFps
+from decisive.errors import EmptySample, ZeroDuration
 from decisive.field import (
-    AcuityObservation,
     Criterion,
     NlosPosition,
     endurance_metrics,
-    latency_summary,
     nlos_max_performance,
-    noise_summary,
     requirements_met,
-    room_clearing_summary,
-    video_latency,
 )
 
 
@@ -38,71 +33,6 @@ class TestEndurance:
     def test_zero_duration(self):
         with pytest.raises(ZeroDuration):
             endurance_metrics(5, 0.0)
-
-
-def full_room(level=3.0):
-    obs = []
-    for wall in ("WF", "WL", "WR", "WB"):
-        count = 3 if wall == "WF" else 5  # doorway wall carries three targets
-        for i in range(1, count + 1):
-            obs.append(AcuityObservation(f"{wall}-{i}", "wall", level))
-    for i in range(1, 6):
-        obs.append(AcuityObservation(f"F-{i}", "floor", level))
-    for i in range(1, 6):
-        obs.append(AcuityObservation(f"C-{i}", "ceiling", level))
-    return obs
-
-
-class TestRoomClearing:
-    def test_all_targets_seen(self):
-        summary = room_clearing_summary(full_room(), 5.0)
-        assert summary["total"].coverage_pct == 100.0
-        assert summary["total"].acuity_mean == pytest.approx(3.0)
-        assert summary["total"].acuity_std == pytest.approx(0.0)
-
-    def test_partial_coverage(self):
-        obs = full_room()[:23]
-        summary = room_clearing_summary(obs, 5.0)
-        assert summary["total"].coverage_pct == pytest.approx(82.14, abs=0.01)
-
-    def test_per_surface_counts_capped(self):
-        summary = room_clearing_summary(full_room(), 5.0)
-        assert summary["wall"].total == 18
-        assert summary["floor"].total == 5
-        assert summary["ceiling"].total == 5
-        for row in summary.values():
-            assert 0.0 <= row.coverage_pct <= 100.0
-
-    def test_empty_warns(self):
-        with pytest.warns(UserWarning):
-            summary = room_clearing_summary([], 5.0)
-        assert summary["total"].coverage_pct == 0.0
-
-    def test_duplicate_target(self):
-        obs = [AcuityObservation("F-1", "floor", 3.0), AcuityObservation("F-1", "floor", 8.0)]
-        with pytest.raises(DuplicateTarget):
-            room_clearing_summary(obs, 5.0)
-
-    def test_more_targets_than_surface_holds(self):
-        obs = [AcuityObservation(f"F-{i}", "floor", 3.0) for i in range(1, 7)]
-        with pytest.raises(ValueError):
-            room_clearing_summary(obs, 5.0)
-
-
-class TestNoise:
-    def test_hover_delta(self):
-        out = noise_summary([30.0], {"hover_2.5m": [90.0]})
-        assert out["hover_2.5m"] == (90.0, 60.0)
-
-    def test_equal_levels(self):
-        out = noise_summary([40.0, 40.0], {"idle": [40.0, 40.0]})
-        assert out["idle"][1] == pytest.approx(0.0)
-
-    def test_empty(self):
-        with pytest.raises(EmptySample):
-            noise_summary([], {"hover": [50.0]})
-        with pytest.raises(EmptySample):
-            noise_summary([30.0], {"hover": []})
 
 
 def positions(specs):
@@ -143,30 +73,6 @@ class TestNlos:
         farther = base + positions([("2", 15.0, "good", "possible")])
         static_after, _ = nlos_max_performance(farther)
         assert static_after.distance >= static_before.distance
-
-
-class TestLatency:
-    def test_six_frames_at_30fps(self):
-        assert video_latency(6, 30.0) == pytest.approx(200.0)
-
-    def test_zero_frames(self):
-        assert video_latency(0, 30.0) == 0.0
-
-    def test_zero_fps(self):
-        with pytest.raises(ZeroFps):
-            video_latency(6, 0.0)
-
-    def test_summary_warns_under_ten_trials(self):
-        with pytest.warns(UserWarning):
-            mean, std = latency_summary([200.0] * 9)
-        assert mean == 200.0
-
-    def test_summary_ten_trials_quiet(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            latency_summary([200.0] * 10)
 
 
 class TestRequirements:

@@ -26,7 +26,7 @@ from decisive.errors import (
     UnknownTerm,
 )
 from decisive.core import ObstacleGeometry
-from decisive.field import NlosPosition
+from decisive.field import Criterion, NlosPosition
 from decisive.ingest import (
     CampaignTest,
     parse_campaign,
@@ -283,6 +283,28 @@ class TestCampaign:
         with pytest.raises(DanglingReference):
             parse_campaign(p)
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("laps", "10", 'expected a number, got "10"'),
+        ("laps", -1, "expected a non-negative integer, got -1"),
+        ("laps", 2.5, "expected a non-negative integer, got 2.5"),
+        ("t_collision_s", "x", 'expected a number, got "x"'),
+        ("t_collision_s", [3], "expected a number, got [3]"),
+    ])
+    def test_bad_trial_field_names_trial_and_manifest(self, tmp_path, key, value, reason):
+        doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
+                                    "outcome": "success", key: value}])
+        p = write(tmp_path / "c.json", json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            parse_campaign(p)
+        assert str(exc.value) == f"trial t1: bad {key!r} field ({reason}) (at {p})"
+
+    def test_trial_fields_are_typed(self, tmp_path):
+        doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
+                                    "outcome": "success", "laps": 20.0, "t_collision_s": 3}])
+        campaign, _ = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
+        assert (campaign.trials[0].laps, campaign.trials[0].t_collision) == (20, 3.0)
+        assert isinstance(campaign.trials[0].laps, int)
+
     def test_unsupported_schema(self, tmp_path):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(schema_version=99)))
         with pytest.raises(SchemaVersionUnsupported):
@@ -315,11 +337,14 @@ class TestCampaignTests:
         field = campaign.tests["endurance-indoor"]
         assert field.nlos_positions[1] == NlosPosition("1", 14.0, ((1, "drywall"),), "good",
                                                        "possible")
-        assert field.criteria == SAMPLE / "criteria.json"
+        assert field.criteria == tuple(parse_criteria(SAMPLE / "criteria.json")[0])
+        assert field.criteria[0] == Criterion("hd_video_min", "min", 120)
         assert field.responses["bravo"]["battery_type"] == "Li-ion"
         mapping = campaign.tests["map-loop"]
         assert [(g.fiducial_id, g.gt_xy) for g in mapping.fiducials][2] == ("C", (4.0, 3.0))
-        assert mapping.observations == SAMPLE / "fiducials.csv"
+        observations, _ = parse_fiducial_observations(SAMPLE / "fiducials.csv")
+        assert mapping.observations == tuple(observations)
+        assert mapping.observations[0].fiducial_id == "A"
         assert mapping.shape_classes["D"] == "shifted"
         assert mapping.dimensions == ((3.9, 3.05), (4.0, 3.0)) and mapping.fov == (11, 16)
         assert mapping.acuity_levels == (8.0, 8.0, 8.0, 20.0, 8.0, 8.0, 8.0, 8.0, 3.0)
@@ -355,6 +380,13 @@ class TestCampaignTests:
         with pytest.raises(ParseError) as exc:
             parse_campaign(p)
         assert str(exc.value) == f"test t1: {message} (at {p})"
+
+    def test_side_file_is_parsed_at_load(self, tmp_path):
+        criteria = write(tmp_path / "criteria.json", '{"hd_video_min": {"op": "near"}}')
+        test = {"test_id": "f", "kind": "field", "criteria": "criteria.json"}
+        p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[test])))
+        with pytest.raises(ParseError, match=re.escape(f"(at {criteria})")):
+            parse_campaign(p)
 
     def test_missing_side_file_is_dangling(self, tmp_path):
         test = {"test_id": "m", "kind": "mapping", "observations": "gone.csv"}

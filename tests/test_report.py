@@ -4,7 +4,14 @@ import xml.dom.minidom
 import pytest
 
 from decisive.errors import EmptyData, SchemaMismatch
-from decisive.report import Column, ReportTable, plot_svg, render_table, render_tables
+from decisive.report import (
+    Column,
+    ReportTable,
+    deviation_svg,
+    ncap_scatter_svg,
+    render_table,
+    render_tables,
+)
 
 
 def sample_table():
@@ -38,12 +45,19 @@ class TestRenderTable:
         assert lines[1] == "alpha,2.48,✓"
 
     def test_json_round_trips(self):
-        doc = json.loads(render_table(sample_table(), "json"))
-        assert doc["rows"][0]["potential"] == 2.48
+        docs = json.loads(render_tables([sample_table(), sample_table()], "json"))
+        assert [doc["title"] for doc in docs] == ["Ranking", "Ranking"]
+        assert docs[0]["rows"][0]["potential"] == 2.48
+
+    def test_json_checks_the_schema(self):
+        table = sample_table()
+        table.rows.append(["short"])
+        with pytest.raises(SchemaMismatch):
+            render_tables([table], "json")
 
     def test_deterministic(self):
         for fmt in ("md", "csv", "json"):
-            assert render_table(sample_table(), fmt) == render_table(sample_table(), fmt)
+            assert render_tables([sample_table()], fmt) == render_tables([sample_table()], fmt)
 
     def test_empty_table_renders_headers(self):
         table = ReportTable("Empty", [Column("a"), Column("b")])
@@ -75,7 +89,7 @@ class TestRenderTable:
 
 class TestPlotSvg:
     def test_scatter_two_points(self):
-        svg = plot_svg("ncap-scatter", [("alpha", 3.0, 2.48), ("bravo", 1.0, 2.69)])
+        svg = ncap_scatter_svg([("alpha", 3.0, 2.48), ("bravo", 1.0, 2.69)])
         xml.dom.minidom.parseString(svg)
         text = svg.decode("utf-8")
         assert text.count("<circle") == 2
@@ -83,20 +97,16 @@ class TestPlotSvg:
 
     def test_scatter_deterministic(self):
         points = [("alpha", 3.0, 2.48), ("bravo", 1.0, 2.69)]
-        assert plot_svg("ncap-scatter", points) == plot_svg("ncap-scatter", points)
+        assert ncap_scatter_svg(points) == ncap_scatter_svg(points)
 
     def test_deviation_polyline(self):
         samples = [(0.0, 0.0), (1.0, 0.1), (2.0, 0.05)]
-        svg = plot_svg("deviation", samples)
+        svg = deviation_svg(samples)
         xml.dom.minidom.parseString(svg)
         assert b"<polyline" in svg
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            plot_svg("ncap-scatter", [])
+            ncap_scatter_svg([])
         with pytest.raises(EmptyData):
-            plot_svg("deviation", [])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            plot_svg("heatmap", [(0, 0)])
+            deviation_svg([])
