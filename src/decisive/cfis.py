@@ -12,15 +12,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     AllTestsMissing,
     DataQualityWarning,
     NonPositiveScore,
     NoRuleFired,
+    ParseError,
     ZeroDenominator,
 )
+
 
 @dataclass(frozen=True)
 class TriangularMf:
@@ -55,6 +59,29 @@ def mf_eval(mf: TriangularMf, x: float) -> float:
     return 1.0
 
 
+def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
+    """`mf_eval` of every element of `x`: the same clamp, rules and arithmetic, case by case."""
+    # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
+    x = np.where(mf.lo > x, mf.lo, x)
+    x = np.where(mf.hi < x, mf.hi, x)
+    cases, values = [], []
+    if mf.a == mf.b:
+        cases.append(x <= mf.b)
+        values.append(1.0)
+    if mf.b == mf.c:
+        cases.append(x >= mf.b)
+        values.append(1.0)
+    cases.append((x < mf.a) | (x > mf.c))
+    values.append(0.0)
+    if mf.a < mf.b:
+        cases.append(x < mf.b)
+        values.append((x - mf.a) / (mf.b - mf.a))
+    if mf.b < mf.c:
+        cases.append(x > mf.b)
+        values.append((mf.c - x) / (mf.c - mf.b))
+    return np.select(cases, values, 1.0)
+
+
 @dataclass(frozen=True)
 class LinguisticVariable:
     name: str
@@ -71,11 +98,9 @@ class LinguisticVariable:
 
     def covered(self, sweep_points: int = 1000) -> bool:
         """True when some term has positive membership everywhere in range."""
-        for i in range(sweep_points + 1):
-            x = self.lo + (self.hi - self.lo) * i / sweep_points
-            if max(mf_eval(mf, x) for mf in self.terms.values()) <= 0.0:
-                return False
-        return True
+        x = self.lo + (self.hi - self.lo) * np.arange(sweep_points + 1) / sweep_points
+        peak = np.max([mf_column(mf, x) for mf in self.terms.values()], axis=0)
+        return bool((peak > 0.0).all())
 
 
 @dataclass(frozen=True)
@@ -126,68 +151,180 @@ def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
             num += strength * fis.output_levels[rule.consequent]
             den += strength
     if den == 0.0:
-        raise NoRuleFired(f"{fis.name}: no rule fired for {dict(inputs)}")
+        raise NoRuleFired(_no_rule(fis, dict(inputs)))
     return num / den
 
 
-@dataclass(frozen=True)
-class CascadeResult:
-    axis_scores: dict[str, float]
-    combined: float
+def _no_rule(fis: Fis, inputs: Mapping[str, float]) -> str:
+    return f"{fis.name}: no rule fired for {inputs}"
 
 
-def cascade_eval(config: FisConfig, inputs: Mapping[str, Mapping[str, float]]) -> CascadeResult:
-    """Evaluate every axis system present in `inputs`, then the combining stage.
+def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray], size: int):
+    """`fis_eval` over `size` rows of input columns: (outputs, fired), NaN where none fired.
 
-    Axes without inputs are skipped (a test may not exercise, say, human
-    independence). With two axes the combining system runs once; a third axis
-    is folded in by a second pass of the same 3x3 stage.
+    Each (variable, term) membership column is computed once. Rule strengths
+    and the weighted sums take the same steps in the same order as `fis_eval`,
+    so every output is bit-identical to `fis_eval`'s.
     """
-    axis_scores = {}
-    for name, fis in config.fis.items():
-        if name in config.cascade:
-            continue
-        if name in inputs:
-            axis_scores[name] = fis_eval(fis, inputs[name])
-    if not axis_scores:
-        raise NoRuleFired("no axis inputs provided")
+    memberships = {}
+    num = np.zeros(size)
+    den = np.zeros(size)
+    for rule in fis.rules:
+        strength = np.ones(size)
+        for var_name, term, negated in rule.antecedents:
+            var = fis.inputs[var_name]
+            key = (var_name, var.aliases.get(term, term))
+            if key not in memberships:
+                memberships[key] = mf_column(var.terms[key[1]], inputs[var_name])
+            mu = memberships[key]
+            strength = np.minimum(strength, 1.0 - mu if negated else mu)
+        fired = strength > 0.0
+        np.add(num, strength * fis.output_levels[rule.consequent], out=num, where=fired)
+        np.add(den, strength, out=den, where=fired)
+    fired = den != 0.0
+    return np.divide(num, den, out=np.full(size, np.nan), where=fired), fired
+
+
+@dataclass(frozen=True)
+class CascadeColumns:
+    """One value per row: each axis score (NaN where the row skips the axis),
+    the combined score and the combined score normalized against the ideal run."""
+
+    axes: dict[str, np.ndarray]
+    combined: np.ndarray
+    normalized: np.ndarray
+
+
+class _Failures:
+    """The rows each stage fails, in the order one row meets the stages."""
+
+    def __init__(self, where: Sequence[tuple[str, str]]):
+        self.where = where
+        self.stages = []  # (failing rows, error type, row -> message)
+
+    def add(self, rows: np.ndarray, error: type, message: Callable[[int], str]) -> None:
+        if len(rows):
+            self.stages.append((rows, error, message))
+
+    def raise_first(self) -> None:
+        """Raise the error of the first failing row, from the first stage it fails."""
+        if not self.stages:
+            return
+        row = min(int(rows[0]) for rows, _, _ in self.stages)
+        error, message = next((e, m) for rows, e, m in self.stages if row in rows)
+        label, location = self.where[row]
+        text = f"{label}: {message(row)}"
+        if issubclass(error, ParseError):
+            raise error(text, location)
+        raise error(f"{text} (at {location})")
+
+
+def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
+                    where: Sequence[tuple[str, str]]) -> CascadeColumns:
+    """Evaluate the cascade over many rows at once, one numpy pass per stage.
+
+    `columns` holds every axis input variable as one value per row, NaN for
+    an empty cell. A row runs each axis system whose inputs it all has (a test
+    may not exercise, say, human independence). One active axis is the row's
+    combined score; more are folded, in wiring order, through the two-input
+    combining stage. The ideal run replaces the inputs of each axis in
+    `ideal_inputs` (in the shipped config: no crashes, no rollovers, full
+    completion) and keeps the observed scores of the others, so each ideal
+    axis is scored once. The normalized score is the fraction of the ideal
+    combined score, capped at 1.
+
+    `where` names each row (label, location) for errors. The first failing
+    row raises, with the error of the first stage it fails: no axis inputs
+    (ParseError), an axis, the combining stage or the ideal run firing no
+    rule (NoRuleFired), or an ideal score that is not positive
+    (ZeroDenominator).
+    """
+    size = len(where)
+    failures = _Failures(where)
+    systems = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
+    active = {}
+    for name, fis in systems.items():
+        mask = np.ones(size, dtype=bool)
+        for var_name in fis.inputs:
+            mask &= ~np.isnan(columns[var_name])
+        active[name] = mask
+    unmatched = np.ones(size, dtype=bool)
+    for mask in active.values():
+        unmatched &= ~mask
+    failures.add(np.flatnonzero(unmatched), ParseError, lambda i: "row matches no axis inputs")
+
+    axes = {}
+    for name, fis in systems.items():
+        rows = np.flatnonzero(active[name])
+        scores, fired = _fis_columns(fis, {v: columns[v][rows] for v in fis.inputs}, len(rows))
+        axes[name] = np.full(size, np.nan)
+        axes[name][rows] = scores
+        failures.add(rows[~fired], NoRuleFired, lambda i, fis=fis: _no_rule(
+            fis, {v: float(columns[v][i]) for v in fis.inputs}))
 
     if len(config.cascade) != 1:
-        raise ValueError("config must declare exactly one combining stage")
-    combined_name, wiring = next(iter(config.cascade.items()))
-    combiner = config.fis[combined_name]
-    active = [a for a in wiring if a in axis_scores]
-    if len(active) == 1:
-        combined = axis_scores[active[0]]
-    else:
-        first, second = active[0], active[1]
-        var_a, var_b = list(combiner.inputs)[:2]
-        combined = fis_eval(combiner, {var_a: axis_scores[first], var_b: axis_scores[second]})
-        for extra in active[2:]:
-            # fold further axes through the same two-input stage
-            combined = fis_eval(combiner, {var_a: combined, var_b: axis_scores[extra]})
-    return CascadeResult(axis_scores, combined)
+        failures.add(np.arange(size), ValueError,
+                     lambda i: "config must declare exactly one combining stage")
+        failures.raise_first()
+        return CascadeColumns(axes, np.full(size, np.nan), np.full(size, np.nan))
+    combiner_name, wiring = next(iter(config.cascade.items()))
+    combiner = config.fis[combiner_name]
+    combined = _combine(combiner, wiring, axes, active, failures)
+
+    ideal_axes = dict(axes)
+    for name, fis in systems.items():
+        rows = np.flatnonzero(active[name])
+        if name not in config.ideal_inputs or not len(rows):
+            continue
+        ideal_axes[name] = np.full(size, np.nan)
+        try:
+            ideal_axes[name][rows] = fis_eval(fis, config.ideal_inputs[name])
+        except (NoRuleFired, KeyError) as exc:
+            failures.add(rows, type(exc), lambda i, text=exc.args[0]: text)
+    ideal = _combine(combiner, wiring, ideal_axes, active, failures)
+    failures.add(np.flatnonzero(ideal <= 0), ZeroDenominator,
+                 lambda i: "ideal-run score must be positive")
+
+    failures.raise_first()
+    return CascadeColumns(axes, combined, np.minimum(1.0, combined / ideal))
 
 
-def normalized_test_score(combined: float, combined_at_ideal: float) -> float:
-    """Fraction of the achievable score, capped at 1."""
-    if combined_at_ideal <= 0:
-        raise ZeroDenominator("ideal-run score must be positive")
-    return min(1.0, combined / combined_at_ideal)
+def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarray],
+             active: Mapping[str, np.ndarray], failures: _Failures) -> np.ndarray:
+    """Each row's combined score: its active wired axes folded in wiring order.
 
-
-def ideal_combined(config: FisConfig, inputs: Mapping[str, Mapping[str, float]]) -> float:
-    """Combined score for an ideal mission run under the same environment.
-
-    The mission-axis inputs are replaced by the config's ideal values
-    (no crashes, no rollovers, full completion); all other axes keep the
-    observed inputs.
+    Rows are grouped by which wired axes they have, and each group folds its
+    axes through the combiner, a second pass of the same stage per further axis.
     """
-    patched = {name: dict(vals) for name, vals in inputs.items()}
-    for axis, ideal_vals in config.ideal_inputs.items():
-        if axis in patched:
-            patched[axis] = dict(ideal_vals)
-    return cascade_eval(config, patched).combined
+    size = len(failures.where)
+    pattern = np.zeros(size, dtype=np.int64)
+    for k, axis in enumerate(wiring):
+        pattern |= active[axis].astype(np.int64) << k
+    combined = np.full(size, np.nan)
+    for key in np.unique(pattern).tolist():
+        rows = np.flatnonzero(pattern == key)
+        chain = [axis for k, axis in enumerate(wiring) if key >> k & 1]
+        if not chain:
+            failures.add(rows, ParseError,
+                         lambda i: f"row matches no axis that {combiner.name!r} combines")
+            continue
+        value = axes[chain[0]][rows]
+        if len(chain) > 1 and len(combiner.inputs) != 2:
+            failures.add(rows, ValueError, lambda i: (
+                f"{combiner.name}: a combining stage takes 2 inputs, not {len(combiner.inputs)}"))
+            continue
+        for extra in chain[1:]:
+            var_a, var_b = combiner.inputs
+            left, right = value, axes[extra][rows]
+            value, fired = _fis_columns(combiner, {var_a: left, var_b: right}, len(rows))
+
+            def message(i, rows=rows, left=left, right=right):
+                k = np.searchsorted(rows, i)
+                return _no_rule(combiner, {var_a: float(left[k]), var_b: float(right[k])})
+
+            failures.add(rows[~fired], NoRuleFired, message)
+        combined[rows] = value
+    return combined
 
 
 def predictive_score(test_scores: Mapping[str, Optional[float]]) -> float:

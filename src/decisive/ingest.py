@@ -100,9 +100,12 @@ def _total(fn):
 
 
 def _load_json(path):
+    def non_finite(name):
+        raise ParseError(f"invalid JSON: {name} is not a number", str(path))
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", str(path))
 
@@ -517,9 +520,15 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             if value is not None and value not in vocab:
                 raise UnknownCategory(f"trial {trial_id}: {key} {value!r}", str(path))
         typed = {}
-        for key, convert in (("laps", _count), ("t_collision_s", lambda v: _json(v, float))):
+        for key, convert, default in (
+            ("laps", _count, None),
+            ("t_collision_s", lambda v: _json(v, float), None),
+            ("collisions", _count, 0),
+            ("rollovers", _count, 0),
+            ("duration_min", lambda v: _json(v, float), 0.0),
+        ):
             try:
-                typed[key] = None if entry.get(key) is None else convert(entry[key])
+                typed[key] = default if entry.get(key) is None else convert(entry[key])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"trial {trial_id}: bad {key!r} field ({exc})", str(path))
         telemetry = entry.get("telemetry") and path.parent / entry["telemetry"]
@@ -533,13 +542,13 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
                 test_id=entry["test_id"],
                 suas_id=entry["suas_id"],
                 outcome=entry.get("outcome", "success"),
-                collisions=int(entry.get("collisions", 0)),
-                rollovers=int(entry.get("rollovers", 0)),
+                collisions=typed["collisions"],
+                rollovers=typed["rollovers"],
                 oa_category=entry.get("oa_category"),
                 cr_category=entry.get("cr_category"),
                 aperture_tier=entry.get("aperture_tier"),
                 t_collision=typed["t_collision_s"],
-                duration=float(entry.get("duration_min", 0.0)),
+                duration=typed["duration_min"],
                 laps=typed["laps"],
                 telemetry=telemetry,
                 notes=entry.get("notes", ""),
@@ -826,13 +835,13 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
 # --- cfis scores -----------------------------------------------------------------
 
 @_total
-def parse_scores(path, variables: set[str]) -> tuple[bool, list[tuple[str, str, dict[str, float]]]]:
-    """A `cfis --scores` CSV: (precomputed, [(suas_id, test_id, numbers), ...]).
+def parse_scores(path, variables: list[str]) -> tuple[bool, list[tuple[str, str, dict[str, float], int]]]:
+    """A `cfis --scores` CSV: (precomputed, [(suas_id, test_id, numbers, line), ...]).
 
     A file whose columns are exactly suas_id,test_id,score holds precomputed
     scores, and each row's numbers are {"score": value}. Any other file holds
     FIS inputs, and each row's numbers are its non-empty `variables` cells.
-    A repeated column reads its last copy.
+    A repeated column reads its last copy. A number that is not finite fails.
     """
     header, rows = _read_rows(path)
     for col in ("suas_id", "test_id"):
@@ -848,5 +857,8 @@ def parse_scores(path, variables: set[str]) -> tuple[bool, list[tuple[str, str, 
             numbers = {"score": _number(cells["score"], line)}
         else:
             numbers = {v: _number(cells[v], line) for v in variables if cells.get(v, "") != ""}
-        out.append((cells["suas_id"], cells["test_id"], numbers))
+        if not all(map(math.isfinite, numbers.values())):
+            text = next(cells[v] for v, x in numbers.items() if not math.isfinite(x))
+            raise NonNumericField(f"{text!r} is not a finite number", line)
+        out.append((cells["suas_id"], cells["test_id"], numbers, line))
     return precomputed, out

@@ -8,9 +8,12 @@ inputs. Tables come back in the order they are printed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from . import cfis as cfis_mod
 from . import collision as coll
@@ -21,7 +24,7 @@ from . import nav as nav_mod
 from . import ncap as ncap_mod
 from . import stats as stats_mod
 from .core import APERTURE_TIERS, Campaign, tests_of_kind
-from .errors import DataQualityWarning, DecisiveError, ParseError
+from .errors import DataQualityWarning, DecisiveError, NonPositiveScore, ParseError
 from .ingest import (
     parse_capabilities,
     parse_feature_sheet,
@@ -284,14 +287,15 @@ def ncap_tables(results) -> list[ReportTable]:
 
 def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
     """Per-test contextual scores (unless the file holds precomputed ones) and predictive scores."""
-    axis_vars = {name: set(fis.inputs) for name, fis in config.fis.items()
+    axis_vars = {name: tuple(fis.inputs) for name, fis in config.fis.items()
                  if name not in config.cascade}
-    precomputed, rows = parse_scores(scores_path, set().union(*axis_vars.values()))
+    variables = list(dict.fromkeys(v for names in axis_vars.values() for v in names))
+    precomputed, rows = parse_scores(scores_path, variables)
 
     tables = []
     per_suas: dict[str, dict[str, float]] = {}
     if precomputed:
-        for suas_id, test_id, numbers in rows:
+        for suas_id, test_id, numbers, _ in rows:
             per_suas.setdefault(suas_id, {})[test_id] = numbers["score"]
     else:
         detail = ReportTable(
@@ -300,21 +304,17 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
             + [Column(f"{axis} score", "number", 3) for axis in sorted(axis_vars)]
             + [Column("combined", "number", 3), Column("normalized", "number", 2)],
         )
-        for suas_id, test_id, numbers in rows:
-            inputs = {
-                axis: {v: numbers[v] for v in variables}
-                for axis, variables in axis_vars.items()
-                if variables <= numbers.keys()
-            }
-            if not inputs:
-                raise ParseError(f"row for {suas_id}/{test_id} matches no axis inputs",
-                                 str(scores_path))
-            result = cfis_mod.cascade_eval(config, inputs)
-            ideal = cfis_mod.ideal_combined(config, inputs)
-            normalized = cfis_mod.normalized_test_score(result.combined, ideal)
-            axes = [result.axis_scores.get(a) for a in sorted(axis_vars)]
-            detail.add_row(suas_id, test_id, *axes, result.combined, normalized)
-            per_suas.setdefault(suas_id, {})[test_id] = normalized
+        columns = {v: np.array([numbers.get(v, np.nan) for _, _, numbers, _ in rows])
+                   for v in variables}
+        where = [(f"{suas_id}/{test_id}", f"{scores_path}:{line}")
+                 for suas_id, test_id, _, line in rows]
+        scored = cfis_mod.cascade_columns(config, columns, where)
+        axes = [scored.axes[a].tolist() for a in sorted(axis_vars)]
+        combined, normalized = scored.combined.tolist(), scored.normalized.tolist()
+        for k, (suas_id, test_id, _, _) in enumerate(rows):
+            axis_scores = [None if math.isnan(axis[k]) else axis[k] for axis in axes]
+            detail.add_row(suas_id, test_id, *axis_scores, combined[k], normalized[k])
+            per_suas.setdefault(suas_id, {})[test_id] = normalized[k]
         tables.append(detail)
 
     predictive = ReportTable(
@@ -323,7 +323,11 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
     )
     for suas_id in sorted(per_suas):
         scores = per_suas[suas_id]
-        predictive.add_row(suas_id, len(scores), cfis_mod.predictive_score(scores))
+        try:
+            score = cfis_mod.predictive_score(scores)
+        except NonPositiveScore as exc:
+            raise NonPositiveScore(f"{suas_id}/{exc}") from None
+        predictive.add_row(suas_id, len(scores), score)
     tables.append(predictive)
     return tables
 

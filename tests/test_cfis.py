@@ -1,20 +1,22 @@
+import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decisive.cfis import (
     Fis,
+    FisConfig,
     LinguisticVariable,
     Rule,
     TriangularMf,
-    cascade_eval,
+    cascade_columns,
     fis_eval,
-    ideal_combined,
+    mf_column,
     mf_eval,
-    normalized_test_score,
     predictive_score,
     sweep_outputs,
 )
@@ -23,6 +25,7 @@ from decisive.errors import (
     DataQualityWarning,
     NonPositiveScore,
     NoRuleFired,
+    ParseError,
     ZeroDenominator,
 )
 from decisive.ingest import parse_fis_config
@@ -48,6 +51,135 @@ def config():
         cfg, _ = parse_fis_config(CONFIG_PATH)
     assert not record
     return cfg
+
+
+MC_IDEAL = {"crashes": 0, "rollovers": 0, "completion": 1.0}
+EC_EASY = {"roll": 10.0, "pitch": 10.0, "lateral_obstruction": 3.6, "vertical_obstruction": 1.8}
+
+
+def score_rows(config, rows):
+    """`cascade_columns` over rows given as {variable: value} dicts; a missing
+    variable is an empty cell. Row i is named ("r<i>", "f:<i + 2>")."""
+    names = sorted({v for fis in config.fis.values() for v in fis.inputs})
+    columns = {v: np.array([row.get(v, np.nan) for row in rows], dtype=float) for v in names}
+    where = [(f"r{i}", f"f:{i + 2}") for i in range(len(rows))]
+    return cascade_columns(config, columns, where)
+
+
+def oracle_row(config, row):
+    """One row's (axis scores, combined, normalized) from scalar `fis_eval`: the
+    per-row cascade and ideal run the column evaluator replaces."""
+    axes = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
+    inputs = {name: {v: row[v] for v in fis.inputs} for name, fis in axes.items()
+              if all(v in row for v in fis.inputs)}
+    if not inputs:
+        raise ParseError("row matches no axis inputs")
+
+    def cascade(inputs):
+        scores = {name: fis_eval(fis, inputs[name]) for name, fis in axes.items()
+                  if name in inputs}
+        ((combiner_name, wiring),) = config.cascade.items()
+        combiner = config.fis[combiner_name]
+        var_a, var_b = combiner.inputs
+        active = [a for a in wiring if a in scores]
+        combined = scores[active[0]]
+        for extra in active[1:]:
+            combined = fis_eval(combiner, {var_a: combined, var_b: scores[extra]})
+        return scores, combined
+
+    scores, combined = cascade(inputs)
+    _, ideal = cascade({name: config.ideal_inputs.get(name, vals)
+                        for name, vals in inputs.items()})
+    if ideal <= 0:
+        raise ZeroDenominator("ideal-run score must be positive")
+    return scores, combined, min(1.0, combined / ideal)
+
+
+def bits(x):
+    return None if x is None or math.isnan(x) else float(x).hex()
+
+
+def assert_matches_oracle(config, rows):
+    """The column evaluator equals the oracle bit for bit on the rows the oracle
+    scores, and raises the oracle's error for the first row it fails."""
+    outcomes = []
+    for row in rows:
+        try:
+            outcomes.append(oracle_row(config, row))
+        except (ParseError, NoRuleFired, ZeroDenominator) as exc:
+            outcomes.append(exc)
+    failing = [i for i, out in enumerate(outcomes) if isinstance(out, Exception)]
+    if failing:
+        first = outcomes[failing[0]]
+        with pytest.raises(type(first)) as exc:
+            score_rows(config, rows)
+        assert str(exc.value) == f"r{failing[0]}: {first} (at f:{failing[0] + 2})"
+    good = [(row, out) for row, out in zip(rows, outcomes) if not isinstance(out, Exception)]
+    scored = score_rows(config, [row for row, _ in good])
+    for k, (_, (scores, combined, normalized)) in enumerate(good):
+        for name, column in scored.axes.items():
+            assert bits(column[k]) == bits(scores.get(name))
+        assert bits(scored.combined[k]) == bits(combined)
+        assert bits(scored.normalized[k]) == bits(normalized)
+
+
+GRID = 8  # triangle corners and many inputs sit on eighths of the range, so shoulders and apexes recur
+
+
+@st.composite
+def variables(draw, name):
+    lo = draw(st.sampled_from([0.0, -1.0, 0.5]))
+    hi = lo + draw(st.sampled_from([1.0, 3.0, 2.4]))
+    corners = st.integers(0, GRID).map(lambda k: lo + (hi - lo) * k / GRID)
+    terms = {}
+    for t in range(draw(st.integers(1, 3))):
+        a, b, c = sorted(draw(st.lists(corners, min_size=3, max_size=3)))
+        terms[f"t{t}"] = TriangularMf(a, b, c, lo, hi)
+    aliases = {"alias": "t0"} if draw(st.booleans()) else {}
+    return LinguisticVariable(name, lo, hi, terms, aliases)
+
+
+@st.composite
+def systems(draw, name, var_names):
+    inputs = {v: draw(variables(v)) for v in var_names}
+    levels = {f"o{k}": draw(st.floats(0.0, 1.0)) for k in range(3)}
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        used = draw(st.lists(st.sampled_from(var_names), min_size=1, unique=True))
+        antecedents = tuple(
+            (v, draw(st.sampled_from(sorted(inputs[v].terms) + sorted(inputs[v].aliases))),
+             draw(st.booleans()))
+            for v in used)
+        rules.append(Rule(antecedents, draw(st.sampled_from(sorted(levels)))))
+    return Fis(name, inputs, levels, tuple(rules))
+
+
+def cell(var):
+    """A cell value: on the grid, anywhere in range, or outside it (clamped)."""
+    span = var.hi - var.lo
+    return st.one_of(st.integers(0, GRID).map(lambda k: var.lo + span * k / GRID),
+                     st.floats(var.lo - span, var.hi + span))
+
+
+@st.composite
+def configs_and_rows(draw):
+    n_axes = draw(st.integers(1, 3))
+    axes = {f"a{k}": draw(systems(f"a{k}", [f"a{k}v{j}" for j in range(draw(st.integers(1, 3)))]))
+            for k in range(n_axes)}
+    combiner = draw(systems("comb", ["p", "q"]))
+    wiring = tuple(draw(st.permutations(sorted(axes))))
+    ideal_inputs = {name: {v: draw(cell(var)) for v, var in fis.inputs.items()}
+                    for name, fis in axes.items() if draw(st.booleans())}
+    config = FisConfig("random", {**axes, "comb": combiner}, {"comb": wiring}, ideal_inputs)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = {}
+        for fis in axes.values():
+            for v, var in fis.inputs.items():
+                if draw(st.integers(0, 5)):  # one cell in six is empty
+                    row[v] = draw(cell(var))
+        rows.append(row)
+    return config, rows
 
 
 class TestMembership:
@@ -83,6 +215,24 @@ class TestMembership:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             TriangularMf(2.0, 1.0, 3.0, 0.0, 3.0)
+
+    @given(var=variables("x"), data=st.data())
+    def test_column_bit_identical_to_scalar(self, var, data):
+        xs = data.draw(st.lists(cell(var), min_size=1, max_size=20))
+        for mf in var.terms.values():
+            column = mf_column(mf, np.array(xs))
+            assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, x)) for x in xs]
+
+    def test_column_keeps_the_sign_of_zero(self):
+        # Python's max(-0.0, 0.0) keeps -0.0, and the ramp then gives -0.0
+        ramp = TriangularMf(0.0, 0.125, 0.125, 0.0, 1.0)
+        assert bits(mf_column(ramp, np.array([-0.0]))[0]) == bits(mf_eval(ramp, -0.0)) == "-0x0.0p+0"
+
+    @given(var=variables("x"), points=st.integers(1, 64))
+    def test_covered_equals_scalar_sweep(self, var, points):
+        sweep = (var.lo + (var.hi - var.lo) * i / points for i in range(points + 1))
+        expected = all(max(mf_eval(mf, x) for mf in var.terms.values()) > 0.0 for x in sweep)
+        assert var.covered(points) is expected
 
 
 class TestFisEval:
@@ -139,60 +289,112 @@ class TestCascade:
         assert fis_eval(config.fis["combined"], {"mc": 0.5, "ec": 0.5}) == 0.5
 
     def test_full_cascade(self, config):
-        result = cascade_eval(config, {
-            "mc": {"crashes": 0, "rollovers": 0, "completion": 1.0},
-            "ec": {"roll": 10.0, "pitch": 10.0,
-                   "lateral_obstruction": 3.6, "vertical_obstruction": 1.8},
-        })
-        assert result.axis_scores["mc"] == 1.0
-        assert result.axis_scores["ec"] == 1.0
-        assert result.combined == 1.0
+        scored = score_rows(config, [{**MC_IDEAL, **EC_EASY}])
+        assert scored.axes["mc"][0] == 1.0
+        assert scored.axes["ec"][0] == 1.0
+        assert scored.combined[0] == 1.0
 
     def test_missing_axis_skipped(self, config):
-        result = cascade_eval(config, {"mc": {"crashes": 0, "rollovers": 0, "completion": 1.0}})
-        assert result.combined == result.axis_scores["mc"]
+        scored = score_rows(config, [MC_IDEAL])
+        assert math.isnan(scored.axes["ec"][0])
+        assert scored.combined[0] == scored.axes["mc"][0]
 
     def test_three_axis_fold(self, config):
         # a third axis folds through the same combining table
-        hi_fis = config.fis["mc"]
-        cfg = type(config)(
+        cfg = FisConfig(
             name="threeway",
             fis={"mc": config.fis["mc"], "ec": config.fis["ec"],
-                 "hi": hi_fis, "combined": config.fis["combined"]},
+                 "hi": config.fis["mc"], "combined": config.fis["combined"]},
             cascade={"combined": ("mc", "ec", "hi")},
         )
-        result = cascade_eval(cfg, {
-            "mc": {"crashes": 0, "rollovers": 0, "completion": 1.0},
-            "ec": {"roll": 10.0, "pitch": 10.0,
-                   "lateral_obstruction": 3.6, "vertical_obstruction": 1.8},
-            "hi": {"crashes": 0, "rollovers": 0, "completion": 1.0},
-        })
-        assert result.combined == 1.0
+        assert score_rows(cfg, [{**MC_IDEAL, **EC_EASY}]).combined[0] == 1.0
+
+    def test_shipped_config_matches_oracle(self, config):
+        rows = [{**MC_IDEAL, **EC_EASY},
+                {"crashes": 2, "rollovers": 1, "completion": 0.5, "roll": 5.0, "pitch": 5.0,
+                 "lateral_obstruction": 2.4, "vertical_obstruction": 1.2},
+                {"crashes": 1, "rollovers": 0, "completion": 0.9},
+                {"crashes": 3, "rollovers": 3, "completion": 0.0}]
+        assert_matches_oracle(config, rows)
+
+    def test_no_rows(self, config):
+        scored = score_rows(config, [])
+        assert len(scored.combined) == len(scored.normalized) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(configs_and_rows())
+    def test_bit_identical_to_per_row_oracle(self, case):
+        assert_matches_oracle(*case)
+
+
+def one_axis(ideal: float) -> FisConfig:
+    """One axis whose score is its input, v in [0, 1], and whose ideal run sets v = `ideal`."""
+    var = LinguisticVariable("v", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
+                                             "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)})
+    axis = Fis("x", {"v": var}, {"bad": 0.0, "good": 1.0},
+               (Rule((("v", "lo", False),), "bad"), Rule((("v", "hi", False),), "good")))
+    combiner = Fis("comb", {}, {"bad": 0.0}, ())
+    return FisConfig("one", {"x": axis, "comb": combiner}, {"comb": ("x",)}, {"x": {"v": ideal}})
 
 
 class TestNormalizedScore:
     def test_equal_to_ideal(self):
-        assert normalized_test_score(0.9, 0.9) == 1.0
+        assert score_rows(one_axis(0.9), [{"v": 0.9}]).normalized[0] == 1.0
 
     def test_half(self):
-        assert normalized_test_score(0.45, 0.9) == pytest.approx(0.5)
+        assert score_rows(one_axis(1.0), [{"v": 0.5}]).normalized[0] == 0.5
 
     def test_capped(self):
-        assert normalized_test_score(1.2, 0.9) == 1.0
+        assert score_rows(one_axis(0.25), [{"v": 0.5}]).normalized[0] == 1.0
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            normalized_test_score(0.5, 0.0)
+        with pytest.raises(ZeroDenominator, match=r"^r0: ideal-run score must be positive \(at f:2\)$"):
+            score_rows(one_axis(0.0), [{"v": 0.5}])
 
-    def test_ideal_combined_patches_mission_inputs(self, config):
-        inputs = {
-            "mc": {"crashes": 2, "rollovers": 1, "completion": 0.5},
-            "ec": {"roll": 5.0, "pitch": 5.0,
-                   "lateral_obstruction": 2.4, "vertical_obstruction": 1.2},
-        }
-        ideal = ideal_combined(config, inputs)
-        observed = cascade_eval(config, inputs).combined
-        assert ideal >= observed
+    def test_ideal_run_patches_mission_inputs(self, config):
+        row = {"crashes": 2, "rollovers": 1, "completion": 0.5, "roll": 5.0, "pitch": 5.0,
+               "lateral_obstruction": 2.4, "vertical_obstruction": 1.2}
+        scored = score_rows(config, [row])
+        # the ideal run keeps the observed environment score and scores mc at its ideal, 1
+        ideal = fis_eval(config.fis["combined"], {"mc": 1.0, "ec": scored.axes["ec"][0]})
+        assert ideal >= scored.combined[0]
+        assert scored.normalized[0] == scored.combined[0] / ideal
+
+
+class TestCascadeErrors:
+    NO_RULE = {"crashes": 0, "rollovers": 0, "completion": 1.0,
+               "roll": 10, "pitch": 0, "lateral_obstruction": 1.2, "vertical_obstruction": 0.6}
+
+    def test_no_rule_names_row_and_inputs_in_config_order(self, config):
+        with pytest.raises(NoRuleFired) as exc:
+            score_rows(config, [MC_IDEAL, self.NO_RULE])
+        assert str(exc.value) == (
+            "r1: ec: no rule fired for {'roll': 10.0, 'pitch': 0.0, "
+            "'lateral_obstruction': 1.2, 'vertical_obstruction': 0.6} (at f:3)")
+
+    def test_no_axis_row_after_no_rule_row(self, config):
+        with pytest.raises(NoRuleFired, match=r"^r0: ec: "):
+            score_rows(config, [self.NO_RULE, {"roll": 1.0}])
+
+    def test_no_rule_row_after_no_axis_row(self, config):
+        with pytest.raises(ParseError) as exc:
+            score_rows(config, [{"roll": 1.0}, self.NO_RULE])
+        assert str(exc.value) == "r0: row matches no axis inputs (at f:2)"
+
+    def test_row_with_only_an_unwired_axis(self, config):
+        cfg = FisConfig("mc only", config.fis, {"combined": ("mc",)}, config.ideal_inputs)
+        with pytest.raises(ParseError) as exc:
+            score_rows(cfg, [MC_IDEAL, EC_EASY])
+        assert str(exc.value) == "r1: row matches no axis that 'combined' combines (at f:3)"
+
+    def test_axis_fails_before_ideal_run(self):
+        # the ideal run scores v = 0 as 0; the observed axis fires no rule first
+        cfg = one_axis(0.0)
+        gappy = Fis("x", cfg.fis["x"].inputs, {"bad": 0.0},
+                    (Rule((("v", "lo", False), ("v", "hi", False)), "bad"),))
+        cfg = FisConfig("gappy", {"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
+        with pytest.raises(NoRuleFired, match=r"^r0: x: no rule fired for \{'v': 1.0\}"):
+            score_rows(cfg, [{"v": 1.0}])
 
 
 class TestPredictiveScore:

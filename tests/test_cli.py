@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from decisive.report import deviation_svg
 
 REPO = Path(__file__).resolve().parents[1]
 CAMPAIGN = REPO / "sample_campaign"
+SRC = REPO / "src"
 
 
 def run(capsys, *argv):
@@ -222,7 +226,42 @@ class TestCfis:
         )
         code, _out, err = run(capsys, "cfis", "--scores", scores)
         assert code == 2
-        assert "no rule" in err
+        assert err == (
+            "error: alpha/takeoff: ec: no rule fired for {'roll': 10.0, 'pitch': 0.0, "
+            f"'lateral_obstruction': 1.2, 'vertical_obstruction': 0.6}} (at {scores}:2)\n")
+
+    def test_no_rule_error_is_the_same_under_any_hash_seed(self, tmp_path):
+        scores = write(tmp_path / "scores.csv",
+                       "suas_id,test_id,roll,pitch,lateral_obstruction,vertical_obstruction\n"
+                       "alpha,landing,5,5,2.4,1.2\nalpha,takeoff,10,0,1.2,0.6\n")
+        runs = [subprocess.run([sys.executable, "-m", "decisive.cli", "cfis", "--scores", scores],
+                               capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC),
+                                                         "PYTHONHASHSEED": seed})
+                for seed in ("1", "2")]
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr.decode().startswith("error: alpha/takeoff: ec: no rule fired for ")
+
+    def test_row_without_axis_inputs_names_the_line(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv", "suas_id,test_id,crashes,roll\n"
+                                                "alpha,t1,0,5\nbravo,t2,1,\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores)
+        assert (code, out) == (1, "")
+        assert err == f"error: alpha/t1: row matches no axis inputs (at {scores}:2)\n"
+
+    def test_non_finite_score_cell_names_the_line(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv", "suas_id,test_id,crashes,rollovers,completion\n"
+                                                "alpha,t1,0,0,1\nalpha,t2,nan,0,1\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores)
+        assert (code, out) == (1, "")
+        assert err == f"error: 'nan' is not a finite number (at {scores}:3)\n"
+
+    def test_zero_predictive_score_names_suas_and_test(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv", "suas_id,test_id,crashes,rollovers,completion\n"
+                                                "alpha,t1,0,0,1\nalpha,t2,3,3,0\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores)
+        assert (code, out) == (2, "")
+        assert err == "error: alpha/t2=0.0 outside (0, 1]\n"
 
 
 class TestSaTrust:
@@ -502,10 +541,32 @@ def plot_path_without_vertices(tmp_path):
              "--path", path], path)
 
 
+def ncap_weight_nan(tmp_path):
+    names = [f["name"] for f in json.loads((CAMPAIGN / "features.json").read_text())["features"]]
+    weights = write(tmp_path / "w.json", "{" + ", ".join(f'"{n}": NaN' for n in names) + "}")
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--weights", weights], weights
+
+
+def fis_config_infinity(tmp_path):
+    text = DEFAULT_FIS.read_text().replace('"range": [0, 3]', '"range": [0, Infinity]', 1)
+    config = write(tmp_path / "fis.json", text)
+    return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"], config
+
+
+def manifest_nan(tmp_path):
+    manifest = campaign_copy(tmp_path) / "campaign.json"
+    doc = json.loads(manifest.read_text())
+    trial = next(t for t in doc["trials"] if "duration_min" in t)
+    trial["duration_min"] = "__nan__"
+    manifest.write_text(json.dumps(doc).replace('"__nan__"', "NaN"))
+    return ["validate", manifest], manifest
+
+
 class TestMalformedSideFiles:
     @pytest.mark.parametrize("case", [
         sa_params_list, ncap_caps_list, ncap_caps_unknown_flag, ncap_weight_not_a_number,
-        plot_path_list, plot_path_without_vertices,
+        plot_path_list, plot_path_without_vertices, ncap_weight_nan, fis_config_infinity,
+        manifest_nan,
     ], ids=lambda case: case.__name__)
     def test_input_error_names_the_file(self, capsys, tmp_path, case):
         argv, bad = case(tmp_path)

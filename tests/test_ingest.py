@@ -289,6 +289,11 @@ class TestCampaign:
         ("laps", 2.5, "expected a non-negative integer, got 2.5"),
         ("t_collision_s", "x", 'expected a number, got "x"'),
         ("t_collision_s", [3], "expected a number, got [3]"),
+        ("collisions", "x", 'expected a number, got "x"'),
+        ("collisions", -1, "expected a non-negative integer, got -1"),
+        ("rollovers", 1.5, "expected a non-negative integer, got 1.5"),
+        ("duration_min", "8", 'expected a number, got "8"'),
+        ("duration_min", True, "expected a number, got true"),
     ])
     def test_bad_trial_field_names_trial_and_manifest(self, tmp_path, key, value, reason):
         doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
@@ -300,10 +305,30 @@ class TestCampaign:
 
     def test_trial_fields_are_typed(self, tmp_path):
         doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
-                                    "outcome": "success", "laps": 20.0, "t_collision_s": 3}])
+                                    "outcome": "success", "laps": 20.0, "t_collision_s": 3,
+                                    "collisions": 2.0, "rollovers": 1, "duration_min": 8}])
         campaign, _ = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
-        assert (campaign.trials[0].laps, campaign.trials[0].t_collision) == (20, 3.0)
-        assert isinstance(campaign.trials[0].laps, int)
+        trial = campaign.trials[0]
+        assert (trial.laps, trial.t_collision, trial.collisions, trial.rollovers,
+                trial.duration) == (20, 3.0, 2, 1, 8.0)
+        assert all(isinstance(n, int) for n in (trial.laps, trial.collisions, trial.rollovers))
+        assert isinstance(trial.duration, float)
+
+    def test_absent_trial_counts_default_to_zero(self, tmp_path):
+        doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
+                                    "outcome": "success", "collisions": None}])
+        campaign, _ = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
+        trial = campaign.trials[0]
+        assert (trial.collisions, trial.rollovers, trial.duration) == (0, 0, 0.0)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_number_names_the_file(self, tmp_path, constant):
+        text = json.dumps(manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall",
+                                                "suas_id": "alpha", "duration_min": 0.5}]))
+        p = write(tmp_path / "c.json", text.replace("0.5", constant))
+        with pytest.raises(ParseError) as exc:
+            parse_campaign(p)
+        assert str(exc.value) == f"invalid JSON: {constant} is not a number (at {p})"
 
     def test_unsupported_schema(self, tmp_path):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(schema_version=99)))
