@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .errors import (
     AllTestsMissing,
@@ -24,6 +22,9 @@ from .errors import (
     ParseError,
     ZeroDenominator,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ def mf_eval(mf: TriangularMf, x: float) -> float:
 
 def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
     """`mf_eval` of every element of `x`: the same clamp, rules and arithmetic, case by case."""
+    import numpy as np
+
     # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
     x = np.where(mf.lo > x, mf.lo, x)
     x = np.where(mf.hi < x, mf.hi, x)
@@ -98,6 +101,8 @@ class LinguisticVariable:
 
     def covered(self, sweep_points: int = 1000) -> bool:
         """True when some term has positive membership everywhere in range."""
+        import numpy as np
+
         x = self.lo + (self.hi - self.lo) * np.arange(sweep_points + 1) / sweep_points
         peak = np.max([mf_column(mf, x) for mf in self.terms.values()], axis=0)
         return bool((peak > 0.0).all())
@@ -166,6 +171,8 @@ def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray], size: int):
     and the weighted sums take the same steps in the same order as `fis_eval`,
     so every output is bit-identical to `fis_eval`'s.
     """
+    import numpy as np
+
     memberships = {}
     num = np.zeros(size)
     den = np.zeros(size)
@@ -239,6 +246,8 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
     rule (NoRuleFired), or an ideal score that is not positive
     (ZeroDenominator).
     """
+    import numpy as np
+
     size = len(where)
     failures = _Failures(where)
     systems = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
@@ -296,6 +305,8 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
     Rows are grouped by which wired axes they have, and each group folds its
     axes through the combiner, a second pass of the same stage per further axis.
     """
+    import numpy as np
+
     size = len(failures.where)
     pattern = np.zeros(size, dtype=np.int64)
     for k, axis in enumerate(wiring):

@@ -9,9 +9,7 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import CR_CATEGORIES, OA_CATEGORIES, ObstacleGeometry, Trajectory, TrialRecord
 from .errors import (
@@ -22,6 +20,9 @@ from .errors import (
     MissingCategory,
     RateTooLow,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAVITY = 9.8  # m/s^2
 
@@ -42,6 +43,8 @@ def distance_to_obstacle(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[
     Plan-view distance to the segment (clamped to endpoints, or to the
     infinite line) combined with the vertical gap outside [0, height].
     """
+    import numpy as np
+
     p0 = np.asarray(obstacle.p0, dtype=float)
     p1 = np.asarray(obstacle.p1, dtype=float)
     d = p1 - p0
@@ -85,6 +88,8 @@ def flight_metrics(
     derived at most once, when first needed; values and errors come in the
     order TTC, masi, max_delta_v.
     """
+    import numpy as np
+
     derived = []  # derive_kinematics(traj), once something needs it
 
     def kinematics(present: bool) -> Trajectory:
@@ -114,6 +119,8 @@ def flight_metrics(
 
 def aggregate_flights(per_flight: Sequence[float]) -> float:
     """Flight-set value: mean of the per-flight metric values."""
+    import numpy as np
+
     if not per_flight:
         raise EmptySample("no flights")
     return float(np.mean(per_flight))
@@ -125,6 +132,8 @@ def masi(traj: Trajectory) -> float:
     The vertical axis is left out so that sudden drops (vehicle failures, not
     impacts) do not contaminate the severity index.
     """
+    import numpy as np
+
     acc = (traj if traj.acc is not None else derive_kinematics(traj)).acc
     return float(np.hypot(acc[:, 0], acc[:, 1]).max()) / GRAVITY
 
@@ -136,6 +145,8 @@ def max_delta_v(traj: Trajectory, t_c: float) -> float:
     over samples in (t_c, t_c + DELTA_V_WINDOW]. Sampling inside the window must
     be at least 10 Hz for the estimate to be meaningful.
     """
+    import numpy as np
+
     source = traj if traj.vel is not None else derive_kinematics(traj)
     t = source.t
     if not (t[0] <= t_c <= t[-1]):
@@ -175,10 +186,14 @@ def derive_kinematics(traj: Trajectory) -> Trajectory:
 
 
 def _differentiate(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.gradient(mat, t, axis=0)
 
 
 def _moving_average(mat: np.ndarray, width: int) -> np.ndarray:
+    import numpy as np
+
     half = width // 2
     padded = np.pad(mat, ((half, half), (0, 0)), mode="edge")
     kernel = np.ones(width) / width

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec3 = tuple[float, float, float]
 
@@ -21,6 +22,8 @@ OBSTACLE_MATERIALS = ("wall", "mesh", "chain_link", "door_closed", "door_45", "d
 
 
 def _as_matrix(rows, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"{name} must be an (n, 3) array")
@@ -40,6 +43,8 @@ class Trajectory:
     acc: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        import numpy as np
+
         t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("trajectory needs at least two samples")

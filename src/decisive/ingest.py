@@ -19,8 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import mapping
 from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
@@ -62,6 +61,9 @@ from .human_factors import (
 from .mapping import FiducialGroundTruth, FiducialObservation
 from .nav import ReferencePath
 from .ncap import ABSENT, AutonomyCapabilities, Feature, FeatureTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
@@ -141,9 +143,12 @@ def _rows_of_width(rows, width: int):
 
 def _number(text: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise NonNumericField(f"cannot parse {text!r} as a number", line)
+    if not math.isfinite(value):
+        raise NonNumericField(f"{text!r} is not a finite number", line)
+    return value
 
 
 def _boolean(text: str, line: int) -> bool:
@@ -165,6 +170,8 @@ ACC_COLUMNS = ("ax", "ay", "az")
 @_total
 def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     """Load a telemetry trace: t,x,y,z with optional vx,vy,vz and ax,ay,az."""
+    import numpy as np
+
     report = ParseReport(str(path))
     with open(path, newline="", encoding="utf-8") as fh:
         header = _header(csv.reader(fh), path)
@@ -219,6 +226,8 @@ def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
     increase, or fewer than two rows. `_telemetry_rows` then decides, and is the
     only source of error messages and their line numbers.
     """
+    import numpy as np
+
     if body is None or '"' in body or not body.strip():
         return None
     try:
@@ -233,14 +242,13 @@ def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
 
 def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
     """The same table as `_telemetry_columns`, row by row, raising at the first bad line."""
+    import numpy as np
+
     _, rows = _read_rows(path)
     samples = []
     prev_t = None
     for line, row in _rows_of_width(rows, max(cols) + 1):
         values = [_number(row[i], line) for i in cols]
-        if not all(map(math.isfinite, values)):
-            text = next(row[i] for i, v in zip(cols, values) if not math.isfinite(v))
-            raise NonNumericField(f"{text!r} is not a finite number", line)
         ti = values[0]
         if prev_t is not None and ti <= prev_t:
             raise NonMonotonicTime(f"time {ti} does not increase past {prev_t}", line)
@@ -842,6 +850,8 @@ def parse_scores(path, variables: list[str]) -> tuple[bool, list[tuple[str, str,
     scores, and each row's numbers are {"score": value}. Any other file holds
     FIS inputs, and each row's numbers are its non-empty `variables` cells.
     A repeated column reads its last copy. A number that is not finite fails.
+    A repeated (suas_id, test_id) pair warns; both rows are returned, and the
+    later one is the pair's score.
     """
     header, rows = _read_rows(path)
     for col in ("suas_id", "test_id"):
@@ -851,14 +861,17 @@ def parse_scores(path, variables: list[str]) -> tuple[bool, list[tuple[str, str,
     ids = [i for i, c in enumerate(header) if c in ("suas_id", "test_id")]
     width = len(header) if precomputed else max(ids) + 1
     out = []
+    seen = set()
     for line, row in _rows_of_width(rows, width):
         cells = dict(zip(header, row))
         if precomputed:
             numbers = {"score": _number(cells["score"], line)}
         else:
             numbers = {v: _number(cells[v], line) for v in variables if cells.get(v, "") != ""}
-        if not all(map(math.isfinite, numbers.values())):
-            text = next(cells[v] for v, x in numbers.items() if not math.isfinite(x))
-            raise NonNumericField(f"{text!r} is not a finite number", line)
-        out.append((cells["suas_id"], cells["test_id"], numbers, line))
+        key = (cells["suas_id"], cells["test_id"])
+        if key in seen:
+            warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "
+                          f"(at {path}:{line})", DataQualityWarning)
+        seen.add(key)
+        out.append((*key, numbers, line))
     return precomputed, out

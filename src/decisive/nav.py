@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Trajectory
 from .errors import DataQualityWarning, EmptySpan, ZeroDuration
 from .stats import mean_std
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class ReferencePath:
         object.__setattr__(self, "vertices", verts)
 
     def segments(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        import numpy as np
+
         verts = [np.asarray(v) for v in self.vertices]
         segs = list(zip(verts, verts[1:]))
         if self.closed and tuple(self.vertices[0]) != tuple(self.vertices[-1]):
@@ -51,6 +54,8 @@ def deviation_series(pos, path: ReferencePath) -> np.ndarray:
     One pass per segment over all samples, keeping a running minimum, so
     memory stays O(samples) whatever the path length.
     """
+    import numpy as np
+
     pos = np.asarray(pos, dtype=float)
     best = np.full(len(pos), np.inf)
     for a, b in path.segments():
@@ -62,11 +67,15 @@ def deviation_series(pos, path: ReferencePath) -> np.ndarray:
 
 def point_path_deviation(p: Sequence[float], path: ReferencePath) -> float:
     """Minimum distance from a point to the path's clamped segments."""
+    import numpy as np
+
     return float(deviation_series(np.asarray(p, dtype=float)[None, :], path)[0])
 
 
 def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
     """Mean per-sample deviation from the path, equal weight per recorded sample."""
+    import numpy as np
+
     if len(traj) < 1:
         raise EmptySpan("no samples")
     return float(np.mean(deviation_series(traj.pos, path)))

@@ -13,8 +13,6 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import cfis as cfis_mod
 from . import collision as coll
 from . import field as field_mod
@@ -287,6 +285,8 @@ def ncap_tables(results) -> list[ReportTable]:
 
 def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
     """Per-test contextual scores (unless the file holds precomputed ones) and predictive scores."""
+    import numpy as np
+
     axis_vars = {name: tuple(fis.inputs) for name, fis in config.fis.items()
                  if name not in config.cascade}
     variables = list(dict.fromkeys(v for names in axis_vars.values() for v in names))

@@ -140,6 +140,17 @@ class TestMetrics:
         assert out == ""
         assert f"row has 3 fields, needs 5 (at {observations}:3)" in err
 
+    def test_non_finite_fiducial_names_file_and_line(self, capsys, tmp_path):
+        campaign = shutil.copytree(CAMPAIGN, tmp_path / "campaign")
+        observations = campaign / "fiducials.csv"
+        header, first, *rest = observations.read_text().splitlines()
+        fiducial_id, half, _x, *others = first.split(",")
+        first = ",".join([fiducial_id, half, "nan", *others])
+        observations.write_text("\n".join([header, first, *rest]) + "\n")
+        code, out, err = run(capsys, "metrics", campaign / "campaign.json", "--test", "mapping")
+        assert (code, out) == (1, "")
+        assert err == f"error: 'nan' is not a finite number (at {observations}:2)\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "nav.md"
         code, out, _err = run(capsys, "metrics", CAMPAIGN / "campaign.json",
@@ -255,6 +266,29 @@ class TestCfis:
         code, out, err = run(capsys, "cfis", "--scores", scores)
         assert (code, out) == (1, "")
         assert err == f"error: 'nan' is not a finite number (at {scores}:3)\n"
+
+    def test_repeated_precomputed_score_warns_and_the_later_row_counts(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv", "suas_id,test_id,score\n"
+                                                "alpha,t1,0.5\nalpha,t1,0.8\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores, "--format", "csv")
+        assert code == 0
+        assert err == ("warning: duplicate score for alpha/t1; keeping the later row "
+                       f"(at {scores}:3)\n")
+        assert out.splitlines()[-1] == "alpha,1,0.80"
+
+    def test_repeated_fis_input_row_warns_and_the_later_row_counts(self, capsys, tmp_path):
+        header, easy, hard = (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[:3]
+        again = hard.replace("takeoff-hard", "takeoff-easy")
+        scores = write(tmp_path / "scores.csv", f"{header}\n{easy}\n{again}\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores, "--format", "csv")
+        assert code == 0
+        assert err == ("warning: duplicate score for alpha/takeoff-easy; keeping the later row "
+                       f"(at {scores}:3)\n")
+        lines = out.splitlines()
+        # the detail table lists both rows; the predictive score takes the later one
+        assert lines[1:3] == ["alpha,takeoff-easy,0.000,1.000,0.500,1.00",
+                              "alpha,takeoff-easy,1.000,0.544,0.772,0.77"]
+        assert lines[-1] == "alpha,1,0.77"
 
     def test_zero_predictive_score_names_suas_and_test(self, capsys, tmp_path):
         scores = write(tmp_path / "scores.csv", "suas_id,test_id,crashes,rollovers,completion\n"

@@ -428,6 +428,11 @@ class TestSurvey:
         with pytest.raises(ScoreOutOfRange):
             parse_survey(p)
 
+    def test_non_finite_score(self, tmp_path):
+        p = write(tmp_path / "s.csv", self.HEADER + "p1,CTPA,i1,nan,true,A\n")
+        with pytest.raises(NonNumericField, match=re.escape(f"'nan' is not a finite number (at {p}:2)")):
+            parse_survey(p)
+
     def test_unknown_instrument(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "p1,NASA-TLX,i1,4,true,A\n")
         with pytest.raises(UnknownInstrument):
@@ -612,6 +617,12 @@ class TestFiducialObservations:
         p = write(tmp_path / "f.csv",
                   "fiducial_id,half,x,y,mapped\nA,1,0.0,0.0,complete\nB,1,0.5\n")
         with pytest.raises(MissingColumn, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
+            parse_fiducial_observations(p)
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-Infinity"])
+    def test_non_finite_position_names_line(self, tmp_path, x):
+        p = write(tmp_path / "f.csv", f"fiducial_id,half,x,y,mapped\nA,1,{x},0.0,complete\n")
+        with pytest.raises(NonNumericField, match=re.escape(f"{x!r} is not a finite number (at {p}:2)")):
             parse_fiducial_observations(p)
 
     def test_missing_row_may_stop_before_position(self, tmp_path):
