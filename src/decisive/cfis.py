@@ -14,14 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
-from .errors import (
-    AllTestsMissing,
-    DataQualityWarning,
-    NonPositiveScore,
-    NoRuleFired,
-    ParseError,
-    ZeroDenominator,
-)
+from .errors import DataQualityWarning, DecisiveError, ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,10 +31,11 @@ class TriangularMf:
     hi: float
 
     def __post_init__(self):
+        points = f"({self.a}, {self.b}, {self.c})"
         if not self.a <= self.b <= self.c:
-            raise ValueError(f"tuple ({self.a}, {self.b}, {self.c}) not ordered")
+            raise ValueError(f"{points} not ordered")
         if not (self.lo <= self.a and self.c <= self.hi):
-            raise ValueError("triangle must lie inside the variable range")
+            raise ValueError(f"{points} outside range [{self.lo}, {self.hi}]")
 
 
 def mf_eval(mf: TriangularMf, x: float) -> float:
@@ -156,7 +150,7 @@ def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
             num += strength * fis.output_levels[rule.consequent]
             den += strength
     if den == 0.0:
-        raise NoRuleFired(_no_rule(fis, dict(inputs)))
+        raise DecisiveError(_no_rule(fis, dict(inputs)))
     return num / den
 
 
@@ -242,9 +236,10 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
 
     `where` names each row (label, location) for errors. The first failing
     row raises, with the error of the first stage it fails: no axis inputs
-    (ParseError), an axis, the combining stage or the ideal run firing no
-    rule (NoRuleFired), or an ideal score that is not positive
-    (ZeroDenominator).
+    (ParseError), or an axis, the combining stage or the ideal run firing no
+    rule, or an ideal score that is not positive (DecisiveError). The config's
+    shape (one two-input combining stage, complete `ideal_inputs`) is checked
+    when it loads.
     """
     import numpy as np
 
@@ -268,15 +263,10 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
         scores, fired = _fis_columns(fis, {v: columns[v][rows] for v in fis.inputs}, len(rows))
         axes[name] = np.full(size, np.nan)
         axes[name][rows] = scores
-        failures.add(rows[~fired], NoRuleFired, lambda i, fis=fis: _no_rule(
+        failures.add(rows[~fired], DecisiveError, lambda i, fis=fis: _no_rule(
             fis, {v: float(columns[v][i]) for v in fis.inputs}))
 
-    if len(config.cascade) != 1:
-        failures.add(np.arange(size), ValueError,
-                     lambda i: "config must declare exactly one combining stage")
-        failures.raise_first()
-        return CascadeColumns(axes, np.full(size, np.nan), np.full(size, np.nan))
-    combiner_name, wiring = next(iter(config.cascade.items()))
+    ((combiner_name, wiring),) = config.cascade.items()
     combiner = config.fis[combiner_name]
     combined = _combine(combiner, wiring, axes, active, failures)
 
@@ -288,10 +278,10 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
         ideal_axes[name] = np.full(size, np.nan)
         try:
             ideal_axes[name][rows] = fis_eval(fis, config.ideal_inputs[name])
-        except (NoRuleFired, KeyError) as exc:
-            failures.add(rows, type(exc), lambda i, text=exc.args[0]: text)
+        except DecisiveError as exc:
+            failures.add(rows, DecisiveError, lambda i, text=str(exc): text)
     ideal = _combine(combiner, wiring, ideal_axes, active, failures)
-    failures.add(np.flatnonzero(ideal <= 0), ZeroDenominator,
+    failures.add(np.flatnonzero(ideal <= 0), DecisiveError,
                  lambda i: "ideal-run score must be positive")
 
     failures.raise_first()
@@ -320,10 +310,6 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
                          lambda i: f"row matches no axis that {combiner.name!r} combines")
             continue
         value = axes[chain[0]][rows]
-        if len(chain) > 1 and len(combiner.inputs) != 2:
-            failures.add(rows, ValueError, lambda i: (
-                f"{combiner.name}: a combining stage takes 2 inputs, not {len(combiner.inputs)}"))
-            continue
         for extra in chain[1:]:
             var_a, var_b = combiner.inputs
             left, right = value, axes[extra][rows]
@@ -333,7 +319,7 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
                 k = np.searchsorted(rows, i)
                 return _no_rule(combiner, {var_a: float(left[k]), var_b: float(right[k])})
 
-            failures.add(rows[~fired], NoRuleFired, message)
+            failures.add(rows[~fired], DecisiveError, message)
         combined[rows] = value
     return combined
 
@@ -345,15 +331,15 @@ def predictive_score(test_scores: Mapping[str, Optional[float]]) -> float:
     """
     present = {k: v for k, v in test_scores.items() if v is not None}
     if not present:
-        raise AllTestsMissing("every test score is missing")
+        raise DecisiveError("every test score is missing")
     for name, score in present.items():
         if not 0.0 < score <= 1.0:
-            raise NonPositiveScore(f"{name}={score} outside (0, 1]")
+            raise DecisiveError(f"{name}={score} outside (0, 1]")
     return math.exp(sum(1.0 / len(present) * math.log(v) for v in present.values()))
 
 
 def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:
-    """Outputs over a quasi-random input sweep; NoRuleFired points are skipped.
+    """Outputs over a quasi-random input sweep; points that fire no rule are skipped.
 
     Sparse rulebases can leave corners of the input space uncovered; those
     points are surfaced as a warning rather than failing the sweep.
@@ -370,7 +356,7 @@ def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:
         }
         try:
             outputs.append(fis_eval(fis, inputs))
-        except NoRuleFired:
+        except DecisiveError:  # no rule fired
             silent += 1
     if silent:
         warnings.warn(

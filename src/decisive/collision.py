@@ -12,14 +12,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import CR_CATEGORIES, OA_CATEGORIES, ObstacleGeometry, Trajectory, TrialRecord
-from .errors import (
-    AllStationary,
-    CollisionOutsideSpan,
-    EmptySample,
-    InsufficientSamples,
-    MissingCategory,
-    RateTooLow,
-)
+from .errors import DecisiveError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,7 +99,7 @@ def flight_metrics(
         speed = np.linalg.norm(kinematics(traj.vel is not None).vel, axis=1)
         moving = speed >= STATIONARY_SPEED
         if not moving.any():
-            raise AllStationary("no sample moves faster than the stationary cutoff")
+            raise DecisiveError("no sample moves faster than the stationary cutoff")
         ttc = float((series[moving] / speed[moving]).min())
     severity = masi(kinematics(traj.acc is not None))
     delta_v = (
@@ -122,7 +115,7 @@ def aggregate_flights(per_flight: Sequence[float]) -> float:
     import numpy as np
 
     if not per_flight:
-        raise EmptySample("no flights")
+        raise DecisiveError("no flights")
     return float(np.mean(per_flight))
 
 
@@ -150,7 +143,7 @@ def max_delta_v(traj: Trajectory, t_c: float) -> float:
     source = traj if traj.vel is not None else derive_kinematics(traj)
     t = source.t
     if not (t[0] <= t_c <= t[-1]):
-        raise CollisionOutsideSpan(f"t_c={t_c} outside [{t[0]}, {t[-1]}]")
+        raise DecisiveError(f"t_c={t_c} outside [{t[0]}, {t[-1]}]")
 
     t_end = min(t_c + DELTA_V_WINDOW, float(t[-1]))
     in_window = (t >= t_c) & (t <= t_end)
@@ -158,7 +151,7 @@ def max_delta_v(traj: Trajectory, t_c: float) -> float:
     # gaps are measured over the window including its edges
     edges = np.concatenate(([t_c], window_times, [t_end]))
     if np.diff(np.unique(edges)).size and np.max(np.diff(np.unique(edges))) > 0.1 + 1e-9:
-        raise RateTooLow("need >= 10 Hz sampling in the post-collision window")
+        raise DecisiveError("need >= 10 Hz sampling in the post-collision window")
 
     v0 = np.array([np.interp(t_c, t, source.vel[:, k]) for k in range(3)])
     after = (t > t_c) & (t <= t_c + DELTA_V_WINDOW)
@@ -175,7 +168,7 @@ def derive_kinematics(traj: Trajectory) -> Trajectory:
     Acceleration gets a moving average of odd width SMOOTH_WIDTH.
     """
     if len(traj) < 3:
-        raise InsufficientSamples("differentiation needs at least 3 samples")
+        raise DecisiveError("differentiation needs at least 3 samples")
 
     t = traj.t
     vel = traj.vel if traj.vel is not None else _differentiate(traj.pos, t)
@@ -221,7 +214,7 @@ def category_distribution(
     for trial in trials:
         cat = getattr(trial, attr)
         if cat is None:
-            raise MissingCategory(f"trial {trial.trial_id} lacks {attr}")
+            raise DecisiveError(f"trial {trial.trial_id} lacks {attr}")
         groups.setdefault(group_by(trial), []).append(cat)
 
     out = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import EmptySample, ZeroDuration
+from .errors import DecisiveError
 
 FIGURE8_LAP_M = 13.0  # nominal length of one figure-8 lap
 
@@ -33,7 +33,7 @@ class NlosPosition:
 def endurance_metrics(laps: int, duration_min: float) -> tuple[float, float]:
     """(distance m, average speed m/s) for the figure-8 endurance test."""
     if duration_min <= 0:
-        raise ZeroDuration("duration must be positive")
+        raise DecisiveError("duration must be positive")
     if laps < 0:
         raise ValueError("laps must be non-negative")
     distance = FIGURE8_LAP_M * laps
@@ -97,7 +97,7 @@ def requirements_met(
     response fails that field and is listed separately.
     """
     if not criteria:
-        raise EmptySample("no criteria provided")
+        raise DecisiveError("no criteria provided")
     per_field: dict[str, bool] = {}
     missing = []
     for crit in criteria:

@@ -6,13 +6,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import (
-    DataQualityWarning,
-    EmptyCondition,
-    EmptySample,
-    LengthMismatch,
-    NonPositiveParam,
-)
+from .errors import DataQualityWarning, DecisiveError
 from .stats import MannWhitneyResult, iqr_filter, mann_whitney, mean_std, welch_t
 
 PERCEPTION_VALUES = {"undetected": 0.0, "detected": 0.5, "comprehended": 1.0}
@@ -31,7 +25,7 @@ class SeParams:
     def __post_init__(self):
         for name in ("saliency", "effort", "expectancy", "value"):
             if getattr(self, name) <= 0:
-                raise NonPositiveParam(f"{self.se_id}: {name} must be > 0")
+                raise DecisiveError(f"{self.se_id}: {name} must be > 0")
 
     @property
     def attention_resource(self) -> float:
@@ -41,7 +35,7 @@ class SeParams:
 def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
     """Attention proportion per situation element: f_i = A_i / sum(A)."""
     if not params:
-        raise EmptySample("no situation elements")
+        raise DecisiveError("no situation elements")
     resources = {p.se_id: p.attention_resource for p in params}
     total = sum(resources.values())
     return {se: a / total for se, a in resources.items()}
@@ -63,7 +57,7 @@ class SagatResponse:
 def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, float]:
     """Fraction of correct answers per situation element."""
     if not responses:
-        raise EmptySample("no responses")
+        raise DecisiveError("no responses")
     asked: dict[str, int] = {}
     right: dict[str, int] = {}
     for r in responses:
@@ -88,7 +82,7 @@ def perception_level(responses: Sequence[SagatResponse]) -> str:
 def perception_vectors(responses: Sequence[SagatResponse]) -> dict[str, dict[str, float]]:
     """Per-participant p(SE) in {0, 0.5, 1} derived from their SAGAT answers."""
     if not responses:
-        raise EmptySample("no responses")
+        raise DecisiveError("no responses")
     grouped: dict[str, dict[str, list[SagatResponse]]] = {}
     for r in responses:
         grouped.setdefault(r.participant, {}).setdefault(r.se_id, []).append(r)
@@ -107,10 +101,10 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
     can be passed directly.
     """
     if set(weights) != set(perception):
-        raise LengthMismatch("weights and perception vectors cover different elements")
+        raise DecisiveError("weights and perception vectors cover different elements")
     total = sum(weights.values())
     if total <= 0:
-        raise NonPositiveParam("weights must sum to a positive value")
+        raise DecisiveError("weights must sum to a positive value")
     # single division keeps the result inside [0, 1] even at rounding edges
     return sum(w * perception[se] for se, w in weights.items()) / total
 
@@ -118,7 +112,7 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
 def osa_summary(values: Sequence[float]) -> tuple[float, float]:
     """Mean and sample std of per-participant OSA scores."""
     if not values:
-        raise EmptySample("no scores")
+        raise DecisiveError("no scores")
     return mean_std(values)
 
 
@@ -204,7 +198,7 @@ def trust_pipeline(dataset: SurveyDataset, condition_a: str, condition_b: str) -
 
     for label in (condition_a, condition_b):
         if not any(cond == label for _, _, cond in buckets):
-            raise EmptyCondition(f"no valid rows for condition {label!r}")
+            raise DecisiveError(f"no valid rows for condition {label!r}")
 
     items = sorted(
         {(inst, item) for inst, item, cond in buckets if cond in (condition_a, condition_b)}
@@ -221,7 +215,7 @@ def trust_pipeline(dataset: SurveyDataset, condition_a: str, condition_b: str) -
                     warnings.warn(note, DataQualityWarning)
                 scores = kept
             if not scores:
-                raise EmptyCondition(f"{instrument} {item_id}: no scores for {label!r}")
+                raise DecisiveError(f"{instrument} {item_id}: no scores for {label!r}")
             sides.append(scores)
         a_scores, b_scores = sides
         if len(a_scores) >= 2 and len(b_scores) >= 2:

@@ -33,23 +33,7 @@ from .core import (
     Trajectory,
     TrialRecord,
 )
-from .errors import (
-    CyclicCascade,
-    DataQualityWarning,
-    DanglingReference,
-    DecisiveError,
-    MalformedTuple,
-    MissingColumn,
-    MissingDirection,
-    NonMonotonicTime,
-    NonNumericField,
-    ParseError,
-    SchemaVersionUnsupported,
-    ScoreOutOfRange,
-    UnknownCategory,
-    UnknownInstrument,
-    UnknownTerm,
-)
+from .errors import DataQualityWarning, DecisiveError, ParseError
 from .field import Criterion, NlosPosition
 from .human_factors import (
     SagatResponse,
@@ -83,18 +67,22 @@ class ParseReport:
 
 
 def _total(fn):
-    """Make a parser total: malformed shapes become structured errors."""
+    """Make a parser total: every failure reading `path` is a ParseError naming it.
+
+    An error with a line number, or with no location, is in this file; any
+    other failure found while reading it is an input error here too.
+    """
 
     @functools.wraps(fn)
     def wrapper(path, *args, **kwargs):
         try:
             return fn(path, *args, **kwargs)
         except ParseError as exc:
-            if exc.source is None and isinstance(exc.location, int):
-                exc.source = str(path)  # a line number names this file
+            if exc.source is None and not isinstance(exc.location, str):
+                exc.source = str(path)
             raise
-        except DecisiveError:
-            raise
+        except DecisiveError as exc:
+            raise ParseError(str(exc), str(path))
         except (TypeError, AttributeError, KeyError, ValueError, IndexError, csv.Error) as exc:
             raise ParseError(f"malformed input ({exc})", str(path))
 
@@ -116,7 +104,7 @@ def _header(reader, path) -> list[str]:
     try:
         header = next(reader)
     except StopIteration:
-        raise MissingColumn("file is empty", str(path))
+        raise ParseError("file is empty", str(path))
     return [h.strip() for h in header]
 
 
@@ -137,7 +125,7 @@ def _rows_of_width(rows, width: int):
     """The rows in order, raising at the first one with fewer than `width` fields."""
     for line, row in rows:
         if len(row) < width:
-            raise MissingColumn(f"row has {len(row)} fields, needs {width}", line)
+            raise ParseError(f"row has {len(row)} fields, needs {width}", line)
         yield line, row
 
 
@@ -145,9 +133,9 @@ def _number(text: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise NonNumericField(f"cannot parse {text!r} as a number", line)
+        raise ParseError(f"cannot parse {text!r} as a number", line)
     if not math.isfinite(value):
-        raise NonNumericField(f"{text!r} is not a finite number", line)
+        raise ParseError(f"{text!r} is not a finite number", line)
     return value
 
 
@@ -157,7 +145,7 @@ def _boolean(text: str, line: int) -> bool:
         return True
     if lowered in ("0", "false", "no", "n"):
         return False
-    raise NonNumericField(f"cannot parse {text!r} as a boolean", line)
+    raise ParseError(f"cannot parse {text!r} as a boolean", line)
 
 
 # --- telemetry -----------------------------------------------------------------
@@ -181,11 +169,11 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
             body = None
     for col in REQUIRED_TELEMETRY:
         if col not in header:
-            raise MissingColumn(f"missing column {col!r}", str(path))
+            raise ParseError(f"missing column {col!r}", str(path))
     for group in (VEL_COLUMNS, ACC_COLUMNS):
         present = [c for c in group if c in header]
         if present and len(present) != 3:
-            raise MissingColumn(
+            raise ParseError(
                 f"columns {group} must appear together, found only {present}", str(path)
             )
     known = set(REQUIRED_TELEMETRY) | set(VEL_COLUMNS) | set(ACC_COLUMNS)
@@ -251,7 +239,7 @@ def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
         values = [_number(row[i], line) for i in cols]
         ti = values[0]
         if prev_t is not None and ti <= prev_t:
-            raise NonMonotonicTime(f"time {ti} does not increase past {prev_t}", line)
+            raise ParseError(f"time {ti} does not increase past {prev_t}", line)
         prev_t = ti
         samples.append(values)
     if len(samples) < 2:
@@ -287,7 +275,7 @@ def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseR
     header, rows = _read_rows(path)
     for col in FIDUCIAL_COLUMNS:
         if col not in header:
-            raise MissingColumn(f"missing column {col!r}", str(path))
+            raise ParseError(f"missing column {col!r}", str(path))
     idx = {c: header.index(c) for c in FIDUCIAL_COLUMNS}
     # a missing fiducial has no position, so its row may stop before x and y
     unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
@@ -299,11 +287,11 @@ def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseR
             xy = None
         else:
             if len(row) < mapped_width:
-                raise MissingColumn(f"row has {len(row)} fields, needs {mapped_width}", line)
+                raise ParseError(f"row has {len(row)} fields, needs {mapped_width}", line)
             xy = (_number(row[idx["x"]], line), _number(row[idx["y"]], line))
         half = _number(row[idx["half"]], line)
         if half not in (1.0, 2.0):
-            raise ScoreOutOfRange(f"half must be 1 or 2, got {row[idx['half']]!r}", line)
+            raise ParseError(f"half must be 1 or 2, got {row[idx['half']]!r}", line)
         try:
             out.append(
                 FiducialObservation(row[idx["fiducial_id"]].strip(), int(half), xy, mapped)
@@ -461,7 +449,7 @@ def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
     """
     path = manifest.parent / name
     if not path.is_file():
-        raise DanglingReference(f"test {test_id}: {key} file {name!r} not found", str(manifest))
+        raise ParseError(f"test {test_id}: {key} file {name!r} not found", str(manifest))
     return tuple(_SIDE_FILES[key](path)[0])
 
 
@@ -474,7 +462,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
 
     version = doc.get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise SchemaVersionUnsupported(f"schema_version {version!r}", str(path))
+        raise ParseError(f"schema_version {version!r}", str(path))
 
     suas = {}
     for entry in doc.get("suas", []):
@@ -503,7 +491,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             raise ParseError("test entry missing 'test_id'", str(path))
         env_ref = entry.get("environment")
         if env_ref is not None and env_ref not in environments:
-            raise DanglingReference(
+            raise ParseError(
                 f"test {test_id} references environment {env_ref!r}", str(path)
             )
         tests[test_id] = _campaign_test(entry, path)
@@ -512,11 +500,11 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
     for entry in doc.get("trials", []):
         trial_id = entry.get("trial_id", "?")
         if entry.get("test_id") not in tests:
-            raise DanglingReference(
+            raise ParseError(
                 f"trial {trial_id} references unknown test {entry.get('test_id')!r}", str(path)
             )
         if entry.get("suas_id") not in suas:
-            raise DanglingReference(
+            raise ParseError(
                 f"trial {trial_id} references unknown sUAS {entry.get('suas_id')!r}", str(path)
             )
         for key, vocab in (
@@ -526,7 +514,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
         ):
             value = entry.get(key)
             if value is not None and value not in vocab:
-                raise UnknownCategory(f"trial {trial_id}: {key} {value!r}", str(path))
+                raise ParseError(f"trial {trial_id}: {key} {value!r}", str(path))
         typed = {}
         for key, convert, default in (
             ("laps", _count, None),
@@ -541,7 +529,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
                 raise ParseError(f"trial {trial_id}: bad {key!r} field ({exc})", str(path))
         telemetry = entry.get("telemetry") and path.parent / entry["telemetry"]
         if telemetry and not telemetry.is_file():
-            raise DanglingReference(
+            raise ParseError(
                 f"trial {trial_id}: telemetry file {entry['telemetry']!r} not found", str(path)
             )
         trials.append(
@@ -589,17 +577,17 @@ def parse_survey(path) -> tuple[SurveyDataset, ParseReport]:
     header, rows = _read_rows(path)
     for col in SURVEY_COLUMNS:
         if col not in header:
-            raise MissingColumn(f"missing column {col!r}", str(path))
+            raise ParseError(f"missing column {col!r}", str(path))
     idx = {c: header.index(c) for c in SURVEY_COLUMNS}
 
     by_key: dict[tuple[str, str, str], SurveyRow] = {}
     for line, row in _rows_of_width(rows, max(idx.values()) + 1):
         instrument = row[idx["instrument"]].strip()
         if instrument not in ("CTPA", "HCTM"):
-            raise UnknownInstrument(f"instrument {instrument!r}", line)
+            raise ParseError(f"instrument {instrument!r}", line)
         score = _number(row[idx["score"]], line)
         if not (score.is_integer() and 1 <= score <= 7):
-            raise ScoreOutOfRange(f"score {row[idx['score']]!r} outside 1..7", line)
+            raise ParseError(f"score {row[idx['score']]!r} outside 1..7", line)
         entry = SurveyRow(
             participant_id=row[idx["participant_id"]].strip(),
             instrument=instrument,
@@ -637,13 +625,13 @@ def parse_sagat(path) -> tuple[list[SagatResponse], ParseReport]:
     header, rows = _read_rows(path)
     for col in SAGAT_COLUMNS:
         if col not in header:
-            raise MissingColumn(f"missing column {col!r}", str(path))
+            raise ParseError(f"missing column {col!r}", str(path))
     idx = {c: header.index(c) for c in SAGAT_COLUMNS}
     out = []
     for line, row in _rows_of_width(rows, max(idx.values()) + 1):
         level = _number(row[idx["sa_level"]], line)
         if level not in (1.0, 2.0):
-            raise ScoreOutOfRange(f"sa_level {row[idx['sa_level']]!r} must be 1 or 2", line)
+            raise ParseError(f"sa_level {row[idx['sa_level']]!r} must be 1 or 2", line)
         out.append(
             SagatResponse(
                 participant=row[idx["participant_id"]].strip(),
@@ -704,10 +692,10 @@ def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
         if name is None:
             raise ParseError("feature missing 'name'", str(path))
         if "direction" not in entry:
-            raise MissingDirection(f"feature {name!r} has no direction", str(path))
+            raise ParseError(f"feature {name!r} has no direction", str(path))
         direction = direction_map.get(entry["direction"])
         if direction is None:
-            raise MissingDirection(
+            raise ParseError(
                 f"feature {name!r}: direction must be 'higher' or 'lower'", str(path)
             )
         ordinal = entry.get("ordinal_map")
@@ -770,21 +758,17 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
             terms = {}
             for term, tup in var_spec.get("terms", {}).items():
                 if len(tup) != 3:
-                    raise MalformedTuple(
+                    raise ParseError(
                         f"{fis_name}.{var_name}.{term}: need 3 points, got {tup}"
                     )
-                a, b, c = (float(v) for v in tup)
-                if not a <= b <= c:
-                    raise MalformedTuple(f"{fis_name}.{var_name}.{term}: {tup} not ordered")
-                if not (lo <= a and c <= hi):
-                    raise MalformedTuple(
-                        f"{fis_name}.{var_name}.{term}: {tup} outside range [{lo}, {hi}]"
-                    )
-                terms[term] = TriangularMf(a, b, c, lo, hi)
+                try:
+                    terms[term] = TriangularMf(*(float(v) for v in tup), lo, hi)
+                except ValueError as exc:
+                    raise ParseError(f"{fis_name}.{var_name}.{term}: {exc}")
             aliases = dict(var_spec.get("aliases", {}))
             for alias, target in aliases.items():
                 if target not in terms:
-                    raise UnknownTerm(f"{fis_name}.{var_name}: alias {alias!r} -> {target!r}")
+                    raise ParseError(f"{fis_name}.{var_name}: alias {alias!r} -> {target!r}")
             var = LinguisticVariable(var_name, lo, hi, terms, aliases)
             if not var.covered():
                 report.warn(fis_name, f"variable {var_name!r} has membership gaps")
@@ -800,15 +784,15 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
             antecedents = []
             for var_name, term in rule_spec.get("if", {}).items():
                 if var_name not in inputs:
-                    raise UnknownTerm(f"{fis_name} rule {i}: unknown variable {var_name!r}")
+                    raise ParseError(f"{fis_name} rule {i}: unknown variable {var_name!r}")
                 negated = term.startswith("not ")
                 bare = term[4:] if negated else term
                 if not inputs[var_name].has_term(bare):
-                    raise UnknownTerm(f"{fis_name} rule {i}: unknown term {term!r}")
+                    raise ParseError(f"{fis_name} rule {i}: unknown term {term!r}")
                 antecedents.append((var_name, bare, negated))
             consequent = rule_spec.get("then")
             if consequent not in outputs:
-                raise UnknownTerm(f"{fis_name} rule {i}: unknown output {consequent!r}")
+                raise ParseError(f"{fis_name} rule {i}: unknown output {consequent!r}")
             rules.append(Rule(tuple(antecedents), consequent))
         if not rules:
             raise ParseError(f"{fis_name}: at least one rule required", str(path))
@@ -818,23 +802,35 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     stages = doc.get("cascade", {})
     for combined, axes in stages.items():
         if combined not in systems:
-            raise UnknownTerm(f"cascade target {combined!r} not defined")
+            raise ParseError(f"cascade target {combined!r} not defined")
         for axis in axes:
             if axis not in systems:
-                raise UnknownTerm(f"cascade input {axis!r} not defined")
+                raise ParseError(f"cascade input {axis!r} not defined")
             # the cascade runs one combining stage over axis systems only
             if axis in stages:
-                raise CyclicCascade(f"cascade stage {combined!r} takes combining stage {axis!r}")
+                raise ParseError(f"cascade stage {combined!r} takes combining stage {axis!r}")
         cascade[combined] = tuple(axes)
+    if len(cascade) != 1:
+        raise ParseError("config must declare exactly one combining stage")
+    (combiner,) = cascade
+    if len(systems[combiner].inputs) != 2:
+        raise ParseError(f"{combiner}: a combining stage takes 2 inputs, "
+                         f"not {len(systems[combiner].inputs)}")
+
+    ideal_inputs = {}
+    for axis, vals in doc.get("ideal_inputs", {}).items():
+        if axis not in systems or axis in cascade:
+            raise ParseError(f"ideal_inputs: {axis!r} is not an axis system")
+        ideal_inputs[axis] = {k: float(v) for k, v in vals.items()}
+        for var_name in systems[axis].inputs:
+            if var_name not in ideal_inputs[axis]:
+                raise ParseError(f"ideal_inputs: {axis}: missing input {var_name!r}")
 
     config = FisConfig(
         name=doc.get("name", Path(str(path)).stem),
         fis=systems,
         cascade=cascade,
-        ideal_inputs={
-            axis: {k: float(v) for k, v in vals.items()}
-            for axis, vals in doc.get("ideal_inputs", {}).items()
-        },
+        ideal_inputs=ideal_inputs,
     )
     report.counts["fis"] = len(systems)
     return config, report
@@ -856,7 +852,7 @@ def parse_scores(path, variables: list[str]) -> tuple[bool, list[tuple[str, str,
     header, rows = _read_rows(path)
     for col in ("suas_id", "test_id"):
         if col not in header:
-            raise MissingColumn(f"scores file missing column {col!r}", str(path))
+            raise ParseError(f"scores file missing column {col!r}", str(path))
     precomputed = set(header) == {"suas_id", "test_id", "score"}
     ids = [i for i, c in enumerate(header) if c in ("suas_id", "test_id")]
     width = len(header) if precomputed else max(ids) + 1

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CountOutOfRange, EmptySample, LengthMismatch, TooFewFiducials
+from .errors import DecisiveError
 from .stats import mean_std
 
 #: difficulty thresholds; configuration values fitted to the ten labeled
@@ -56,9 +56,9 @@ class FiducialGroundTruth:
 def dimensional_accuracy(reported: Sequence[float], ground_truth: Sequence[float]) -> float:
     """100 x (sum of reported dimensions) / (sum of ground-truth dimensions)."""
     if len(reported) != len(ground_truth):
-        raise LengthMismatch(f"{len(reported)} reported vs {len(ground_truth)} truth values")
+        raise DecisiveError(f"{len(reported)} reported vs {len(ground_truth)} truth values")
     if not ground_truth:
-        raise EmptySample("no dimensions")
+        raise DecisiveError("no dimensions")
     if any(g <= 0 for g in ground_truth):
         raise ValueError("ground-truth dimensions must be positive")
     return 100.0 * sum(reported) / sum(ground_truth)
@@ -67,16 +67,16 @@ def dimensional_accuracy(reported: Sequence[float], ground_truth: Sequence[float
 def fov_coverage(visible_50pct: int, total: int) -> float:
     """Percentage of boundaries at least half visible in the map."""
     if total <= 0:
-        raise CountOutOfRange("total must be positive")
+        raise DecisiveError("total must be positive")
     if not 0 <= visible_50pct <= total:
-        raise CountOutOfRange(f"visible count {visible_50pct} outside [0, {total}]")
+        raise DecisiveError(f"visible count {visible_50pct} outside [0, {total}]")
     return 100.0 * visible_50pct / total
 
 
 def shape_accuracy_rate(classes: Sequence[str]) -> float:
     """Percentage of fiducial pairs judged to form a complete circle."""
     if not classes:
-        raise EmptySample("no fiducial classifications")
+        raise DecisiveError("no fiducial classifications")
     for c in classes:
         if c not in SHAPE_CLASSES:
             raise ValueError(f"bad shape class {c!r}")
@@ -101,7 +101,7 @@ def global_error(
             located.setdefault(o.fiducial_id, o.map_xy)
     ids = sorted(located)
     if len(ids) < 3:
-        raise TooFewFiducials(f"need >= 3 matched fiducials, have {len(ids)}")
+        raise DecisiveError(f"need >= 3 matched fiducials, have {len(ids)}")
 
     d_map, d_gt = [], []
     for i in range(len(ids)):
@@ -113,7 +113,7 @@ def global_error(
 
     denom = sum(m * m for m in d_map)
     if denom == 0:
-        raise TooFewFiducials("all matched fiducials coincide on the map")
+        raise DecisiveError("all matched fiducials coincide on the map")
     s = sum(m * g for m, g in zip(d_map, d_gt)) / denom
     mean_err_m = sum(abs(s * m - g) for m, g in zip(d_map, d_gt)) / len(d_map)
     return 100.0 * mean_err_m
@@ -124,7 +124,7 @@ def fiducial_coverage(
 ) -> float:
     """Percentage of available fiducial halves mapped at least partially."""
     if not truth:
-        raise EmptySample("no ground-truth fiducials")
+        raise DecisiveError("no ground-truth fiducials")
     total_halves = 2 * len(truth)
     truth_ids = {g.fiducial_id for g in truth}
     mapped = {
@@ -149,7 +149,7 @@ def difficulty_rating(min_traversal: float, min_turns: int) -> str:
 def acuity_summary(levels_mm: Sequence[float]) -> tuple[float, float]:
     """Mean and sample std of resolved acuity levels."""
     if not levels_mm:
-        raise EmptySample("no acuity readings")
+        raise DecisiveError("no acuity readings")
     for lvl in levels_mm:
         if not any(abs(lvl - known) < 1e-9 for known in ACUITY_LEVELS_MM):
             raise ValueError(f"{lvl} mm is not an acuity level")

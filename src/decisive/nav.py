@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .core import Trajectory
-from .errors import DataQualityWarning, EmptySpan, ZeroDuration
+from .errors import DataQualityWarning, DecisiveError
 from .stats import mean_std
 
 if TYPE_CHECKING:
@@ -77,14 +77,14 @@ def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
     import numpy as np
 
     if len(traj) < 1:
-        raise EmptySpan("no samples")
+        raise DecisiveError("no samples")
     return float(np.mean(deviation_series(traj.pos, path)))
 
 
 def deviation_summary(flights: Sequence[tuple[Trajectory, ReferencePath]]) -> DeviationSummary:
     """Per-flight average deviation plus the mean and sample std across flights."""
     if not flights:
-        raise EmptySpan("no flights")
+        raise DecisiveError("no flights")
     ads = [average_deviation(traj, path) for traj, path in flights]
     if len(ads) == 1:
         warnings.warn("single flight: std reported as 0", DataQualityWarning)
@@ -106,12 +106,12 @@ def waypoint_error(final_pos: Sequence[float], waypoint: Sequence[float]) -> flo
 def waypoint_summary(errors: Sequence[float]) -> tuple[float, float]:
     """(accuracy, precision) = (mean, sample std) of landing errors."""
     if not errors:
-        raise EmptySpan("no trials")
+        raise DecisiveError("no trials")
     return mean_std(errors)
 
 
 def traversal_speed(length_m: float, duration_min: float) -> float:
     """Average speed in m/s from total length traversed and duration in minutes."""
     if duration_min <= 0:
-        raise ZeroDuration("duration must be positive")
+        raise DecisiveError("duration must be positive")
     return length_m / (duration_min * 60.0)

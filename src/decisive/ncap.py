@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import DataQualityWarning, DomainError, NonPositiveValue, UnmappedToken
+from .errors import DataQualityWarning, DecisiveError
 
 #: sentinel for a feature the platform simply does not have
 ABSENT = "N/A"
@@ -56,12 +56,12 @@ def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
                 continue
             if isinstance(raw, str):
                 if not feat.ordinal_map or raw not in feat.ordinal_map:
-                    raise UnmappedToken(f"{feat.name}: no ordinal rank for {raw!r}")
+                    raise DecisiveError(f"{feat.name}: no ordinal rank for {raw!r}")
                 value = float(feat.ordinal_map[raw])
             else:
                 value = float(raw)
             if not value > 0 or not math.isfinite(value):
-                raise NonPositiveValue(f"{feat.name}={value} for {sid} (must be > 0)")
+                raise DecisiveError(f"{feat.name}={value} for {sid} (must be > 0)")
             nums[sid] = value
         if absent:
             if nums:
@@ -69,7 +69,7 @@ def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
             elif feat.ordinal_map:
                 fill = 1.0  # rank floor when no system has the component
             else:
-                raise NonPositiveValue(f"{feat.name}: absent for every system")
+                raise DecisiveError(f"{feat.name}: absent for every system")
             for sid in absent:
                 nums[sid] = fill
         for sid, value in nums.items():
@@ -98,7 +98,7 @@ class WeightScheme:
     def explicit(cls, raw: Mapping[str, float]) -> "WeightScheme":
         total = sum(abs(w) for w in raw.values())
         if total <= 0:
-            raise DomainError("weights must not all be zero")
+            raise DecisiveError("weights must not all be zero")
         return cls({name: w / total for name, w in raw.items()})
 
 
@@ -112,7 +112,7 @@ def weighted_product(
     for name, w in scheme.weights.items():
         v = values[name]
         if not v > 0:
-            raise DomainError(f"{name}={v}: weighted product needs positive values")
+            raise DecisiveError(f"{name}={v}: weighted product needs positive values")
         sign = -1.0 if directions[name] == "lower_better" else 1.0
         p *= v ** (sign * w)
     return p
@@ -160,7 +160,7 @@ def autonomy_distances(scores: Mapping[str, tuple[int, float]]) -> list[NcapResu
     the best one. Ties on the absolute distance break by level then id.
     """
     if not scores:
-        raise DomainError("no systems to rank")
+        raise DecisiveError("no systems to rank")
     absolute = {
         sid: math.hypot(float(n_al), n_cp) for sid, (n_al, n_cp) in scores.items()
     }

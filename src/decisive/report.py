@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import EmptyData, SchemaMismatch
+from .errors import DecisiveError
 
 GLYPHS = {"good": "✓", "bad": "/", "none": "X"}
 ASCII_GLYPHS = {"good": "ok", "bad": "bad", "none": "none"}
@@ -45,11 +45,11 @@ def _format_cell(cell, column: Column, ascii_glyphs: bool) -> str:
     if column.kind == "glyph":
         table = ASCII_GLYPHS if ascii_glyphs else GLYPHS
         if cell not in table:
-            raise SchemaMismatch(f"{column.header}: glyph cell {cell!r} not in {sorted(table)}")
+            raise DecisiveError(f"{column.header}: glyph cell {cell!r} not in {sorted(table)}")
         return table[cell]
     if column.kind == "number":
         if isinstance(cell, str):
-            raise SchemaMismatch(f"{column.header}: expected a number, got {cell!r}")
+            raise DecisiveError(f"{column.header}: expected a number, got {cell!r}")
         value = float(cell)
         if math.isnan(value):
             return "nan"
@@ -62,7 +62,7 @@ def _format_cell(cell, column: Column, ascii_glyphs: bool) -> str:
 def _validate(table: ReportTable) -> None:
     for i, row in enumerate(table.rows):
         if len(row) != len(table.columns):
-            raise SchemaMismatch(
+            raise DecisiveError(
                 f"{table.title}: row {i} has {len(row)} cells, expected {len(table.columns)}"
             )
 
@@ -157,7 +157,7 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
     from html import escape
 
     if not points:
-        raise EmptyData("no systems to plot")
+        raise DecisiveError("no systems to plot")
     w, h, margin = 480, 360, 50.0
     x_max = 4.0
     y_max = max(4.0, math.ceil(max(p[2] for p in points)))
@@ -216,7 +216,7 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
 def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
     """Standalone SVG polyline of (t seconds, deviation meters) samples."""
     if not samples:
-        raise EmptyData("no deviation samples")
+        raise DecisiveError("no deviation samples")
     w, h, margin = 480, 240, 45.0
     t0 = samples[0][0]
     t1 = samples[-1][0]

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import EmptySample, InvalidP0, TooFewValues
+from .errors import DecisiveError
 
 #: the rank test is exact while the smaller group has at most this many values
 EXACT_LIMIT = 8
@@ -17,7 +17,7 @@ def completion_rate(successes: int, failures: int) -> float:
     """Share of trials that succeeded."""
     total = successes + failures
     if total < 1:
-        raise EmptySample("no trials")
+        raise DecisiveError("no trials")
     return successes / total
 
 
@@ -29,10 +29,10 @@ def completion_confidence(successes: int, failures: int, p0: float) -> float:
     Ten clean trials against p0 = 0.85 give 0.803; five against 0.70 give 0.832.
     """
     if not 0.0 < p0 < 1.0:
-        raise InvalidP0(f"p0 must be inside (0, 1), got {p0}")
+        raise DecisiveError(f"p0 must be inside (0, 1), got {p0}")
     n = successes + failures
     if n < 1:
-        raise EmptySample("no trials")
+        raise DecisiveError("no trials")
     acceptance = sum(
         math.comb(n, k) * (1.0 - p0) ** k * p0 ** (n - k) for k in range(failures + 1)
     )
@@ -48,7 +48,7 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     data = sorted(float(v) for v in values)
     n = len(data)
     if n == 0:
-        raise EmptySample("no values")
+        raise DecisiveError("no values")
 
     def at(pos: float) -> float:
         # 1-based fractional position, clamped to the data range
@@ -71,7 +71,7 @@ def iqr_filter(values: Sequence[float]) -> tuple[list[float], list[float], Optio
     """
     vals = [float(v) for v in values]
     if len(vals) < 4:
-        raise TooFewValues("IQR filtering needs at least 4 values")
+        raise DecisiveError("IQR filtering needs at least 4 values")
     q1, _, q3 = quartiles(vals)
     r = q3 - q1
     lo, hi = q1 - 1.5 * r, q3 + 1.5 * r
@@ -158,7 +158,7 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     b = [float(v) for v in b]
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
-        raise EmptySample("both samples must be non-empty")
+        raise DecisiveError("both samples must be non-empty")
 
     pooled = a + b
     ranks = _midranks(pooled)
@@ -197,7 +197,7 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation; std is 0 for a single value."""
     vals = [float(v) for v in values]
     if not vals:
-        raise EmptySample("no values")
+        raise DecisiveError("no values")
     m = sum(vals) / len(vals)
     if len(vals) == 1:
         return m, 0.0
@@ -212,7 +212,7 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     primary comparison for Likert data.
     """
     if len(a) < 2 or len(b) < 2:
-        raise EmptySample("Welch's t needs at least two values per side")
+        raise DecisiveError("Welch's t needs at least two values per side")
     m1, s1 = mean_std(a)
     m2, s2 = mean_std(b)
     v1, v2 = s1**2 / len(a), s2**2 / len(b)

@@ -22,7 +22,7 @@ from . import nav as nav_mod
 from . import ncap as ncap_mod
 from . import stats as stats_mod
 from .core import APERTURE_TIERS, Campaign, tests_of_kind
-from .errors import DataQualityWarning, DecisiveError, NonPositiveScore, ParseError
+from .errors import DataQualityWarning, DecisiveError, ParseError
 from .ingest import (
     parse_capabilities,
     parse_feature_sheet,
@@ -240,14 +240,15 @@ CAMPAIGN_TABLES = {"nav": nav_tables, "collision": collision_tables, "field": fi
 
 # --- ncap --------------------------------------------------------------------
 
-def _load_weight_scheme(weights_arg: str, sheet) -> ncap_mod.WeightScheme:
+def _load_weight_scheme(weights_arg: str, sheet, features: Path) -> ncap_mod.WeightScheme:
     names = [f.name for f in sheet.table.features]
     if weights_arg == "uniform":
         return ncap_mod.WeightScheme.uniform(names)
     if weights_arg == "degree":
         missing = [n for n in names if n not in sheet.degrees]
         if missing:
-            raise ParseError(f"no degree-of-autonomy for features: {', '.join(missing)}")
+            raise ParseError(f"no degree-of-autonomy for features: {', '.join(missing)}",
+                             str(features))
         return ncap_mod.WeightScheme.degree_of_autonomy(sheet.degrees)
     return ncap_mod.WeightScheme.explicit(parse_feature_weights(weights_arg, names))
 
@@ -255,7 +256,7 @@ def _load_weight_scheme(weights_arg: str, sheet) -> ncap_mod.WeightScheme:
 def ncap_results(features: Path, weights_arg: str, caps: Path | None) -> list:
     """Ranked NcapResults for a feature sheet, a weight scheme and optional capability flags."""
     sheet, _ = parse_feature_sheet(features)
-    scheme = _load_weight_scheme(weights_arg, sheet)
+    scheme = _load_weight_scheme(weights_arg, sheet, features)
     potentials = ncap_mod.component_potential(sheet.table, scheme)
 
     caps_by_id = dict(sheet.capabilities)
@@ -263,7 +264,7 @@ def ncap_results(features: Path, weights_arg: str, caps: Path | None) -> list:
         caps_by_id.update(parse_capabilities(caps))
     missing = [sid for sid in potentials if sid not in caps_by_id]
     if missing:
-        raise ParseError(f"no capability flags for: {', '.join(sorted(missing))}")
+        raise ParseError(f"no capability flags for: {', '.join(sorted(missing))}", str(features))
 
     scores = {sid: (ncap_mod.autonomy_level(caps_by_id[sid]), potential)
               for sid, potential in potentials.items()}
@@ -325,8 +326,8 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
         scores = per_suas[suas_id]
         try:
             score = cfis_mod.predictive_score(scores)
-        except NonPositiveScore as exc:
-            raise NonPositiveScore(f"{suas_id}/{exc}") from None
+        except DecisiveError as exc:
+            raise DecisiveError(f"{suas_id}/{exc}") from None
         predictive.add_row(suas_id, len(scores), score)
     tables.append(predictive)
     return tables

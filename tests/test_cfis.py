@@ -20,14 +20,7 @@ from decisive.cfis import (
     predictive_score,
     sweep_outputs,
 )
-from decisive.errors import (
-    AllTestsMissing,
-    DataQualityWarning,
-    NonPositiveScore,
-    NoRuleFired,
-    ParseError,
-    ZeroDenominator,
-)
+from decisive.errors import DataQualityWarning, DecisiveError, ParseError
 from decisive.ingest import parse_fis_config
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "src" / "decisive" / "configs" / "takeoff_land.json"
@@ -91,7 +84,7 @@ def oracle_row(config, row):
     _, ideal = cascade({name: config.ideal_inputs.get(name, vals)
                         for name, vals in inputs.items()})
     if ideal <= 0:
-        raise ZeroDenominator("ideal-run score must be positive")
+        raise DecisiveError("ideal-run score must be positive")
     return scores, combined, min(1.0, combined / ideal)
 
 
@@ -101,18 +94,20 @@ def bits(x):
 
 def assert_matches_oracle(config, rows):
     """The column evaluator equals the oracle bit for bit on the rows the oracle
-    scores, and raises the oracle's error for the first row it fails."""
+    scores, and raises the oracle's error, of the same exit code's class, for the
+    first row it fails."""
     outcomes = []
     for row in rows:
         try:
             outcomes.append(oracle_row(config, row))
-        except (ParseError, NoRuleFired, ZeroDenominator) as exc:
+        except DecisiveError as exc:
             outcomes.append(exc)
     failing = [i for i, out in enumerate(outcomes) if isinstance(out, Exception)]
     if failing:
         first = outcomes[failing[0]]
-        with pytest.raises(type(first)) as exc:
+        with pytest.raises(DecisiveError) as exc:
             score_rows(config, rows)
+        assert type(exc.value) is type(first)
         assert str(exc.value) == f"r{failing[0]}: {first} (at f:{failing[0] + 2})"
     good = [(row, out) for row, out in zip(rows, outcomes) if not isinstance(out, Exception)]
     scored = score_rows(config, [row for row, _ in good])
@@ -213,7 +208,7 @@ class TestMembership:
         assert 0.0 <= mf_eval(med, x) <= 1.0
 
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\(2.0, 1.0, 3.0\) not ordered$"):
             TriangularMf(2.0, 1.0, 3.0, 0.0, 3.0)
 
     @given(var=variables("x"), data=st.data())
@@ -270,7 +265,7 @@ class TestFisEval:
             "x", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}
         )
         fis = Fis("gappy", {"x": var}, {"bad": 0.0}, (Rule((("x", "lo", False),), "bad"),))
-        with pytest.raises(NoRuleFired):
+        with pytest.raises(DecisiveError, match=r"^gappy: no rule fired for \{'x': 0.9\}$"):
             fis_eval(fis, {"x": 0.9})
 
     def test_missing_input(self, config):
@@ -348,7 +343,7 @@ class TestNormalizedScore:
         assert score_rows(one_axis(0.25), [{"v": 0.5}]).normalized[0] == 1.0
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator, match=r"^r0: ideal-run score must be positive \(at f:2\)$"):
+        with pytest.raises(DecisiveError, match=r"^r0: ideal-run score must be positive \(at f:2\)$"):
             score_rows(one_axis(0.0), [{"v": 0.5}])
 
     def test_ideal_run_patches_mission_inputs(self, config):
@@ -366,15 +361,17 @@ class TestCascadeErrors:
                "roll": 10, "pitch": 0, "lateral_obstruction": 1.2, "vertical_obstruction": 0.6}
 
     def test_no_rule_names_row_and_inputs_in_config_order(self, config):
-        with pytest.raises(NoRuleFired) as exc:
+        with pytest.raises(DecisiveError) as exc:
             score_rows(config, [MC_IDEAL, self.NO_RULE])
+        assert type(exc.value) is DecisiveError
         assert str(exc.value) == (
             "r1: ec: no rule fired for {'roll': 10.0, 'pitch': 0.0, "
             "'lateral_obstruction': 1.2, 'vertical_obstruction': 0.6} (at f:3)")
 
     def test_no_axis_row_after_no_rule_row(self, config):
-        with pytest.raises(NoRuleFired, match=r"^r0: ec: "):
+        with pytest.raises(DecisiveError, match=r"^r0: ec: ") as exc:
             score_rows(config, [self.NO_RULE, {"roll": 1.0}])
+        assert type(exc.value) is DecisiveError
 
     def test_no_rule_row_after_no_axis_row(self, config):
         with pytest.raises(ParseError) as exc:
@@ -393,7 +390,7 @@ class TestCascadeErrors:
         gappy = Fis("x", cfg.fis["x"].inputs, {"bad": 0.0},
                     (Rule((("v", "lo", False), ("v", "hi", False)), "bad"),))
         cfg = FisConfig("gappy", {"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
-        with pytest.raises(NoRuleFired, match=r"^r0: x: no rule fired for \{'v': 1.0\}"):
+        with pytest.raises(DecisiveError, match=r"^r0: x: no rule fired for \{'v': 1.0\}"):
             score_rows(cfg, [{"v": 1.0}])
 
 
@@ -417,11 +414,11 @@ class TestPredictiveScore:
         assert 0.6 <= score <= 0.9
 
     def test_all_missing(self):
-        with pytest.raises(AllTestsMissing):
+        with pytest.raises(DecisiveError, match="every test score is missing"):
             predictive_score({"a": None})
 
     def test_non_positive_score(self):
-        with pytest.raises(NonPositiveScore):
+        with pytest.raises(DecisiveError, match=r"a=0.0 outside \(0, 1\]"):
             predictive_score({"a": 0.0})
 
 

@@ -619,6 +619,88 @@ class TestMalformedSideFiles:
         assert err == f"error: cannot parse 'abc' as a number (at {scores}:3)\n"
 
 
+def edited(tmp_path, source, edit, name):
+    """A copy of the JSON file `source`, changed in place by `edit`, written as `name`."""
+    doc = json.loads(Path(source).read_text())
+    edit(doc)
+    return write(tmp_path / name, json.dumps(doc))
+
+
+def sa_with(edit):
+    def case(tmp_path):
+        weights = edited(tmp_path, CAMPAIGN / "sa_weights.json", edit, "w.json")
+        return ["sa", "--sagat", CAMPAIGN / "sagat.csv", "--weights", weights], weights
+    return case
+
+
+def cfis_with(edit):
+    def case(tmp_path):
+        config = edited(tmp_path, DEFAULT_FIS, edit, "fis.json")
+        return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"], config
+    return case
+
+
+def ncap_with(edit, *options):
+    def case(tmp_path):
+        sheet = edited(tmp_path, CAMPAIGN / "features.json", edit, "sheet.json")
+        return ["ncap", "--features", sheet, *options], sheet
+    return case
+
+
+def ncap_partial_weights(tmp_path):
+    weights = write(tmp_path / "w.json", json.dumps({"flight_time": 1, "charge_time": 1}))
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--weights", weights], weights
+
+
+def set_term(term, points):
+    return lambda doc: doc["fis"]["mc"]["inputs"]["crashes"]["terms"].update({term: points})
+
+
+# inputs found wrong only once their file is read: (case, the error message before "(at FILE)")
+LOAD_ERRORS = {
+    "sa-zero-saliency": (sa_with(lambda doc: doc["params"]["altitude"].update(saliency=0)),
+                         "altitude: saliency must be > 0"),
+    "sa-no-elements": (sa_with(lambda doc: doc.update(params={})), "no situation elements"),
+    "fis-two-point-term": (cfis_with(set_term("low", [0, 1])),
+                           "mc.crashes.low: need 3 points, got [0, 1]"),
+    "fis-unordered-term": (cfis_with(set_term("low", [1.25, 0, 0])),
+                           "mc.crashes.low: (1.25, 0.0, 0.0) not ordered"),
+    "fis-term-outside-range": (cfis_with(set_term("high", [1.75, 3, 4])),
+                               "mc.crashes.high: (1.75, 3.0, 4.0) outside range [0.0, 3.0]"),
+    "fis-unknown-term": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0]["if"].update(
+        crashes="few")), "mc rule 0: unknown term 'few'"),
+    "fis-cyclic-cascade": (cfis_with(lambda doc: doc["cascade"]["combined"].append("combined")),
+                           "cascade stage 'combined' takes combining stage 'combined'"),
+    "fis-no-combining-stage": (cfis_with(lambda doc: doc["cascade"].clear()),
+                               "config must declare exactly one combining stage"),
+    "fis-three-input-combiner": (cfis_with(lambda doc: doc["fis"]["combined"]["inputs"].update(
+        hi=doc["fis"]["combined"]["inputs"]["mc"])),
+        "combined: a combining stage takes 2 inputs, not 3"),
+    "fis-ideal-run-lacks-an-input": (
+        cfis_with(lambda doc: doc["ideal_inputs"]["mc"].pop("crashes")),
+        "ideal_inputs: mc: missing input 'crashes'"),
+    "fis-ideal-run-names-no-axis": (cfis_with(lambda doc: doc["ideal_inputs"].update(combined={})),
+                                    "ideal_inputs: 'combined' is not an axis system"),
+    "ncap-weights-lack-features": (ncap_partial_weights, "weight file lacks features: "
+                                   "stream_resolution, fov, max_range, thermal_resolution, "
+                                   "weight, max_speed, sensors, smart_behaviors"),
+    "ncap-no-degree": (
+        ncap_with(lambda doc: doc["features"][1].pop("degree"), "--weights", "degree"),
+        "no degree-of-autonomy for features: charge_time"),
+    "ncap-no-capabilities": (
+        ncap_with(lambda doc: [system.pop("capabilities") for system in doc["systems"]]),
+        "no capability flags for: alpha, bravo"),
+}
+
+
+class TestLoadErrorsNameTheFile:
+    @pytest.mark.parametrize("name", sorted(LOAD_ERRORS))
+    def test_input_error_line(self, capsys, tmp_path, name):
+        case, message = LOAD_ERRORS[name]
+        argv, bad = case(tmp_path)
+        assert run(capsys, *argv) == (1, "", f"error: {message} (at {bad})\n")
+
+
 def with_entry(directory, entry_id, key, value):
     """The sample campaign's manifest, written into `directory`, with one key of one test
     or trial replaced."""

@@ -1,6 +1,6 @@
 import pytest
 
-from decisive.errors import EmptySample, ZeroDuration
+from decisive.errors import DecisiveError
 from decisive.field import (
     Criterion,
     NlosPosition,
@@ -31,7 +31,7 @@ class TestEndurance:
             assert distance % 13.0 == 0.0
 
     def test_zero_duration(self):
-        with pytest.raises(ZeroDuration):
+        with pytest.raises(DecisiveError, match="duration must be positive"):
             endurance_metrics(5, 0.0)
 
 
@@ -103,5 +103,5 @@ class TestRequirements:
         assert result.missing == ("hd_video_min",)
 
     def test_no_criteria(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(DecisiveError, match="no criteria provided"):
             requirements_met({"a": 1}, [])

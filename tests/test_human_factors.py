@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decisive.errors import (
-    DataQualityWarning,
-    EmptyCondition,
-    LengthMismatch,
-    NonPositiveParam,
-)
+from decisive.errors import DataQualityWarning, DecisiveError
 from decisive.human_factors import (
     SagatResponse,
     SeParams,
@@ -63,7 +58,7 @@ class TestAttentionAllocation:
         assert sum(GOLDEN_F_COLUMN) == pytest.approx(1.0, abs=1e-9)
 
     def test_non_positive_param(self):
-        with pytest.raises(NonPositiveParam):
+        with pytest.raises(DecisiveError, match="bad: saliency must be > 0"):
             SeParams("bad", 0.0, 1.0, 1.0, 1.0)
 
 
@@ -122,7 +117,7 @@ class TestOsa:
         assert 0.0 <= osa(weights, perception) <= 1.0
 
     def test_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DecisiveError, match="vectors cover different elements"):
             osa({"a": 1.0}, {"b": 1.0})
 
     def test_summary(self):
@@ -190,7 +185,7 @@ class TestTrustPipeline:
 
     def test_empty_condition(self):
         rows = survey_rows("A", ["p1"], lambda p: [("i1", 4)])
-        with pytest.raises(EmptyCondition):
+        with pytest.raises(DecisiveError, match="no valid rows for condition 'B'"):
             trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
 
     def test_outliers_fenced_within_condition(self):

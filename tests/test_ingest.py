@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import warnings
@@ -5,26 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from decisive import ingest
 
-from decisive.errors import (
-    CyclicCascade,
-    DataQualityWarning,
-    DecisiveError,
-    DanglingReference,
-    MalformedTuple,
-    MissingColumn,
-    MissingDirection,
-    NonMonotonicTime,
-    NonNumericField,
-    ParseError,
-    SchemaVersionUnsupported,
-    ScoreOutOfRange,
-    UnknownCategory,
-    UnknownInstrument,
-    UnknownTerm,
-)
+from decisive.errors import DataQualityWarning, DecisiveError, ParseError
 from decisive.core import ObstacleGeometry
 from decisive.field import Criterion, NlosPosition
 from decisive.ingest import (
@@ -58,31 +45,31 @@ class TestTelemetry:
         rows[6:6] = []  # header is line 1; data rows are lines 2-6
         rows.append("0.1,9,0,1")  # line 7 goes backwards
         p = write(tmp_path / "t.csv", "\n".join(rows) + "\n")
-        with pytest.raises(NonMonotonicTime) as exc:
+        with pytest.raises(ParseError, match="time 0.1 does not increase past 0.4") as exc:
             parse_telemetry(p)
         assert exc.value.location == 7
 
     def test_non_numeric_field(self, tmp_path):
         p = write(tmp_path / "t.csv", "t,x,y,z\n0,0,0,1\n0.1,oops,0,1\n")
-        with pytest.raises(NonNumericField) as exc:
+        with pytest.raises(ParseError, match="cannot parse 'oops' as a number") as exc:
             parse_telemetry(p)
         assert exc.value.location == 3
 
     def test_row_error_names_file_and_line(self, tmp_path):
         p = write(tmp_path / "t.csv", "t,x,y,z\n0,0,0,1\n0.1,oops,0,1\n")
-        with pytest.raises(NonNumericField) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_telemetry(p)
         assert (exc.value.source, exc.value.location) == (str(p), 3)
         assert str(exc.value) == f"cannot parse 'oops' as a number (at {p}:3)"
 
     def test_missing_column(self, tmp_path):
         p = write(tmp_path / "t.csv", "t,x,y\n0,0,0\n1,1,1\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(ParseError, match=re.escape(f"missing column 'z' (at {p})")):
             parse_telemetry(p)
 
     def test_partial_velocity_group_rejected(self, tmp_path):
         p = write(tmp_path / "t.csv", "t,x,y,z,vx\n0,0,0,1,0\n1,1,0,1,0\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(ParseError, match=r"columns \('vx', 'vy', 'vz'\) must appear together"):
             parse_telemetry(p)
 
     def test_acceleration_columns_carried(self, tmp_path):
@@ -210,17 +197,17 @@ class TestTelemetryColumnsAgreeWithRowLoop:
             traj, _ = parse_telemetry(p)
         assert got[0] == "ok" and len(got[2]) == 2 and traj.pos[:, 0].tolist() == [1.0, 4.0, 7.0]
 
-    @pytest.mark.parametrize("row, error, message", [
-        ("#0.15,1,0,1", NonNumericField, "cannot parse '#0.15' as a number"),
-        ("0.15,1,0", MissingColumn, "row has 3 fields, needs 4"),
-        ("0.15,nan,0,1", NonNumericField, "'nan' is not a finite number"),
-        ("0.15,1,-inf,1", NonNumericField, "'-inf' is not a finite number"),
-        ("0.1,1,0,1", NonMonotonicTime, "time 0.1 does not increase past 0.1"),
+    @pytest.mark.parametrize("row, message", [
+        ("#0.15,1,0,1", "cannot parse '#0.15' as a number"),
+        ("0.15,1,0", "row has 3 fields, needs 4"),
+        ("0.15,nan,0,1", "'nan' is not a finite number"),
+        ("0.15,1,-inf,1", "'-inf' is not a finite number"),
+        ("0.1,1,0,1", "time 0.1 does not increase past 0.1"),
     ])
-    def test_bad_row_keeps_row_loop_error(self, row, error, message, tmp_path, monkeypatch):
+    def test_bad_row_keeps_row_loop_error(self, row, message, tmp_path, monkeypatch):
         p = write(tmp_path / "t.csv", f"t,x,y,z\n0,0,0,1\n0.1,1,0,1\n{row}\n0.2,2,0,1\n")
         got = self.check(p, monkeypatch, fast=False)
-        assert got[1:3] == (error, f"{message} (at {p}:4)")
+        assert got[1:3] == (ParseError, f"{message} (at {p}:4)")
 
     def test_undecodable_byte_past_the_header(self, tmp_path, monkeypatch):
         rows = "".join(f"{0.01 * i:.2f},1,0,1\n" for i in range(2000))  # past one read chunk
@@ -262,7 +249,7 @@ class TestCampaign:
             "outcome": "success", "oa_category": "OA-B5",
         }])
         p = write(tmp_path / "c.json", json.dumps(doc))
-        with pytest.raises(UnknownCategory):
+        with pytest.raises(ParseError, match=re.escape(f"trial t1: oa_category 'OA-B5' (at {p})")):
             parse_campaign(p)
 
     def test_dangling_test_reference(self, tmp_path):
@@ -270,9 +257,9 @@ class TestCampaign:
             "trial_id": "t9", "test_id": "nope", "suas_id": "alpha", "outcome": "success",
         }])
         p = write(tmp_path / "c.json", json.dumps(doc))
-        with pytest.raises(DanglingReference) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_campaign(p)
-        assert "t9" in str(exc.value)
+        assert str(exc.value) == f"trial t9 references unknown test 'nope' (at {p})"
 
     def test_missing_telemetry_file(self, tmp_path):
         doc = manifest_doc(trials=[{
@@ -280,7 +267,7 @@ class TestCampaign:
             "outcome": "success", "telemetry": "gone.csv",
         }])
         p = write(tmp_path / "c.json", json.dumps(doc))
-        with pytest.raises(DanglingReference):
+        with pytest.raises(ParseError, match="trial t1: telemetry file 'gone.csv' not found"):
             parse_campaign(p)
 
     @pytest.mark.parametrize("key, value, reason", [
@@ -332,7 +319,7 @@ class TestCampaign:
 
     def test_unsupported_schema(self, tmp_path):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(schema_version=99)))
-        with pytest.raises(SchemaVersionUnsupported):
+        with pytest.raises(ParseError, match=re.escape(f"schema_version 99 (at {p})")):
             parse_campaign(p)
 
     def test_five_flight_example(self, tmp_path):
@@ -416,7 +403,7 @@ class TestCampaignTests:
     def test_missing_side_file_is_dangling(self, tmp_path):
         test = {"test_id": "m", "kind": "mapping", "observations": "gone.csv"}
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[test])))
-        with pytest.raises(DanglingReference, match="test m: observations file 'gone.csv' not found"):
+        with pytest.raises(ParseError, match="test m: observations file 'gone.csv' not found"):
             parse_campaign(p)
 
 
@@ -425,17 +412,17 @@ class TestSurvey:
 
     def test_score_out_of_range(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "p1,CTPA,i1,8,true,A\n")
-        with pytest.raises(ScoreOutOfRange):
+        with pytest.raises(ParseError, match=re.escape(f"score '8' outside 1..7 (at {p}:2)")):
             parse_survey(p)
 
     def test_non_finite_score(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "p1,CTPA,i1,nan,true,A\n")
-        with pytest.raises(NonNumericField, match=re.escape(f"'nan' is not a finite number (at {p}:2)")):
+        with pytest.raises(ParseError, match=re.escape(f"'nan' is not a finite number (at {p}:2)")):
             parse_survey(p)
 
     def test_unknown_instrument(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "p1,NASA-TLX,i1,4,true,A\n")
-        with pytest.raises(UnknownInstrument):
+        with pytest.raises(ParseError, match=re.escape(f"instrument 'NASA-TLX' (at {p}:2)")):
             parse_survey(p)
 
     def test_duplicate_last_wins_with_warning(self, tmp_path):
@@ -475,7 +462,7 @@ class TestSagat:
             tmp_path / "g.csv",
             "participant_id,question_id,se_id,sa_level,correct\np1,q1,alt,3,true\n",
         )
-        with pytest.raises(ScoreOutOfRange):
+        with pytest.raises(ParseError, match=re.escape(f"sa_level '3' must be 1 or 2 (at {p}:2)")):
             parse_sagat(p)
 
 
@@ -508,7 +495,8 @@ class TestFeatureSheet:
     def test_missing_direction(self, tmp_path):
         doc = self.sheet(features=[{"name": "flight_time"}])
         p = write(tmp_path / "f.json", json.dumps(doc))
-        with pytest.raises(MissingDirection):
+        with pytest.raises(ParseError, match=re.escape(
+                f"feature 'flight_time' has no direction (at {p})")):
             parse_feature_sheet(p)
 
     def test_na_parses_as_absent(self, tmp_path):
@@ -535,8 +523,17 @@ class TestFisConfig:
                         {"if": {"crashes": "high"}, "then": "bad"},
                     ],
                 },
+                "combined": {
+                    "inputs": {v: {"range": [0, 1], "terms": {"low": [0, 0, 1], "high": [0, 1, 1]}}
+                               for v in ("mc", "ec")},
+                    "outputs": {"bad": 0.0, "good": 1.0},
+                    "rules": [
+                        {"if": {"mc": "low"}, "then": "bad"},
+                        {"if": {"mc": "high"}, "then": "good"},
+                    ],
+                },
             },
-            "cascade": {},
+            "cascade": {"combined": ["mc"]},
         }
 
     def test_accepts_shoulder_tuple(self, tmp_path):
@@ -548,21 +545,24 @@ class TestFisConfig:
         doc = self.config()
         doc["fis"]["mc"]["inputs"]["crashes"]["terms"]["low"] = [2, 1, 3]
         p = write(tmp_path / "f.json", json.dumps(doc))
-        with pytest.raises(MalformedTuple):
+        with pytest.raises(ParseError, match=re.escape(
+                f"mc.crashes.low: (2.0, 1.0, 3.0) not ordered (at {p})")):
             parse_fis_config(p)
 
     def test_truncated_tuple(self, tmp_path):
         doc = self.config()
         doc["fis"]["mc"]["inputs"]["crashes"]["terms"]["low"] = [0.7, 1]
         p = write(tmp_path / "f.json", json.dumps(doc))
-        with pytest.raises(MalformedTuple):
+        with pytest.raises(ParseError, match=re.escape(
+                f"mc.crashes.low: need 3 points, got [0.7, 1] (at {p})")):
             parse_fis_config(p)
 
     def test_unknown_term_in_rule(self, tmp_path):
         doc = self.config()
         doc["fis"]["mc"]["rules"][0]["if"]["crashes"] = "not medium"
         p = write(tmp_path / "f.json", json.dumps(doc))
-        with pytest.raises(UnknownTerm):
+        with pytest.raises(ParseError, match=re.escape(
+                f"mc rule 0: unknown term 'not medium' (at {p})")):
             parse_fis_config(p)
 
     def test_cyclic_cascade(self, tmp_path):
@@ -570,7 +570,8 @@ class TestFisConfig:
         doc["fis"]["combined"] = doc["fis"]["mc"]
         doc["cascade"] = {"combined": ["combined"]}
         p = write(tmp_path / "f.json", json.dumps(doc))
-        with pytest.raises(CyclicCascade):
+        with pytest.raises(ParseError, match=re.escape(
+                f"cascade stage 'combined' takes combining stage 'combined' (at {p})")):
             parse_fis_config(p)
 
     def test_coverage_gap_warns(self, tmp_path):
@@ -589,6 +590,64 @@ class TestFisConfig:
         mc = config.fis["mc"].inputs
         assert mc["crashes"].aliases == {"many": "high"}
         assert {"crashes", "completion", "rollovers"} == set(mc)
+
+
+FIS_CONFIG = Path(ingest.__file__).parent / "configs" / "takeoff_land.json"
+FIS_DOC = json.loads(FIS_CONFIG.read_text())
+# one value of each JSON type
+JSON_VALUES = {"null": None, "boolean": True, "number": 2, "string": "x", "array": [1],
+               "object": {"x": 1}}
+
+
+def json_type(value) -> str:
+    kinds = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string",
+             list: "array", dict: "object"}
+    return kinds[type(value)]
+
+
+def entries(value, path=()):
+    """(path, value) of every entry of every object and array in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from entries(child, path + (key,))
+
+
+# each leaf set to a value of every other JSON type, and each object key deleted
+FIS_MUTATIONS = [
+    (path, kind) for path, value in entries(FIS_DOC) if not isinstance(value, (dict, list))
+    for kind in JSON_VALUES if kind != json_type(value)
+] + [(path, "delete") for path, _ in entries(FIS_DOC) if isinstance(path[-1], str)]
+
+
+@pytest.fixture(scope="module")
+def fis_target(tmp_path_factory):
+    return tmp_path_factory.mktemp("fis") / "fis.json"
+
+
+class TestFisConfigFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=st.sampled_from(FIS_MUTATIONS))
+    def test_one_wrong_leaf_or_missing_key_loads_or_names_the_file(self, fis_target, mutation):
+        path, kind = mutation
+        doc = copy.deepcopy(FIS_DOC)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(JSON_VALUES[kind])
+        fis_target.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataQualityWarning)
+            try:
+                parse_fis_config(fis_target)
+            except ParseError as exc:
+                assert str(exc).endswith(f"(at {fis_target})")
 
 
 class TestCriteria:
@@ -616,19 +675,19 @@ class TestFiducialObservations:
     def test_short_row_names_line(self, tmp_path):
         p = write(tmp_path / "f.csv",
                   "fiducial_id,half,x,y,mapped\nA,1,0.0,0.0,complete\nB,1,0.5\n")
-        with pytest.raises(MissingColumn, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
+        with pytest.raises(ParseError, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
             parse_fiducial_observations(p)
 
     @pytest.mark.parametrize("x", ["nan", "inf", "-Infinity"])
     def test_non_finite_position_names_line(self, tmp_path, x):
         p = write(tmp_path / "f.csv", f"fiducial_id,half,x,y,mapped\nA,1,{x},0.0,complete\n")
-        with pytest.raises(NonNumericField, match=re.escape(f"{x!r} is not a finite number (at {p}:2)")):
+        with pytest.raises(ParseError, match=re.escape(f"{x!r} is not a finite number (at {p}:2)")):
             parse_fiducial_observations(p)
 
     def test_missing_row_may_stop_before_position(self, tmp_path):
         p = write(tmp_path / "f.csv",
                   "fiducial_id,half,mapped,x,y\nA,2,missing\nB,1,complete\n")
-        with pytest.raises(MissingColumn, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
+        with pytest.raises(ParseError, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
             parse_fiducial_observations(p)
         obs, _ = parse_fiducial_observations(write(tmp_path / "g.csv",
                                                     "fiducial_id,half,mapped,x,y\nA,2,missing\n"))

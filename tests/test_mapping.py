@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from decisive.errors import CountOutOfRange, EmptySample, LengthMismatch, TooFewFiducials
+from decisive.errors import DecisiveError
 from decisive.mapping import (
     FiducialGroundTruth,
     FiducialObservation,
@@ -41,7 +41,7 @@ class TestDimensionalAccuracy:
         assert dimensional_accuracy([1.8, 1.8], [2.0, 2.0]) == pytest.approx(90.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DecisiveError, match="1 reported vs 2 truth values"):
             dimensional_accuracy([1.0], [1.0, 2.0])
 
 
@@ -56,9 +56,9 @@ class TestFovCoverage:
         assert fov_coverage(11, 16) == pytest.approx(68.75)
 
     def test_out_of_range(self):
-        with pytest.raises(CountOutOfRange):
+        with pytest.raises(DecisiveError, match=r"visible count 5 outside \[0, 4\]"):
             fov_coverage(5, 4)
-        with pytest.raises(CountOutOfRange):
+        with pytest.raises(DecisiveError, match="total must be positive"):
             fov_coverage(0, 0)
 
 
@@ -73,7 +73,7 @@ class TestShapeAccuracy:
         assert shape_accuracy_rate(["shifted"] * 3) == 0.0
 
     def test_empty(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(DecisiveError, match="no fiducial classifications"):
             shape_accuracy_rate([])
 
 
@@ -141,7 +141,7 @@ class TestGlobalError:
     def test_too_few(self):
         truth = unit_square_truth()[:2]
         obs = observations([(g.fiducial_id, g.gt_xy) for g in truth])
-        with pytest.raises(TooFewFiducials):
+        with pytest.raises(DecisiveError, match="need >= 3 matched fiducials, have 2"):
             global_error(obs, truth)
 
 
@@ -189,5 +189,5 @@ class TestAcuitySummary:
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):
             acuity_summary([7.0])
-        with pytest.raises(EmptySample):
+        with pytest.raises(DecisiveError, match="no acuity readings"):
             acuity_summary([])

@@ -3,7 +3,7 @@ import xml.dom.minidom
 
 import pytest
 
-from decisive.errors import EmptyData, SchemaMismatch
+from decisive.errors import DecisiveError
 from decisive.report import (
     Column,
     ReportTable,
@@ -52,7 +52,7 @@ class TestRenderTable:
     def test_json_checks_the_schema(self):
         table = sample_table()
         table.rows.append(["short"])
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(DecisiveError, match="row 2 has 1 cells, expected 3"):
             render_tables([table], "json")
 
     def test_deterministic(self):
@@ -67,13 +67,13 @@ class TestRenderTable:
     def test_schema_mismatch_row_length(self):
         table = sample_table()
         table.rows.append(["short"])
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(DecisiveError, match="row 2 has 1 cells, expected 3"):
             render_table(table, "md")
 
     def test_glyph_vocabulary_enforced(self):
         table = ReportTable("Glyphs", [Column("status", "glyph")])
         table.add_row("excellent")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(DecisiveError, match="glyph cell 'excellent' not in"):
             render_table(table, "md")
 
     def test_csv_quoting(self):
@@ -106,7 +106,7 @@ class TestPlotSvg:
         assert b"<polyline" in svg
 
     def test_empty_data(self):
-        with pytest.raises(EmptyData):
+        with pytest.raises(DecisiveError, match="no systems to plot"):
             ncap_scatter_svg([])
-        with pytest.raises(EmptyData):
+        with pytest.raises(DecisiveError, match="no deviation samples"):
             deviation_svg([])

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decisive import stats
-from decisive.errors import EmptySample, InvalidP0, TooFewValues
+from decisive.errors import DecisiveError
 from decisive.stats import (
     completion_confidence,
     completion_rate,
@@ -34,7 +34,7 @@ class TestCompletionConfidence:
 
     def test_invalid_threshold(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(InvalidP0):
+            with pytest.raises(DecisiveError, match=r"p0 must be inside \(0, 1\)"):
                 completion_confidence(5, 0, bad)
 
     def test_decreasing_in_p0(self):
@@ -49,7 +49,7 @@ class TestCompletionConfidence:
         rate = completion_rate(4, 1)
         assert isinstance(rate, float)
         assert rate == pytest.approx(0.8)
-        with pytest.raises(EmptySample):
+        with pytest.raises(DecisiveError, match="no trials"):
             completion_rate(0, 0)
 
 
@@ -81,7 +81,7 @@ class TestQuartiles:
         assert warning is not None
 
     def test_too_few(self):
-        with pytest.raises(TooFewValues):
+        with pytest.raises(DecisiveError, match="IQR filtering needs at least 4 values"):
             iqr_filter([1, 2, 3])
 
     def test_filter_is_fixed_point_when_nothing_removed(self):
@@ -144,7 +144,7 @@ class TestMannWhitney:
         assert (result.u, result.p_two_sided) == (0.0, 0.2)
 
     def test_empty(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(DecisiveError, match="both samples must be non-empty"):
             mann_whitney([], [1.0])
 
     def test_exact_matches_enumeration_oracle(self):
@@ -288,5 +288,5 @@ class TestWelchT:
         assert t == 0.0 and p == 1.0
 
     def test_needs_two_per_side(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(DecisiveError, match="Welch's t needs at least two values per side"):
             welch_t([1], [2, 3])
