@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _diag(str(exc))
         return 1
-    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except OSError as exc:  # a file that cannot be opened or written
         _diag(f"invalid input: {exc}")
         return 1
     except DecisiveError as exc:

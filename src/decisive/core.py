@@ -128,7 +128,7 @@ class TrialRecord:
 class EnvironmentProfile:
     """Where a test ran: lighting class, dimensions, surfaces, obstructions."""
 
-    lighting: str  # lighted | dark
+    lighting: str = "lighted"  # lighted | dark
     dims: Optional[Vec3] = None  # (W, L, H) meters
     surfaces: tuple[str, ...] = ()
     obstructions: tuple[tuple[int, str], ...] = ()

@@ -78,7 +78,7 @@ class Criterion:
             number = float(response)
         except (TypeError, ValueError):
             return False
-        return number >= float(self.value) if self.op == "min" else number <= float(self.value)
+        return number >= self.value if self.op == "min" else number <= self.value
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Parsers for every on-disk input: telemetry, manifests, surveys, sheets, configs.
 
-Every parser is total: a file either yields a value (for the data files, plus
-a ParseReport of what was loaded) or a structured error naming the offending
-location. Non-fatal issues are issued as DataQualityWarnings, each naming the
-file and location, at the moment they are found. Formats are deliberately
-plain: CSV with required headers for recorded data, JSON with an explicit
-schema_version for manifests and configuration. UTF-8, '.' decimal separator,
-',' delimiter.
+Every parser is total: a file yields a value (for the data files, plus a
+ParseReport of what was loaded) or a ParseError naming the file and location.
+Non-fatal issues are DataQualityWarnings, issued where they are found. CSV
+files have required headers (`_columns`). This module alone decides the type
+of a JSON value: each value a parser reads goes through `_json`, `_numbers`,
+`_count` or `_fields`, so a wrong type fails at load, naming its file.
+UTF-8, '.' decimal separator, ',' delimiter.
 """
 
 from __future__ import annotations
@@ -121,6 +121,14 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
+def _columns(header: list[str], names, path) -> dict[str, int]:
+    """The index in `header` of each of `names`, failing at the first one it lacks."""
+    for col in names:
+        if col not in header:
+            raise ParseError(f"missing column {col!r}", str(path))
+    return {col: header.index(col) for col in names}
+
+
 def _rows_of_width(rows, width: int):
     """The rows in order, raising at the first one with fewer than `width` fields."""
     for line, row in rows:
@@ -167,9 +175,9 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
             body = fh.read()
         except UnicodeDecodeError:  # the row loop re-reads the file and reports it
             body = None
-    for col in REQUIRED_TELEMETRY:
-        if col not in header:
-            raise ParseError(f"missing column {col!r}", str(path))
+    has_vel, has_acc = (all(c in header for c in group) for group in (VEL_COLUMNS, ACC_COLUMNS))
+    fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
+    cols = list(_columns(header, fields, path).values())
     for group in (VEL_COLUMNS, ACC_COLUMNS):
         present = [c for c in group if c in header]
         if present and len(present) != 3:
@@ -181,12 +189,6 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
         if col not in known:
             report.warn(1, f"ignoring unknown column {col!r}")
 
-    idx = {c: header.index(c) for c in header if c in known}
-    has_vel = all(c in idx for c in VEL_COLUMNS)
-    has_acc = all(c in idx for c in ACC_COLUMNS)
-
-    fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
-    cols = [idx[c] for c in fields]
     table = _telemetry_columns(body, cols)
     if table is None:
         table = _telemetry_rows(path, cols)
@@ -253,12 +255,14 @@ def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
 def parse_criteria(path) -> tuple[list[Criterion], ParseReport]:
     """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
     report = ParseReport(str(path))
-    doc = _load_json(path)
     out = []
-    for field_name, spec in doc.items():
+    for field_name, spec in _json(_load_json(path), dict).items():
         try:
-            out.append(Criterion(field_name, spec["op"], spec["value"]))
-        except (KeyError, ValueError) as exc:
+            op, value = _json(spec, dict)["op"], spec["value"]
+            if op in ("min", "max", "contains"):  # an `equals` value may be of any type
+                value = _json(value, str if op == "contains" else float)
+            out.append(Criterion(field_name, op, value))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"criterion {field_name!r}: {exc}", str(path))
     report.counts["criteria"] = len(out)
     return out, report
@@ -273,10 +277,7 @@ FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
 def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseReport]:
     report = ParseReport(str(path))
     header, rows = _read_rows(path)
-    for col in FIDUCIAL_COLUMNS:
-        if col not in header:
-            raise ParseError(f"missing column {col!r}", str(path))
-    idx = {c: header.index(c) for c in FIDUCIAL_COLUMNS}
+    idx = _columns(header, FIDUCIAL_COLUMNS, path)
     # a missing fiducial has no position, so its row may stop before x and y
     unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
     mapped_width = max(idx.values()) + 1
@@ -325,11 +326,12 @@ class CampaignTest:
     acuity_levels: tuple[float, ...] | None = None
 
 
-_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number",
+               bool: "a boolean"}
 
 
 def _json(value, kind):
-    """`value` if it is a JSON value of `kind`: dict, list, str, or float for any number."""
+    """`value` if it is a JSON value of `kind`: dict, list, str, bool, or float for any number."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number if kind is float else isinstance(value, kind)):
         raise TypeError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(value)}")
@@ -353,13 +355,13 @@ def _count(value) -> int:
 
 
 def _obstructions(value) -> tuple[tuple[int, str], ...]:
-    return tuple((int(count), material) for count, material in value)
+    return tuple((_count(count), _json(material, str)) for count, material in _json(value, list))
 
 
 def _reference_path(spec) -> ReferencePath:
     spec = _json(spec, dict)
     vertices = tuple(_numbers(v, 3) for v in _json(spec["vertices"], list))
-    return ReferencePath(vertices, bool(spec.get("closed", False)))
+    return ReferencePath(vertices, _json(spec.get("closed", False), bool))
 
 
 def _obstacle(spec) -> ObstacleGeometry:
@@ -372,14 +374,14 @@ def _obstacle(spec) -> ObstacleGeometry:
 def _nlos_position(e: dict) -> NlosPosition:
     latency = e.get("latency_ms")
     return NlosPosition(_json(e["label"], str), _json(e["distance"], float),
-                        _obstructions(e.get("obstructions", ())), e.get("connect", "none"),
+                        _obstructions(e.get("obstructions", [])), e.get("connect", "none"),
                         e.get("fly", "not_possible"),
                         None if latency is None else _json(latency, float))
 
 
 def _fiducial(e: dict) -> FiducialGroundTruth:
     return FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
-                               _json(e["min_traversal"], float), int(_json(e["min_turns"], float)))
+                               _json(e["min_traversal"], float), _count(e["min_turns"]))
 
 
 def _pair(value, first: str, second: str, convert) -> tuple:
@@ -405,7 +407,7 @@ _TEST_BLOCKS = {
         "observations": lambda v: _json(v, str),
         "shape_classes": lambda v: {k: _json(c, str) for k, c in _json(v, dict).items()},
         "dimensions": lambda v: _pair(v, "reported", "truth", _numbers),
-        "fov": lambda v: _pair(v, "visible", "total", lambda n: int(_json(n, float))),
+        "fov": lambda v: _pair(v, "visible", "total", _count),
         "acuity_levels": _numbers,
     },
 }
@@ -453,14 +455,35 @@ def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
     return tuple(_SIDE_FILES[key](path)[0])
 
 
+def _fields(entry: dict, kinds: dict, owner: str, path) -> dict:
+    """The keys of `kinds` in `entry`, not null, each read as its `_json` kind or converter."""
+    out = {}
+    for key, kind in kinds.items():
+        if entry.get(key) is not None:
+            try:
+                out[key] = _json(entry[key], kind) if kind in _JSON_NAMES else kind(entry[key])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{owner}: bad {key!r} field ({exc})", str(path))
+    return out
+
+
+#: the kind of each environment field, named as in EnvironmentProfile, and of each trial field
+_ENVIRONMENT_FIELDS = {"lighting": str, "dims": lambda v: _numbers(v, 3), "indoor": bool,
+                       "surfaces": lambda v: tuple(_json(s, str) for s in _json(v, list)),
+                       "obstructions": _obstructions, "lux": float}
+_TRIAL_FIELDS = {"trial_id": str, "test_id": str, "suas_id": str, "telemetry": str,
+                 "laps": _count, "collisions": _count, "rollovers": _count,
+                 "t_collision_s": float, "duration_min": float}
+
+
 @_total
 def parse_campaign(path) -> tuple[Campaign, ParseReport]:
     """Load and cross-validate a campaign manifest, converting every test block it reads."""
     path = Path(path)
     report = ParseReport(str(path))
-    doc = _load_json(path)
+    doc = _json(_load_json(path), dict)
 
-    version = doc.get("schema_version")
+    version = _fields(doc, {"schema_version": _count}, "manifest", path).get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
         raise ParseError(f"schema_version {version!r}", str(path))
 
@@ -468,7 +491,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
     for entry in doc.get("suas", []):
         if "id" not in entry:
             raise ParseError("sUAS entry missing 'id'", str(path))
-        suas[entry["id"]] = entry
+        suas[_json(entry["id"], str)] = entry
 
     environments = {}
     for entry in doc.get("environments", []):
@@ -476,13 +499,7 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
         if env_id is None:
             raise ParseError("environment entry missing 'id'", str(path))
         environments[env_id] = EnvironmentProfile(
-            lighting=entry.get("lighting", "lighted"),
-            dims=tuple(entry["dims"]) if "dims" in entry else None,
-            surfaces=tuple(entry.get("surfaces", ())),
-            obstructions=_obstructions(entry.get("obstructions", ())),
-            indoor=bool(entry.get("indoor", True)),
-            lux=entry.get("lux"),
-        )
+            **_fields(entry, _ENVIRONMENT_FIELDS, f"environment {env_id}", path))
 
     tests = {}
     for entry in doc.get("tests", []):
@@ -494,18 +511,19 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             raise ParseError(
                 f"test {test_id} references environment {env_ref!r}", str(path)
             )
-        tests[test_id] = _campaign_test(entry, path)
+        tests[_json(test_id, str)] = _campaign_test(entry, path)
 
     trials = []
     for entry in doc.get("trials", []):
-        trial_id = entry.get("trial_id", "?")
-        if entry.get("test_id") not in tests:
+        typed = _fields(entry, _TRIAL_FIELDS, f"trial {entry.get('trial_id', '?')}", path)
+        trial_id = typed.get("trial_id", "?")
+        if typed.get("test_id") not in tests:
             raise ParseError(
-                f"trial {trial_id} references unknown test {entry.get('test_id')!r}", str(path)
+                f"trial {trial_id} references unknown test {typed.get('test_id')!r}", str(path)
             )
-        if entry.get("suas_id") not in suas:
+        if typed.get("suas_id") not in suas:
             raise ParseError(
-                f"trial {trial_id} references unknown sUAS {entry.get('suas_id')!r}", str(path)
+                f"trial {trial_id} references unknown sUAS {typed.get('suas_id')!r}", str(path)
             )
         for key, vocab in (
             ("oa_category", OA_CATEGORIES),
@@ -515,37 +533,25 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             value = entry.get(key)
             if value is not None and value not in vocab:
                 raise ParseError(f"trial {trial_id}: {key} {value!r}", str(path))
-        typed = {}
-        for key, convert, default in (
-            ("laps", _count, None),
-            ("t_collision_s", lambda v: _json(v, float), None),
-            ("collisions", _count, 0),
-            ("rollovers", _count, 0),
-            ("duration_min", lambda v: _json(v, float), 0.0),
-        ):
-            try:
-                typed[key] = default if entry.get(key) is None else convert(entry[key])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"trial {trial_id}: bad {key!r} field ({exc})", str(path))
-        telemetry = entry.get("telemetry") and path.parent / entry["telemetry"]
+        telemetry = typed.get("telemetry") and path.parent / typed["telemetry"]
         if telemetry and not telemetry.is_file():
             raise ParseError(
-                f"trial {trial_id}: telemetry file {entry['telemetry']!r} not found", str(path)
+                f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found", str(path)
             )
         trials.append(
             TrialRecord(
                 trial_id=trial_id,
-                test_id=entry["test_id"],
-                suas_id=entry["suas_id"],
+                test_id=typed["test_id"],
+                suas_id=typed["suas_id"],
                 outcome=entry.get("outcome", "success"),
-                collisions=typed["collisions"],
-                rollovers=typed["rollovers"],
+                collisions=typed.get("collisions", 0),
+                rollovers=typed.get("rollovers", 0),
                 oa_category=entry.get("oa_category"),
                 cr_category=entry.get("cr_category"),
                 aperture_tier=entry.get("aperture_tier"),
-                t_collision=typed["t_collision_s"],
-                duration=typed["duration_min"],
-                laps=typed["laps"],
+                t_collision=typed.get("t_collision_s"),
+                duration=typed.get("duration_min", 0.0),
+                laps=typed.get("laps"),
                 telemetry=telemetry,
                 notes=entry.get("notes", ""),
             )
@@ -575,10 +581,7 @@ def parse_survey(path) -> tuple[SurveyDataset, ParseReport]:
     """Load Likert survey rows; duplicate (participant, instrument, item) keeps the last."""
     report = ParseReport(str(path))
     header, rows = _read_rows(path)
-    for col in SURVEY_COLUMNS:
-        if col not in header:
-            raise ParseError(f"missing column {col!r}", str(path))
-    idx = {c: header.index(c) for c in SURVEY_COLUMNS}
+    idx = _columns(header, SURVEY_COLUMNS, path)
 
     by_key: dict[tuple[str, str, str], SurveyRow] = {}
     for line, row in _rows_of_width(rows, max(idx.values()) + 1):
@@ -623,10 +626,7 @@ SAGAT_COLUMNS = ("participant_id", "question_id", "se_id", "sa_level", "correct"
 def parse_sagat(path) -> tuple[list[SagatResponse], ParseReport]:
     report = ParseReport(str(path))
     header, rows = _read_rows(path)
-    for col in SAGAT_COLUMNS:
-        if col not in header:
-            raise ParseError(f"missing column {col!r}", str(path))
-    idx = {c: header.index(c) for c in SAGAT_COLUMNS}
+    idx = _columns(header, SAGAT_COLUMNS, path)
     out = []
     for line, row in _rows_of_width(rows, max(idx.values()) + 1):
         level = _number(row[idx["sa_level"]], line)
@@ -652,16 +652,16 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
     Weights come from SEEV `params`, an explicit `weights` map, or the top
     level itself; `missions` maps a mission name to the elements it covers.
     """
-    doc = _load_json(path)
-    missions = doc.get("missions", {})
+    doc = _json(_load_json(path), dict)
+    missions = {name: [_json(se, str) for se in _json(elements, list)]
+                for name, elements in _json(doc.get("missions", {}), dict).items()}
     if "params" in doc:
-        params = [
-            SeParams(se, spec["saliency"], spec["effort"], spec["expectancy"], spec["value"])
-            for se, spec in doc["params"].items()
-        ]
+        seev = ("saliency", "effort", "expectancy", "value")
+        params = [SeParams(se, *_numbers([spec[k] for k in seev]))
+                  for se, spec in _json(doc["params"], dict).items()]
         return attention_allocation(params), missions
     weights = doc.get("weights", {k: v for k, v in doc.items() if k != "missions"})
-    return {se: float(w) for se, w in weights.items()}, missions
+    return {se: _json(w, float) for se, w in _json(weights, dict).items()}, missions
 
 
 # --- feature sheets ---------------------------------------------------------------
@@ -675,50 +675,53 @@ class FeatureSheet:
     degrees: dict[str, int]
 
 
-def _capabilities(flags: dict) -> AutonomyCapabilities:
-    return AutonomyCapabilities(**{k: bool(v) for k, v in flags.items()})
+def _capabilities(flags) -> AutonomyCapabilities:
+    return AutonomyCapabilities(**{k: _json(v, bool) for k, v in _json(flags, dict).items()})
+
+
+#: the kind of each feature field
+_FEATURE_FIELDS = {"name": str, "direction": str, "degree": _count,
+                   "ordinal_map": lambda v: {k: _json(n, float) for k, n in _json(v, dict).items()}}
+
+
+def _feature_value(ordinal_map):
+    """The kind of a system's value of a feature: "N/A", a token of `ordinal_map`, or a number."""
+    tokens = {ABSENT, *(ordinal_map or ())}
+    return lambda v: v if isinstance(v, str) and v in tokens else _json(v, float)
 
 
 @_total
 def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
     report = ParseReport(str(path))
-    doc = _load_json(path)
+    doc = _json(_load_json(path), dict)
 
     direction_map = {"higher": "higher_better", "lower": "lower_better"}
     features = []
     degrees = {}
     for entry in doc.get("features", []):
-        name = entry.get("name")
+        typed = _fields(entry, _FEATURE_FIELDS, f"feature {entry.get('name')!r}", path)
+        name = typed.get("name")
         if name is None:
             raise ParseError("feature missing 'name'", str(path))
-        if "direction" not in entry:
+        if "direction" not in typed:
             raise ParseError(f"feature {name!r} has no direction", str(path))
-        direction = direction_map.get(entry["direction"])
+        direction = direction_map.get(typed["direction"])
         if direction is None:
             raise ParseError(
                 f"feature {name!r}: direction must be 'higher' or 'lower'", str(path)
             )
-        ordinal = entry.get("ordinal_map")
-        features.append(
-            Feature(
-                name,
-                direction,
-                {k: float(v) for k, v in ordinal.items()} if ordinal else None,
-            )
-        )
-        if "degree" in entry:
-            degrees[name] = int(entry["degree"])
+        features.append(Feature(name, direction, typed.get("ordinal_map") or None))
+        if "degree" in typed:
+            degrees[name] = typed["degree"]
 
+    value_fields = {f.name: _feature_value(f.ordinal_map) for f in features}
     values = {}
     capabilities = {}
     for system in doc.get("systems", []):
-        sid = system.get("id")
+        sid = _fields(system, {"id": str}, "system", path).get("id")
         if sid is None:
             raise ParseError("system missing 'id'", str(path))
-        values[sid] = {
-            k: (ABSENT if v == ABSENT or v is None else v)
-            for k, v in system.get("values", {}).items()
-        }
+        values[sid] = _fields(system.get("values", {}), value_fields, f"system {sid}", path)
         if "capabilities" in system:
             capabilities[sid] = _capabilities(system["capabilities"])
 
@@ -730,17 +733,17 @@ def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
 @_total
 def parse_capabilities(path) -> dict[str, AutonomyCapabilities]:
     """A `--caps` file: {"<system id>": {"perception": true, ...}, ...}."""
-    return {sid: _capabilities(flags) for sid, flags in _load_json(path).items()}
+    return {sid: _capabilities(flags) for sid, flags in _json(_load_json(path), dict).items()}
 
 
 @_total
 def parse_feature_weights(path, names) -> dict[str, float]:
     """An explicit weight file: {"<feature>": weight, ...} covering every name in `names`."""
-    raw = _load_json(path)
+    raw = _json(_load_json(path), dict)
     missing = [n for n in names if n not in raw]
     if missing:
         raise ParseError(f"weight file lacks features: {', '.join(missing)}")
-    return {n: float(raw[n]) for n in names}
+    return {n: _json(raw[n], float) for n in names}
 
 
 # --- FIS configuration ----------------------------------------------------------
@@ -748,24 +751,23 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 @_total
 def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     report = ParseReport(str(path))
-    doc = _load_json(path)
+    doc = _json(_load_json(path), dict)
 
     systems = {}
-    for fis_name, spec in doc.get("fis", {}).items():
+    for fis_name, spec in _json(doc.get("fis", {}), dict).items():
         inputs = {}
         for var_name, var_spec in spec.get("inputs", {}).items():
-            lo, hi = (float(v) for v in var_spec["range"])
+            lo, hi = _numbers(var_spec["range"], 2)
             terms = {}
             for term, tup in var_spec.get("terms", {}).items():
-                if len(tup) != 3:
-                    raise ParseError(
-                        f"{fis_name}.{var_name}.{term}: need 3 points, got {tup}"
-                    )
                 try:
-                    terms[term] = TriangularMf(*(float(v) for v in tup), lo, hi)
-                except ValueError as exc:
+                    points = _numbers(tup)
+                    if len(points) != 3:
+                        raise ValueError(f"need 3 points, got {tup}")
+                    terms[term] = TriangularMf(*points, lo, hi)
+                except (TypeError, ValueError) as exc:
                     raise ParseError(f"{fis_name}.{var_name}.{term}: {exc}")
-            aliases = dict(var_spec.get("aliases", {}))
+            aliases = _json(var_spec.get("aliases", {}), dict)
             for alias, target in aliases.items():
                 if target not in terms:
                     raise ParseError(f"{fis_name}.{var_name}: alias {alias!r} -> {target!r}")
@@ -774,7 +776,7 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
                 report.warn(fis_name, f"variable {var_name!r} has membership gaps")
             inputs[var_name] = var
 
-        outputs = {k: float(v) for k, v in spec.get("outputs", {}).items()}
+        outputs = {k: _json(v, float) for k, v in _json(spec.get("outputs", {}), dict).items()}
         for level, value in outputs.items():
             if not 0.0 <= value <= 1.0:
                 raise ParseError(f"{fis_name}: output {level}={value} outside [0, 1]", str(path))
@@ -785,7 +787,7 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
             for var_name, term in rule_spec.get("if", {}).items():
                 if var_name not in inputs:
                     raise ParseError(f"{fis_name} rule {i}: unknown variable {var_name!r}")
-                negated = term.startswith("not ")
+                negated = _json(term, str).startswith("not ")
                 bare = term[4:] if negated else term
                 if not inputs[var_name].has_term(bare):
                     raise ParseError(f"{fis_name} rule {i}: unknown term {term!r}")
@@ -799,11 +801,11 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
         systems[fis_name] = Fis(fis_name, inputs, outputs, tuple(rules))
 
     cascade = {}
-    stages = doc.get("cascade", {})
+    stages = _json(doc.get("cascade", {}), dict)
     for combined, axes in stages.items():
         if combined not in systems:
             raise ParseError(f"cascade target {combined!r} not defined")
-        for axis in axes:
+        for axis in _json(axes, list):
             if axis not in systems:
                 raise ParseError(f"cascade input {axis!r} not defined")
             # the cascade runs one combining stage over axis systems only
@@ -818,10 +820,10 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
                          f"not {len(systems[combiner].inputs)}")
 
     ideal_inputs = {}
-    for axis, vals in doc.get("ideal_inputs", {}).items():
+    for axis, vals in _json(doc.get("ideal_inputs", {}), dict).items():
         if axis not in systems or axis in cascade:
             raise ParseError(f"ideal_inputs: {axis!r} is not an axis system")
-        ideal_inputs[axis] = {k: float(v) for k, v in vals.items()}
+        ideal_inputs[axis] = {k: _json(v, float) for k, v in _json(vals, dict).items()}
         for var_name in systems[axis].inputs:
             if var_name not in ideal_inputs[axis]:
                 raise ParseError(f"ideal_inputs: {axis}: missing input {var_name!r}")
@@ -850,9 +852,7 @@ def parse_scores(path, variables: list[str]) -> tuple[bool, list[tuple[str, str,
     later one is the pair's score.
     """
     header, rows = _read_rows(path)
-    for col in ("suas_id", "test_id"):
-        if col not in header:
-            raise ParseError(f"scores file missing column {col!r}", str(path))
+    _columns(header, ("suas_id", "test_id"), path)
     precomputed = set(header) == {"suas_id", "test_id", "score"}
     ids = [i for i, c in enumerate(header) if c in ("suas_id", "test_id")]
     width = len(header) if precomputed else max(ids) + 1

@@ -457,6 +457,12 @@ class TestReport:
         assert sorted(p.name for p in CAMPAIGN.iterdir()) == before
         assert target.exists()
 
+    def test_null_trial_id_reads_as_unknown(self, capsys, tmp_path):
+        manifest = with_entry(campaign_copy(tmp_path), "t006", "trial_id", None)
+        code, out, err = run(capsys, "report", manifest)
+        assert (code, err) == (0, "")
+        assert "| oa-wall | alpha | ? | 1 | 0.000 | 0.00 | 0.388 | 0.950 |" in out
+
 
 def unknown_column(tmp_path):
     telemetry = write(tmp_path / "tel.csv", "t,x,y,z,note\n0,0,1,1,a\n0.1,1,1,1,b\n")
@@ -596,29 +602,6 @@ def manifest_nan(tmp_path):
     return ["validate", manifest], manifest
 
 
-class TestMalformedSideFiles:
-    @pytest.mark.parametrize("case", [
-        sa_params_list, ncap_caps_list, ncap_caps_unknown_flag, ncap_weight_not_a_number,
-        plot_path_list, plot_path_without_vertices, ncap_weight_nan, fis_config_infinity,
-        manifest_nan,
-    ], ids=lambda case: case.__name__)
-    def test_input_error_names_the_file(self, capsys, tmp_path, case):
-        argv, bad = case(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and f"(at {bad})" in err
-
-    def test_non_numeric_score_names_the_line(self, capsys, tmp_path):
-        scores = write(tmp_path / "scores.csv",
-                       "suas_id,test_id,score\nalpha,t1,0.5\nalpha,t2,abc\n")
-        code, out, err = run(capsys, "cfis", "--scores", scores)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: cannot parse 'abc' as a number (at {scores}:3)\n"
-
-
 def edited(tmp_path, source, edit, name):
     """A copy of the JSON file `source`, changed in place by `edit`, written as `name`."""
     doc = json.loads(Path(source).read_text())
@@ -645,6 +628,74 @@ def ncap_with(edit, *options):
         sheet = edited(tmp_path, CAMPAIGN / "features.json", edit, "sheet.json")
         return ["ncap", "--features", sheet, *options], sheet
     return case
+
+
+def sample_with(name, edit, *argv):
+    """A case: `argv` then the manifest of a sample campaign copy whose file `name` is edited."""
+    def case(tmp_path):
+        directory = campaign_copy(tmp_path)
+        bad = edited(directory, directory / name, edit, name)
+        return [argv[0], directory / "campaign.json", *argv[1:]], bad
+    return case
+
+
+def map_loop(doc):
+    return next(test for test in doc["tests"] if test["test_id"] == "map-loop")
+
+
+def ncap_caps_perception_no(tmp_path):
+    flags = {"perception": "no", "modeling": False, "planning": False, "execution": False}
+    caps = write(tmp_path / "caps.json", json.dumps({"bravo": flags}))
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--caps", caps], caps
+
+
+# inputs that fail at load with exit 1, naming their file, by case name
+SIDE_FILE_ERRORS = {case.__name__: case for case in (
+    sa_params_list, ncap_caps_list, ncap_caps_unknown_flag, ncap_weight_not_a_number,
+    plot_path_list, plot_path_without_vertices, ncap_weight_nan, fis_config_infinity,
+    manifest_nan, ncap_caps_perception_no)}
+# a value of the wrong JSON type: each of these exits 0 with a wrong answer, or crashes, if
+# the loader converts it loosely
+SIDE_FILE_ERRORS.update({
+    "fis-ideal-input-true": cfis_with(
+        lambda doc: doc["ideal_inputs"]["mc"].update(completion=True)),
+    "fis-range-false": cfis_with(
+        lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[False, 3])),
+    "criteria-min-array-validate": sample_with(
+        "criteria.json", lambda doc: doc["hd_video_min"].update(value=[1, 2]), "validate"),
+    "criteria-min-array-metrics": sample_with(
+        "criteria.json", lambda doc: doc["hd_video_min"].update(value=[1, 2]),
+        "metrics", "--test", "field"),
+    "fov-visible-fraction": sample_with(
+        "campaign.json", lambda doc: map_loop(doc)["fov"].update(visible=2.5), "validate"),
+    "min-turns-fraction": sample_with(
+        "campaign.json", lambda doc: map_loop(doc)["fiducials"][0].update(min_turns=1.5),
+        "validate"),
+    "degree-fraction": ncap_with(lambda doc: doc["features"][0].update(degree=2.7),
+                                 "--weights", "degree"),
+    "environment-indoor-string": sample_with(
+        "campaign.json", lambda doc: doc["environments"][0].update(indoor="no"), "validate"),
+    "sa-mission-not-an-array": sa_with(lambda doc: doc.update(missions={"m": True})),
+})
+
+
+class TestMalformedSideFiles:
+    @pytest.mark.parametrize("name", list(SIDE_FILE_ERRORS))
+    def test_input_error_names_the_file(self, capsys, tmp_path, name):
+        argv, bad = SIDE_FILE_ERRORS[name](tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and f"(at {bad})" in err
+
+    def test_non_numeric_score_names_the_line(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv",
+                       "suas_id,test_id,score\nalpha,t1,0.5\nalpha,t2,abc\n")
+        code, out, err = run(capsys, "cfis", "--scores", scores)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot parse 'abc' as a number (at {scores}:3)\n"
 
 
 def ncap_partial_weights(tmp_path):

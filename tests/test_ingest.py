@@ -1,6 +1,9 @@
+import contextlib
 import copy
+import io
 import json
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from decisive import ingest
-
+from decisive.cli import main
 from decisive.errors import DataQualityWarning, DecisiveError, ParseError
 from decisive.core import ObstacleGeometry
 from decisive.field import Criterion, NlosPosition
@@ -317,10 +320,31 @@ class TestCampaign:
             parse_campaign(p)
         assert str(exc.value) == f"invalid JSON: {constant} is not a number (at {p})"
 
-    def test_unsupported_schema(self, tmp_path):
-        p = write(tmp_path / "c.json", json.dumps(manifest_doc(schema_version=99)))
-        with pytest.raises(ParseError, match=re.escape(f"schema_version 99 (at {p})")):
+    @pytest.mark.parametrize("version, message", [
+        (99, "schema_version 99"),
+        (True, "manifest: bad 'schema_version' field (expected a number, got true)"),
+    ], ids=["99", "true"])
+    def test_unsupported_schema(self, tmp_path, version, message):
+        p = write(tmp_path / "c.json", json.dumps(manifest_doc(schema_version=version)))
+        with pytest.raises(ParseError, match=re.escape(f"{message} (at {p})")):
             parse_campaign(p)
+
+    @pytest.mark.parametrize("trial_id", [7, True, ["t1"], {"id": "t1"}])
+    def test_trial_id_must_be_a_string(self, tmp_path, trial_id):
+        doc = manifest_doc(trials=[{"trial_id": trial_id, "test_id": "oa-wall",
+                                    "suas_id": "alpha"}])
+        p = write(tmp_path / "c.json", json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            parse_campaign(p)
+        assert str(exc.value) == (f"trial {trial_id}: bad 'trial_id' field "
+                                  f"(expected a string, got {json.dumps(trial_id)}) (at {p})")
+
+    def test_absent_or_null_trial_id_reads_as_unknown(self, tmp_path):
+        trials = [{"test_id": "oa-wall", "suas_id": "alpha"},
+                  {"trial_id": None, "test_id": "oa-wall", "suas_id": "alpha"}]
+        campaign, _ = parse_campaign(write(tmp_path / "c.json",
+                                           json.dumps(manifest_doc(trials=trials))))
+        assert [t.trial_id for t in campaign.trials] == ["?", "?"]
 
     def test_five_flight_example(self, tmp_path):
         # two collision flights out of five
@@ -616,38 +640,86 @@ def entries(value, path=()):
         yield from entries(child, path + (key,))
 
 
-# each leaf set to a value of every other JSON type, and each object key deleted
-FIS_MUTATIONS = [
-    (path, kind) for path, value in entries(FIS_DOC) if not isinstance(value, (dict, list))
-    for kind in JSON_VALUES if kind != json_type(value)
-] + [(path, "delete") for path, _ in entries(FIS_DOC) if isinstance(path[-1], str)]
+SAMPLE = Path(__file__).resolve().parents[1] / "sample_campaign"
+
+
+def sample(name):
+    return json.loads((SAMPLE / name).read_text())
+
+
+FEATURES = sample("features.json")
+# every JSON input, by the name it takes in a copy of the sample campaign: the document,
+# and the command that reads it there
+JSON_INPUTS = {
+    "campaign.json": (sample("campaign.json"), lambda d: ["report", d / "campaign.json"]),
+    "criteria.json": (sample("criteria.json"),
+                      lambda d: ["metrics", d / "campaign.json", "--test", "field"]),
+    "features.json": (FEATURES, lambda d: ["ncap", "--features", d / "features.json",
+                                           "--weights", "degree"]),
+    "caps.json": ({s["id"]: s["capabilities"] for s in FEATURES["systems"]},
+                  lambda d: ["ncap", "--features", d / "features.json", "--caps", d / "caps.json"]),
+    "weights.json": ({f["name"]: f["degree"] for f in FEATURES["features"]},
+                     lambda d: ["ncap", "--features", d / "features.json",
+                                "--weights", d / "weights.json"]),
+    "sa_weights.json": (sample("sa_weights.json"),
+                        lambda d: ["sa", "--sagat", d / "sagat.csv", "--weights",
+                                   d / "sa_weights.json"]),
+    "path.json": ({"vertices": [[0, 1, 1], [3, 1, 1]], "closed": False},
+                  lambda d: ["plot", "--kind", "deviation", "--telemetry", d / "wf_alpha_1.csv",
+                             "--path", d / "path.json"]),
+    "fis.json": (FIS_DOC, lambda d: ["cfis", "--fis", d / "fis.json",
+                                     "--scores", d / "cfis_scores.csv"]),
+}
+
+
+def mutations(doc):
+    """Each leaf of `doc` set to a value of every other JSON type, and each object key deleted."""
+    return [
+        (path, kind) for path, value in entries(doc) if not isinstance(value, (dict, list))
+        for kind in JSON_VALUES if kind != json_type(value)
+    ] + [(path, "delete") for path, _ in entries(doc) if isinstance(path[-1], str)]
+
+
+def exempt(name, doc, path) -> bool:
+    """Whether a number at `path` may take any type: a free-form checklist response, an
+    `equals` criterion's value, or the FIS config's schema_version, which no one reads."""
+    return ("responses" in path
+            or name == "criteria.json" and doc[path[0]]["op"] == "equals"
+            or name == "fis.json" and path == ("schema_version",))
 
 
 @pytest.fixture(scope="module")
-def fis_target(tmp_path_factory):
-    return tmp_path_factory.mktemp("fis") / "fis.json"
+def sample_copies(tmp_path_factory):
+    """One copy of the sample campaign per JSON input, so that each edits only its own."""
+    root = tmp_path_factory.mktemp("json-inputs")
+    return {name: shutil.copytree(SAMPLE, root / name.split(".")[0]) for name in JSON_INPUTS}
 
 
-class TestFisConfigFuzz:
+class TestJsonInputFuzz:
+    @pytest.mark.parametrize("name", sorted(JSON_INPUTS))
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(mutation=st.sampled_from(FIS_MUTATIONS))
-    def test_one_wrong_leaf_or_missing_key_loads_or_names_the_file(self, fis_target, mutation):
-        path, kind = mutation
-        doc = copy.deepcopy(FIS_DOC)
+    @given(data=st.data())
+    def test_one_wrong_leaf_or_missing_key(self, sample_copies, name, data):
+        original, argv = JSON_INPUTS[name]
+        path, kind = data.draw(st.sampled_from(mutations(original)))
+        doc = copy.deepcopy(original)
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
+        retyped_number = kind in ("boolean", "string") and json_type(parent[path[-1]]) == "number"
         if kind == "delete":
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(JSON_VALUES[kind])
-        fis_target.write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DataQualityWarning)
-            try:
-                parse_fis_config(fis_target)
-            except ParseError as exc:
-                assert str(exc).endswith(f"(at {fis_target})")
+        target = write(sample_copies[name] / name, json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv(sample_copies[name])])
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        if retyped_number and not exempt(name, original, path):
+            assert code == 1 and errors[-1].endswith(f"(at {target})")
+        if code:
+            assert code in (1, 2) and out.getvalue() == "" and errors
 
 
 class TestCriteria:
