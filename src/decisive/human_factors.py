@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DataQualityWarning, DecisiveError
 from .stats import MannWhitneyResult, iqr_filter, mann_whitney, mean_std, welch_t
@@ -144,8 +144,7 @@ def osa_by_mission(
 
 # --- trust surveys -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     participant_id: str
     instrument: str  # CTPA | HCTM
     item_id: str

@@ -11,11 +11,14 @@ UTF-8, '.' decimal separator, ',' delimiter.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,7 +86,9 @@ def _total(fn):
             raise
         except DecisiveError as exc:
             raise ParseError(str(exc), str(path))
-        except (TypeError, AttributeError, KeyError, ValueError, IndexError, csv.Error) as exc:
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc}", str(path))
+        except (TypeError, AttributeError, ValueError, IndexError, csv.Error) as exc:
             raise ParseError(f"malformed input ({exc})", str(path))
 
     return wrapper
@@ -116,9 +121,20 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         rows = [
             (lineno, row)
             for lineno, row in enumerate(reader, start=2)
-            if any(cell.strip() for cell in row)
+            if "".join(row).strip()
         ]
     return header, rows
+
+
+def _header_and_body(path) -> tuple[list[str], str | None]:
+    """A CSV file's header, and the text after it: None if that text does not decode,
+    which the file's row loop reads again and reports."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = _header(csv.reader(fh), path)
+        try:
+            return header, fh.read()
+        except UnicodeDecodeError:
+            return header, None
 
 
 def _columns(header: list[str], names, path) -> dict[str, int]:
@@ -169,12 +185,7 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     import numpy as np
 
     report = ParseReport(str(path))
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = _header(csv.reader(fh), path)
-        try:
-            body = fh.read()
-        except UnicodeDecodeError:  # the row loop re-reads the file and reports it
-            body = None
+    header, body = _header_and_body(path)
     has_vel, has_acc = (all(c in header for c in group) for group in (VEL_COLUMNS, ACC_COLUMNS))
     fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
     cols = list(_columns(header, fields, path).values())
@@ -506,7 +517,8 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
         test_id = entry.get("test_id")
         if test_id is None:
             raise ParseError("test entry missing 'test_id'", str(path))
-        env_ref = entry.get("environment")
+        env_ref = _fields(entry, {"environment": str}, f"test {test_id}",
+                          path).get("environment")
         if env_ref is not None and env_ref not in environments:
             raise ParseError(
                 f"test {test_id} references environment {env_ref!r}", str(path)
@@ -573,50 +585,125 @@ def parse_reference_path(path) -> ReferencePath:
 
 # --- surveys --------------------------------------------------------------------
 
-SURVEY_COLUMNS = ("participant_id", "instrument", "item_id", "score", "manip_pass", "condition")
+def _instrument(text: str, line) -> str:
+    instrument = text.strip()
+    if instrument not in ("CTPA", "HCTM"):
+        raise ParseError(f"instrument {instrument!r}", line)
+    return instrument
+
+
+def _score(text: str, line) -> int:
+    score = _number(text, line)
+    if not (score.is_integer() and 1 <= score <= 7):
+        raise ParseError(f"score {text!r} outside 1..7", line)
+    return int(score)
+
+
+def _stripped(text: str, line) -> str:
+    return text.strip()
+
+
+#: the survey's required columns, in SurveyRow's order, each with the converter of its text
+SURVEY_COLUMNS = {
+    "participant_id": _stripped,
+    "instrument": _instrument,
+    "item_id": _stripped,
+    "score": _score,
+    "manip_pass": _boolean,
+    "condition": _stripped,
+}
 
 
 @_total
 def parse_survey(path) -> tuple[SurveyDataset, ParseReport]:
     """Load Likert survey rows; duplicate (participant, instrument, item) keeps the last."""
     report = ParseReport(str(path))
+    header, body = _header_and_body(path)
+    rows = _survey_columns(body, header)
+    if rows is None:
+        rows = _survey_rows(path, report)
+
+    expected = {"CTPA": CTPA_ITEM_COUNT, "HCTM": HCTM_ITEM_COUNT}
+    # each (participant, instrument, item) is one row, so a pair's row count is its item count
+    items = collections.Counter(map(operator.itemgetter(0, 1), rows))
+    for (participant, instrument), count in sorted(items.items()):
+        if count != expected[instrument]:
+            report.warn(
+                str(path),
+                f"{participant}: {instrument} has {count} items, expected {expected[instrument]}",
+            )
+    report.counts["responses"] = len(rows)
+    return SurveyDataset(rows), report
+
+
+def _survey_columns(body: str | None, header: list[str]) -> tuple[SurveyRow, ...] | None:
+    """Every data row of `body`, the text after the header, converted a column at a time.
+
+    None when the column split cannot vouch for the text: no text, a missing
+    column, a quote anywhere, a carriage return that does not end a line with
+    its newline, a line that is not exactly one row of `header`'s width (blank
+    lines and short rows included), a line longer than a csv field may be, a
+    cell that does not convert, or a repeated (participant, instrument, item).
+    `_survey_rows` then decides, and is the only source of error messages, line
+    numbers and duplicate warnings.
+    """
+    if body is None or not set(SURVEY_COLUMNS) <= set(header) or '"' in body:
+        return None
+    if body.count("\r") != body.count("\r\n"):  # csv ends a line at a lone "\r" too
+        return None
+    lines = body.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    width = len(header)
+    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    cells = ",".join(lines).split(",")
+    columns = []
+    for name, convert in SURVEY_COLUMNS.items():
+        texts = cells[header.index(name)::width]
+        try:
+            # each distinct text once: a Likert or flag column has only a few
+            once = {text: convert(text, None) for text in set(texts)}
+        except ParseError:
+            return None
+        columns.append(map(once.__getitem__, texts))
+    rows = tuple(map(SurveyRow._make, zip(*columns)))
+    if len(set(map(operator.itemgetter(0, 1, 2), rows))) != len(rows):
+        return None
+    return rows
+
+
+def _survey_rows(path, report: ParseReport) -> tuple[SurveyRow, ...]:
+    """The rows of `_survey_columns`, one line at a time, raising at the first bad line.
+
+    A repeated (participant, instrument, item) warns, and its later row takes
+    the earlier one's place.
+    """
     header, rows = _read_rows(path)
     idx = _columns(header, SURVEY_COLUMNS, path)
-
+    scores: dict[str, int] = {}
+    flags: dict[str, bool] = {}
     by_key: dict[tuple[str, str, str], SurveyRow] = {}
     for line, row in _rows_of_width(rows, max(idx.values()) + 1):
-        instrument = row[idx["instrument"]].strip()
-        if instrument not in ("CTPA", "HCTM"):
-            raise ParseError(f"instrument {instrument!r}", line)
-        score = _number(row[idx["score"]], line)
-        if not (score.is_integer() and 1 <= score <= 7):
-            raise ParseError(f"score {row[idx['score']]!r} outside 1..7", line)
+        instrument = _instrument(row[idx["instrument"]], line)
+        score, flag = row[idx["score"]], row[idx["manip_pass"]]
+        if score not in scores:
+            scores[score] = _score(score, line)
+        if flag not in flags:
+            flags[flag] = _boolean(flag, line)
         entry = SurveyRow(
             participant_id=row[idx["participant_id"]].strip(),
             instrument=instrument,
             item_id=row[idx["item_id"]].strip(),
-            score=int(score),
-            manip_pass=_boolean(row[idx["manip_pass"]], line),
+            score=scores[score],
+            manip_pass=flags[flag],
             condition=row[idx["condition"]].strip(),
         )
-        key = (entry.participant_id, entry.instrument, entry.item_id)
+        key = entry[:3]
         if key in by_key:
             report.warn(line, f"duplicate response for {key}; keeping the later row")
         by_key[key] = entry
-
-    rows_out = tuple(by_key.values())
-    expected = {"CTPA": CTPA_ITEM_COUNT, "HCTM": HCTM_ITEM_COUNT}
-    seen: dict[tuple[str, str], set] = {}
-    for r in rows_out:
-        seen.setdefault((r.participant_id, r.instrument), set()).add(r.item_id)
-    for (participant, instrument), items in sorted(seen.items()):
-        if len(items) != expected[instrument]:
-            report.warn(
-                str(path),
-                f"{participant}: {instrument} has {len(items)} items, expected {expected[instrument]}",
-            )
-    report.counts["responses"] = len(rows_out)
-    return SurveyDataset(rows_out), report
+    return tuple(by_key.values())
 
 
 SAGAT_COLUMNS = ("participant_id", "question_id", "se_id", "sa_level", "correct")
@@ -767,6 +854,8 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
                     terms[term] = TriangularMf(*points, lo, hi)
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{fis_name}.{var_name}.{term}: {exc}")
+            if not terms:
+                raise ParseError(f"{fis_name}.{var_name} has no terms")
             aliases = _json(var_spec.get("aliases", {}), dict)
             for alias, target in aliases.items():
                 if target not in terms:
@@ -792,7 +881,8 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
                 if not inputs[var_name].has_term(bare):
                     raise ParseError(f"{fis_name} rule {i}: unknown term {term!r}")
                 antecedents.append((var_name, bare, negated))
-            consequent = rule_spec.get("then")
+            consequent = _fields(rule_spec, {"then": str}, f"{fis_name} rule {i}",
+                                 path).get("then")
             if consequent not in outputs:
                 raise ParseError(f"{fis_name} rule {i}: unknown output {consequent!r}")
             rules.append(Rule(tuple(antecedents), consequent))

@@ -741,6 +741,27 @@ LOAD_ERRORS = {
     "ncap-no-capabilities": (
         ncap_with(lambda doc: [system.pop("capabilities") for system in doc["systems"]]),
         "no capability flags for: alpha, bravo"),
+    "fis-variable-with-empty-terms": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["completion"].update(terms={})),
+        "mc.completion has no terms"),
+    "fis-variable-without-terms": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["completion"].pop("terms")),
+        "mc.completion has no terms"),
+    # a required key that is missing is named as such
+    "fis-variable-without-range": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["completion"].pop("range")),
+        "missing key 'range'"),
+    "plot-path-without-vertices": (plot_path_without_vertices, "missing key 'vertices'"),
+    "sa-param-without-saliency": (sa_with(lambda doc: doc["params"]["altitude"].pop("saliency")),
+                                  "missing key 'saliency'"),
+    # a reference to another entry must be a string
+    "fis-rule-then-array": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update(then=["good"])),
+        "mc rule 0: bad 'then' field (expected a string, got [\"good\"])"),
+    "manifest-environment-array": (
+        sample_with("campaign.json", lambda doc: doc["tests"][0].update(environment=["lab"]),
+                    "validate"),
+        "test wall-follow-1m: bad 'environment' field (expected a string, got [\"lab\"])"),
 }
 
 

@@ -469,6 +469,156 @@ class TestSurvey:
         assert any("p2" in msg and "12" in msg for msg in warned)
         assert not any("p1" in msg for msg in warned)
 
+    def test_first_bad_score_names_its_line(self, tmp_path):
+        lines = [f"p1,CTPA,i{i},{'x' if i in (2, 8) else 4},true,A" for i in range(1, 10)]
+        p = write(tmp_path / "s.csv", self.HEADER + "\n".join(lines) + "\n")  # x on lines 3, 9
+        with pytest.raises(ParseError) as exc:
+            parse_survey(p)
+        assert str(exc.value) == f"cannot parse 'x' as a number (at {p}:3)"
+
+
+def _survey_outcome(path):
+    """parse_survey's rows, warnings and counts, or its error's class and text, as plain data."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            dataset, report = parse_survey(path)
+        except DecisiveError as exc:
+            return ("error", type(exc), str(exc), [str(w.message) for w in record])
+    # repr tells a score of 4 from 4.0 and a flag of True from 1
+    return ("ok", repr(dataset.rows), [str(w.message) for w in record], report.counts)
+
+
+#: ways a generated survey file may differ from a plain one: a file draws any set of them,
+#: and each of its rows at most one of the row quirks in that set
+FILE_QUIRKS = ("extra column", "reordered", "missing column", "no final newline")
+ROW_QUIRKS = ("quoted cell", "crlf", "carriage return", "empty line", "blank cells", "padded",
+              "duplicate", "short row", "long row", "bad cell")
+BAD_CELLS = {"instrument": ["NASA", ""], "score": ["0", "8", "2.5", "nan", "x", ""],
+             "manip_pass": ["maybe", ""]}
+
+
+def survey_text(data) -> str:
+    """A survey file whose header and rows carry the quirks `data` draws."""
+    quirks = data.draw(st.sets(st.sampled_from(FILE_QUIRKS + ROW_QUIRKS)))
+    columns = list(ingest.SURVEY_COLUMNS)
+    if "extra column" in quirks:
+        columns.insert(data.draw(st.integers(0, len(columns))), "note")
+    if "reordered" in quirks:
+        columns = data.draw(st.permutations(columns))
+    if "missing column" in quirks:
+        columns.remove(data.draw(st.sampled_from(list(ingest.SURVEY_COLUMNS))))
+    lines = [",".join(columns) + "\n"]
+    row_quirks = [q for q in ROW_QUIRKS if q in quirks]
+    for k in range(data.draw(st.integers(0, 10))):
+        quirk = data.draw(st.sampled_from(row_quirks + ["none", "none"]))
+        cells = {
+            "participant_id": data.draw(st.sampled_from(["p1", "p2"])),
+            "instrument": data.draw(st.sampled_from(["CTPA", "HCTM"])),
+            "item_id": f"i{k}",
+            "score": data.draw(st.sampled_from(["1", "4", "7", "4.0", "+5", "6e0"])),
+            "manip_pass": data.draw(st.sampled_from(["true", "false", "yes", "N", "1", "0"])),
+            "condition": data.draw(st.sampled_from(["A", "B"])),
+            "note": "ok",
+        }
+        if quirk == "duplicate":
+            cells.update(participant_id="p1", instrument="CTPA", item_id="i0")
+        elif quirk in ("quoted cell", "padded", "carriage return"):
+            column = data.draw(st.sampled_from(columns))
+            cells[column] = (f" {cells[column]}\t" if quirk == "padded"
+                             else f"{cells[column]}\r" if quirk == "carriage return"
+                             else '"a,b"' if column == "note" else f'"{cells[column]}"')
+        elif quirk == "bad cell":
+            column = data.draw(st.sampled_from(sorted(BAD_CELLS)))
+            cells[column] = data.draw(st.sampled_from(BAD_CELLS[column]))
+        row = [cells[c] for c in columns]
+        if quirk == "short row":
+            row = row[:data.draw(st.integers(1, len(row) - 1))]
+        elif quirk == "long row":
+            row += ["A"] * data.draw(st.integers(1, 3))
+        text = ("" if quirk == "empty line" else ",".join([" "] * len(row))
+                if quirk == "blank cells" else ",".join(row))
+        lines.append(text + ("\r\n" if quirk == "crlf" else "\n"))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if "no final newline" in quirks else text
+
+
+@pytest.fixture(scope="module")
+def survey_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("surveys")
+
+
+class TestSurveyColumnsAgreeWithRowLoop:
+    """The column-wise parse gives the row loop's rows, or defers to its errors and warnings."""
+
+    def check(self, path, fast: bool | None = None):
+        """Compare with the row loop; `fast`, when given, says whether the columns take the file."""
+        taken = []
+        columns = ingest._survey_columns
+
+        def spy(body, header):
+            rows = columns(body, header)
+            taken.append(rows is not None)
+            return rows
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_survey_columns", spy)
+            got = _survey_outcome(path)
+            patch.setattr(ingest, "_survey_columns", lambda body, header: None)
+            assert got == _survey_outcome(path)
+        if fast is not None:
+            assert taken == [fast]
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_survey_text(self, survey_dir, data):
+        path = survey_dir / "s.csv"
+        path.write_bytes(survey_text(data).encode())
+        self.check(path)
+
+    def test_sample_survey(self):
+        assert self.check(SAMPLE / "surveys.csv", fast=True)[0] == "ok"
+
+    def test_extra_reordered_and_padded_columns(self, tmp_path):
+        header = "note,condition,score,item_id,manip_pass,instrument,participant_id"
+        rows = [f"n{i}, B ,{1 + i % 7}.0, i{i} , yes\t,HCTM , p{i % 3}" for i in range(36)]
+        p = write(tmp_path / "s.csv", "\n".join([header] + rows))  # no final newline
+        got = self.check(p, fast=True)
+        assert got[0] == "ok" and got[3] == {"responses": 36}
+
+    @pytest.mark.parametrize("row", [
+        '"p3",CTPA,i3,4,true,A',  # a quoted cell
+        "",  # an empty line
+        " , , , , , ",  # a row whose cells are all blank is skipped
+        "p3,CTPA,i3,4,true",  # a short row
+        "p3,CTPA,i3,4,true,A,extra",  # a long row
+        "p3,CTPA,i3,4,true\nA,p4,CTPA,i4,5,true,B",  # a short row, and a long one that evens it
+        "p3,CTPA,i3\r4,true,A",  # a lone carriage return ends a csv row
+        "p1,CTPA,i1,5,true,A",  # a repeated key warns
+        "p3,CTPA,i3,8,true,A",  # a score outside 1..7
+        "p3,CTPA,i3,4,maybe,A",  # a flag that is not a boolean
+        "p3,TLX,i3,4,true,A",  # an unknown instrument
+    ])
+    def test_row_loop_decides_what_columns_reject(self, row, tmp_path):
+        p = write(tmp_path / "s.csv", TestSurvey.HEADER + f"p1,CTPA,i1,4,true,A\n{row}\n"
+                  "p2,HCTM,i2,6,false,B\n")
+        self.check(p, fast=False)
+
+    @pytest.mark.parametrize("ending, fast", [(b"\r\n", True), (b"\r", False)])
+    def test_carriage_returns(self, ending, fast, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(ending.join([b"participant_id,instrument,item_id,score,manip_pass,condition",
+                                   b"p1,CTPA,i1,4,true,A", b"p2,HCTM,i2,6,no,B", b""]))
+        assert self.check(p, fast=fast)[0] == "ok"
+
+    def test_undecodable_byte_past_the_header(self, tmp_path):
+        rows = "".join(f"p{i},CTPA,i1,4,true,A\n" for i in range(2000))  # past one read chunk
+        p = tmp_path / "s.csv"
+        p.write_bytes(TestSurvey.HEADER.encode() + rows.encode() + b"p\xff,CTPA,i2,4,true,A\n")
+        got = self.check(p, fast=False)
+        assert got[1] is ParseError and "can't decode byte 0xff" in got[2]
+
 
 class TestSagat:
     def test_parse(self, tmp_path):
