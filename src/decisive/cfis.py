@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from .errors import DataQualityWarning, DecisiveError, ParseError
 
@@ -199,7 +199,8 @@ class CascadeColumns:
 class _Failures:
     """The rows each stage fails, in the order one row meets the stages."""
 
-    def __init__(self, where: Sequence[tuple[str, str]]):
+    def __init__(self, size: int, where: Callable[[int], tuple[str, str]]):
+        self.size = size
         self.where = where
         self.stages = []  # (failing rows, error type, row -> message)
 
@@ -213,38 +214,38 @@ class _Failures:
             return
         row = min(int(rows[0]) for rows, _, _ in self.stages)
         error, message = next((e, m) for rows, e, m in self.stages if row in rows)
-        label, location = self.where[row]
+        label, location = self.where(row)
         text = f"{label}: {message(row)}"
         if issubclass(error, ParseError):
             raise error(text, location)
         raise error(f"{text} (at {location})")
 
 
-def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
-                    where: Sequence[tuple[str, str]]) -> CascadeColumns:
+def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray], size: int,
+                    where: Callable[[int], tuple[str, str]]) -> CascadeColumns:
     """Evaluate the cascade over many rows at once, one numpy pass per stage.
 
-    `columns` holds every axis input variable as one value per row, NaN for
-    an empty cell. A row runs each axis system whose inputs it all has (a test
-    may not exercise, say, human independence). One active axis is the row's
-    combined score; more are folded, in wiring order, through the two-input
-    combining stage. The ideal run replaces the inputs of each axis in
-    `ideal_inputs` (in the shipped config: no crashes, no rollovers, full
-    completion) and keeps the observed scores of the others, so each ideal
-    axis is scored once. The normalized score is the fraction of the ideal
-    combined score, capped at 1.
+    `columns` holds every axis input variable as one value for each of the
+    `size` rows, NaN for an empty cell. A row runs each axis system whose
+    inputs it all has (a test may not exercise, say, human independence). One
+    active axis is the row's combined score; more are folded, in wiring order,
+    through the two-input combining stage. The ideal run replaces the inputs
+    of each axis in `ideal_inputs` (in the shipped config: no crashes, no
+    rollovers, full completion) and keeps the observed scores of the others,
+    so each ideal axis is scored once. The normalized score is the fraction of
+    the ideal combined score, capped at 1.
 
-    `where` names each row (label, location) for errors. The first failing
-    row raises, with the error of the first stage it fails: no axis inputs
-    (ParseError), or an axis, the combining stage or the ideal run firing no
-    rule, or an ideal score that is not positive (DecisiveError). The config's
-    shape (one two-input combining stage, complete `ideal_inputs`) is checked
-    when it loads.
+    `where(row)` names a row (label, location) for its error; it is called
+    for the one row that raises, so no other row's name is built. The first
+    failing row raises, with the error of the first stage it fails: no axis
+    inputs (ParseError), or an axis, the combining stage or the ideal run
+    firing no rule, or an ideal score that is not positive (DecisiveError).
+    The config's shape (one two-input combining stage, complete
+    `ideal_inputs`) is checked when it loads.
     """
     import numpy as np
 
-    size = len(where)
-    failures = _Failures(where)
+    failures = _Failures(size, where)
     systems = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
     active = {}
     for name, fis in systems.items():
@@ -297,7 +298,7 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
     """
     import numpy as np
 
-    size = len(failures.where)
+    size = failures.size
     pattern = np.zeros(size, dtype=np.int64)
     for k, axis in enumerate(wiring):
         pattern |= active[axis].astype(np.int64) << k

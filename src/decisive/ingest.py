@@ -22,7 +22,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import mapping
 from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
@@ -115,7 +115,7 @@ def _header(reader, path) -> list[str]:
 
 def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header, [(1-based file line, row), ...]) for a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path)
         rows = [
@@ -129,12 +129,35 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 def _header_and_body(path) -> tuple[list[str], str | None]:
     """A CSV file's header, and the text after it: None if that text does not decode,
     which the file's row loop reads again and reports."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = _header(csv.reader(fh), path)
         try:
             return header, fh.read()
         except UnicodeDecodeError:
             return header, None
+
+
+def _split_columns(body: str | None, width: int) -> list[list[str]] | None:
+    """Each column's cell texts in `body`, the text after a CSV header of `width` columns.
+
+    None when splitting at newlines and commas cannot vouch for what csv would
+    read: no text, a quote anywhere, a carriage return that does not end a
+    line with its newline, a line that is not exactly one row of `width`
+    cells (an empty line or a short row), or a line longer than a csv field
+    may be. A line whose cells are all blank is kept, though the row loops
+    skip it: each caller must reject it.
+    """
+    if body is None or '"' in body:
+        return None
+    if body.count("\r") != body.count("\r\n"):  # csv ends a line at a lone "\r" too
+        return None
+    lines = body.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    cells = ",".join(lines).split(",")
+    return [cells[i::width] for i in range(width)]
 
 
 def _columns(header: list[str], names, path) -> dict[str, int]:
@@ -639,28 +662,20 @@ def parse_survey(path) -> tuple[SurveyDataset, ParseReport]:
 def _survey_columns(body: str | None, header: list[str]) -> tuple[SurveyRow, ...] | None:
     """Every data row of `body`, the text after the header, converted a column at a time.
 
-    None when the column split cannot vouch for the text: no text, a missing
-    column, a quote anywhere, a carriage return that does not end a line with
-    its newline, a line that is not exactly one row of `header`'s width (blank
-    lines and short rows included), a line longer than a csv field may be, a
-    cell that does not convert, or a repeated (participant, instrument, item).
+    None when the column split cannot vouch for the text: a missing column,
+    text `_split_columns` rejects, a cell that does not convert (a blank row's
+    instrument does not), or a repeated (participant, instrument, item).
     `_survey_rows` then decides, and is the only source of error messages, line
     numbers and duplicate warnings.
     """
-    if body is None or not set(SURVEY_COLUMNS) <= set(header) or '"' in body:
+    if not set(SURVEY_COLUMNS) <= set(header):
         return None
-    if body.count("\r") != body.count("\r\n"):  # csv ends a line at a lone "\r" too
+    cells = _split_columns(body, len(header))
+    if cells is None:
         return None
-    lines = body.replace("\r\n", "\n").removesuffix("\n").split("\n")
-    width = len(header)
-    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    cells = ",".join(lines).split(",")
     columns = []
     for name, convert in SURVEY_COLUMNS.items():
-        texts = cells[header.index(name)::width]
+        texts = cells[header.index(name)]
         try:
             # each distinct text once: a Likert or flag column has only a few
             once = {text: convert(text, None) for text in set(texts)}
@@ -843,10 +858,13 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     systems = {}
     for fis_name, spec in _json(doc.get("fis", {}), dict).items():
         inputs = {}
-        for var_name, var_spec in spec.get("inputs", {}).items():
+        inputs_spec = _fields(spec, {"inputs": dict}, fis_name, path).get("inputs", {})
+        for var_name, var_spec in inputs_spec.items():
             lo, hi = _numbers(var_spec["range"], 2)
             terms = {}
-            for term, tup in var_spec.get("terms", {}).items():
+            terms_spec = _fields(var_spec, {"terms": dict}, f"{fis_name}.{var_name}",
+                                 path).get("terms", {})
+            for term, tup in terms_spec.items():
                 try:
                     points = _numbers(tup)
                     if len(points) != 3:
@@ -872,19 +890,20 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
 
         rules = []
         for i, rule_spec in enumerate(spec.get("rules", [])):
+            owner = f"{fis_name} rule {i}"
+            conditions = _fields(rule_spec, {"if": dict}, owner, path).get("if", {})
             antecedents = []
-            for var_name, term in rule_spec.get("if", {}).items():
+            for var_name, term in conditions.items():
                 if var_name not in inputs:
-                    raise ParseError(f"{fis_name} rule {i}: unknown variable {var_name!r}")
+                    raise ParseError(f"{owner}: unknown variable {var_name!r}")
                 negated = _json(term, str).startswith("not ")
                 bare = term[4:] if negated else term
                 if not inputs[var_name].has_term(bare):
-                    raise ParseError(f"{fis_name} rule {i}: unknown term {term!r}")
+                    raise ParseError(f"{owner}: unknown term {term!r}")
                 antecedents.append((var_name, bare, negated))
-            consequent = _fields(rule_spec, {"then": str}, f"{fis_name} rule {i}",
-                                 path).get("then")
+            consequent = _fields(rule_spec, {"then": str}, owner, path).get("then")
             if consequent not in outputs:
-                raise ParseError(f"{fis_name} rule {i}: unknown output {consequent!r}")
+                raise ParseError(f"{owner}: unknown output {consequent!r}")
             rules.append(Rule(tuple(antecedents), consequent))
         if not rules:
             raise ParseError(f"{fis_name}: at least one rule required", str(path))
@@ -930,34 +949,102 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
 
 # --- cfis scores -----------------------------------------------------------------
 
+class ScoreColumns(NamedTuple):
+    """A `cfis --scores` file a column at a time.
+
+    Row k is (suas_ids[k], test_ids[k]) from file line lines[k], and numbers[name][k]
+    is its value of each number column: "score" when the file holds precomputed
+    scores, else each FIS input variable, NaN for an empty or absent cell.
+    """
+
+    precomputed: bool
+    suas_ids: list[str]
+    test_ids: list[str]
+    numbers: dict[str, list[float]]
+    lines: Sequence[int]
+
+
 @_total
-def parse_scores(path, variables: list[str]) -> tuple[bool, list[tuple[str, str, dict[str, float], int]]]:
-    """A `cfis --scores` CSV: (precomputed, [(suas_id, test_id, numbers, line), ...]).
+def parse_scores(path, variables: list[str]) -> ScoreColumns:
+    """A `cfis --scores` CSV, its rows in file order.
 
     A file whose columns are exactly suas_id,test_id,score holds precomputed
-    scores, and each row's numbers are {"score": value}. Any other file holds
-    FIS inputs, and each row's numbers are its non-empty `variables` cells.
-    A repeated column reads its last copy. A number that is not finite fails.
-    A repeated (suas_id, test_id) pair warns; both rows are returned, and the
-    later one is the pair's score.
+    scores, and an empty score fails. Any other file holds FIS inputs, one
+    number column per name in `variables`. A repeated column reads its last
+    copy. A number that is not finite fails. A repeated (suas_id, test_id) pair
+    warns; both rows are returned, and the later one is the pair's score.
+    """
+    header, body = _header_and_body(path)
+    precomputed = set(header) == {"suas_id", "test_id", "score"}
+    names = ["score"] if precomputed else list(variables)
+    table = _scores_columns(body, header, precomputed, names)
+    if table is None:
+        table = _scores_rows(path, precomputed, names)
+    return table
+
+
+def _scores_columns(body: str | None, header: list[str], precomputed: bool,
+                    names: list[str]) -> ScoreColumns | None:
+    """The rows of `body`, the text after the header, converted a column at a time.
+
+    None when the column split cannot vouch for the text: a missing id column,
+    text `_split_columns` rejects, a blank suas_id (a row of blank cells, which
+    the row loop skips, has one), a repeated (suas_id, test_id) pair, or a cell
+    that does not convert. `_scores_rows` then decides, and is the only source
+    of error messages, line numbers and duplicate warnings.
+    """
+    if not {"suas_id", "test_id"} <= set(header):
+        return None
+    cells = _split_columns(body, len(header))
+    if cells is None:
+        return None
+    by_name = dict(zip(header, cells))  # a repeated column: its last copy, as in the row loop
+    suas_ids, test_ids = by_name["suas_id"], by_name["test_id"]
+    if not all(map(str.strip, set(suas_ids))):
+        return None
+    if len(set(zip(suas_ids, test_ids))) != len(suas_ids):
+        return None
+    numbers = {}
+    for name in names:
+        texts = by_name.get(name)
+        if texts is None:
+            numbers[name] = [math.nan] * len(suas_ids)
+            continue
+        try:
+            # each distinct text once: a count column has only a few
+            once = {text: _score_cell(text, precomputed, None) for text in set(texts)}
+        except ParseError:
+            return None
+        numbers[name] = list(map(once.__getitem__, texts))
+    return ScoreColumns(precomputed, suas_ids, test_ids, numbers, range(2, len(suas_ids) + 2))
+
+
+def _score_cell(text: str, precomputed: bool, line) -> float:
+    """A score file's number: an empty FIS input is NaN, an empty precomputed score fails."""
+    return math.nan if text == "" and not precomputed else _number(text, line)
+
+
+def _scores_rows(path, precomputed: bool, names: list[str]) -> ScoreColumns:
+    """The columns of `_scores_columns`, one line at a time, raising at the first bad line.
+
+    A repeated (suas_id, test_id) pair warns, and both rows are kept.
     """
     header, rows = _read_rows(path)
     _columns(header, ("suas_id", "test_id"), path)
-    precomputed = set(header) == {"suas_id", "test_id", "score"}
     ids = [i for i, c in enumerate(header) if c in ("suas_id", "test_id")]
     width = len(header) if precomputed else max(ids) + 1
-    out = []
+    table = ScoreColumns(precomputed, [], [], {name: [] for name in names}, [])
     seen = set()
     for line, row in _rows_of_width(rows, width):
         cells = dict(zip(header, row))
-        if precomputed:
-            numbers = {"score": _number(cells["score"], line)}
-        else:
-            numbers = {v: _number(cells[v], line) for v in variables if cells.get(v, "") != ""}
+        for name in names:
+            table.numbers[name].append(_score_cell(cells.get(name, ""), precomputed, line))
         key = (cells["suas_id"], cells["test_id"])
         if key in seen:
             warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "
                           f"(at {path}:{line})", DataQualityWarning)
         seen.add(key)
-        out.append((*key, numbers, line))
-    return precomputed, out
+        table.suas_ids.append(key[0])
+        table.test_ids.append(key[1])
+        table.lines.append(line)
+    return table

@@ -83,28 +83,60 @@ def _header_text(col: Column) -> str:
     return f"{col.header} ({col.unit})" if col.unit else col.header
 
 
+def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool) -> list[str]:
+    """`_format_cell` of each of a column's cells, with one formatter for the column
+    when its cells' types allow: digits for exact floats and None, text kept as it is."""
+    kinds = set(map(type, cells))
+    if column.kind == "number" and column.digits is not None and kinds <= {float, type(None)}:
+        spec = f".{column.digits}f"
+        return ["" if cell is None else format(cell, spec) for cell in cells]
+    if column.kind == "text" and kinds <= {str}:
+        return list(cells)
+    return [_format_cell(cell, column, ascii_glyphs) for cell in cells]
+
+
+def _cell_texts(table: ReportTable, ascii_glyphs: bool) -> list[list[str]]:
+    """Every column's formatted cells; a bad cell raises as the first one in row order."""
+    cells = list(zip(*table.rows)) or [()] * len(table.columns)
+    try:
+        return [_format_column(c, col, ascii_glyphs) for c, col in zip(cells, table.columns)]
+    except (DecisiveError, TypeError, ValueError, OverflowError):
+        # another column may hold an earlier bad cell: the row loop finds it
+        for row in table.rows:
+            for cell, col in zip(row, table.columns):
+                _format_cell(cell, col, ascii_glyphs)
+        raise
+
+
 def _render_md(table: ReportTable, ascii_glyphs: bool) -> str:
     headers = [_header_text(c) for c in table.columns]
     lines = [f"### {table.title}", ""]
     lines.append("| " + " | ".join(headers) + " |")
     lines.append("| " + " | ".join("---" for _ in headers) + " |")
-    for row in table.rows:
-        cells = [_format_cell(c, col, ascii_glyphs) for c, col in zip(row, table.columns)]
-        lines.append("| " + " | ".join(cells) + " |")
+    lines += ["| " + " | ".join(cells) + " |" for cells in zip(*_cell_texts(table, ascii_glyphs))]
     return "\n".join(lines) + "\n"
 
 
+#: the characters that make a CSV cell quoted
+_CSV_SPECIAL = ",\"\n\r"
+
+
 def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
+    if any(ch in text for ch in _CSV_SPECIAL):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+def _csv_column(texts: list[str]) -> list[str]:
+    """`_csv_quote` of each text, looking at the column's text as a whole first."""
+    joined = "".join(texts)
+    return list(map(_csv_quote, texts)) if any(ch in joined for ch in _CSV_SPECIAL) else texts
+
+
 def _render_csv(table: ReportTable, ascii_glyphs: bool) -> str:
     lines = [",".join(_csv_quote(_header_text(c)) for c in table.columns)]
-    for row in table.rows:
-        cells = [_format_cell(c, col, ascii_glyphs) for c, col in zip(row, table.columns)]
-        lines.append(",".join(_csv_quote(c) for c in cells))
+    columns = [_csv_column(texts) for texts in _cell_texts(table, ascii_glyphs)]
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 

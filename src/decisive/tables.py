@@ -291,13 +291,11 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
     axis_vars = {name: tuple(fis.inputs) for name, fis in config.fis.items()
                  if name not in config.cascade}
     variables = list(dict.fromkeys(v for names in axis_vars.values() for v in names))
-    precomputed, rows = parse_scores(scores_path, variables)
+    scores = parse_scores(scores_path, variables)
 
     tables = []
-    per_suas: dict[str, dict[str, float]] = {}
-    if precomputed:
-        for suas_id, test_id, numbers, _ in rows:
-            per_suas.setdefault(suas_id, {})[test_id] = numbers["score"]
+    if scores.precomputed:
+        normalized = scores.numbers["score"]
     else:
         detail = ReportTable(
             "Contextual autonomy per test",
@@ -305,18 +303,23 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
             + [Column(f"{axis} score", "number", 3) for axis in sorted(axis_vars)]
             + [Column("combined", "number", 3), Column("normalized", "number", 2)],
         )
-        columns = {v: np.array([numbers.get(v, np.nan) for _, _, numbers, _ in rows])
-                   for v in variables}
-        where = [(f"{suas_id}/{test_id}", f"{scores_path}:{line}")
-                 for suas_id, test_id, _, line in rows]
-        scored = cfis_mod.cascade_columns(config, columns, where)
-        axes = [scored.axes[a].tolist() for a in sorted(axis_vars)]
-        combined, normalized = scored.combined.tolist(), scored.normalized.tolist()
-        for k, (suas_id, test_id, _, _) in enumerate(rows):
-            axis_scores = [None if math.isnan(axis[k]) else axis[k] for axis in axes]
-            detail.add_row(suas_id, test_id, *axis_scores, combined[k], normalized[k])
-            per_suas.setdefault(suas_id, {})[test_id] = normalized[k]
+        columns = {v: np.array(scores.numbers[v]) for v in variables}
+
+        def where(row: int) -> tuple[str, str]:
+            return (f"{scores.suas_ids[row]}/{scores.test_ids[row]}",
+                    f"{scores_path}:{scores.lines[row]}")
+
+        scored = cfis_mod.cascade_columns(config, columns, len(scores.lines), where)
+        axes = [[None if math.isnan(x) else x for x in scored.axes[a].tolist()]
+                for a in sorted(axis_vars)]
+        normalized = scored.normalized.tolist()
+        detail.rows = list(map(list, zip(scores.suas_ids, scores.test_ids, *axes,
+                                         scored.combined.tolist(), normalized)))
         tables.append(detail)
+
+    per_suas: dict[str, dict[str, float]] = {}
+    for suas_id, test_id, score in zip(scores.suas_ids, scores.test_ids, normalized):
+        per_suas.setdefault(suas_id, {})[test_id] = score
 
     predictive = ReportTable(
         "Predictive mission score",

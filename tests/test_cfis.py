@@ -55,8 +55,7 @@ def score_rows(config, rows):
     variable is an empty cell. Row i is named ("r<i>", "f:<i + 2>")."""
     names = sorted({v for fis in config.fis.values() for v in fis.inputs})
     columns = {v: np.array([row.get(v, np.nan) for row in rows], dtype=float) for v in names}
-    where = [(f"r{i}", f"f:{i + 2}") for i in range(len(rows))]
-    return cascade_columns(config, columns, where)
+    return cascade_columns(config, columns, len(rows), lambda i: (f"r{i}", f"f:{i + 2}"))
 
 
 def oracle_row(config, row):

@@ -45,6 +45,13 @@ def path_file(tmp_path):
 TRUST = ["--condition-a", "caged", "--condition-b", "exposed"]
 
 
+def with_bom(tmp_path, source):
+    """A copy of `source` that starts with a UTF-8 byte-order mark."""
+    target = tmp_path / source.name
+    target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return target
+
+
 class TestValidate:
     def test_good_manifest(self, capsys):
         code, _out, err = run(capsys, "validate", CAMPAIGN / "campaign.json")
@@ -290,6 +297,21 @@ class TestCfis:
                               "alpha,takeoff-easy,1.000,0.544,0.772,0.77"]
         assert lines[-1] == "alpha,1,0.77"
 
+    def test_scores_with_a_byte_order_mark(self, capsys, tmp_path):
+        plain = CAMPAIGN / "cfis_scores.csv"
+        marked = with_bom(tmp_path, plain)
+        expected = run(capsys, "cfis", "--scores", plain)
+        assert expected[0] == 0
+        assert run(capsys, "cfis", "--scores", marked) == expected
+
+    def test_carriage_return_in_a_cell_round_trips_through_csv(self, capsys, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b'suas_id,test_id,score\n"a\rb",t1,0.5\n')
+        code, out, err = run(capsys, "cfis", "--scores", scores, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows == [["sUAS", "tests", "predictive score"], ["a\rb", "1", "0.50"]]
+
     def test_zero_predictive_score_names_suas_and_test(self, capsys, tmp_path):
         scores = write(tmp_path / "scores.csv", "suas_id,test_id,crashes,rollovers,completion\n"
                                                 "alpha,t1,0,0,1\nalpha,t2,3,3,0\n")
@@ -334,6 +356,14 @@ class TestSaTrust:
         assert code == 0
         assert "Trust comparison" in out
         assert "manipulation check" in err  # e10 fails the check
+
+    def test_trust_survey_with_a_byte_order_mark(self, capsys, tmp_path):
+        plain = CAMPAIGN / "surveys.csv"
+        marked = with_bom(tmp_path, plain)
+        code, out, err = run(capsys, "trust", "--survey", plain, *TRUST)
+        assert code == 0
+        assert run(capsys, "trust", "--survey", marked, *TRUST) == (
+            code, out, err.replace(str(plain), str(marked)))
 
     def test_short_survey_row_names_line(self, capsys, tmp_path):
         lines = (CAMPAIGN / "surveys.csv").read_text().splitlines()
@@ -758,6 +788,16 @@ LOAD_ERRORS = {
     "fis-rule-then-array": (
         cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update(then=["good"])),
         "mc rule 0: bad 'then' field (expected a string, got [\"good\"])"),
+    # an FIS block given as an array names the system, variable or rule it is in
+    "fis-inputs-array": (cfis_with(lambda doc: doc["fis"]["mc"].update(inputs=["crashes"])),
+                         "mc: bad 'inputs' field (expected an object, got [\"crashes\"])"),
+    "fis-terms-array": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["completion"].update(
+            terms=[[0, 0.5, 1]])),
+        "mc.completion: bad 'terms' field (expected an object, got [[0, 0.5, 1]])"),
+    "fis-rule-if-array": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update({"if": ["crashes"]})),
+        "mc rule 0: bad 'if' field (expected an object, got [\"crashes\"])"),
     "manifest-environment-array": (
         sample_with("campaign.json", lambda doc: doc["tests"][0].update(environment=["lab"]),
                     "validate"),

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import shutil
 import warnings
@@ -618,6 +619,192 @@ class TestSurveyColumnsAgreeWithRowLoop:
         p.write_bytes(TestSurvey.HEADER.encode() + rows.encode() + b"p\xff,CTPA,i2,4,true,A\n")
         got = self.check(p, fast=False)
         assert got[1] is ParseError and "can't decode byte 0xff" in got[2]
+
+
+class TestScores:
+    HEADER = "suas_id,test_id,crashes,rollovers,completion\n"
+
+    def test_precomputed_and_fis_input_columns(self, tmp_path):
+        p = write(tmp_path / "s.csv", "suas_id,test_id,score\na,t1,0.5\nb,t2,1\n")
+        assert ingest.parse_scores(p, ["crashes"]) == (
+            True, ["a", "b"], ["t1", "t2"], {"score": [0.5, 1.0]}, range(2, 4))
+        p = write(tmp_path / "s.csv", self.HEADER + "a,t1,0,,1\n")
+        table = ingest.parse_scores(p, ["crashes", "rollovers", "roll"])
+        assert not table.precomputed
+        assert repr(table.numbers) == "{'crashes': [0.0], 'rollovers': [nan], 'roll': [nan]}"
+
+    def test_empty_precomputed_score_fails(self, tmp_path):
+        p = write(tmp_path / "s.csv", "suas_id,test_id,score\na,t1,\na,t2,0.5\n")
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_scores(p, [])
+        assert str(exc.value) == f"cannot parse '' as a number (at {p}:2)"
+
+    def test_first_bad_cell_names_its_line(self, tmp_path):
+        rows = [f"a,t{i},{'x' if i in (3, 7) else 0},0,1" for i in range(9)]
+        p = write(tmp_path / "s.csv", self.HEADER + "\n".join(rows) + "\n")  # x on lines 5, 9
+        with pytest.raises(ParseError) as exc:
+            ingest.parse_scores(p, ["crashes"])
+        assert str(exc.value) == f"cannot parse 'x' as a number (at {p}:5)"
+
+
+def _scores_outcome(path, variables):
+    """parse_scores's columns and warnings, or its error's class and text, as plain data."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            table = ingest.parse_scores(path, variables)
+        except DecisiveError as exc:
+            return ("error", type(exc), str(exc), [str(w.message) for w in record])
+    # repr tells -0.0 from 0.0, and nan equals nan
+    return ("ok", table.precomputed, table.suas_ids, table.test_ids, repr(table.numbers),
+            list(table.lines), [str(w.message) for w in record])
+
+
+#: the FIS input variables a generated scores file is read for; "roll" is never a column
+SCORE_VARIABLES = ["crashes", "rollovers", "completion", "roll"]
+#: ways a generated scores file may differ from a plain one: a file draws any set of them,
+#: and each of its rows at most one of the row quirks in that set
+SCORE_FILE_QUIRKS = ("precomputed", "extra column", "repeated column", "reordered",
+                     "missing variable", "padded header", "byte order mark", "no final newline")
+SCORE_ROW_QUIRKS = ("quoted cell", "crlf", "carriage return", "empty line", "blank cells",
+                    "whitespace cell", "non-finite", "bad cell", "blank id", "duplicate",
+                    "short row", "long row")
+#: number cells: an empty one is an absent FIS input, but fails as a precomputed score
+SCORE_TEXTS = ["0", "1", "2", "0.5", "-0.0", "1e-3", " 3 ", "+1", "1_0", ""]
+BAD_SCORE_CELLS = {"whitespace cell": [" ", "\t"],
+                   "non-finite": ["nan", "inf", "-inf", "NaN", "1e999"],
+                   "bad cell": ["x", "1.2.3", "--1"]}
+
+
+def scores_text(data) -> str:
+    """A scores file whose header and rows carry the quirks `data` draws."""
+    quirks = data.draw(st.sets(st.sampled_from(SCORE_FILE_QUIRKS + SCORE_ROW_QUIRKS)))
+    numbers = ["score"] if "precomputed" in quirks else SCORE_VARIABLES[:3]
+    if "missing variable" in quirks:
+        numbers.remove(data.draw(st.sampled_from(numbers)))
+    columns = ["suas_id", "test_id"] + numbers
+    if "extra column" in quirks:
+        columns.insert(data.draw(st.integers(0, len(columns))), "note")
+    if "repeated column" in quirks:
+        columns.append(data.draw(st.sampled_from(columns)))
+    if "reordered" in quirks:
+        columns = data.draw(st.permutations(columns))
+    lines = [(", " if "padded header" in quirks else ",").join(columns) + "\n"]
+    row_quirks = [q for q in SCORE_ROW_QUIRKS if q in quirks]
+    ids = ("suas_id", "test_id")
+    numeric = [j for j, c in enumerate(columns) if c not in ids + ("note",)]
+    previous = None
+    for k in range(data.draw(st.integers(0, 8))):
+        quirk = data.draw(st.sampled_from(row_quirks + ["none", "none"]))
+        row = []
+        for c in columns:  # each copy of a repeated column draws its own cell
+            row.append(data.draw(st.sampled_from(["a", "b"])) if c == "suas_id"
+                       else f"t{k}" if c == "test_id" else "ok" if c == "note"
+                       else data.draw(st.sampled_from(SCORE_TEXTS)))
+        if quirk == "duplicate" and previous:
+            row = [p if c in ids else r for c, p, r in zip(columns, previous, row)]
+        elif quirk == "blank id":
+            row[columns.index("suas_id")] = data.draw(st.sampled_from(["", " "]))
+        elif quirk in ("quoted cell", "carriage return"):
+            j = data.draw(st.integers(0, len(row) - 1))
+            row[j] = (f"{row[j]}\r" if quirk == "carriage return"
+                      else '"a,b"' if columns[j] == "note" else f'"{row[j]}"')
+        elif quirk in BAD_SCORE_CELLS and numeric:
+            row[data.draw(st.sampled_from(numeric))] = data.draw(
+                st.sampled_from(BAD_SCORE_CELLS[quirk]))
+        previous = row
+        if quirk == "short row":
+            row = row[:data.draw(st.integers(1, len(row) - 1))]
+        elif quirk == "long row":
+            row = row + ["1"] * data.draw(st.integers(1, 3))
+        elif quirk == "blank cells":
+            row = [data.draw(st.sampled_from(["", " "]))] * len(row)
+        text = "" if quirk == "empty line" else ",".join(row)
+        lines.append(text + ("\r\n" if quirk == "crlf" else "\n"))
+    text = "".join(lines)
+    text = text.rstrip("\r\n") if "no final newline" in quirks else text
+    return "\ufeff" + text if "byte order mark" in quirks else text
+
+
+class TestScoresColumnsAgreeWithRowLoop:
+    """The column-wise parse gives the row loop's columns, or defers to its errors and warnings."""
+
+    def check(self, path, fast: bool | None = None):
+        """Compare with the row loop; `fast`, when given, says whether the columns take the file."""
+        taken = []
+        columns = ingest._scores_columns
+
+        def spy(*args):
+            table = columns(*args)
+            taken.append(table is not None)
+            return table
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_scores_columns", spy)
+            got = _scores_outcome(path, SCORE_VARIABLES)
+            patch.setattr(ingest, "_scores_columns", lambda *args: None)
+            assert got == _scores_outcome(path, SCORE_VARIABLES)
+        if fast is not None:
+            assert taken == [fast]
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_scores_text(self, scores_dir, data):
+        path = scores_dir / "s.csv"
+        path.write_bytes(scores_text(data).encode())
+        self.check(path)
+
+    def test_sample_scores(self):
+        assert self.check(SAMPLE / "cfis_scores.csv", fast=True)[0] == "ok"
+
+    def test_repeated_reordered_and_empty_columns(self, tmp_path):
+        header = "completion,test_id,crashes,suas_id,note,crashes"
+        rows = [f",t{i},9,s{i % 3},n, {i % 3} " for i in range(30)]
+        p = write(tmp_path / "s.csv", "\n".join([header] + rows))  # no final newline
+        got = self.check(p, fast=True)
+        assert got[4] == repr({"crashes": [float(i % 3) for i in range(30)],
+                               "rollovers": [math.nan] * 30, "completion": [math.nan] * 30,
+                               "roll": [math.nan] * 30})
+
+    @pytest.mark.parametrize("row", [
+        '"c",t3,0,0,1',  # a quoted cell
+        "",  # an empty line
+        " , , , , ",  # a row whose cells are all blank is skipped
+        ",,,,",
+        "c,t3,0,0",  # a short row
+        "c,t3,0,0,1,extra",  # a long row
+        "c,t3,0\r0,1",  # a lone carriage return ends a csv row
+        "a,t1,1,1,0.5",  # a repeated pair warns
+        " ,t3,0,0,1",  # a blank suas_id
+        "c,t3,0, ,1",  # a blank number cell
+        "c,t3,inf,0,1",  # a number that is not finite
+        "c,t3,0,x,1",  # a cell that is not a number
+    ])
+    def test_row_loop_decides_what_columns_reject(self, row, tmp_path):
+        p = write(tmp_path / "s.csv", TestScores.HEADER + f"a,t1,0,0,1\n{row}\nb,t2,1,0,0.5\n")
+        self.check(p, fast=False)
+
+    def test_empty_precomputed_score(self, tmp_path):
+        p = write(tmp_path / "s.csv", "suas_id,test_id,score\na,t1,0.5\nb,t2,\n")
+        assert self.check(p, fast=False)[2] == f"cannot parse '' as a number (at {p}:3)"
+
+    @pytest.mark.parametrize("ending, fast", [(b"\r\n", True), (b"\r", False)])
+    def test_carriage_returns(self, ending, fast, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(ending.join([b"suas_id,test_id,score", b"a,t1,0.5", b"b,t2,1", b""]))
+        assert self.check(p, fast=fast)[0] == "ok"
+
+    def test_byte_order_mark(self, tmp_path):
+        text = (SAMPLE / "cfis_scores.csv").read_bytes()
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text)
+        assert self.check(p, fast=True) == self.check(SAMPLE / "cfis_scores.csv")
+
+
+@pytest.fixture(scope="module")
+def scores_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores")
 
 
 class TestSagat:

@@ -1,10 +1,16 @@
 import json
+import math
 import xml.dom.minidom
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decisive import report
 from decisive.errors import DecisiveError
 from decisive.report import (
+    GLYPHS,
     Column,
     ReportTable,
     deviation_svg,
@@ -85,6 +91,72 @@ class TestRenderTable:
     def test_multi_table_concatenation(self):
         blob = render_tables([sample_table(), sample_table()], "md").decode("utf-8")
         assert blob.count("### Ranking") == 2
+
+
+def per_cell_reference(table, fmt, ascii_glyphs):
+    """`table` rendered one cell at a time in row order, or the first bad cell's error."""
+    try:
+        rows = [[report._format_cell(cell, col, ascii_glyphs) for cell, col in
+                 zip(row, table.columns)] for row in table.rows]
+    except DecisiveError as exc:
+        return ("error", str(exc))
+    headers = [report._header_text(c) for c in table.columns]
+    if fmt == "md":
+        lines = [f"### {table.title}", "", "| " + " | ".join(headers) + " |",
+                 "| " + " | ".join("---" for _ in headers) + " |"]
+        lines += ["| " + " | ".join(cells) + " |" for cells in rows]
+    else:
+        def quote(text):
+            special = any(c in text for c in ',"\n\r')
+            return '"' + text.replace('"', '""') + '"' if special else text
+
+        lines = [",".join(map(quote, cells)) for cells in [headers] + rows]
+    return ("ok", ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 2.675])
+#: cells of each kind a table may hold
+CELLS = {
+    "none": st.none(),
+    "float": st.one_of(SPECIAL_FLOATS, st.floats()),
+    "int": st.integers(-10**6, 10**6),
+    "numpy float": st.one_of(SPECIAL_FLOATS, st.floats()).map(np.float64),
+    "glyph key": st.sampled_from(sorted(GLYPHS)),
+    "string": st.text(alphabet=st.sampled_from('ab ,"\n\r|✓'), max_size=4),
+}
+
+
+@st.composite
+def tables(draw):
+    """A table whose columns each hold a few kinds of cell, often one kind only."""
+    columns, kinds = [], []
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["number", "glyph", "text"]))
+        digits = draw(st.one_of(st.none(), st.integers(0, 4))) if kind == "number" else None
+        columns.append(Column(f"c{k}", kind, digits, draw(st.sampled_from(["", "m"]))))
+        kinds.append(draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=2)))
+    table = ReportTable("T", columns)
+    for _ in range(draw(st.integers(0, 6))):
+        table.add_row(*[draw(st.one_of([CELLS[kind] for kind in ks])) for ks in kinds])
+    return table
+
+
+class TestColumnsAgreeWithPerCellRendering:
+    @settings(max_examples=400, deadline=None)
+    @given(table=tables(), fmt=st.sampled_from(["md", "csv"]), ascii_glyphs=st.booleans())
+    def test_any_table(self, table, fmt, ascii_glyphs):
+        try:
+            got = ("ok", render_table(table, fmt, ascii_glyphs))
+        except DecisiveError as exc:
+            got = ("error", str(exc))
+        assert got == per_cell_reference(table, fmt, ascii_glyphs)
+
+    def test_first_bad_cell_in_row_order(self):
+        table = ReportTable("T", [Column("a", "number", 2), Column("b", "glyph")])
+        table.add_row(1.0, "nope")  # the glyph column's bad cell comes first in row order
+        table.add_row("x", "good")
+        with pytest.raises(DecisiveError, match="b: glyph cell 'nope' not in"):
+            render_table(table, "md")
 
 
 class TestPlotSvg:
