@@ -144,18 +144,15 @@ def osa_by_mission(
 
 # --- trust surveys -----------------------------------------------------------
 
-class SurveyRow(NamedTuple):
-    participant_id: str
-    instrument: str  # CTPA | HCTM
-    item_id: str
-    score: int  # 1..7 Likert
-    manip_pass: bool
-    condition: str
+class SurveyColumns(NamedTuple):
+    """Trust-survey responses a column at a time: response k is entry k of each list."""
 
-
-@dataclass(frozen=True)
-class SurveyDataset:
-    rows: tuple[SurveyRow, ...]
+    participant_ids: list[str]
+    instruments: list[str]  # CTPA | HCTM
+    item_ids: list[str]
+    scores: list[int]  # 1..7 Likert
+    manip_pass: list[bool]
+    conditions: list[str]
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ class TrustReport:
     items: tuple[ItemComparison, ...]
 
 
-def trust_pipeline(dataset: SurveyDataset, condition_a: str, condition_b: str) -> TrustReport:
+def trust_pipeline(survey: SurveyColumns, condition_a: str, condition_b: str) -> TrustReport:
     """Manipulation-check filter, per-item IQR outlier removal, then item-wise tests.
 
     Outliers are fenced within each condition's per-item sample so genuine
@@ -184,16 +181,19 @@ def trust_pipeline(dataset: SurveyDataset, condition_a: str, condition_b: str) -
     each item past the 10% removal guidance is reported as a
     DataQualityWarning, never enforced silently.
     """
-    for participant in sorted({r.participant_id for r in dataset.rows if not r.manip_pass}):
+    failed = {p for p, passed in zip(survey.participant_ids, survey.manip_pass) if not passed}
+    for participant in sorted(failed):
         warnings.warn(
             f"removed participant (failed manipulation check): {participant}", DataQualityWarning
         )
     # one pass over the valid rows; buckets keep row order, which the
     # floating-point sums below depend on
     buckets: dict[tuple[str, str, str], list[int]] = {}
-    for r in dataset.rows:
-        if r.manip_pass:
-            buckets.setdefault((r.instrument, r.item_id, r.condition), []).append(r.score)
+    for instrument, item_id, score, passed, condition in zip(
+            survey.instruments, survey.item_ids, survey.scores, survey.manip_pass,
+            survey.conditions):
+        if passed:
+            buckets.setdefault((instrument, item_id, condition), []).append(score)
 
     for label in (condition_a, condition_b):
         if not any(cond == label for _, _, cond in buckets):

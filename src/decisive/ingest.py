@@ -2,11 +2,15 @@
 
 Every parser is total: a file yields a value (for the data files, plus a
 ParseReport of what was loaded) or a ParseError naming the file and location.
-Non-fatal issues are DataQualityWarnings, issued where they are found. CSV
-files have required headers (`_columns`). This module alone decides the type
-of a JSON value: each value a parser reads goes through `_json`, `_numbers`,
-`_count` or `_fields`, so a wrong type fails at load, naming its file.
-UTF-8, '.' decimal separator, ',' delimiter.
+Non-fatal issues are DataQualityWarnings, issued where they are found. A CSV
+header fails at a needed column it lacks or repeats (`_columns`). One row loop,
+`_csv_rows`, reads the data rows and alone reports a bad one; the survey and
+scores files first try `_csv_columns`, telemetry one numpy call, each of which
+defers to the row loop when it cannot vouch for the whole file. This module
+alone decides the type of a JSON value: each value a parser reads goes through
+`_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails at load,
+naming its file. UTF-8 (a byte-order mark is dropped), '.' decimal separator,
+',' delimiter.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,13 +41,7 @@ from .core import (
 )
 from .errors import DataQualityWarning, DecisiveError, ParseError
 from .field import Criterion, NlosPosition
-from .human_factors import (
-    SagatResponse,
-    SeParams,
-    SurveyDataset,
-    SurveyRow,
-    attention_allocation,
-)
+from .human_factors import SagatResponse, SeParams, SurveyColumns, attention_allocation
 from .mapping import FiducialGroundTruth, FiducialObservation
 from .nav import ReferencePath
 from .ncap import ABSENT, AutonomyCapabilities, Feature, FeatureTable
@@ -118,12 +115,8 @@ def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path)
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(reader, start=2)
-            if "".join(row).strip()
-        ]
-    return header, rows
+        return header, [(line, row) for line, row in enumerate(reader, start=2)
+                        if "".join(row).strip()]
 
 
 def _header_and_body(path) -> tuple[list[str], str | None]:
@@ -144,12 +137,10 @@ def _split_columns(body: str | None, width: int) -> list[list[str]] | None:
     read: no text, a quote anywhere, a carriage return that does not end a
     line with its newline, a line that is not exactly one row of `width`
     cells (an empty line or a short row), or a line longer than a csv field
-    may be. A line whose cells are all blank is kept, though the row loops
-    skip it: each caller must reject it.
+    may be.
     """
-    if body is None or '"' in body:
-        return None
-    if body.count("\r") != body.count("\r\n"):  # csv ends a line at a lone "\r" too
+    # csv ends a line at a lone "\r" too
+    if body is None or '"' in body or body.count("\r") != body.count("\r\n"):
         return None
     lines = body.replace("\r\n", "\n").removesuffix("\n").split("\n")
     if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
@@ -160,12 +151,18 @@ def _split_columns(body: str | None, width: int) -> list[list[str]] | None:
     return [cells[i::width] for i in range(width)]
 
 
-def _columns(header: list[str], names, path) -> dict[str, int]:
-    """The index in `header` of each of `names`, failing at the first one it lacks."""
+def _columns(header: list[str], names, path, optional=()) -> dict[str, int]:
+    """The index in `header` of each of `names`, failing at one it repeats or, unless the
+    name is `optional`, lacks."""
+    idx = {}
     for col in names:
-        if col not in header:
+        if header.count(col) > 1:
+            raise ParseError(f"column {col!r} appears more than once", str(path))
+        if col in header:
+            idx[col] = header.index(col)
+        elif col not in optional:
             raise ParseError(f"missing column {col!r}", str(path))
-    return {col: header.index(col) for col in names}
+    return idx
 
 
 def _rows_of_width(rows, width: int):
@@ -174,6 +171,60 @@ def _rows_of_width(rows, width: int):
         if len(row) < width:
             raise ParseError(f"row has {len(row)} fields, needs {width}", line)
         yield line, row
+
+
+def _csv_rows(path, converters: dict, optional=()):
+    """(line, values) for each data row of the CSV at `path`, raising at the first bad line.
+
+    `values` holds each of `converters`' columns, its text converted with the
+    line number. A column in `optional` reads "" where the header or a short
+    row lacks it; a row that stops before another needed column fails.
+    """
+    header, rows = _read_rows(path)
+    idx = _columns(header, converters, path, optional)
+    width = max(i for name, i in idx.items() if name not in optional) + 1
+    cells = [(idx.get(name, math.inf), convert) for name, convert in converters.items()]
+    for line, row in _rows_of_width(rows, width):
+        yield line, [convert(row[i] if i < len(row) else "", line) for i, convert in cells]
+
+
+def _csv_columns(header: list[str], body: str | None, path, converters: dict, optional=(),
+                 key: int = 0) -> list[list] | None:
+    """The columns `_csv_rows` would read from `body`, the text after `header`, in one split.
+
+    Each distinct text of a column is converted once. The header fails as in
+    the row loop. None when the split cannot vouch for the text: text
+    `_split_columns` rejects, a row of blank cells (the row loop skips it), a
+    cell that does not convert, or a repeated row of the first `key` columns.
+    `_csv_rows` then decides, and is the only source of error messages, line
+    numbers and duplicate warnings.
+    """
+    idx = _columns(header, converters, path, optional)
+    cells = _split_columns(body, len(header))
+    if cells is None:
+        return None
+    rows, columns, blank = len(cells[0]), [], True
+    for name, convert in converters.items():
+        texts = cells[idx[name]] if name in idx else [""] * rows
+        distinct = set(texts)
+        blank = blank and not all(map(str.strip, distinct))
+        try:
+            # each distinct text once: a Likert, flag or count column has only a few
+            once = {text: convert(text, None) for text in distinct}
+        except ParseError:
+            return None
+        columns.append(list(map(once.__getitem__, texts)))
+    # a row of blank cells has one in every column, so look for such a row only then
+    if blank and any(not "".join(row).strip() for row in zip(*cells)):
+        return None
+    if key and len(set(zip(*columns[:key]))) != rows:
+        return None
+    return columns
+
+
+def _transposed(rows, width: int) -> list[list]:
+    """The `width` columns of `rows`, each a list."""
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
 def _number(text: str, line: int) -> float:
@@ -225,7 +276,7 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
 
     table = _telemetry_columns(body, cols)
     if table is None:
-        table = _telemetry_rows(path, cols)
+        table = _telemetry_rows(path, fields)
 
     def triple(first: int) -> np.ndarray:
         # a contiguous copy, so numpy reductions run as they would on a separate array
@@ -264,19 +315,14 @@ def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
     return table
 
 
-def _telemetry_rows(path, cols: list[int]) -> np.ndarray:
+def _telemetry_rows(path, fields) -> np.ndarray:
     """The same table as `_telemetry_columns`, row by row, raising at the first bad line."""
     import numpy as np
 
-    _, rows = _read_rows(path)
     samples = []
-    prev_t = None
-    for line, row in _rows_of_width(rows, max(cols) + 1):
-        values = [_number(row[i], line) for i in cols]
-        ti = values[0]
-        if prev_t is not None and ti <= prev_t:
-            raise ParseError(f"time {ti} does not increase past {prev_t}", line)
-        prev_t = ti
+    for line, values in _csv_rows(path, dict.fromkeys(fields, _number)):
+        if samples and values[0] <= samples[-1][0]:
+            raise ParseError(f"time {values[0]} does not increase past {samples[-1][0]}", line)
         samples.append(values)
     if len(samples) < 2:
         raise ParseError("telemetry needs at least two samples", str(path))
@@ -626,123 +672,58 @@ def _stripped(text: str, line) -> str:
     return text.strip()
 
 
-#: the survey's required columns, in SurveyRow's order, each with the converter of its text
-SURVEY_COLUMNS = {
-    "participant_id": _stripped,
-    "instrument": _instrument,
-    "item_id": _stripped,
-    "score": _score,
-    "manip_pass": _boolean,
-    "condition": _stripped,
-}
+#: the survey's columns, in SurveyColumns' order, each with the converter of its text;
+#: the first three are a response's key
+SURVEY_COLUMNS = {"participant_id": _stripped, "instrument": _instrument, "item_id": _stripped,
+                  "score": _score, "manip_pass": _boolean, "condition": _stripped}
 
 
 @_total
-def parse_survey(path) -> tuple[SurveyDataset, ParseReport]:
-    """Load Likert survey rows; duplicate (participant, instrument, item) keeps the last."""
+def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
+    """Load Likert survey rows; a repeated (participant, instrument, item) warns, and its
+    later row takes the earlier one's place."""
     report = ParseReport(str(path))
     header, body = _header_and_body(path)
-    rows = _survey_columns(body, header)
-    if rows is None:
-        rows = _survey_rows(path, report)
+    columns = _csv_columns(header, body, path, SURVEY_COLUMNS, key=3)
+    if columns is None:
+        by_key = {}
+        for line, values in _csv_rows(path, SURVEY_COLUMNS):
+            key = tuple(values[:3])
+            if key in by_key:
+                report.warn(line, f"duplicate response for {key}; keeping the later row")
+            by_key[key] = values
+        columns = _transposed(by_key.values(), len(SURVEY_COLUMNS))
+    survey = SurveyColumns(*columns)
 
     expected = {"CTPA": CTPA_ITEM_COUNT, "HCTM": HCTM_ITEM_COUNT}
     # each (participant, instrument, item) is one row, so a pair's row count is its item count
-    items = collections.Counter(map(operator.itemgetter(0, 1), rows))
+    items = collections.Counter(zip(survey.participant_ids, survey.instruments))
     for (participant, instrument), count in sorted(items.items()):
         if count != expected[instrument]:
             report.warn(
                 str(path),
                 f"{participant}: {instrument} has {count} items, expected {expected[instrument]}",
             )
-    report.counts["responses"] = len(rows)
-    return SurveyDataset(rows), report
+    report.counts["responses"] = len(survey.participant_ids)
+    return survey, report
 
 
-def _survey_columns(body: str | None, header: list[str]) -> tuple[SurveyRow, ...] | None:
-    """Every data row of `body`, the text after the header, converted a column at a time.
-
-    None when the column split cannot vouch for the text: a missing column,
-    text `_split_columns` rejects, a cell that does not convert (a blank row's
-    instrument does not), or a repeated (participant, instrument, item).
-    `_survey_rows` then decides, and is the only source of error messages, line
-    numbers and duplicate warnings.
-    """
-    if not set(SURVEY_COLUMNS) <= set(header):
-        return None
-    cells = _split_columns(body, len(header))
-    if cells is None:
-        return None
-    columns = []
-    for name, convert in SURVEY_COLUMNS.items():
-        texts = cells[header.index(name)]
-        try:
-            # each distinct text once: a Likert or flag column has only a few
-            once = {text: convert(text, None) for text in set(texts)}
-        except ParseError:
-            return None
-        columns.append(map(once.__getitem__, texts))
-    rows = tuple(map(SurveyRow._make, zip(*columns)))
-    if len(set(map(operator.itemgetter(0, 1, 2), rows))) != len(rows):
-        return None
-    return rows
+def _sa_level(text: str, line) -> int:
+    level = _number(text, line)
+    if level not in (1.0, 2.0):
+        raise ParseError(f"sa_level {text!r} must be 1 or 2", line)
+    return int(level)
 
 
-def _survey_rows(path, report: ParseReport) -> tuple[SurveyRow, ...]:
-    """The rows of `_survey_columns`, one line at a time, raising at the first bad line.
-
-    A repeated (participant, instrument, item) warns, and its later row takes
-    the earlier one's place.
-    """
-    header, rows = _read_rows(path)
-    idx = _columns(header, SURVEY_COLUMNS, path)
-    scores: dict[str, int] = {}
-    flags: dict[str, bool] = {}
-    by_key: dict[tuple[str, str, str], SurveyRow] = {}
-    for line, row in _rows_of_width(rows, max(idx.values()) + 1):
-        instrument = _instrument(row[idx["instrument"]], line)
-        score, flag = row[idx["score"]], row[idx["manip_pass"]]
-        if score not in scores:
-            scores[score] = _score(score, line)
-        if flag not in flags:
-            flags[flag] = _boolean(flag, line)
-        entry = SurveyRow(
-            participant_id=row[idx["participant_id"]].strip(),
-            instrument=instrument,
-            item_id=row[idx["item_id"]].strip(),
-            score=scores[score],
-            manip_pass=flags[flag],
-            condition=row[idx["condition"]].strip(),
-        )
-        key = entry[:3]
-        if key in by_key:
-            report.warn(line, f"duplicate response for {key}; keeping the later row")
-        by_key[key] = entry
-    return tuple(by_key.values())
-
-
-SAGAT_COLUMNS = ("participant_id", "question_id", "se_id", "sa_level", "correct")
+#: the SAGAT columns, in SagatResponse's order, each with the converter of its text
+SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id": _stripped,
+                 "sa_level": _sa_level, "correct": _boolean}
 
 
 @_total
 def parse_sagat(path) -> tuple[list[SagatResponse], ParseReport]:
     report = ParseReport(str(path))
-    header, rows = _read_rows(path)
-    idx = _columns(header, SAGAT_COLUMNS, path)
-    out = []
-    for line, row in _rows_of_width(rows, max(idx.values()) + 1):
-        level = _number(row[idx["sa_level"]], line)
-        if level not in (1.0, 2.0):
-            raise ParseError(f"sa_level {row[idx['sa_level']]!r} must be 1 or 2", line)
-        out.append(
-            SagatResponse(
-                participant=row[idx["participant_id"]].strip(),
-                question_id=row[idx["question_id"]].strip(),
-                se_id=row[idx["se_id"]].strip(),
-                sa_level=int(level),
-                correct=_boolean(row[idx["correct"]], line),
-            )
-        )
+    out = [SagatResponse(*values) for _, values in _csv_rows(path, SAGAT_COLUMNS)]
     report.counts["responses"] = len(out)
     return out, report
 
@@ -850,6 +831,14 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 
 # --- FIS configuration ----------------------------------------------------------
 
+def _object(value, owner: str) -> dict:
+    """`value` if it is a JSON object, else a ParseError naming its `owner`."""
+    try:
+        return _json(value, dict)
+    except TypeError as exc:
+        raise ParseError(f"{owner}: {exc}")
+
+
 @_total
 def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
     report = ParseReport(str(path))
@@ -857,9 +846,11 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
 
     systems = {}
     for fis_name, spec in _json(doc.get("fis", {}), dict).items():
+        spec = _object(spec, fis_name)
         inputs = {}
         inputs_spec = _fields(spec, {"inputs": dict}, fis_name, path).get("inputs", {})
         for var_name, var_spec in inputs_spec.items():
+            var_spec = _object(var_spec, f"{fis_name}.{var_name}")
             lo, hi = _numbers(var_spec["range"], 2)
             terms = {}
             terms_spec = _fields(var_spec, {"terms": dict}, f"{fis_name}.{var_name}",
@@ -891,7 +882,10 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
         rules = []
         for i, rule_spec in enumerate(spec.get("rules", [])):
             owner = f"{fis_name} rule {i}"
-            conditions = _fields(rule_spec, {"if": dict}, owner, path).get("if", {})
+            rule_spec = _object(rule_spec, owner)
+            conditions = _fields(rule_spec, {"if": dict}, owner, path).get("if")
+            if not conditions:  # a rule without conditions would fire on every row
+                raise ParseError(f"{owner}: no 'if' conditions")
             antecedents = []
             for var_name, term in conditions.items():
                 if var_name not in inputs:
@@ -970,81 +964,37 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
 
     A file whose columns are exactly suas_id,test_id,score holds precomputed
     scores, and an empty score fails. Any other file holds FIS inputs, one
-    number column per name in `variables`. A repeated column reads its last
-    copy. A number that is not finite fails. A repeated (suas_id, test_id) pair
-    warns; both rows are returned, and the later one is the pair's score.
+    number column per name in `variables`, NaN for an empty or absent cell. A
+    number that is not finite fails. A repeated (suas_id, test_id) pair warns;
+    both rows are returned, and the later one is the pair's score.
     """
     header, body = _header_and_body(path)
     precomputed = set(header) == {"suas_id", "test_id", "score"}
-    names = ["score"] if precomputed else list(variables)
-    table = _scores_columns(body, header, precomputed, names)
-    if table is None:
-        table = _scores_rows(path, precomputed, names)
-    return table
+    converters = {"suas_id": _text, "test_id": _text,
+                  **({"score": _number} if precomputed else dict.fromkeys(variables, _fis_input))}
+    optional = () if precomputed else variables
+    columns = _csv_columns(header, body, path, converters, optional, key=2)
+    if columns is not None:
+        lines = range(2, len(columns[0]) + 2)
+    else:
+        rows, seen = [], set()
+        for line, values in _csv_rows(path, converters, optional):
+            key = tuple(values[:2])
+            if key in seen:
+                warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "
+                              f"(at {path}:{line})", DataQualityWarning)
+            seen.add(key)
+            rows.append([line, *values])
+        lines, *columns = _transposed(rows, len(converters) + 1)
+    suas_ids, test_ids, *numbers = columns
+    return ScoreColumns(precomputed, suas_ids, test_ids, dict(zip(list(converters)[2:], numbers)),
+                        lines)
 
 
-def _scores_columns(body: str | None, header: list[str], precomputed: bool,
-                    names: list[str]) -> ScoreColumns | None:
-    """The rows of `body`, the text after the header, converted a column at a time.
-
-    None when the column split cannot vouch for the text: a missing id column,
-    text `_split_columns` rejects, a blank suas_id (a row of blank cells, which
-    the row loop skips, has one), a repeated (suas_id, test_id) pair, or a cell
-    that does not convert. `_scores_rows` then decides, and is the only source
-    of error messages, line numbers and duplicate warnings.
-    """
-    if not {"suas_id", "test_id"} <= set(header):
-        return None
-    cells = _split_columns(body, len(header))
-    if cells is None:
-        return None
-    by_name = dict(zip(header, cells))  # a repeated column: its last copy, as in the row loop
-    suas_ids, test_ids = by_name["suas_id"], by_name["test_id"]
-    if not all(map(str.strip, set(suas_ids))):
-        return None
-    if len(set(zip(suas_ids, test_ids))) != len(suas_ids):
-        return None
-    numbers = {}
-    for name in names:
-        texts = by_name.get(name)
-        if texts is None:
-            numbers[name] = [math.nan] * len(suas_ids)
-            continue
-        try:
-            # each distinct text once: a count column has only a few
-            once = {text: _score_cell(text, precomputed, None) for text in set(texts)}
-        except ParseError:
-            return None
-        numbers[name] = list(map(once.__getitem__, texts))
-    return ScoreColumns(precomputed, suas_ids, test_ids, numbers, range(2, len(suas_ids) + 2))
+def _text(text: str, line) -> str:
+    return text
 
 
-def _score_cell(text: str, precomputed: bool, line) -> float:
-    """A score file's number: an empty FIS input is NaN, an empty precomputed score fails."""
-    return math.nan if text == "" and not precomputed else _number(text, line)
-
-
-def _scores_rows(path, precomputed: bool, names: list[str]) -> ScoreColumns:
-    """The columns of `_scores_columns`, one line at a time, raising at the first bad line.
-
-    A repeated (suas_id, test_id) pair warns, and both rows are kept.
-    """
-    header, rows = _read_rows(path)
-    _columns(header, ("suas_id", "test_id"), path)
-    ids = [i for i, c in enumerate(header) if c in ("suas_id", "test_id")]
-    width = len(header) if precomputed else max(ids) + 1
-    table = ScoreColumns(precomputed, [], [], {name: [] for name in names}, [])
-    seen = set()
-    for line, row in _rows_of_width(rows, width):
-        cells = dict(zip(header, row))
-        for name in names:
-            table.numbers[name].append(_score_cell(cells.get(name, ""), precomputed, line))
-        key = (cells["suas_id"], cells["test_id"])
-        if key in seen:
-            warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "
-                          f"(at {path}:{line})", DataQualityWarning)
-        seen.add(key)
-        table.suas_ids.append(key[0])
-        table.test_ids.append(key[1])
-        table.lines.append(line)
-    return table
+def _fis_input(text: str, line) -> float:
+    """An FIS input cell: empty when the test did not measure that input."""
+    return math.nan if text == "" else _number(text, line)

@@ -387,8 +387,8 @@ def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> li
 
 # --- trust -------------------------------------------------------------------
 
-def trust_tables(dataset, condition_a: str, condition_b: str) -> list[ReportTable]:
-    result = hf.trust_pipeline(dataset, condition_a, condition_b)
+def trust_tables(survey, condition_a: str, condition_b: str) -> list[ReportTable]:
+    result = hf.trust_pipeline(survey, condition_a, condition_b)
     table = ReportTable(f"Trust comparison: {condition_a} vs {condition_b}", [
         Column("instrument"), Column("item"), Column(f"mean {condition_a}", "number", 2),
         Column(f"mean {condition_b}", "number", 2), Column("t", "number", 2),

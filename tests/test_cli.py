@@ -798,6 +798,21 @@ LOAD_ERRORS = {
     "fis-rule-if-array": (
         cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update({"if": ["crashes"]})),
         "mc rule 0: bad 'if' field (expected an object, got [\"crashes\"])"),
+    # an FIS system, input variable or rule given as an array names itself
+    "fis-system-array": (cfis_with(lambda doc: doc["fis"].update(mc=[1])),
+                         "mc: expected an object, got [1]"),
+    "fis-variable-array": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"].update(completion=[0, 1])),
+        "mc.completion: expected an object, got [0, 1]"),
+    "fis-rule-array": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"].__setitem__(0, ["crashes"])),
+                       "mc rule 0: expected an object, got [\"crashes\"]"),
+    # a rule without conditions would fire on every row at full strength
+    "fis-rule-without-if": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].pop("if")),
+                            "mc rule 0: no 'if' conditions"),
+    "fis-rule-if-empty": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update({"if": {}})),
+                          "mc rule 0: no 'if' conditions"),
+    "fis-rule-if-null": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update({"if": None})),
+                         "mc rule 0: no 'if' conditions"),
     "manifest-environment-array": (
         sample_with("campaign.json", lambda doc: doc["tests"][0].update(environment=["lab"]),
                     "validate"),

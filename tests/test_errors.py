@@ -13,7 +13,7 @@ from decisive import cfis, collision, field, human_factors, mapping, nav, ncap, 
 from decisive.cfis import Fis, LinguisticVariable, Rule, TriangularMf
 from decisive.core import ObstacleGeometry, TrialRecord, Trajectory
 from decisive.errors import DecisiveError, ParseError
-from decisive.human_factors import SeParams, SurveyDataset, SurveyRow
+from decisive.human_factors import SeParams, SurveyColumns
 from decisive.mapping import FiducialGroundTruth, FiducialObservation
 from decisive.ncap import Feature, FeatureTable, WeightScheme
 from decisive.report import Column, ReportTable
@@ -53,7 +53,10 @@ def table(column, *cells):
 
 
 def survey(*rows):
-    return SurveyDataset(tuple(SurveyRow(p, "CTPA", item, 4, True, cond) for p, item, cond in rows))
+    """SurveyColumns of CTPA score 4 responses, each row (participant, item, condition)."""
+    participants, items, conditions = map(list, zip(*rows))
+    n = len(rows)
+    return SurveyColumns(participants, ["CTPA"] * n, items, [4] * n, [True] * n, conditions)
 
 
 def matched(*points):

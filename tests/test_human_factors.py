@@ -8,8 +8,7 @@ from decisive.errors import DataQualityWarning, DecisiveError
 from decisive.human_factors import (
     SagatResponse,
     SeParams,
-    SurveyDataset,
-    SurveyRow,
+    SurveyColumns,
     attention_allocation,
     osa,
     osa_summary,
@@ -141,11 +140,17 @@ class TestOsa:
         assert grid["overall"][0] == pytest.approx((p1 + p2) / 2)
 
 
+def survey(rows):
+    """SurveyColumns holding `rows`, each (participant, instrument, item, score, passed,
+    condition)."""
+    return SurveyColumns(*map(list, zip(*rows)))
+
+
 def survey_rows(condition, participants, item_scores, instrument="HCTM", manip=True):
     rows = []
     for p in participants:
         for item, score in item_scores(p):
-            rows.append(SurveyRow(p, instrument, item, score, manip, condition))
+            rows.append((p, instrument, item, score, manip, condition))
     return rows
 
 
@@ -154,9 +159,9 @@ class TestTrustPipeline:
         scores = [3, 4, 4, 5, 5, 6]
         rows = []
         for i, score in enumerate(scores):
-            rows.append(SurveyRow(f"a{i}", "HCTM", "i1", score, True, "A"))
-            rows.append(SurveyRow(f"b{i}", "HCTM", "i1", score, True, "B"))
-        report = trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
+            rows.append((f"a{i}", "HCTM", "i1", score, True, "A"))
+            rows.append((f"b{i}", "HCTM", "i1", score, True, "B"))
+        report = trust_pipeline(survey(rows), "A", "B")
         assert report.items[0].test.u == pytest.approx(18.0)  # n1*n2/2
         assert report.items[0].test.p_two_sided == pytest.approx(1.0)
 
@@ -166,9 +171,9 @@ class TestTrustPipeline:
         for i in range(30):
             for item in ("i1", "i2", "i3"):
                 base = rng.randint(2, 4)
-                rows.append(SurveyRow(f"a{i}", "HCTM", item, base, True, "A"))
-                rows.append(SurveyRow(f"b{i}", "HCTM", item, min(base + 2, 7), True, "B"))
-        report = trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
+                rows.append((f"a{i}", "HCTM", item, base, True, "A"))
+                rows.append((f"b{i}", "HCTM", item, min(base + 2, 7), True, "B"))
+        report = trust_pipeline(survey(rows), "A", "B")
         assert all(item.test.p_two_sided < 0.05 for item in report.items)
 
     def test_manipulation_check_removal(self):
@@ -176,7 +181,7 @@ class TestTrustPipeline:
         rows += survey_rows("B", ["p4", "p5"], lambda p: [("i1", 5)])
         rows += survey_rows("B", ["cheater"], lambda p: [("i1", 7)], manip=False)
         with pytest.warns(DataQualityWarning) as record:
-            report = trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
+            report = trust_pipeline(survey(rows), "A", "B")
         assert [str(w.message) for w in record] == [
             "removed participant (failed manipulation check): cheater"
         ]
@@ -186,15 +191,15 @@ class TestTrustPipeline:
     def test_empty_condition(self):
         rows = survey_rows("A", ["p1"], lambda p: [("i1", 4)])
         with pytest.raises(DecisiveError, match="no valid rows for condition 'B'"):
-            trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
+            trust_pipeline(survey(rows), "A", "B")
 
     def test_outliers_fenced_within_condition(self):
         # a genuine between-condition shift must survive the IQR filter
         rows = []
         for i in range(10):
-            rows.append(SurveyRow(f"a{i}", "CTPA", "i1", 2, True, "A"))
-            rows.append(SurveyRow(f"b{i}", "CTPA", "i1", 6, True, "B"))
-        report = trust_pipeline(SurveyDataset(tuple(rows)), "A", "B")
+            rows.append((f"a{i}", "CTPA", "i1", 2, True, "A"))
+            rows.append((f"b{i}", "CTPA", "i1", 6, True, "B"))
+        report = trust_pipeline(survey(rows), "A", "B")
         assert report.items[0].mean_a == pytest.approx(2.0)
         assert report.items[0].mean_b == pytest.approx(6.0)
         assert report.items[0].n_a == 10 and report.items[0].n_b == 10

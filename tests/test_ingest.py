@@ -1,11 +1,14 @@
 import contextlib
 import copy
+import csv
 import io
+import itertools
 import json
 import math
 import re
 import shutil
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -456,9 +459,8 @@ class TestSurvey:
             self.HEADER + "p1,CTPA,i1,4,true,A\np1,CTPA,i1,6,true,A\n",
         )
         with pytest.warns(DataQualityWarning, match="duplicate"):
-            dataset, _ = parse_survey(p)
-        assert len(dataset.rows) == 1
-        assert dataset.rows[0].score == 6
+            survey, _ = parse_survey(p)
+        assert survey.scores == [6]
 
     def test_item_count_warning(self, tmp_path):
         lines = [f"p1,CTPA,i{i},4,true,A" for i in range(1, 10)]  # all 9 CTPA items
@@ -479,15 +481,16 @@ class TestSurvey:
 
 
 def _survey_outcome(path):
-    """parse_survey's rows, warnings and counts, or its error's class and text, as plain data."""
+    """parse_survey's columns, warnings and counts, or its error's class and text, as plain
+    data."""
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         try:
-            dataset, report = parse_survey(path)
+            survey, report = parse_survey(path)
         except DecisiveError as exc:
             return ("error", type(exc), str(exc), [str(w.message) for w in record])
     # repr tells a score of 4 from 4.0 and a flag of True from 1
-    return ("ok", repr(dataset.rows), [str(w.message) for w in record], report.counts)
+    return ("ok", repr(survey), [str(w.message) for w in record], report.counts)
 
 
 #: ways a generated survey file may differ from a plain one: a file draws any set of them,
@@ -549,27 +552,32 @@ def survey_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("surveys")
 
 
+def agrees_with_row_loop(outcome, fast: bool | None = None):
+    """`outcome()` with the column reader as without it; `fast`, when given, says whether the
+    column reader takes the file."""
+    taken = []
+    columns = ingest._csv_columns
+
+    def spy(*args, **kwargs):
+        table = columns(*args, **kwargs)
+        taken.append(table is not None)
+        return table
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_csv_columns", spy)
+        got = outcome()
+        patch.setattr(ingest, "_csv_columns", lambda *args, **kwargs: None)
+        assert got == outcome()
+    if fast is not None:
+        assert taken == [fast]
+    return got
+
+
 class TestSurveyColumnsAgreeWithRowLoop:
-    """The column-wise parse gives the row loop's rows, or defers to its errors and warnings."""
+    """The column reader gives the row loop's columns, or defers to its errors and warnings."""
 
     def check(self, path, fast: bool | None = None):
-        """Compare with the row loop; `fast`, when given, says whether the columns take the file."""
-        taken = []
-        columns = ingest._survey_columns
-
-        def spy(body, header):
-            rows = columns(body, header)
-            taken.append(rows is not None)
-            return rows
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_survey_columns", spy)
-            got = _survey_outcome(path)
-            patch.setattr(ingest, "_survey_columns", lambda body, header: None)
-            assert got == _survey_outcome(path)
-        if fast is not None:
-            assert taken == [fast]
-        return got
+        return agrees_with_row_loop(lambda: _survey_outcome(path), fast)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -727,26 +735,10 @@ def scores_text(data) -> str:
 
 
 class TestScoresColumnsAgreeWithRowLoop:
-    """The column-wise parse gives the row loop's columns, or defers to its errors and warnings."""
+    """The column reader gives the row loop's columns, or defers to its errors and warnings."""
 
     def check(self, path, fast: bool | None = None):
-        """Compare with the row loop; `fast`, when given, says whether the columns take the file."""
-        taken = []
-        columns = ingest._scores_columns
-
-        def spy(*args):
-            table = columns(*args)
-            taken.append(table is not None)
-            return table
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_scores_columns", spy)
-            got = _scores_outcome(path, SCORE_VARIABLES)
-            patch.setattr(ingest, "_scores_columns", lambda *args: None)
-            assert got == _scores_outcome(path, SCORE_VARIABLES)
-        if fast is not None:
-            assert taken == [fast]
-        return got
+        return agrees_with_row_loop(lambda: _scores_outcome(path, SCORE_VARIABLES), fast)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -758,14 +750,29 @@ class TestScoresColumnsAgreeWithRowLoop:
     def test_sample_scores(self):
         assert self.check(SAMPLE / "cfis_scores.csv", fast=True)[0] == "ok"
 
-    def test_repeated_reordered_and_empty_columns(self, tmp_path):
-        header = "completion,test_id,crashes,suas_id,note,crashes"
-        rows = [f",t{i},9,s{i % 3},n, {i % 3} " for i in range(30)]
+    def test_reordered_and_empty_columns(self, tmp_path):
+        header = "completion,test_id,note,suas_id,crashes"
+        rows = [f",t{i},n,s{i % 3}, {i % 3} " for i in range(30)]
         p = write(tmp_path / "s.csv", "\n".join([header] + rows))  # no final newline
         got = self.check(p, fast=True)
         assert got[4] == repr({"crashes": [float(i % 3) for i in range(30)],
                                "rollovers": [math.nan] * 30, "completion": [math.nan] * 30,
                                "roll": [math.nan] * 30})
+
+    @pytest.mark.parametrize("header, column", [
+        ("completion,test_id,crashes,suas_id,note,crashes", "crashes"),
+        ("suas_id,test_id,score,suas_id", "suas_id"),
+        ("suas_id,test_id,test_id,crashes", "test_id"),
+    ])
+    def test_repeated_needed_column_fails(self, tmp_path, header, column):
+        p = write(tmp_path / "s.csv", header + "\n" + ",".join(["1"] * header.count(",")) + ",1\n")
+        got = self.check(p)
+        assert got[1:3] == (ParseError, f"column {column!r} appears more than once (at {p})")
+
+    def test_repeated_unread_column_is_ignored(self, tmp_path):
+        p = write(tmp_path / "s.csv", "suas_id,test_id,note,crashes,note\na,t1,x,1,y\n")
+        assert self.check(p, fast=True)[4] == repr({"crashes": [1.0], "rollovers": [math.nan],
+                                                   "completion": [math.nan], "roll": [math.nan]})
 
     @pytest.mark.parametrize("row", [
         '"c",t3,0,0,1',  # a quoted cell
@@ -776,7 +783,6 @@ class TestScoresColumnsAgreeWithRowLoop:
         "c,t3,0,0,1,extra",  # a long row
         "c,t3,0\r0,1",  # a lone carriage return ends a csv row
         "a,t1,1,1,0.5",  # a repeated pair warns
-        " ,t3,0,0,1",  # a blank suas_id
         "c,t3,0, ,1",  # a blank number cell
         "c,t3,inf,0,1",  # a number that is not finite
         "c,t3,0,x,1",  # a cell that is not a number
@@ -784,6 +790,10 @@ class TestScoresColumnsAgreeWithRowLoop:
     def test_row_loop_decides_what_columns_reject(self, row, tmp_path):
         p = write(tmp_path / "s.csv", TestScores.HEADER + f"a,t1,0,0,1\n{row}\nb,t2,1,0,0.5\n")
         self.check(p, fast=False)
+
+    def test_blank_suas_id_is_split(self, tmp_path):
+        p = write(tmp_path / "s.csv", TestScores.HEADER + "a,t1,0,0,1\n ,t3,0,0,1\n")
+        assert self.check(p, fast=True)[2] == ["a", " "]
 
     def test_empty_precomputed_score(self, tmp_path):
         p = write(tmp_path / "s.csv", "suas_id,test_id,score\na,t1,0.5\nb,t2,\n")
@@ -1059,6 +1069,97 @@ class TestJsonInputFuzz:
             assert code in (1, 2) and out.getvalue() == "" and errors
 
 
+#: every CSV input, by its name in a copy of the sample campaign: the columns that hold ids,
+#: and the command that reads it in each output format
+CSV_INPUTS = {
+    "surveys.csv": ((0, 2, 5), lambda d: ["trust", "--survey", d / "surveys.csv",
+                                          "--condition-a", "caged", "--condition-b", "exposed"]),
+    "sagat.csv": ((0, 2), lambda d: ["sa", "--sagat", d / "sagat.csv",
+                                     "--weights", d / "sa_weights.json"]),
+    "cfis_scores.csv": ((0, 1), lambda d: ["cfis", "--scores", d / "cfis_scores.csv"]),
+    "fiducials.csv": ((0, 4), lambda d: ["metrics", d / "campaign.json", "--test", "mapping"]),
+    "wf_alpha_1.csv": ((0,), lambda d: ["metrics", d / "campaign.json", "--test", "nav"]),
+}
+CSV_EDITS = ("truncated row", "arbitrary bytes", "non-finite number", "markup in an id")
+NON_FINITE = [b"nan", b"inf", b"-inf", b"NaN", b"1e999", b"Infinity"]
+
+
+def one_csv_edit(data, blob: bytes, id_columns) -> bytes:
+    """`blob` with one data row edited as `data` draws."""
+    lines = blob.split(b"\n")  # the text after the final newline is empty
+    k = data.draw(st.integers(1, len(lines) - 2))
+    row, edit = lines[k], data.draw(st.sampled_from(CSV_EDITS))
+    if edit == "truncated row":
+        lines[k] = row[:data.draw(st.integers(0, len(row) - 1))]
+    elif edit == "arbitrary bytes":
+        at = data.draw(st.integers(0, len(row)))
+        lines[k] = row[:at] + data.draw(st.binary(min_size=1, max_size=4)) + row[at:]
+    else:
+        cells = row.split(b",")
+        if edit == "non-finite number":
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(NON_FINITE))
+        else:
+            cells[data.draw(st.sampled_from(id_columns))] = data.draw(
+                st.text(alphabet='<&">a', min_size=1, max_size=6)).encode()
+        lines[k] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def well_formed(fmt: str, out: str) -> None:
+    """Fail unless `out` parses as `fmt`: CSV tables whose rows have their header's width, a
+    JSON array of titled tables, or an SVG document."""
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        tables = [list(group) for blank, group in itertools.groupby(rows, lambda r: not r)
+                  if not blank]
+        assert tables and all(len(r) == len(t[0]) for t in tables for r in t)
+    elif fmt == "json":
+        assert all(set(t) == {"title", "rows"} for t in json.loads(out))
+    elif fmt == "svg":
+        ET.fromstring(out.encode())
+    else:
+        assert out.startswith("### ")
+
+
+@pytest.fixture(scope="module")
+def csv_copies(tmp_path_factory):
+    """One copy of the sample campaign per CSV input, so that each edits only its own."""
+    root = tmp_path_factory.mktemp("csv-inputs")
+    copies = {name: shutil.copytree(SAMPLE, root / name.split(".")[0]) for name in CSV_INPUTS}
+    write(copies["wf_alpha_1.csv"] / "path.json", json.dumps({"vertices": [[0, 1, 1], [3, 1, 1]]}))
+    return copies
+
+
+class TestCsvInputFuzz:
+    """One edit of a sample CSV gives well-formed output, or one located error line."""
+
+    @pytest.mark.parametrize("name", sorted(CSV_INPUTS))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_one_edited_row(self, csv_copies, name, data):
+        id_columns, argv = CSV_INPUTS[name]
+        directory = csv_copies[name]
+        target = directory / name
+        target.write_bytes(one_csv_edit(data, (SAMPLE / name).read_bytes(), id_columns))
+        fmt = data.draw(st.sampled_from(["md", "csv", "json"]
+                                        + (["svg"] if name.startswith("wf") else [])))
+        if fmt == "svg":
+            argv = ["plot", "--kind", "deviation", "--telemetry", target,
+                    "--path", directory / "path.json"]
+        else:
+            argv = argv(directory) + ["--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert not errors
+            well_formed(fmt, out.getvalue())
+        else:
+            assert code in (1, 2) and out.getvalue() == "" and len(errors) == 1
+
+
 class TestCriteria:
     def test_parse(self, tmp_path):
         p = write(
@@ -1101,6 +1202,21 @@ class TestFiducialObservations:
         obs, _ = parse_fiducial_observations(write(tmp_path / "g.csv",
                                                     "fiducial_id,half,mapped,x,y\nA,2,missing\n"))
         assert obs[0].map_xy is None
+
+
+class TestRepeatedColumns:
+    @pytest.mark.parametrize("parser, header, column", [
+        (parse_survey, "participant_id,instrument,score,item_id,score,manip_pass,condition",
+         "score"),
+        (parse_sagat, "se_id,participant_id,question_id,se_id,sa_level,correct", "se_id"),
+        (parse_telemetry, "t,x,y,z,t", "t"),
+        (parse_fiducial_observations, "fiducial_id,half,x,y,mapped,x", "x"),
+    ])
+    def test_a_needed_column_given_twice_fails(self, tmp_path, parser, header, column):
+        p = write(tmp_path / "r.csv", header + "\n")
+        with pytest.raises(ParseError) as exc:
+            parser(p)
+        assert str(exc.value) == f"column {column!r} appears more than once (at {p})"
 
 
 class TestParserTotality:
