@@ -165,8 +165,8 @@ def _emit_tables(built, args) -> int:
 # --- validate -----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    campaign, report = parse_campaign(args.manifest)
-    counts = ", ".join(f"{v} {k}" for k, v in report.counts.items())
+    campaign = parse_campaign(args.manifest)
+    counts = ", ".join(f"{len(entries)} {block}" for block, entries in vars(campaign).items())
     print(f"{args.manifest}: OK ({counts})", file=sys.stderr)
     return 0
 
@@ -175,7 +175,7 @@ def cmd_validate(args) -> int:
 
 def cmd_metrics(args) -> int:
     """`metrics` prints one test category's tables, `report` those of all four."""
-    campaign, _ = parse_campaign(args.manifest)
+    campaign = parse_campaign(args.manifest)
     one = args.command == "metrics"
     kinds = [args.test] if one else tables.CAMPAIGN_TABLES
     built = [table for kind in kinds for table in tables.CAMPAIGN_TABLES[kind](campaign)]
@@ -193,12 +193,12 @@ def cmd_ncap(args) -> int:
 
 
 def cmd_cfis(args) -> int:
-    config, _ = parse_fis_config(args.fis)
+    config = parse_fis_config(args.fis)
     return _emit_tables(tables.cfis_tables(config, args.scores), args)
 
 
 def cmd_sa(args) -> int:
-    responses, _ = parse_sagat(args.sagat)
+    responses = parse_sagat(args.sagat)
     weights, missions = parse_sa_weights(args.weights) if args.weights else (None, {})
     return _emit_tables(tables.sa_tables(responses, weights, missions), args)
 

@@ -1,12 +1,13 @@
 """Parsers for every on-disk input: telemetry, manifests, surveys, sheets, configs.
 
-Every parser is total: a file yields a value (for the data files, plus a
-ParseReport of what was loaded) or a ParseError naming the file and location.
-Non-fatal issues are DataQualityWarnings, issued where they are found. A CSV
-header fails at a needed column it lacks or repeats (`_columns`). One row loop,
-`_csv_rows`, reads the data rows and alone reports a bad one; the survey and
-scores files first try `_csv_columns`, telemetry one numpy call, each of which
-defers to the row loop when it cannot vouch for the whole file. This module
+Every parser is total: a file yields its data (telemetry and surveys also a
+ParseReport of their row count) or a ParseError naming the file and location.
+Non-fatal issues are DataQualityWarnings, issued by `_warn` where found. A CSV
+file is read once, as its header and the text after it; the header fails at a
+needed column it lacks or repeats (`_columns`). One row loop, `_csv_rows`, reads
+the data rows from that text and alone reports a bad one; the survey and scores
+files first try `_csv_columns`, telemetry one numpy call, each of which defers
+to the row loop when it cannot vouch for the whole text. This module
 alone decides the type of a JSON value: each value a parser reads goes through
 `_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails at load,
 naming its file. UTF-8 (a byte-order mark is dropped), '.' decimal separator,
@@ -23,7 +24,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -57,13 +58,15 @@ HCTM_ITEM_COUNT = 12
 
 @dataclass
 class ParseReport:
-    """What a parser loaded from `source`; `warn` issues a located DataQualityWarning."""
+    """The rows `parse_telemetry` ("samples") or `parse_survey` ("responses") loaded; the
+    benchmark's tracer reads these counts."""
 
-    source: str
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]
 
-    def warn(self, location, message: str) -> None:
-        warnings.warn(f"{self.source}: {message} (at {location})", DataQualityWarning)
+
+def _warn(path, location, message: str) -> None:
+    """Issue a DataQualityWarning about the file at `path`, found at `location`."""
+    warnings.warn(f"{path}: {message} (at {location})", DataQualityWarning)
 
 
 def _total(fn):
@@ -110,37 +113,23 @@ def _header(reader, path) -> list[str]:
     return [h.strip() for h in header]
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """(header, [(1-based file line, row), ...]) for a CSV file."""
+def _header_and_body(path) -> tuple[list[str], str]:
+    """A CSV file's header, and the text after it, the one read of the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path)
-        return header, [(line, row) for line, row in enumerate(reader, start=2)
-                        if "".join(row).strip()]
+        return _header(csv.reader(fh), path), fh.read()
 
 
-def _header_and_body(path) -> tuple[list[str], str | None]:
-    """A CSV file's header, and the text after it: None if that text does not decode,
-    which the file's row loop reads again and reports."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _header(csv.reader(fh), path)
-        try:
-            return header, fh.read()
-        except UnicodeDecodeError:
-            return header, None
-
-
-def _split_columns(body: str | None, width: int) -> list[list[str]] | None:
+def _split_columns(body: str, width: int) -> list[list[str]] | None:
     """Each column's cell texts in `body`, the text after a CSV header of `width` columns.
 
     None when splitting at newlines and commas cannot vouch for what csv would
-    read: no text, a quote anywhere, a carriage return that does not end a
+    read: a quote anywhere, a carriage return that does not end a
     line with its newline, a line that is not exactly one row of `width`
     cells (an empty line or a short row), or a line longer than a csv field
     may be.
     """
     # csv ends a line at a lone "\r" too
-    if body is None or '"' in body or body.count("\r") != body.count("\r\n"):
+    if '"' in body or body.count("\r") != body.count("\r\n"):
         return None
     lines = body.replace("\r\n", "\n").removesuffix("\n").split("\n")
     if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
@@ -165,30 +154,35 @@ def _columns(header: list[str], names, path, optional=()) -> dict[str, int]:
     return idx
 
 
-def _rows_of_width(rows, width: int):
-    """The rows in order, raising at the first one with fewer than `width` fields."""
-    for line, row in rows:
+def _rows_of_width(body: str, width: int):
+    """(1-based file line, row) for each row of `body`, the text after a CSV header, with a
+    non-blank cell, raising at the first one with fewer than `width` fields. newline=""
+    keeps a lone carriage return ending a row, as when csv reads the file; all rows are
+    split first, so a csv error anywhere comes before a bad row."""
+    for line, row in enumerate(list(csv.reader(io.StringIO(body, newline=""))), start=2):
+        if not "".join(row).strip():
+            continue
         if len(row) < width:
             raise ParseError(f"row has {len(row)} fields, needs {width}", line)
         yield line, row
 
 
-def _csv_rows(path, converters: dict, optional=()):
-    """(line, values) for each data row of the CSV at `path`, raising at the first bad line.
+def _csv_rows(header: list[str], body: str, path, converters: dict, optional=()):
+    """(line, values) for each data row of `body`, the text after `header` in the CSV at
+    `path`, raising at the first bad line.
 
     `values` holds each of `converters`' columns, its text converted with the
     line number. A column in `optional` reads "" where the header or a short
     row lacks it; a row that stops before another needed column fails.
     """
-    header, rows = _read_rows(path)
     idx = _columns(header, converters, path, optional)
     width = max(i for name, i in idx.items() if name not in optional) + 1
     cells = [(idx.get(name, math.inf), convert) for name, convert in converters.items()]
-    for line, row in _rows_of_width(rows, width):
+    for line, row in _rows_of_width(body, width):
         yield line, [convert(row[i] if i < len(row) else "", line) for i, convert in cells]
 
 
-def _csv_columns(header: list[str], body: str | None, path, converters: dict, optional=(),
+def _csv_columns(header: list[str], body: str, path, converters: dict, optional=(),
                  key: int = 0) -> list[list] | None:
     """The columns `_csv_rows` would read from `body`, the text after `header`, in one split.
 
@@ -258,7 +252,6 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     """Load a telemetry trace: t,x,y,z with optional vx,vy,vz and ax,ay,az."""
     import numpy as np
 
-    report = ParseReport(str(path))
     header, body = _header_and_body(path)
     has_vel, has_acc = (all(c in header for c in group) for group in (VEL_COLUMNS, ACC_COLUMNS))
     fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
@@ -272,11 +265,11 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     known = set(REQUIRED_TELEMETRY) | set(VEL_COLUMNS) | set(ACC_COLUMNS)
     for col in header:
         if col not in known:
-            report.warn(1, f"ignoring unknown column {col!r}")
+            _warn(path, 1, f"ignoring unknown column {col!r}")
 
     table = _telemetry_columns(body, cols)
     if table is None:
-        table = _telemetry_rows(path, fields)
+        table = _telemetry_rows(header, body, path, fields)
 
     def triple(first: int) -> np.ndarray:
         # a contiguous copy, so numpy reductions run as they would on a separate array
@@ -288,11 +281,10 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
         vel=triple(4) if has_vel else None,
         acc=triple(7 if has_vel else 4) if has_acc else None,
     )
-    report.counts["samples"] = len(table)
-    return traj, report
+    return traj, ParseReport({"samples": len(table)})
 
 
-def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
+def _telemetry_columns(body: str, cols: list[int]) -> np.ndarray | None:
     """The `cols` of every data row in `body` converted at once, one table column each.
 
     None when the whole-column conversion cannot vouch for the text: no text,
@@ -303,7 +295,7 @@ def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
     """
     import numpy as np
 
-    if body is None or '"' in body or not body.strip():
+    if '"' in body or not body.strip():
         return None
     try:
         table = np.loadtxt(io.StringIO(body), delimiter=",", usecols=cols, ndmin=2,
@@ -315,12 +307,12 @@ def _telemetry_columns(body: str | None, cols: list[int]) -> np.ndarray | None:
     return table
 
 
-def _telemetry_rows(path, fields) -> np.ndarray:
+def _telemetry_rows(header: list[str], body: str, path, fields) -> np.ndarray:
     """The same table as `_telemetry_columns`, row by row, raising at the first bad line."""
     import numpy as np
 
     samples = []
-    for line, values in _csv_rows(path, dict.fromkeys(fields, _number)):
+    for line, values in _csv_rows(header, body, path, dict.fromkeys(fields, _number)):
         if samples and values[0] <= samples[-1][0]:
             raise ParseError(f"time {values[0]} does not increase past {samples[-1][0]}", line)
         samples.append(values)
@@ -332,9 +324,8 @@ def _telemetry_rows(path, fields) -> np.ndarray:
 # --- checklist criteria -----------------------------------------------------------
 
 @_total
-def parse_criteria(path) -> tuple[list[Criterion], ParseReport]:
+def parse_criteria(path) -> list[Criterion]:
     """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
-    report = ParseReport(str(path))
     out = []
     for field_name, spec in _json(_load_json(path), dict).items():
         try:
@@ -344,8 +335,7 @@ def parse_criteria(path) -> tuple[list[Criterion], ParseReport]:
             out.append(Criterion(field_name, op, value))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"criterion {field_name!r}: {exc}", str(path))
-    report.counts["criteria"] = len(out)
-    return out, report
+    return out
 
 
 # --- fiducial observations -----------------------------------------------------
@@ -354,15 +344,14 @@ FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
 
 
 @_total
-def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseReport]:
-    report = ParseReport(str(path))
-    header, rows = _read_rows(path)
+def parse_fiducial_observations(path) -> list[FiducialObservation]:
+    header, body = _header_and_body(path)
     idx = _columns(header, FIDUCIAL_COLUMNS, path)
     # a missing fiducial has no position, so its row may stop before x and y
     unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
     mapped_width = max(idx.values()) + 1
     out = []
-    for line, row in _rows_of_width(rows, unmapped_width):
+    for line, row in _rows_of_width(body, unmapped_width):
         mapped = row[idx["mapped"]].strip()
         if mapped == "missing":
             xy = None
@@ -379,8 +368,7 @@ def parse_fiducial_observations(path) -> tuple[list[FiducialObservation], ParseR
             )
         except ValueError as exc:
             raise ParseError(str(exc), line)
-    report.counts["observations"] = len(out)
-    return out, report
+    return out
 
 
 # --- campaign manifest ----------------------------------------------------------
@@ -532,7 +520,7 @@ def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
     path = manifest.parent / name
     if not path.is_file():
         raise ParseError(f"test {test_id}: {key} file {name!r} not found", str(manifest))
-    return tuple(_SIDE_FILES[key](path)[0])
+    return tuple(_SIDE_FILES[key](path))
 
 
 def _fields(entry: dict, kinds: dict, owner: str, path) -> dict:
@@ -547,6 +535,14 @@ def _fields(entry: dict, kinds: dict, owner: str, path) -> dict:
     return out
 
 
+def _object(value, owner: str) -> dict:
+    """`value` if it is a JSON object, else a ParseError naming its `owner`."""
+    try:
+        return _json(value, dict)
+    except TypeError as exc:
+        raise ParseError(f"{owner}: {exc}")
+
+
 #: the kind of each environment field, named as in EnvironmentProfile, and of each trial field
 _ENVIRONMENT_FIELDS = {"lighting": str, "dims": lambda v: _numbers(v, 3), "indoor": bool,
                        "surfaces": lambda v: tuple(_json(s, str) for s in _json(v, list)),
@@ -557,24 +553,27 @@ _TRIAL_FIELDS = {"trial_id": str, "test_id": str, "suas_id": str, "telemetry": s
 
 
 @_total
-def parse_campaign(path) -> tuple[Campaign, ParseReport]:
+def parse_campaign(path) -> Campaign:
     """Load and cross-validate a campaign manifest, converting every test block it reads."""
     path = Path(path)
-    report = ParseReport(str(path))
     doc = _json(_load_json(path), dict)
 
     version = _fields(doc, {"schema_version": _count}, "manifest", path).get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
         raise ParseError(f"schema_version {version!r}", str(path))
+    blocks = _fields(doc, dict.fromkeys(("suas", "environments", "tests", "trials"), list),
+                     "manifest", path)
 
     suas = {}
-    for entry in doc.get("suas", []):
+    for entry in blocks.get("suas", []):
+        entry = _object(entry, "sUAS entry")
         if "id" not in entry:
             raise ParseError("sUAS entry missing 'id'", str(path))
         suas[_json(entry["id"], str)] = entry
 
     environments = {}
-    for entry in doc.get("environments", []):
+    for entry in blocks.get("environments", []):
+        entry = _object(entry, "environment entry")
         env_id = entry.get("id")
         if env_id is None:
             raise ParseError("environment entry missing 'id'", str(path))
@@ -582,7 +581,8 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
             **_fields(entry, _ENVIRONMENT_FIELDS, f"environment {env_id}", path))
 
     tests = {}
-    for entry in doc.get("tests", []):
+    for entry in blocks.get("tests", []):
+        entry = _object(entry, "test entry")
         test_id = entry.get("test_id")
         if test_id is None:
             raise ParseError("test entry missing 'test_id'", str(path))
@@ -595,7 +595,8 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
         tests[_json(test_id, str)] = _campaign_test(entry, path)
 
     trials = []
-    for entry in doc.get("trials", []):
+    for entry in blocks.get("trials", []):
+        entry = _object(entry, "trial entry")
         typed = _fields(entry, _TRIAL_FIELDS, f"trial {entry.get('trial_id', '?')}", path)
         trial_id = typed.get("trial_id", "?")
         if typed.get("test_id") not in tests:
@@ -639,11 +640,8 @@ def parse_campaign(path) -> tuple[Campaign, ParseReport]:
         )
 
     if not trials:
-        report.warn(str(path), "no trials")
-    report.counts.update(
-        suas=len(suas), tests=len(tests), environments=len(environments), trials=len(trials)
-    )
-    return Campaign(suas=suas, tests=tests, environments=environments, trials=tuple(trials)), report
+        _warn(path, path, "no trials")
+    return Campaign(suas=suas, tests=tests, environments=environments, trials=tuple(trials))
 
 
 @_total
@@ -682,15 +680,14 @@ SURVEY_COLUMNS = {"participant_id": _stripped, "instrument": _instrument, "item_
 def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     """Load Likert survey rows; a repeated (participant, instrument, item) warns, and its
     later row takes the earlier one's place."""
-    report = ParseReport(str(path))
     header, body = _header_and_body(path)
     columns = _csv_columns(header, body, path, SURVEY_COLUMNS, key=3)
     if columns is None:
         by_key = {}
-        for line, values in _csv_rows(path, SURVEY_COLUMNS):
+        for line, values in _csv_rows(header, body, path, SURVEY_COLUMNS):
             key = tuple(values[:3])
             if key in by_key:
-                report.warn(line, f"duplicate response for {key}; keeping the later row")
+                _warn(path, line, f"duplicate response for {key}; keeping the later row")
             by_key[key] = values
         columns = _transposed(by_key.values(), len(SURVEY_COLUMNS))
     survey = SurveyColumns(*columns)
@@ -700,12 +697,9 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     items = collections.Counter(zip(survey.participant_ids, survey.instruments))
     for (participant, instrument), count in sorted(items.items()):
         if count != expected[instrument]:
-            report.warn(
-                str(path),
-                f"{participant}: {instrument} has {count} items, expected {expected[instrument]}",
-            )
-    report.counts["responses"] = len(survey.participant_ids)
-    return survey, report
+            _warn(path, path,
+                  f"{participant}: {instrument} has {count} items, expected {expected[instrument]}")
+    return survey, ParseReport({"responses": len(survey.participant_ids)})
 
 
 def _sa_level(text: str, line) -> int:
@@ -721,11 +715,9 @@ SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id":
 
 
 @_total
-def parse_sagat(path) -> tuple[list[SagatResponse], ParseReport]:
-    report = ParseReport(str(path))
-    out = [SagatResponse(*values) for _, values in _csv_rows(path, SAGAT_COLUMNS)]
-    report.counts["responses"] = len(out)
-    return out, report
+def parse_sagat(path) -> list[SagatResponse]:
+    header, body = _header_and_body(path)
+    return [SagatResponse(*values) for _, values in _csv_rows(header, body, path, SAGAT_COLUMNS)]
 
 
 @_total
@@ -774,14 +766,15 @@ def _feature_value(ordinal_map):
 
 
 @_total
-def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
-    report = ParseReport(str(path))
+def parse_feature_sheet(path) -> FeatureSheet:
     doc = _json(_load_json(path), dict)
+    blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet", path)
 
     direction_map = {"higher": "higher_better", "lower": "lower_better"}
     features = []
     degrees = {}
-    for entry in doc.get("features", []):
+    for entry in blocks.get("features", []):
+        entry = _object(entry, "feature entry")
         typed = _fields(entry, _FEATURE_FIELDS, f"feature {entry.get('name')!r}", path)
         name = typed.get("name")
         if name is None:
@@ -800,17 +793,17 @@ def parse_feature_sheet(path) -> tuple[FeatureSheet, ParseReport]:
     value_fields = {f.name: _feature_value(f.ordinal_map) for f in features}
     values = {}
     capabilities = {}
-    for system in doc.get("systems", []):
+    for system in blocks.get("systems", []):
+        system = _object(system, "system entry")
         sid = _fields(system, {"id": str}, "system", path).get("id")
         if sid is None:
             raise ParseError("system missing 'id'", str(path))
-        values[sid] = _fields(system.get("values", {}), value_fields, f"system {sid}", path)
+        given = _fields(system, {"values": dict}, f"system {sid}", path).get("values", {})
+        values[sid] = _fields(given, value_fields, f"system {sid}", path)
         if "capabilities" in system:
             capabilities[sid] = _capabilities(system["capabilities"])
 
-    table = FeatureTable(tuple(features), values)
-    report.counts.update(features=len(features), systems=len(values))
-    return FeatureSheet(table, capabilities, degrees), report
+    return FeatureSheet(FeatureTable(tuple(features), values), capabilities, degrees)
 
 
 @_total
@@ -831,17 +824,8 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 
 # --- FIS configuration ----------------------------------------------------------
 
-def _object(value, owner: str) -> dict:
-    """`value` if it is a JSON object, else a ParseError naming its `owner`."""
-    try:
-        return _json(value, dict)
-    except TypeError as exc:
-        raise ParseError(f"{owner}: {exc}")
-
-
 @_total
-def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
-    report = ParseReport(str(path))
+def parse_fis_config(path) -> FisConfig:
     doc = _json(_load_json(path), dict)
 
     systems = {}
@@ -871,7 +855,7 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
                     raise ParseError(f"{fis_name}.{var_name}: alias {alias!r} -> {target!r}")
             var = LinguisticVariable(var_name, lo, hi, terms, aliases)
             if not var.covered():
-                report.warn(fis_name, f"variable {var_name!r} has membership gaps")
+                _warn(path, fis_name, f"variable {var_name!r} has membership gaps")
             inputs[var_name] = var
 
         outputs = {k: _json(v, float) for k, v in _json(spec.get("outputs", {}), dict).items()}
@@ -931,14 +915,12 @@ def parse_fis_config(path) -> tuple[FisConfig, ParseReport]:
             if var_name not in ideal_inputs[axis]:
                 raise ParseError(f"ideal_inputs: {axis}: missing input {var_name!r}")
 
-    config = FisConfig(
+    return FisConfig(
         name=doc.get("name", Path(str(path)).stem),
         fis=systems,
         cascade=cascade,
         ideal_inputs=ideal_inputs,
     )
-    report.counts["fis"] = len(systems)
-    return config, report
 
 
 # --- cfis scores -----------------------------------------------------------------
@@ -978,7 +960,7 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
         lines = range(2, len(columns[0]) + 2)
     else:
         rows, seen = [], set()
-        for line, values in _csv_rows(path, converters, optional):
+        for line, values in _csv_rows(header, body, path, converters, optional):
             key = tuple(values[:2])
             if key in seen:
                 warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "

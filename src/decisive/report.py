@@ -108,12 +108,29 @@ def _cell_texts(table: ReportTable, ascii_glyphs: bool) -> list[list[str]]:
         raise
 
 
+def _escaped(texts: list[str], special: str, escape) -> list[str]:
+    """`escape` of each text, when the column's text as a whole holds one of `special`."""
+    joined = "".join(texts)
+    return list(map(escape, texts)) if any(ch in joined for ch in special) else texts
+
+
+#: the characters a Markdown cell escapes: a "|" would end the cell, a line break the row
+_MD_SPECIAL = "|\n\r"
+
+
+def _md_escape(text: str) -> str:
+    text = text.replace("|", "\\|").replace("\r\n", "<br>")
+    return text.replace("\r", "<br>").replace("\n", "<br>")
+
+
 def _render_md(table: ReportTable, ascii_glyphs: bool) -> str:
-    headers = [_header_text(c) for c in table.columns]
+    headers = [_md_escape(_header_text(c)) for c in table.columns]
     lines = [f"### {table.title}", ""]
     lines.append("| " + " | ".join(headers) + " |")
     lines.append("| " + " | ".join("---" for _ in headers) + " |")
-    lines += ["| " + " | ".join(cells) + " |" for cells in zip(*_cell_texts(table, ascii_glyphs))]
+    columns = [_escaped(texts, _MD_SPECIAL, _md_escape)
+               for texts in _cell_texts(table, ascii_glyphs)]
+    lines += ["| " + " | ".join(cells) + " |" for cells in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -127,15 +144,10 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _csv_column(texts: list[str]) -> list[str]:
-    """`_csv_quote` of each text, looking at the column's text as a whole first."""
-    joined = "".join(texts)
-    return list(map(_csv_quote, texts)) if any(ch in joined for ch in _CSV_SPECIAL) else texts
-
-
 def _render_csv(table: ReportTable, ascii_glyphs: bool) -> str:
     lines = [",".join(_csv_quote(_header_text(c)) for c in table.columns)]
-    columns = [_csv_column(texts) for texts in _cell_texts(table, ascii_glyphs)]
+    columns = [_escaped(texts, _CSV_SPECIAL, _csv_quote)
+               for texts in _cell_texts(table, ascii_glyphs)]
     lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 

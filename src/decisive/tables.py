@@ -255,7 +255,7 @@ def _load_weight_scheme(weights_arg: str, sheet, features: Path) -> ncap_mod.Wei
 
 def ncap_results(features: Path, weights_arg: str, caps: Path | None) -> list:
     """Ranked NcapResults for a feature sheet, a weight scheme and optional capability flags."""
-    sheet, _ = parse_feature_sheet(features)
+    sheet = parse_feature_sheet(features)
     scheme = _load_weight_scheme(weights_arg, sheet, features)
     potentials = ncap_mod.component_potential(sheet.table, scheme)
 

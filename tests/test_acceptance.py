@@ -195,8 +195,7 @@ class TestCriterion6:
 
 @pytest.fixture(scope="module")
 def shipped_config():
-    config, _report = parse_fis_config(DEFAULT_FIS)
-    return config
+    return parse_fis_config(DEFAULT_FIS)
 
 
 @pytest.mark.criterion(7, "FIS sweeps bounded, hand-traced outcomes, term coverage")

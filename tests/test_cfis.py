@@ -41,7 +41,7 @@ PREDICTIVE_ROWS = {
 def config():
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        cfg, _ = parse_fis_config(CONFIG_PATH)
+        cfg = parse_fis_config(CONFIG_PATH)
     assert not record
     return cfg
 

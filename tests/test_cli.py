@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -54,9 +55,15 @@ def with_bom(tmp_path, source):
 
 class TestValidate:
     def test_good_manifest(self, capsys):
-        code, _out, err = run(capsys, "validate", CAMPAIGN / "campaign.json")
-        assert code == 0
-        assert "OK" in err
+        manifest = CAMPAIGN / "campaign.json"
+        assert run(capsys, "validate", manifest) == (
+            0, "", f"{manifest}: OK (2 suas, 5 tests, 1 environments, 17 trials)\n")
+
+    def test_empty_manifest_warns_and_counts_nothing(self, capsys, tmp_path):
+        manifest = write(tmp_path / "c.json", json.dumps({"schema_version": 1}))
+        assert run(capsys, "validate", manifest) == (0, "", (
+            f"warning: {manifest}: no trials (at {manifest})\n"
+            f"{manifest}: OK (0 suas, 0 tests, 0 environments, 0 trials)\n"))
 
     def test_dangling_trial_names_id(self, capsys, tmp_path):
         doc = json.loads((CAMPAIGN / "campaign.json").read_text())
@@ -227,6 +234,16 @@ class TestCfis:
         code, out, _err = run(capsys, "cfis", "--scores", scores, "--format", "csv")
         assert code == 0
         assert "charlie,4,0.92" in out
+
+    def test_markdown_rows_keep_their_cells(self, capsys, tmp_path):
+        scores = write(tmp_path / "scores.csv",
+                       'suas_id,test_id,score\na|b,t1,0.5\n"c\nd",t2,0.7\n')
+        code, out, _err = run(capsys, "cfis", "--scores", scores)
+        assert code == 0
+        table = out.splitlines()[2:]
+        assert table[2:] == ["| a\\|b | 1 | 0.50 |", "| c<br>d | 1 | 0.70 |"]
+        # every row has the header's cells, split at each "|" no backslash escapes
+        assert {len(re.split(r"(?<!\\)\|", line)) for line in table} == {3 + 2}
 
     def test_score_header_cells_are_stripped(self, capsys, tmp_path):
         scores = write(tmp_path / "scores.csv", "suas_id, test_id, score\ncharlie,takeoff,0.5\n")
@@ -817,6 +834,40 @@ LOAD_ERRORS = {
         sample_with("campaign.json", lambda doc: doc["tests"][0].update(environment=["lab"]),
                     "validate"),
         "test wall-follow-1m: bad 'environment' field (expected a string, got [\"lab\"])"),
+    # a manifest or feature sheet block of the wrong type, or an entry that is not an object
+    "manifest-suas-number": (sample_with("campaign.json", lambda doc: doc.update(suas=5),
+                                         "validate"),
+                             "manifest: bad 'suas' field (expected an array, got 5)"),
+    "manifest-suas-object": (
+        sample_with("campaign.json", lambda doc: doc.update(suas={"a": 1}), "validate"),
+        "manifest: bad 'suas' field (expected an array, got {\"a\": 1})"),
+    "manifest-tests-string": (sample_with("campaign.json", lambda doc: doc.update(tests="x"),
+                                          "validate"),
+                              "manifest: bad 'tests' field (expected an array, got \"x\")"),
+    "manifest-trial-number": (sample_with("campaign.json", lambda doc: doc.update(trials=[1]),
+                                          "validate"),
+                              "trial entry: expected an object, got 1"),
+    "manifest-environment-entry-array": (
+        sample_with("campaign.json", lambda doc: doc.update(environments=[[1]]), "validate"),
+        "environment entry: expected an object, got [1]"),
+    "manifest-suas-entry-string": (
+        sample_with("campaign.json", lambda doc: doc.update(suas=["alpha"]), "validate"),
+        "sUAS entry: expected an object, got \"alpha\""),
+    "manifest-test-entry-array": (
+        sample_with("campaign.json", lambda doc: doc["tests"].append([]), "validate"),
+        "test entry: expected an object, got []"),
+    "features-object": (
+        ncap_with(lambda doc: doc.update(features={"fov": 1})),
+        "feature sheet: bad 'features' field (expected an array, got {\"fov\": 1})"),
+    "features-entry-string": (ncap_with(lambda doc: doc["features"].append("fov")),
+                              "feature entry: expected an object, got \"fov\""),
+    "features-systems-number": (ncap_with(lambda doc: doc.update(systems=3)),
+                                "feature sheet: bad 'systems' field (expected an array, got 3)"),
+    "features-system-entry-number": (ncap_with(lambda doc: doc["systems"].append(3)),
+                                     "system entry: expected an object, got 3"),
+    "features-system-values-array": (
+        ncap_with(lambda doc: doc["systems"][0].update(values=[1])),
+        "system alpha: bad 'values' field (expected an object, got [1])"),
 }
 
 

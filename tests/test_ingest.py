@@ -135,8 +135,9 @@ class TestTelemetryColumnsAgreeWithRowLoop:
         "unknown": "mode,t,x,note,y,z,vx,vy,vz,extra",
     }
 
-    def check(self, path, monkeypatch, fast: bool):
-        """Compare with the row loop; `fast` says whether the column parse takes the file."""
+    def check(self, path, monkeypatch, fast: bool | None = None):
+        """Compare with the row loop; `fast`, when given, says whether the column parse takes
+        the file."""
         taken = []
         columns = ingest._telemetry_columns
 
@@ -149,7 +150,8 @@ class TestTelemetryColumnsAgreeWithRowLoop:
         got = _outcome(path)
         monkeypatch.setattr(ingest, "_telemetry_columns", lambda body, cols: None)
         assert got == _outcome(path)
-        assert taken == [fast]
+        if fast is not None:
+            assert taken == [fast]
         return got
 
     @pytest.mark.parametrize("name", ["wf_alpha_1.csv", "oa_alpha_1.csv"])
@@ -220,7 +222,7 @@ class TestTelemetryColumnsAgreeWithRowLoop:
         rows = "".join(f"{0.01 * i:.2f},1,0,1\n" for i in range(2000))  # past one read chunk
         p = tmp_path / "t.csv"
         p.write_bytes(b"t,x,y,z\n" + rows.encode() + b"20.5,\xff,0,1\n")
-        got = self.check(p, monkeypatch, fast=False)
+        got = self.check(p, monkeypatch)
         assert got[1] is ParseError and "can't decode byte 0xff" in got[2]
 
     @pytest.mark.parametrize("body", ["", "0,0,0,1\n", "\n\n"])
@@ -247,7 +249,7 @@ class TestCampaign:
     def test_empty_campaign_warns(self, tmp_path):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc()))
         with pytest.warns(DataQualityWarning, match="no trials"):
-            campaign, _ = parse_campaign(p)
+            campaign = parse_campaign(p)
         assert campaign.trials == ()
 
     def test_unknown_category(self, tmp_path):
@@ -301,7 +303,7 @@ class TestCampaign:
         doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
                                     "outcome": "success", "laps": 20.0, "t_collision_s": 3,
                                     "collisions": 2.0, "rollovers": 1, "duration_min": 8}])
-        campaign, _ = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
+        campaign = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
         trial = campaign.trials[0]
         assert (trial.laps, trial.t_collision, trial.collisions, trial.rollovers,
                 trial.duration) == (20, 3.0, 2, 1, 8.0)
@@ -311,7 +313,7 @@ class TestCampaign:
     def test_absent_trial_counts_default_to_zero(self, tmp_path):
         doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
                                     "outcome": "success", "collisions": None}])
-        campaign, _ = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
+        campaign = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
         trial = campaign.trials[0]
         assert (trial.collisions, trial.rollovers, trial.duration) == (0, 0, 0.0)
 
@@ -346,7 +348,7 @@ class TestCampaign:
     def test_absent_or_null_trial_id_reads_as_unknown(self, tmp_path):
         trials = [{"test_id": "oa-wall", "suas_id": "alpha"},
                   {"trial_id": None, "test_id": "oa-wall", "suas_id": "alpha"}]
-        campaign, _ = parse_campaign(write(tmp_path / "c.json",
+        campaign = parse_campaign(write(tmp_path / "c.json",
                                            json.dumps(manifest_doc(trials=trials))))
         assert [t.trial_id for t in campaign.trials] == ["?", "?"]
 
@@ -360,14 +362,14 @@ class TestCampaign:
             for i in range(5)
         ]
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(trials=trials)))
-        campaign, report = parse_campaign(p)
-        assert report.counts["trials"] == 5
+        campaign = parse_campaign(p)
+        assert len(campaign.trials) == 5
         assert sum(1 for t in campaign.trials if t.collisions > 0) == 2
 
 
 class TestCampaignTests:
     def test_sample_blocks_are_typed(self):
-        campaign, _ = parse_campaign(SAMPLE / "campaign.json")
+        campaign = parse_campaign(SAMPLE / "campaign.json")
         nav = campaign.tests["wall-follow-1m"]
         assert nav.path.vertices == ((0.0, 1.0, 1.0), (3.0, 1.0, 1.0)) and not nav.path.closed
         assert nav.waypoint == (3.0, 1.0, 0.0) and nav.length_m is None
@@ -377,12 +379,12 @@ class TestCampaignTests:
         field = campaign.tests["endurance-indoor"]
         assert field.nlos_positions[1] == NlosPosition("1", 14.0, ((1, "drywall"),), "good",
                                                        "possible")
-        assert field.criteria == tuple(parse_criteria(SAMPLE / "criteria.json")[0])
+        assert field.criteria == tuple(parse_criteria(SAMPLE / "criteria.json"))
         assert field.criteria[0] == Criterion("hd_video_min", "min", 120)
         assert field.responses["bravo"]["battery_type"] == "Li-ion"
         mapping = campaign.tests["map-loop"]
         assert [(g.fiducial_id, g.gt_xy) for g in mapping.fiducials][2] == ("C", (4.0, 3.0))
-        observations, _ = parse_fiducial_observations(SAMPLE / "fiducials.csv")
+        observations = parse_fiducial_observations(SAMPLE / "fiducials.csv")
         assert mapping.observations == tuple(observations)
         assert mapping.observations[0].fiducial_id == "A"
         assert mapping.shape_classes["D"] == "shifted"
@@ -393,7 +395,7 @@ class TestCampaignTests:
     def load(self, tmp_path, test):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[test])))
         with pytest.warns(DataQualityWarning, match="no trials"):
-            return parse_campaign(p)[0].tests[test["test_id"]]
+            return parse_campaign(p).tests[test["test_id"]]
 
     def test_absent_null_and_empty_blocks_stay_empty(self, tmp_path):
         test = {"test_id": "n", "kind": "nav", "path": None, "waypoint": [], "length_m": 0}
@@ -625,7 +627,7 @@ class TestSurveyColumnsAgreeWithRowLoop:
         rows = "".join(f"p{i},CTPA,i1,4,true,A\n" for i in range(2000))  # past one read chunk
         p = tmp_path / "s.csv"
         p.write_bytes(TestSurvey.HEADER.encode() + rows.encode() + b"p\xff,CTPA,i2,4,true,A\n")
-        got = self.check(p, fast=False)
+        got = self.check(p)
         assert got[1] is ParseError and "can't decode byte 0xff" in got[2]
 
 
@@ -824,7 +826,7 @@ class TestSagat:
             "participant_id,question_id,se_id,sa_level,correct\n"
             "p1,q1,altitude,1,true\np1,q2,altitude,2,false\n",
         )
-        responses, report = parse_sagat(p)
+        responses = parse_sagat(p)
         assert len(responses) == 2
         assert responses[0].sa_level == 1
 
@@ -859,8 +861,8 @@ class TestFeatureSheet:
 
     def test_loads(self, tmp_path):
         p = write(tmp_path / "f.json", json.dumps(self.sheet()))
-        sheet, report = parse_feature_sheet(p)
-        assert report.counts == {"features": 3, "systems": 2}
+        sheet = parse_feature_sheet(p)
+        assert len(sheet.table.features) == 3 and len(sheet.table.values) == 2
         assert sheet.capabilities["alpha"].perception is True
 
     def test_missing_direction(self, tmp_path):
@@ -874,7 +876,7 @@ class TestFeatureSheet:
         doc = self.sheet()
         doc["systems"][0]["values"]["flight_time"] = "N/A"
         p = write(tmp_path / "f.json", json.dumps(doc))
-        sheet, _ = parse_feature_sheet(p)
+        sheet = parse_feature_sheet(p)
         assert sheet.table.values["alpha"]["flight_time"] == "N/A"
 
 
@@ -909,7 +911,7 @@ class TestFisConfig:
 
     def test_accepts_shoulder_tuple(self, tmp_path):
         p = write(tmp_path / "f.json", json.dumps(self.config()))
-        config, report = parse_fis_config(p)
+        config = parse_fis_config(p)
         assert config.fis["mc"].inputs["crashes"].terms["low"].a == 0.0
 
     def test_malformed_tuple(self, tmp_path):
@@ -956,7 +958,7 @@ class TestFisConfig:
     def test_shipped_ruleset_dimensions(self):
         from decisive.cli import DEFAULT_FIS
 
-        config, _ = parse_fis_config(DEFAULT_FIS)
+        config = parse_fis_config(DEFAULT_FIS)
         assert len(config.fis["mc"].rules) == 10
         mc = config.fis["mc"].inputs
         assert mc["crashes"].aliases == {"many": "high"}
@@ -1166,7 +1168,7 @@ class TestCriteria:
             tmp_path / "c.json",
             json.dumps({"hd_video_min": {"op": "min", "value": 120}}),
         )
-        criteria, _ = parse_criteria(p)
+        criteria = parse_criteria(p)
         assert criteria[0].field == "hd_video_min"
         assert criteria[0].passes(150)
 
@@ -1177,10 +1179,9 @@ class TestFiducialObservations:
             tmp_path / "f.csv",
             "fiducial_id,half,x,y,mapped\nA,1,0.0,0.0,complete\nA,2,,,missing\nB,1,1.0,0.5,partial\n",
         )
-        obs, report = parse_fiducial_observations(p)
+        obs = parse_fiducial_observations(p)
         assert len(obs) == 3
         assert obs[1].map_xy is None
-        assert report.counts["observations"] == 3
 
     def test_short_row_names_line(self, tmp_path):
         p = write(tmp_path / "f.csv",
@@ -1199,8 +1200,8 @@ class TestFiducialObservations:
                   "fiducial_id,half,mapped,x,y\nA,2,missing\nB,1,complete\n")
         with pytest.raises(ParseError, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
             parse_fiducial_observations(p)
-        obs, _ = parse_fiducial_observations(write(tmp_path / "g.csv",
-                                                    "fiducial_id,half,mapped,x,y\nA,2,missing\n"))
+        obs = parse_fiducial_observations(write(tmp_path / "g.csv",
+                                                 "fiducial_id,half,mapped,x,y\nA,2,missing\n"))
         assert obs[0].map_xy is None
 
 
@@ -1220,7 +1221,7 @@ class TestRepeatedColumns:
 
 
 class TestParserTotality:
-    """Any byte stream yields a value+report or a structured error, never a crash."""
+    """Any byte stream yields a value or a structured error, never a crash."""
 
     PARSERS = [
         parse_telemetry,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.dom.minidom
 
 import numpy as np
@@ -88,6 +89,14 @@ class TestRenderTable:
         text = render_table(table, "csv").decode("utf-8")
         assert '"with, comma and ""quote"""' in text
 
+    def test_markdown_escapes_pipes_and_line_breaks(self):
+        table = ReportTable("T", [Column("id|name"), Column("n", "number", 0)])
+        for i, text in enumerate(["a|b", "c\nd", "e\r\nf\rg", "plain"]):
+            table.add_row(text, float(i))
+        lines = render_table(table, "md").decode("utf-8").splitlines()
+        assert lines[2:] == ["| id\\|name | n |", "| --- | --- |", "| a\\|b | 0 |",
+                             "| c<br>d | 1 |", "| e<br>f<br>g | 2 |", "| plain | 3 |"]
+
     def test_multi_table_concatenation(self):
         blob = render_tables([sample_table(), sample_table()], "md").decode("utf-8")
         assert blob.count("### Ranking") == 2
@@ -102,9 +111,12 @@ def per_cell_reference(table, fmt, ascii_glyphs):
         return ("error", str(exc))
     headers = [report._header_text(c) for c in table.columns]
     if fmt == "md":
-        lines = [f"### {table.title}", "", "| " + " | ".join(headers) + " |",
+        def escape(text):
+            return re.sub(r"\r\n|\r|\n", "<br>", text.replace("|", "\\|"))
+
+        lines = [f"### {table.title}", "", "| " + " | ".join(map(escape, headers)) + " |",
                  "| " + " | ".join("---" for _ in headers) + " |"]
-        lines += ["| " + " | ".join(cells) + " |" for cells in rows]
+        lines += ["| " + " | ".join(map(escape, cells)) + " |" for cells in rows]
     else:
         def quote(text):
             special = any(c in text for c in ',"\n\r')
