@@ -4,7 +4,8 @@ Subcommands: validate, metrics, ncap, cfis, sa, trust, report, plot.
 Data goes to stdout or --out; diagnostics go to stderr. Exit codes: 0 on
 success, 1 for input or validation problems, 2 for computation failures.
 Each subcommand parses its inputs, has `tables` build what it prints, and
-emits it.
+emits it. A subcommand imports the modules it runs when it runs, so `--help`
+loads none of them.
 """
 
 from __future__ import annotations
@@ -15,19 +16,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import tables
 from .errors import DataQualityWarning, DecisiveError, ParseError
-from .ingest import (
-    parse_campaign,
-    parse_fis_config,
-    parse_reference_path,
-    parse_sa_weights,
-    parse_sagat,
-    parse_survey,
-    parse_telemetry,
-)
-from .nav import deviation_series
-from .report import deviation_svg, ncap_scatter_svg, render_tables
 
 DEFAULT_FIS = Path(__file__).parent / "configs" / "takeoff_land.json"
 
@@ -129,6 +118,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    # OpenBLAS starts a thread per core when numpy is imported, and no subcommand does
+    # BLAS-sized work; set before any numpy import, and a caller's own value stands
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     handlers = {"validate": cmd_validate, "metrics": cmd_metrics, "report": cmd_metrics,
                 "ncap": cmd_ncap, "cfis": cmd_cfis, "sa": cmd_sa, "trust": cmd_trust,
                 "plot": cmd_plot}
@@ -157,6 +149,8 @@ def _write_output(data: bytes, out: Path | None) -> None:
 
 
 def _emit_tables(built, args) -> int:
+    from .report import render_tables
+
     data = render_tables(built, args.format, args.ascii_glyphs)
     _write_output(data, args.out)
     return 0
@@ -165,6 +159,8 @@ def _emit_tables(built, args) -> int:
 # --- validate -----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from .ingest import parse_campaign
+
     campaign = parse_campaign(args.manifest)
     counts = ", ".join(f"{len(entries)} {block}" for block, entries in vars(campaign).items())
     print(f"{args.manifest}: OK ({counts})", file=sys.stderr)
@@ -175,6 +171,9 @@ def cmd_validate(args) -> int:
 
 def cmd_metrics(args) -> int:
     """`metrics` prints one test category's tables, `report` those of all four."""
+    from . import tables
+    from .ingest import parse_campaign
+
     campaign = parse_campaign(args.manifest)
     one = args.command == "metrics"
     kinds = [args.test] if one else tables.CAMPAIGN_TABLES
@@ -188,22 +187,33 @@ def cmd_metrics(args) -> int:
 # --- the other table subcommands -------------------------------------------------
 
 def cmd_ncap(args) -> int:
+    from . import tables
+
     results = tables.ncap_results(args.features, args.weights, args.caps)
     return _emit_tables(tables.ncap_tables(results), args)
 
 
 def cmd_cfis(args) -> int:
+    from . import tables
+    from .ingest import parse_fis_config
+
     config = parse_fis_config(args.fis)
     return _emit_tables(tables.cfis_tables(config, args.scores), args)
 
 
 def cmd_sa(args) -> int:
+    from . import tables
+    from .ingest import parse_sa_weights, parse_sagat
+
     responses = parse_sagat(args.sagat)
     weights, missions = parse_sa_weights(args.weights) if args.weights else (None, {})
     return _emit_tables(tables.sa_tables(responses, weights, missions), args)
 
 
 def cmd_trust(args) -> int:
+    from . import tables
+    from .ingest import parse_survey
+
     dataset, _ = parse_survey(args.survey)
     return _emit_tables(tables.trust_tables(dataset, args.condition_a, args.condition_b), args)
 
@@ -212,12 +222,19 @@ def cmd_trust(args) -> int:
 
 def cmd_plot(args) -> int:
     if args.kind == "ncap-scatter":
+        from . import tables
+        from .report import ncap_scatter_svg
+
         if not args.features:
             raise ParseError("--features is required for ncap-scatter")
         results = tables.ncap_results(args.features, args.weights, args.caps)
         points = [(r.suas_id, float(r.n_al), r.n_cp) for r in results]
         data = ncap_scatter_svg(points)
     else:
+        from .ingest import parse_reference_path, parse_telemetry
+        from .nav import deviation_series
+        from .report import deviation_svg
+
         if not (args.telemetry and args.path):
             raise ParseError("--telemetry and --path are required for deviation plots")
         traj, _ = parse_telemetry(args.telemetry)

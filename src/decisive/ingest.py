@@ -11,7 +11,8 @@ to the row loop when it cannot vouch for the whole text. This module
 alone decides the type of a JSON value: each value a parser reads goes through
 `_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails at load,
 naming its file. UTF-8 (a byte-order mark is dropped), '.' decimal separator,
-',' delimiter.
+',' delimiter. A parser imports the domain types it builds when it runs, so a
+subcommand loads only the modules of the files it reads.
 """
 
 from __future__ import annotations
@@ -28,27 +29,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import mapping
-from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
-from .core import (
-    APERTURE_TIERS,
-    CR_CATEGORIES,
-    OA_CATEGORIES,
-    Campaign,
-    EnvironmentProfile,
-    ObstacleGeometry,
-    Trajectory,
-    TrialRecord,
-)
 from .errors import DataQualityWarning, DecisiveError, ParseError
-from .field import Criterion, NlosPosition
-from .human_factors import SagatResponse, SeParams, SurveyColumns, attention_allocation
-from .mapping import FiducialGroundTruth, FiducialObservation
-from .nav import ReferencePath
-from .ncap import ABSENT, AutonomyCapabilities, Feature, FeatureTable
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .cfis import FisConfig
+    from .core import Campaign, ObstacleGeometry, Trajectory
+    from .field import Criterion, NlosPosition
+    from .human_factors import SagatResponse, SurveyColumns
+    from .mapping import FiducialGroundTruth, FiducialObservation
+    from .nav import ReferencePath
+    from .ncap import AutonomyCapabilities, FeatureTable
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
@@ -252,6 +244,8 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     """Load a telemetry trace: t,x,y,z with optional vx,vy,vz and ax,ay,az."""
     import numpy as np
 
+    from .core import Trajectory
+
     header, body = _header_and_body(path)
     has_vel, has_acc = (all(c in header for c in group) for group in (VEL_COLUMNS, ACC_COLUMNS))
     fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
@@ -326,6 +320,8 @@ def _telemetry_rows(header: list[str], body: str, path, fields) -> np.ndarray:
 @_total
 def parse_criteria(path) -> list[Criterion]:
     """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
+    from .field import Criterion
+
     out = []
     for field_name, spec in _json(_load_json(path), dict).items():
         try:
@@ -345,6 +341,8 @@ FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
 
 @_total
 def parse_fiducial_observations(path) -> list[FiducialObservation]:
+    from .mapping import FiducialObservation
+
     header, body = _header_and_body(path)
     idx = _columns(header, FIDUCIAL_COLUMNS, path)
     # a missing fiducial has no position, so its row may stop before x and y
@@ -427,29 +425,46 @@ def _obstructions(value) -> tuple[tuple[int, str], ...]:
 
 
 def _reference_path(spec) -> ReferencePath:
+    from .nav import ReferencePath
+
     spec = _json(spec, dict)
     vertices = tuple(_numbers(v, 3) for v in _json(spec["vertices"], list))
     return ReferencePath(vertices, _json(spec.get("closed", False), bool))
 
 
 def _obstacle(spec) -> ObstacleGeometry:
+    from .core import ObstacleGeometry
+
     spec = _json(spec, dict)
     return ObstacleGeometry(spec.get("kind", "plane_segment"), _numbers(spec["p0"], 2),
                             _numbers(spec["p1"], 2), _json(spec["height"], float),
                             spec.get("material", "wall"))
 
 
-def _nlos_position(e: dict) -> NlosPosition:
-    latency = e.get("latency_ms")
-    return NlosPosition(_json(e["label"], str), _json(e["distance"], float),
-                        _obstructions(e.get("obstructions", [])), e.get("connect", "none"),
-                        e.get("fly", "not_possible"),
-                        None if latency is None else _json(latency, float))
+def _nlos_positions(value) -> tuple[NlosPosition, ...]:
+    from .field import NlosPosition
+
+    positions = []
+    for e in _json(value, list):
+        e = _json(e, dict)
+        latency = e.get("latency_ms")
+        positions.append(NlosPosition(
+            _json(e["label"], str), _json(e["distance"], float),
+            _obstructions(e.get("obstructions", [])), e.get("connect", "none"),
+            e.get("fly", "not_possible"), None if latency is None else _json(latency, float)))
+    return tuple(positions)
 
 
-def _fiducial(e: dict) -> FiducialGroundTruth:
-    return FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
-                               _json(e["min_traversal"], float), _count(e["min_turns"]))
+def _fiducials(value) -> tuple[FiducialGroundTruth, ...]:
+    from .mapping import FiducialGroundTruth
+
+    fiducials = []
+    for e in _json(value, list):
+        e = _json(e, dict)
+        fiducials.append(FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
+                                             _json(e["min_traversal"], float),
+                                             _count(e["min_turns"])))
+    return tuple(fiducials)
 
 
 def _pair(value, first: str, second: str, convert) -> tuple:
@@ -466,12 +481,12 @@ _TEST_BLOCKS = {
     },
     "collision": {"obstacle": _obstacle},
     "field": {
-        "nlos_positions": lambda v: tuple(_nlos_position(_json(e, dict)) for e in _json(v, list)),
+        "nlos_positions": _nlos_positions,
         "criteria": lambda v: _json(v, str),  # a file beside the manifest, see _SIDE_FILES
         "responses": lambda v: {suas: _json(r, dict) for suas, r in _json(v, dict).items()},
     },
     "mapping": {
-        "fiducials": lambda v: tuple(_fiducial(_json(e, dict)) for e in _json(v, list)),
+        "fiducials": _fiducials,
         "observations": lambda v: _json(v, str),
         "shape_classes": lambda v: {k: _json(c, str) for k, c in _json(v, dict).items()},
         "dimensions": lambda v: _pair(v, "reported", "truth", _numbers),
@@ -483,13 +498,13 @@ _TEST_BLOCKS = {
 #: the blocks that name a file beside the manifest, with the parser of that file
 _SIDE_FILES = {"criteria": parse_criteria, "observations": parse_fiducial_observations}
 
-#: the report's metric of each block it computes from the block alone, run once at load
-#: so that a block the report could not compute fails there
+#: the report's metric of each block it computes from the block alone, given the `mapping`
+#: module; run once at load so that a block the report could not compute fails there
 _BLOCK_METRICS = {
-    "shape_classes": lambda classes: mapping.shape_accuracy_rate(list(classes.values())),
-    "dimensions": lambda dims: mapping.dimensional_accuracy(*dims),
-    "fov": lambda fov: mapping.fov_coverage(*fov),
-    "acuity_levels": mapping.acuity_summary,
+    "shape_classes": lambda mapping, classes: mapping.shape_accuracy_rate(list(classes.values())),
+    "dimensions": lambda mapping, dims: mapping.dimensional_accuracy(*dims),
+    "fov": lambda mapping, fov: mapping.fov_coverage(*fov),
+    "acuity_levels": lambda mapping, levels: mapping.acuity_summary(levels),
 }
 
 
@@ -503,7 +518,9 @@ def _campaign_test(entry: dict, manifest: Path) -> CampaignTest:
         try:
             blocks[key] = convert(value)
             if key in _BLOCK_METRICS:
-                _BLOCK_METRICS[key](blocks[key])
+                from . import mapping
+
+                _BLOCK_METRICS[key](mapping, blocks[key])
         except (DecisiveError, TypeError, ValueError, KeyError, AttributeError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ParseError(f"test {test_id}: bad {key!r} block ({reason})", str(manifest))
@@ -555,6 +572,15 @@ _TRIAL_FIELDS = {"trial_id": str, "test_id": str, "suas_id": str, "telemetry": s
 @_total
 def parse_campaign(path) -> Campaign:
     """Load and cross-validate a campaign manifest, converting every test block it reads."""
+    from .core import (
+        APERTURE_TIERS,
+        CR_CATEGORIES,
+        OA_CATEGORIES,
+        Campaign,
+        EnvironmentProfile,
+        TrialRecord,
+    )
+
     path = Path(path)
     doc = _json(_load_json(path), dict)
 
@@ -680,6 +706,8 @@ SURVEY_COLUMNS = {"participant_id": _stripped, "instrument": _instrument, "item_
 def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     """Load Likert survey rows; a repeated (participant, instrument, item) warns, and its
     later row takes the earlier one's place."""
+    from .human_factors import SurveyColumns
+
     header, body = _header_and_body(path)
     columns = _csv_columns(header, body, path, SURVEY_COLUMNS, key=3)
     if columns is None:
@@ -716,6 +744,8 @@ SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id":
 
 @_total
 def parse_sagat(path) -> list[SagatResponse]:
+    from .human_factors import SagatResponse
+
     header, body = _header_and_body(path)
     return [SagatResponse(*values) for _, values in _csv_rows(header, body, path, SAGAT_COLUMNS)]
 
@@ -727,6 +757,8 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
     Weights come from SEEV `params`, an explicit `weights` map, or the top
     level itself; `missions` maps a mission name to the elements it covers.
     """
+    from .human_factors import SeParams, attention_allocation
+
     doc = _json(_load_json(path), dict)
     missions = {name: [_json(se, str) for se in _json(elements, list)]
                 for name, elements in _json(doc.get("missions", {}), dict).items()}
@@ -751,6 +783,8 @@ class FeatureSheet:
 
 
 def _capabilities(flags) -> AutonomyCapabilities:
+    from .ncap import AutonomyCapabilities
+
     return AutonomyCapabilities(**{k: _json(v, bool) for k, v in _json(flags, dict).items()})
 
 
@@ -761,12 +795,16 @@ _FEATURE_FIELDS = {"name": str, "direction": str, "degree": _count,
 
 def _feature_value(ordinal_map):
     """The kind of a system's value of a feature: "N/A", a token of `ordinal_map`, or a number."""
+    from .ncap import ABSENT
+
     tokens = {ABSENT, *(ordinal_map or ())}
     return lambda v: v if isinstance(v, str) and v in tokens else _json(v, float)
 
 
 @_total
 def parse_feature_sheet(path) -> FeatureSheet:
+    from .ncap import Feature, FeatureTable
+
     doc = _json(_load_json(path), dict)
     blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet", path)
 
@@ -826,6 +864,8 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 
 @_total
 def parse_fis_config(path) -> FisConfig:
+    from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
+
     doc = _json(_load_json(path), dict)
 
     systems = {}

@@ -125,7 +125,7 @@ def _md_escape(text: str) -> str:
 
 def _render_md(table: ReportTable, ascii_glyphs: bool) -> str:
     headers = [_md_escape(_header_text(c)) for c in table.columns]
-    lines = [f"### {table.title}", ""]
+    lines = [f"### {_md_escape(table.title)}", ""]
     lines.append("| " + " | ".join(headers) + " |")
     lines.append("| " + " | ".join("---" for _ in headers) + " |")
     columns = [_escaped(texts, _MD_SPECIAL, _md_escape)

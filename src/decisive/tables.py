@@ -3,7 +3,8 @@
 The campaign builders read the typed tests of a parsed Campaign, load the
 telemetry files its trials name as they need them, and leave out a table that
 got no rows. The others take their subcommand's parsed
-inputs. Tables come back in the order they are printed.
+inputs. Tables come back in the order they are printed. Each builder imports
+the domain modules it runs, so a subcommand loads only its own.
 """
 
 from __future__ import annotations
@@ -12,25 +13,14 @@ import math
 import warnings
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import cfis as cfis_mod
-from . import collision as coll
-from . import field as field_mod
-from . import human_factors as hf
-from . import mapping as mapping_mod
-from . import nav as nav_mod
-from . import ncap as ncap_mod
-from . import stats as stats_mod
-from .core import APERTURE_TIERS, Campaign, tests_of_kind
 from .errors import DataQualityWarning, DecisiveError, ParseError
-from .ingest import (
-    parse_capabilities,
-    parse_feature_sheet,
-    parse_feature_weights,
-    parse_scores,
-    parse_telemetry,
-)
 from .report import Column, ReportTable
+
+if TYPE_CHECKING:
+    from .core import Campaign
+    from .ncap import WeightScheme
 
 #: success-probability thresholds reported next to every completion rate
 COMPLETION_P0 = (0.70, 0.85)
@@ -39,6 +29,10 @@ COMPLETION_P0 = (0.70, 0.85)
 # --- campaign ----------------------------------------------------------------
 
 def nav_tables(campaign: Campaign) -> list[ReportTable]:
+    from . import nav as nav_mod
+    from .core import APERTURE_TIERS, tests_of_kind
+    from .ingest import parse_telemetry
+
     deviation = ReportTable("Path deviation", [
         Column("test"), Column("sUAS"), Column("flights", "number", 0),
         Column("per-flight AD", "text", unit="m"), Column("mean AD", "number", 3, "m"),
@@ -88,6 +82,10 @@ def nav_tables(campaign: Campaign) -> list[ReportTable]:
 
 
 def collision_tables(campaign: Campaign) -> list[ReportTable]:
+    from . import collision as coll
+    from .core import tests_of_kind
+    from .ingest import parse_telemetry
+
     tables = []
     numeric = ReportTable("Obstacle avoidance and severity", [
         Column("test"), Column("sUAS"), Column("flight"), Column("collisions", "number", 0),
@@ -139,6 +137,10 @@ def collision_tables(campaign: Campaign) -> list[ReportTable]:
 
 
 def field_tables(campaign: Campaign) -> list[ReportTable]:
+    from . import field as field_mod
+    from . import stats as stats_mod
+    from .core import tests_of_kind
+
     endurance = ReportTable("Runtime endurance", [
         Column("test"), Column("sUAS"), Column("duration", "number", 0, "min"),
         Column("distance", "number", 0, "m"), Column("avg speed", "number", 2, "m/s"),
@@ -192,6 +194,9 @@ def field_tables(campaign: Campaign) -> list[ReportTable]:
 
 
 def mapping_tables(campaign: Campaign) -> list[ReportTable]:
+    from . import mapping as mapping_mod
+    from .core import tests_of_kind
+
     tables = []
     for test in tests_of_kind(campaign, "mapping"):
         test_id, truth, obs = test.test_id, test.fiducials, test.observations
@@ -240,7 +245,10 @@ CAMPAIGN_TABLES = {"nav": nav_tables, "collision": collision_tables, "field": fi
 
 # --- ncap --------------------------------------------------------------------
 
-def _load_weight_scheme(weights_arg: str, sheet, features: Path) -> ncap_mod.WeightScheme:
+def _load_weight_scheme(weights_arg: str, sheet, features: Path) -> WeightScheme:
+    from . import ncap as ncap_mod
+    from .ingest import parse_feature_weights
+
     names = [f.name for f in sheet.table.features]
     if weights_arg == "uniform":
         return ncap_mod.WeightScheme.uniform(names)
@@ -255,6 +263,9 @@ def _load_weight_scheme(weights_arg: str, sheet, features: Path) -> ncap_mod.Wei
 
 def ncap_results(features: Path, weights_arg: str, caps: Path | None) -> list:
     """Ranked NcapResults for a feature sheet, a weight scheme and optional capability flags."""
+    from . import ncap as ncap_mod
+    from .ingest import parse_capabilities, parse_feature_sheet
+
     sheet = parse_feature_sheet(features)
     scheme = _load_weight_scheme(weights_arg, sheet, features)
     potentials = ncap_mod.component_potential(sheet.table, scheme)
@@ -287,6 +298,9 @@ def ncap_tables(results) -> list[ReportTable]:
 def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
     """Per-test contextual scores (unless the file holds precomputed ones) and predictive scores."""
     import numpy as np
+
+    from . import cfis as cfis_mod
+    from .ingest import parse_scores
 
     axis_vars = {name: tuple(fis.inputs) for name, fis in config.fis.items()
                  if name not in config.cascade}
@@ -340,6 +354,8 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
 
 def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> list[ReportTable]:
     """SAGAT rates, OSA per participant, OSA by mission; no `weights` weighs every element 1."""
+    from . import human_factors as hf
+
     rates = hf.sagat_correct_rates(responses)
     vectors = hf.perception_vectors(responses)
     if weights is None:
@@ -388,6 +404,8 @@ def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> li
 # --- trust -------------------------------------------------------------------
 
 def trust_tables(survey, condition_a: str, condition_b: str) -> list[ReportTable]:
+    from . import human_factors as hf
+
     result = hf.trust_pipeline(survey, condition_a, condition_b)
     table = ReportTable(f"Trust comparison: {condition_a} vs {condition_b}", [
         Column("instrument"), Column("item"), Column(f"mean {condition_a}", "number", 2),

@@ -165,6 +165,17 @@ class TestMetrics:
         assert (code, out) == (1, "")
         assert err == f"error: 'nan' is not a finite number (at {observations}:2)\n"
 
+    def test_twelve_hundred_more_field_trials_complete(self, capsys, tmp_path):
+        manifest = campaign_copy(tmp_path) / "campaign.json"
+        doc = json.loads(manifest.read_text())
+        doc["trials"] += [{"trial_id": f"x{i}", "test_id": "endurance-indoor", "suas_id": "alpha",
+                           "outcome": "failure" if i % 2 else "success"} for i in range(1200)]
+        manifest.write_text(json.dumps(doc))
+        for argv in (["metrics", manifest, "--test", "field"], ["report", manifest]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert "| endurance-indoor | alpha | 601 | 600 | 50 | 0.000 | 0.000 |" in out
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "nav.md"
         code, out, _err = run(capsys, "metrics", CAMPAIGN / "campaign.json",

@@ -97,6 +97,12 @@ class TestRenderTable:
         assert lines[2:] == ["| id\\|name | n |", "| --- | --- |", "| a\\|b | 0 |",
                              "| c<br>d | 1 |", "| e<br>f<br>g | 2 |", "| plain | 3 |"]
 
+    def test_markdown_title_is_one_heading_line(self):
+        table = ReportTable("Map metrics: map\nloop|x\r\ny", [Column("a")])
+        table.add_row("1")
+        lines = render_table(table, "md").decode("utf-8").splitlines()
+        assert lines[:3] == ["### Map metrics: map<br>loop\\|x<br>y", "", "| a |"]
+
     def test_multi_table_concatenation(self):
         blob = render_tables([sample_table(), sample_table()], "md").decode("utf-8")
         assert blob.count("### Ranking") == 2
@@ -114,7 +120,8 @@ def per_cell_reference(table, fmt, ascii_glyphs):
         def escape(text):
             return re.sub(r"\r\n|\r|\n", "<br>", text.replace("|", "\\|"))
 
-        lines = [f"### {table.title}", "", "| " + " | ".join(map(escape, headers)) + " |",
+        lines = [f"### {escape(table.title)}", "",
+                 "| " + " | ".join(map(escape, headers)) + " |",
                  "| " + " | ".join("---" for _ in headers) + " |"]
         lines += ["| " + " | ".join(map(escape, cells)) + " |" for cells in rows]
     else:

@@ -1,9 +1,10 @@
-"""Only the subcommands that build arrays load numpy.
+"""Each subcommand loads only the package modules it runs, and numpy only where it builds arrays.
 
 Each case runs one subcommand on the sample campaign in a fresh interpreter,
-through `decisive.cli.main`, and reports whether `numpy` was imported. The
-subcommands that do need numpy are checked too, so the test cannot pass
-because the probe never sees an import.
+through `decisive.cli.main`, and reports whether `numpy` was imported and which
+`decisive.*` modules were. The subcommands that do need numpy are checked too,
+so the test cannot pass because the probe never sees an import; `cli` and
+`errors`, which every run loads, play that part for the package's modules.
 """
 
 import os
@@ -15,38 +16,69 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 CAMPAIGN = REPO / "sample_campaign"
+MODULES = {p.stem for p in (REPO / "src" / "decisive").glob("*.py")} - {"__init__"}
 
 PROBE = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 from decisive.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, "numpy" in sys.modules)
+print(*sorted(m.removeprefix("decisive.") for m in sys.modules if m.startswith("decisive.")))
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 MANIFEST = CAMPAIGN / "campaign.json"
 FEATURES = CAMPAIGN / "features.json"
+TRUST = ["trust", "--survey", CAMPAIGN / "surveys.csv",
+         "--condition-a", "caged", "--condition-b", "exposed"]
+CFIS = ["cfis", "--scores", CAMPAIGN / "cfis_scores.csv"]
 
-CASES = {
-    "help": (["--help"], False),
-    "validate": (["validate", MANIFEST], False),
-    "trust": (["trust", "--survey", CAMPAIGN / "surveys.csv",
-               "--condition-a", "caged", "--condition-b", "exposed"], False),
+#: the modules a survey subcommand leaves unloaded
+NOT_SURVEY = {"cfis", "collision", "core", "field", "mapping", "nav", "ncap"}
+
+CASES = {  # argv, whether it loads numpy, the modules it must not load
+    "help": (["--help"], False, MODULES - {"cli", "errors"}),
+    "validate": (["validate", MANIFEST], False, set()),
+    "trust": (TRUST, False, NOT_SURVEY),
     "sa": (["sa", "--sagat", CAMPAIGN / "sagat.csv",
-            "--weights", CAMPAIGN / "sa_weights.json"], False),
-    "ncap": (["ncap", "--features", FEATURES], False),
-    "plot-ncap-scatter": (["plot", "--kind", "ncap-scatter", "--features", FEATURES], False),
-    "metrics-field": (["metrics", MANIFEST, "--test", "field"], False),
-    "metrics-mapping": (["metrics", MANIFEST, "--test", "mapping"], False),
-    "report": (["report", MANIFEST], True),
-    "metrics-nav": (["metrics", MANIFEST, "--test", "nav"], True),
-    "cfis": (["cfis", "--scores", CAMPAIGN / "cfis_scores.csv"], True),
+            "--weights", CAMPAIGN / "sa_weights.json"], False, NOT_SURVEY),
+    "ncap": (["ncap", "--features", FEATURES], False, set()),
+    "plot-ncap-scatter": (["plot", "--kind", "ncap-scatter", "--features", FEATURES], False,
+                          set()),
+    "metrics-field": (["metrics", MANIFEST, "--test", "field"], False, set()),
+    "metrics-mapping": (["metrics", MANIFEST, "--test", "mapping"], False, set()),
+    "report": (["report", MANIFEST], True, {"cfis", "human_factors", "ncap"}),
+    "metrics-nav": (["metrics", MANIFEST, "--test", "nav"], True, set()),
+    "cfis": (CFIS, True, {"collision", "core", "field", "human_factors", "mapping", "nav",
+                          "ncap", "stats"}),
 }
 
 
-@pytest.mark.parametrize("argv, loads_numpy", CASES.values(), ids=CASES.keys())
-def test_numpy_is_loaded_only_where_arrays_are_built(argv, loads_numpy):
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+def probe(argv, env=os.environ):
+    """The probe's three lines for `argv`, run in environment `env`."""
+    env = {**env, "PYTHONPATH": str(REPO / "src")}
     done = subprocess.run([sys.executable, "-c", PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert done.stdout == f"0 {loads_numpy}\n", done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3, done.stderr
+    return lines
+
+
+@pytest.mark.parametrize("argv, loads_numpy, unloaded", CASES.values(), ids=CASES.keys())
+def test_subcommand_loads_only_what_it_runs(argv, loads_numpy, unloaded):
+    status, modules, _ = probe(argv)
+    assert status == f"0 {loads_numpy}"
+    loaded = set(modules.split())
+    assert {"cli", "errors"} <= loaded
+    assert not loaded & unloaded
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")], ids=["unset", "caller's"])
+def test_cli_runs_openblas_on_one_thread_unless_the_caller_says(given, seen):
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    status, _, value = probe(CFIS, env)
+    assert (status, value) == ("0 True", seen)

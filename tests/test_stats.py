@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -44,6 +45,32 @@ class TestCompletionConfidence:
     def test_nondecreasing_in_successes(self):
         values = [completion_confidence(s, 1, 0.8) for s in range(2, 12)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 100, 400, 1000, 1050])
+    @pytest.mark.parametrize("p0", [Fraction(1, 2), Fraction(7, 10), Fraction(17, 20),
+                                    Fraction(99, 100)])
+    def test_matches_the_exact_binomial_sum(self, n, p0):
+        # 1 - sum_{k<=f} C(n,k) (1-p0)^k p0^(n-k), summed in integers over the denominator d^n
+        a, d = p0.numerator, p0.denominator
+        for f in sorted({0, 1, n // 10, round(n * (1 - p0)), n // 2, n - 1} - {n}):
+            tail = sum(math.comb(n, k) * (d - a) ** k * a ** (n - k) for k in range(f + 1))
+            exact = 1 - Fraction(tail, d ** n)
+            assert completion_confidence(n - f, f, float(p0)) == pytest.approx(
+                float(exact), abs=1e-12), (n, f)
+
+    @pytest.mark.parametrize("successes, failures", [(600, 600), (900, 150), (5000, 3000),
+                                                     (99_000, 1_000)])
+    def test_large_trial_counts_do_not_overflow(self, successes, failures):
+        value = completion_confidence(successes, failures, 0.85)
+        assert 0.0 <= value <= 1.0
+
+    def test_no_successes_give_no_confidence(self):
+        assert completion_confidence(0, 4, 0.7) == 0.0
+
+    def test_continued_fraction_that_does_not_converge_raises(self):
+        # half a million trials each way at p0 = 1/2 need about 400 terms
+        with pytest.raises(DecisiveError, match="did not converge in 200 terms"):
+            completion_confidence(500_000, 500_000, 0.5)
 
     def test_rate(self):
         rate = completion_rate(4, 1)
