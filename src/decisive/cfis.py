@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .errors import DataQualityWarning, DecisiveError, ParseError
 
@@ -20,22 +19,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
 class TriangularMf:
     """Triangle (a, b, c) over [lo, hi]; a == b or b == c makes a shoulder."""
 
-    a: float
-    b: float
-    c: float
-    lo: float
-    hi: float
+    __slots__ = ("a", "b", "c", "lo", "hi")
 
-    def __post_init__(self):
-        points = f"({self.a}, {self.b}, {self.c})"
-        if not self.a <= self.b <= self.c:
+    def __init__(self, a: float, b: float, c: float, lo: float, hi: float):
+        points = f"({a}, {b}, {c})"
+        if not a <= b <= c:
             raise ValueError(f"{points} not ordered")
-        if not (self.lo <= self.a and self.c <= self.hi):
-            raise ValueError(f"{points} outside range [{self.lo}, {self.hi}]")
+        if not (lo <= a and c <= hi):
+            raise ValueError(f"{points} outside range [{lo}, {hi}]")
+        self.a, self.b, self.c, self.lo, self.hi = a, b, c, lo, hi
 
 
 def mf_eval(mf: TriangularMf, x: float) -> float:
@@ -79,13 +74,12 @@ def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
     return np.select(cases, values, 1.0)
 
 
-@dataclass(frozen=True)
-class LinguisticVariable:
+class LinguisticVariable(NamedTuple):
     name: str
     lo: float
     hi: float
     terms: dict[str, TriangularMf]
-    aliases: dict[str, str] = field(default_factory=dict)  # e.g. many -> high
+    aliases: dict[str, str]  # e.g. many -> high
 
     def membership(self, term: str, x: float) -> float:
         return mf_eval(self.terms[self.aliases.get(term, term)], x)
@@ -102,30 +96,27 @@ class LinguisticVariable:
         return bool((peak > 0.0).all())
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """IF conjunction of (variable, term[, negated]) THEN output level."""
 
     antecedents: tuple[tuple[str, str, bool], ...]  # (variable, term, negated)
     consequent: str
 
 
-@dataclass(frozen=True)
-class Fis:
+class Fis(NamedTuple):
     name: str
     inputs: dict[str, LinguisticVariable]
     output_levels: dict[str, float]
     rules: tuple[Rule, ...]
 
 
-@dataclass(frozen=True)
-class FisConfig:
+class FisConfig(NamedTuple):
     """A set of axis systems plus the wiring that combines them."""
 
     name: str
     fis: dict[str, Fis]
     cascade: dict[str, tuple[str, ...]]  # combined fis name -> axis fis names
-    ideal_inputs: dict[str, dict[str, float]] = field(default_factory=dict)
+    ideal_inputs: dict[str, dict[str, float]]
 
 
 def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
@@ -186,8 +177,7 @@ def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray], size: int):
     return np.divide(num, den, out=np.full(size, np.nan), where=fired), fired
 
 
-@dataclass(frozen=True)
-class CascadeColumns:
+class CascadeColumns(NamedTuple):
     """One value per row: each axis score (NaN where the row skips the axis),
     the combined score and the combined score normalized against the ideal run."""
 

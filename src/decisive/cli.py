@@ -162,7 +162,8 @@ def cmd_validate(args) -> int:
     from .ingest import parse_campaign
 
     campaign = parse_campaign(args.manifest)
-    counts = ", ".join(f"{len(entries)} {block}" for block, entries in vars(campaign).items())
+    counts = ", ".join(f"{len(entries)} {block}"
+                       for block, entries in zip(campaign._fields, campaign))
     print(f"{args.manifest}: OK ({counts})", file=sys.stderr)
     return 0
 

@@ -8,8 +8,7 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .core import CR_CATEGORIES, OA_CATEGORIES, ObstacleGeometry, Trajectory, TrialRecord
 from .errors import DecisiveError
@@ -56,8 +55,7 @@ def distance_to_obstacle(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[
     return series, float(series.min())
 
 
-@dataclass(frozen=True)
-class FlightMetrics:
+class FlightMetrics(NamedTuple):
     """One flight's row of the obstacle-avoidance table."""
 
     min_distance: float
@@ -175,7 +173,7 @@ def derive_kinematics(traj: Trajectory) -> Trajectory:
     acc = traj.acc
     if acc is None:
         acc = _moving_average(_differentiate(vel, t), SMOOTH_WIDTH)
-    return replace(traj, vel=vel, acc=acc)
+    return Trajectory(t, traj.pos, vel, acc)
 
 
 def _differentiate(mat: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -6,9 +6,8 @@ as immutable numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,19 +32,16 @@ def _as_matrix(rows, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Time-ordered pose samples from internal telemetry or an external tracker."""
 
-    t: np.ndarray
-    pos: np.ndarray
-    vel: Optional[np.ndarray] = None
-    acc: Optional[np.ndarray] = None
+    __slots__ = ("t", "pos", "vel", "acc")
 
-    def __post_init__(self):
+    def __init__(self, t: np.ndarray, pos: np.ndarray, vel: Optional[np.ndarray] = None,
+                 acc: Optional[np.ndarray] = None):
         import numpy as np
 
-        t = np.asarray(self.t, dtype=float)
+        t = np.asarray(t, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("trajectory needs at least two samples")
         if not np.all(np.isfinite(t)):
@@ -53,106 +49,129 @@ class Trajectory:
         if not np.all(np.diff(t) > 0):
             raise ValueError("timestamps must be strictly increasing")
         t.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "pos", _as_matrix(self.pos, "pos"))
+        self.t = t
+        self.pos = _as_matrix(pos, "pos")
         if self.pos.shape[0] != t.size:
             raise ValueError("pos length must match timestamps")
-        for name in ("vel", "acc"):
-            v = getattr(self, name)
+        for name, v in (("vel", vel), ("acc", acc)):
             if v is not None:
                 v = _as_matrix(v, name)
                 if v.shape[0] != t.size:
                     raise ValueError(f"{name} length must match timestamps")
-                object.__setattr__(self, name, v)
+            setattr(self, name, v)
 
     def __len__(self) -> int:
         return self.t.size
 
 
-@dataclass(frozen=True)
 class ObstacleGeometry:
     """Vertical planar obstacle: a floor-plane segment (or infinite line) extruded to `height`."""
 
-    kind: str  # plane_segment | infinite_plane
-    p0: tuple[float, float]
-    p1: tuple[float, float]
-    height: float
-    material: str = "wall"
+    __slots__ = ("kind", "p0", "p1", "height", "material")
 
-    def __post_init__(self):
-        if self.kind not in ("plane_segment", "infinite_plane"):
+    def __init__(self, kind: str, p0: tuple[float, float], p1: tuple[float, float],
+                 height: float, material: str = "wall"):
+        if kind not in ("plane_segment", "infinite_plane"):
             raise ValueError("kind must be plane_segment or infinite_plane")
-        if self.kind == "plane_segment" and tuple(self.p0) == tuple(self.p1):
+        if kind == "plane_segment" and tuple(p0) == tuple(p1):
             raise ValueError("segment endpoints must differ")
-        if not self.height > 0:
+        if not height > 0:
             raise ValueError("height must be positive")
-        if self.material not in OBSTACLE_MATERIALS:
-            raise ValueError(f"unknown obstacle material {self.material!r}")
+        if material not in OBSTACLE_MATERIALS:
+            raise ValueError(f"unknown obstacle material {material!r}")
+        self.kind, self.p0, self.p1, self.height, self.material = kind, p0, p1, height, material
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.p0, self.p1, self.height, self.material)
+                == (other.kind, other.p0, other.p1, other.height, other.material))
 
 
-@dataclass(frozen=True)
 class TrialRecord:
     """Outcome bookkeeping for one flight attempt."""
 
-    trial_id: str
-    test_id: str
-    suas_id: str
-    outcome: str  # success | failure
-    collisions: int = 0
-    rollovers: int = 0
-    oa_category: Optional[str] = None
-    cr_category: Optional[str] = None
-    aperture_tier: Optional[str] = None
-    t_collision: Optional[float] = None
-    duration: float = 0.0  # minutes
-    laps: Optional[int] = None
-    telemetry: Optional[Path] = None  # resolved against the manifest's directory
-    notes: str = ""
+    __slots__ = ("trial_id", "test_id", "suas_id", "outcome", "collisions", "rollovers",
+                 "oa_category", "cr_category", "aperture_tier", "t_collision", "duration",
+                 "laps", "telemetry", "notes")
 
-    def __post_init__(self):
-        if self.outcome not in ("success", "failure"):
+    def __init__(
+        self,
+        trial_id: str,
+        test_id: str,
+        suas_id: str,
+        outcome: str,  # success | failure
+        collisions: int = 0,
+        rollovers: int = 0,
+        oa_category: Optional[str] = None,
+        cr_category: Optional[str] = None,
+        aperture_tier: Optional[str] = None,
+        t_collision: Optional[float] = None,
+        duration: float = 0.0,  # minutes
+        laps: Optional[int] = None,
+        telemetry: Optional[Path] = None,  # resolved against the manifest's directory
+        notes: str = "",
+    ):
+        if outcome not in ("success", "failure"):
             raise ValueError("outcome must be success or failure")
-        if self.collisions < 0 or self.rollovers < 0:
+        if collisions < 0 or rollovers < 0:
             raise ValueError("counts must be non-negative")
-        if self.duration < 0:
+        if duration < 0:
             raise ValueError("duration must be non-negative")
-        if self.oa_category is not None and self.oa_category not in OA_CATEGORIES:
-            raise ValueError(f"unknown OA category {self.oa_category!r}")
-        if self.cr_category is not None and self.cr_category not in CR_CATEGORIES:
-            raise ValueError(f"unknown CR category {self.cr_category!r}")
-        if self.aperture_tier is not None and self.aperture_tier not in APERTURE_TIERS:
-            raise ValueError(f"unknown aperture tier {self.aperture_tier!r}")
+        if oa_category is not None and oa_category not in OA_CATEGORIES:
+            raise ValueError(f"unknown OA category {oa_category!r}")
+        if cr_category is not None and cr_category not in CR_CATEGORIES:
+            raise ValueError(f"unknown CR category {cr_category!r}")
+        if aperture_tier is not None and aperture_tier not in APERTURE_TIERS:
+            raise ValueError(f"unknown aperture tier {aperture_tier!r}")
+        self.trial_id = trial_id
+        self.test_id = test_id
+        self.suas_id = suas_id
+        self.outcome = outcome
+        self.collisions = collisions
+        self.rollovers = rollovers
+        self.oa_category = oa_category
+        self.cr_category = cr_category
+        self.aperture_tier = aperture_tier
+        self.t_collision = t_collision
+        self.duration = duration
+        self.laps = laps
+        self.telemetry = telemetry
+        self.notes = notes
 
 
-@dataclass(frozen=True)
 class EnvironmentProfile:
     """Where a test ran: lighting class, dimensions, surfaces, obstructions."""
 
-    lighting: str = "lighted"  # lighted | dark
-    dims: Optional[Vec3] = None  # (W, L, H) meters
-    surfaces: tuple[str, ...] = ()
-    obstructions: tuple[tuple[int, str], ...] = ()
-    indoor: bool = True
-    lux: Optional[float] = None
+    __slots__ = ("lighting", "dims", "surfaces", "obstructions", "indoor", "lux")
 
-    def __post_init__(self):
-        if self.lighting not in ("lighted", "dark"):
+    def __init__(
+        self,
+        lighting: str = "lighted",  # lighted | dark
+        dims: Optional[Vec3] = None,  # (W, L, H) meters
+        surfaces: tuple[str, ...] = (),
+        obstructions: tuple[tuple[int, str], ...] = (),
+        indoor: bool = True,
+        lux: Optional[float] = None,
+    ):
+        if lighting not in ("lighted", "dark"):
             raise ValueError("lighting must be lighted or dark")
-        if self.lux is not None:
-            if self.lighting == "lighted" and self.lux < 100:
+        if lux is not None:
+            if lighting == "lighted" and lux < 100:
                 raise ValueError("lighted requires measured lux >= 100")
-            if self.lighting == "dark" and self.lux >= 1:
+            if lighting == "dark" and lux >= 1:
                 raise ValueError("dark requires measured lux < 1")
+        self.lighting, self.dims, self.surfaces = lighting, dims, surfaces
+        self.obstructions, self.indoor, self.lux = obstructions, indoor, lux
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     """A full evaluation: sUAS under test, test definitions, trials, telemetry refs."""
 
-    suas: dict = field(default_factory=dict)          # suas_id -> descriptor dict
-    tests: dict = field(default_factory=dict)         # test_id -> ingest.CampaignTest
-    environments: dict = field(default_factory=dict)  # env_id -> EnvironmentProfile
-    trials: tuple[TrialRecord, ...] = ()
+    suas: dict  # suas_id -> descriptor dict
+    tests: dict  # test_id -> ingest.CampaignTest
+    environments: dict  # env_id -> EnvironmentProfile
+    trials: tuple[TrialRecord, ...]
 
     def trials_for_test(self, test_id: str) -> list[TrialRecord]:
         return [t for t in self.trials if t.test_id == test_id]

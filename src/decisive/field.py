@@ -2,32 +2,42 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
 
 FIGURE8_LAP_M = 13.0  # nominal length of one figure-8 lap
 
 
-@dataclass(frozen=True)
 class NlosPosition:
     """One OCU position in a comms range test."""
 
-    label: str
-    distance: float  # meters
-    obstructions: tuple[tuple[int, str], ...] = ()
-    connect: str = "none"  # good | bad | none
-    fly: str = "not_possible"  # possible | not_possible
-    latency_ms: Optional[float] = None
+    __slots__ = ("label", "distance", "obstructions", "connect", "fly", "latency_ms")
 
-    def __post_init__(self):
-        if self.distance <= 0:
+    def __init__(
+        self,
+        label: str,
+        distance: float,  # meters
+        obstructions: tuple[tuple[int, str], ...] = (),
+        connect: str = "none",  # good | bad | none
+        fly: str = "not_possible",  # possible | not_possible
+        latency_ms: Optional[float] = None,
+    ):
+        if distance <= 0:
             raise ValueError("distance must be positive")
-        if self.connect not in ("good", "bad", "none"):
-            raise ValueError(f"bad connect value {self.connect!r}")
-        if self.fly not in ("possible", "not_possible"):
-            raise ValueError(f"bad fly value {self.fly!r}")
+        if connect not in ("good", "bad", "none"):
+            raise ValueError(f"bad connect value {connect!r}")
+        if fly not in ("possible", "not_possible"):
+            raise ValueError(f"bad fly value {fly!r}")
+        self.label, self.distance, self.obstructions = label, distance, obstructions
+        self.connect, self.fly, self.latency_ms = connect, fly, latency_ms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.label, self.distance, self.obstructions, self.connect, self.fly,
+                 self.latency_ms) == (other.label, other.distance, other.obstructions,
+                                      other.connect, other.fly, other.latency_ms))
 
 
 def endurance_metrics(laps: int, duration_min: float) -> tuple[float, float]:
@@ -59,15 +69,18 @@ def nlos_max_performance(
 OPS = ("equals", "min", "max", "contains")
 
 
-@dataclass(frozen=True)
 class Criterion:
-    field: str
-    op: str
-    value: object
+    __slots__ = ("field", "op", "value")
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"unknown criterion op {self.op!r}")
+    def __init__(self, field: str, op: str, value: object):
+        if op not in OPS:
+            raise ValueError(f"unknown criterion op {op!r}")
+        self.field, self.op, self.value = field, op, value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.op, self.value) == (other.field, other.op, other.value)
 
     def passes(self, response) -> bool:
         if self.op == "equals":
@@ -81,8 +94,7 @@ class Criterion:
         return number >= self.value if self.op == "min" else number <= self.value
 
 
-@dataclass(frozen=True)
-class RequirementsResult:
+class RequirementsResult(NamedTuple):
     per_field: dict[str, bool]
     missing: tuple[str, ...]
     percentage: float

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DataQualityWarning, DecisiveError
@@ -12,20 +11,19 @@ from .stats import MannWhitneyResult, iqr_filter, mann_whitney, mean_std, welch_
 PERCEPTION_VALUES = {"undetected": 0.0, "detected": 0.5, "comprehended": 1.0}
 
 
-@dataclass(frozen=True)
 class SeParams:
     """SEEV parameters for one situation element; effort enters inversely."""
 
-    se_id: str
-    saliency: float
-    effort: float
-    expectancy: float
-    value: float
+    __slots__ = ("se_id", "saliency", "effort", "expectancy", "value")
 
-    def __post_init__(self):
-        for name in ("saliency", "effort", "expectancy", "value"):
-            if getattr(self, name) <= 0:
-                raise DecisiveError(f"{self.se_id}: {name} must be > 0")
+    def __init__(self, se_id: str, saliency: float, effort: float, expectancy: float,
+                 value: float):
+        for name, number in (("saliency", saliency), ("effort", effort),
+                             ("expectancy", expectancy), ("value", value)):
+            if number <= 0:
+                raise DecisiveError(f"{se_id}: {name} must be > 0")
+        self.se_id, self.saliency, self.effort = se_id, saliency, effort
+        self.expectancy, self.value = expectancy, value
 
     @property
     def attention_resource(self) -> float:
@@ -41,17 +39,21 @@ def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
     return {se: a / total for se, a in resources.items()}
 
 
-@dataclass(frozen=True)
 class SagatResponse:
-    participant: str
-    question_id: str
-    se_id: str
-    sa_level: int  # 1 = perception, 2 = comprehension
-    correct: bool
+    __slots__ = ("participant", "question_id", "se_id", "sa_level", "correct")
 
-    def __post_init__(self):
-        if self.sa_level not in (1, 2):
+    def __init__(
+        self,
+        participant: str,
+        question_id: str,
+        se_id: str,
+        sa_level: int,  # 1 = perception, 2 = comprehension
+        correct: bool,
+    ):
+        if sa_level not in (1, 2):
             raise ValueError("sa_level must be 1 or 2")
+        self.participant, self.question_id, self.se_id = participant, question_id, se_id
+        self.sa_level, self.correct = sa_level, correct
 
 
 def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, float]:
@@ -155,8 +157,7 @@ class SurveyColumns(NamedTuple):
     conditions: list[str]
 
 
-@dataclass(frozen=True)
-class ItemComparison:
+class ItemComparison(NamedTuple):
     instrument: str
     item_id: str
     mean_a: float
@@ -168,8 +169,7 @@ class ItemComparison:
     t_p: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class TrustReport:
+class TrustReport(NamedTuple):
     items: tuple[ItemComparison, ...]
 
 

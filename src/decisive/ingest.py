@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -48,8 +47,7 @@ CTPA_ITEM_COUNT = 9
 HCTM_ITEM_COUNT = 12
 
 
-@dataclass
-class ParseReport:
+class ParseReport(NamedTuple):
     """The rows `parse_telemetry` ("samples") or `parse_survey` ("responses") loaded; the
     benchmark's tracer reads these counts."""
 
@@ -371,8 +369,7 @@ def parse_fiducial_observations(path) -> list[FiducialObservation]:
 
 # --- campaign manifest ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CampaignTest:
+class CampaignTest(NamedTuple):
     """One manifest test, its category's blocks converted; a block it lacks stays empty."""
 
     test_id: str
@@ -773,8 +770,7 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
 
 # --- feature sheets ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureSheet:
+class FeatureSheet(NamedTuple):
     """A feature table plus the per-system extras a sheet may carry."""
 
     table: FeatureTable

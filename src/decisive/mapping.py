@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DecisiveError
@@ -21,36 +20,49 @@ MAPPED_STATES = ("complete", "partial", "missing")
 ACUITY_LEVELS_MM = (20.0, 8.0, 3.0, 1.3, 0.5)
 
 
-@dataclass(frozen=True)
 class FiducialObservation:
     """One mapped half-cylinder as located on the evaluation map."""
 
-    fiducial_id: str
-    half: int  # 1 or 2
-    map_xy: Optional[tuple[float, float]] = None  # map units (pixels or meters)
-    mapped: str = "missing"  # complete | partial | missing
+    __slots__ = ("fiducial_id", "half", "map_xy", "mapped")
 
-    def __post_init__(self):
-        if self.half not in (1, 2):
+    def __init__(
+        self,
+        fiducial_id: str,
+        half: int,  # 1 or 2
+        map_xy: Optional[tuple[float, float]] = None,  # map units (pixels or meters)
+        mapped: str = "missing",  # complete | partial | missing
+    ):
+        if half not in (1, 2):
             raise ValueError("half must be 1 or 2")
-        if self.mapped not in MAPPED_STATES:
-            raise ValueError(f"bad mapped state {self.mapped!r}")
-        if self.mapped != "missing" and self.map_xy is None:
+        if mapped not in MAPPED_STATES:
+            raise ValueError(f"bad mapped state {mapped!r}")
+        if mapped != "missing" and map_xy is None:
             raise ValueError("mapped fiducial halves need map coordinates")
+        self.fiducial_id, self.half, self.map_xy, self.mapped = fiducial_id, half, map_xy, mapped
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.fiducial_id, self.half, self.map_xy, self.mapped)
+                == (other.fiducial_id, other.half, other.map_xy, other.mapped))
 
 
-@dataclass(frozen=True)
 class FiducialGroundTruth:
-    fiducial_id: str
-    gt_xy: tuple[float, float]  # meters
-    min_traversal: float  # meters
-    min_turns: int
+    __slots__ = ("fiducial_id", "gt_xy", "min_traversal", "min_turns")
 
-    def __post_init__(self):
-        if self.min_traversal <= 0:
+    def __init__(
+        self,
+        fiducial_id: str,
+        gt_xy: tuple[float, float],  # meters
+        min_traversal: float,  # meters
+        min_turns: int,
+    ):
+        if min_traversal <= 0:
             raise ValueError("min_traversal must be positive")
-        if self.min_turns < 0:
+        if min_turns < 0:
             raise ValueError("min_turns must be non-negative")
+        self.fiducial_id, self.gt_xy = fiducial_id, gt_xy
+        self.min_traversal, self.min_turns = min_traversal, min_turns
 
 
 def dimensional_accuracy(reported: Sequence[float], ground_truth: Sequence[float]) -> float:

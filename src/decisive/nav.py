@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Trajectory
 from .errors import DataQualityWarning, DecisiveError
@@ -15,21 +14,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
 class ReferencePath:
     """Polyline the sUAS was asked to fly; closed paths include the closing edge."""
 
-    vertices: tuple[tuple[float, float, float], ...]
-    closed: bool = False
+    __slots__ = ("vertices", "closed")
 
-    def __post_init__(self):
-        verts = tuple(tuple(float(c) for c in v) for v in self.vertices)
+    def __init__(self, vertices: Sequence[Sequence[float]], closed: bool = False):
+        verts = tuple(tuple(float(c) for c in v) for v in vertices)
         if len(verts) < 2:
             raise ValueError("path needs at least two vertices")
         for a, b in zip(verts, verts[1:]):
             if a == b:
                 raise ValueError("consecutive vertices must differ")
-        object.__setattr__(self, "vertices", verts)
+        self.vertices, self.closed = verts, closed
 
     def segments(self) -> list[tuple[np.ndarray, np.ndarray]]:
         import numpy as np
@@ -41,8 +38,7 @@ class ReferencePath:
         return segs
 
 
-@dataclass(frozen=True)
-class DeviationSummary:
+class DeviationSummary(NamedTuple):
     per_flight_ad: tuple[float, ...]
     mean_ad: float
     std_ad: float

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DataQualityWarning, DecisiveError
 
@@ -18,19 +17,21 @@ from .errors import DataQualityWarning, DecisiveError
 ABSENT = "N/A"
 
 
-@dataclass(frozen=True)
 class Feature:
-    name: str
-    direction: str  # higher_better | lower_better
-    ordinal_map: Optional[dict[str, float]] = None
+    __slots__ = ("name", "direction", "ordinal_map")
 
-    def __post_init__(self):
-        if self.direction not in ("higher_better", "lower_better"):
-            raise ValueError(f"bad direction {self.direction!r}")
+    def __init__(
+        self,
+        name: str,
+        direction: str,  # higher_better | lower_better
+        ordinal_map: Optional[dict[str, float]] = None,
+    ):
+        if direction not in ("higher_better", "lower_better"):
+            raise ValueError(f"bad direction {direction!r}")
+        self.name, self.direction, self.ordinal_map = name, direction, ordinal_map
 
 
-@dataclass(frozen=True)
-class FeatureTable:
+class FeatureTable(NamedTuple):
     """Per-system feature values; entries are numbers, ordinal tokens, or ABSENT."""
 
     features: tuple[Feature, ...]
@@ -77,8 +78,7 @@ def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
     return encoded
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(NamedTuple):
     """Normalized feature weights (uniform, degree-of-autonomy, or explicit)."""
 
     weights: dict[str, float]
@@ -118,8 +118,7 @@ def weighted_product(
     return p
 
 
-@dataclass(frozen=True)
-class AutonomyCapabilities:
+class AutonomyCapabilities(NamedTuple):
     perception: bool = False
     modeling: bool = False
     planning: bool = False
@@ -131,8 +130,7 @@ def autonomy_level(caps: AutonomyCapabilities) -> int:
     return sum((caps.perception, caps.modeling, caps.planning, caps.execution))
 
 
-@dataclass(frozen=True)
-class NcapResult:
+class NcapResult(NamedTuple):
     suas_id: str
     n_al: int
     n_cp: float

@@ -8,7 +8,6 @@ testability upstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DecisiveError
@@ -17,23 +16,27 @@ GLYPHS = {"good": "✓", "bad": "/", "none": "X"}
 ASCII_GLYPHS = {"good": "ok", "bad": "bad", "none": "none"}
 
 
-@dataclass(frozen=True)
 class Column:
-    header: str
-    kind: str = "text"  # number | glyph | text
-    digits: Optional[int] = None  # rounding applied at render time
-    unit: str = ""
+    __slots__ = ("header", "kind", "digits", "unit")
 
-    def __post_init__(self):
-        if self.kind not in ("number", "glyph", "text"):
-            raise ValueError(f"bad column kind {self.kind!r}")
+    def __init__(
+        self,
+        header: str,
+        kind: str = "text",  # number | glyph | text
+        digits: Optional[int] = None,  # rounding applied at render time
+        unit: str = "",
+    ):
+        if kind not in ("number", "glyph", "text"):
+            raise ValueError(f"bad column kind {kind!r}")
+        self.header, self.kind, self.digits, self.unit = header, kind, digits, unit
 
 
-@dataclass
 class ReportTable:
-    title: str
-    columns: list[Column]
-    rows: list[list] = field(default_factory=list)
+    __slots__ = ("title", "columns", "rows")
+
+    def __init__(self, title: str, columns: list[Column]):
+        self.title, self.columns = title, columns
+        self.rows: list[list] = []
 
     def add_row(self, *cells) -> None:
         self.rows.append(list(cells))

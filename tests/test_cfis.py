@@ -250,6 +250,7 @@ class TestFisEval:
             "x", 0.0, 1.0,
             {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
              "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)},
+            {},
         )
         fis = Fis(
             "demo", {"x": var}, {"bad": 0.0, "good": 1.0},
@@ -261,7 +262,7 @@ class TestFisEval:
 
     def test_no_rule_fired(self):
         var = LinguisticVariable(
-            "x", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}
+            "x", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}, {}
         )
         fis = Fis("gappy", {"x": var}, {"bad": 0.0}, (Rule((("x", "lo", False),), "bad"),))
         with pytest.raises(DecisiveError, match=r"^gappy: no rule fired for \{'x': 0.9\}$"):
@@ -300,6 +301,7 @@ class TestCascade:
             fis={"mc": config.fis["mc"], "ec": config.fis["ec"],
                  "hi": config.fis["mc"], "combined": config.fis["combined"]},
             cascade={"combined": ("mc", "ec", "hi")},
+            ideal_inputs={},
         )
         assert score_rows(cfg, [{**MC_IDEAL, **EC_EASY}]).combined[0] == 1.0
 
@@ -324,7 +326,7 @@ class TestCascade:
 def one_axis(ideal: float) -> FisConfig:
     """One axis whose score is its input, v in [0, 1], and whose ideal run sets v = `ideal`."""
     var = LinguisticVariable("v", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
-                                             "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)})
+                                             "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)}, {})
     axis = Fis("x", {"v": var}, {"bad": 0.0, "good": 1.0},
                (Rule((("v", "lo", False),), "bad"), Rule((("v", "hi", False),), "good")))
     combiner = Fis("comb", {}, {"bad": 0.0}, ())

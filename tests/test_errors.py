@@ -42,7 +42,7 @@ def features(*feats, **values):
 
 
 def one_term_fis():
-    x = LinguisticVariable("x", 0.0, 2.0, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, 2.0)})
+    x = LinguisticVariable("x", 0.0, 2.0, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, 2.0)}, {})
     return Fis("demo", {"x": x}, {"good": 1.0}, (Rule((("x", "low", False),), "good"),))
 
 

@@ -1162,6 +1162,95 @@ class TestCsvInputFuzz:
             assert code in (1, 2) and out.getvalue() == "" and len(errors) == 1
 
 
+def edit_manifest(directory, edit) -> None:
+    path = directory / "campaign.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def named_test(doc, test_id) -> dict:
+    return next(t for t in doc["tests"] if t["test_id"] == test_id)
+
+
+def copy_rows(path, k, id_column) -> None:
+    """Each data row of the CSV at `path` `k` times, the copies' ids in `id_column` suffixed."""
+    header, *rows = path.read_text().splitlines()
+    out = [header]
+    for i in range(k):
+        for row in rows:
+            cells = row.split(",")
+            cells[id_column] += f"-{i}" if i else ""
+            out.append(",".join(cells))
+    path.write_text("\n".join(out) + "\n")
+
+
+def more_trials(directory, k) -> None:
+    def edit(doc):
+        doc["trials"] += [{**t, "trial_id": f"{t['trial_id']}-{i}"} for i in range(1, k)
+                          for t in doc["trials"] if t["test_id"] == "endurance-indoor"]
+    edit_manifest(directory, edit)
+
+
+def more_vertices(directory, k) -> None:
+    def edit(doc):
+        path = named_test(doc, "wall-follow-1m")["path"]
+        a, b = path["vertices"]
+        path["vertices"] = [[u + (v - u) * j / k for u, v in zip(a, b)] for j in range(k + 1)]
+    edit_manifest(directory, edit)
+
+
+def more_fiducials(directory, k) -> None:
+    """`k` copies of the mapping course side by side, 10 m (400 map px) apart."""
+    def edit(doc):
+        test = named_test(doc, "map-loop")
+        test["fiducials"] = [{**f, "id": f"{f['id']}{i}", "xy": [f["xy"][0] + 10 * i, f["xy"][1]]}
+                             for i in range(k) for f in test["fiducials"]]
+    edit_manifest(directory, edit)
+    path = directory / "fiducials.csv"
+    header, *rows = path.read_text().splitlines()
+    out = [header]
+    for i in range(k):
+        for row in rows:
+            fid, half, x, y, mapped = row.split(",")
+            x = x and f"{float(x) + 400 * i:f}"
+            out.append(",".join([f"{fid}{i}", half, x, y, mapped]))
+    path.write_text("\n".join(out) + "\n")
+
+
+#: one count of the sample scaled up, and the command that reads it
+SCALED = {
+    "endurance trials x100": (lambda d: more_trials(d, 100),
+                              lambda d: ["report", d / "campaign.json"]),
+    "survey participants x100": (lambda d: copy_rows(d / "surveys.csv", 100, 0),
+                                 CSV_INPUTS["surveys.csv"][1]),
+    "score rows x100": (lambda d: copy_rows(d / "cfis_scores.csv", 100, 0),
+                        CSV_INPUTS["cfis_scores.csv"][1]),
+    "path vertices x10": (lambda d: more_vertices(d, 10),
+                          lambda d: ["metrics", d / "campaign.json", "--test", "nav"]),
+    "fiducials x10": (lambda d: more_fiducials(d, 10),
+                      lambda d: ["metrics", d / "campaign.json", "--test", "mapping"]),
+}
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_scaled_input_gives_output_or_one_located_error(tmp_path, name):
+    scale, argv = SCALED[name]
+    directory = shutil.copytree(SAMPLE, tmp_path / "sample")
+    scale(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv(directory)] + ["--format", "csv"])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not errors
+        well_formed("csv", out.getvalue())
+    else:
+        assert code in (1, 2) and out.getvalue() == "" and len(errors) == 1
+        assert re.search(r"\(at [^)]+\)$", errors[0])
+
+
 class TestCriteria:
     def test_parse(self, tmp_path):
         p = write(

@@ -1,12 +1,15 @@
 """Each subcommand loads only the package modules it runs, and numpy only where it builds arrays.
 
 Each case runs one subcommand on the sample campaign in a fresh interpreter,
-through `decisive.cli.main`, and reports whether `numpy` was imported and which
-`decisive.*` modules were. The subcommands that do need numpy are checked too,
-so the test cannot pass because the probe never sees an import; `cli` and
-`errors`, which every run loads, play that part for the package's modules.
+through `decisive.cli.main`, and reports whether `numpy`, `dataclasses` and
+`inspect` were imported and which `decisive.*` modules were. The subcommands
+that do need numpy are checked too, so the test cannot pass because the probe
+never sees an import; `cli` and `errors`, which every run loads, play that part
+for the package's modules. The package defines its records without
+`dataclasses`, which would also import `inspect`; numpy imports `inspect` itself.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,7 +26,7 @@ import contextlib, io, os, sys
 from decisive.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, *(m in sys.modules for m in ("numpy", "dataclasses", "inspect")))
 print(*sorted(m.removeprefix("decisive.") for m in sys.modules if m.startswith("decisive.")))
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
@@ -68,7 +71,9 @@ def probe(argv, env=os.environ):
 @pytest.mark.parametrize("argv, loads_numpy, unloaded", CASES.values(), ids=CASES.keys())
 def test_subcommand_loads_only_what_it_runs(argv, loads_numpy, unloaded):
     status, modules, _ = probe(argv)
-    assert status == f"0 {loads_numpy}"
+    code, numpy, dataclasses, inspect = status.split()
+    assert (code, numpy, dataclasses) == ("0", str(loads_numpy), "False")
+    assert loads_numpy or inspect == "False"
     loaded = set(modules.split())
     assert {"cli", "errors"} <= loaded
     assert not loaded & unloaded
@@ -81,4 +86,12 @@ def test_cli_runs_openblas_on_one_thread_unless_the_caller_says(given, seen):
     if given is not None:
         env["OPENBLAS_NUM_THREADS"] = given
     status, _, value = probe(CFIS, env)
-    assert (status, value) == ("0 True", seen)
+    assert (status.split()[:2], value) == (["0", "True"], seen)
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((REPO / "src" / "decisive").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name

@@ -67,10 +67,24 @@ class TestCompletionConfidence:
     def test_no_successes_give_no_confidence(self):
         assert completion_confidence(0, 4, 0.7) == 0.0
 
+    @pytest.mark.parametrize("successes, failures, p0", [
+        (140_000, 60_000, 0.70), (170_000, 30_000, 0.85), (500_000, 500_000, 0.5)])
+    def test_large_counts_match_the_normal_tail(self, successes, failures, p0):
+        # 2x10^5 trials need 254 continued-fraction terms and 10^6 need 417. With f at
+        # the mean of X ~ Bin(n, 1 - p0), the normal tail with a continuity correction
+        # and the skewness term of its Edgeworth series is off by O(1/n) only
+        n, q = successes + failures, 1.0 - p0
+        sd = math.sqrt(n * q * p0)
+        z = (failures + 0.5 - n * q) / sd
+        density = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        tail = 0.5 * math.erfc(-z / math.sqrt(2)) - (p0 - q) / sd / 6 * (z * z - 1) * density
+        assert completion_confidence(successes, failures, p0) == pytest.approx(1 - tail,
+                                                                                abs=1e-8)
+
     def test_continued_fraction_that_does_not_converge_raises(self):
-        # half a million trials each way at p0 = 1/2 need about 400 terms
-        with pytest.raises(DecisiveError, match="did not converge in 200 terms"):
-            completion_confidence(500_000, 500_000, 0.5)
+        # a NaN never meets the tolerance; a + b = 10 allows 203 terms
+        with pytest.raises(DecisiveError, match="did not converge in 203 terms"):
+            stats._betacf(4.0, 6.0, math.nan)
 
     def test_rate(self):
         rate = completion_rate(4, 1)
