@@ -293,7 +293,7 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
     for k, axis in enumerate(wiring):
         pattern |= active[axis].astype(np.int64) << k
     combined = np.full(size, np.nan)
-    for key in np.unique(pattern).tolist():
+    for key in sorted(set(pattern.tolist())):
         rows = np.flatnonzero(pattern == key)
         chain = [axis for k, axis in enumerate(wiring) if key >> k & 1]
         if not chain:

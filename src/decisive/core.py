@@ -103,6 +103,7 @@ class TrialRecord:
         outcome: str,  # success | failure
         collisions: int = 0,
         rollovers: int = 0,
+        # one of OA_CATEGORIES, CR_CATEGORIES and APERTURE_TIERS, checked where a manifest loads
         oa_category: Optional[str] = None,
         cr_category: Optional[str] = None,
         aperture_tier: Optional[str] = None,
@@ -118,12 +119,6 @@ class TrialRecord:
             raise ValueError("counts must be non-negative")
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        if oa_category is not None and oa_category not in OA_CATEGORIES:
-            raise ValueError(f"unknown OA category {oa_category!r}")
-        if cr_category is not None and cr_category not in CR_CATEGORIES:
-            raise ValueError(f"unknown CR category {cr_category!r}")
-        if aperture_tier is not None and aperture_tier not in APERTURE_TIERS:
-            raise ValueError(f"unknown aperture tier {aperture_tier!r}")
         self.trial_id = trial_id
         self.test_id = test_id
         self.suas_id = suas_id

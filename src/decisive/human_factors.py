@@ -225,8 +225,8 @@ def trust_pipeline(survey: SurveyColumns, condition_a: str, condition_b: str) ->
             ItemComparison(
                 instrument,
                 item_id,
-                mean_std(a_scores)[0],
-                mean_std(b_scores)[0],
+                sum(a_scores) / len(a_scores),
+                sum(b_scores) / len(b_scores),
                 len(a_scores),
                 len(b_scores),
                 mann_whitney(a_scores, b_scores),

@@ -109,25 +109,38 @@ def _header_and_body(path) -> tuple[list[str], str]:
         return _header(csv.reader(fh), path), fh.read()
 
 
-def _split_columns(body: str, width: int) -> list[list[str]] | None:
-    """Each column's cell texts in `body`, the text after a CSV header of `width` columns.
+#: about how many characters of a CSV body `_split_columns` splits at a time; each chunk
+#: runs on to the end of its last line
+CSV_CHUNK = 1 << 16
 
-    None when splitting at newlines and commas cannot vouch for what csv would
-    read: a quote anywhere, a carriage return that does not end a
-    line with its newline, a line that is not exactly one row of `width`
-    cells (an empty line or a short row), or a line longer than a csv field
-    may be.
+
+def _split_columns(body: str, width: int):
+    """Each column's cell texts in `body`, the text after a CSV header of `width` columns,
+    one chunk of whole lines at a time.
+
+    Yields None, and stops, where splitting at newlines and commas cannot vouch
+    for what csv would read: a quote anywhere, a carriage return that does
+    not end a line with its newline, a line that is not exactly one row of
+    `width` cells (an empty line or a short row), or a line longer than a csv
+    field may be.
     """
     # csv ends a line at a lone "\r" too
     if '"' in body or body.count("\r") != body.count("\r\n"):
-        return None
-    lines = body.replace("\r\n", "\n").removesuffix("\n").split("\n")
-    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    cells = ",".join(lines).split(",")
-    return [cells[i::width] for i in range(width)]
+        yield None
+        return
+    start = 0
+    while True:
+        end = body.find("\n", start + CSV_CHUNK) + 1 or len(body)
+        lines = body[start:end].replace("\r\n", "\n").removesuffix("\n").split("\n")
+        if (set(map(str.count, lines, itertools.repeat(","))) - {width - 1}
+                or max(map(len, lines)) > csv.field_size_limit()):
+            yield None
+            return
+        cells = ",".join(lines).split(",")
+        yield [cells[i::width] for i in range(width)]
+        if end == len(body):
+            return
+        start = end
 
 
 def _columns(header: list[str], names, path, optional=()) -> dict[str, int]:
@@ -174,34 +187,36 @@ def _csv_rows(header: list[str], body: str, path, converters: dict, optional=())
 
 def _csv_columns(header: list[str], body: str, path, converters: dict, optional=(),
                  key: int = 0) -> list[list] | None:
-    """The columns `_csv_rows` would read from `body`, the text after `header`, in one split.
+    """The columns `_csv_rows` would read from `body`, the text after `header`, a chunk at a time.
 
-    Each distinct text of a column is converted once. The header fails as in
-    the row loop. None when the split cannot vouch for the text: text
-    `_split_columns` rejects, a row of blank cells (the row loop skips it), a
-    cell that does not convert, or a repeated row of the first `key` columns.
-    `_csv_rows` then decides, and is the only source of error messages, line
-    numbers and duplicate warnings.
+    Each distinct text of a column is converted once, however many chunks it
+    appears in. The header fails as in the row loop. None when the split
+    cannot vouch for the text: a chunk `_split_columns` rejects, a row of
+    blank cells (the row loop skips it), a cell that does not convert, or a
+    repeated row of the first `key` columns. `_csv_rows` then decides, and is
+    the only source of error messages, line numbers and duplicate warnings.
     """
     idx = _columns(header, converters, path, optional)
-    cells = _split_columns(body, len(header))
-    if cells is None:
-        return None
-    rows, columns, blank = len(cells[0]), [], True
-    for name, convert in converters.items():
-        texts = cells[idx[name]] if name in idx else [""] * rows
-        distinct = set(texts)
-        blank = blank and not all(map(str.strip, distinct))
-        try:
-            # each distinct text once: a Likert, flag or count column has only a few
-            once = {text: convert(text, None) for text in distinct}
-        except ParseError:
+    columns = [[] for _ in converters]
+    known = [{} for _ in converters]  # per column: each text converted so far -> its value
+    for cells in _split_columns(body, len(header)):
+        if cells is None:
             return None
-        columns.append(list(map(once.__getitem__, texts)))
-    # a row of blank cells has one in every column, so look for such a row only then
-    if blank and any(not "".join(row).strip() for row in zip(*cells)):
-        return None
-    if key and len(set(zip(*columns[:key]))) != rows:
+        blank = True
+        for (name, convert), column, once in zip(converters.items(), columns, known):
+            texts = cells[idx[name]] if name in idx else [""] * len(cells[0])
+            distinct = set(texts)
+            blank = blank and not all(map(str.strip, distinct))
+            try:
+                # each distinct text once: a Likert, flag or count column has only a few
+                once.update({text: convert(text, None) for text in distinct.difference(once)})
+            except ParseError:
+                return None
+            column += map(once.__getitem__, texts)
+        # a row of blank cells has one in every column, so look for such a row only then
+        if blank and any(not "".join(row).strip() for row in zip(*cells)):
+            return None
+    if key and len(set(zip(*columns[:key]))) != len(columns[0]):
         return None
     return columns
 
@@ -566,6 +581,15 @@ _TRIAL_FIELDS = {"trial_id": str, "test_id": str, "suas_id": str, "telemetry": s
                  "t_collision_s": float, "duration_min": float}
 
 
+def _entry(record, name: str, path, **fields):
+    """`record(**fields)`, built for the manifest entry `name`; a value the record rejects
+    fails naming the entry."""
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        raise ParseError(f"{name}: {exc}", str(path))
+
+
 @_total
 def parse_campaign(path) -> Campaign:
     """Load and cross-validate a campaign manifest, converting every test block it reads."""
@@ -600,8 +624,9 @@ def parse_campaign(path) -> Campaign:
         env_id = entry.get("id")
         if env_id is None:
             raise ParseError("environment entry missing 'id'", str(path))
-        environments[env_id] = EnvironmentProfile(
-            **_fields(entry, _ENVIRONMENT_FIELDS, f"environment {env_id}", path))
+        name = f"environment {env_id}"
+        environments[env_id] = _entry(EnvironmentProfile, name, path,
+                                      **_fields(entry, _ENVIRONMENT_FIELDS, name, path))
 
     tests = {}
     for entry in blocks.get("tests", []):
@@ -644,7 +669,8 @@ def parse_campaign(path) -> Campaign:
                 f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found", str(path)
             )
         trials.append(
-            TrialRecord(
+            _entry(
+                TrialRecord, f"trial {trial_id}", path,
                 trial_id=trial_id,
                 test_id=typed["test_id"],
                 suas_id=typed["suas_id"],

@@ -91,26 +91,35 @@ class MannWhitneyResult(NamedTuple):
     method: str  # exact | normal
 
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    return ranks
+def _rank_blocks(a: Sequence[float],
+                 b: Sequence[float]) -> tuple[list[tuple[int, int]], int, int]:
+    """The pooled samples' tie blocks, as (doubled midrank, count) in increasing order of
+    value, the doubled rank sum of `a`, and the tie term, the sum of m**3 - m over the
+    blocks' counts m.
+
+    One pass over the distinct values, in increasing order, of value counts: a
+    block of m equal values after `below` smaller ones holds ranks below + 1 to
+    below + m, so its doubled midrank 2 * below + m + 1 is an integer, and all
+    three sums are exact. Cost is O(n + D log D) for n values, D of them distinct.
+    """
+    in_a, in_b = Counter(map(float, a)), Counter(map(float, b))
+    blocks, doubled_a, tie_term, below = [], 0, 0, 0
+    for value in sorted(in_a.keys() | in_b.keys()):
+        m = in_a[value] + in_b[value]
+        doubled = 2 * below + m + 1
+        blocks.append((doubled, m))
+        doubled_a += in_a[value] * doubled
+        tie_term += m**3 - m
+        below += m
+    return blocks, doubled_a, tie_term
 
 
-def _count_tails(values: Sequence[int], k: int, observed: int) -> tuple[int, int]:
-    """How many k-element subsets (by position) of `values` sum to at most, and to at
-    least, `observed`.
+def _count_tails(blocks: Sequence[tuple[int, int]], k: int, observed: int) -> tuple[int, int]:
+    """How many k-element subsets (by position) of the values in `blocks` sum to at most,
+    and to at least, `observed`.
 
-    A shift-algorithm count (Streitberg & Roehmel 1986) over the tie blocks:
+    `blocks` holds each distinct value r with its count m, in increasing order.
+    A shift-algorithm count (Streitberg & Roehmel 1986) over the blocks:
     counts[size][s] holds the exact number of size-element subsets of the blocks
     seen so far that sum to s. Taking j of a block's m equal values r multiplies
     a count by C(m, j) and adds j * r to its sum. Values are non-negative, so a
@@ -121,7 +130,7 @@ def _count_tails(values: Sequence[int], k: int, observed: int) -> tuple[int, int
     """
     counts: list[dict[int, int]] = [{} for _ in range(k + 1)]
     counts[0][0] = 1
-    for r, m in sorted(Counter(values).items()):
+    for r, m in blocks:
         # larger sizes first, so each update reads counts from before this block
         for size in range(k, 0, -1):
             row = counts[size]
@@ -135,7 +144,8 @@ def _count_tails(values: Sequence[int], k: int, observed: int) -> tuple[int, int
                     if s <= observed:
                         row[s] = row.get(s, 0) + ways * c
     at_most = sum(counts[k].values())
-    return at_most, math.comb(len(values), k) - at_most + counts[k].get(observed, 0)
+    total = sum(m for _, m in blocks)
+    return at_most, math.comb(total, k) - at_most + counts[k].get(observed, 0)
 
 
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
@@ -152,37 +162,25 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     Larger samples use the tie-corrected normal approximation with a 0.5
     continuity correction.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise DecisiveError("both samples must be non-empty")
 
-    pooled = a + b
-    ranks = _midranks(pooled)
-    rank_sum_a = sum(ranks[:n1])
-    u_a = rank_sum_a - n1 * (n1 + 1) / 2.0
+    blocks, doubled_a, tie_term = _rank_blocks(a, b)
+    n = n1 + n2
+    u_a = doubled_a / 2.0 - n1 * (n1 + 1) / 2.0
     u_b = n1 * n2 - u_a
     u = min(u_a, u_b)
-    n = n1 + n2
 
     if min(n1, n2) <= EXACT_LIMIT:
-        # midranks are half-integers, so doubled rank sums compare exactly as ints;
-        # U_a orders labelings as rank-sum(a) does and opposite to rank-sum(b), so
-        # the two tails of either group's rank sum are those of U_a, swapped or not
-        doubled = [int(2.0 * r) for r in ranks]
-        small = doubled[:n1] if n1 <= n2 else doubled[n1:]
-        lower, upper = _count_tails(doubled, len(small), sum(small))
+        # U_a orders labelings as rank-sum(a) does and opposite to rank-sum(b), so the
+        # two tails of either group's rank sum are those of U_a, swapped or not
+        small = (n1, doubled_a) if n1 <= n2 else (n2, n * (n + 1) - doubled_a)
+        lower, upper = _count_tails(blocks, *small)
         p = min(1.0, 2.0 * min(lower, upper) / math.comb(n, n1))
         return MannWhitneyResult(u, p, "exact")
 
     # normal approximation with tie correction
-    tie_term = 0.0
-    seen = {}
-    for v in pooled:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_term += count**3 - count
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0:
         return MannWhitneyResult(u, 1.0, "normal")

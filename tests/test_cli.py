@@ -95,6 +95,19 @@ class TestValidate:
         assert code == 1
         assert "lux" in err
 
+    @pytest.mark.parametrize("block, change, message", [
+        ("trials", {"outcome": "maybe"}, "trial t001: outcome must be success or failure"),
+        ("environments", {"lighting": "dim"}, "environment lab: lighting must be lighted or dark"),
+        ("environments", {"lux": 5}, "environment lab: lighted requires measured lux >= 100"),
+        ("trials", {"duration_min": -1}, "trial t001: duration must be non-negative"),
+    ], ids=["outcome", "lighting", "lux", "duration"])
+    def test_bad_entry_value_names_the_entry(self, capsys, tmp_path, block, change, message):
+        manifest = campaign_copy(tmp_path) / "campaign.json"
+        doc = json.loads(manifest.read_text())
+        doc[block][0].update(change)
+        manifest.write_text(json.dumps(doc))
+        assert run(capsys, "validate", manifest) == (1, "", f"error: {message} (at {manifest})\n")
+
     def test_bad_usage_exits_one(self, capsys):
         code, _out, _err = run(capsys, "metrics", CAMPAIGN / "campaign.json",
                                "--test", "bogus")

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -260,6 +261,16 @@ class TestCampaign:
         p = write(tmp_path / "c.json", json.dumps(doc))
         with pytest.raises(ParseError, match=re.escape(f"trial t1: oa_category 'OA-B5' (at {p})")):
             parse_campaign(p)
+
+    @pytest.mark.parametrize("key, value", [("cr_category", "CR-Z9"), ("aperture_tier", "Z9")])
+    def test_unknown_cr_category_and_aperture_tier(self, tmp_path, key, value):
+        doc = manifest_doc(trials=[{
+            "trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha", key: value,
+        }])
+        p = write(tmp_path / "c.json", json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            parse_campaign(p)
+        assert str(exc.value) == f"trial t1: {key} {value!r} (at {p})"
 
     def test_dangling_test_reference(self, tmp_path):
         doc = manifest_doc(trials=[{
@@ -629,6 +640,113 @@ class TestSurveyColumnsAgreeWithRowLoop:
         p.write_bytes(TestSurvey.HEADER.encode() + rows.encode() + b"p\xff,CTPA,i2,4,true,A\n")
         got = self.check(p)
         assert got[1] is ParseError and "can't decode byte 0xff" in got[2]
+
+
+def survey_rows(count: int) -> list[str]:
+    """`count` well-formed survey lines: participant k answers the 9 CTPA and 12 HCTM items
+    in turn, and every tenth participant fails the manipulation check."""
+    lines = []
+    for k in range(count):
+        participant, item = divmod(k, 21)
+        lines.append(f"p{participant:04d},{'CTPA' if item < 9 else 'HCTM'},i{item},{1 + k % 7},"
+                     f"{'false' if participant % 10 == 3 else 'true'},{'AB'[participant % 2]}\n")
+    return lines
+
+
+def trust_outcome(path):
+    """`trust`'s exit code, stdout and stderr on the survey at `path`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["trust", "--survey", str(path), "--condition-a", "A", "--condition-b", "B"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestColumnReaderAcrossChunks:
+    """Bodies of several chunks, each with one defect placed in a later chunk: the column
+    reader gives exactly the row loop's columns or defers to it, and `trust` says the same."""
+
+    LINES = survey_rows(4 * ingest.CSV_CHUNK // 24)  # about 24 characters a line
+    HEADER = TestSurvey.HEADER
+
+    @classmethod
+    def chunk_starts(cls) -> list[int]:
+        """The index of the first row of each chunk of the defect-free body."""
+        starts, rows = [], 0
+        for cells in ingest._split_columns("".join(cls.LINES), 6):
+            starts.append(rows)
+            rows += len(cells[0])
+        return starts
+
+    DEFECTS = {  # the line that takes a row's place; where the row loop fails, its message
+        "short row": ("p9999,CTPA,i0,4", "row has 4 fields, needs 6"),
+        "bad cell": ("p9999,CTPA,i0,x,true,A", "cannot parse 'x' as a number"),
+        "blank row": (" , , , , , ", None),
+        "empty line": ("", None),
+        "duplicate key": ("p0000,CTPA,i0,7,true,A", None),
+    }
+
+    def test_body_spans_several_chunks(self):
+        assert len(self.chunk_starts()) >= 4
+
+    def test_defect_free_body_takes_the_columns(self, tmp_path):
+        p = write(tmp_path / "s.csv", self.HEADER + "".join(self.LINES))
+        header, body = ingest._header_and_body(p)
+        rows = [values for _, values in ingest._csv_rows(header, body, p, ingest.SURVEY_COLUMNS)]
+        columns = ingest._csv_columns(header, body, p, ingest.SURVEY_COLUMNS, key=3)
+        assert columns == ingest._transposed(rows, 6) and len(rows) == len(self.LINES)
+        agrees_with_row_loop(lambda: trust_outcome(p), fast=True)
+
+    @pytest.mark.parametrize("where", ["first of the third chunk", "last of the second chunk",
+                                       "last of the body"])
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_defect_in_a_later_chunk_defers_to_the_row_loop(self, tmp_path, defect, where):
+        starts = self.chunk_starts()
+        row = {"first of the third chunk": starts[2], "last of the second chunk": starts[2] - 1,
+               "last of the body": len(self.LINES) - 1}[where]
+        assert row >= starts[1]  # the first chunk is whole and ends before the defect
+        line, message = self.DEFECTS[defect]
+        lines = list(self.LINES)
+        lines[row] = line + "\n"
+        p = write(tmp_path / "s.csv", self.HEADER + "".join(lines))
+        header, body = ingest._header_and_body(p)
+        assert ingest._csv_columns(header, body, p, ingest.SURVEY_COLUMNS, key=3) is None
+        code, out, err = agrees_with_row_loop(lambda: trust_outcome(p), fast=False)
+        if message:
+            assert (code, out, err) == (1, "", f"error: {message} (at {p}:{row + 2})\n")
+        else:
+            assert code == 0 and "error" not in err
+            assert ("duplicate response" in err) == (defect == "duplicate key")
+
+    def test_blank_scores_row_in_the_last_chunk_defers_to_the_row_loop(self, tmp_path):
+        # every cell of a scores row may convert blank, so only the blank-row check sees it
+        lines = [f"s{k % 50:02d},t{k // 50:04d},0,1,0.9\n" for k in range(ingest.CSV_CHUNK // 5)]
+        lines[-1] = ",,,,\n"
+        p = write(tmp_path / "s.csv", TestScores.HEADER + "".join(lines))
+        assert len(p.read_text()) > 3 * ingest.CSV_CHUNK
+        got = agrees_with_row_loop(lambda: _scores_outcome(p, SCORE_VARIABLES), fast=False)
+        assert got[0] == "ok" and len(got[2]) == len(lines) - 1
+
+    def test_column_reader_peak_memory_stays_under_8x_the_body(self, tmp_path):
+        p = write(tmp_path / "s.csv", self.HEADER + "".join(survey_rows((1 << 20) // 22)))
+        header, body = ingest._header_and_body(p)
+        assert len(body) >= 1 << 20
+        tracemalloc.start()
+        try:
+            columns = ingest._csv_columns(header, body, p, ingest.SURVEY_COLUMNS, key=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert columns is not None
+        assert peak < 8 * len(body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 60))
+    def test_any_survey_text_in_small_chunks(self, survey_dir, data, chunk):
+        path = survey_dir / "s.csv"
+        path.write_bytes(survey_text(data).encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CSV_CHUNK", chunk)
+            agrees_with_row_loop(lambda: _survey_outcome(path))
 
 
 class TestScores:

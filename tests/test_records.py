@@ -58,11 +58,6 @@ CASES = [
     (lambda: TrialRecord(*TRIAL, collisions=-1), ValueError, "counts must be non-negative"),
     (lambda: TrialRecord(*TRIAL, rollovers=-1), ValueError, "counts must be non-negative"),
     (lambda: TrialRecord(*TRIAL, duration=-0.5), ValueError, "duration must be non-negative"),
-    (lambda: TrialRecord(*TRIAL, oa_category="OA-Z9"), ValueError,
-     "unknown OA category 'OA-Z9'"),
-    (lambda: TrialRecord(*TRIAL, cr_category="CR-Z9"), ValueError,
-     "unknown CR category 'CR-Z9'"),
-    (lambda: TrialRecord(*TRIAL, aperture_tier="Z9"), ValueError, "unknown aperture tier 'Z9'"),
     (lambda: EnvironmentProfile("dim"), ValueError, "lighting must be lighted or dark"),
     (lambda: EnvironmentProfile("lighted", lux=99.0), ValueError,
      "lighted requires measured lux >= 100"),

@@ -1,12 +1,13 @@
 """Each subcommand loads only the package modules it runs, and numpy only where it builds arrays.
 
 Each case runs one subcommand on the sample campaign in a fresh interpreter,
-through `decisive.cli.main`, and reports whether `numpy`, `dataclasses` and
-`inspect` were imported and which `decisive.*` modules were. The subcommands
+through `decisive.cli.main`, and reports whether `numpy`, `dataclasses`,
+`inspect` and `numpy.ma` were imported and which `decisive.*` modules were. The subcommands
 that do need numpy are checked too, so the test cannot pass because the probe
 never sees an import; `cli` and `errors`, which every run loads, play that part
 for the package's modules. The package defines its records without
 `dataclasses`, which would also import `inspect`; numpy imports `inspect` itself.
+No subcommand loads `numpy.ma`, which numpy's `np.unique` imports on its first call.
 """
 
 import ast
@@ -26,7 +27,7 @@ import contextlib, io, os, sys
 from decisive.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *(m in sys.modules for m in ("numpy", "dataclasses", "inspect")))
+print(code, *(m in sys.modules for m in ("numpy", "dataclasses", "inspect", "numpy.ma")))
 print(*sorted(m.removeprefix("decisive.") for m in sys.modules if m.startswith("decisive.")))
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
@@ -71,8 +72,8 @@ def probe(argv, env=os.environ):
 @pytest.mark.parametrize("argv, loads_numpy, unloaded", CASES.values(), ids=CASES.keys())
 def test_subcommand_loads_only_what_it_runs(argv, loads_numpy, unloaded):
     status, modules, _ = probe(argv)
-    code, numpy, dataclasses, inspect = status.split()
-    assert (code, numpy, dataclasses) == ("0", str(loads_numpy), "False")
+    code, numpy, dataclasses, inspect, numpy_ma = status.split()
+    assert (code, numpy, dataclasses, numpy_ma) == ("0", str(loads_numpy), "False", "False")
     assert loads_numpy or inspect == "False"
     loaded = set(modules.split())
     assert {"cli", "errors"} <= loaded

@@ -296,6 +296,73 @@ class TestExactCount:
         assert result.p_two_sided == 2.0 / math.comb(408, 8)
 
 
+def index_sort_mann_whitney(a, b):
+    """(u, p) of the normal path as midranks from an index sort give them, the rank test's
+    earlier form, kept here as its reference."""
+    pooled = [float(v) for v in a] + [float(v) for v in b]
+    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
+    ranks = [0.0] * len(pooled)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    n1, n2 = len(a), len(b)
+    n = n1 + n2
+    u_a = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
+    u = min(u_a, n1 * n2 - u_a)
+    seen = {}
+    for v in pooled:
+        seen[v] = seen.get(v, 0) + 1
+    tie_term = 0.0
+    for count in seen.values():
+        tie_term += count**3 - count
+    var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var <= 0:
+        return u, 1.0
+    z = (u - n1 * n2 / 2.0 + 0.5) / math.sqrt(var)
+    return u, min(1.0, 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0)))
+
+
+class TestRankCounts:
+    """The normal path takes its ranks from value counts, one pass over the distinct values."""
+
+    SIZES = [(9, 9), (9, 2000), (2000, 9), (40, 400), (150, 120), (2000, 12)]
+
+    @staticmethod
+    def samples(kind, n1, n2):
+        rng = random.Random(n1 * 7 + n2 + len(kind))
+        if kind == "likert":
+            return likert(rng, n1), likert(rng, n2, shift=1)
+        pooled = [rng.uniform(-50.0, 50.0) for _ in range(n1 + n2)]
+        assert len(set(pooled)) == n1 + n2
+        return pooled[:n1], pooled[n1:]
+
+    @pytest.mark.parametrize("kind", ["likert", "tie-free"])
+    @pytest.mark.parametrize("n1, n2", SIZES)
+    def test_normal_path_matches_pairs_counts_and_index_sort(self, kind, n1, n2):
+        a, b = self.samples(kind, n1, n2)
+        result = mann_whitney(a, b)
+        assert result.method == "normal"
+        u_a = sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b)
+        assert result.u == min(u_a, n1 * n2 - u_a)
+        _, doubled_a, tie_term = stats._rank_blocks(a, b)
+        assert doubled_a == 2 * u_a + n1 * (n1 + 1)
+        pooled = a + b
+        assert tie_term == sum(pooled.count(v) ** 3 - pooled.count(v) for v in set(pooled))
+        u, p = index_sort_mann_whitney(a, b)
+        assert (result.u.hex(), result.p_two_sided.hex()) == (u.hex(), p.hex())
+
+    def test_blocks_hold_doubled_midranks_in_value_order(self):
+        blocks, doubled_a, tie_term = stats._rank_blocks([3, 1, 3], [2.0, 3, 5])
+        # ranks: 1 -> 1, 2 -> 2, the three 3s -> 4, 5 -> 6
+        assert blocks == [(2, 1), (4, 1), (8, 3), (12, 1)]
+        assert (doubled_a, tie_term) == (2 + 8 + 8, 24)
+
+
 class TestMeanStd:
     def test_single_value(self):
         assert mean_std([3.5]) == (3.5, 0.0)
