@@ -19,18 +19,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class TriangularMf:
-    """Triangle (a, b, c) over [lo, hi]; a == b or b == c makes a shoulder."""
+class TriangularMf(NamedTuple):
+    """Triangle (a, b, c) over [lo, hi], with lo <= a <= b <= c <= hi; a == b or b == c
+    makes a shoulder."""
 
-    __slots__ = ("a", "b", "c", "lo", "hi")
-
-    def __init__(self, a: float, b: float, c: float, lo: float, hi: float):
-        points = f"({a}, {b}, {c})"
-        if not a <= b <= c:
-            raise ValueError(f"{points} not ordered")
-        if not (lo <= a and c <= hi):
-            raise ValueError(f"{points} outside range [{lo}, {hi}]")
-        self.a, self.b, self.c, self.lo, self.hi = a, b, c, lo, hi
+    a: float
+    b: float
+    c: float
+    lo: float
+    hi: float
 
 
 def mf_eval(mf: TriangularMf, x: float) -> float:

@@ -164,16 +164,23 @@ def derive_kinematics(traj: Trajectory) -> Trajectory:
     """Fill missing velocity/acceleration by central differences.
 
     Interior samples use central differences, the ends one-sided differences.
-    Acceleration gets a moving average of odd width SMOOTH_WIDTH.
+    Acceleration gets a moving average of odd width SMOOTH_WIDTH. Finite but
+    huge telemetry can overflow a difference; that fails rather than go on.
     """
+    import numpy as np
+
     if len(traj) < 3:
         raise DecisiveError("differentiation needs at least 3 samples")
 
     t = traj.t
-    vel = traj.vel if traj.vel is not None else _differentiate(traj.pos, t)
-    acc = traj.acc
-    if acc is None:
-        acc = _moving_average(_differentiate(vel, t), SMOOTH_WIDTH)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        vel = traj.vel if traj.vel is not None else _differentiate(traj.pos, t)
+        acc = traj.acc
+        if acc is None:
+            acc = _moving_average(_differentiate(vel, t), SMOOTH_WIDTH)
+    for name, values in (("velocity", vel), ("acceleration", acc)):
+        if not np.isfinite(values).all():
+            raise DecisiveError(f"derived {name} is not finite: telemetry values too large")
     return Trajectory(t, traj.pos, vel, acc)
 
 

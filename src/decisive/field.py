@@ -9,35 +9,15 @@ from .errors import DecisiveError
 FIGURE8_LAP_M = 13.0  # nominal length of one figure-8 lap
 
 
-class NlosPosition:
+class NlosPosition(NamedTuple):
     """One OCU position in a comms range test."""
 
-    __slots__ = ("label", "distance", "obstructions", "connect", "fly", "latency_ms")
-
-    def __init__(
-        self,
-        label: str,
-        distance: float,  # meters
-        obstructions: tuple[tuple[int, str], ...] = (),
-        connect: str = "none",  # good | bad | none
-        fly: str = "not_possible",  # possible | not_possible
-        latency_ms: Optional[float] = None,
-    ):
-        if distance <= 0:
-            raise ValueError("distance must be positive")
-        if connect not in ("good", "bad", "none"):
-            raise ValueError(f"bad connect value {connect!r}")
-        if fly not in ("possible", "not_possible"):
-            raise ValueError(f"bad fly value {fly!r}")
-        self.label, self.distance, self.obstructions = label, distance, obstructions
-        self.connect, self.fly, self.latency_ms = connect, fly, latency_ms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.label, self.distance, self.obstructions, self.connect, self.fly,
-                 self.latency_ms) == (other.label, other.distance, other.obstructions,
-                                      other.connect, other.fly, other.latency_ms))
+    label: str
+    distance: float  # meters, > 0
+    obstructions: tuple[tuple[int, str], ...] = ()
+    connect: str = "none"  # good | bad | none
+    fly: str = "not_possible"  # possible | not_possible
+    latency_ms: Optional[float] = None
 
 
 def endurance_metrics(laps: int, duration_min: float) -> tuple[float, float]:
@@ -69,18 +49,10 @@ def nlos_max_performance(
 OPS = ("equals", "min", "max", "contains")
 
 
-class Criterion:
-    __slots__ = ("field", "op", "value")
-
-    def __init__(self, field: str, op: str, value: object):
-        if op not in OPS:
-            raise ValueError(f"unknown criterion op {op!r}")
-        self.field, self.op, self.value = field, op, value
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.op, self.value) == (other.field, other.op, other.value)
+class Criterion(NamedTuple):
+    field: str
+    op: str  # one of OPS
+    value: object
 
     def passes(self, response) -> bool:
         if self.op == "equals":

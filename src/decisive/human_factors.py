@@ -11,19 +11,14 @@ from .stats import MannWhitneyResult, iqr_filter, mann_whitney, mean_std, welch_
 PERCEPTION_VALUES = {"undetected": 0.0, "detected": 0.5, "comprehended": 1.0}
 
 
-class SeParams:
-    """SEEV parameters for one situation element; effort enters inversely."""
+class SeParams(NamedTuple):
+    """SEEV parameters for one situation element, each > 0; effort enters inversely."""
 
-    __slots__ = ("se_id", "saliency", "effort", "expectancy", "value")
-
-    def __init__(self, se_id: str, saliency: float, effort: float, expectancy: float,
-                 value: float):
-        for name, number in (("saliency", saliency), ("effort", effort),
-                             ("expectancy", expectancy), ("value", value)):
-            if number <= 0:
-                raise DecisiveError(f"{se_id}: {name} must be > 0")
-        self.se_id, self.saliency, self.effort = se_id, saliency, effort
-        self.expectancy, self.value = expectancy, value
+    se_id: str
+    saliency: float
+    effort: float
+    expectancy: float
+    value: float
 
     @property
     def attention_resource(self) -> float:
@@ -39,21 +34,12 @@ def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
     return {se: a / total for se, a in resources.items()}
 
 
-class SagatResponse:
-    __slots__ = ("participant", "question_id", "se_id", "sa_level", "correct")
-
-    def __init__(
-        self,
-        participant: str,
-        question_id: str,
-        se_id: str,
-        sa_level: int,  # 1 = perception, 2 = comprehension
-        correct: bool,
-    ):
-        if sa_level not in (1, 2):
-            raise ValueError("sa_level must be 1 or 2")
-        self.participant, self.question_id, self.se_id = participant, question_id, se_id
-        self.sa_level, self.correct = sa_level, correct
+class SagatResponse(NamedTuple):
+    participant: str
+    question_id: str
+    se_id: str
+    sa_level: int  # 1 = perception, 2 = comprehension
+    correct: bool
 
 
 def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, float]:

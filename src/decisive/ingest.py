@@ -10,8 +10,9 @@ files first try `_csv_columns`, telemetry one numpy call, each of which defers
 to the row loop when it cannot vouch for the whole text. This module
 alone decides the type of a JSON value: each value a parser reads goes through
 `_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails at load,
-naming its file. UTF-8 (a byte-order mark is dropped), '.' decimal separator,
-',' delimiter. A parser imports the domain types it builds when it runs, so a
+naming its file. Every other check on an input value is made here too, once,
+in the function that reads the value; the records built hold fields only.
+UTF-8 (a byte-order mark is dropped), '.' decimal separator, ',' delimiter. A parser imports the domain types it builds when it runs, so a
 subcommand loads only the modules of the files it reads.
 """
 
@@ -333,12 +334,14 @@ def _telemetry_rows(header: list[str], body: str, path, fields) -> np.ndarray:
 @_total
 def parse_criteria(path) -> list[Criterion]:
     """Checklist criteria: {"field": {"op": "min", "value": 120}, ...}."""
-    from .field import Criterion
+    from .field import OPS, Criterion
 
     out = []
     for field_name, spec in _json(_load_json(path), dict).items():
         try:
             op, value = _json(spec, dict)["op"], spec["value"]
+            if op not in OPS:
+                raise ValueError(f"unknown criterion op {op!r}")
             if op in ("min", "max", "contains"):  # an `equals` value may be of any type
                 value = _json(value, str if op == "contains" else float)
             out.append(Criterion(field_name, op, value))
@@ -354,7 +357,7 @@ FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
 
 @_total
 def parse_fiducial_observations(path) -> list[FiducialObservation]:
-    from .mapping import FiducialObservation
+    from .mapping import MAPPED_STATES, FiducialObservation
 
     header, body = _header_and_body(path)
     idx = _columns(header, FIDUCIAL_COLUMNS, path)
@@ -373,12 +376,9 @@ def parse_fiducial_observations(path) -> list[FiducialObservation]:
         half = _number(row[idx["half"]], line)
         if half not in (1.0, 2.0):
             raise ParseError(f"half must be 1 or 2, got {row[idx['half']]!r}", line)
-        try:
-            out.append(
-                FiducialObservation(row[idx["fiducial_id"]].strip(), int(half), xy, mapped)
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line)
+        if mapped not in MAPPED_STATES:
+            raise ParseError(f"bad mapped state {mapped!r}", line)
+        out.append(FiducialObservation(row[idx["fiducial_id"]].strip(), int(half), xy, mapped))
     return out
 
 
@@ -440,17 +440,31 @@ def _reference_path(spec) -> ReferencePath:
     from .nav import ReferencePath
 
     spec = _json(spec, dict)
-    vertices = tuple(_numbers(v, 3) for v in _json(spec["vertices"], list))
-    return ReferencePath(vertices, _json(spec.get("closed", False), bool))
+    path = ReferencePath(tuple(_numbers(v, 3) for v in _json(spec["vertices"], list)),
+                         _json(spec.get("closed", False), bool))
+    if len(path.vertices) < 2:
+        raise ValueError("path needs at least two vertices")
+    if any(a == b for a, b in zip(path.vertices, path.vertices[1:])):
+        raise ValueError("consecutive vertices must differ")
+    return path
 
 
 def _obstacle(spec) -> ObstacleGeometry:
-    from .core import ObstacleGeometry
+    from .core import OBSTACLE_MATERIALS, ObstacleGeometry
 
     spec = _json(spec, dict)
-    return ObstacleGeometry(spec.get("kind", "plane_segment"), _numbers(spec["p0"], 2),
-                            _numbers(spec["p1"], 2), _json(spec["height"], float),
-                            spec.get("material", "wall"))
+    obstacle = ObstacleGeometry(spec.get("kind", "plane_segment"), _numbers(spec["p0"], 2),
+                                _numbers(spec["p1"], 2), _json(spec["height"], float),
+                                spec.get("material", "wall"))
+    if obstacle.kind not in ("plane_segment", "infinite_plane"):
+        raise ValueError("kind must be plane_segment or infinite_plane")
+    if obstacle.kind == "plane_segment" and obstacle.p0 == obstacle.p1:
+        raise ValueError("segment endpoints must differ")
+    if not obstacle.height > 0:
+        raise ValueError("height must be positive")
+    if obstacle.material not in OBSTACLE_MATERIALS:
+        raise ValueError(f"unknown obstacle material {obstacle.material!r}")
+    return obstacle
 
 
 def _nlos_positions(value) -> tuple[NlosPosition, ...]:
@@ -460,10 +474,17 @@ def _nlos_positions(value) -> tuple[NlosPosition, ...]:
     for e in _json(value, list):
         e = _json(e, dict)
         latency = e.get("latency_ms")
-        positions.append(NlosPosition(
+        position = NlosPosition(
             _json(e["label"], str), _json(e["distance"], float),
             _obstructions(e.get("obstructions", [])), e.get("connect", "none"),
-            e.get("fly", "not_possible"), None if latency is None else _json(latency, float)))
+            e.get("fly", "not_possible"), None if latency is None else _json(latency, float))
+        if position.distance <= 0:
+            raise ValueError("distance must be positive")
+        if position.connect not in ("good", "bad", "none"):
+            raise ValueError(f"bad connect value {position.connect!r}")
+        if position.fly not in ("possible", "not_possible"):
+            raise ValueError(f"bad fly value {position.fly!r}")
+        positions.append(position)
     return tuple(positions)
 
 
@@ -473,9 +494,11 @@ def _fiducials(value) -> tuple[FiducialGroundTruth, ...]:
     fiducials = []
     for e in _json(value, list):
         e = _json(e, dict)
-        fiducials.append(FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
-                                             _json(e["min_traversal"], float),
-                                             _count(e["min_turns"])))
+        fiducial = FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
+                                       _json(e["min_traversal"], float), _count(e["min_turns"]))
+        if fiducial.min_traversal <= 0:
+            raise ValueError("min_traversal must be positive")
+        fiducials.append(fiducial)
     return tuple(fiducials)
 
 
@@ -581,15 +604,6 @@ _TRIAL_FIELDS = {"trial_id": str, "test_id": str, "suas_id": str, "telemetry": s
                  "t_collision_s": float, "duration_min": float}
 
 
-def _entry(record, name: str, path, **fields):
-    """`record(**fields)`, built for the manifest entry `name`; a value the record rejects
-    fails naming the entry."""
-    try:
-        return record(**fields)
-    except ValueError as exc:
-        raise ParseError(f"{name}: {exc}", str(path))
-
-
 @_total
 def parse_campaign(path) -> Campaign:
     """Load and cross-validate a campaign manifest, converting every test block it reads."""
@@ -625,8 +639,15 @@ def parse_campaign(path) -> Campaign:
         if env_id is None:
             raise ParseError("environment entry missing 'id'", str(path))
         name = f"environment {env_id}"
-        environments[env_id] = _entry(EnvironmentProfile, name, path,
-                                      **_fields(entry, _ENVIRONMENT_FIELDS, name, path))
+        environment = EnvironmentProfile(**_fields(entry, _ENVIRONMENT_FIELDS, name, path))
+        lighting, lux = environment.lighting, environment.lux
+        if lighting not in ("lighted", "dark"):
+            raise ParseError(f"{name}: lighting must be lighted or dark", str(path))
+        if lux is not None and lighting == "lighted" and lux < 100:
+            raise ParseError(f"{name}: lighted requires measured lux >= 100", str(path))
+        if lux is not None and lighting == "dark" and lux >= 1:
+            raise ParseError(f"{name}: dark requires measured lux < 1", str(path))
+        environments[env_id] = environment
 
     tests = {}
     for entry in blocks.get("tests", []):
@@ -668,25 +689,27 @@ def parse_campaign(path) -> Campaign:
             raise ParseError(
                 f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found", str(path)
             )
-        trials.append(
-            _entry(
-                TrialRecord, f"trial {trial_id}", path,
-                trial_id=trial_id,
-                test_id=typed["test_id"],
-                suas_id=typed["suas_id"],
-                outcome=entry.get("outcome", "success"),
-                collisions=typed.get("collisions", 0),
-                rollovers=typed.get("rollovers", 0),
-                oa_category=entry.get("oa_category"),
-                cr_category=entry.get("cr_category"),
-                aperture_tier=entry.get("aperture_tier"),
-                t_collision=typed.get("t_collision_s"),
-                duration=typed.get("duration_min", 0.0),
-                laps=typed.get("laps"),
-                telemetry=telemetry,
-                notes=entry.get("notes", ""),
-            )
+        trial = TrialRecord(
+            trial_id=trial_id,
+            test_id=typed["test_id"],
+            suas_id=typed["suas_id"],
+            outcome=entry.get("outcome", "success"),
+            collisions=typed.get("collisions", 0),
+            rollovers=typed.get("rollovers", 0),
+            oa_category=entry.get("oa_category"),
+            cr_category=entry.get("cr_category"),
+            aperture_tier=entry.get("aperture_tier"),
+            t_collision=typed.get("t_collision_s"),
+            duration=typed.get("duration_min", 0.0),
+            laps=typed.get("laps"),
+            telemetry=telemetry,
+            notes=entry.get("notes", ""),
         )
+        if trial.outcome not in ("success", "failure"):
+            raise ParseError(f"trial {trial_id}: outcome must be success or failure", str(path))
+        if trial.duration < 0:
+            raise ParseError(f"trial {trial_id}: duration must be non-negative", str(path))
+        trials.append(trial)
 
     if not trials:
         _warn(path, path, "no trials")
@@ -787,8 +810,13 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
                 for name, elements in _json(doc.get("missions", {}), dict).items()}
     if "params" in doc:
         seev = ("saliency", "effort", "expectancy", "value")
-        params = [SeParams(se, *_numbers([spec[k] for k in seev]))
-                  for se, spec in _json(doc["params"], dict).items()]
+        params = []
+        for se, spec in _json(doc["params"], dict).items():
+            numbers = _numbers([spec[k] for k in seev])
+            for name, number in zip(seev, numbers):
+                if number <= 0:
+                    raise ParseError(f"{se}: {name} must be > 0", str(path))
+            params.append(SeParams(se, *numbers))
         return attention_allocation(params), missions
     weights = doc.get("weights", {k: v for k, v in doc.items() if k != "missions"})
     return {se: _json(w, float) for se, w in _json(weights, dict).items()}, missions
@@ -906,6 +934,10 @@ def parse_fis_config(path) -> FisConfig:
                     points = _numbers(tup)
                     if len(points) != 3:
                         raise ValueError(f"need 3 points, got {tup}")
+                    if not points[0] <= points[1] <= points[2]:
+                        raise ValueError(f"{points} not ordered")
+                    if not (lo <= points[0] and points[2] <= hi):
+                        raise ValueError(f"{points} outside range [{lo}, {hi}]")
                     terms[term] = TriangularMf(*points, lo, hi)
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{fis_name}.{var_name}.{term}: {exc}")

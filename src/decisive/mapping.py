@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
 from .stats import mean_std
@@ -20,49 +20,20 @@ MAPPED_STATES = ("complete", "partial", "missing")
 ACUITY_LEVELS_MM = (20.0, 8.0, 3.0, 1.3, 0.5)
 
 
-class FiducialObservation:
+class FiducialObservation(NamedTuple):
     """One mapped half-cylinder as located on the evaluation map."""
 
-    __slots__ = ("fiducial_id", "half", "map_xy", "mapped")
-
-    def __init__(
-        self,
-        fiducial_id: str,
-        half: int,  # 1 or 2
-        map_xy: Optional[tuple[float, float]] = None,  # map units (pixels or meters)
-        mapped: str = "missing",  # complete | partial | missing
-    ):
-        if half not in (1, 2):
-            raise ValueError("half must be 1 or 2")
-        if mapped not in MAPPED_STATES:
-            raise ValueError(f"bad mapped state {mapped!r}")
-        if mapped != "missing" and map_xy is None:
-            raise ValueError("mapped fiducial halves need map coordinates")
-        self.fiducial_id, self.half, self.map_xy, self.mapped = fiducial_id, half, map_xy, mapped
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.fiducial_id, self.half, self.map_xy, self.mapped)
-                == (other.fiducial_id, other.half, other.map_xy, other.mapped))
+    fiducial_id: str
+    half: int  # 1 or 2
+    map_xy: Optional[tuple[float, float]] = None  # map units (pixels or meters); None if missing
+    mapped: str = "missing"  # one of MAPPED_STATES
 
 
-class FiducialGroundTruth:
-    __slots__ = ("fiducial_id", "gt_xy", "min_traversal", "min_turns")
-
-    def __init__(
-        self,
-        fiducial_id: str,
-        gt_xy: tuple[float, float],  # meters
-        min_traversal: float,  # meters
-        min_turns: int,
-    ):
-        if min_traversal <= 0:
-            raise ValueError("min_traversal must be positive")
-        if min_turns < 0:
-            raise ValueError("min_turns must be non-negative")
-        self.fiducial_id, self.gt_xy = fiducial_id, gt_xy
-        self.min_traversal, self.min_turns = min_traversal, min_turns
+class FiducialGroundTruth(NamedTuple):
+    fiducial_id: str
+    gt_xy: tuple[float, float]  # meters
+    min_traversal: float  # meters, > 0
+    min_turns: int
 
 
 def dimensional_accuracy(reported: Sequence[float], ground_truth: Sequence[float]) -> float:

@@ -14,19 +14,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class ReferencePath:
+class ReferencePath(NamedTuple):
     """Polyline the sUAS was asked to fly; closed paths include the closing edge."""
 
-    __slots__ = ("vertices", "closed")
-
-    def __init__(self, vertices: Sequence[Sequence[float]], closed: bool = False):
-        verts = tuple(tuple(float(c) for c in v) for v in vertices)
-        if len(verts) < 2:
-            raise ValueError("path needs at least two vertices")
-        for a, b in zip(verts, verts[1:]):
-            if a == b:
-                raise ValueError("consecutive vertices must differ")
-        self.vertices, self.closed = verts, closed
+    vertices: tuple[tuple[float, float, float], ...]  # at least two, consecutive ones distinct
+    closed: bool = False
 
     def segments(self) -> list[tuple[np.ndarray, np.ndarray]]:
         import numpy as np

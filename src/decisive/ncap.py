@@ -17,18 +17,10 @@ from .errors import DataQualityWarning, DecisiveError
 ABSENT = "N/A"
 
 
-class Feature:
-    __slots__ = ("name", "direction", "ordinal_map")
-
-    def __init__(
-        self,
-        name: str,
-        direction: str,  # higher_better | lower_better
-        ordinal_map: Optional[dict[str, float]] = None,
-    ):
-        if direction not in ("higher_better", "lower_better"):
-            raise ValueError(f"bad direction {direction!r}")
-        self.name, self.direction, self.ordinal_map = name, direction, ordinal_map
+class Feature(NamedTuple):
+    name: str
+    direction: str  # higher_better | lower_better
+    ordinal_map: Optional[dict[str, float]] = None
 
 
 class FeatureTable(NamedTuple):

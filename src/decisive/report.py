@@ -8,7 +8,7 @@ testability upstream.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
 
@@ -16,19 +16,11 @@ GLYPHS = {"good": "✓", "bad": "/", "none": "X"}
 ASCII_GLYPHS = {"good": "ok", "bad": "bad", "none": "none"}
 
 
-class Column:
-    __slots__ = ("header", "kind", "digits", "unit")
-
-    def __init__(
-        self,
-        header: str,
-        kind: str = "text",  # number | glyph | text
-        digits: Optional[int] = None,  # rounding applied at render time
-        unit: str = "",
-    ):
-        if kind not in ("number", "glyph", "text"):
-            raise ValueError(f"bad column kind {kind!r}")
-        self.header, self.kind, self.digits, self.unit = header, kind, digits, unit
+class Column(NamedTuple):
+    header: str
+    kind: str = "text"  # number | glyph | text
+    digits: Optional[int] = None  # rounding applied at render time
+    unit: str = ""
 
 
 class ReportTable:
@@ -163,6 +155,9 @@ def _json_doc(table: ReportTable, ascii_glyphs: bool) -> dict:
         for cell, col in zip(row, table.columns):
             if col.kind == "number" and cell is not None:
                 value = float(cell)
+                if not math.isfinite(value):
+                    raise DecisiveError(f"{table.title}: {_header_text(col)} is {value!r}, not "
+                                        "a finite number")
                 entry[_header_text(col)] = round(value, col.digits) if col.digits is not None else value
             else:
                 entry[_header_text(col)] = _format_cell(cell, col, ascii_glyphs)
@@ -177,7 +172,8 @@ def render_tables(tables: Sequence[ReportTable], fmt: str = "md", ascii_glyphs: 
         import json
 
         docs = [_json_doc(t, ascii_glyphs) for t in tables]
-        return (json.dumps(docs, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        text = json.dumps(docs, indent=2, ensure_ascii=False, allow_nan=False)
+        return (text + "\n").encode("utf-8")
     return b"\n".join(render_table(t, fmt, ascii_glyphs) for t in tables)
 
 
@@ -191,7 +187,17 @@ _SVG_HEADER = (
 
 
 def _fmt(value: float) -> str:
+    """A plot coordinate; finite inputs may still overflow when scaled."""
+    if not math.isfinite(value):
+        raise DecisiveError(f"plot coordinate is {value!r}, not a finite number")
     return f"{value:.2f}"
+
+
+def _finite(plot: str, points) -> None:
+    """Fail at the first of `points`, (label, x, y), whose x or y is not finite."""
+    for label, x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DecisiveError(f"{plot}: {label} at ({x!r}, {y!r}) is not a finite point")
 
 
 def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
@@ -205,6 +211,7 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
 
     if not points:
         raise DecisiveError("no systems to plot")
+    _finite("ncap scatter", points)
     w, h, margin = 480, 360, 50.0
     x_max = 4.0
     y_max = max(4.0, math.ceil(max(p[2] for p in points)))
@@ -264,6 +271,7 @@ def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
     """Standalone SVG polyline of (t seconds, deviation meters) samples."""
     if not samples:
         raise DecisiveError("no deviation samples")
+    _finite("deviation plot", (("sample", t, d) for t, d in samples))
     w, h, margin = 480, 240, 45.0
     t0 = samples[0][0]
     t1 = samples[-1][0]

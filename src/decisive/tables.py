@@ -100,7 +100,10 @@ def collision_tables(campaign: Campaign) -> list[ReportTable]:
                 continue
             traj, _ = parse_telemetry(trial.telemetry)
             collided = trial.collisions > 0
-            m = coll.flight_metrics(traj, test.obstacle, collided, trial.t_collision)
+            try:
+                m = coll.flight_metrics(traj, test.obstacle, collided, trial.t_collision)
+            except DecisiveError as exc:
+                raise DecisiveError(f"trial {trial.trial_id}: {exc}") from None
             numeric.add_row(test_id, trial.suas_id, trial.trial_id, trial.collisions,
                             m.min_distance, m.min_ttc, m.severity, m.delta_v)
             per_suas.setdefault(trial.suas_id, []).append((collided, m))

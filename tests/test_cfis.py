@@ -206,10 +206,6 @@ class TestMembership:
         med = TriangularMf(0.5, 1.5, 2.5, 0.0, 3.0)
         assert 0.0 <= mf_eval(med, x) <= 1.0
 
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError, match=r"^\(2.0, 1.0, 3.0\) not ordered$"):
-            TriangularMf(2.0, 1.0, 3.0, 0.0, 3.0)
-
     @given(var=variables("x"), data=st.data())
     def test_column_bit_identical_to_scalar(self, var, data):
         xs = data.draw(st.lists(cell(var), min_size=1, max_size=20))

@@ -99,8 +99,10 @@ class TestValidate:
         ("trials", {"outcome": "maybe"}, "trial t001: outcome must be success or failure"),
         ("environments", {"lighting": "dim"}, "environment lab: lighting must be lighted or dark"),
         ("environments", {"lux": 5}, "environment lab: lighted requires measured lux >= 100"),
+        ("environments", {"lighting": "dark", "lux": 1}, "environment lab: dark requires "
+         "measured lux < 1"),
         ("trials", {"duration_min": -1}, "trial t001: duration must be non-negative"),
-    ], ids=["outcome", "lighting", "lux", "duration"])
+    ], ids=["outcome", "lighting", "lux", "dark-lux", "duration"])
     def test_bad_entry_value_names_the_entry(self, capsys, tmp_path, block, change, message):
         manifest = campaign_copy(tmp_path) / "campaign.json"
         doc = json.loads(manifest.read_text())
@@ -782,6 +784,12 @@ def set_term(term, points):
 LOAD_ERRORS = {
     "sa-zero-saliency": (sa_with(lambda doc: doc["params"]["altitude"].update(saliency=0)),
                          "altitude: saliency must be > 0"),
+    "sa-zero-effort": (sa_with(lambda doc: doc["params"]["heading"].update(effort=0)),
+                       "heading: effort must be > 0"),
+    "sa-negative-expectancy": (sa_with(lambda doc: doc["params"]["heading"].update(
+        expectancy=-1)), "heading: expectancy must be > 0"),
+    "sa-zero-value": (sa_with(lambda doc: doc["params"]["battery"].update(value=0.0)),
+                      "battery: value must be > 0"),
     "sa-no-elements": (sa_with(lambda doc: doc.update(params={})), "no situation elements"),
     "fis-two-point-term": (cfis_with(set_term("low", [0, 1])),
                            "mc.crashes.low: need 3 points, got [0, 1]"),

@@ -13,7 +13,7 @@ from decisive import cfis, collision, field, human_factors, mapping, nav, ncap, 
 from decisive.cfis import Fis, LinguisticVariable, Rule, TriangularMf
 from decisive.core import ObstacleGeometry, TrialRecord, Trajectory
 from decisive.errors import DecisiveError, ParseError
-from decisive.human_factors import SeParams, SurveyColumns
+from decisive.human_factors import SurveyColumns
 from decisive.mapping import FiducialGroundTruth, FiducialObservation
 from decisive.ncap import Feature, FeatureTable, WeightScheme
 from decisive.report import Column, ReportTable
@@ -138,8 +138,6 @@ COMPUTATION_FAILURES = {
                                "every test score is missing"),
     "cfis-zero-test-score": (lambda: cfis.predictive_score({"a": 0.0}), "a=0.0 outside (0, 1]"),
     # human factors
-    "hf-zero-saliency": (lambda: SeParams("altitude", 0, 1, 1, 1),
-                         "altitude: saliency must be > 0"),
     "hf-no-elements": (lambda: human_factors.attention_allocation([]), "no situation elements"),
     "hf-rates-no-responses": (lambda: human_factors.sagat_correct_rates([]), "no responses"),
     "hf-vectors-no-responses": (lambda: human_factors.perception_vectors([]), "no responses"),

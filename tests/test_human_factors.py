@@ -56,10 +56,6 @@ class TestAttentionAllocation:
     def test_golden_column_sums_to_one(self):
         assert sum(GOLDEN_F_COLUMN) == pytest.approx(1.0, abs=1e-9)
 
-    def test_non_positive_param(self):
-        with pytest.raises(DecisiveError, match="bad: saliency must be > 0"):
-            SeParams("bad", 0.0, 1.0, 1.0, 1.0)
-
 
 def response(participant, se, level, correct, q="q"):
     return SagatResponse(participant, q, se, level, correct)

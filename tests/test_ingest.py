@@ -1225,18 +1225,37 @@ def one_csv_edit(data, blob: bytes, id_columns) -> bytes:
     return b"\n".join(lines)
 
 
+def not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+#: the SVG attributes that hold one number
+SVG_NUMBERS = ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "r", "width", "height")
+
+
+def svg_numbers(element) -> list[str]:
+    """The text of each number in `element`'s coordinate attributes, its polyline points and
+    the arguments of its rotation."""
+    numbers = [element.get(name) for name in SVG_NUMBERS if name in element.attrib]
+    numbers += element.get("points", "").replace(",", " ").split()
+    rotation = re.fullmatch(r"rotate\(([^)]*)\)", element.get("transform", ""))
+    return numbers + (rotation.group(1).split() if rotation else [])
+
+
 def well_formed(fmt: str, out: str) -> None:
     """Fail unless `out` parses as `fmt`: CSV tables whose rows have their header's width, a
-    JSON array of titled tables, or an SVG document."""
+    JSON array of titled tables with no NaN or Infinity, or an SVG document whose coordinates
+    are finite numbers."""
     if fmt == "csv":
         rows = list(csv.reader(io.StringIO(out)))
         tables = [list(group) for blank, group in itertools.groupby(rows, lambda r: not r)
                   if not blank]
         assert tables and all(len(r) == len(t[0]) for t in tables for r in t)
     elif fmt == "json":
-        assert all(set(t) == {"title", "rows"} for t in json.loads(out))
+        assert all(set(t) == {"title", "rows"} for t in json.loads(out, parse_constant=not_json))
     elif fmt == "svg":
-        ET.fromstring(out.encode())
+        numbers = [n for element in ET.fromstring(out.encode()).iter() for n in svg_numbers(element)]
+        assert numbers and all(math.isfinite(float(n)) for n in numbers)
     else:
         assert out.startswith("### ")
 
@@ -1318,6 +1337,28 @@ def more_vertices(directory, k) -> None:
     edit_manifest(directory, edit)
 
 
+def more_nlos_positions(directory, k) -> None:
+    """`k` copies of the NLOS positions, each copy 1 m further out."""
+    def edit(doc):
+        test = named_test(doc, "endurance-indoor")
+        test["nlos_positions"] = [{**p, "label": f"{p['label']}-{i}", "distance": p["distance"] + i}
+                                  for i in range(k) for p in test["nlos_positions"]]
+    edit_manifest(directory, edit)
+
+
+def more_criteria(directory, k) -> None:
+    """`k` copies of each checklist criterion, each answered as the original is."""
+    path = directory / "criteria.json"
+    criteria = json.loads(path.read_text())
+    path.write_text(json.dumps({f"{name}_{i}": c for i in range(k) for name, c in criteria.items()}))
+
+    def edit(doc):
+        responses = named_test(doc, "endurance-indoor")["responses"]
+        for suas, answers in responses.items():
+            responses[suas] = {f"{name}_{i}": a for i in range(k) for name, a in answers.items()}
+    edit_manifest(directory, edit)
+
+
 def more_fiducials(directory, k) -> None:
     """`k` copies of the mapping course side by side, 10 m (400 map px) apart."""
     def edit(doc):
@@ -1348,25 +1389,100 @@ SCALED = {
                           lambda d: ["metrics", d / "campaign.json", "--test", "nav"]),
     "fiducials x10": (lambda d: more_fiducials(d, 10),
                       lambda d: ["metrics", d / "campaign.json", "--test", "mapping"]),
+    "NLOS positions x100": (lambda d: more_nlos_positions(d, 100),
+                            lambda d: ["metrics", d / "campaign.json", "--test", "field"]),
+    "criteria x100": (lambda d: more_criteria(d, 100),
+                      lambda d: ["metrics", d / "campaign.json", "--test", "field"]),
 }
+
+
+def run_probe(tmp_path, edit, argv):
+    """(exit code, stdout, its error lines) of `argv` on an edited copy of the sample."""
+    directory = shutil.copytree(SAMPLE, tmp_path / "sample")
+    edit(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv(directory)])
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), [line for line in err.getvalue().splitlines()
+                                  if line.startswith("error: ")]
 
 
 @pytest.mark.parametrize("name", SCALED)
 def test_scaled_input_gives_output_or_one_located_error(tmp_path, name):
     scale, argv = SCALED[name]
-    directory = shutil.copytree(SAMPLE, tmp_path / "sample")
-    scale(directory)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv(directory)] + ["--format", "csv"])
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
-    assert "Traceback" not in err.getvalue()
+    code, out, errors = run_probe(tmp_path, scale, lambda d: argv(d) + ["--format", "csv"])
     if code == 0:
         assert not errors
-        well_formed("csv", out.getvalue())
+        well_formed("csv", out)
     else:
-        assert code in (1, 2) and out.getvalue() == "" and len(errors) == 1
+        assert code in (1, 2) and out == "" and len(errors) == 1
         assert re.search(r"\(at [^)]+\)$", errors[0])
+
+
+def set_cells(name, column, texts):
+    """An edit of the sample copy's CSV `name`: data row k's cell in `column` set to texts[k]."""
+    def edit(directory):
+        lines = (directory / name).read_text().split("\n")
+        for row, text in texts.items():
+            cells = lines[row].split(",")
+            cells[column] = text
+            lines[row] = ",".join(cells)
+        (directory / name).write_text("\n".join(lines))
+    return edit
+
+
+def with_path_file(edit):
+    def both(directory):
+        edit(directory)
+        write(directory / "path.json", json.dumps({"vertices": [[0, 1, 1], [3, 1, 1]]}))
+    return both
+
+
+HUGE_VX = set_cells("oa_alpha_3.csv", 4, {11: "1.7e308", 12: "-1.7e308", 13: "1.7e308"})
+
+
+def metrics(test, fmt):
+    return lambda d: ["metrics", d / "campaign.json", "--test", test, "--format", fmt]
+
+
+def plot_deviation(d):
+    return ["plot", "--kind", "deviation", "--telemetry", d / "wf_alpha_1.csv",
+            "--path", d / "path.json"]
+
+
+#: a finite value of the sample made huge, the command that reads it, and its output format
+MAGNITUDES = {
+    **{f"collision vx 1.7e308, {fmt}": (HUGE_VX, metrics("collision", fmt), fmt)
+       for fmt in ("md", "json")},
+    **{f"nav x {x}, {fmt}": (set_cells("wf_alpha_1.csv", 1, {6: x}), metrics("nav", fmt), fmt)
+       for x in ("1e200", "1.7e308") for fmt in ("md", "json")},
+    **{f"deviation plot x {x}": (with_path_file(set_cells("wf_alpha_1.csv", 1, {6: x})),
+                                 plot_deviation, "svg")
+       for x in ("1e200", "1e306", "1.7e308")},
+    # each time is finite, but the time span is not
+    "deviation plot t +-1.7e308": (
+        with_path_file(set_cells("wf_alpha_1.csv", 0, {1: "-1.7e308", 122: "1.7e308"})),
+        plot_deviation, "svg"),
+}
+
+
+@pytest.mark.parametrize("name", MAGNITUDES)
+def test_huge_value_gives_output_or_one_error(tmp_path, name):
+    edit, argv, fmt = MAGNITUDES[name]
+    code, out, errors = run_probe(tmp_path, edit, argv)
+    if code == 0:
+        assert not errors
+        well_formed(fmt, out)
+    else:
+        assert (code, out, len(errors)) == (2, "", 1)
+
+
+def test_overflowing_kinematics_names_the_trial(tmp_path):
+    code, out, errors = run_probe(tmp_path, HUGE_VX, lambda d: [
+        "metrics", d / "campaign.json", "--test", "collision"])
+    assert (code, out, errors) == (
+        2, "", ["error: trial t008: derived acceleration is not finite: telemetry values too large"])
 
 
 class TestCriteria:

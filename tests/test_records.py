@@ -1,103 +1,162 @@
-"""Every record class that checks its values does so when it is built.
+"""Each check on an input value runs once, in the parser that reads the value.
 
-Each case builds one record with one bad value and expects the exception type
-and message exactly, so that a check that moves or changes wording is caught.
+The records hold fields only. Each case edits one value in a copy of the sample
+input that carries it, runs the CLI, and expects its exact `error:` line and
+exit code: each check that moved from a record into its parser, and the parser
+checks that made a record's own check redundant. The manifest entry checks (outcome, duration, lighting, lux) and the
+SEEV parameter and FIS term checks are cases of `test_cli.py`'s
+`TestValidate.test_bad_entry_value_names_the_entry` and `LOAD_ERRORS` tables.
 """
 
-import math
+import ast
+import contextlib
+import io
+import json
+import shutil
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from decisive.cfis import TriangularMf
-from decisive.core import EnvironmentProfile, ObstacleGeometry, Trajectory, TrialRecord
-from decisive.errors import DecisiveError
-from decisive.field import Criterion, NlosPosition
-from decisive.human_factors import SagatResponse, SeParams
-from decisive.mapping import FiducialGroundTruth, FiducialObservation
-from decisive.nav import ReferencePath
-from decisive.ncap import Feature
-from decisive.report import Column
+import decisive.cfis
+import decisive.core
+import decisive.field
+import decisive.human_factors
+import decisive.mapping
+import decisive.nav
+import decisive.ncap
+import decisive.report
+from decisive.cli import main
 
-T2, POS2 = [0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-TRIAL = ("t1", "nav-1", "alpha", "success")
-SE = dict(se_id="se1", saliency=1.0, effort=1.0, expectancy=1.0, value=1.0)
-
-CASES = [
-    (lambda: TriangularMf(0.5, 0.2, 0.9, 0.0, 1.0), ValueError, "(0.5, 0.2, 0.9) not ordered"),
-    (lambda: TriangularMf(0.0, 0.5, 2.0, 0.0, 1.0), ValueError,
-     "(0.0, 0.5, 2.0) outside range [0.0, 1.0]"),
-    (lambda: Trajectory([0.0], [[0.0, 0.0, 0.0]]), ValueError,
-     "trajectory needs at least two samples"),
-    (lambda: Trajectory([[0.0, 1.0]], POS2), ValueError, "trajectory needs at least two samples"),
-    (lambda: Trajectory([0.0, math.nan], POS2), ValueError, "timestamps must be finite"),
-    (lambda: Trajectory([1.0, 1.0], POS2), ValueError, "timestamps must be strictly increasing"),
-    (lambda: Trajectory(T2, [[0.0, 0.0], [1.0, 0.0]]), ValueError, "pos must be an (n, 3) array"),
-    (lambda: Trajectory(T2, [[0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]]), ValueError,
-     "pos must be finite"),
-    (lambda: Trajectory(T2, POS2 + [[2.0, 0.0, 0.0]]), ValueError,
-     "pos length must match timestamps"),
-    (lambda: Trajectory(T2, POS2, vel=[[0.0, 0.0], [0.0, 0.0]]), ValueError,
-     "vel must be an (n, 3) array"),
-    (lambda: Trajectory(T2, POS2, vel=[[0.0, 0.0, 0.0]]), ValueError,
-     "vel length must match timestamps"),
-    (lambda: Trajectory(T2, POS2, acc=[[0.0, 0.0, math.nan]] * 2), ValueError,
-     "acc must be finite"),
-    (lambda: Trajectory(T2, POS2, acc=[[0.0, 0.0, 0.0]] * 3), ValueError,
-     "acc length must match timestamps"),
-    (lambda: ObstacleGeometry("sphere", (0.0, 0.0), (1.0, 0.0), 2.0), ValueError,
-     "kind must be plane_segment or infinite_plane"),
-    (lambda: ObstacleGeometry("plane_segment", (1.0, 2.0), (1.0, 2.0), 2.0), ValueError,
-     "segment endpoints must differ"),
-    (lambda: ObstacleGeometry("infinite_plane", (0.0, 0.0), (1.0, 0.0), 0.0), ValueError,
-     "height must be positive"),
-    (lambda: ObstacleGeometry("plane_segment", (0.0, 0.0), (1.0, 0.0), 2.0, "glass"), ValueError,
-     "unknown obstacle material 'glass'"),
-    (lambda: TrialRecord("t1", "nav-1", "alpha", "maybe"), ValueError,
-     "outcome must be success or failure"),
-    (lambda: TrialRecord(*TRIAL, collisions=-1), ValueError, "counts must be non-negative"),
-    (lambda: TrialRecord(*TRIAL, rollovers=-1), ValueError, "counts must be non-negative"),
-    (lambda: TrialRecord(*TRIAL, duration=-0.5), ValueError, "duration must be non-negative"),
-    (lambda: EnvironmentProfile("dim"), ValueError, "lighting must be lighted or dark"),
-    (lambda: EnvironmentProfile("lighted", lux=99.0), ValueError,
-     "lighted requires measured lux >= 100"),
-    (lambda: EnvironmentProfile("dark", lux=1.0), ValueError, "dark requires measured lux < 1"),
-    (lambda: NlosPosition("0", 0.0), ValueError, "distance must be positive"),
-    (lambda: NlosPosition("0", 5.0, connect="ok"), ValueError, "bad connect value 'ok'"),
-    (lambda: NlosPosition("0", 5.0, fly="maybe"), ValueError, "bad fly value 'maybe'"),
-    (lambda: Criterion("range_m", "between", 10), ValueError, "unknown criterion op 'between'"),
-    *[(lambda name=name: SeParams(**{**SE, name: 0.0}), DecisiveError, f"se1: {name} must be > 0")
-      for name in ("saliency", "effort", "expectancy", "value")],
-    (lambda: SagatResponse("p1", "q1", "se1", 3, True), ValueError, "sa_level must be 1 or 2"),
-    (lambda: FiducialObservation("A", 3), ValueError, "half must be 1 or 2"),
-    (lambda: FiducialObservation("A", 1, (1.0, 2.0), "blurred"), ValueError,
-     "bad mapped state 'blurred'"),
-    (lambda: FiducialObservation("A", 1, None, "partial"), ValueError,
-     "mapped fiducial halves need map coordinates"),
-    (lambda: FiducialGroundTruth("A", (0.0, 0.0), 0.0, 1), ValueError,
-     "min_traversal must be positive"),
-    (lambda: FiducialGroundTruth("A", (0.0, 0.0), 4.0, -1), ValueError,
-     "min_turns must be non-negative"),
-    (lambda: ReferencePath([(0, 0, 0)]), ValueError, "path needs at least two vertices"),
-    (lambda: ReferencePath([(0, 0, 0), (0.0, 0.0, 0.0)]), ValueError,
-     "consecutive vertices must differ"),
-    (lambda: Feature("range", "sideways"), ValueError, "bad direction 'sideways'"),
-    (lambda: Column("share", "percent"), ValueError, "bad column kind 'percent'"),
-]
+REPO = Path(__file__).resolve().parents[1]
+SAMPLE = REPO / "sample_campaign"
+PACKAGE = REPO / "src" / "decisive"
 
 
-@pytest.mark.parametrize("build, kind, message", CASES, ids=[c[2] for c in CASES])
-def test_bad_value_fails_at_construction(build, kind, message):
-    with pytest.raises(Exception) as caught:
-        build()
-    assert (caught.type, str(caught.value)) == (kind, message)
+def edit_json(edit):
+    def apply(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
 
 
-def test_constructors_coerce_what_they_store():
-    path = ReferencePath([[0, 0, 1], [3, 0, 1]])
-    assert path.vertices == ((0.0, 0.0, 1.0), (3.0, 0.0, 1.0))
-    assert all(type(c) is float for v in path.vertices for c in v)
-    traj = Trajectory([0, 1], [[0, 0, 0], [1, 0, 0]], vel=[[1, 0, 0], [1, 0, 0]])
-    for array in (traj.t, traj.pos, traj.vel):
-        assert array.dtype == np.float64 and not array.flags.writeable
-    assert traj.acc is None and len(traj) == 2
+def edit_test(test_id, edit):
+    """An edit of the manifest test `test_id`."""
+    return edit_json(lambda doc: edit(next(t for t in doc["tests"] if t["test_id"] == test_id)))
+
+
+def edit_cell(line, column, text):
+    """An edit of one cell of a CSV file, at a 1-based file line."""
+    def apply(path):
+        lines = path.read_text().split("\n")
+        cells = lines[line - 1].split(",")
+        cells[column] = text
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines))
+    return apply
+
+
+def write_path(vertices):
+    return lambda path: path.write_text(json.dumps({"vertices": vertices}))
+
+
+VALIDATE = lambda d: ["validate", d / "campaign.json"]  # noqa: E731
+PLOT = lambda d: ["plot", "--kind", "deviation", "--telemetry", d / "wf_alpha_1.csv",  # noqa: E731
+                  "--path", d / "path.json"]
+OBSTACLE = "test oa-wall: bad 'obstacle' block ({})"
+NLOS = "test endurance-indoor: bad 'nlos_positions' block ({})"
+PATH = "test wall-follow-1m: bad 'path' block ({})"
+
+#: case -> (the file of the sample campaign copy it edits, the edit, the command, the error
+#: line after "error: ", with {file} for the edited file)
+CASES = {
+    "obstacle-kind": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
+        kind="sphere")), VALIDATE,
+        OBSTACLE.format("kind must be plane_segment or infinite_plane") + " (at {file})"),
+    "obstacle-endpoints": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
+        p1=[0.0, 0.0])), VALIDATE, OBSTACLE.format("segment endpoints must differ") + " (at {file})"),
+    "obstacle-height": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
+        height=0)), VALIDATE, OBSTACLE.format("height must be positive") + " (at {file})"),
+    "obstacle-material": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
+        material="glass")), VALIDATE,
+        OBSTACLE.format("unknown obstacle material 'glass'") + " (at {file})"),
+    "nlos-distance": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
+        "nlos_positions"][1].update(distance=0)), VALIDATE,
+        NLOS.format("distance must be positive") + " (at {file})"),
+    "nlos-connect": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
+        "nlos_positions"][1].update(connect="ok")), VALIDATE,
+        NLOS.format("bad connect value 'ok'") + " (at {file})"),
+    "nlos-fly": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
+        "nlos_positions"][1].update(fly="maybe")), VALIDATE,
+        NLOS.format("bad fly value 'maybe'") + " (at {file})"),
+    "fiducial-min-traversal": ("campaign.json", edit_test("map-loop", lambda t: t[
+        "fiducials"][1].update(min_traversal=0)), VALIDATE,
+        "test map-loop: bad 'fiducials' block (min_traversal must be positive) (at {file})"),
+    "path-one-vertex": ("campaign.json", edit_test("wall-follow-1m", lambda t: t["path"].update(
+        vertices=[[0, 1, 1]])), VALIDATE,
+        PATH.format("path needs at least two vertices") + " (at {file})"),
+    "path-repeated-vertex": ("campaign.json", edit_test("wall-follow-1m", lambda t: t[
+        "path"].update(vertices=[[0, 1, 1], [0.0, 1.0, 1.0], [3, 1, 1]])), VALIDATE,
+        PATH.format("consecutive vertices must differ") + " (at {file})"),
+    "plot-path-one-vertex": ("path.json", write_path([[0, 1, 1]]), PLOT,
+                             "malformed input (path needs at least two vertices) (at {file})"),
+    "plot-path-repeated-vertex": ("path.json", write_path([[0, 1, 1], [0, 1, 1]]), PLOT,
+                                  "malformed input (consecutive vertices must differ) (at {file})"),
+    "criterion-op": ("criteria.json", edit_json(lambda doc: doc["hd_video_min"].update(
+        op="between")), VALIDATE, "criterion 'hd_video_min': unknown criterion op 'between' "
+        "(at {file})"),
+    "fiducial-mapped-state": ("fiducials.csv", edit_cell(3, 4, "blurred"), VALIDATE,
+                              "bad mapped state 'blurred' (at {file}:3)"),
+    # a record used to repeat each of these parser checks
+    "fiducial-half": ("fiducials.csv", edit_cell(3, 1, "3"), VALIDATE,
+                      "half must be 1 or 2, got '3' (at {file}:3)"),
+    "fiducial-min-turns": ("campaign.json", edit_test("map-loop", lambda t: t[
+        "fiducials"][1].update(min_turns=-1)), VALIDATE, "test map-loop: bad 'fiducials' block "
+        "(expected a non-negative integer, got -1) (at {file})"),
+    "feature-direction": ("features.json", edit_json(lambda doc: doc["features"][1].update(
+        direction="sideways")), lambda d: ["ncap", "--features", d / "features.json"],
+        "feature 'charge_time': direction must be 'higher' or 'lower' (at {file})"),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bad_value_fails_in_its_parser(tmp_path, name):
+    target, edit, argv, message = CASES[name]
+    directory = shutil.copytree(SAMPLE, tmp_path / "sample")
+    edit(directory / target)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv(directory)])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "error: " + message.format(file=directory / target) + "\n")
+
+
+#: the records, each a NamedTuple of fields
+RECORDS = [decisive.cfis.TriangularMf, decisive.core.ObstacleGeometry, decisive.core.TrialRecord,
+           decisive.core.EnvironmentProfile, decisive.field.NlosPosition,
+           decisive.field.Criterion, decisive.human_factors.SeParams,
+           decisive.human_factors.SagatResponse, decisive.mapping.FiducialObservation,
+           decisive.mapping.FiducialGroundTruth, decisive.nav.ReferencePath,
+           decisive.ncap.Feature, decisive.report.Column]
+
+#: the only classes of the package, exception types aside, that build themselves
+BUILT = {"Trajectory", "ReportTable", "_Failures", "_Parser"}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_record_is_a_named_tuple(record):
+    assert issubclass(record, tuple) and hasattr(record, "_fields")
+
+
+def test_only_the_listed_classes_define_init():
+    exceptions = {"ParseError"}  # errors.py: an exception carries its location
+    defining = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name in ("__init__", "__new__", "__eq__")
+                for f in node.body)
+    }
+    assert defining - exceptions <= BUILT
+    assert not defining & {r.__name__ for r in RECORDS}

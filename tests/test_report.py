@@ -62,6 +62,14 @@ class TestRenderTable:
         with pytest.raises(DecisiveError, match="row 2 has 1 cells, expected 3"):
             render_tables([table], "json")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_a_non_finite_number(self, value):
+        table = sample_table()
+        table.rows[1][1] = value
+        with pytest.raises(DecisiveError) as exc:
+            render_tables([table], "json")
+        assert str(exc.value) == f"Ranking: potential is {value!r}, not a finite number"
+
     def test_deterministic(self):
         for fmt in ("md", "csv", "json"):
             assert render_tables([sample_table()], fmt) == render_tables([sample_table()], fmt)
@@ -195,6 +203,24 @@ class TestPlotSvg:
         svg = deviation_svg(samples)
         xml.dom.minidom.parseString(svg)
         assert b"<polyline" in svg
+
+    @pytest.mark.parametrize("plot, message", [
+        (lambda: ncap_scatter_svg([("alpha", 3.0, 2.48), ("bravo", 1.0, math.inf)]),
+         "ncap scatter: bravo at (1.0, inf) is not a finite point"),
+        (lambda: ncap_scatter_svg([("alpha", math.nan, 2.48)]),
+         "ncap scatter: alpha at (nan, 2.48) is not a finite point"),
+        (lambda: deviation_svg([(0.0, 0.0), (1.0, math.nan)]),
+         "deviation plot: sample at (1.0, nan) is not a finite point"),
+        # finite inputs whose scaled coordinates overflow
+        (lambda: ncap_scatter_svg([("alpha", 3.0, 1e308)]),
+         "plot coordinate is -inf, not a finite number"),
+        (lambda: deviation_svg([(-1e308, 0.0), (1e308, 0.1)]),
+         "plot coordinate is nan, not a finite number"),
+    ])
+    def test_non_finite_input_or_coordinate_fails(self, plot, message):
+        with pytest.raises(DecisiveError) as exc:
+            plot()
+        assert str(exc.value) == message
 
     def test_empty_data(self):
         with pytest.raises(DecisiveError, match="no systems to plot"):
