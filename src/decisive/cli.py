@@ -27,19 +27,12 @@ def _diag(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _data_quality_to_warn(showwarning):
-    """A `warnings.showwarning` that prints each DataQualityWarning as a `warning:` line.
+def _show_warning(message, *_) -> None:
+    """A `warnings.showwarning` that prints any warning as one `warning:` line.
 
-    This is the only place the CLI reports a non-fatal data issue.
+    This is the only place the CLI reports a non-fatal issue.
     """
-
-    def show(message, category, filename, lineno, file=None, line=None):
-        if issubclass(category, DataQualityWarning):
-            print(f"warning: {message}", file=sys.stderr)
-        else:
-            showwarning(message, category, filename, lineno, file, line)
-
-    return show
+    print(f"warning: {message}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +121,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             # every occurrence, not once per code location
             warnings.simplefilter("always", DataQualityWarning)
-            warnings.showwarning = _data_quality_to_warn(warnings.showwarning)
+            warnings.showwarning = _show_warning
             return handlers[args.command](args)
     except ParseError as exc:
         _diag(str(exc))

@@ -819,7 +819,11 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
             params.append(SeParams(se, *numbers))
         return attention_allocation(params), missions
     weights = doc.get("weights", {k: v for k, v in doc.items() if k != "missions"})
-    return {se: _json(w, float) for se, w in _json(weights, dict).items()}, missions
+    weights = {se: _json(w, float) for se, w in _json(weights, dict).items()}
+    for se, weight in weights.items():
+        if weight < 0:
+            raise ParseError(f"{se}: weight must be >= 0", str(path))
+    return weights, missions
 
 
 # --- feature sheets ---------------------------------------------------------------

@@ -34,7 +34,7 @@ class ReportTable:
         self.rows.append(list(cells))
 
 
-def _format_cell(cell, column: Column, ascii_glyphs: bool) -> str:
+def _format_cell(cell, column: Column, ascii_glyphs: bool, title: str) -> str:
     if cell is None:
         return ""
     if column.kind == "glyph":
@@ -46,8 +46,9 @@ def _format_cell(cell, column: Column, ascii_glyphs: bool) -> str:
         if isinstance(cell, str):
             raise DecisiveError(f"{column.header}: expected a number, got {cell!r}")
         value = float(cell)
-        if math.isnan(value):
-            return "nan"
+        if not math.isfinite(value):
+            raise DecisiveError(f"{title}: {_header_text(column)} is {value!r}, "
+                                "not a finite number")
         if column.digits is None:
             return repr(value)
         return f"{value:.{column.digits}f}"
@@ -78,28 +79,32 @@ def _header_text(col: Column) -> str:
     return f"{col.header} ({col.unit})" if col.unit else col.header
 
 
-def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool) -> list[str]:
+def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool, title: str) -> list[str]:
     """`_format_cell` of each of a column's cells, with one formatter for the column
     when its cells' types allow: digits for exact floats and None, text kept as it is."""
     kinds = set(map(type, cells))
     if column.kind == "number" and column.digits is not None and kinds <= {float, type(None)}:
         spec = f".{column.digits}f"
-        return ["" if cell is None else format(cell, spec) for cell in cells]
-    if column.kind == "text" and kinds <= {str}:
+        texts = ["" if cell is None else format(cell, spec) for cell in cells]
+        # a finite float with fixed digits has no "n"; "inf" and "nan" fail per cell
+        if "n" not in "".join(texts):
+            return texts
+    elif column.kind == "text" and kinds <= {str}:
         return list(cells)
-    return [_format_cell(cell, column, ascii_glyphs) for cell in cells]
+    return [_format_cell(cell, column, ascii_glyphs, title) for cell in cells]
 
 
 def _cell_texts(table: ReportTable, ascii_glyphs: bool) -> list[list[str]]:
     """Every column's formatted cells; a bad cell raises as the first one in row order."""
     cells = list(zip(*table.rows)) or [()] * len(table.columns)
     try:
-        return [_format_column(c, col, ascii_glyphs) for c, col in zip(cells, table.columns)]
+        return [_format_column(c, col, ascii_glyphs, table.title)
+                for c, col in zip(cells, table.columns)]
     except (DecisiveError, TypeError, ValueError, OverflowError):
         # another column may hold an earlier bad cell: the row loop finds it
         for row in table.rows:
             for cell, col in zip(row, table.columns):
-                _format_cell(cell, col, ascii_glyphs)
+                _format_cell(cell, col, ascii_glyphs, table.title)
         raise
 
 
@@ -148,21 +153,13 @@ def _render_csv(table: ReportTable, ascii_glyphs: bool) -> str:
 
 
 def _json_doc(table: ReportTable, ascii_glyphs: bool) -> dict:
+    """A table as {"title", "rows"}: a number cell's text read back as a number, an empty
+    one as null."""
     _validate(table)
-    rows = []
-    for row in table.rows:
-        entry = {}
-        for cell, col in zip(row, table.columns):
-            if col.kind == "number" and cell is not None:
-                value = float(cell)
-                if not math.isfinite(value):
-                    raise DecisiveError(f"{table.title}: {_header_text(col)} is {value!r}, not "
-                                        "a finite number")
-                entry[_header_text(col)] = round(value, col.digits) if col.digits is not None else value
-            else:
-                entry[_header_text(col)] = _format_cell(cell, col, ascii_glyphs)
-        rows.append(entry)
-    return {"title": table.title, "rows": rows}
+    columns = [[float(text) if text else None for text in texts] if col.kind == "number"
+               else texts for texts, col in zip(_cell_texts(table, ascii_glyphs), table.columns)]
+    headers = [_header_text(c) for c in table.columns]
+    return {"title": table.title, "rows": [dict(zip(headers, row)) for row in zip(*columns)]}
 
 
 def render_tables(tables: Sequence[ReportTable], fmt: str = "md", ascii_glyphs: bool = False) -> bytes:
@@ -179,13 +176,6 @@ def render_tables(tables: Sequence[ReportTable], fmt: str = "md", ascii_glyphs: 
 
 # --- SVG plots -------------------------------------------------------------------
 
-_SVG_HEADER = (
-    '<?xml version="1.0" encoding="UTF-8"?>\n'
-    '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-    'viewBox="0 0 {w} {h}">\n'
-)
-
-
 def _fmt(value: float) -> str:
     """A plot coordinate; finite inputs may still overflow when scaled."""
     if not math.isfinite(value):
@@ -198,6 +188,29 @@ def _finite(plot: str, points) -> None:
     for label, x, y in points:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DecisiveError(f"{plot}: {label} at ({x!r}, {y!r}) is not a finite point")
+
+
+def _plot(w: int, h: int, axes, marks: Sequence[str], x_title: str, x_title_gap: int,
+          y_title: str, overlay: Sequence[str] = ()) -> bytes:
+    """A standalone SVG: white background, the x and y axes from `axes` = (x0, y0, x1, y1)
+    with the origin at (x0, y0), `marks`, the axis titles centred on the plot, `overlay`."""
+    x0, y0, x1, y1 = map(_fmt, axes)
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">\n',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n',
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>\n',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>\n',
+        *marks,
+        f'<text x="{_fmt(w / 2)}" y="{_fmt(h - x_title_gap)}" font-size="12" '
+        f'text-anchor="middle">{x_title}</text>\n',
+        f'<text x="14" y="{_fmt(h / 2)}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_fmt(h / 2)})">{y_title}</text>\n',
+        *overlay,
+        "</svg>\n",
+    ]
+    return "".join(parts).encode("utf-8")
 
 
 def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
@@ -222,49 +235,23 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
     def sy(y):
         return h - margin - (h - 2 * margin) * y / y_max
 
-    parts = [_SVG_HEADER.format(w=w, h=h)]
-    parts.append(
-        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n'
-    )
-    # axes
-    parts.append(
-        f'<line x1="{_fmt(sx(0))}" y1="{_fmt(sy(0))}" x2="{_fmt(sx(x_max))}" '
-        f'y2="{_fmt(sy(0))}" stroke="black"/>\n'
-    )
-    parts.append(
-        f'<line x1="{_fmt(sx(0))}" y1="{_fmt(sy(0))}" x2="{_fmt(sx(0))}" '
-        f'y2="{_fmt(sy(y_max))}" stroke="black"/>\n'
-    )
-    for i in range(int(x_max) + 1):
-        parts.append(
-            f'<text x="{_fmt(sx(i))}" y="{_fmt(sy(0) + 18)}" font-size="11" '
-            f'text-anchor="middle">{i}</text>\n'
-        )
     ticks = 4
-    for i in range(ticks + 1):
-        y = y_max * i / ticks
-        parts.append(
-            f'<text x="{_fmt(sx(0) - 8)}" y="{_fmt(sy(y) + 4)}" font-size="11" '
-            f'text-anchor="end">{y:.1f}</text>\n'
-        )
-    parts.append(
-        f'<text x="{_fmt(sx(x_max / 2))}" y="{_fmt(h - 10)}" font-size="12" '
-        'text-anchor="middle">autonomy level</text>\n'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt(sy(y_max / 2))}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_fmt(sy(y_max / 2))})">component potential</text>\n'
-    )
+    marks = [f'<text x="{_fmt(sx(i))}" y="{_fmt(sy(0) + 18)}" font-size="11" '
+             f'text-anchor="middle">{i}</text>\n' for i in range(int(x_max) + 1)]
+    marks += [f'<text x="{_fmt(sx(0) - 8)}" y="{_fmt(sy(y) + 4)}" font-size="11" '
+              f'text-anchor="end">{y:.1f}</text>\n'
+              for y in (y_max * i / ticks for i in range(ticks + 1))]
+    overlay = []
     for label, level, potential in sorted(points):
-        parts.append(
+        overlay.append(
             f'<circle cx="{_fmt(sx(level))}" cy="{_fmt(sy(potential))}" r="4" fill="black"/>\n'
         )
-        parts.append(
+        overlay.append(
             f'<text x="{_fmt(sx(level) + 7)}" y="{_fmt(sy(potential) - 6)}" '
             f'font-size="11">{escape(label, quote=False)}</text>\n'
         )
-    parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return _plot(w, h, (sx(0), sy(0), sx(x_max), sy(y_max)), marks,
+                 "autonomy level", 10, "component potential", overlay)
 
 
 def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
@@ -284,25 +271,7 @@ def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
     def sy(d):
         return h - margin - (h - 2 * margin) * d / d_max
 
-    parts = [_SVG_HEADER.format(w=w, h=h)]
-    parts.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n')
-    parts.append(
-        f'<line x1="{_fmt(sx(t0))}" y1="{_fmt(sy(0))}" x2="{_fmt(sx(t1))}" '
-        f'y2="{_fmt(sy(0))}" stroke="black"/>\n'
-    )
-    parts.append(
-        f'<line x1="{_fmt(sx(t0))}" y1="{_fmt(sy(0))}" x2="{_fmt(sx(t0))}" '
-        f'y2="{_fmt(sy(d_max))}" stroke="black"/>\n'
-    )
     path = " ".join(f"{_fmt(sx(t))},{_fmt(sy(d))}" for t, d in samples)
-    parts.append(f'<polyline points="{path}" fill="none" stroke="black"/>\n')
-    parts.append(
-        f'<text x="{_fmt(w / 2)}" y="{_fmt(h - 8)}" font-size="12" '
-        'text-anchor="middle">time (s)</text>\n'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt(h / 2)}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_fmt(h / 2)})">deviation (m)</text>\n'
-    )
-    parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return _plot(w, h, (sx(t0), sy(0), sx(t1), sy(d_max)),
+                 [f'<polyline points="{path}" fill="none" stroke="black"/>\n'],
+                 "time (s)", 8, "deviation (m)")

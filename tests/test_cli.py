@@ -791,6 +791,13 @@ LOAD_ERRORS = {
     "sa-zero-value": (sa_with(lambda doc: doc["params"]["battery"].update(value=0.0)),
                       "battery: value must be > 0"),
     "sa-no-elements": (sa_with(lambda doc: doc.update(params={})), "no situation elements"),
+    "sa-negative-weight": (
+        sa_with(lambda doc: [doc.pop("params"), doc.update(weights={"landolt_red": -2,
+                                                                    "altitude": 1})]),
+        "landolt_red: weight must be >= 0"),
+    "sa-negative-top-level-weight": (
+        sa_with(lambda doc: [doc.pop("params"), doc.update(altitude=1, heading=-0.5)]),
+        "heading: weight must be >= 0"),
     "fis-two-point-term": (cfis_with(set_term("low", [0, 1])),
                            "mc.crashes.low: need 3 points, got [0, 1]"),
     "fis-unordered-term": (cfis_with(set_term("low", [1.25, 0, 0])),

@@ -5,8 +5,11 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -1403,9 +1406,9 @@ def run_probe(tmp_path, edit, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv(directory)])
-    assert "Traceback" not in err.getvalue()
-    return code, out.getvalue(), [line for line in err.getvalue().splitlines()
-                                  if line.startswith("error: ")]
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
+    return code, out.getvalue(), [line for line in lines if line.startswith("error: ")]
 
 
 @pytest.mark.parametrize("name", SCALED)
@@ -1439,6 +1442,16 @@ def with_path_file(edit):
     return both
 
 
+def zero_acceleration(edit):
+    """`edit`, then `ax,ay,az` columns of 0 added to oa_alpha_3.csv, so nothing is derived."""
+    def both(directory):
+        edit(directory)
+        path = directory / "oa_alpha_3.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header + ",ax,ay,az"] + [row + ",0,0,0" for row in rows]))
+    return both
+
+
 HUGE_VX = set_cells("oa_alpha_3.csv", 4, {11: "1.7e308", 12: "-1.7e308", 13: "1.7e308"})
 
 
@@ -1451,31 +1464,55 @@ def plot_deviation(d):
             "--path", d / "path.json"]
 
 
-#: a finite value of the sample made huge, the command that reads it, and its output format
+#: a finite value of the sample made huge, the command that reads it, its output format, and
+#: where pinned, the exit code and a line of its stdout (exit 0) or its error line
 MAGNITUDES = {
-    **{f"collision vx 1.7e308, {fmt}": (HUGE_VX, metrics("collision", fmt), fmt)
+    **{f"collision vx 1.7e308, {fmt}": (HUGE_VX, metrics("collision", fmt), fmt, None)
        for fmt in ("md", "json")},
-    **{f"nav x {x}, {fmt}": (set_cells("wf_alpha_1.csv", 1, {6: x}), metrics("nav", fmt), fmt)
+    **{f"nav x {x}, {fmt}": (set_cells("wf_alpha_1.csv", 1, {6: x}), metrics("nav", fmt), fmt,
+                             (2, "error: Path deviation: mean AD (m) is inf, not a finite number"))
        for x in ("1e200", "1.7e308") for fmt in ("md", "json")},
     **{f"deviation plot x {x}": (with_path_file(set_cells("wf_alpha_1.csv", 1, {6: x})),
-                                 plot_deviation, "svg")
+                                 plot_deviation, "svg", None)
        for x in ("1e200", "1e306", "1.7e308")},
     # each time is finite, but the time span is not
     "deviation plot t +-1.7e308": (
         with_path_file(set_cells("wf_alpha_1.csv", 0, {1: "-1.7e308", 122: "1.7e308"})),
-        plot_deviation, "svg"),
+        plot_deviation, "svg", None),
+    # the speed overflows to inf, so TTC is 0 s: distance over at least 1e200 m/s, to 2 decimals
+    "collision vx 1e200, acceleration given": (
+        zero_acceleration(set_cells("oa_alpha_3.csv", 4, {11: "1e200"})),
+        metrics("collision", "md"), "md",
+        (0, "| oa-wall | alpha | t008 | 0 | 0.320 | 0.00 | 0.000 |  |")),
 }
 
 
 @pytest.mark.parametrize("name", MAGNITUDES)
 def test_huge_value_gives_output_or_one_error(tmp_path, name):
-    edit, argv, fmt = MAGNITUDES[name]
+    edit, argv, fmt, pinned = MAGNITUDES[name]
     code, out, errors = run_probe(tmp_path, edit, argv)
     if code == 0:
         assert not errors
         well_formed(fmt, out)
     else:
         assert (code, out, len(errors)) == (2, "", 1)
+    if pinned is not None:
+        assert pinned[0] == code and pinned[1] in (errors or out.splitlines())
+
+
+def test_every_stderr_line_of_a_run_is_a_diagnostic(tmp_path):
+    """numpy's overflow warning prints as a `warning:` line too; in a subprocess, because
+    pytest records the warnings of a run in its own process."""
+    directory = shutil.copytree(SAMPLE, tmp_path / "sample")
+    set_cells("wf_alpha_1.csv", 1, {6: "1e200"})(directory)
+    argv = [str(a) for a in metrics("nav", "md")(directory)]
+    done = subprocess.run([sys.executable, "-m", "decisive.cli", *argv], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SAMPLE.parent / "src")})
+    lines = done.stderr.splitlines()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert lines[-1] == "error: Path deviation: mean AD (m) is inf, not a finite number"
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
 
 
 def test_overflowing_kinematics_names_the_trial(tmp_path):

@@ -62,13 +62,20 @@ class TestRenderTable:
         with pytest.raises(DecisiveError, match="row 2 has 1 cells, expected 3"):
             render_tables([table], "json")
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_json_rejects_a_non_finite_number(self, value):
+    def test_every_format_rejects_a_non_finite_number(self, value, fmt):
         table = sample_table()
         table.rows[1][1] = value
         with pytest.raises(DecisiveError) as exc:
-            render_tables([table], "json")
+            render_tables([table], fmt)
         assert str(exc.value) == f"Ranking: potential is {value!r}, not a finite number"
+
+    def test_json_empty_number_cell_is_null(self):
+        table = sample_table()
+        table.rows[1][1] = None
+        docs = json.loads(render_tables([table], "json"))
+        assert docs[0]["rows"][1] == {"sUAS": "bravo", "potential": None, "link": "X"}
 
     def test_deterministic(self):
         for fmt in ("md", "csv", "json"):
@@ -119,7 +126,7 @@ class TestRenderTable:
 def per_cell_reference(table, fmt, ascii_glyphs):
     """`table` rendered one cell at a time in row order, or the first bad cell's error."""
     try:
-        rows = [[report._format_cell(cell, col, ascii_glyphs) for cell, col in
+        rows = [[report._format_cell(cell, col, ascii_glyphs, table.title) for cell, col in
                  zip(row, table.columns)] for row in table.rows]
     except DecisiveError as exc:
         return ("error", str(exc))
