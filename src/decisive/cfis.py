@@ -120,11 +120,8 @@ def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
     """Crisp output: strength-weighted average of the fired rules' output levels.
 
     A rule's strength is the minimum antecedent membership, with negated
-    antecedents contributing 1 - membership.
+    antecedents contributing 1 - membership. `inputs` has a value for each input.
     """
-    for name in fis.inputs:
-        if name not in inputs:
-            raise KeyError(f"{fis.name}: missing input {name!r}")
     num = 0.0
     den = 0.0
     for rule in fis.rules:
@@ -315,11 +312,9 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
 def predictive_score(test_scores: Mapping[str, Optional[float]]) -> float:
     """Mission score: the geometric mean of the completed tests' scores.
 
-    Missing tests (None) are dropped before the mean is taken.
+    Missing tests (None) are dropped before the mean is taken; at least one is present.
     """
     present = {k: v for k, v in test_scores.items() if v is not None}
-    if not present:
-        raise DecisiveError("every test score is missing")
     for name, score in present.items():
         if not 0.0 < score <= 1.0:
             raise DecisiveError(f"{name}={score} outside (0, 1]")

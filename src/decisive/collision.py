@@ -8,9 +8,9 @@ throughout.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .core import CR_CATEGORIES, OA_CATEGORIES, ObstacleGeometry, Trajectory, TrialRecord
+from .core import ObstacleGeometry, Trajectory, TrialRecord
 from .errors import DecisiveError
 
 if TYPE_CHECKING:
@@ -109,11 +109,9 @@ def flight_metrics(
 
 
 def aggregate_flights(per_flight: Sequence[float]) -> float:
-    """Flight-set value: mean of the per-flight metric values."""
+    """Flight-set value: mean of one or more per-flight metric values."""
     import numpy as np
 
-    if not per_flight:
-        raise DecisiveError("no flights")
     return float(np.mean(per_flight))
 
 
@@ -203,25 +201,18 @@ def _moving_average(mat: np.ndarray, width: int) -> np.ndarray:
 
 def category_distribution(
     trials: Sequence[TrialRecord],
-    which: str,
-    group_by=lambda t: t.test_id,
+    attr: str,
+    vocab: Sequence[str],
+    group_by: Callable[[TrialRecord], str],
 ) -> dict[str, dict[str, float]]:
-    """Percentage of trials per category, grouped (by default) per test.
+    """Percentage of trials per category of `vocab`, per group that `group_by` names.
 
-    `which` selects the obstacle-avoidance or collision-resilience taxonomy.
-    Every trial must carry the requested category.
+    `attr` is the trial field that holds the category, `oa_category` or
+    `cr_category`; every trial carries one.
     """
-    if which not in ("oa", "cr"):
-        raise ValueError("which must be 'oa' or 'cr'")
-    vocab = OA_CATEGORIES if which == "oa" else CR_CATEGORIES
-    attr = "oa_category" if which == "oa" else "cr_category"
-
     groups: dict[str, list[str]] = {}
     for trial in trials:
-        cat = getattr(trial, attr)
-        if cat is None:
-            raise DecisiveError(f"trial {trial.trial_id} lacks {attr}")
-        groups.setdefault(group_by(trial), []).append(cat)
+        groups.setdefault(group_by(trial), []).append(getattr(trial, attr))
 
     out = {}
     for key, cats in sorted(groups.items()):

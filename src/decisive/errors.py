@@ -19,7 +19,9 @@ class DataQualityWarning(UserWarning):
 class ParseError(DecisiveError):
     """An input failure; carries a location (a line or a file).
 
-    `source`, the file of a line, is filled in by the parser that read the file.
+    A parser raises it with a line number or no location, and `ingest`'s wrapper
+    of every parser fills in `source`, the file it read. Code that checks a file
+    outside the parsers gives that file as the location.
     """
 
     def __init__(self, message: str, location: str | int | None = None):

@@ -26,9 +26,8 @@ class SeParams(NamedTuple):
 
 
 def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
-    """Attention proportion per situation element: f_i = A_i / sum(A)."""
-    if not params:
-        raise DecisiveError("no situation elements")
+    """Attention proportion per situation element: f_i = A_i / sum(A); `ingest.parse_sa_weights`
+    checks that there is at least one."""
     resources = {p.se_id: p.attention_resource for p in params}
     total = sum(resources.values())
     return {se: a / total for se, a in resources.items()}
@@ -69,8 +68,6 @@ def perception_level(responses: Sequence[SagatResponse]) -> str:
 
 def perception_vectors(responses: Sequence[SagatResponse]) -> dict[str, dict[str, float]]:
     """Per-participant p(SE) in {0, 0.5, 1} derived from their SAGAT answers."""
-    if not responses:
-        raise DecisiveError("no responses")
     grouped: dict[str, dict[str, list[SagatResponse]]] = {}
     for r in responses:
         grouped.setdefault(r.participant, {}).setdefault(r.se_id, []).append(r)
@@ -86,10 +83,8 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
     """Operator situation awareness: weighted sum of perception levels.
 
     Weights are renormalized to sum to 1, so any attention-allocation vector
-    can be passed directly.
+    can be passed directly. Both cover the same elements.
     """
-    if set(weights) != set(perception):
-        raise DecisiveError("weights and perception vectors cover different elements")
     total = sum(weights.values())
     if total <= 0:
         raise DecisiveError("weights must sum to a positive value")
@@ -98,9 +93,7 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
 
 
 def osa_summary(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample std of per-participant OSA scores."""
-    if not values:
-        raise DecisiveError("no scores")
+    """Mean and sample std of one or more per-participant OSA scores."""
     return mean_std(values)
 
 

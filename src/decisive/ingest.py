@@ -29,7 +29,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DataQualityWarning, DecisiveError, ParseError
+from .errors import DataQualityWarning, ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,8 +63,11 @@ def _warn(path, location, message: str) -> None:
 def _total(fn):
     """Make a parser total: every failure reading `path` is a ParseError naming it.
 
-    An error with a line number, or with no location, is in this file; any
-    other failure found while reading it is an input error here too.
+    The parsers raise their errors with a line number or no location; this is
+    the one place that names the file. An error that already names one came
+    from the parser of another file, such as a manifest's side file, and
+    passes as it is. Any other failure found while reading `path` is an input
+    error here too.
     """
 
     @functools.wraps(fn)
@@ -72,42 +75,41 @@ def _total(fn):
         try:
             return fn(path, *args, **kwargs)
         except ParseError as exc:
-            if exc.source is None and not isinstance(exc.location, str):
-                exc.source = str(path)
-            raise
-        except DecisiveError as exc:
-            raise ParseError(str(exc), str(path))
+            error = exc
         except KeyError as exc:
-            raise ParseError(f"missing key {exc}", str(path))
+            error = ParseError(f"missing key {exc}")
         except (TypeError, AttributeError, ValueError, IndexError, csv.Error) as exc:
-            raise ParseError(f"malformed input ({exc})", str(path))
+            error = ParseError(f"malformed input ({exc})")
+        if error.source is None:
+            error.source = str(path)
+        raise error
 
     return wrapper
 
 
 def _load_json(path):
     def non_finite(name):
-        raise ParseError(f"invalid JSON: {name} is not a number", str(path))
+        raise ParseError(f"invalid JSON: {name} is not a number")
 
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", str(path))
+            raise ParseError(f"invalid JSON: {exc}")
 
 
-def _header(reader, path) -> list[str]:
+def _header(reader) -> list[str]:
     try:
         header = next(reader)
     except StopIteration:
-        raise ParseError("file is empty", str(path))
+        raise ParseError("file is empty")
     return [h.strip() for h in header]
 
 
 def _header_and_body(path) -> tuple[list[str], str]:
     """A CSV file's header, and the text after it, the one read of the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return _header(csv.reader(fh), path), fh.read()
+        return _header(csv.reader(fh)), fh.read()
 
 
 #: about how many characters of a CSV body `_split_columns` splits at a time; each chunk
@@ -144,17 +146,17 @@ def _split_columns(body: str, width: int):
         start = end
 
 
-def _columns(header: list[str], names, path, optional=()) -> dict[str, int]:
+def _columns(header: list[str], names, optional=()) -> dict[str, int]:
     """The index in `header` of each of `names`, failing at one it repeats or, unless the
     name is `optional`, lacks."""
     idx = {}
     for col in names:
         if header.count(col) > 1:
-            raise ParseError(f"column {col!r} appears more than once", str(path))
+            raise ParseError(f"column {col!r} appears more than once")
         if col in header:
             idx[col] = header.index(col)
         elif col not in optional:
-            raise ParseError(f"missing column {col!r}", str(path))
+            raise ParseError(f"missing column {col!r}")
     return idx
 
 
@@ -171,7 +173,7 @@ def _rows_of_width(body: str, width: int):
         yield line, row
 
 
-def _csv_rows(header: list[str], body: str, path, converters: dict, optional=()):
+def _csv_rows(header: list[str], body: str, converters: dict, optional=()):
     """(line, values) for each data row of `body`, the text after `header` in the CSV at
     `path`, raising at the first bad line.
 
@@ -179,14 +181,14 @@ def _csv_rows(header: list[str], body: str, path, converters: dict, optional=())
     line number. A column in `optional` reads "" where the header or a short
     row lacks it; a row that stops before another needed column fails.
     """
-    idx = _columns(header, converters, path, optional)
+    idx = _columns(header, converters, optional)
     width = max(i for name, i in idx.items() if name not in optional) + 1
     cells = [(idx.get(name, math.inf), convert) for name, convert in converters.items()]
     for line, row in _rows_of_width(body, width):
         yield line, [convert(row[i] if i < len(row) else "", line) for i, convert in cells]
 
 
-def _csv_columns(header: list[str], body: str, path, converters: dict, optional=(),
+def _csv_columns(header: list[str], body: str, converters: dict, optional=(),
                  key: int = 0) -> list[list] | None:
     """The columns `_csv_rows` would read from `body`, the text after `header`, a chunk at a time.
 
@@ -197,7 +199,7 @@ def _csv_columns(header: list[str], body: str, path, converters: dict, optional=
     repeated row of the first `key` columns. `_csv_rows` then decides, and is
     the only source of error messages, line numbers and duplicate warnings.
     """
-    idx = _columns(header, converters, path, optional)
+    idx = _columns(header, converters, optional)
     columns = [[] for _ in converters]
     known = [{} for _ in converters]  # per column: each text converted so far -> its value
     for cells in _split_columns(body, len(header)):
@@ -263,13 +265,11 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     header, body = _header_and_body(path)
     has_vel, has_acc = (all(c in header for c in group) for group in (VEL_COLUMNS, ACC_COLUMNS))
     fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
-    cols = list(_columns(header, fields, path).values())
+    cols = list(_columns(header, fields).values())
     for group in (VEL_COLUMNS, ACC_COLUMNS):
         present = [c for c in group if c in header]
         if present and len(present) != 3:
-            raise ParseError(
-                f"columns {group} must appear together, found only {present}", str(path)
-            )
+            raise ParseError(f"columns {group} must appear together, found only {present}")
     known = set(REQUIRED_TELEMETRY) | set(VEL_COLUMNS) | set(ACC_COLUMNS)
     for col in header:
         if col not in known:
@@ -277,7 +277,7 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
 
     table = _telemetry_columns(body, cols)
     if table is None:
-        table = _telemetry_rows(header, body, path, fields)
+        table = _telemetry_rows(header, body, fields)
 
     def triple(first: int) -> np.ndarray:
         # a contiguous copy, so numpy reductions run as they would on a separate array
@@ -315,17 +315,17 @@ def _telemetry_columns(body: str, cols: list[int]) -> np.ndarray | None:
     return table
 
 
-def _telemetry_rows(header: list[str], body: str, path, fields) -> np.ndarray:
+def _telemetry_rows(header: list[str], body: str, fields) -> np.ndarray:
     """The same table as `_telemetry_columns`, row by row, raising at the first bad line."""
     import numpy as np
 
     samples = []
-    for line, values in _csv_rows(header, body, path, dict.fromkeys(fields, _number)):
+    for line, values in _csv_rows(header, body, dict.fromkeys(fields, _number)):
         if samples and values[0] <= samples[-1][0]:
             raise ParseError(f"time {values[0]} does not increase past {samples[-1][0]}", line)
         samples.append(values)
     if len(samples) < 2:
-        raise ParseError("telemetry needs at least two samples", str(path))
+        raise ParseError("telemetry needs at least two samples")
     return np.array(samples)
 
 
@@ -346,7 +346,7 @@ def parse_criteria(path) -> list[Criterion]:
                 value = _json(value, str if op == "contains" else float)
             out.append(Criterion(field_name, op, value))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"criterion {field_name!r}: {exc}", str(path))
+            raise ParseError(f"criterion {field_name!r}: {exc}")
     return out
 
 
@@ -360,7 +360,7 @@ def parse_fiducial_observations(path) -> list[FiducialObservation]:
     from .mapping import MAPPED_STATES, FiducialObservation
 
     header, body = _header_and_body(path)
-    idx = _columns(header, FIDUCIAL_COLUMNS, path)
+    idx = _columns(header, FIDUCIAL_COLUMNS)
     # a missing fiducial has no position, so its row may stop before x and y
     unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
     mapped_width = max(idx.values()) + 1
@@ -507,6 +507,46 @@ def _pair(value, first: str, second: str, convert) -> tuple:
     return convert(value[first]), convert(value[second])
 
 
+def _shape_classes(value) -> dict[str, str]:
+    from .mapping import SHAPE_CLASSES
+
+    classes = {k: _json(c, str) for k, c in _json(value, dict).items()}
+    for c in classes.values():
+        if c not in SHAPE_CLASSES:
+            raise ValueError(f"bad shape class {c!r}")
+    return classes
+
+
+def _dimensions(value) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    reported, truth = _pair(value, "reported", "truth", _numbers)
+    if len(reported) != len(truth):
+        raise ValueError(f"{len(reported)} reported vs {len(truth)} truth values")
+    if not truth:
+        raise ValueError("no dimensions")
+    if any(g <= 0 for g in truth):
+        raise ValueError("ground-truth dimensions must be positive")
+    return reported, truth
+
+
+def _fov(value) -> tuple[int, int]:
+    visible, total = _pair(value, "visible", "total", _count)
+    if total == 0:
+        raise ValueError("total must be positive")
+    if visible > total:
+        raise ValueError(f"visible count {visible} outside [0, {total}]")
+    return visible, total
+
+
+def _acuity_levels(value) -> tuple[float, ...]:
+    from .mapping import ACUITY_LEVELS_MM
+
+    levels = _numbers(value)
+    for level in levels:
+        if not any(abs(level - known) < 1e-9 for known in ACUITY_LEVELS_MM):
+            raise ValueError(f"{level} mm is not an acuity level")
+    return levels
+
+
 #: each category's blocks, named as in the manifest and in CampaignTest, with their converters
 _TEST_BLOCKS = {
     "nav": {
@@ -523,24 +563,15 @@ _TEST_BLOCKS = {
     "mapping": {
         "fiducials": _fiducials,
         "observations": lambda v: _json(v, str),
-        "shape_classes": lambda v: {k: _json(c, str) for k, c in _json(v, dict).items()},
-        "dimensions": lambda v: _pair(v, "reported", "truth", _numbers),
-        "fov": lambda v: _pair(v, "visible", "total", _count),
-        "acuity_levels": _numbers,
+        "shape_classes": _shape_classes,
+        "dimensions": _dimensions,
+        "fov": _fov,
+        "acuity_levels": _acuity_levels,
     },
 }
 
 #: the blocks that name a file beside the manifest, with the parser of that file
 _SIDE_FILES = {"criteria": parse_criteria, "observations": parse_fiducial_observations}
-
-#: the report's metric of each block it computes from the block alone, given the `mapping`
-#: module; run once at load so that a block the report could not compute fails there
-_BLOCK_METRICS = {
-    "shape_classes": lambda mapping, classes: mapping.shape_accuracy_rate(list(classes.values())),
-    "dimensions": lambda mapping, dims: mapping.dimensional_accuracy(*dims),
-    "fov": lambda mapping, fov: mapping.fov_coverage(*fov),
-    "acuity_levels": lambda mapping, levels: mapping.acuity_summary(levels),
-}
 
 
 def _campaign_test(entry: dict, manifest: Path) -> CampaignTest:
@@ -552,13 +583,9 @@ def _campaign_test(entry: dict, manifest: Path) -> CampaignTest:
             continue
         try:
             blocks[key] = convert(value)
-            if key in _BLOCK_METRICS:
-                from . import mapping
-
-                _BLOCK_METRICS[key](mapping, blocks[key])
-        except (DecisiveError, TypeError, ValueError, KeyError, AttributeError) as exc:
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ParseError(f"test {test_id}: bad {key!r} block ({reason})", str(manifest))
+            raise ParseError(f"test {test_id}: bad {key!r} block ({reason})")
         if key in _SIDE_FILES:
             blocks[key] = _side_file(test_id, key, blocks[key], manifest)
     return CampaignTest(test_id, kind, **blocks)
@@ -571,11 +598,11 @@ def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
     """
     path = manifest.parent / name
     if not path.is_file():
-        raise ParseError(f"test {test_id}: {key} file {name!r} not found", str(manifest))
+        raise ParseError(f"test {test_id}: {key} file {name!r} not found")
     return tuple(_SIDE_FILES[key](path))
 
 
-def _fields(entry: dict, kinds: dict, owner: str, path) -> dict:
+def _fields(entry: dict, kinds: dict, owner: str) -> dict:
     """The keys of `kinds` in `entry`, not null, each read as its `_json` kind or converter."""
     out = {}
     for key, kind in kinds.items():
@@ -583,7 +610,7 @@ def _fields(entry: dict, kinds: dict, owner: str, path) -> dict:
             try:
                 out[key] = _json(entry[key], kind) if kind in _JSON_NAMES else kind(entry[key])
             except (TypeError, ValueError) as exc:
-                raise ParseError(f"{owner}: bad {key!r} field ({exc})", str(path))
+                raise ParseError(f"{owner}: bad {key!r} field ({exc})")
     return out
 
 
@@ -619,17 +646,17 @@ def parse_campaign(path) -> Campaign:
     path = Path(path)
     doc = _json(_load_json(path), dict)
 
-    version = _fields(doc, {"schema_version": _count}, "manifest", path).get("schema_version")
+    version = _fields(doc, {"schema_version": _count}, "manifest").get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise ParseError(f"schema_version {version!r}", str(path))
+        raise ParseError(f"schema_version {version!r}")
     blocks = _fields(doc, dict.fromkeys(("suas", "environments", "tests", "trials"), list),
-                     "manifest", path)
+                     "manifest")
 
     suas = {}
     for entry in blocks.get("suas", []):
         entry = _object(entry, "sUAS entry")
         if "id" not in entry:
-            raise ParseError("sUAS entry missing 'id'", str(path))
+            raise ParseError("sUAS entry missing 'id'")
         suas[_json(entry["id"], str)] = entry
 
     environments = {}
@@ -637,16 +664,16 @@ def parse_campaign(path) -> Campaign:
         entry = _object(entry, "environment entry")
         env_id = entry.get("id")
         if env_id is None:
-            raise ParseError("environment entry missing 'id'", str(path))
+            raise ParseError("environment entry missing 'id'")
         name = f"environment {env_id}"
-        environment = EnvironmentProfile(**_fields(entry, _ENVIRONMENT_FIELDS, name, path))
+        environment = EnvironmentProfile(**_fields(entry, _ENVIRONMENT_FIELDS, name))
         lighting, lux = environment.lighting, environment.lux
         if lighting not in ("lighted", "dark"):
-            raise ParseError(f"{name}: lighting must be lighted or dark", str(path))
+            raise ParseError(f"{name}: lighting must be lighted or dark")
         if lux is not None and lighting == "lighted" and lux < 100:
-            raise ParseError(f"{name}: lighted requires measured lux >= 100", str(path))
+            raise ParseError(f"{name}: lighted requires measured lux >= 100")
         if lux is not None and lighting == "dark" and lux >= 1:
-            raise ParseError(f"{name}: dark requires measured lux < 1", str(path))
+            raise ParseError(f"{name}: dark requires measured lux < 1")
         environments[env_id] = environment
 
     tests = {}
@@ -654,28 +681,21 @@ def parse_campaign(path) -> Campaign:
         entry = _object(entry, "test entry")
         test_id = entry.get("test_id")
         if test_id is None:
-            raise ParseError("test entry missing 'test_id'", str(path))
-        env_ref = _fields(entry, {"environment": str}, f"test {test_id}",
-                          path).get("environment")
+            raise ParseError("test entry missing 'test_id'")
+        env_ref = _fields(entry, {"environment": str}, f"test {test_id}").get("environment")
         if env_ref is not None and env_ref not in environments:
-            raise ParseError(
-                f"test {test_id} references environment {env_ref!r}", str(path)
-            )
+            raise ParseError(f"test {test_id} references environment {env_ref!r}")
         tests[_json(test_id, str)] = _campaign_test(entry, path)
 
     trials = []
     for entry in blocks.get("trials", []):
         entry = _object(entry, "trial entry")
-        typed = _fields(entry, _TRIAL_FIELDS, f"trial {entry.get('trial_id', '?')}", path)
+        typed = _fields(entry, _TRIAL_FIELDS, f"trial {entry.get('trial_id', '?')}")
         trial_id = typed.get("trial_id", "?")
         if typed.get("test_id") not in tests:
-            raise ParseError(
-                f"trial {trial_id} references unknown test {typed.get('test_id')!r}", str(path)
-            )
+            raise ParseError(f"trial {trial_id} references unknown test {typed.get('test_id')!r}")
         if typed.get("suas_id") not in suas:
-            raise ParseError(
-                f"trial {trial_id} references unknown sUAS {typed.get('suas_id')!r}", str(path)
-            )
+            raise ParseError(f"trial {trial_id} references unknown sUAS {typed.get('suas_id')!r}")
         for key, vocab in (
             ("oa_category", OA_CATEGORIES),
             ("cr_category", CR_CATEGORIES),
@@ -683,12 +703,10 @@ def parse_campaign(path) -> Campaign:
         ):
             value = entry.get(key)
             if value is not None and value not in vocab:
-                raise ParseError(f"trial {trial_id}: {key} {value!r}", str(path))
+                raise ParseError(f"trial {trial_id}: {key} {value!r}")
         telemetry = typed.get("telemetry") and path.parent / typed["telemetry"]
         if telemetry and not telemetry.is_file():
-            raise ParseError(
-                f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found", str(path)
-            )
+            raise ParseError(f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found")
         trial = TrialRecord(
             trial_id=trial_id,
             test_id=typed["test_id"],
@@ -706,9 +724,9 @@ def parse_campaign(path) -> Campaign:
             notes=entry.get("notes", ""),
         )
         if trial.outcome not in ("success", "failure"):
-            raise ParseError(f"trial {trial_id}: outcome must be success or failure", str(path))
+            raise ParseError(f"trial {trial_id}: outcome must be success or failure")
         if trial.duration < 0:
-            raise ParseError(f"trial {trial_id}: duration must be non-negative", str(path))
+            raise ParseError(f"trial {trial_id}: duration must be non-negative")
         trials.append(trial)
 
     if not trials:
@@ -755,10 +773,10 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     from .human_factors import SurveyColumns
 
     header, body = _header_and_body(path)
-    columns = _csv_columns(header, body, path, SURVEY_COLUMNS, key=3)
+    columns = _csv_columns(header, body, SURVEY_COLUMNS, key=3)
     if columns is None:
         by_key = {}
-        for line, values in _csv_rows(header, body, path, SURVEY_COLUMNS):
+        for line, values in _csv_rows(header, body, SURVEY_COLUMNS):
             key = tuple(values[:3])
             if key in by_key:
                 _warn(path, line, f"duplicate response for {key}; keeping the later row")
@@ -793,7 +811,7 @@ def parse_sagat(path) -> list[SagatResponse]:
     from .human_factors import SagatResponse
 
     header, body = _header_and_body(path)
-    return [SagatResponse(*values) for _, values in _csv_rows(header, body, path, SAGAT_COLUMNS)]
+    return [SagatResponse(*values) for _, values in _csv_rows(header, body, SAGAT_COLUMNS)]
 
 
 @_total
@@ -815,14 +833,16 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
             numbers = _numbers([spec[k] for k in seev])
             for name, number in zip(seev, numbers):
                 if number <= 0:
-                    raise ParseError(f"{se}: {name} must be > 0", str(path))
+                    raise ParseError(f"{se}: {name} must be > 0")
             params.append(SeParams(se, *numbers))
+        if not params:
+            raise ParseError("no situation elements")
         return attention_allocation(params), missions
     weights = doc.get("weights", {k: v for k, v in doc.items() if k != "missions"})
     weights = {se: _json(w, float) for se, w in _json(weights, dict).items()}
     for se, weight in weights.items():
         if weight < 0:
-            raise ParseError(f"{se}: weight must be >= 0", str(path))
+            raise ParseError(f"{se}: weight must be >= 0")
     return weights, missions
 
 
@@ -860,24 +880,22 @@ def parse_feature_sheet(path) -> FeatureSheet:
     from .ncap import Feature, FeatureTable
 
     doc = _json(_load_json(path), dict)
-    blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet", path)
+    blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet")
 
     direction_map = {"higher": "higher_better", "lower": "lower_better"}
     features = []
     degrees = {}
     for entry in blocks.get("features", []):
         entry = _object(entry, "feature entry")
-        typed = _fields(entry, _FEATURE_FIELDS, f"feature {entry.get('name')!r}", path)
+        typed = _fields(entry, _FEATURE_FIELDS, f"feature {entry.get('name')!r}")
         name = typed.get("name")
         if name is None:
-            raise ParseError("feature missing 'name'", str(path))
+            raise ParseError("feature missing 'name'")
         if "direction" not in typed:
-            raise ParseError(f"feature {name!r} has no direction", str(path))
+            raise ParseError(f"feature {name!r} has no direction")
         direction = direction_map.get(typed["direction"])
         if direction is None:
-            raise ParseError(
-                f"feature {name!r}: direction must be 'higher' or 'lower'", str(path)
-            )
+            raise ParseError(f"feature {name!r}: direction must be 'higher' or 'lower'")
         features.append(Feature(name, direction, typed.get("ordinal_map") or None))
         if "degree" in typed:
             degrees[name] = typed["degree"]
@@ -887,11 +905,11 @@ def parse_feature_sheet(path) -> FeatureSheet:
     capabilities = {}
     for system in blocks.get("systems", []):
         system = _object(system, "system entry")
-        sid = _fields(system, {"id": str}, "system", path).get("id")
+        sid = _fields(system, {"id": str}, "system").get("id")
         if sid is None:
-            raise ParseError("system missing 'id'", str(path))
-        given = _fields(system, {"values": dict}, f"system {sid}", path).get("values", {})
-        values[sid] = _fields(given, value_fields, f"system {sid}", path)
+            raise ParseError("system missing 'id'")
+        given = _fields(system, {"values": dict}, f"system {sid}").get("values", {})
+        values[sid] = _fields(given, value_fields, f"system {sid}")
         if "capabilities" in system:
             capabilities[sid] = _capabilities(system["capabilities"])
 
@@ -926,13 +944,13 @@ def parse_fis_config(path) -> FisConfig:
     for fis_name, spec in _json(doc.get("fis", {}), dict).items():
         spec = _object(spec, fis_name)
         inputs = {}
-        inputs_spec = _fields(spec, {"inputs": dict}, fis_name, path).get("inputs", {})
+        inputs_spec = _fields(spec, {"inputs": dict}, fis_name).get("inputs", {})
         for var_name, var_spec in inputs_spec.items():
             var_spec = _object(var_spec, f"{fis_name}.{var_name}")
             lo, hi = _numbers(var_spec["range"], 2)
             terms = {}
-            terms_spec = _fields(var_spec, {"terms": dict}, f"{fis_name}.{var_name}",
-                                 path).get("terms", {})
+            terms_spec = _fields(var_spec, {"terms": dict},
+                                 f"{fis_name}.{var_name}").get("terms", {})
             for term, tup in terms_spec.items():
                 try:
                     points = _numbers(tup)
@@ -950,7 +968,8 @@ def parse_fis_config(path) -> FisConfig:
             aliases = _json(var_spec.get("aliases", {}), dict)
             for alias, target in aliases.items():
                 if target not in terms:
-                    raise ParseError(f"{fis_name}.{var_name}: alias {alias!r} -> {target!r}")
+                    raise ParseError(
+                        f"{fis_name}.{var_name}: alias {alias!r} names unknown term {target!r}")
             var = LinguisticVariable(var_name, lo, hi, terms, aliases)
             if not var.covered():
                 _warn(path, fis_name, f"variable {var_name!r} has membership gaps")
@@ -959,13 +978,13 @@ def parse_fis_config(path) -> FisConfig:
         outputs = {k: _json(v, float) for k, v in _json(spec.get("outputs", {}), dict).items()}
         for level, value in outputs.items():
             if not 0.0 <= value <= 1.0:
-                raise ParseError(f"{fis_name}: output {level}={value} outside [0, 1]", str(path))
+                raise ParseError(f"{fis_name}: output {level}={value} outside [0, 1]")
 
         rules = []
         for i, rule_spec in enumerate(spec.get("rules", [])):
             owner = f"{fis_name} rule {i}"
             rule_spec = _object(rule_spec, owner)
-            conditions = _fields(rule_spec, {"if": dict}, owner, path).get("if")
+            conditions = _fields(rule_spec, {"if": dict}, owner).get("if")
             if not conditions:  # a rule without conditions would fire on every row
                 raise ParseError(f"{owner}: no 'if' conditions")
             antecedents = []
@@ -977,12 +996,12 @@ def parse_fis_config(path) -> FisConfig:
                 if not inputs[var_name].has_term(bare):
                     raise ParseError(f"{owner}: unknown term {term!r}")
                 antecedents.append((var_name, bare, negated))
-            consequent = _fields(rule_spec, {"then": str}, owner, path).get("then")
+            consequent = _fields(rule_spec, {"then": str}, owner).get("then")
             if consequent not in outputs:
                 raise ParseError(f"{owner}: unknown output {consequent!r}")
             rules.append(Rule(tuple(antecedents), consequent))
         if not rules:
-            raise ParseError(f"{fis_name}: at least one rule required", str(path))
+            raise ParseError(f"{fis_name}: at least one rule required")
         systems[fis_name] = Fis(fis_name, inputs, outputs, tuple(rules))
 
     cascade = {}
@@ -1053,12 +1072,12 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
     converters = {"suas_id": _text, "test_id": _text,
                   **({"score": _number} if precomputed else dict.fromkeys(variables, _fis_input))}
     optional = () if precomputed else variables
-    columns = _csv_columns(header, body, path, converters, optional, key=2)
+    columns = _csv_columns(header, body, converters, optional, key=2)
     if columns is not None:
         lines = range(2, len(columns[0]) + 2)
     else:
         rows, seen = [], set()
-        for line, values in _csv_rows(header, body, path, converters, optional):
+        for line, values in _csv_rows(header, body, converters, optional):
             key = tuple(values[:2])
             if key in seen:
                 warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "

@@ -1,4 +1,9 @@
-"""Indoor mapping metrics from administrator-measured map observations."""
+"""Indoor mapping metrics from administrator-measured map observations.
+
+`ingest` checks every value these metrics take when it reads the manifest: the
+shape classes, acuity levels and dimension and boundary counts of a test's
+blocks, and each fiducial's traversal and turns. A metric here only computes.
+"""
 
 from __future__ import annotations
 
@@ -38,31 +43,16 @@ class FiducialGroundTruth(NamedTuple):
 
 def dimensional_accuracy(reported: Sequence[float], ground_truth: Sequence[float]) -> float:
     """100 x (sum of reported dimensions) / (sum of ground-truth dimensions)."""
-    if len(reported) != len(ground_truth):
-        raise DecisiveError(f"{len(reported)} reported vs {len(ground_truth)} truth values")
-    if not ground_truth:
-        raise DecisiveError("no dimensions")
-    if any(g <= 0 for g in ground_truth):
-        raise ValueError("ground-truth dimensions must be positive")
     return 100.0 * sum(reported) / sum(ground_truth)
 
 
 def fov_coverage(visible_50pct: int, total: int) -> float:
     """Percentage of boundaries at least half visible in the map."""
-    if total <= 0:
-        raise DecisiveError("total must be positive")
-    if not 0 <= visible_50pct <= total:
-        raise DecisiveError(f"visible count {visible_50pct} outside [0, {total}]")
     return 100.0 * visible_50pct / total
 
 
 def shape_accuracy_rate(classes: Sequence[str]) -> float:
     """Percentage of fiducial pairs judged to form a complete circle."""
-    if not classes:
-        raise DecisiveError("no fiducial classifications")
-    for c in classes:
-        if c not in SHAPE_CLASSES:
-            raise ValueError(f"bad shape class {c!r}")
     return 100.0 * sum(1 for c in classes if c == "complete") / len(classes)
 
 
@@ -106,8 +96,6 @@ def fiducial_coverage(
     obs: Sequence[FiducialObservation], truth: Sequence[FiducialGroundTruth]
 ) -> float:
     """Percentage of available fiducial halves mapped at least partially."""
-    if not truth:
-        raise DecisiveError("no ground-truth fiducials")
     total_halves = 2 * len(truth)
     truth_ids = {g.fiducial_id for g in truth}
     mapped = {
@@ -120,8 +108,6 @@ def fiducial_coverage(
 
 def difficulty_rating(min_traversal: float, min_turns: int) -> str:
     """L/M/H difficulty of reaching a fiducial's far side."""
-    if min_traversal <= 0 or min_turns < 0:
-        raise ValueError("inputs must be positive")
     if min_traversal >= HARD_TRAVERSAL_M or min_turns >= HARD_TURNS:
         return "H"
     if min_traversal <= EASY_TRAVERSAL_M and min_turns <= EASY_TURNS:
@@ -131,9 +117,4 @@ def difficulty_rating(min_traversal: float, min_turns: int) -> str:
 
 def acuity_summary(levels_mm: Sequence[float]) -> tuple[float, float]:
     """Mean and sample std of resolved acuity levels."""
-    if not levels_mm:
-        raise DecisiveError("no acuity readings")
-    for lvl in levels_mm:
-        if not any(abs(lvl - known) < 1e-9 for known in ACUITY_LEVELS_MM):
-            raise ValueError(f"{lvl} mm is not an acuity level")
     return mean_std(levels_mm)

@@ -7,7 +7,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Trajectory
-from .errors import DataQualityWarning, DecisiveError
+from .errors import DataQualityWarning
 from .stats import mean_std
 
 if TYPE_CHECKING:
@@ -64,15 +64,11 @@ def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
     """Mean per-sample deviation from the path, equal weight per recorded sample."""
     import numpy as np
 
-    if len(traj) < 1:
-        raise DecisiveError("no samples")
     return float(np.mean(deviation_series(traj.pos, path)))
 
 
 def deviation_summary(flights: Sequence[tuple[Trajectory, ReferencePath]]) -> DeviationSummary:
-    """Per-flight average deviation plus the mean and sample std across flights."""
-    if not flights:
-        raise DecisiveError("no flights")
+    """Per-flight average deviation plus the mean and sample std across one or more flights."""
     ads = [average_deviation(traj, path) for traj, path in flights]
     if len(ads) == 1:
         warnings.warn("single flight: std reported as 0", DataQualityWarning)
@@ -92,14 +88,10 @@ def waypoint_error(final_pos: Sequence[float], waypoint: Sequence[float]) -> flo
 
 
 def waypoint_summary(errors: Sequence[float]) -> tuple[float, float]:
-    """(accuracy, precision) = (mean, sample std) of landing errors."""
-    if not errors:
-        raise DecisiveError("no trials")
+    """(accuracy, precision) = (mean, sample std) of one or more landing errors."""
     return mean_std(errors)
 
 
 def traversal_speed(length_m: float, duration_min: float) -> float:
-    """Average speed in m/s from total length traversed and duration in minutes."""
-    if duration_min <= 0:
-        raise DecisiveError("duration must be positive")
+    """Average speed in m/s from total length traversed and a positive duration in minutes."""
     return length_m / (duration_min * 60.0)

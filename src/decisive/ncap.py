@@ -47,9 +47,7 @@ def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
             if raw == ABSENT or raw is None:
                 absent.append(sid)
                 continue
-            if isinstance(raw, str):
-                if not feat.ordinal_map or raw not in feat.ordinal_map:
-                    raise DecisiveError(f"{feat.name}: no ordinal rank for {raw!r}")
+            if isinstance(raw, str):  # `ingest` reads a token only from the ordinal map
                 value = float(feat.ordinal_map[raw])
             else:
                 value = float(raw)
@@ -99,12 +97,11 @@ def weighted_product(
     scheme: WeightScheme,
     directions: Mapping[str, str],
 ) -> float:
-    """P = prod(v_i ^ (s_i * w_i)) with s_i = -1 for lower-is-better features."""
+    """P = prod(v_i ^ (s_i * w_i)) with s_i = -1 for lower-is-better features; each v_i is
+    positive, as `encode_features` makes it."""
     p = 1.0
     for name, w in scheme.weights.items():
         v = values[name]
-        if not v > 0:
-            raise DecisiveError(f"{name}={v}: weighted product needs positive values")
         sign = -1.0 if directions[name] == "lower_better" else 1.0
         p *= v ** (sign * w)
     return p

@@ -38,13 +38,8 @@ def _format_cell(cell, column: Column, ascii_glyphs: bool, title: str) -> str:
     if cell is None:
         return ""
     if column.kind == "glyph":
-        table = ASCII_GLYPHS if ascii_glyphs else GLYPHS
-        if cell not in table:
-            raise DecisiveError(f"{column.header}: glyph cell {cell!r} not in {sorted(table)}")
-        return table[cell]
+        return (ASCII_GLYPHS if ascii_glyphs else GLYPHS)[cell]
     if column.kind == "number":
-        if isinstance(cell, str):
-            raise DecisiveError(f"{column.header}: expected a number, got {cell!r}")
         value = float(cell)
         if not math.isfinite(value):
             raise DecisiveError(f"{title}: {_header_text(column)} is {value!r}, "
@@ -55,24 +50,11 @@ def _format_cell(cell, column: Column, ascii_glyphs: bool, title: str) -> str:
     return str(cell)
 
 
-def _validate(table: ReportTable) -> None:
-    for i, row in enumerate(table.rows):
-        if len(row) != len(table.columns):
-            raise DecisiveError(
-                f"{table.title}: row {i} has {len(row)} cells, expected {len(table.columns)}"
-            )
-
-
 def render_table(table: ReportTable, fmt: str = "md", ascii_glyphs: bool = False) -> bytes:
-    """Render one table as Markdown or CSV to UTF-8 bytes; identical input gives identical bytes."""
-    _validate(table)
-    if fmt == "md":
-        text = _render_md(table, ascii_glyphs)
-    elif fmt == "csv":
-        text = _render_csv(table, ascii_glyphs)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return text.encode("utf-8")
+    """Render one table as Markdown ("md") or CSV ("csv") to UTF-8 bytes; identical input
+    gives identical bytes."""
+    render = _render_md if fmt == "md" else _render_csv
+    return render(table, ascii_glyphs).encode("utf-8")
 
 
 def _header_text(col: Column) -> str:
@@ -95,17 +77,17 @@ def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool, title: s
 
 
 def _cell_texts(table: ReportTable, ascii_glyphs: bool) -> list[list[str]]:
-    """Every column's formatted cells; a bad cell raises as the first one in row order."""
+    """Every column's formatted cells; a non-finite number raises as the first one in row
+    order."""
     cells = list(zip(*table.rows)) or [()] * len(table.columns)
     try:
         return [_format_column(c, col, ascii_glyphs, table.title)
                 for c, col in zip(cells, table.columns)]
-    except (DecisiveError, TypeError, ValueError, OverflowError):
-        # another column may hold an earlier bad cell: the row loop finds it
-        for row in table.rows:
-            for cell, col in zip(row, table.columns):
-                _format_cell(cell, col, ascii_glyphs, table.title)
-        raise
+    except DecisiveError:
+        # another column may hold an earlier bad cell: the row loop raises at the first
+        rows = [[_format_cell(cell, col, ascii_glyphs, table.title)
+                 for cell, col in zip(row, table.columns)] for row in table.rows]
+        return [list(column) for column in zip(*rows)]
 
 
 def _escaped(texts: list[str], special: str, escape) -> list[str]:
@@ -155,7 +137,6 @@ def _render_csv(table: ReportTable, ascii_glyphs: bool) -> str:
 def _json_doc(table: ReportTable, ascii_glyphs: bool) -> dict:
     """A table as {"title", "rows"}: a number cell's text read back as a number, an empty
     one as null."""
-    _validate(table)
     columns = [[float(text) if text else None for text in texts] if col.kind == "number"
                else texts for texts, col in zip(_cell_texts(table, ascii_glyphs), table.columns)]
     headers = [_header_text(c) for c in table.columns]
@@ -214,7 +195,7 @@ def _plot(w: int, h: int, axes, marks: Sequence[str], x_title: str, x_title_gap:
 
 
 def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
-    """Standalone SVG of (label, autonomy level, component potential) points.
+    """Standalone SVG of one or more (label, autonomy level, component potential) points.
 
     Level is on x in [0, 4], potential on y.
     """
@@ -222,8 +203,6 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
     # imported here so other commands do not pay for it at start-up
     from html import escape
 
-    if not points:
-        raise DecisiveError("no systems to plot")
     _finite("ncap scatter", points)
     w, h, margin = 480, 360, 50.0
     x_max = 4.0
@@ -255,9 +234,7 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
 
 
 def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
-    """Standalone SVG polyline of (t seconds, deviation meters) samples."""
-    if not samples:
-        raise DecisiveError("no deviation samples")
+    """Standalone SVG polyline of (t seconds, deviation meters) samples, at least one."""
     _finite("deviation plot", (("sample", t, d) for t, d in samples))
     w, h, margin = 480, 240, 45.0
     t0 = samples[0][0]

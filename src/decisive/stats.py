@@ -13,11 +13,8 @@ EXACT_LIMIT = 8
 
 
 def completion_rate(successes: int, failures: int) -> float:
-    """Share of trials that succeeded."""
-    total = successes + failures
-    if total < 1:
-        raise DecisiveError("no trials")
-    return successes / total
+    """Share of one or more trials that succeeded."""
+    return successes / (successes + failures)
 
 
 def completion_confidence(successes: int, failures: int, p0: float) -> float:
@@ -28,11 +25,8 @@ def completion_confidence(successes: int, failures: int, p0: float) -> float:
     P(X <= f) = I_p0(n - f, f + 1), the regularized incomplete beta (Abramowitz
     & Stegun 26.5.24), so confidence = 1 - I_p0(n - f, f + 1) at any n.
     Ten clean trials against p0 = 0.85 give 0.803; five against 0.70 give 0.832.
+    It takes one or more trials and p0 inside (0, 1).
     """
-    if not 0.0 < p0 < 1.0:
-        raise DecisiveError(f"p0 must be inside (0, 1), got {p0}")
-    if successes + failures < 1:
-        raise DecisiveError("no trials")
     if successes == 0:  # P(X <= n) = 1
         return 0.0
     return 1.0 - _reg_inc_beta(successes, failures + 1, p0)
@@ -42,12 +36,10 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     """(Q1, median, Q3) by linear interpolation at positions (n+1)/4, (n+1)/2, 3(n+1)/4.
 
     The interpolation rule is fixed here so downstream outlier filtering is
-    reproducible bit for bit.
+    reproducible bit for bit. `values` is not empty.
     """
     data = sorted(float(v) for v in values)
     n = len(data)
-    if n == 0:
-        raise DecisiveError("no values")
 
     def at(pos: float) -> float:
         # 1-based fractional position, clamped to the data range
@@ -66,11 +58,10 @@ def iqr_filter(values: Sequence[float]) -> tuple[list[float], list[float], Optio
 
     Removed values fall strictly outside [Q1 - 1.5R, Q3 + 1.5R] with R = Q3 - Q1.
     A warning string is returned when more than 10% of the inputs were removed,
-    the recommended limit before growing the participant pool.
+    the recommended limit before growing the participant pool. It takes at
+    least 4 values, as `human_factors.trust_pipeline` checks.
     """
     vals = [float(v) for v in values]
-    if len(vals) < 4:
-        raise DecisiveError("IQR filtering needs at least 4 values")
     q1, _, q3 = quartiles(vals)
     r = q3 - q1
     lo, hi = q1 - 1.5 * r, q3 + 1.5 * r
@@ -160,11 +151,9 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     possible rank sums (see `_count_tails`); with few distinct values, as on a
     Likert scale, its cost grows linearly with the larger group.
     Larger samples use the tie-corrected normal approximation with a 0.5
-    continuity correction.
+    continuity correction. Neither sample is empty.
     """
     n1, n2 = len(a), len(b)
-    if n1 == 0 or n2 == 0:
-        raise DecisiveError("both samples must be non-empty")
 
     blocks, doubled_a, tie_term = _rank_blocks(a, b)
     n = n1 + n2
@@ -190,10 +179,9 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation; std is 0 for a single value."""
+    """Arithmetic mean and sample standard deviation of one or more values; std is 0 for
+    a single value."""
     vals = [float(v) for v in values]
-    if not vals:
-        raise DecisiveError("no values")
     m = sum(vals) / len(vals)
     if len(vals) == 1:
         return m, 0.0
@@ -205,10 +193,9 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Welch's unequal-variance t statistic and two-sided p.
 
     A convenience column for survey reports; the rank test remains the
-    primary comparison for Likert data.
+    primary comparison for Likert data. Each side has at least two values, as
+    `human_factors.trust_pipeline` checks.
     """
-    if len(a) < 2 or len(b) < 2:
-        raise DecisiveError("Welch's t needs at least two values per side")
     m1, s1 = mean_std(a)
     m2, s2 = mean_std(b)
     v1, v2 = s1**2 / len(a), s2**2 / len(b)

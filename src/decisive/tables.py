@@ -83,7 +83,7 @@ def nav_tables(campaign: Campaign) -> list[ReportTable]:
 
 def collision_tables(campaign: Campaign) -> list[ReportTable]:
     from . import collision as coll
-    from .core import tests_of_kind
+    from .core import CR_CATEGORIES, OA_CATEGORIES, tests_of_kind
     from .ingest import parse_telemetry
 
     tables = []
@@ -123,16 +123,16 @@ def collision_tables(campaign: Campaign) -> list[ReportTable]:
         obstacle = campaign.tests[trial.test_id].obstacle
         return obstacle.material if obstacle else trial.test_id
 
-    for which, attr in (("oa", "oa_category"), ("cr", "cr_category")):
+    for taxonomy, attr, vocab in (("OA", "oa_category", OA_CATEGORIES),
+                                  ("CR", "cr_category", CR_CATEGORIES)):
         rows = [t for t in campaign.trials if getattr(t, attr) is not None]
         if not rows:
             continue
-        vocab = coll.OA_CATEGORIES if which == "oa" else coll.CR_CATEGORIES
         table = ReportTable(
-            f"{which.upper()} category distribution",
+            f"{taxonomy} category distribution",
             [Column("obstacle")] + [Column(c, "number", 0, "%") for c in vocab],
         )
-        dist = coll.category_distribution(rows, which, group_by=obstacle_type)
+        dist = coll.category_distribution(rows, attr, vocab, obstacle_type)
         for group, percentages in dist.items():
             table.add_row(group, *[percentages[c] for c in vocab])
         tables.append(table)

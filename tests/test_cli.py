@@ -598,11 +598,26 @@ def global_error_skipped(tmp_path):
             "warning: map-loop: global error skipped: need >= 3 matched fiducials, have 2")
 
 
+def coincident_fiducials(tmp_path):
+    campaign = campaign_copy(tmp_path)
+    observations = campaign / "fiducials.csv"
+    header, *rows = observations.read_text().splitlines()
+    # every located fiducial half at map position (5, 5)
+    rows = [row if row.endswith(",missing") else ",".join([*row.split(",")[:2], "5", "5",
+                                                            row.split(",")[4]]) for row in rows]
+    observations.write_text("\n".join([header, *rows]) + "\n")
+    return (["metrics", campaign / "campaign.json", "--test", "mapping"],
+            "warning: map-loop: global error skipped: all matched fiducials coincide on the map")
+
+
+# inputs that give a warning, and exit 0: each case gives the argv and the warning line
+WARNING_LINES = (unknown_column, duplicate_survey_row, item_count_mismatch, membership_gap,
+                 single_flight, removed_participant, iqr_note, global_error_skipped,
+                 coincident_fiducials)
+
+
 class TestWarningLines:
-    @pytest.mark.parametrize("case", [
-        unknown_column, duplicate_survey_row, item_count_mismatch, membership_gap,
-        single_flight, removed_participant, iqr_note, global_error_skipped,
-    ], ids=lambda case: case.__name__)
+    @pytest.mark.parametrize("case", WARNING_LINES, ids=lambda case: case.__name__)
     def test_each_kind_prints_one_exact_line(self, capsys, tmp_path, case):
         argv, line = case(tmp_path)
         code, _out, err = run(capsys, *argv)
@@ -712,8 +727,12 @@ def sample_with(name, edit, *argv):
     return case
 
 
-def map_loop(doc):
-    return next(test for test in doc["tests"] if test["test_id"] == "map-loop")
+def named(doc, test_id):
+    return next(test for test in doc["tests"] if test["test_id"] == test_id)
+
+
+def trial(doc, trial_id):
+    return next(t for t in doc["trials"] if t["trial_id"] == trial_id)
 
 
 def ncap_caps_perception_no(tmp_path):
@@ -740,9 +759,9 @@ SIDE_FILE_ERRORS.update({
         "criteria.json", lambda doc: doc["hd_video_min"].update(value=[1, 2]),
         "metrics", "--test", "field"),
     "fov-visible-fraction": sample_with(
-        "campaign.json", lambda doc: map_loop(doc)["fov"].update(visible=2.5), "validate"),
+        "campaign.json", lambda doc: named(doc, "map-loop")["fov"].update(visible=2.5), "validate"),
     "min-turns-fraction": sample_with(
-        "campaign.json", lambda doc: map_loop(doc)["fiducials"][0].update(min_turns=1.5),
+        "campaign.json", lambda doc: named(doc, "map-loop")["fiducials"][0].update(min_turns=1.5),
         "validate"),
     "degree-fraction": ncap_with(lambda doc: doc["features"][0].update(degree=2.7),
                                  "--weights", "degree"),
@@ -778,6 +797,47 @@ def ncap_partial_weights(tmp_path):
 
 def set_term(term, points):
     return lambda doc: doc["fis"]["mc"]["inputs"]["crashes"]["terms"].update({term: points})
+
+
+def file_case(name, text, argv, line=None):
+    """A case: `argv(file)` on a file `name` holding `text`, wrong in that file, or at `line`."""
+    def case(tmp_path):
+        bad = write(tmp_path / name, text)
+        return argv(bad), bad if line is None else f"{bad}:{line}"
+    return case
+
+
+def deviation_plot(telemetry):
+    return ["plot", "--kind", "deviation", "--telemetry", telemetry,
+            "--path", path_file(telemetry.parent)]
+
+
+def deviation_path(path):
+    return ["plot", "--kind", "deviation", "--telemetry", CAMPAIGN / "wf_alpha_1.csv",
+            "--path", path]
+
+
+def telemetry_text(text, line=None):
+    return file_case("tel.csv", text, deviation_plot, line)
+
+
+def survey_row(row):
+    """A case: `trust` on a survey whose one row, line 2, is `row`."""
+    return file_case("s.csv", "participant_id,instrument,item_id,score,manip_pass,condition\n"
+                     + row + "\n", lambda survey: ["trust", "--survey", survey, *TRUST], 2)
+
+
+def fiducials_text(text, line):
+    """A case: `validate` on a sample copy whose fiducial observations are `text`."""
+    def case(tmp_path):
+        directory = campaign_copy(tmp_path)
+        bad = write(directory / "fiducials.csv", text)
+        return ["validate", directory / "campaign.json"], f"{bad}:{line}"
+    return case
+
+
+def manifest_with(edit):
+    return sample_with("campaign.json", edit, "validate")
 
 
 # inputs found wrong only once their file is read: (case, the error message before "(at FILE)")
@@ -907,6 +967,170 @@ LOAD_ERRORS = {
     "features-system-values-array": (
         ncap_with(lambda doc: doc["systems"][0].update(values=[1])),
         "system alpha: bad 'values' field (expected an object, got [1])"),
+    # a manifest entry without its id, or naming an environment that is not defined
+    "manifest-suas-without-id": (manifest_with(lambda doc: doc["suas"][0].pop("id")),
+                                 "sUAS entry missing 'id'"),
+    "manifest-environment-without-id": (
+        manifest_with(lambda doc: doc["environments"][0].pop("id")),
+        "environment entry missing 'id'"),
+    "manifest-unknown-environment": (
+        manifest_with(lambda doc: doc["tests"][0].update(environment="yard")),
+        "test wall-follow-1m references environment 'yard'"),
+    # the FIS config's outputs, rules, aliases and cascade wiring
+    "fis-output-above-one": (cfis_with(lambda doc: doc["fis"]["mc"]["outputs"].update(good=1.5)),
+                             "mc: output good=1.5 outside [0, 1]"),
+    "fis-no-rules": (cfis_with(lambda doc: doc["fis"]["mc"].update(rules=[])),
+                     "mc: at least one rule required"),
+    "fis-alias-to-unknown-term": (
+        cfis_with(lambda doc: doc["fis"]["ec"]["inputs"]["roll"].update(aliases={"zz": "nope"})),
+        "ec.roll: alias 'zz' names unknown term 'nope'"),
+    "fis-cascade-target-undefined": (cfis_with(lambda doc: doc["cascade"].update(hi=["mc"])),
+                                     "cascade target 'hi' not defined"),
+    "fis-cascade-input-undefined": (cfis_with(lambda doc: doc["cascade"]["combined"].append("hi")),
+                                    "cascade input 'hi' not defined"),
+    # a mapping block whose values the map metrics cannot take
+    **{f"map-{key}-{label}": (
+        manifest_with(lambda doc, key=key, value=value: named(doc, "map-loop").update(
+            {key: value})),
+        f"test map-loop: bad {key!r} block ({reason})")
+       for key, label, value, reason in (
+           ("shape_classes", "unknown-class", {"A": "round"}, "bad shape class 'round'"),
+           ("dimensions", "length-mismatch", {"reported": [1], "truth": [1, 2]},
+            "1 reported vs 2 truth values"),
+           ("dimensions", "empty", {"reported": [], "truth": []}, "no dimensions"),
+           ("dimensions", "zero-truth", {"reported": [1], "truth": [0]},
+            "ground-truth dimensions must be positive"),
+           ("fov", "zero-total", {"visible": 0, "total": 0}, "total must be positive"),
+           ("fov", "visible-above-total", {"visible": 17, "total": 16},
+            "visible count 17 outside [0, 16]"),
+           ("acuity_levels", "unknown-level", [8, 7], "7.0 mm is not an acuity level"))},
+    # a telemetry file's header and rows
+    "telemetry-empty": (telemetry_text(""), "file is empty"),
+    "telemetry-without-z": (telemetry_text("t,x,y\n0,0,1\n"), "missing column 'z'"),
+    "telemetry-t-twice": (telemetry_text("t,x,y,z,t\n0,0,1,1,0\n"),
+                          "column 't' appears more than once"),
+    "telemetry-vx-alone": (telemetry_text("t,x,y,z,vx\n0,0,1,1,0\n0.1,1,1,1,0\n"),
+                           "columns ('vx', 'vy', 'vz') must appear together, found only ['vx']"),
+    "telemetry-short-row": (telemetry_text("t,x,y,z\n0,0,1,1\n0.1,1,1\n", 3),
+                            "row has 3 fields, needs 4"),
+    "telemetry-word": (telemetry_text("t,x,y,z\n0,0,1,1\n0.1,abc,1,1\n", 3),
+                       "cannot parse 'abc' as a number"),
+    "telemetry-nan": (telemetry_text("t,x,y,z\n0,nan,1,1\n0.1,1,1,1\n", 2),
+                      "'nan' is not a finite number"),
+    "telemetry-time-goes-back": (telemetry_text("t,x,y,z\n0.1,0,1,1\n0,1,1,1\n", 3),
+                                 "time 0.0 does not increase past 0.1"),
+    "telemetry-one-sample": (telemetry_text("t,x,y,z\n0,0,1,1\n"),
+                             "telemetry needs at least two samples"),
+    # a reference path file
+    "path-one-vertex": (file_case("path.json", '{"vertices": [[0, 1, 1]]}', deviation_path),
+                        "malformed input (path needs at least two vertices)"),
+    "path-repeated-vertex": (
+        file_case("path.json", '{"vertices": [[0, 1, 1], [0, 1, 1]]}', deviation_path),
+        "malformed input (consecutive vertices must differ)"),
+    "path-planar-vertex": (file_case("path.json", '{"vertices": [[0, 1], [3, 1]]}', deviation_path),
+                           "malformed input (expected 3 numbers, got 2)"),
+    # a survey or SAGAT row
+    "survey-instrument": (survey_row("p1,XYZ,i1,4,true,caged"), "instrument 'XYZ'"),
+    "survey-score-9": (survey_row("p1,CTPA,i1,9,true,caged"), "score '9' outside 1..7"),
+    "survey-manip-pass": (survey_row("p1,CTPA,i1,4,maybe,caged"),
+                          "cannot parse 'maybe' as a boolean"),
+    "sagat-level-3": (
+        file_case("sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n"
+                  "p1,q1,altitude,3,true\n", lambda sagat: ["sa", "--sagat", sagat], 2),
+        "sa_level '3' must be 1 or 2"),
+    "sa-weights-not-json": (
+        file_case("w.json", "{", lambda weights: ["sa", "--sagat", CAMPAIGN / "sagat.csv",
+                                                   "--weights", weights]),
+        "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 "
+        "(char 1)"),
+    # fiducial observations, a side file of the manifest
+    "fiducials-short-row": (fiducials_text("fiducial_id,half,mapped,x,y\nA,1,complete\n", 2),
+                            "row has 3 fields, needs 5"),
+    "fiducials-half-3": (fiducials_text("fiducial_id,half,x,y,mapped\nA,3,0,0,complete\n", 2),
+                         "half must be 1 or 2, got '3'"),
+    "fiducials-state": (fiducials_text("fiducial_id,half,x,y,mapped\nA,1,0,0,blurry\n", 2),
+                        "bad mapped state 'blurry'"),
+    "criteria-unknown-op": (
+        sample_with("criteria.json", lambda doc: doc["hd_video_min"].update(op="between"),
+                    "validate"),
+        "criterion 'hd_video_min': unknown criterion op 'between'"),
+    # a manifest's test blocks
+    **{f"manifest-{test_id}-{key}-{label}": (
+        manifest_with(lambda doc, test_id=test_id, key=key, edit=edit: edit(
+            named(doc, test_id)[key])),
+        f"test {test_id}: bad {key!r} block ({reason})")
+       for test_id, key, label, edit, reason in (
+           ("wall-follow-1m", "waypoint", "four-numbers", lambda w: w.append(0),
+            "expected 2 or 3 numbers, got 4"),
+           ("oa-wall", "obstacle", "kind", lambda o: o.update(kind="cylinder"),
+            "kind must be plane_segment or infinite_plane"),
+           ("oa-wall", "obstacle", "one-point", lambda o: o.update(p1=o["p0"]),
+            "segment endpoints must differ"),
+           ("oa-wall", "obstacle", "flat", lambda o: o.update(height=0),
+            "height must be positive"),
+           ("oa-wall", "obstacle", "glass", lambda o: o.update(material="glass"),
+            "unknown obstacle material 'glass'"),
+           ("endurance-indoor", "nlos_positions", "at-zero", lambda p: p[0].update(distance=0),
+            "distance must be positive"),
+           ("endurance-indoor", "nlos_positions", "connect", lambda p: p[0].update(connect="ok"),
+            "bad connect value 'ok'"),
+           ("endurance-indoor", "nlos_positions", "fly", lambda p: p[0].update(fly="maybe"),
+            "bad fly value 'maybe'"),
+           ("map-loop", "fiducials", "no-traversal", lambda f: f[0].update(min_traversal=0),
+            "min_traversal must be positive"))},
+    "manifest-criteria-file-missing": (
+        manifest_with(lambda doc: named(doc, "endurance-indoor").update(criteria="nope.json")),
+        "test endurance-indoor: criteria file 'nope.json' not found"),
+    # a manifest's version, environments, tests and trials
+    "manifest-version-2": (manifest_with(lambda doc: doc.update(schema_version=2)),
+                           "schema_version 2"),
+    "manifest-lighting-dim": (manifest_with(lambda doc: doc["environments"][0].update(
+        lighting="dim")), "environment lab: lighting must be lighted or dark"),
+    "manifest-lighted-at-5-lux": (manifest_with(lambda doc: doc["environments"][0].update(lux=5)),
+                                  "environment lab: lighted requires measured lux >= 100"),
+    "manifest-dark-at-5-lux": (manifest_with(lambda doc: doc["environments"][0].update(
+        lighting="dark", lux=5)), "environment lab: dark requires measured lux < 1"),
+    "manifest-test-without-id": (manifest_with(lambda doc: doc["tests"].append({"kind": "nav"})),
+                                 "test entry missing 'test_id'"),
+    "manifest-trial-unknown-test": (
+        manifest_with(lambda doc: trial(doc, "t001").update(test_id="nope")),
+        "trial t001 references unknown test 'nope'"),
+    "manifest-trial-unknown-suas": (
+        manifest_with(lambda doc: trial(doc, "t001").update(suas_id="zulu")),
+        "trial t001 references unknown sUAS 'zulu'"),
+    "manifest-trial-category": (
+        manifest_with(lambda doc: trial(doc, "t006").update(oa_category="OA-Z9")),
+        "trial t006: oa_category 'OA-Z9'"),
+    "manifest-trial-telemetry-missing": (
+        manifest_with(lambda doc: trial(doc, "t001").update(telemetry="gone.csv")),
+        "trial t001: telemetry file 'gone.csv' not found"),
+    "manifest-trial-outcome": (
+        manifest_with(lambda doc: trial(doc, "t001").update(outcome="maybe")),
+        "trial t001: outcome must be success or failure"),
+    "manifest-trial-negative-duration": (
+        manifest_with(lambda doc: trial(doc, "t011").update(duration_min=-1)),
+        "trial t011: duration must be non-negative"),
+    # a feature sheet's features and systems
+    "features-without-name": (ncap_with(lambda doc: doc["features"][0].pop("name")),
+                              "feature missing 'name'"),
+    "features-without-direction": (ncap_with(lambda doc: doc["features"][0].pop("direction")),
+                                   "feature 'flight_time' has no direction"),
+    "features-direction-up": (ncap_with(lambda doc: doc["features"][0].update(direction="up")),
+                              "feature 'flight_time': direction must be 'higher' or 'lower'"),
+    "features-system-without-id": (ncap_with(lambda doc: doc["systems"][0].pop("id")),
+                                   "system missing 'id'"),
+    # an FIS rule naming what the system does not have
+    "fis-rule-unknown-variable": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update({"if": {"wind": "low"}})),
+        "mc rule 0: unknown variable 'wind'"),
+    "fis-rule-unknown-output": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update(then="great")),
+        "mc rule 0: unknown output 'great'"),
+    # a scores row with no input of any axis
+    "cfis-row-without-inputs": (
+        file_case("s.csv", (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0]
+                  + "\nalpha,t1,,,,,,,\n", lambda scores: ["cfis", "--scores", scores], 2),
+        "alpha/t1: row matches no axis inputs"),
 }
 
 
@@ -916,6 +1140,130 @@ class TestLoadErrorsNameTheFile:
         case, message = LOAD_ERRORS[name]
         argv, bad = case(tmp_path)
         assert run(capsys, *argv) == (1, "", f"error: {message} (at {bad})\n")
+
+
+def sample_edited(edit, *argv):
+    """A case: `argv` then the manifest of a sample campaign copy that `edit` changes."""
+    def case(tmp_path):
+        directory = campaign_copy(tmp_path)
+        edit(directory)
+        return [argv[0], directory / "campaign.json", *argv[1:]]
+    return case
+
+
+def telemetry(name, *rows):
+    """An edit that replaces the sample's telemetry file `name` with t,x,y,z,vx,vy,vz `rows`."""
+    def edit(directory):
+        lines = ["t,x,y,z,vx,vy,vz"] + [",".join(map(str, row)) for row in rows]
+        write(directory / name, "\n".join(lines) + "\n")
+    return edit
+
+
+def argv_of(case):
+    """A case giving only the argv of `case`, which also gives the file it makes wrong."""
+    return lambda tmp_path: case(tmp_path)[0]
+
+
+def feature_names():
+    return [f["name"] for f in json.loads((CAMPAIGN / "features.json").read_text())["features"]]
+
+
+def zero_weights(tmp_path):
+    weights = write(tmp_path / "w.json", json.dumps(dict.fromkeys(feature_names(), 0)))
+    return ["ncap", "--features", CAMPAIGN / "features.json", "--weights", weights]
+
+
+def header_only_sagat(tmp_path):
+    sagat = write(tmp_path / "sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n")
+    return ["sa", "--sagat", sagat]
+
+
+def zero_sa_weights(tmp_path):
+    elements = ["landolt_red", "landolt_green", "altitude", "heading", "battery"]
+    weights = write(tmp_path / "w.json", json.dumps({"weights": dict.fromkeys(elements, 0)}))
+    return ["sa", "--sagat", CAMPAIGN / "sagat.csv", "--weights", weights]
+
+
+def cfis_one_rule(tmp_path):
+    """The shipped config with one mission rule, for many crashes, which the sample fires on no
+    row."""
+    config = edited(tmp_path, DEFAULT_FIS, lambda doc: doc["fis"]["mc"].update(
+        rules=[{"if": {"crashes": "high"}, "then": "bad"}]), "fis.json")
+    return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"]
+
+
+def zero_score(tmp_path):
+    scores = write(tmp_path / "s.csv", "suas_id,test_id,score\nalpha,t1,0\n")
+    return ["cfis", "--scores", scores]
+
+
+def item_in_one_condition(tmp_path):
+    survey = write(tmp_path / "s.csv", "participant_id,instrument,item_id,score,manip_pass,"
+                                       "condition\np1,CTPA,i1,4,true,A\np2,CTPA,i2,4,true,B\n")
+    return ["trust", "--survey", survey, "--condition-a", "A", "--condition-b", "B"]
+
+
+# runs that fail once their inputs load, and the two plot options a kind needs: (case giving
+# the argv, exit code, the last line of stderr, the error)
+RUN_ERRORS = {
+    "usage-missing-argument": (lambda tmp_path: ["metrics"], 1,
+                               "error: the following arguments are required: manifest, --test"),
+    "plot-scatter-without-features": (lambda tmp_path: ["plot", "--kind", "ncap-scatter"], 1,
+                                      "error: --features is required for ncap-scatter"),
+    "plot-deviation-without-path": (
+        lambda tmp_path: ["plot", "--kind", "deviation", "--telemetry",
+                          CAMPAIGN / "wf_alpha_1.csv"],
+        1, "error: --telemetry and --path are required for deviation plots"),
+    "collision-hover-only": (
+        sample_edited(telemetry("oa_alpha_3.csv", *[(t / 10, 1.5, 1.5, 1, 0, 0, 0)
+                                                    for t in range(5)]),
+                      "metrics", "--test", "collision"),
+        2, "error: trial t008: no sample moves faster than the stationary cutoff"),
+    "collision-time-outside-telemetry": (
+        argv_of(sample_with("campaign.json",
+                            lambda doc: trial(doc, "t006").update(t_collision_s=10),
+                            "metrics", "--test", "collision")),
+        2, "error: trial t006: t_c=10.0 outside [0.0, 3.6]"),
+    "collision-sampled-at-2-hz": (
+        sample_edited(telemetry("oa_alpha_1.csv", *[(t / 2, 1.5, 1.5 - t / 4, 1, 0, -0.5, 0)
+                                                    for t in range(8)]),
+                      "metrics", "--test", "collision"),
+        2, "error: trial t006: need >= 10 Hz sampling in the post-collision window"),
+    "collision-two-samples": (
+        sample_edited(telemetry("oa_alpha_1.csv", (0, 1.5, 1.5, 1, 0, -0.5, 0),
+                                (3.5, 1.5, 0, 1, 0, -0.5, 0)),
+                      "metrics", "--test", "collision"),
+        2, "error: trial t006: differentiation needs at least 3 samples"),
+    "sa-no-responses": (header_only_sagat, 2, "error: no responses"),
+    "sa-zero-weights": (zero_sa_weights, 2, "error: weights must sum to a positive value"),
+    "ncap-zero-value": (argv_of(ncap_with(lambda doc: doc["systems"][0]["values"].update(fov=0))),
+                        2, "error: fov=0.0 for alpha (must be > 0)"),
+    "ncap-absent-everywhere": (
+        argv_of(ncap_with(lambda doc: [system["values"].update(fov="N/A")
+                                       for system in doc["systems"]])),
+        2, "error: fov: absent for every system"),
+    "ncap-zero-weights": (zero_weights, 2, "error: weights must not all be zero"),
+    "ncap-no-systems": (argv_of(ncap_with(lambda doc: doc.update(systems=[]))), 2,
+                        "error: no systems to rank"),
+    "cfis-no-rule-fired": (cfis_one_rule, 2, "error: alpha/takeoff-easy: mc: no rule fired for "
+                           "{'crashes': 0.0, 'completion': 1.0, 'rollovers': 0.0} "
+                           f"(at {CAMPAIGN / 'cfis_scores.csv'}:2)"),
+    "cfis-zero-score": (zero_score, 2, "error: alpha/t1=0.0 outside (0, 1]"),
+    "trust-unknown-condition": (
+        lambda tmp_path: ["trust", "--survey", CAMPAIGN / "surveys.csv",
+                          "--condition-a", "caged", "--condition-b", "open"],
+        2, "error: no valid rows for condition 'open'"),
+    "trust-item-in-one-condition": (item_in_one_condition, 2, "error: CTPA i1: no scores for 'B'"),
+}
+
+
+class TestRunErrors:
+    @pytest.mark.parametrize("name", sorted(RUN_ERRORS))
+    def test_exit_code_and_error_line(self, capsys, tmp_path, name):
+        case, code, line = RUN_ERRORS[name]
+        got_code, out, err = run(capsys, *case(tmp_path))
+        assert (got_code, out, err.splitlines()[-1]) == (code, "", line)
+        assert err.count("error:") == 1
 
 
 def with_entry(directory, entry_id, key, value):

@@ -17,7 +17,7 @@ from decisive.collision import (
     masi,
     max_delta_v,
 )
-from decisive.core import ObstacleGeometry, Trajectory, TrialRecord
+from decisive.core import CR_CATEGORIES, OA_CATEGORIES, ObstacleGeometry, Trajectory, TrialRecord
 from decisive.errors import DecisiveError
 
 WALL = ObstacleGeometry("plane_segment", (0.0, 0.0), (3.0, 0.0), height=2.0, material="wall")
@@ -309,16 +309,20 @@ def make_trial(i, collisions=0, oa=None, cr=None, test="oa-wall"):
     )
 
 
+def by_test(trial):
+    return trial.test_id
+
+
 class TestCategoryDistribution:
     def test_all_same(self):
         trials = [make_trial(i, oa="OA-A1") for i in range(5)]
-        dist = category_distribution(trials, "oa")
+        dist = category_distribution(trials, "oa_category", OA_CATEGORIES, by_test)
         assert dist["oa-wall"]["OA-A1"] == 100.0
 
     def test_split(self):
         trials = [make_trial(i, cr="CR-A1") for i in range(4)]
         trials.append(make_trial(9, cr="CR-C1"))
-        dist = category_distribution(trials, "cr")
+        dist = category_distribution(trials, "cr_category", CR_CATEGORIES, by_test)
         assert dist["oa-wall"]["CR-A1"] == pytest.approx(80.0)
         assert dist["oa-wall"]["CR-C1"] == pytest.approx(20.0)
 
@@ -327,9 +331,6 @@ class TestCategoryDistribution:
             make_trial(i, oa=cat)
             for i, cat in enumerate(["OA-A1", "OA-A1", "OA-B2", "OA-B4", "OA-C1", "OA-A1", "OA-B1"])
         ]
-        dist = category_distribution(trials, "oa")
+        dist = category_distribution(trials, "oa_category", OA_CATEGORIES, by_test)
         assert sum(dist["oa-wall"].values()) == pytest.approx(100.0, abs=0.5)
 
-    def test_missing_category(self):
-        with pytest.raises(DecisiveError, match="lacks oa_category"):
-            category_distribution([make_trial(0)], "oa")

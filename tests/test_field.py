@@ -1,6 +1,5 @@
 import pytest
 
-from decisive.errors import DecisiveError
 from decisive.field import (
     Criterion,
     NlosPosition,
@@ -29,11 +28,6 @@ class TestEndurance:
         for laps in range(0, 40, 7):
             distance, _ = endurance_metrics(laps, 5.0)
             assert distance % 13.0 == 0.0
-
-    def test_zero_duration(self):
-        with pytest.raises(DecisiveError, match="duration must be positive"):
-            endurance_metrics(5, 0.0)
-
 
 def positions(specs):
     return [
@@ -102,6 +96,3 @@ class TestRequirements:
         assert result.per_field["hd_video_min"] is False
         assert result.missing == ("hd_video_min",)
 
-    def test_no_criteria(self):
-        with pytest.raises(DecisiveError, match="no criteria provided"):
-            requirements_met({"a": 1}, [])

@@ -111,10 +111,6 @@ class TestOsa:
         perception = {f"se{i}": ps[i] for i in range(n)}
         assert 0.0 <= osa(weights, perception) <= 1.0
 
-    def test_mismatch(self):
-        with pytest.raises(DecisiveError, match="vectors cover different elements"):
-            osa({"a": 1.0}, {"b": 1.0})
-
     def test_summary(self):
         mean, std = osa_summary([0.2, 0.3, 0.4])
         assert mean == pytest.approx(0.3)

@@ -694,8 +694,8 @@ class TestColumnReaderAcrossChunks:
     def test_defect_free_body_takes_the_columns(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "".join(self.LINES))
         header, body = ingest._header_and_body(p)
-        rows = [values for _, values in ingest._csv_rows(header, body, p, ingest.SURVEY_COLUMNS)]
-        columns = ingest._csv_columns(header, body, p, ingest.SURVEY_COLUMNS, key=3)
+        rows = [values for _, values in ingest._csv_rows(header, body, ingest.SURVEY_COLUMNS)]
+        columns = ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS, key=3)
         assert columns == ingest._transposed(rows, 6) and len(rows) == len(self.LINES)
         agrees_with_row_loop(lambda: trust_outcome(p), fast=True)
 
@@ -712,7 +712,7 @@ class TestColumnReaderAcrossChunks:
         lines[row] = line + "\n"
         p = write(tmp_path / "s.csv", self.HEADER + "".join(lines))
         header, body = ingest._header_and_body(p)
-        assert ingest._csv_columns(header, body, p, ingest.SURVEY_COLUMNS, key=3) is None
+        assert ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS, key=3) is None
         code, out, err = agrees_with_row_loop(lambda: trust_outcome(p), fast=False)
         if message:
             assert (code, out, err) == (1, "", f"error: {message} (at {p}:{row + 2})\n")
@@ -735,7 +735,7 @@ class TestColumnReaderAcrossChunks:
         assert len(body) >= 1 << 20
         tracemalloc.start()
         try:
-            columns = ingest._csv_columns(header, body, p, ingest.SURVEY_COLUMNS, key=3)
+            columns = ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS, key=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

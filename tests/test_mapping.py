@@ -40,11 +40,6 @@ class TestDimensionalAccuracy:
     def test_short_dimensions(self):
         assert dimensional_accuracy([1.8, 1.8], [2.0, 2.0]) == pytest.approx(90.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DecisiveError, match="1 reported vs 2 truth values"):
-            dimensional_accuracy([1.0], [1.0, 2.0])
-
-
 class TestFovCoverage:
     def test_half(self):
         assert fov_coverage(2, 4) == 50.0
@@ -55,13 +50,6 @@ class TestFovCoverage:
     def test_eleven_of_sixteen(self):
         assert fov_coverage(11, 16) == pytest.approx(68.75)
 
-    def test_out_of_range(self):
-        with pytest.raises(DecisiveError, match=r"visible count 5 outside \[0, 4\]"):
-            fov_coverage(5, 4)
-        with pytest.raises(DecisiveError, match="total must be positive"):
-            fov_coverage(0, 0)
-
-
 class TestShapeAccuracy:
     def test_seventy_percent(self):
         classes = ["complete", "complete", "complete", "shifted", "complete",
@@ -71,11 +59,6 @@ class TestShapeAccuracy:
     def test_extremes(self):
         assert shape_accuracy_rate(["complete"] * 4) == 100.0
         assert shape_accuracy_rate(["shifted"] * 3) == 0.0
-
-    def test_empty(self):
-        with pytest.raises(DecisiveError, match="no fiducial classifications"):
-            shape_accuracy_rate([])
-
 
 def unit_square_truth():
     corners = [("A", (0.0, 0.0)), ("B", (1.0, 0.0)), ("C", (1.0, 1.0)), ("D", (0.0, 1.0))]
@@ -186,8 +169,3 @@ class TestAcuitySummary:
         assert mean == pytest.approx(10.25)
         assert std == pytest.approx(13.789, abs=1e-3)
 
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ValueError):
-            acuity_summary([7.0])
-        with pytest.raises(DecisiveError, match="no acuity readings"):
-            acuity_summary([])

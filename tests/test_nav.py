@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from decisive.core import Trajectory
-from decisive.errors import DecisiveError
 from decisive.nav import (
     ReferencePath,
     average_deviation,
@@ -220,6 +219,3 @@ class TestTraversalSpeed:
     def test_arithmetic(self):
         assert traversal_speed(13.0, 1.0) == pytest.approx(0.21667, abs=1e-4)
 
-    def test_zero_duration(self):
-        with pytest.raises(DecisiveError, match="duration must be positive"):
-            traversal_speed(10.0, 0.0)

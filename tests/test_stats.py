@@ -33,11 +33,6 @@ class TestCompletionConfidence:
     def test_near_certain_threshold(self):
         assert completion_confidence(1, 0, 0.999) == pytest.approx(0.001)
 
-    def test_invalid_threshold(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(DecisiveError, match=r"p0 must be inside \(0, 1\)"):
-                completion_confidence(5, 0, bad)
-
     def test_decreasing_in_p0(self):
         values = [completion_confidence(8, 1, p0) for p0 in (0.5, 0.6, 0.7, 0.8, 0.9)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -90,8 +85,6 @@ class TestCompletionConfidence:
         rate = completion_rate(4, 1)
         assert isinstance(rate, float)
         assert rate == pytest.approx(0.8)
-        with pytest.raises(DecisiveError, match="no trials"):
-            completion_rate(0, 0)
 
 
 class TestQuartiles:
@@ -120,10 +113,6 @@ class TestQuartiles:
         kept, removed, warning = iqr_filter(values)
         assert removed == [100]
         assert warning is not None
-
-    def test_too_few(self):
-        with pytest.raises(DecisiveError, match="IQR filtering needs at least 4 values"):
-            iqr_filter([1, 2, 3])
 
     def test_filter_is_fixed_point_when_nothing_removed(self):
         values = [2, 4, 4, 5, 5, 6, 8]
@@ -183,10 +172,6 @@ class TestMannWhitney:
         assert oracle_mann_whitney(a, b) == (0.0, 0.2)
         result = mann_whitney(a, b)
         assert (result.u, result.p_two_sided) == (0.0, 0.2)
-
-    def test_empty(self):
-        with pytest.raises(DecisiveError, match="both samples must be non-empty"):
-            mann_whitney([], [1.0])
 
     def test_exact_matches_enumeration_oracle(self):
         rng = random.Random(2024)
@@ -395,6 +380,3 @@ class TestWelchT:
         t, p = welch_t([4, 4, 4], [4, 4, 4])
         assert t == 0.0 and p == 1.0
 
-    def test_needs_two_per_side(self):
-        with pytest.raises(DecisiveError, match="Welch's t needs at least two values per side"):
-            welch_t([1], [2, 3])
