@@ -30,24 +30,9 @@ class TriangularMf(NamedTuple):
     hi: float
 
 
-def mf_eval(mf: TriangularMf, x: float) -> float:
-    """Degree of membership in [0, 1]; x is clamped into the variable range first."""
-    x = min(max(x, mf.lo), mf.hi)
-    if mf.a == mf.b and x <= mf.b:
-        return 1.0
-    if mf.b == mf.c and x >= mf.b:
-        return 1.0
-    if x < mf.a or x > mf.c:
-        return 0.0
-    if x < mf.b:
-        return (x - mf.a) / (mf.b - mf.a)
-    if x > mf.b:
-        return (mf.c - x) / (mf.c - mf.b)
-    return 1.0
-
-
 def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
-    """`mf_eval` of every element of `x`: the same clamp, rules and arithmetic, case by case."""
+    """Degree of membership in [0, 1] of every element of `x`, each clamped into the
+    variable range first."""
     import numpy as np
 
     # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
@@ -77,9 +62,6 @@ class LinguisticVariable(NamedTuple):
     hi: float
     terms: dict[str, TriangularMf]
     aliases: dict[str, str]  # e.g. many -> high
-
-    def membership(self, term: str, x: float) -> float:
-        return mf_eval(self.terms[self.aliases.get(term, term)], x)
 
     def has_term(self, term: str) -> bool:
         return term in self.terms or term in self.aliases
@@ -117,26 +99,13 @@ class FisConfig(NamedTuple):
 
 
 def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
-    """Crisp output: strength-weighted average of the fired rules' output levels.
+    """Crisp output of one row: `_fis_columns` on `inputs`, a value for each input."""
+    import numpy as np
 
-    A rule's strength is the minimum antecedent membership, with negated
-    antecedents contributing 1 - membership. `inputs` has a value for each input.
-    """
-    num = 0.0
-    den = 0.0
-    for rule in fis.rules:
-        strength = 1.0
-        for var_name, term, negated in rule.antecedents:
-            mu = fis.inputs[var_name].membership(term, float(inputs[var_name]))
-            strength = min(strength, 1.0 - mu if negated else mu)
-            if strength == 0.0:
-                break
-        if strength > 0.0:
-            num += strength * fis.output_levels[rule.consequent]
-            den += strength
-    if den == 0.0:
+    outputs, fired = _fis_columns(fis, {v: np.array([float(inputs[v])]) for v in fis.inputs}, 1)
+    if not fired[0]:
         raise DecisiveError(_no_rule(fis, dict(inputs)))
-    return num / den
+    return float(outputs[0])
 
 
 def _no_rule(fis: Fis, inputs: Mapping[str, float]) -> str:
@@ -144,11 +113,12 @@ def _no_rule(fis: Fis, inputs: Mapping[str, float]) -> str:
 
 
 def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray], size: int):
-    """`fis_eval` over `size` rows of input columns: (outputs, fired), NaN where none fired.
+    """Crisp outputs of `size` rows of input columns: (outputs, fired), NaN where none fired.
 
-    Each (variable, term) membership column is computed once. Rule strengths
-    and the weighted sums take the same steps in the same order as `fis_eval`,
-    so every output is bit-identical to `fis_eval`'s.
+    Each output is the strength-weighted average of the fired rules' output
+    levels. A rule's strength is the minimum antecedent membership, with
+    negated antecedents contributing 1 - membership. Each (variable, term)
+    membership column is computed once.
     """
     import numpy as np
 
@@ -329,21 +299,17 @@ def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:
     """
     import random
 
+    import numpy as np
+
     rng = random.Random(seed)
-    outputs = []
-    silent = 0
-    for _ in range(points_per_axis):
-        inputs = {
-            name: var.lo + (var.hi - var.lo) * rng.random()
-            for name, var in fis.inputs.items()
-        }
-        try:
-            outputs.append(fis_eval(fis, inputs))
-        except DecisiveError:  # no rule fired
-            silent += 1
+    draws = [[var.lo + (var.hi - var.lo) * rng.random() for var in fis.inputs.values()]
+             for _ in range(points_per_axis)]
+    columns = np.array(draws, dtype=float).reshape(points_per_axis, len(fis.inputs))
+    outputs, fired = _fis_columns(fis, dict(zip(fis.inputs, columns.T)), points_per_axis)
+    silent = int(np.count_nonzero(~fired))
     if silent:
         warnings.warn(
             f"{fis.name}: {silent}/{points_per_axis} sweep points fired no rule",
             DataQualityWarning,
         )
-    return outputs
+    return outputs[fired].tolist()

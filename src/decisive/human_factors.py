@@ -92,11 +92,6 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
     return sum(w * perception[se] for se, w in weights.items()) / total
 
 
-def osa_summary(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample std of one or more per-participant OSA scores."""
-    return mean_std(values)
-
-
 def osa_by_mission(
     weights: Mapping[str, float],
     vectors: Mapping[str, Mapping[str, float]],

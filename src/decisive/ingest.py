@@ -91,9 +91,15 @@ def _load_json(path):
     def non_finite(name):
         raise ParseError(f"invalid JSON: {name} is not a number")
 
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(f"invalid JSON: {text} is beyond the float range")
+        return value
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=non_finite)
+            return json.load(fh, parse_constant=non_finite, parse_float=finite)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}")
 
@@ -413,7 +419,12 @@ def _json(value, kind):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number if kind is float else isinstance(value, kind)):
         raise TypeError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer beyond the float range")
 
 
 def _numbers(value, *sizes) -> tuple[float, ...]:
@@ -881,11 +892,13 @@ def parse_feature_sheet(path) -> FeatureSheet:
 
     doc = _json(_load_json(path), dict)
     blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet")
+    if not blocks.get("features"):
+        raise ParseError("feature sheet has no features")
 
     direction_map = {"higher": "higher_better", "lower": "lower_better"}
     features = []
     degrees = {}
-    for entry in blocks.get("features", []):
+    for entry in blocks["features"]:
         entry = _object(entry, "feature entry")
         typed = _fields(entry, _FEATURE_FIELDS, f"feature {entry.get('name')!r}")
         name = typed.get("name")

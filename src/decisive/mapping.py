@@ -11,7 +11,6 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
-from .stats import mean_std
 
 #: difficulty thresholds; configuration values fitted to the ten labeled
 #: example fiducials, override per campaign if the course differs
@@ -113,8 +112,3 @@ def difficulty_rating(min_traversal: float, min_turns: int) -> str:
     if min_traversal <= EASY_TRAVERSAL_M and min_turns <= EASY_TURNS:
         return "L"
     return "M"
-
-
-def acuity_summary(levels_mm: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample std of resolved acuity levels."""
-    return mean_std(levels_mm)

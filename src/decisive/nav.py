@@ -87,11 +87,6 @@ def waypoint_error(final_pos: Sequence[float], waypoint: Sequence[float]) -> flo
     return math.hypot(fx - wx, fy - wy)
 
 
-def waypoint_summary(errors: Sequence[float]) -> tuple[float, float]:
-    """(accuracy, precision) = (mean, sample std) of one or more landing errors."""
-    return mean_std(errors)
-
-
 def traversal_speed(length_m: float, duration_min: float) -> float:
     """Average speed in m/s from total length traversed and a positive duration in minutes."""
     return length_m / (duration_min * 60.0)

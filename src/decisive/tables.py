@@ -32,6 +32,7 @@ def nav_tables(campaign: Campaign) -> list[ReportTable]:
     from . import nav as nav_mod
     from .core import APERTURE_TIERS, tests_of_kind
     from .ingest import parse_telemetry
+    from .stats import mean_std
 
     deviation = ReportTable("Path deviation", [
         Column("test"), Column("sUAS"), Column("flights", "number", 0),
@@ -66,7 +67,7 @@ def nav_tables(campaign: Campaign) -> list[ReportTable]:
                 if test.waypoint:
                     errors = [nav_mod.waypoint_error(traj.pos[-1], test.waypoint)
                               for traj, _ in trajs]
-                    acc, prec = nav_mod.waypoint_summary(errors)
+                    acc, prec = mean_std(errors)
                     waypoints.add_row(test_id, suas_id, len(errors), acc, prec)
             tiered = [t for t in mine if t.aperture_tier]
             if tiered:
@@ -199,6 +200,7 @@ def field_tables(campaign: Campaign) -> list[ReportTable]:
 def mapping_tables(campaign: Campaign) -> list[ReportTable]:
     from . import mapping as mapping_mod
     from .core import tests_of_kind
+    from .stats import mean_std
 
     tables = []
     for test in tests_of_kind(campaign, "mapping"):
@@ -233,7 +235,7 @@ def mapping_tables(campaign: Campaign) -> list[ReportTable]:
         if test.fov:
             summary.add_row("FOV coverage", mapping_mod.fov_coverage(*test.fov), "%")
         if test.acuity_levels:
-            mean, std = mapping_mod.acuity_summary(test.acuity_levels)
+            mean, std = mean_std(test.acuity_levels)
             summary.add_row("mean acuity", mean, "mm")
             summary.add_row("acuity std", std, "mm")
         if summary.rows:
@@ -358,6 +360,7 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
 def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> list[ReportTable]:
     """SAGAT rates, OSA per participant, OSA by mission; no `weights` weighs every element 1."""
     from . import human_factors as hf
+    from .stats import mean_std
 
     rates = hf.sagat_correct_rates(responses)
     vectors = hf.perception_vectors(responses)
@@ -386,7 +389,7 @@ def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> li
         scores.append(value)
         osa_table.add_row(participant, value)
     if scores:
-        mean, std = hf.osa_summary(scores)
+        mean, std = mean_std(scores)
         osa_table.add_row("mean", mean)
         osa_table.add_row("std", std)
 

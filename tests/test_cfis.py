@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from decisive.cfis import (
     cascade_columns,
     fis_eval,
     mf_column,
-    mf_eval,
     predictive_score,
     sweep_outputs,
 )
@@ -59,8 +59,8 @@ def score_rows(config, rows):
 
 
 def oracle_row(config, row):
-    """One row's (axis scores, combined, normalized) from scalar `fis_eval`: the
-    per-row cascade and ideal run the column evaluator replaces."""
+    """One row's (axis scores, combined, normalized) from `fis_eval`, one system
+    at a time: the per-row cascade and ideal run the column evaluator replaces."""
     axes = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
     inputs = {name: {v: row[v] for v in fis.inputs} for name, fis in axes.items()
               if all(v in row for v in fis.inputs)}
@@ -176,35 +176,68 @@ def configs_and_rows(draw):
     return config, rows
 
 
+def mf_eval(mf: TriangularMf, x: float) -> float:
+    """Scalar reference for `mf_column`: one value, clamped into range, case by case."""
+    x = min(max(x, mf.lo), mf.hi)
+    if mf.a == mf.b and x <= mf.b:
+        return 1.0
+    if mf.b == mf.c and x >= mf.b:
+        return 1.0
+    if x < mf.a or x > mf.c:
+        return 0.0
+    if x < mf.b:
+        return (x - mf.a) / (mf.b - mf.a)
+    if x > mf.b:
+        return (mf.c - x) / (mf.c - mf.b)
+    return 1.0
+
+
+def fis_scalar(fis: Fis, inputs) -> float | None:
+    """Scalar reference for the fuzzy evaluator: one row, rule by rule; None where no rule fires."""
+    num = 0.0
+    den = 0.0
+    for rule in fis.rules:
+        strength = 1.0
+        for var_name, term, negated in rule.antecedents:
+            var = fis.inputs[var_name]
+            mu = mf_eval(var.terms[var.aliases.get(term, term)], float(inputs[var_name]))
+            strength = min(strength, 1.0 - mu if negated else mu)
+            if strength == 0.0:
+                break
+        if strength > 0.0:
+            num += strength * fis.output_levels[rule.consequent]
+            den += strength
+    return None if den == 0.0 else num / den
+
+
 class TestMembership:
     def test_left_shoulder_apex(self):
         low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
-        assert mf_eval(low, 0.0) == 1.0
+        assert mf_column(low, np.array([0.0])).tolist() == [1.0]
 
     def test_ramp_midpoint(self):
         low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
-        assert mf_eval(low, 0.625) == pytest.approx(0.5)
+        assert mf_column(low, np.array([0.625])).tolist() == pytest.approx([0.5])
 
     def test_interior_triangle(self):
         med = TriangularMf(0.5, 1.5, 2.5, 0.0, 3.0)
-        assert mf_eval(med, 1.0) == pytest.approx(0.5)
-        assert mf_eval(med, 1.5) == 1.0
-        assert mf_eval(med, 3.0) == 0.0
+        assert mf_column(med, np.array([1.0])).tolist() == pytest.approx([0.5])
+        assert mf_column(med, np.array([1.5, 3.0])).tolist() == [1.0, 0.0]
 
     def test_right_shoulder(self):
         high = TriangularMf(0.7, 1.0, 1.0, 0.0, 1.0)
-        assert mf_eval(high, 1.0) == 1.0
+        assert mf_column(high, np.array([1.0])).tolist() == [1.0]
 
     def test_clamping_outliers(self):
         high = TriangularMf(1.75, 3.0, 3.0, 0.0, 3.0)
-        assert mf_eval(high, 99.0) == 1.0  # clamped to hi
+        assert mf_column(high, np.array([99.0])).tolist() == [1.0]  # clamped to hi
         low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
-        assert mf_eval(low, -5.0) == 1.0  # clamped to lo
+        assert mf_column(low, np.array([-5.0])).tolist() == [1.0]  # clamped to lo
 
     @given(x=st.floats(-1, 4))
     def test_bounded(self, x):
         med = TriangularMf(0.5, 1.5, 2.5, 0.0, 3.0)
-        assert 0.0 <= mf_eval(med, x) <= 1.0
+        assert 0.0 <= mf_column(med, np.array([x]))[0] <= 1.0
 
     @given(var=variables("x"), data=st.data())
     def test_column_bit_identical_to_scalar(self, var, data):
@@ -263,6 +296,31 @@ class TestFisEval:
         fis = Fis("gappy", {"x": var}, {"bad": 0.0}, (Rule((("x", "lo", False),), "bad"),))
         with pytest.raises(DecisiveError, match=r"^gappy: no rule fired for \{'x': 0.9\}$"):
             fis_eval(fis, {"x": 0.9})
+
+    @given(data=st.data())
+    def test_bit_identical_to_scalar_rule_loop(self, data):
+        fis = data.draw(systems("s", [f"v{j}" for j in range(data.draw(st.integers(1, 3)))]))
+        inputs = {v: data.draw(cell(var)) for v, var in fis.inputs.items()}
+        expected = fis_scalar(fis, inputs)
+        if expected is None:
+            with pytest.raises(DecisiveError, match="^s: no rule fired for "):
+                fis_eval(fis, inputs)
+        else:
+            assert bits(fis_eval(fis, inputs)) == bits(expected)
+
+    @given(data=st.data(), seed=st.integers(0, 99))
+    def test_sweep_bit_identical_to_scalar_rule_loop(self, data, seed):
+        fis = data.draw(systems("s", [f"v{j}" for j in range(data.draw(st.integers(1, 3)))]))
+        # the sweep draws point by point, input by input, and skips points that fire no rule
+        rng = random.Random(seed)
+        points = [{v: var.lo + (var.hi - var.lo) * rng.random() for v, var in fis.inputs.items()}
+                  for _ in range(20)]
+        expected = [fis_scalar(fis, p) for p in points]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outputs = sweep_outputs(fis, 20, seed=seed)
+        assert [bits(o) for o in outputs] == [bits(o) for o in expected if o is not None]
+
 
 class TestCascade:
     def test_high_high_very_good(self, config):

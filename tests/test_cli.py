@@ -681,13 +681,15 @@ def fis_config_infinity(tmp_path):
     return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"], config
 
 
-def manifest_nan(tmp_path):
-    manifest = campaign_copy(tmp_path) / "campaign.json"
-    doc = json.loads(manifest.read_text())
-    trial = next(t for t in doc["trials"] if "duration_min" in t)
-    trial["duration_min"] = "__nan__"
-    manifest.write_text(json.dumps(doc).replace('"__nan__"', "NaN"))
-    return ["validate", manifest], manifest
+def manifest_literal(trial_id, key, literal):
+    """A case: `validate` on a sample copy whose trial `trial_id` has `key` written as `literal`."""
+    def case(tmp_path):
+        manifest = campaign_copy(tmp_path) / "campaign.json"
+        doc = json.loads(manifest.read_text())
+        trial(doc, trial_id)[key] = "__literal__"
+        manifest.write_text(json.dumps(doc).replace('"__literal__"', literal))
+        return ["validate", manifest], manifest
+    return case
 
 
 def edited(tmp_path, source, edit, name):
@@ -745,7 +747,8 @@ def ncap_caps_perception_no(tmp_path):
 SIDE_FILE_ERRORS = {case.__name__: case for case in (
     sa_params_list, ncap_caps_list, ncap_caps_unknown_flag, ncap_weight_not_a_number,
     plot_path_list, plot_path_without_vertices, ncap_weight_nan, fis_config_infinity,
-    manifest_nan, ncap_caps_perception_no)}
+    ncap_caps_perception_no)}
+SIDE_FILE_ERRORS["manifest_nan"] = manifest_literal("t011", "duration_min", "NaN")
 # a value of the wrong JSON type: each of these exits 0 with a wrong answer, or crashes, if
 # the loader converts it loosely
 SIDE_FILE_ERRORS.update({
@@ -967,6 +970,14 @@ LOAD_ERRORS = {
     "features-system-values-array": (
         ncap_with(lambda doc: doc["systems"][0].update(values=[1])),
         "system alpha: bad 'values' field (expected an object, got [1])"),
+    "features-empty": (ncap_with(lambda doc: doc.update(features=[])),
+                       "feature sheet has no features"),
+    # a JSON number a float cannot hold: an integer names its field, a float literal fails at load
+    "manifest-integer-beyond-float": (
+        manifest_with(lambda doc: trial(doc, "t001").update(laps=10**400)),
+        "trial t001: bad 'laps' field (integer beyond the float range)"),
+    "manifest-float-beyond-float": (manifest_literal("t011", "duration_min", "1e400"),
+                                    "invalid JSON: 1e400 is beyond the float range"),
     # a manifest entry without its id, or naming an environment that is not defined
     "manifest-suas-without-id": (manifest_with(lambda doc: doc["suas"][0].pop("id")),
                                  "sUAS entry missing 'id'"),

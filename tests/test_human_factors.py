@@ -11,12 +11,12 @@ from decisive.human_factors import (
     SurveyColumns,
     attention_allocation,
     osa,
-    osa_summary,
     perception_level,
     perception_vectors,
     sagat_correct_rates,
     trust_pipeline,
 )
+from decisive.stats import mean_std
 
 # golden attention-allocation column: ten elements summing to 1.000
 GOLDEN_F_COLUMN = [0.116, 0.125, 0.135, 0.143, 0.112, 0.114, 0.054, 0.051, 0.051, 0.099]
@@ -112,7 +112,7 @@ class TestOsa:
         assert 0.0 <= osa(weights, perception) <= 1.0
 
     def test_summary(self):
-        mean, std = osa_summary([0.2, 0.3, 0.4])
+        mean, std = mean_std([0.2, 0.3, 0.4])
         assert mean == pytest.approx(0.3)
 
     def test_by_mission_grid(self):

@@ -6,7 +6,6 @@ from decisive.errors import DecisiveError
 from decisive.mapping import (
     FiducialGroundTruth,
     FiducialObservation,
-    acuity_summary,
     difficulty_rating,
     dimensional_accuracy,
     fiducial_coverage,
@@ -14,6 +13,7 @@ from decisive.mapping import (
     global_error,
     shape_accuracy_rate,
 )
+from decisive.stats import mean_std
 
 # labeled course: (fiducial, min traversal m, min turns, rating)
 COURSE = [
@@ -157,15 +157,15 @@ class TestDifficultyRating:
 
 class TestAcuitySummary:
     def test_mixed_levels(self):
-        mean, std = acuity_summary([8, 8, 8, 20, 8, 8, 8, 8, 3])
+        mean, std = mean_std([8, 8, 8, 20, 8, 8, 8, 8, 3])
         assert mean == pytest.approx(8.78, abs=0.01)
         assert std == pytest.approx(4.52, abs=0.01)
 
     def test_single_value(self):
-        assert acuity_summary([3.0]) == (3.0, 0.0)
+        assert mean_std([3.0]) == (3.0, 0.0)
 
     def test_extreme_pair(self):
-        mean, std = acuity_summary([20, 0.5])
+        mean, std = mean_std([20, 0.5])
         assert mean == pytest.approx(10.25)
         assert std == pytest.approx(13.789, abs=1e-3)
 

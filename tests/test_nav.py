@@ -12,8 +12,8 @@ from decisive.nav import (
     point_path_deviation,
     traversal_speed,
     waypoint_error,
-    waypoint_summary,
 )
+from decisive.stats import mean_std
 
 
 def traj_from_xyz(points):
@@ -204,7 +204,7 @@ class TestWaypoint:
             waypoint_error((0.1, 0, 0), (0, 0, 0)),
             waypoint_error((-0.1, 0, 0), (0, 0, 0)),
         ]
-        accuracy, precision = waypoint_summary(errors)
+        accuracy, precision = mean_std(errors)
         assert accuracy == pytest.approx(0.1)
         assert precision == pytest.approx(0.0)
 
