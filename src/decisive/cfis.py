@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DataQualityWarning, DecisiveError, ParseError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class TriangularMf(NamedTuple):
@@ -33,8 +32,6 @@ class TriangularMf(NamedTuple):
 def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
     """Degree of membership in [0, 1] of every element of `x`, each clamped into the
     variable range first."""
-    import numpy as np
-
     # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
     x = np.where(mf.lo > x, mf.lo, x)
     x = np.where(mf.hi < x, mf.hi, x)
@@ -68,8 +65,6 @@ class LinguisticVariable(NamedTuple):
 
     def covered(self, sweep_points: int = 1000) -> bool:
         """True when some term has positive membership everywhere in range."""
-        import numpy as np
-
         x = self.lo + (self.hi - self.lo) * np.arange(sweep_points + 1) / sweep_points
         peak = np.max([mf_column(mf, x) for mf in self.terms.values()], axis=0)
         return bool((peak > 0.0).all())
@@ -100,9 +95,7 @@ class FisConfig(NamedTuple):
 
 def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
     """Crisp output of one row: `_fis_columns` on `inputs`, a value for each input."""
-    import numpy as np
-
-    outputs, fired = _fis_columns(fis, {v: np.array([float(inputs[v])]) for v in fis.inputs}, 1)
+    outputs, fired = _fis_columns(fis, {v: np.array([float(inputs[v])]) for v in fis.inputs})
     if not fired[0]:
         raise DecisiveError(_no_rule(fis, dict(inputs)))
     return float(outputs[0])
@@ -112,16 +105,15 @@ def _no_rule(fis: Fis, inputs: Mapping[str, float]) -> str:
     return f"{fis.name}: no rule fired for {inputs}"
 
 
-def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray], size: int):
-    """Crisp outputs of `size` rows of input columns: (outputs, fired), NaN where none fired.
+def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray]):
+    """Crisp outputs of rows of input columns: (outputs, fired), NaN where none fired.
 
     Each output is the strength-weighted average of the fired rules' output
     levels. A rule's strength is the minimum antecedent membership, with
     negated antecedents contributing 1 - membership. Each (variable, term)
     membership column is computed once.
     """
-    import numpy as np
-
+    size = len(next(iter(inputs.values())))
     memberships = {}
     num = np.zeros(size)
     den = np.zeros(size)
@@ -153,8 +145,7 @@ class CascadeColumns(NamedTuple):
 class _Failures:
     """The rows each stage fails, in the order one row meets the stages."""
 
-    def __init__(self, size: int, where: Callable[[int], tuple[str, str]]):
-        self.size = size
+    def __init__(self, where: Callable[[int], tuple[str, str]]):
         self.where = where
         self.stages = []  # (failing rows, error type, row -> message)
 
@@ -175,12 +166,12 @@ class _Failures:
         raise error(f"{text} (at {location})")
 
 
-def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray], size: int,
+def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
                     where: Callable[[int], tuple[str, str]]) -> CascadeColumns:
     """Evaluate the cascade over many rows at once, one numpy pass per stage.
 
-    `columns` holds every axis input variable as one value for each of the
-    `size` rows, NaN for an empty cell. A row runs each axis system whose
+    `columns` holds every axis input variable as one equal-length column of
+    row values, NaN for an empty cell. A row runs each axis system whose
     inputs it all has (a test may not exercise, say, human independence). One
     active axis is the row's combined score; more are folded, in wiring order,
     through the two-input combining stage. The ideal run replaces the inputs
@@ -192,31 +183,24 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray], size: 
     `where(row)` names a row (label, location) for its error; it is called
     for the one row that raises, so no other row's name is built. The first
     failing row raises, with the error of the first stage it fails: no axis
-    inputs (ParseError), or an axis, the combining stage or the ideal run
-    firing no rule, or an ideal score that is not positive (DecisiveError).
+    inputs or no wired axis (ParseError), or an axis, the combining stage or
+    the ideal run firing no rule, or an ideal score that is not positive
+    (DecisiveError).
     The config's shape (one two-input combining stage, complete
-    `ideal_inputs`) is checked when it loads.
+    `ideal_inputs`, a wired axis) is checked when it loads.
     """
-    import numpy as np
-
-    failures = _Failures(size, where)
+    failures = _Failures(where)
     systems = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
-    active = {}
-    for name, fis in systems.items():
-        mask = np.ones(size, dtype=bool)
-        for var_name in fis.inputs:
-            mask &= ~np.isnan(columns[var_name])
-        active[name] = mask
-    unmatched = np.ones(size, dtype=bool)
-    for mask in active.values():
-        unmatched &= ~mask
+    active = {name: ~np.isnan([columns[v] for v in fis.inputs]).any(axis=0)
+              for name, fis in systems.items()}
+    unmatched = ~np.any(list(active.values()), axis=0)
     failures.add(np.flatnonzero(unmatched), ParseError, lambda i: "row matches no axis inputs")
 
     axes = {}
     for name, fis in systems.items():
         rows = np.flatnonzero(active[name])
-        scores, fired = _fis_columns(fis, {v: columns[v][rows] for v in fis.inputs}, len(rows))
-        axes[name] = np.full(size, np.nan)
+        scores, fired = _fis_columns(fis, {v: columns[v][rows] for v in fis.inputs})
+        axes[name] = np.full(len(unmatched), np.nan)
         axes[name][rows] = scores
         failures.add(rows[~fired], DecisiveError, lambda i, fis=fis: _no_rule(
             fis, {v: float(columns[v][i]) for v in fis.inputs}))
@@ -230,11 +214,12 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray], size: 
         rows = np.flatnonzero(active[name])
         if name not in config.ideal_inputs or not len(rows):
             continue
-        ideal_axes[name] = np.full(size, np.nan)
         try:
-            ideal_axes[name][rows] = fis_eval(fis, config.ideal_inputs[name])
+            score = fis_eval(fis, config.ideal_inputs[name])
         except DecisiveError as exc:
+            score = math.nan
             failures.add(rows, DecisiveError, lambda i, text=str(exc): text)
+        ideal_axes[name] = np.where(active[name], score, np.nan)
     ideal = _combine(combiner, wiring, ideal_axes, active, failures)
     failures.add(np.flatnonzero(ideal <= 0), DecisiveError,
                  lambda i: "ideal-run score must be positive")
@@ -247,35 +232,28 @@ def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarr
              active: Mapping[str, np.ndarray], failures: _Failures) -> np.ndarray:
     """Each row's combined score: its active wired axes folded in wiring order.
 
-    Rows are grouped by which wired axes they have, and each group folds its
-    axes through the combiner, a second pass of the same stage per further axis.
+    A row takes the score of its first active wired axis as it is; each
+    further one goes through the combiner with the row's score so far.
     """
-    import numpy as np
-
-    size = failures.size
-    pattern = np.zeros(size, dtype=np.int64)
-    for k, axis in enumerate(wiring):
-        pattern |= active[axis].astype(np.int64) << k
-    combined = np.full(size, np.nan)
-    for key in sorted(set(pattern.tolist())):
-        rows = np.flatnonzero(pattern == key)
-        chain = [axis for k, axis in enumerate(wiring) if key >> k & 1]
-        if not chain:
-            failures.add(rows, ParseError,
-                         lambda i: f"row matches no axis that {combiner.name!r} combines")
-            continue
-        value = axes[chain[0]][rows]
-        for extra in chain[1:]:
+    combined = np.full(len(axes[wiring[0]]), np.nan)
+    started = np.zeros(len(combined), dtype=bool)
+    for axis in wiring:
+        first = active[axis] & ~started
+        combined[first] = axes[axis][first]
+        rows = np.flatnonzero(active[axis] & started)
+        if len(rows):
             var_a, var_b = combiner.inputs
-            left, right = value, axes[extra][rows]
-            value, fired = _fis_columns(combiner, {var_a: left, var_b: right}, len(rows))
+            left, right = combined[rows], axes[axis][rows]
+            combined[rows], fired = _fis_columns(combiner, {var_a: left, var_b: right})
 
             def message(i, rows=rows, left=left, right=right):
                 k = np.searchsorted(rows, i)
                 return _no_rule(combiner, {var_a: float(left[k]), var_b: float(right[k])})
 
             failures.add(rows[~fired], DecisiveError, message)
-        combined[rows] = value
+        started |= active[axis]
+    failures.add(np.flatnonzero(~started), ParseError,
+                 lambda i: f"row matches no axis that {combiner.name!r} combines")
     return combined
 
 
@@ -299,13 +277,11 @@ def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:
     """
     import random
 
-    import numpy as np
-
     rng = random.Random(seed)
     draws = [[var.lo + (var.hi - var.lo) * rng.random() for var in fis.inputs.values()]
              for _ in range(points_per_axis)]
     columns = np.array(draws, dtype=float).reshape(points_per_axis, len(fis.inputs))
-    outputs, fired = _fis_columns(fis, dict(zip(fis.inputs, columns.T)), points_per_axis)
+    outputs, fired = _fis_columns(fis, dict(zip(fis.inputs, columns.T)))
     silent = int(np.count_nonzero(~fired))
     if silent:
         warnings.warn(

@@ -2,10 +2,18 @@
 
 An error's class decides only the CLI's exit code: a ParseError is an input
 failure (exit 1) and names a file, or a file and line; any other DecisiveError
-is a computation failure (exit 2). The message says what went wrong.
+is a computation failure (exit 2). The message says what went wrong. Input
+errors and the parsers' warnings name their place one way, with `located`.
 """
 
 from __future__ import annotations
+
+
+def located(message: str, source, location) -> str:
+    """`message (at SOURCE:LOCATION)`, naming each part that is not None; `message` alone
+    when neither is."""
+    where = ":".join(str(p) for p in (source, location) if p is not None)
+    return f"{message} (at {where})" if where else message
 
 
 class DecisiveError(Exception):
@@ -29,5 +37,4 @@ class ParseError(DecisiveError):
         self.message, self.location, self.source = message, location, None
 
     def __str__(self) -> str:
-        where = ":".join(str(p) for p in (self.source, self.location) if p is not None)
-        return f"{self.message} (at {where})" if where else self.message
+        return located(self.message, self.source, self.location)

@@ -29,7 +29,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DataQualityWarning, ParseError
+from .errors import DataQualityWarning, ParseError, located
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,9 +55,10 @@ class ParseReport(NamedTuple):
     counts: dict[str, int]
 
 
-def _warn(path, location, message: str) -> None:
-    """Issue a DataQualityWarning about the file at `path`, found at `location`."""
-    warnings.warn(f"{path}: {message} (at {location})", DataQualityWarning)
+def _warn(path, message: str, location=None) -> None:
+    """Issue a DataQualityWarning about the file at `path`, found at `location` in it; it
+    names its place as a ParseError does."""
+    warnings.warn(located(message, path, location), DataQualityWarning)
 
 
 def _total(fn):
@@ -279,7 +280,7 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
     known = set(REQUIRED_TELEMETRY) | set(VEL_COLUMNS) | set(ACC_COLUMNS)
     for col in header:
         if col not in known:
-            _warn(path, 1, f"ignoring unknown column {col!r}")
+            _warn(path, f"ignoring unknown column {col!r}", 1)
 
     table = _telemetry_columns(body, cols)
     if table is None:
@@ -741,7 +742,7 @@ def parse_campaign(path) -> Campaign:
         trials.append(trial)
 
     if not trials:
-        _warn(path, path, "no trials")
+        _warn(path, "no trials")
     return Campaign(suas=suas, tests=tests, environments=environments, trials=tuple(trials))
 
 
@@ -790,7 +791,7 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
         for line, values in _csv_rows(header, body, SURVEY_COLUMNS):
             key = tuple(values[:3])
             if key in by_key:
-                _warn(path, line, f"duplicate response for {key}; keeping the later row")
+                _warn(path, f"duplicate response for {key}; keeping the later row", line)
             by_key[key] = values
         columns = _transposed(by_key.values(), len(SURVEY_COLUMNS))
     survey = SurveyColumns(*columns)
@@ -800,7 +801,7 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     items = collections.Counter(zip(survey.participant_ids, survey.instruments))
     for (participant, instrument), count in sorted(items.items()):
         if count != expected[instrument]:
-            _warn(path, path,
+            _warn(path,
                   f"{participant}: {instrument} has {count} items, expected {expected[instrument]}")
     return survey, ParseReport({"responses": len(survey.participant_ids)})
 
@@ -985,7 +986,7 @@ def parse_fis_config(path) -> FisConfig:
                         f"{fis_name}.{var_name}: alias {alias!r} names unknown term {target!r}")
             var = LinguisticVariable(var_name, lo, hi, terms, aliases)
             if not var.covered():
-                _warn(path, fis_name, f"variable {var_name!r} has membership gaps")
+                _warn(path, f"{fis_name}: variable {var_name!r} has membership gaps")
             inputs[var_name] = var
 
         outputs = {k: _json(v, float) for k, v in _json(spec.get("outputs", {}), dict).items()}
@@ -1028,6 +1029,8 @@ def parse_fis_config(path) -> FisConfig:
             # the cascade runs one combining stage over axis systems only
             if axis in stages:
                 raise ParseError(f"cascade stage {combined!r} takes combining stage {axis!r}")
+        if not axes:  # every row would fail
+            raise ParseError(f"cascade stage {combined!r} combines no axis")
         cascade[combined] = tuple(axes)
     if len(cascade) != 1:
         raise ParseError("config must declare exactly one combining stage")
@@ -1093,8 +1096,7 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
         for line, values in _csv_rows(header, body, converters, optional):
             key = tuple(values[:2])
             if key in seen:
-                warnings.warn(f"duplicate score for {key[0]}/{key[1]}; keeping the later row "
-                              f"(at {path}:{line})", DataQualityWarning)
+                _warn(path, f"duplicate score for {key[0]}/{key[1]}; keeping the later row", line)
             seen.add(key)
             rows.append([line, *values])
         lines, *columns = _transposed(rows, len(converters) + 1)

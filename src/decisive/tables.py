@@ -328,7 +328,7 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
             return (f"{scores.suas_ids[row]}/{scores.test_ids[row]}",
                     f"{scores_path}:{scores.lines[row]}")
 
-        scored = cfis_mod.cascade_columns(config, columns, len(scores.lines), where)
+        scored = cfis_mod.cascade_columns(config, columns, where)
         axes = [[None if math.isnan(x) else x for x in scored.axes[a].tolist()]
                 for a in sorted(axis_vars)]
         normalized = scored.normalized.tolist()

@@ -55,7 +55,7 @@ def score_rows(config, rows):
     variable is an empty cell. Row i is named ("r<i>", "f:<i + 2>")."""
     names = sorted({v for fis in config.fis.values() for v in fis.inputs})
     columns = {v: np.array([row.get(v, np.nan) for row in rows], dtype=float) for v in names}
-    return cascade_columns(config, columns, len(rows), lambda i: (f"r{i}", f"f:{i + 2}"))
+    return cascade_columns(config, columns, lambda i: (f"r{i}", f"f:{i + 2}"))
 
 
 def oracle_row(config, row):
@@ -74,6 +74,8 @@ def oracle_row(config, row):
         combiner = config.fis[combiner_name]
         var_a, var_b = combiner.inputs
         active = [a for a in wiring if a in scores]
+        if not active:
+            raise ParseError(f"row matches no axis that {combiner.name!r} combines")
         combined = scores[active[0]]
         for extra in active[1:]:
             combined = fis_eval(combiner, {var_a: combined, var_b: scores[extra]})
@@ -161,7 +163,7 @@ def configs_and_rows(draw):
     axes = {f"a{k}": draw(systems(f"a{k}", [f"a{k}v{j}" for j in range(draw(st.integers(1, 3)))]))
             for k in range(n_axes)}
     combiner = draw(systems("comb", ["p", "q"]))
-    wiring = tuple(draw(st.permutations(sorted(axes))))
+    wiring = tuple(draw(st.permutations(sorted(axes)))[:draw(st.integers(1, n_axes))])
     ideal_inputs = {name: {v: draw(cell(var)) for v, var in fis.inputs.items()}
                     for name, fis in axes.items() if draw(st.booleans())}
     config = FisConfig("random", {**axes, "comb": combiner}, {"comb": wiring}, ideal_inputs)

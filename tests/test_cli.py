@@ -62,7 +62,7 @@ class TestValidate:
     def test_empty_manifest_warns_and_counts_nothing(self, capsys, tmp_path):
         manifest = write(tmp_path / "c.json", json.dumps({"schema_version": 1}))
         assert run(capsys, "validate", manifest) == (0, "", (
-            f"warning: {manifest}: no trials (at {manifest})\n"
+            f"warning: no trials (at {manifest})\n"
             f"{manifest}: OK (0 suas, 0 tests, 0 environments, 0 trials)\n"))
 
     def test_dangling_trial_names_id(self, capsys, tmp_path):
@@ -541,7 +541,7 @@ def unknown_column(tmp_path):
     telemetry = write(tmp_path / "tel.csv", "t,x,y,z,note\n0,0,1,1,a\n0.1,1,1,1,b\n")
     return (["plot", "--kind", "deviation", "--telemetry", telemetry,
              "--path", path_file(tmp_path)],
-            f"warning: {telemetry}: ignoring unknown column 'note' (at 1)")
+            f"warning: ignoring unknown column 'note' (at {telemetry}:1)")
 
 
 def duplicate_survey_row(tmp_path):
@@ -549,7 +549,7 @@ def duplicate_survey_row(tmp_path):
     survey = write(tmp_path / "s.csv", "\n".join(lines[:3] + lines[2:]) + "\n")  # line 4 repeats 3
     key = tuple(lines[2].split(",")[:3])
     return (["trust", "--survey", survey, *TRUST],
-            f"warning: {survey}: duplicate response for {key}; keeping the later row (at 4)")
+            f"warning: duplicate response for {key}; keeping the later row (at {survey}:4)")
 
 
 def item_count_mismatch(tmp_path):
@@ -557,8 +557,7 @@ def item_count_mismatch(tmp_path):
     survey = write(tmp_path / "s.csv", "\n".join(lines[:2] + lines[3:]) + "\n")
     participant, instrument = lines[2].split(",")[:2]
     return (["trust", "--survey", survey, *TRUST],
-            f"warning: {survey}: {participant}: {instrument} has 11 items, expected 12 "
-            f"(at {survey})")
+            f"warning: {participant}: {instrument} has 11 items, expected 12 (at {survey})")
 
 
 def membership_gap(tmp_path):
@@ -566,7 +565,7 @@ def membership_gap(tmp_path):
     doc["fis"]["mc"]["inputs"]["crashes"]["terms"]["medium"] = [0.5, 1.5, 1.6]  # 1.6-1.75 uncovered
     config = write(tmp_path / "fis.json", json.dumps(doc))
     return (["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"],
-            f"warning: {config}: variable 'crashes' has membership gaps (at mc)")
+            f"warning: mc: variable 'crashes' has membership gaps (at {config})")
 
 
 def single_flight(tmp_path):
@@ -631,7 +630,7 @@ class TestWarningLines:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            f"warning: {telemetry}: ignoring unknown column 'note' (at 1)",
+            f"warning: ignoring unknown column 'note' (at {telemetry}:1)",
             f"error: row has 3 fields, needs 4 (at {telemetry}:3)",
         ]
 
@@ -873,6 +872,9 @@ LOAD_ERRORS = {
                            "cascade stage 'combined' takes combining stage 'combined'"),
     "fis-no-combining-stage": (cfis_with(lambda doc: doc["cascade"].clear()),
                                "config must declare exactly one combining stage"),
+    "fis-combining-stage-wires-no-axis": (
+        cfis_with(lambda doc: doc["cascade"].update(combined=[])),
+        "cascade stage 'combined' combines no axis"),
     "fis-three-input-combiner": (cfis_with(lambda doc: doc["fis"]["combined"]["inputs"].update(
         hi=doc["fis"]["combined"]["inputs"]["mc"])),
         "combined: a combining stage takes 2 inputs, not 3"),
@@ -1203,6 +1205,18 @@ def cfis_one_rule(tmp_path):
     return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"]
 
 
+def unwired_axis_row(tmp_path):
+    """The shipped config plus an axis, `hi`, that the combining stage does not wire, and a
+    scores row with only that axis's input."""
+    scale = {"range": [0, 10], "terms": {"low": [0, 0, 10], "high": [0, 10, 10]}}
+    hi = {"inputs": {"interventions": scale}, "outputs": {"ok": 1.0},
+          "rules": [{"if": {"interventions": term}, "then": "ok"} for term in ("low", "high")]}
+    config = edited(tmp_path, DEFAULT_FIS, lambda doc: doc["fis"].update(hi=hi), "fis.json")
+    header = (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0]
+    scores = write(tmp_path / "s.csv", f"{header},interventions\nalpha,t1,,,,,,,,3\n")
+    return ["cfis", "--fis", config, "--scores", scores]
+
+
 def zero_score(tmp_path):
     scores = write(tmp_path / "s.csv", "suas_id,test_id,score\nalpha,t1,0\n")
     return ["cfis", "--scores", scores]
@@ -1215,7 +1229,8 @@ def item_in_one_condition(tmp_path):
 
 
 # runs that fail once their inputs load, and the two plot options a kind needs: (case giving
-# the argv, exit code, the last line of stderr, the error)
+# the argv, exit code, the last line of stderr, the error, or a function of the run's directory
+# giving it)
 RUN_ERRORS = {
     "usage-missing-argument": (lambda tmp_path: ["metrics"], 1,
                                "error: the following arguments are required: manifest, --test"),
@@ -1259,6 +1274,10 @@ RUN_ERRORS = {
     "cfis-no-rule-fired": (cfis_one_rule, 2, "error: alpha/takeoff-easy: mc: no rule fired for "
                            "{'crashes': 0.0, 'completion': 1.0, 'rollovers': 0.0} "
                            f"(at {CAMPAIGN / 'cfis_scores.csv'}:2)"),
+    "cfis-row-with-only-an-unwired-axis": (
+        unwired_axis_row, 1,
+        lambda tmp_path: "error: alpha/t1: row matches no axis that 'combined' combines "
+                         f"(at {tmp_path / 's.csv'}:2)"),
     "cfis-zero-score": (zero_score, 2, "error: alpha/t1=0.0 outside (0, 1]"),
     "trust-unknown-condition": (
         lambda tmp_path: ["trust", "--survey", CAMPAIGN / "surveys.csv",
@@ -1273,6 +1292,7 @@ class TestRunErrors:
     def test_exit_code_and_error_line(self, capsys, tmp_path, name):
         case, code, line = RUN_ERRORS[name]
         got_code, out, err = run(capsys, *case(tmp_path))
+        line = line(tmp_path) if callable(line) else line
         assert (got_code, out, err.splitlines()[-1]) == (code, "", line)
         assert err.count("error:") == 1
 

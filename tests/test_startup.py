@@ -8,10 +8,15 @@ never sees an import; `cli` and `errors`, which every run loads, play that part
 for the package's modules. The package defines its records without
 `dataclasses`, which would also import `inspect`; numpy imports `inspect` itself.
 No subcommand loads `numpy.ma`, which numpy's `np.unique` imports on its first call.
+`metrics --test collision` on trials without telemetry only counts categories, so it
+loads no numpy either: that is why `collision` and `core` import numpy where they build
+arrays, not when they load.
 """
 
 import ast
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,10 +43,23 @@ TRUST = ["trust", "--survey", CAMPAIGN / "surveys.csv",
          "--condition-a", "caged", "--condition-b", "exposed"]
 CFIS = ["cfis", "--scores", CAMPAIGN / "cfis_scores.csv"]
 
+def untracked_collision(tmp_path):
+    """`metrics --test collision` on a copy of the sample whose collision trials carry no
+    telemetry, so only the OA/CR category tables print."""
+    manifest = shutil.copytree(CAMPAIGN, tmp_path / "campaign") / "campaign.json"
+    doc = json.loads(manifest.read_text())
+    for trial in doc["trials"]:
+        if trial["test_id"] == "oa-wall":
+            trial.pop("telemetry")
+    manifest.write_text(json.dumps(doc))
+    return ["metrics", manifest, "--test", "collision"]
+
+
 #: the modules a survey subcommand leaves unloaded
 NOT_SURVEY = {"cfis", "collision", "core", "field", "mapping", "nav", "ncap"}
 
-CASES = {  # argv, whether it loads numpy, the modules it must not load
+CASES = {  # argv (or a function of a temporary directory giving it), whether it loads numpy,
+    # the modules it must not load
     "help": (["--help"], False, MODULES - {"cli", "errors"}),
     "validate": (["validate", MANIFEST], False, set()),
     "trust": (TRUST, False, NOT_SURVEY),
@@ -52,6 +70,7 @@ CASES = {  # argv, whether it loads numpy, the modules it must not load
                           set()),
     "metrics-field": (["metrics", MANIFEST, "--test", "field"], False, set()),
     "metrics-mapping": (["metrics", MANIFEST, "--test", "mapping"], False, set()),
+    "metrics-collision-untracked": (untracked_collision, False, {"cfis", "human_factors", "ncap"}),
     "report": (["report", MANIFEST], True, {"cfis", "human_factors", "ncap"}),
     "metrics-nav": (["metrics", MANIFEST, "--test", "nav"], True, set()),
     "cfis": (CFIS, True, {"collision", "core", "field", "human_factors", "mapping", "nav",
@@ -70,8 +89,8 @@ def probe(argv, env=os.environ):
 
 
 @pytest.mark.parametrize("argv, loads_numpy, unloaded", CASES.values(), ids=CASES.keys())
-def test_subcommand_loads_only_what_it_runs(argv, loads_numpy, unloaded):
-    status, modules, _ = probe(argv)
+def test_subcommand_loads_only_what_it_runs(argv, loads_numpy, unloaded, tmp_path):
+    status, modules, _ = probe(argv(tmp_path) if callable(argv) else argv)
     code, numpy, dataclasses, inspect, numpy_ma = status.split()
     assert (code, numpy, dataclasses, numpy_ma) == ("0", str(loads_numpy), "False", "False")
     assert loads_numpy or inspect == "False"
