@@ -208,6 +208,9 @@ def cmd_trust(args) -> int:
     from . import tables
     from .ingest import parse_survey
 
+    if args.condition_a == args.condition_b:
+        raise ParseError(f"--condition-a and --condition-b must differ (both are "
+                         f"{args.condition_a!r})")
     dataset, _ = parse_survey(args.survey)
     return _emit_tables(tables.trust_tables(dataset, args.condition_a, args.condition_b), args)
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import warnings
+from collections import Counter
+from itertools import compress
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DataQualityWarning, DecisiveError
-from .stats import MannWhitneyResult, iqr_filter, mann_whitney, mean_std, welch_t
+from .stats import (MannWhitneyResult, iqr_filter, mann_whitney, mean_std, tally_summary,
+                    welch_t)
 
 PERCEPTION_VALUES = {"undetected": 0.0, "detected": 0.5, "comprehended": 1.0}
 
@@ -160,52 +163,33 @@ def trust_pipeline(survey: SurveyColumns, condition_a: str, condition_b: str) ->
         warnings.warn(
             f"removed participant (failed manipulation check): {participant}", DataQualityWarning
         )
-    # one pass over the valid rows; buckets keep row order, which the
-    # floating-point sums below depend on
-    buckets: dict[tuple[str, str, str], list[int]] = {}
-    for instrument, item_id, score, passed, condition in zip(
-            survey.instruments, survey.item_ids, survey.scores, survey.manip_pass,
-            survey.conditions):
-        if passed:
-            buckets.setdefault((instrument, item_id, condition), []).append(score)
+    # one pass over the valid rows: a score tally {score: count} per (instrument, item, condition)
+    tallies: dict[tuple[str, str, str], dict[int, int]] = {}
+    for (instrument, item_id, condition, score), count in Counter(compress(
+            zip(survey.instruments, survey.item_ids, survey.conditions, survey.scores),
+            survey.manip_pass)).items():
+        tallies.setdefault((instrument, item_id, condition), {})[score] = count
 
-    for label in (condition_a, condition_b):
-        if not any(cond == label for _, _, cond in buckets):
+    labels = (condition_a, condition_b)
+    for label in labels:
+        if not any(cond == label for _, _, cond in tallies):
             raise DecisiveError(f"no valid rows for condition {label!r}")
 
-    items = sorted(
-        {(inst, item) for inst, item, cond in buckets if cond in (condition_a, condition_b)}
-    )
     comparisons = []
-    for instrument, item_id in items:
+    for instrument, item_id in sorted({(i, item) for i, item, cond in tallies if cond in labels}):
         sides = []
-        for label in (condition_a, condition_b):
-            scores = [float(v) for v in buckets.get((instrument, item_id, label), ())]
-            if len(scores) >= 4:
-                kept, removed, warning = iqr_filter(scores)
-                if warning:
-                    note = f"{instrument} {item_id} [{label}]: {warning}"
-                    warnings.warn(note, DataQualityWarning)
-                scores = kept
-            if not scores:
+        for label in labels:
+            tally = tallies.get((instrument, item_id, label))
+            if tally is None:
                 raise DecisiveError(f"{instrument} {item_id}: no scores for {label!r}")
-            sides.append(scores)
-        a_scores, b_scores = sides
-        if len(a_scores) >= 2 and len(b_scores) >= 2:
-            t_stat, t_p = welch_t(a_scores, b_scores)
-        else:
-            t_stat = t_p = None
-        comparisons.append(
-            ItemComparison(
-                instrument,
-                item_id,
-                sum(a_scores) / len(a_scores),
-                sum(b_scores) / len(b_scores),
-                len(a_scores),
-                len(b_scores),
-                mann_whitney(a_scores, b_scores),
-                t_stat,
-                t_p,
-            )
-        )
+            if sum(tally.values()) >= 4:
+                tally, warning = iqr_filter(tally)
+                if warning:
+                    warnings.warn(f"{instrument} {item_id} [{label}]: {warning}",
+                                  DataQualityWarning)
+            sides.append(tally)
+        summaries = [tally_summary(tally) for tally in sides]
+        (n_a, mean_a, _), (n_b, mean_b, _) = summaries
+        comparisons.append(ItemComparison(instrument, item_id, mean_a, mean_b, n_a, n_b,
+                                          mann_whitney(*sides), *welch_t(*summaries)))
     return TrustReport(tuple(comparisons))

@@ -799,10 +799,10 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     expected = {"CTPA": CTPA_ITEM_COUNT, "HCTM": HCTM_ITEM_COUNT}
     # each (participant, instrument, item) is one row, so a pair's row count is its item count
     items = collections.Counter(zip(survey.participant_ids, survey.instruments))
-    for (participant, instrument), count in sorted(items.items()):
-        if count != expected[instrument]:
-            _warn(path,
-                  f"{participant}: {instrument} has {count} items, expected {expected[instrument]}")
+    mismatched = [(key, count) for key, count in items.items() if count != expected[key[1]]]
+    for (participant, instrument), count in sorted(mismatched):
+        _warn(path,
+              f"{participant}: {instrument} has {count} items, expected {expected[instrument]}")
     return survey, ParseReport({"responses": len(survey.participant_ids)})
 
 

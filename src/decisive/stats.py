@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
 
@@ -32,48 +32,52 @@ def completion_confidence(successes: int, failures: int, p0: float) -> float:
     return 1.0 - _reg_inc_beta(successes, failures + 1, p0)
 
 
-def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
-    """(Q1, median, Q3) by linear interpolation at positions (n+1)/4, (n+1)/2, 3(n+1)/4.
+def quartiles(tally: Mapping[float, int]) -> tuple[float, float, float]:
+    """(Q1, median, Q3) of a tally {value: count} by linear interpolation at positions
+    (n+1)/4, (n+1)/2, 3(n+1)/4 of its n values in increasing order.
 
     The interpolation rule is fixed here so downstream outlier filtering is
-    reproducible bit for bit. `values` is not empty.
+    reproducible bit for bit. The tally holds at least one value; the cost is
+    O(D log D) for its D distinct values.
     """
-    data = sorted(float(v) for v in values)
-    n = len(data)
+    levels = sorted(tally.items())
+    n = sum(tally.values())
+
+    def value(k: int) -> float:
+        # the k-th smallest value, 1-based
+        for v, count in levels:
+            k -= count
+            if k <= 0:
+                return float(v)
 
     def at(pos: float) -> float:
         # 1-based fractional position, clamped to the data range
         pos = min(max(pos, 1.0), float(n))
         lo = int(math.floor(pos))
         frac = pos - lo
-        if frac == 0.0 or lo >= n:
-            return data[lo - 1]
-        return data[lo - 1] + frac * (data[lo] - data[lo - 1])
+        low = value(lo)  # frac is 0 at pos n
+        return low if frac == 0.0 else low + frac * (value(lo + 1) - low)
 
     return at((n + 1) / 4.0), at((n + 1) / 2.0), at(3.0 * (n + 1) / 4.0)
 
 
-def iqr_filter(values: Sequence[float]) -> tuple[list[float], list[float], Optional[str]]:
-    """Split values into (kept, removed) by the 1.5 IQR fence rule.
+def iqr_filter(tally: Mapping[float, int]) -> tuple[dict[float, int], Optional[str]]:
+    """The tally's values inside the 1.5 IQR fence, as a tally, and a warning when more
+    than 10% of its values fell outside.
 
     Removed values fall strictly outside [Q1 - 1.5R, Q3 + 1.5R] with R = Q3 - Q1.
-    A warning string is returned when more than 10% of the inputs were removed,
-    the recommended limit before growing the participant pool. It takes at
-    least 4 values, as `human_factors.trust_pipeline` checks.
+    The warning marks the recommended limit before growing the participant pool.
+    It takes at least 4 values, as `human_factors.trust_pipeline` checks.
     """
-    vals = [float(v) for v in values]
-    q1, _, q3 = quartiles(vals)
+    q1, _, q3 = quartiles(tally)
     r = q3 - q1
     lo, hi = q1 - 1.5 * r, q3 + 1.5 * r
-    kept = [v for v in vals if lo <= v <= hi]
-    removed = [v for v in vals if v < lo or v > hi]
-    warning = None
-    if len(removed) > 0.10 * len(vals):
-        warning = (
-            f"IQR rule removed {len(removed)}/{len(vals)} values (>10%); "
-            "consider collecting more data"
-        )
-    return kept, removed, warning
+    kept = {v: count for v, count in tally.items() if lo <= v <= hi}
+    n = sum(tally.values())
+    removed = n - sum(kept.values())
+    if removed > 0.10 * n:
+        return kept, f"IQR rule removed {removed}/{n} values (>10%); consider collecting more data"
+    return kept, None
 
 
 class MannWhitneyResult(NamedTuple):
@@ -82,18 +86,16 @@ class MannWhitneyResult(NamedTuple):
     method: str  # exact | normal
 
 
-def _rank_blocks(a: Sequence[float],
-                 b: Sequence[float]) -> tuple[list[tuple[int, int]], int, int]:
+def _rank_blocks(in_a: Counter, in_b: Counter) -> tuple[list[tuple[int, int]], int, int]:
     """The pooled samples' tie blocks, as (doubled midrank, count) in increasing order of
     value, the doubled rank sum of `a`, and the tie term, the sum of m**3 - m over the
-    blocks' counts m.
+    blocks' counts m, from the two samples' value counts.
 
-    One pass over the distinct values, in increasing order, of value counts: a
-    block of m equal values after `below` smaller ones holds ranks below + 1 to
-    below + m, so its doubled midrank 2 * below + m + 1 is an integer, and all
-    three sums are exact. Cost is O(n + D log D) for n values, D of them distinct.
+    One pass over the distinct values, in increasing order: a block of m equal
+    values after `below` smaller ones holds ranks below + 1 to below + m, so its
+    doubled midrank 2 * below + m + 1 is an integer, and all three sums are
+    exact. Cost is O(D log D) for D distinct values.
     """
-    in_a, in_b = Counter(map(float, a)), Counter(map(float, b))
     blocks, doubled_a, tie_term, below = [], 0, 0, 0
     for value in sorted(in_a.keys() | in_b.keys()):
         m = in_a[value] + in_b[value]
@@ -139,8 +141,10 @@ def _count_tails(blocks: Sequence[tuple[int, int]], k: int, observed: int) -> tu
     return at_most, math.comb(total, k) - at_most + counts[k].get(observed, 0)
 
 
-def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
-    """Two-sided Mann-Whitney U test with midrank ties.
+def mann_whitney(a: Iterable[float] | Mapping[float, int],
+                 b: Iterable[float] | Mapping[float, int]) -> MannWhitneyResult:
+    """Two-sided Mann-Whitney U test with midrank ties, on two samples each given as its
+    values or as a tally {value: count}; `collections.Counter` reads either form.
 
     U = min(U_a, U_b). For min(n1, n2) <= EXACT_LIMIT the p-value is exact:
     over all C(n1+n2, n1) equally likely group labelings of the pooled
@@ -153,9 +157,9 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     Larger samples use the tie-corrected normal approximation with a 0.5
     continuity correction. Neither sample is empty.
     """
-    n1, n2 = len(a), len(b)
-
-    blocks, doubled_a, tie_term = _rank_blocks(a, b)
+    in_a, in_b = Counter(a), Counter(b)
+    n1, n2 = in_a.total(), in_b.total()
+    blocks, doubled_a, tie_term = _rank_blocks(in_a, in_b)
     n = n1 + n2
     u_a = doubled_a / 2.0 - n1 * (n1 + 1) / 2.0
     u_b = n1 * n2 - u_a
@@ -189,21 +193,32 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     return m, math.sqrt(var)
 
 
-def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Welch's unequal-variance t statistic and two-sided p.
+def tally_summary(tally: Mapping[int, int]) -> tuple[int, float, Optional[float]]:
+    """(n, mean, sample variance) of a tally {integer score: count}, the variance None below
+    two values. The sums n, S = sum of v and Q = sum of v**2 are exact integers, so the
+    mean S / n and the variance (nQ - S**2) / (n(n - 1)) are each rounded once."""
+    n = sum(tally.values())
+    total = sum(count * v for v, count in tally.items())
+    squares = sum(count * v * v for v, count in tally.items())
+    var = (n * squares - total * total) / (n * (n - 1)) if n > 1 else None
+    return n, total / n, var
+
+
+def welch_t(a: tuple[int, float, Optional[float]],
+            b: tuple[int, float, Optional[float]]) -> tuple[Optional[float], Optional[float]]:
+    """Welch's unequal-variance t statistic and two-sided p from two `tally_summary`s.
 
     A convenience column for survey reports; the rank test remains the
-    primary comparison for Likert data. Each side has at least two values, as
-    `human_factors.trust_pipeline` checks.
+    primary comparison for Likert data. Both are None when a side has fewer
+    than two values or the standard error is zero (both sides constant).
     """
-    m1, s1 = mean_std(a)
-    m2, s2 = mean_std(b)
-    v1, v2 = s1**2 / len(a), s2**2 / len(b)
+    (n1, m1, var1), (n2, m2, var2) = a, b
+    if var1 is None or var2 is None or var1 + var2 == 0.0:
+        return None, None
+    v1, v2 = var1 / n1, var2 / n2
     se2 = v1 + v2
-    if se2 == 0.0:
-        return 0.0, 1.0
     t = (m1 - m2) / math.sqrt(se2)
-    df = se2**2 / (v1**2 / (len(a) - 1) + v2**2 / (len(b) - 1))
+    df = se2**2 / (v1**2 / (n1 - 1) + v2**2 / (n2 - 1))
     return t, min(1.0, 2.0 * _student_t_sf(abs(t), df))
 
 

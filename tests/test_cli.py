@@ -429,6 +429,22 @@ class TestSaTrust:
         assert out == ""
         assert f"row has 4 fields, needs 5 (at {sagat}:3)" in err
 
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    def test_trust_constant_sides_leave_t_empty(self, capsys, tmp_path, fmt):
+        # six 5s vs six 3s: no standard error, so no t, while the rank test separates them
+        rows = [f"a{k},CTPA,i1,5,true,A" for k in range(6)] + [f"b{k},CTPA,i1,3,true,B"
+                                                              for k in range(6)]
+        survey = write(tmp_path / "s.csv", "participant_id,instrument,item_id,score,"
+                                          "manip_pass,condition\n" + "\n".join(rows) + "\n")
+        code, out, _err = run(capsys, "trust", "--survey", survey, "--condition-a", "A",
+                              "--condition-b", "B", "--format", fmt)
+        assert code == 0
+        if fmt == "md":
+            assert "| CTPA | i1 | 5.00 | 3.00 |  |  | 0.0 | 0.0022 |" in out.splitlines()
+        else:
+            (row,) = json.loads(out)[0]["rows"]
+            assert (row["t"], row["t p"], row["U"], row["p"]) == (None, None, 0.0, 0.0022)
+
     def test_trust_missing_condition(self, capsys):
         code, _out, _err = run(capsys, "trust", "--survey", CAMPAIGN / "surveys.csv",
                                "--condition-a", "caged", "--condition-b", "underwater")
@@ -1284,6 +1300,10 @@ RUN_ERRORS = {
                           "--condition-a", "caged", "--condition-b", "open"],
         2, "error: no valid rows for condition 'open'"),
     "trust-item-in-one-condition": (item_in_one_condition, 2, "error: CTPA i1: no scores for 'B'"),
+    "trust-same-condition": (
+        lambda tmp_path: ["trust", "--survey", CAMPAIGN / "surveys.csv",
+                          "--condition-a", "caged", "--condition-b", "caged"],
+        1, "error: --condition-a and --condition-b must differ (both are 'caged')"),
 }
 
 

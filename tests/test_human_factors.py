@@ -1,9 +1,14 @@
 import random
+import sys
+import warnings
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decisive import human_factors, ingest, stats
+from decisive.cli import main
 from decisive.errors import DataQualityWarning, DecisiveError
 from decisive.human_factors import (
     SagatResponse,
@@ -16,7 +21,10 @@ from decisive.human_factors import (
     sagat_correct_rates,
     trust_pipeline,
 )
-from decisive.stats import mean_std
+from decisive.ingest import ParseReport
+from decisive.stats import mann_whitney, mean_std
+from test_cli import CAMPAIGN, TRUST
+from test_stats import reference_iqr_filter, reference_welch_t
 
 # golden attention-allocation column: ten elements summing to 1.000
 GOLDEN_F_COLUMN = [0.116, 0.125, 0.135, 0.143, 0.112, 0.114, 0.054, 0.051, 0.051, 0.099]
@@ -195,3 +203,130 @@ class TestTrustPipeline:
         assert report.items[0].mean_a == pytest.approx(2.0)
         assert report.items[0].mean_b == pytest.approx(6.0)
         assert report.items[0].n_a == 10 and report.items[0].n_b == 10
+
+
+def reference_trust(survey, condition_a, condition_b):
+    """The list-based trust pipeline the score tallies replaced, kept as their reference:
+    (one (instrument, item, mean_a, mean_b, n_a, n_b, U, p, t, t p) per item, the warning
+    texts in order). Scores are grouped per row into lists and fenced, and Welch's t takes
+    the standard library's variance of each list."""
+    failed = {p for p, passed in zip(survey.participant_ids, survey.manip_pass) if not passed}
+    messages = [f"removed participant (failed manipulation check): {p}" for p in sorted(failed)]
+    buckets = {}
+    for instrument, item_id, score, passed, condition in zip(
+            survey.instruments, survey.item_ids, survey.scores, survey.manip_pass,
+            survey.conditions):
+        if passed:
+            buckets.setdefault((instrument, item_id, condition), []).append(score)
+    items = sorted({(inst, item) for inst, item, cond in buckets
+                    if cond in (condition_a, condition_b)})
+    rows = []
+    for instrument, item_id in items:
+        sides = []
+        for label in (condition_a, condition_b):
+            scores = [float(v) for v in buckets[(instrument, item_id, label)]]
+            if len(scores) >= 4:
+                scores, _, warning = reference_iqr_filter(scores)
+                if warning:
+                    messages.append(f"{instrument} {item_id} [{label}]: {warning}")
+            sides.append(scores)
+        a, b = sides
+        t, t_p = reference_welch_t(a, b) if len(a) >= 2 and len(b) >= 2 else (None, None)
+        test = mann_whitney(a, b)
+        rows.append((instrument, item_id, sum(a) / len(a), sum(b) / len(b), len(a), len(b),
+                     test.u, test.p_two_sided, t, t_p))
+    return rows, messages
+
+
+#: one condition's scores on one item, as a tally {score: count}: a few scores, up to seven
+#: levels of up to 400 each, or one level of up to 2,000 (a constant side)
+SIDES = st.one_of(
+    st.lists(st.integers(1, 7), min_size=1, max_size=12).map(Counter),
+    st.dictionaries(st.integers(1, 7), st.integers(1, 400), min_size=1, max_size=7),
+    st.builds(lambda score, count: {score: count}, st.integers(1, 7), st.integers(1, 2000)),
+)
+
+
+def tally_survey(items, failing, shuffle):
+    """SurveyColumns with one row per score of each item's two tallies (conditions A and B),
+    participant k of a side answering its k-th score, plus `failing` rows that fail the
+    manipulation check, in an order `shuffle` picks."""
+    rows = []
+    for i, (side_a, side_b) in enumerate(items):
+        for label, tally in (("A", side_a), ("B", side_b)):
+            scores = [score for score, count in sorted(tally.items()) for _ in range(count)]
+            rows += [(f"{label}{k}", "CTPA" if i % 2 else "HCTM", f"i{i}", score, True, label)
+                     for k, score in enumerate(scores)]
+    rows += [(f"x{k}", "HCTM", "i0", score, False, "AB"[k % 2]) for k, score in enumerate(failing)]
+    shuffle(rows)
+    return survey(rows)
+
+
+def bits(value):
+    """A float as its exact `float.hex` text, so that equal means equal to the last bit;
+    any other value as it is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestTallyPipelineMatchesListReference:
+    """The score-tally pipeline against the list-based one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(items=st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=3),
+           failing=st.lists(st.integers(1, 7), max_size=3), rng=st.randoms())
+    @example(items=[({3: 1, 4: 2, 5: 1}, {2: 600, 3: 700, 4: 700})], failing=[],
+             rng=random.Random(0))  # 4 vs 2,000
+    @example(items=[({5: 6}, {3: 6}), ({4: 1}, {1: 1, 7: 1})], failing=[7],
+             rng=random.Random(1))  # constant sides, one-value side
+    @example(items=[({4: 20, 1: 3, 7: 3}, {2: 2, 3: 5, 4: 2, 7: 2}), ({4: 9, 1: 1}, {5: 18, 7: 2})],
+             failing=[], rng=random.Random(2))  # the fence removes 6/26, 2/11, then just 10%
+    def test_same_results_and_warnings(self, items, failing, rng):
+        data = tally_survey(items, failing, rng.shuffle)
+        expected_rows, expected_messages = reference_trust(data, "A", "B")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = trust_pipeline(data, "A", "B")
+        assert [str(w.message) for w in caught] == expected_messages
+        got = [(item.instrument, item.item_id, item.mean_a, item.mean_b, item.n_a, item.n_b,
+                item.test.u, item.test.p_two_sided, item.t_statistic, item.t_p)
+               for item in report.items]
+        assert [list(map(bits, row)) for row in got] == [list(map(bits, row))
+                                                         for row in expected_rows]
+
+
+def spy(monkeypatch, module, name):
+    """The calls of `module.name`, as (args, result), recorded wherever a loaded `decisive`
+    module binds that function, which is where the benchmark's tracer wraps it."""
+    function, calls = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        result = function(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name == "decisive" or module_name.startswith("decisive."):
+            for attr, value in list(vars(loaded).items()):
+                if value is function:
+                    monkeypatch.setattr(loaded, attr, recording)
+    return calls
+
+
+class TestBenchCounters:
+    """The public calls and results that the benchmark's work counters read by name:
+    `stats.rank_tests` and `stats.exact_share` from `mann_whitney`, `human_factors.items`
+    from `trust_pipeline`, `ingest.rows` from `parse_survey`."""
+
+    def test_trust_run_makes_the_counted_calls(self, monkeypatch, capsys):
+        rank_tests = spy(monkeypatch, stats, "mann_whitney")
+        pipelines = spy(monkeypatch, human_factors, "trust_pipeline")
+        parses = spy(monkeypatch, ingest, "parse_survey")
+        assert main(["trust", "--survey", str(CAMPAIGN / "surveys.csv"), *TRUST]) == 0
+        ((_, (survey, parsed)),) = parses
+        rows = len((CAMPAIGN / "surveys.csv").read_text().splitlines()) - 1
+        assert type(parsed) is ParseReport and parsed == ParseReport({"responses": rows})
+        assert len(survey.participant_ids) == rows
+        ((_, report),) = pipelines
+        assert len(report.items) == 21  # 12 HCTM and 9 CTPA items
+        # one rank test per item, whose result is the item's test
+        assert [result for _, result in rank_tests] == [item.test for item in report.items]

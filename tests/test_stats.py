@@ -1,6 +1,8 @@
 import math
 import random
+import statistics
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +19,7 @@ from decisive.stats import (
     mann_whitney,
     mean_std,
     quartiles,
+    tally_summary,
     welch_t,
 )
 
@@ -87,39 +90,97 @@ class TestCompletionConfidence:
         assert rate == pytest.approx(0.8)
 
 
+def reference_quartiles(values):
+    """(Q1, median, Q3) of a list, interpolated at positions (n+1)/4, (n+1)/2, 3(n+1)/4 of
+    the sorted values: the list form the tally quartiles replaced, kept as their reference."""
+    data = sorted(float(v) for v in values)
+    n = len(data)
+
+    def at(pos):
+        pos = min(max(pos, 1.0), float(n))
+        lo = int(math.floor(pos))
+        frac = pos - lo
+        if frac == 0.0 or lo >= n:
+            return data[lo - 1]
+        return data[lo - 1] + frac * (data[lo] - data[lo - 1])
+
+    return at((n + 1) / 4.0), at((n + 1) / 2.0), at(3.0 * (n + 1) / 4.0)
+
+
+def reference_iqr_filter(values):
+    """(kept, removed, warning) of a list by the 1.5 IQR fence, in list order."""
+    vals = [float(v) for v in values]
+    q1, _, q3 = reference_quartiles(vals)
+    r = q3 - q1
+    lo, hi = q1 - 1.5 * r, q3 + 1.5 * r
+    kept = [v for v in vals if lo <= v <= hi]
+    removed = [v for v in vals if v < lo or v > hi]
+    warning = None
+    if len(removed) > 0.10 * len(vals):
+        warning = (f"IQR rule removed {len(removed)}/{len(vals)} values (>10%); "
+                   "consider collecting more data")
+    return kept, removed, warning
+
+
+def reference_welch_t(a, b):
+    """Welch's (t, p) of two lists of two or more values each, from the standard library's
+    means and variances (both exact, rounded once); (None, None) when both are constant."""
+    v1, v2 = statistics.variance(a) / len(a), statistics.variance(b) / len(b)
+    se2 = v1 + v2
+    if se2 == 0.0:
+        return None, None
+    t = (statistics.mean(a) - statistics.mean(b)) / math.sqrt(se2)
+    df = se2**2 / (v1**2 / (len(a) - 1) + v2**2 / (len(b) - 1))
+    return t, min(1.0, 2.0 * stats._student_t_sf(abs(t), df))
+
+
+def fence(values):
+    """(kept, removed, warning) of `iqr_filter` on the tally of `values`, each side a tally."""
+    tally = Counter(values)
+    kept, warning = iqr_filter(tally)
+    return Counter(kept), tally - Counter(kept), warning
+
+
 class TestQuartiles:
     def test_one_to_seven(self):
-        q1, med, q3 = quartiles([1, 2, 3, 4, 5, 6, 7])
+        q1, med, q3 = quartiles(Counter([1, 2, 3, 4, 5, 6, 7]))
         assert (q1, med, q3) == (2.0, 4.0, 6.0)
 
     def test_fences_on_one_to_seven(self):
-        kept, removed, warning = iqr_filter([1, 2, 3, 4, 5, 6, 7])
-        assert removed == []
+        kept, removed, warning = fence([1, 2, 3, 4, 5, 6, 7])
+        assert removed == Counter()
         assert warning is None
 
     def test_all_equal(self):
-        kept, removed, warning = iqr_filter([3, 3, 3, 3, 3])
-        assert kept == [3, 3, 3, 3, 3]
-        assert removed == []
+        kept, removed, warning = fence([3, 3, 3, 3, 3])
+        assert kept == Counter([3, 3, 3, 3, 3])
+        assert removed == Counter()
 
     def test_single_far_outlier(self):
         values = list(range(1, 21)) + [100]
-        kept, removed, warning = iqr_filter(values)
-        assert removed == [100]
+        kept, removed, warning = fence(values)
+        assert removed == Counter([100])
         assert warning is None  # 1/21 is under the 10% guidance
 
     def test_warning_above_ten_percent(self):
         values = [1, 2, 3, 4, 5, 100]
-        kept, removed, warning = iqr_filter(values)
-        assert removed == [100]
-        assert warning is not None
+        kept, removed, warning = fence(values)
+        assert removed == Counter([100])
+        assert warning == "IQR rule removed 1/6 values (>10%); consider collecting more data"
 
     def test_filter_is_fixed_point_when_nothing_removed(self):
         values = [2, 4, 4, 5, 5, 6, 8]
-        kept, removed, _ = iqr_filter(values)
+        kept, removed, _ = fence(values)
         if not removed:
-            kept2, removed2, _ = iqr_filter(kept)
-            assert kept2 == kept and removed2 == []
+            kept2, removed2, _ = fence(list(kept.elements()))
+            assert kept2 == kept and removed2 == Counter()
+
+    @given(st.lists(st.integers(1, 7) | st.floats(-50, 50), min_size=1, max_size=40))
+    def test_tally_matches_the_list_reference(self, values):
+        assert quartiles(Counter(values)) == reference_quartiles(values)
+        if len(values) >= 4:
+            kept, removed, warning = reference_iqr_filter(values)
+            assert fence(values) == (Counter(kept), Counter(removed), warning)
 
 
 def oracle_mann_whitney(a, b):
@@ -334,7 +395,7 @@ class TestRankCounts:
         assert result.method == "normal"
         u_a = sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b)
         assert result.u == min(u_a, n1 * n2 - u_a)
-        _, doubled_a, tie_term = stats._rank_blocks(a, b)
+        _, doubled_a, tie_term = stats._rank_blocks(Counter(a), Counter(b))
         assert doubled_a == 2 * u_a + n1 * (n1 + 1)
         pooled = a + b
         assert tie_term == sum(pooled.count(v) ** 3 - pooled.count(v) for v in set(pooled))
@@ -342,7 +403,7 @@ class TestRankCounts:
         assert (result.u.hex(), result.p_two_sided.hex()) == (u.hex(), p.hex())
 
     def test_blocks_hold_doubled_midranks_in_value_order(self):
-        blocks, doubled_a, tie_term = stats._rank_blocks([3, 1, 3], [2.0, 3, 5])
+        blocks, doubled_a, tie_term = stats._rank_blocks(Counter([3, 1, 3]), Counter([2.0, 3, 5]))
         # ranks: 1 -> 1, 2 -> 2, the three 3s -> 4, 5 -> 6
         assert blocks == [(2, 1), (4, 1), (8, 3), (12, 1)]
         assert (doubled_a, tie_term) == (2 + 8 + 8, 24)
@@ -371,12 +432,25 @@ class TestWelchT:
     def test_against_frozen_oracle(self):
         a = [2, 3, 3, 4, 4, 5, 5, 5]
         b = [4, 5, 5, 6, 6, 6, 7, 7]
-        t, p = welch_t(a, b)
+        t, p = welch_t(tally_summary(Counter(a)), tally_summary(Counter(b)))
         # t = -3.467405, p = 0.0038072 (Welch-Satterthwaite df = 13.90)
         assert t == pytest.approx(-3.467405, abs=1e-5)
         assert p == pytest.approx(0.0038072, abs=1e-6)
 
-    def test_identical_samples(self):
-        t, p = welch_t([4, 4, 4], [4, 4, 4])
-        assert t == 0.0 and p == 1.0
+    @pytest.mark.parametrize("a, b", [([4, 4, 4], [4, 4, 4]), ([5] * 6, [3] * 6), ([4], [1, 7])])
+    def test_no_t_without_a_standard_error(self, a, b):
+        # both sides constant, or a side with one value
+        assert welch_t(tally_summary(Counter(a)), tally_summary(Counter(b))) == (None, None)
 
+    @given(st.dictionaries(st.integers(1, 7), st.integers(1, 10**6), min_size=1, max_size=7))
+    def test_summary_is_exact_and_rounded_once(self, tally):
+        n, mean, var = tally_summary(tally)
+        exact_n = sum(tally.values())
+        exact_mean = Fraction(sum(count * v for v, count in tally.items()), exact_n)
+        assert (n, mean) == (exact_n, float(exact_mean))
+        if n == 1:
+            assert var is None
+        else:
+            exact_var = Fraction(sum(count * (v - exact_mean) ** 2 for v, count in tally.items()),
+                                 n - 1)
+            assert var == float(exact_var)  # float(Fraction) rounds correctly
