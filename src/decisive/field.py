@@ -63,7 +63,6 @@ class Criterion(NamedTuple):
 
 class RequirementsResult(NamedTuple):
     per_field: dict[str, bool]
-    missing: tuple[str, ...]
     percentage: float
 
 
@@ -73,15 +72,8 @@ def requirements_met(
     """Evaluate checklist responses against criteria.
 
     The percentage counts only fields that carry a criterion, of which there is
-    at least one; a missing response fails that field and is listed separately.
+    at least one; a missing response fails that field.
     """
-    per_field: dict[str, bool] = {}
-    missing = []
-    for crit in criteria:
-        if crit.field not in responses:
-            per_field[crit.field] = False
-            missing.append(crit.field)
-        else:
-            per_field[crit.field] = crit.passes(responses[crit.field])
-    pct = 100.0 * sum(per_field.values()) / len(per_field)
-    return RequirementsResult(per_field, tuple(missing), pct)
+    per_field = {crit.field: crit.field in responses and crit.passes(responses[crit.field])
+                 for crit in criteria}
+    return RequirementsResult(per_field, 100.0 * sum(per_field.values()) / len(per_field))

@@ -139,8 +139,6 @@ class ItemComparison(NamedTuple):
     item_id: str
     mean_a: float
     mean_b: float
-    n_a: int
-    n_b: int
     test: MannWhitneyResult
     t_statistic: Optional[float] = None  # Welch's t, convenience only
     t_p: Optional[float] = None
@@ -189,7 +187,7 @@ def trust_pipeline(survey: SurveyColumns, condition_a: str, condition_b: str) ->
                                   DataQualityWarning)
             sides.append(tally)
         summaries = [tally_summary(tally) for tally in sides]
-        (n_a, mean_a, _), (n_b, mean_b, _) = summaries
-        comparisons.append(ItemComparison(instrument, item_id, mean_a, mean_b, n_a, n_b,
+        (_, mean_a, _), (_, mean_b, _) = summaries
+        comparisons.append(ItemComparison(instrument, item_id, mean_a, mean_b,
                                           mann_whitney(*sides), *welch_t(*summaries)))
     return TrustReport(tuple(comparisons))

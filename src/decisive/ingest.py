@@ -5,14 +5,17 @@ ParseReport of their row count) or a ParseError naming the file and location.
 Non-fatal issues are DataQualityWarnings, issued by `_warn` where found. A CSV
 file is read once, as its header and the text after it; the header fails at a
 needed column it lacks or repeats (`_columns`). One row loop, `_csv_rows`, reads
-the data rows from that text and alone reports a bad one; the survey and scores
-files first try `_csv_columns`, telemetry one numpy call, each of which defers
-to the row loop when it cannot vouch for the whole text. This module
-alone decides the type of a JSON value: each value a parser reads goes through
-`_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails at load,
-naming its file. Every other check on an input value is made here too, once,
-in the function that reads the value; the records built hold fields only.
-UTF-8 (a byte-order mark is dropped), '.' decimal separator, ',' delimiter. A parser imports the domain types it builds when it runs, so a
+the data rows from that text and alone reports a bad one, naming the file line
+the row starts on. The survey, SAGAT and scores files read through `_csv_table`,
+which first tries `_csv_columns`, and telemetry first tries one numpy call; each
+defers to the row loop when it cannot vouch for the whole text. A repeated
+response or score key is found once, on the columns read (`_repeated_keys`).
+This module alone decides the type of a JSON value: each value a parser reads
+goes through `_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails
+at load, naming its file. Every other check on an input value is made here
+too, once, in the function that reads the value; the records built hold
+fields only. UTF-8 (a byte-order mark is dropped), '.' decimal separator, ','
+delimiter. A parser imports the domain types it builds when it runs, so a
 subcommand loads only the modules of the files it reads.
 """
 
@@ -105,18 +108,15 @@ def _load_json(path):
             raise ParseError(f"invalid JSON: {exc}")
 
 
-def _header(reader) -> list[str]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("file is empty")
-    return [h.strip() for h in header]
-
-
-def _header_and_body(path) -> tuple[list[str], str]:
-    """A CSV file's header, and the text after it, the one read of the file."""
+def _header_and_body(path) -> tuple[list[str], str, int]:
+    """A CSV file's header, the text after it, and the file line that text starts on (a
+    quoted header cell may span lines): the one read of the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return _header(csv.reader(fh)), fh.read()
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("file is empty")
+        return [h.strip() for h in header], fh.read(), reader.line_num + 1
 
 
 #: about how many characters of a CSV body `_split_columns` splits at a time; each chunk
@@ -167,12 +167,18 @@ def _columns(header: list[str], names, optional=()) -> dict[str, int]:
     return idx
 
 
-def _rows_of_width(body: str, width: int):
-    """(1-based file line, row) for each row of `body`, the text after a CSV header, with a
-    non-blank cell, raising at the first one with fewer than `width` fields. newline=""
-    keeps a lone carriage return ending a row, as when csv reads the file; all rows are
-    split first, so a csv error anywhere comes before a bad row."""
-    for line, row in enumerate(list(csv.reader(io.StringIO(body, newline=""))), start=2):
+def _rows_of_width(body: str, start: int, width: int):
+    """(file line, row) for each row of `body`, the text from file line `start` on, with a
+    non-blank cell, raising at the first one with fewer than `width` fields. A row's line is
+    the one it starts on, past any quoted cell that spans lines; newline="" keeps a lone
+    carriage return ending a row, as when csv reads the file. All rows are split first, so
+    a csv error anywhere comes before a bad row."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    rows, line = [], start
+    for row in reader:
+        rows.append((line, row))
+        line = start + reader.line_num
+    for line, row in rows:
         if not "".join(row).strip():
             continue
         if len(row) < width:
@@ -180,9 +186,9 @@ def _rows_of_width(body: str, width: int):
         yield line, row
 
 
-def _csv_rows(header: list[str], body: str, converters: dict, optional=()):
-    """(line, values) for each data row of `body`, the text after `header` in the CSV at
-    `path`, raising at the first bad line.
+def _csv_rows(header: list[str], body: str, start: int, converters: dict, optional=()):
+    """(line, values) for each data row of `body`, the text after `header` from file line
+    `start` on, raising at the first bad line.
 
     `values` holds each of `converters`' columns, its text converted with the
     line number. A column in `optional` reads "" where the header or a short
@@ -191,20 +197,17 @@ def _csv_rows(header: list[str], body: str, converters: dict, optional=()):
     idx = _columns(header, converters, optional)
     width = max(i for name, i in idx.items() if name not in optional) + 1
     cells = [(idx.get(name, math.inf), convert) for name, convert in converters.items()]
-    for line, row in _rows_of_width(body, width):
+    for line, row in _rows_of_width(body, start, width):
         yield line, [convert(row[i] if i < len(row) else "", line) for i, convert in cells]
 
 
-def _csv_columns(header: list[str], body: str, converters: dict, optional=(),
-                 key: int = 0) -> list[list] | None:
+def _csv_columns(header: list[str], body: str, converters: dict, optional=()) -> list[list] | None:
     """The columns `_csv_rows` would read from `body`, the text after `header`, a chunk at a time.
 
     Each distinct text of a column is converted once, however many chunks it
     appears in. The header fails as in the row loop. None when the split
     cannot vouch for the text: a chunk `_split_columns` rejects, a row of
-    blank cells (the row loop skips it), a cell that does not convert, or a
-    repeated row of the first `key` columns. `_csv_rows` then decides, and is
-    the only source of error messages, line numbers and duplicate warnings.
+    blank cells (the row loop skips it) or a cell that does not convert.
     """
     idx = _columns(header, converters, optional)
     columns = [[] for _ in converters]
@@ -226,14 +229,35 @@ def _csv_columns(header: list[str], body: str, converters: dict, optional=(),
         # a row of blank cells has one in every column, so look for such a row only then
         if blank and any(not "".join(row).strip() for row in zip(*cells)):
             return None
-    if key and len(set(zip(*columns[:key]))) != len(columns[0]):
-        return None
     return columns
 
 
-def _transposed(rows, width: int) -> list[list]:
-    """The `width` columns of `rows`, each a list."""
-    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+def _csv_table(header: list[str], body: str, start: int, converters: dict,
+               optional=()) -> tuple[Sequence[int], list[list]]:
+    """The file line of each data row of `body`, the text after `header` from file line
+    `start` on, and each of `converters`' columns: `_csv_columns`' when it can read the
+    whole text, else the row loop's, which alone reports a bad row."""
+    columns = _csv_columns(header, body, converters, optional)
+    if columns is not None:
+        return range(start, start + len(columns[0])), columns
+    rows = [(line, *values)
+            for line, values in _csv_rows(header, body, start, converters, optional)]
+    lines, *columns = map(list, zip(*rows)) if rows else [[] for _ in range(len(converters) + 1)]
+    return lines, columns
+
+
+def _repeated_keys(path, lines, key_columns: list[list], message) -> list[int] | None:
+    """None when the rows' keys, read across `key_columns`, are distinct. Else each later row
+    of a key warns `message(key)` at its line, and the result is the index of each key's
+    last row, in the order of the keys' first rows."""
+    if len(set(zip(*key_columns))) == len(lines):
+        return None
+    last = {}
+    for index, (line, key) in enumerate(zip(lines, zip(*key_columns))):
+        if key in last:
+            _warn(path, message(key), line)
+        last[key] = index  # a key keeps its first row's place
+    return list(last.values())
 
 
 def _number(text: str, line: int) -> float:
@@ -269,7 +293,7 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
 
     from .core import Trajectory
 
-    header, body = _header_and_body(path)
+    header, body, start = _header_and_body(path)
     has_vel, has_acc = (all(c in header for c in group) for group in (VEL_COLUMNS, ACC_COLUMNS))
     fields = REQUIRED_TELEMETRY + (VEL_COLUMNS if has_vel else ()) + (ACC_COLUMNS if has_acc else ())
     cols = list(_columns(header, fields).values())
@@ -284,7 +308,7 @@ def parse_telemetry(path) -> tuple[Trajectory, ParseReport]:
 
     table = _telemetry_columns(body, cols)
     if table is None:
-        table = _telemetry_rows(header, body, fields)
+        table = _telemetry_rows(header, body, start, fields)
 
     def triple(first: int) -> np.ndarray:
         # a contiguous copy, so numpy reductions run as they would on a separate array
@@ -322,12 +346,12 @@ def _telemetry_columns(body: str, cols: list[int]) -> np.ndarray | None:
     return table
 
 
-def _telemetry_rows(header: list[str], body: str, fields) -> np.ndarray:
+def _telemetry_rows(header: list[str], body: str, start: int, fields) -> np.ndarray:
     """The same table as `_telemetry_columns`, row by row, raising at the first bad line."""
     import numpy as np
 
     samples = []
-    for line, values in _csv_rows(header, body, dict.fromkeys(fields, _number)):
+    for line, values in _csv_rows(header, body, start, dict.fromkeys(fields, _number)):
         if samples and values[0] <= samples[-1][0]:
             raise ParseError(f"time {values[0]} does not increase past {samples[-1][0]}", line)
         samples.append(values)
@@ -366,13 +390,13 @@ FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
 def parse_fiducial_observations(path) -> list[FiducialObservation]:
     from .mapping import MAPPED_STATES, FiducialObservation
 
-    header, body = _header_and_body(path)
+    header, body, start = _header_and_body(path)
     idx = _columns(header, FIDUCIAL_COLUMNS)
     # a missing fiducial has no position, so its row may stop before x and y
     unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
     mapped_width = max(idx.values()) + 1
     out = []
-    for line, row in _rows_of_width(body, unmapped_width):
+    for line, row in _rows_of_width(body, start, unmapped_width):
         mapped = row[idx["mapped"]].strip()
         if mapped == "missing":
             xy = None
@@ -784,16 +808,11 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     later row takes the earlier one's place."""
     from .human_factors import SurveyColumns
 
-    header, body = _header_and_body(path)
-    columns = _csv_columns(header, body, SURVEY_COLUMNS, key=3)
-    if columns is None:
-        by_key = {}
-        for line, values in _csv_rows(header, body, SURVEY_COLUMNS):
-            key = tuple(values[:3])
-            if key in by_key:
-                _warn(path, f"duplicate response for {key}; keeping the later row", line)
-            by_key[key] = values
-        columns = _transposed(by_key.values(), len(SURVEY_COLUMNS))
+    lines, columns = _csv_table(*_header_and_body(path), SURVEY_COLUMNS)
+    kept = _repeated_keys(path, lines, columns[:3],
+                          lambda key: f"duplicate response for {key}; keeping the later row")
+    if kept is not None:
+        columns = [[column[i] for i in kept] for column in columns]
     survey = SurveyColumns(*columns)
 
     expected = {"CTPA": CTPA_ITEM_COUNT, "HCTM": HCTM_ITEM_COUNT}
@@ -822,8 +841,8 @@ SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id":
 def parse_sagat(path) -> list[SagatResponse]:
     from .human_factors import SagatResponse
 
-    header, body = _header_and_body(path)
-    return [SagatResponse(*values) for _, values in _csv_rows(header, body, SAGAT_COLUMNS)]
+    _, columns = _csv_table(*_header_and_body(path), SAGAT_COLUMNS)
+    return [SagatResponse(*values) for values in zip(*columns)]
 
 
 @_total
@@ -1083,24 +1102,14 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
     number that is not finite fails. A repeated (suas_id, test_id) pair warns;
     both rows are returned, and the later one is the pair's score.
     """
-    header, body = _header_and_body(path)
+    header, body, start = _header_and_body(path)
     precomputed = set(header) == {"suas_id", "test_id", "score"}
     converters = {"suas_id": _text, "test_id": _text,
                   **({"score": _number} if precomputed else dict.fromkeys(variables, _fis_input))}
     optional = () if precomputed else variables
-    columns = _csv_columns(header, body, converters, optional, key=2)
-    if columns is not None:
-        lines = range(2, len(columns[0]) + 2)
-    else:
-        rows, seen = [], set()
-        for line, values in _csv_rows(header, body, converters, optional):
-            key = tuple(values[:2])
-            if key in seen:
-                _warn(path, f"duplicate score for {key[0]}/{key[1]}; keeping the later row", line)
-            seen.add(key)
-            rows.append([line, *values])
-        lines, *columns = _transposed(rows, len(converters) + 1)
-    suas_ids, test_ids, *numbers = columns
+    lines, (suas_ids, test_ids, *numbers) = _csv_table(header, body, start, converters, optional)
+    _repeated_keys(path, lines, [suas_ids, test_ids],
+                   lambda key: f"duplicate score for {key[0]}/{key[1]}; keeping the later row")
     return ScoreColumns(precomputed, suas_ids, test_ids, dict(zip(list(converters)[2:], numbers)),
                         lines)
 

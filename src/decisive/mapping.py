@@ -12,8 +12,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
 
-#: difficulty thresholds; configuration values fitted to the ten labeled
-#: example fiducials, override per campaign if the course differs
+#: difficulty thresholds: fixed constants fitted to the ten labeled example
+#: fiducials; no input or argument sets them
 HARD_TRAVERSAL_M = 20.0
 HARD_TURNS = 5
 EASY_TRAVERSAL_M = 10.0

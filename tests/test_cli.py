@@ -568,6 +568,26 @@ def duplicate_survey_row(tmp_path):
             f"warning: duplicate response for {key}; keeping the later row (at {survey}:4)")
 
 
+def duplicate_survey_row_after_two_line_header(tmp_path):
+    header, *lines = (CAMPAIGN / "surveys.csv").read_text().splitlines()
+    header = header.replace(",condition", ',"condition\n"')  # the header ends on line 2
+    survey = write(tmp_path / "s.csv", "\n".join([header] + lines[:2] + lines[1:]) + "\n")
+    key = tuple(lines[1].split(",")[:3])
+    return (["trust", "--survey", survey, *TRUST],
+            f"warning: duplicate response for {key}; keeping the later row (at {survey}:5)")
+
+
+def duplicate_score_pair_after_two_line_cell(tmp_path):
+    header, *lines = (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()
+    cells = lines[0].split(",")
+    cells[2] = f'"{cells[2]}\n"'  # a crashes cell on lines 2 and 3
+    scores = write(tmp_path / "s.csv", "\n".join([header, ",".join(cells), lines[3], lines[0]])
+                   + "\n")
+    return (["cfis", "--scores", scores],
+            f"warning: duplicate score for {cells[0]}/{cells[1]}; keeping the later row "
+            f"(at {scores}:5)")
+
+
 def item_count_mismatch(tmp_path):
     lines = (CAMPAIGN / "surveys.csv").read_text().splitlines()
     survey = write(tmp_path / "s.csv", "\n".join(lines[:2] + lines[3:]) + "\n")
@@ -626,7 +646,8 @@ def coincident_fiducials(tmp_path):
 
 
 # inputs that give a warning, and exit 0: each case gives the argv and the warning line
-WARNING_LINES = (unknown_column, duplicate_survey_row, item_count_mismatch, membership_gap,
+WARNING_LINES = (unknown_column, duplicate_survey_row, duplicate_survey_row_after_two_line_header,
+                 duplicate_score_pair_after_two_line_cell, item_count_mismatch, membership_gap,
                  single_flight, removed_participant, iqr_note, global_error_skipped,
                  coincident_fiducials)
 
@@ -1067,6 +1088,17 @@ LOAD_ERRORS = {
         file_case("sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n"
                   "p1,q1,altitude,3,true\n", lambda sagat: ["sa", "--sagat", sagat], 2),
         "sa_level '3' must be 1 or 2"),
+    # a row is named by the line it starts on, past a quoted cell or header that spans lines
+    "sagat-level-3-after-two-line-cell": (
+        file_case("sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n"
+                  'p1,"q\n1",altitude,1,true\np1,q2,altitude,3,true\n',
+                  lambda sagat: ["sa", "--sagat", sagat], 4),
+        "sa_level '3' must be 1 or 2"),
+    "cfis-row-without-inputs-after-two-line-header": (
+        file_case("s.csv", (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0].replace(
+            "test_id", '"test_id\n"') + "\nalpha,t1,,,,,,,\n",
+            lambda scores: ["cfis", "--scores", scores], 3),
+        "alpha/t1: row matches no axis inputs"),
     "sa-weights-not-json": (
         file_case("w.json", "{", lambda weights: ["sa", "--sagat", CAMPAIGN / "sagat.csv",
                                                    "--weights", weights]),

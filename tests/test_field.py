@@ -91,8 +91,8 @@ class TestRequirements:
         result = requirements_met({"hd_video_min": 110}, [Criterion("hd_video_min", "min", 120)])
         assert result.percentage == 0.0
 
-    def test_missing_response_fails_with_note(self):
+    def test_missing_response_fails(self):
         result = requirements_met({}, [Criterion("hd_video_min", "min", 120)])
         assert result.per_field["hd_video_min"] is False
-        assert result.missing == ("hd_video_min",)
+        assert result.percentage == 0.0
 

@@ -202,12 +202,12 @@ class TestTrustPipeline:
         report = trust_pipeline(survey(rows), "A", "B")
         assert report.items[0].mean_a == pytest.approx(2.0)
         assert report.items[0].mean_b == pytest.approx(6.0)
-        assert report.items[0].n_a == 10 and report.items[0].n_b == 10
+        assert report.items[0].test == mann_whitney([2] * 10, [6] * 10)  # no value was fenced
 
 
 def reference_trust(survey, condition_a, condition_b):
     """The list-based trust pipeline the score tallies replaced, kept as their reference:
-    (one (instrument, item, mean_a, mean_b, n_a, n_b, U, p, t, t p) per item, the warning
+    (one (instrument, item, mean_a, mean_b, U, p, t, t p) per item, the warning
     texts in order). Scores are grouped per row into lists and fenced, and Welch's t takes
     the standard library's variance of each list."""
     failed = {p for p, passed in zip(survey.participant_ids, survey.manip_pass) if not passed}
@@ -233,8 +233,8 @@ def reference_trust(survey, condition_a, condition_b):
         a, b = sides
         t, t_p = reference_welch_t(a, b) if len(a) >= 2 and len(b) >= 2 else (None, None)
         test = mann_whitney(a, b)
-        rows.append((instrument, item_id, sum(a) / len(a), sum(b) / len(b), len(a), len(b),
-                     test.u, test.p_two_sided, t, t_p))
+        rows.append((instrument, item_id, sum(a) / len(a), sum(b) / len(b), test.u,
+                     test.p_two_sided, t, t_p))
     return rows, messages
 
 
@@ -287,8 +287,8 @@ class TestTallyPipelineMatchesListReference:
             warnings.simplefilter("always")
             report = trust_pipeline(data, "A", "B")
         assert [str(w.message) for w in caught] == expected_messages
-        got = [(item.instrument, item.item_id, item.mean_a, item.mean_b, item.n_a, item.n_b,
-                item.test.u, item.test.p_two_sided, item.t_statistic, item.t_p)
+        got = [(item.instrument, item.item_id, item.mean_a, item.mean_b, item.test.u,
+                item.test.p_two_sided, item.t_statistic, item.t_p)
                for item in report.items]
         assert [list(map(bits, row)) for row in got] == [list(map(bits, row))
                                                          for row in expected_rows]

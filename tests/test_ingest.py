@@ -620,7 +620,6 @@ class TestSurveyColumnsAgreeWithRowLoop:
         "p3,CTPA,i3,4,true,A,extra",  # a long row
         "p3,CTPA,i3,4,true\nA,p4,CTPA,i4,5,true,B",  # a short row, and a long one that evens it
         "p3,CTPA,i3\r4,true,A",  # a lone carriage return ends a csv row
-        "p1,CTPA,i1,5,true,A",  # a repeated key warns
         "p3,CTPA,i3,8,true,A",  # a score outside 1..7
         "p3,CTPA,i3,4,maybe,A",  # a flag that is not a boolean
         "p3,TLX,i3,4,true,A",  # an unknown instrument
@@ -629,6 +628,14 @@ class TestSurveyColumnsAgreeWithRowLoop:
         p = write(tmp_path / "s.csv", TestSurvey.HEADER + f"p1,CTPA,i1,4,true,A\n{row}\n"
                   "p2,HCTM,i2,6,false,B\n")
         self.check(p, fast=False)
+
+    def test_repeated_key_is_read_by_the_columns(self, tmp_path):
+        p = write(tmp_path / "s.csv", TestSurvey.HEADER + "p1,CTPA,i1,4,true,A\n"
+                  "p2,HCTM,i2,6,false,B\np1,CTPA,i1,5,true,A\np1,CTPA,i1,7,true,A\n")
+        got = self.check(p, fast=True)
+        assert "scores=[7, 6]," in got[1]  # the key keeps its first place, with its last score
+        assert got[2][:2] == [f"duplicate response for ('p1', 'CTPA', 'i1'); keeping the later "
+                              f"row (at {p}:{line})" for line in (4, 5)]
 
     @pytest.mark.parametrize("ending, fast", [(b"\r\n", True), (b"\r", False)])
     def test_carriage_returns(self, ending, fast, tmp_path):
@@ -665,8 +672,9 @@ def trust_outcome(path):
 
 
 class TestColumnReaderAcrossChunks:
-    """Bodies of several chunks, each with one defect placed in a later chunk: the column
-    reader gives exactly the row loop's columns or defers to it, and `trust` says the same."""
+    """Bodies of several chunks, each with one defect or repeated key placed in a later chunk:
+    the column reader gives exactly the row loop's columns or defers to it, and `trust` says
+    the same."""
 
     LINES = survey_rows(4 * ingest.CSV_CHUNK // 24)  # about 24 characters a line
     HEADER = TestSurvey.HEADER
@@ -685,40 +693,57 @@ class TestColumnReaderAcrossChunks:
         "bad cell": ("p9999,CTPA,i0,x,true,A", "cannot parse 'x' as a number"),
         "blank row": (" , , , , , ", None),
         "empty line": ("", None),
-        "duplicate key": ("p0000,CTPA,i0,7,true,A", None),
     }
+    #: the rows a defect or repeated key is placed at
+    WHERE = ["first of the third chunk", "last of the second chunk", "last of the body"]
+
+    def later_row(self, where) -> int:
+        starts = self.chunk_starts()
+        row = {"first of the third chunk": starts[2], "last of the second chunk": starts[2] - 1,
+               "last of the body": len(self.LINES) - 1}[where]
+        assert row >= starts[1]  # the first chunk is whole and ends before the row
+        return row
 
     def test_body_spans_several_chunks(self):
         assert len(self.chunk_starts()) >= 4
 
     def test_defect_free_body_takes_the_columns(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "".join(self.LINES))
-        header, body = ingest._header_and_body(p)
-        rows = [values for _, values in ingest._csv_rows(header, body, ingest.SURVEY_COLUMNS)]
-        columns = ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS, key=3)
-        assert columns == ingest._transposed(rows, 6) and len(rows) == len(self.LINES)
+        header, body, start = ingest._header_and_body(p)
+        rows = [values for _, values in ingest._csv_rows(header, body, start,
+                                                         ingest.SURVEY_COLUMNS)]
+        columns = ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS)
+        assert columns == [list(column) for column in zip(*rows)]
+        assert len(rows) == len(self.LINES)
         agrees_with_row_loop(lambda: trust_outcome(p), fast=True)
 
-    @pytest.mark.parametrize("where", ["first of the third chunk", "last of the second chunk",
-                                       "last of the body"])
+    @pytest.mark.parametrize("where", WHERE)
     @pytest.mark.parametrize("defect", list(DEFECTS))
     def test_defect_in_a_later_chunk_defers_to_the_row_loop(self, tmp_path, defect, where):
-        starts = self.chunk_starts()
-        row = {"first of the third chunk": starts[2], "last of the second chunk": starts[2] - 1,
-               "last of the body": len(self.LINES) - 1}[where]
-        assert row >= starts[1]  # the first chunk is whole and ends before the defect
+        row = self.later_row(where)
         line, message = self.DEFECTS[defect]
         lines = list(self.LINES)
         lines[row] = line + "\n"
         p = write(tmp_path / "s.csv", self.HEADER + "".join(lines))
-        header, body = ingest._header_and_body(p)
-        assert ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS, key=3) is None
+        header, body, _ = ingest._header_and_body(p)
+        assert ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS) is None
         code, out, err = agrees_with_row_loop(lambda: trust_outcome(p), fast=False)
         if message:
             assert (code, out, err) == (1, "", f"error: {message} (at {p}:{row + 2})\n")
         else:
-            assert code == 0 and "error" not in err
-            assert ("duplicate response" in err) == (defect == "duplicate key")
+            assert code == 0 and "error" not in err and "duplicate" not in err
+
+    @pytest.mark.parametrize("where", WHERE)
+    def test_repeated_key_in_a_later_chunk_is_read_by_the_columns(self, tmp_path, where):
+        row = self.later_row(where)
+        lines = list(self.LINES)
+        lines[row] = "p0000,CTPA,i0,7,true,A\n"  # the key of the first row
+        p = write(tmp_path / "s.csv", self.HEADER + "".join(lines))
+        code, out, err = agrees_with_row_loop(lambda: trust_outcome(p), fast=True)
+        assert code == 0 and "error" not in err
+        assert [line for line in err.splitlines() if "duplicate" in line] == [
+            f"warning: duplicate response for ('p0000', 'CTPA', 'i0'); keeping the later row "
+            f"(at {p}:{row + 2})"]
 
     def test_blank_scores_row_in_the_last_chunk_defers_to_the_row_loop(self, tmp_path):
         # every cell of a scores row may convert blank, so only the blank-row check sees it
@@ -731,11 +756,11 @@ class TestColumnReaderAcrossChunks:
 
     def test_column_reader_peak_memory_stays_under_8x_the_body(self, tmp_path):
         p = write(tmp_path / "s.csv", self.HEADER + "".join(survey_rows((1 << 20) // 22)))
-        header, body = ingest._header_and_body(p)
+        header, body, _ = ingest._header_and_body(p)
         assert len(body) >= 1 << 20
         tracemalloc.start()
         try:
-            columns = ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS, key=3)
+            columns = ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -905,7 +930,6 @@ class TestScoresColumnsAgreeWithRowLoop:
         "c,t3,0,0",  # a short row
         "c,t3,0,0,1,extra",  # a long row
         "c,t3,0\r0,1",  # a lone carriage return ends a csv row
-        "a,t1,1,1,0.5",  # a repeated pair warns
         "c,t3,0, ,1",  # a blank number cell
         "c,t3,inf,0,1",  # a number that is not finite
         "c,t3,0,x,1",  # a cell that is not a number
@@ -913,6 +937,13 @@ class TestScoresColumnsAgreeWithRowLoop:
     def test_row_loop_decides_what_columns_reject(self, row, tmp_path):
         p = write(tmp_path / "s.csv", TestScores.HEADER + f"a,t1,0,0,1\n{row}\nb,t2,1,0,0.5\n")
         self.check(p, fast=False)
+
+    def test_repeated_pair_is_read_by_the_columns(self, tmp_path):
+        p = write(tmp_path / "s.csv", TestScores.HEADER + "a,t1,0,0,1\nb,t2,1,0,0.5\n"
+                  "a,t1,1,1,0.5\n")
+        got = self.check(p, fast=True)
+        assert got[2:4] == (["a", "b", "a"], ["t1", "t2", "t1"])  # both rows are kept
+        assert got[6] == [f"duplicate score for a/t1; keeping the later row (at {p}:4)"]
 
     def test_blank_suas_id_is_split(self, tmp_path):
         p = write(tmp_path / "s.csv", TestScores.HEADER + "a,t1,0,0,1\n ,t3,0,0,1\n")
@@ -958,6 +989,87 @@ class TestSagat:
         )
         with pytest.raises(ParseError, match=re.escape(f"sa_level '3' must be 1 or 2 (at {p}:2)")):
             parse_sagat(p)
+
+
+def _sagat_outcome(path):
+    """parse_sagat's responses, or its error's class and text, as plain data."""
+    try:
+        return ("ok", repr(parse_sagat(path)))  # repr tells a level of 1 from 1.0
+    except DecisiveError as exc:
+        return ("error", type(exc), str(exc))
+
+
+#: ways a generated SAGAT file may differ from a plain one: a file draws any set of them,
+#: and each of its rows at most one of the row quirks in that set
+SAGAT_FILE_QUIRKS = ("extra column", "reordered", "missing column", "no final newline")
+SAGAT_ROW_QUIRKS = ("quoted cell", "two-line cell", "crlf", "carriage return", "empty line",
+                    "blank cells", "padded", "short row", "long row", "bad cell")
+BAD_SAGAT_CELLS = {"sa_level": ["0", "3", "1.5", "nan", "x", ""], "correct": ["maybe", ""]}
+
+
+def sagat_text(data) -> str:
+    """A SAGAT file whose header and rows carry the quirks `data` draws."""
+    quirks = data.draw(st.sets(st.sampled_from(SAGAT_FILE_QUIRKS + SAGAT_ROW_QUIRKS)))
+    columns = list(ingest.SAGAT_COLUMNS)
+    if "extra column" in quirks:
+        columns.insert(data.draw(st.integers(0, len(columns))), "note")
+    if "reordered" in quirks:
+        columns = data.draw(st.permutations(columns))
+    if "missing column" in quirks:
+        columns.remove(data.draw(st.sampled_from(list(ingest.SAGAT_COLUMNS))))
+    lines = [",".join(columns) + "\n"]
+    row_quirks = [q for q in SAGAT_ROW_QUIRKS if q in quirks]
+    for k in range(data.draw(st.integers(0, 10))):
+        quirk = data.draw(st.sampled_from(row_quirks + ["none", "none"]))
+        cells = {
+            "participant_id": data.draw(st.sampled_from(["p1", "p2"])),
+            "question_id": f"q{k}",
+            "se_id": data.draw(st.sampled_from(["altitude", "heading"])),
+            "sa_level": data.draw(st.sampled_from(["1", "2", "2.0", "+1", "1e0"])),
+            "correct": data.draw(st.sampled_from(["true", "false", "yes", "N", "1", "0"])),
+            "note": "ok",
+        }
+        if quirk in ("quoted cell", "two-line cell", "padded", "carriage return"):
+            column = data.draw(st.sampled_from(columns))
+            cells[column] = (f" {cells[column]}\t" if quirk == "padded"
+                             else f"{cells[column]}\r" if quirk == "carriage return"
+                             else f'"{cells[column]}\n"' if quirk == "two-line cell"
+                             else '"a,b"' if column == "note" else f'"{cells[column]}"')
+        elif quirk == "bad cell":
+            column = data.draw(st.sampled_from(sorted(BAD_SAGAT_CELLS)))
+            cells[column] = data.draw(st.sampled_from(BAD_SAGAT_CELLS[column]))
+        row = [cells[c] for c in columns]
+        if quirk == "short row":
+            row = row[:data.draw(st.integers(1, len(row) - 1))]
+        elif quirk == "long row":
+            row += ["x"] * data.draw(st.integers(1, 3))
+        text = ("" if quirk == "empty line" else ",".join([" "] * len(row))
+                if quirk == "blank cells" else ",".join(row))
+        lines.append(text + ("\r\n" if quirk == "crlf" else "\n"))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if "no final newline" in quirks else text
+
+
+@pytest.fixture(scope="module")
+def sagat_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sagat")
+
+
+class TestSagatColumnsAgreeWithRowLoop:
+    """The column reader gives the row loop's responses, or defers to its errors."""
+
+    def check(self, path, fast: bool | None = None):
+        return agrees_with_row_loop(lambda: _sagat_outcome(path), fast)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_sagat_text(self, sagat_dir, data):
+        path = sagat_dir / "g.csv"
+        path.write_bytes(sagat_text(data).encode())
+        self.check(path)
+
+    def test_sample_sagat(self):
+        assert self.check(SAMPLE / "sagat.csv", fast=True)[0] == "ok"
 
 
 class TestFeatureSheet:
