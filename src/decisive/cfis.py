@@ -35,22 +35,12 @@ def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
     # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
     x = np.where(mf.lo > x, mf.lo, x)
     x = np.where(mf.hi < x, mf.hi, x)
-    cases, values = [], []
-    if mf.a == mf.b:
-        cases.append(x <= mf.b)
-        values.append(1.0)
-    if mf.b == mf.c:
-        cases.append(x >= mf.b)
-        values.append(1.0)
-    cases.append((x < mf.a) | (x > mf.c))
-    values.append(0.0)
-    if mf.a < mf.b:
-        cases.append(x < mf.b)
-        values.append((x - mf.a) / (mf.b - mf.a))
-    if mf.b < mf.c:
-        cases.append(x > mf.b)
-        values.append((mf.c - x) / (mf.c - mf.b))
-    return np.select(cases, values, 1.0)
+    # the lower of the two ramps, each above 1 on the other side of the apex and +inf for
+    # a shoulder; clipping keeps a -0.0 ramp value
+    rising = (x - mf.a) / (mf.b - mf.a) if mf.a < mf.b else np.inf
+    falling = (mf.c - x) / (mf.c - mf.b) if mf.b < mf.c else np.inf
+    mu = np.minimum(rising, falling, out=np.empty(x.shape))
+    return np.clip(mu, 0.0, 1.0, out=mu)
 
 
 class LinguisticVariable(NamedTuple):
@@ -266,7 +256,8 @@ def predictive_score(test_scores: Mapping[str, Optional[float]]) -> float:
     for name, score in present.items():
         if not 0.0 < score <= 1.0:
             raise DecisiveError(f"{name}={score} outside (0, 1]")
-    return math.exp(sum(1.0 / len(present) * math.log(v) for v in present.values()))
+    weight = 1.0 / len(present)
+    return math.exp(sum(map(weight.__mul__, map(math.log, present.values()))))
 
 
 def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:

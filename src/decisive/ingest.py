@@ -141,12 +141,13 @@ def _split_columns(body: str, width: int):
     start = 0
     while True:
         end = body.find("\n", start + CSV_CHUNK) + 1 or len(body)
-        lines = body[start:end].replace("\r\n", "\n").removesuffix("\n").split("\n")
+        text = body[start:end].replace("\r\n", "\n").removesuffix("\n")
+        lines = text.split("\n")
         if (set(map(str.count, lines, itertools.repeat(","))) - {width - 1}
                 or max(map(len, lines)) > csv.field_size_limit()):
             yield None
             return
-        cells = ",".join(lines).split(",")
+        cells = text.replace("\n", ",").split(",")
         yield [cells[i::width] for i in range(width)]
         if end == len(body):
             return
@@ -201,33 +202,46 @@ def _csv_rows(header: list[str], body: str, start: int, converters: dict, option
         yield line, [convert(row[i] if i < len(row) else "", line) for i, convert in cells]
 
 
+class _Converted(dict):
+    """One column's texts read so far, each mapped to its value: a text is converted the
+    first time it is looked up, and a blank one is also kept in `blanks`."""
+
+    __slots__ = ("convert", "blanks")
+
+    def __missing__(self, text: str):
+        value = self[text] = self.convert(text, None)
+        if not text.strip():
+            self.blanks.add(text)
+        return value
+
+
 def _csv_columns(header: list[str], body: str, converters: dict, optional=()) -> list[list] | None:
     """The columns `_csv_rows` would read from `body`, the text after `header`, a chunk at a time.
 
-    Each distinct text of a column is converted once, however many chunks it
-    appears in. The header fails as in the row loop. None when the split
-    cannot vouch for the text: a chunk `_split_columns` rejects, a row of
-    blank cells (the row loop skips it) or a cell that does not convert.
+    Each cell is one dict lookup; each distinct text of a column is converted
+    once, however many chunks it appears in. The header fails as in the row
+    loop. None when the split cannot vouch for the text: a chunk
+    `_split_columns` rejects, a row of blank cells (the row loop skips it) or
+    a cell that does not convert.
     """
     idx = _columns(header, converters, optional)
     columns = [[] for _ in converters]
-    known = [{} for _ in converters]  # per column: each text converted so far -> its value
+    known = [_Converted() for _ in converters]
+    for once, convert in zip(known, converters.values()):
+        once.convert, once.blanks = convert, set()
     for cells in _split_columns(body, len(header)):
         if cells is None:
             return None
-        blank = True
-        for (name, convert), column, once in zip(converters.items(), columns, known):
+        for name, column, once in zip(converters, columns, known):
             texts = cells[idx[name]] if name in idx else [""] * len(cells[0])
-            distinct = set(texts)
-            blank = blank and not all(map(str.strip, distinct))
             try:
-                # each distinct text once: a Likert, flag or count column has only a few
-                once.update({text: convert(text, None) for text in distinct.difference(once)})
+                column += map(once.__getitem__, texts)
             except ParseError:
                 return None
-            column += map(once.__getitem__, texts)
-        # a row of blank cells has one in every column, so look for such a row only then
-        if blank and any(not "".join(row).strip() for row in zip(*cells)):
+        # a row of blank cells has one in every column, so look for such a row only once
+        # every column has read a blank text, in this chunk or an earlier one
+        if all(once.blanks for once in known) and any(
+                not "".join(row).strip() for row in zip(*cells)):
             return None
     return columns
 
@@ -247,10 +261,13 @@ def _csv_table(header: list[str], body: str, start: int, converters: dict,
 
 
 def _repeated_keys(path, lines, key_columns: list[list], message) -> list[int] | None:
-    """None when the rows' keys, read across `key_columns`, are distinct. Else each later row
-    of a key warns `message(key)` at its line, and the result is the index of each key's
-    last row, in the order of the keys' first rows."""
-    if len(set(zip(*key_columns))) == len(lines):
+    """None when the rows' keys, read across `key_columns` of text, are distinct. Else each
+    later row of a key warns `message(key)` at its line, and the result is the index of each
+    key's last row, in the order of the keys' first rows."""
+    # keys whose NUL-joined texts are distinct are distinct, and no key tuple is kept for the
+    # garbage collector to track; distinct keys that join alike (a text holding NUL) take
+    # the loop, which keeps every row
+    if len(set(map("\0".join, zip(*key_columns)))) == len(lines):
         return None
     last = {}
     for index, (line, key) in enumerate(zip(lines, zip(*key_columns))):

@@ -53,13 +53,6 @@ def deviation_series(pos, path: ReferencePath) -> np.ndarray:
     return best
 
 
-def point_path_deviation(p: Sequence[float], path: ReferencePath) -> float:
-    """Minimum distance from a point to the path's clamped segments."""
-    import numpy as np
-
-    return float(deviation_series(np.asarray(p, dtype=float)[None, :], path)[0])
-
-
 def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
     """Mean per-sample deviation from the path, equal weight per recorded sample."""
     import numpy as np

@@ -24,14 +24,23 @@ class Column(NamedTuple):
 
 
 class ReportTable:
-    __slots__ = ("title", "columns", "rows")
+    """A titled table that keeps its cells a column at a time: `cells[k]` holds column
+    k's cells in row order."""
+
+    __slots__ = ("title", "columns", "cells")
 
     def __init__(self, title: str, columns: list[Column]):
         self.title, self.columns = title, columns
-        self.rows: list[list] = []
+        self.cells: list[list] = [[] for _ in columns]
 
     def add_row(self, *cells) -> None:
-        self.rows.append(list(cells))
+        for column, cell in zip(self.cells, cells, strict=True):
+            column.append(cell)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The cells a row at a time, read only."""
+        return list(zip(*self.cells))
 
 
 def _format_cell(cell, column: Column, ascii_glyphs: bool, title: str) -> str:
@@ -61,16 +70,26 @@ def _header_text(col: Column) -> str:
     return f"{col.header} ({col.unit})" if col.unit else col.header
 
 
+def _fixed(values: Sequence, digits: int) -> str:
+    """Each of `values`, floats or None, with `digits` fixed digits ("" for None), separated
+    by NUL characters: one `%` over the whole column."""
+    spec = f"%.{digits}f"
+    if None in values:
+        return "\0".join(["%s" if v is None else spec for v in values]) % tuple(
+            "" if v is None else v for v in values)
+    return "\0".join([spec] * len(values)) % tuple(values)
+
+
 def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool, title: str) -> list[str]:
     """`_format_cell` of each of a column's cells, with one formatter for the column
-    when its cells' types allow: digits for exact floats and None, text kept as it is."""
+    when its cells' types allow: one `%` over fixed digits for exact floats and None,
+    text kept as it is."""
     kinds = set(map(type, cells))
     if column.kind == "number" and column.digits is not None and kinds <= {float, type(None)}:
-        spec = f".{column.digits}f"
-        texts = ["" if cell is None else format(cell, spec) for cell in cells]
+        text = _fixed(cells, column.digits)
         # a finite float with fixed digits has no "n"; "inf" and "nan" fail per cell
-        if "n" not in "".join(texts):
-            return texts
+        if "n" not in text:
+            return text.split("\0") if cells else []
     elif column.kind == "text" and kinds <= {str}:
         return list(cells)
     return [_format_cell(cell, column, ascii_glyphs, title) for cell in cells]
@@ -79,10 +98,9 @@ def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool, title: s
 def _cell_texts(table: ReportTable, ascii_glyphs: bool) -> list[list[str]]:
     """Every column's formatted cells; a non-finite number raises as the first one in row
     order."""
-    cells = list(zip(*table.rows)) or [()] * len(table.columns)
     try:
         return [_format_column(c, col, ascii_glyphs, table.title)
-                for c, col in zip(cells, table.columns)]
+                for c, col in zip(table.cells, table.columns)]
     except DecisiveError:
         # another column may hold an earlier bad cell: the row loop raises at the first
         rows = [[_format_cell(cell, col, ascii_glyphs, table.title)
@@ -112,7 +130,9 @@ def _render_md(table: ReportTable, ascii_glyphs: bool) -> str:
     lines.append("| " + " | ".join("---" for _ in headers) + " |")
     columns = [_escaped(texts, _MD_SPECIAL, _md_escape)
                for texts in _cell_texts(table, ascii_glyphs)]
-    lines += ["| " + " | ".join(cells) + " |" for cells in zip(*columns)]
+    rows = list(map(" | ".join, zip(*columns)))
+    if rows:  # each row between "| " and " |"
+        lines.append("| " + " |\n| ".join(rows) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -248,7 +268,13 @@ def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
     def sy(d):
         return h - margin - (h - 2 * margin) * d / d_max
 
-    path = " ".join(f"{_fmt(sx(t))},{_fmt(sy(d))}" for t, d in samples)
+    xs, ys = [sx(t) for t, _ in samples], [sy(d) for _, d in samples]
+    texts = [_fixed(c, 2) for c in (xs, ys)]
+    if any("n" in text for text in texts):  # an overflowing coordinate: "inf" or "nan"
+        for x, y in zip(xs, ys):
+            _fmt(x)
+            _fmt(y)
+    path = " ".join(map(",".join, zip(*(text.split("\0") for text in texts))))
     return _plot(w, h, (sx(t0), sy(0), sx(t1), sy(d_max)),
                  [f'<polyline points="{path}" fill="none" stroke="black"/>\n'],
                  "time (s)", 8, "deviation (m)")

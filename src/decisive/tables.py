@@ -329,11 +329,15 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
                     f"{scores_path}:{scores.lines[row]}")
 
         scored = cfis_mod.cascade_columns(config, columns, where)
-        axes = [[None if math.isnan(x) else x for x in scored.axes[a].tolist()]
-                for a in sorted(axis_vars)]
+        axes = []
+        for name in sorted(axis_vars):
+            values = scored.axes[name].tolist()
+            if np.isnan(scored.axes[name]).any():  # a row that skips the axis: an empty cell
+                values = [None if math.isnan(x) else x for x in values]
+            axes.append(values)
         normalized = scored.normalized.tolist()
-        detail.rows = list(map(list, zip(scores.suas_ids, scores.test_ids, *axes,
-                                         scored.combined.tolist(), normalized)))
+        detail.cells = [scores.suas_ids, scores.test_ids, *axes, scored.combined.tolist(),
+                        normalized]
         tables.append(detail)
 
     per_suas: dict[str, dict[str, float]] = {}

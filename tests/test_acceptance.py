@@ -27,7 +27,7 @@ from decisive.mapping import (
     difficulty_rating,
     global_error,
 )
-from decisive.nav import ReferencePath, average_deviation, point_path_deviation
+from decisive.nav import ReferencePath, average_deviation, deviation_series
 from decisive.ncap import autonomy_distances, component_potential
 from decisive.stats import completion_confidence, mann_whitney
 
@@ -147,7 +147,7 @@ class TestCriterion5:
             dense = _dense_path_points(path, step=0.001)
             for _ in range(50):
                 p = rng.uniform(-3, 3, size=3)
-                got = point_path_deviation(p, path)
+                got = float(deviation_series(p[None, :], path)[0])
                 want = float(np.min(np.linalg.norm(dense - p, axis=1)))
                 assert abs(got - want) < 1e-3
                 checked += 1

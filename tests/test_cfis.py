@@ -253,6 +253,24 @@ class TestMembership:
         ramp = TriangularMf(0.0, 0.125, 0.125, 0.0, 1.0)
         assert bits(mf_column(ramp, np.array([-0.0]))[0]) == bits(mf_eval(ramp, -0.0)) == "-0x0.0p+0"
 
+    XS = [-5.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 99.0]
+
+    @pytest.mark.parametrize("mf", [
+        TriangularMf(1.0, 1.0, 1.0, 0.0, 3.0),  # a == b == c: 1 everywhere
+        TriangularMf(0.0, 0.0, 0.0, 0.0, 3.0),  # a == b == c == lo
+        TriangularMf(3.0, 3.0, 3.0, 0.0, 3.0),  # a == b == c == hi
+        TriangularMf(0.0, 1.0, 2.0, 0.0, 3.0),  # a == lo: the rising ramp starts at the clamp
+        TriangularMf(0.0, 0.0, 2.0, 0.0, 3.0),  # a == b == lo: a left shoulder
+        TriangularMf(0.0, 1.5, 3.0, 0.0, 3.0),  # a == lo and c == hi
+        TriangularMf(-1.0, -0.0, 1.0, -1.0, 1.0),  # the apex at -0.0
+        TriangularMf(-1.0, 0.0, 0.0, -1.0, 1.0),  # a right shoulder at 0.0
+        TriangularMf(-0.0, 0.5, 1.0, -0.0, 1.0),  # a == lo == -0.0
+    ])
+    def test_edge_triangles_bit_identical_to_scalar(self, mf):
+        column = mf_column(mf, np.array(self.XS))
+        assert column.shape == (len(self.XS),)
+        assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, x)) for x in self.XS]
+
     @given(var=variables("x"), points=st.integers(1, 64))
     def test_covered_equals_scalar_sweep(self, var, points):
         sweep = (var.lo + (var.hi - var.lo) * i / points for i in range(points + 1))

@@ -637,6 +637,14 @@ class TestSurveyColumnsAgreeWithRowLoop:
         assert got[2][:2] == [f"duplicate response for ('p1', 'CTPA', 'i1'); keeping the later "
                               f"row (at {p}:{line})" for line in (4, 5)]
 
+    def test_distinct_keys_that_join_alike_are_not_repeated(self, tmp_path):
+        # both keys join to "p\0CTPA\0CTPA\0i1"
+        p = write(tmp_path / "s.csv", TestSurvey.HEADER + "p\0CTPA,CTPA,i1,4,true,A\n"
+                  "p,CTPA,CTPA\0i1,5,true,A\n")
+        got = self.check(p, fast=True)
+        assert got[0] == "ok" and "scores=[4, 5]," in got[1]
+        assert not [w for w in got[2] if "duplicate" in w]
+
     @pytest.mark.parametrize("ending, fast", [(b"\r\n", True), (b"\r", False)])
     def test_carriage_returns(self, ending, fast, tmp_path):
         p = tmp_path / "s.csv"
@@ -751,6 +759,26 @@ class TestColumnReaderAcrossChunks:
         lines[-1] = ",,,,\n"
         p = write(tmp_path / "s.csv", TestScores.HEADER + "".join(lines))
         assert len(p.read_text()) > 3 * ingest.CSV_CHUNK
+        got = agrees_with_row_loop(lambda: _scores_outcome(p, SCORE_VARIABLES), fast=False)
+        assert got[0] == "ok" and len(got[2]) == len(lines) - 1
+
+    def test_blank_row_of_texts_first_seen_in_the_first_chunk_defers(self, tmp_path):
+        # the blank row's texts were all converted in the first chunk, so the third chunk
+        # reads them without converting anything
+        lines = [f"s{k % 50:02d},t{k // 50:04d},0,1,0.9\n" for k in range(ingest.CSV_CHUNK // 5)]
+        lines[1] = " ,t0000,,,\n"
+        lines[2] = "s02, ,0,,\n"
+        starts, rows = [], 0
+        for cells in ingest._split_columns("".join(lines), 5):
+            starts.append(rows)
+            rows += len(cells[0])
+        assert len(starts) >= 3 and starts[1] > 2
+        lines[starts[2]] = " , ,,,\n"
+        p = write(tmp_path / "s.csv", TestScores.HEADER + "".join(lines))
+        header, body, _ = ingest._header_and_body(p)
+        assert ingest._csv_columns(header, body, {
+            "suas_id": ingest._text, "test_id": ingest._text,
+            **dict.fromkeys(SCORE_VARIABLES, ingest._fis_input)}, SCORE_VARIABLES) is None
         got = agrees_with_row_loop(lambda: _scores_outcome(p, SCORE_VARIABLES), fast=False)
         assert got[0] == "ok" and len(got[2]) == len(lines) - 1
 
@@ -944,6 +972,11 @@ class TestScoresColumnsAgreeWithRowLoop:
         got = self.check(p, fast=True)
         assert got[2:4] == (["a", "b", "a"], ["t1", "t2", "t1"])  # both rows are kept
         assert got[6] == [f"duplicate score for a/t1; keeping the later row (at {p}:4)"]
+
+    def test_distinct_pairs_that_join_alike_are_not_repeated(self, tmp_path):
+        p = write(tmp_path / "s.csv", TestScores.HEADER + "a\0b,c,0,0,1\na,b\0c,1,0,0.5\n")
+        got = self.check(p, fast=True)
+        assert got[2:4] == (["a\0b", "a"], ["c", "b\0c"]) and got[6] == []
 
     def test_blank_suas_id_is_split(self, tmp_path):
         p = write(tmp_path / "s.csv", TestScores.HEADER + "a,t1,0,0,1\n ,t3,0,0,1\n")

@@ -9,11 +9,15 @@ from decisive.nav import (
     average_deviation,
     deviation_series,
     deviation_summary,
-    point_path_deviation,
     traversal_speed,
     waypoint_error,
 )
 from decisive.stats import mean_std
+
+
+def one_row(p, path: ReferencePath) -> float:
+    """`deviation_series` of the one sample `p`."""
+    return float(deviation_series(np.asarray(p, float)[None, :], path)[0])
 
 
 def traj_from_xyz(points):
@@ -69,11 +73,10 @@ class TestDeviationSeries:
             assert np.max(np.abs(got - want)) <= 1e-12
         assert 0 < closed < paths
 
-    def test_point_path_deviation_is_one_row(self):
+    def test_one_row_matches_the_batch(self):
         path = ReferencePath(((0, 0, 1), (3, 0, 1), (3, 2, 1)), closed=True)
         pos = np.random.default_rng(4).uniform(-1, 4, size=(25, 3))
-        one_rows = [float(deviation_series(p[None, :], path)[0]) for p in pos]
-        assert [point_path_deviation(p, path) for p in pos] == one_rows
+        one_rows = [one_row(p, path) for p in pos]
         # a batch may round differently from one row in the last place
         assert np.allclose(one_rows, deviation_series(pos, path), rtol=0, atol=1e-12)
 
@@ -82,23 +85,23 @@ class TestDeviationSeries:
         assert deviation_series(np.empty((0, 3)), path).shape == (0,)
 
 
-class TestPointPathDeviation:
+class TestOneSampleDeviation:
     def test_point_on_vertex(self):
         path = ReferencePath(((0, 0, 1), (3, 0, 1)))
-        assert point_path_deviation((0, 0, 1), path) == 0.0
+        assert one_row((0, 0, 1), path) == 0.0
 
     def test_perpendicular_offset(self):
         path = ReferencePath(((0, 0, 1), (3, 0, 1)))
-        assert point_path_deviation((1.5, 0.2, 1), path) == pytest.approx(0.2)
+        assert one_row((1.5, 0.2, 1), path) == pytest.approx(0.2)
 
     def test_beyond_endpoint_clamps(self):
         path = ReferencePath(((0, 0, 0), (1, 0, 0)))
-        assert point_path_deviation((2, 0, 0), path) == pytest.approx(1.0)
+        assert one_row((2, 0, 0), path) == pytest.approx(1.0)
 
     def test_closed_path_includes_closing_segment(self):
         square = ReferencePath(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)), closed=True)
         # nearest geometry is the closing segment x=0
-        assert point_path_deviation((-0.2, 0.5, 0), square) == pytest.approx(0.2)
+        assert one_row((-0.2, 0.5, 0), square) == pytest.approx(0.2)
 
     def test_matches_dense_sampling_oracle(self):
         rng = np.random.default_rng(11)
@@ -113,7 +116,7 @@ class TestPointPathDeviation:
                 continue
             for _ in range(50):
                 p = rng.uniform(-3, 3, size=3)
-                got = point_path_deviation(p, path)
+                got = one_row(p, path)
                 want = dense_oracle_distance(p, path)
                 assert abs(got - want) < 1e-3
                 cases += 1
@@ -124,7 +127,7 @@ class TestPointPathDeviation:
         verts = rng.uniform(-1, 1, size=(4, 3))
         path = ReferencePath(tuple(map(tuple, verts)))
         p = rng.uniform(-1, 1, size=3)
-        base = point_path_deviation(p, path)
+        base = one_row(p, path)
 
         theta = 0.7
         rot = np.array(
@@ -134,7 +137,7 @@ class TestPointPathDeviation:
         )
         shift = np.array([3.0, -2.0, 0.5])
         moved_path = ReferencePath(tuple(map(tuple, verts @ rot.T + shift)))
-        moved = point_path_deviation(rot @ p + shift, moved_path)
+        moved = one_row(rot @ p + shift, moved_path)
         assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -162,7 +165,7 @@ class TestAverageDeviation:
         path = ReferencePath(((0, 0, 0), (5, 0, 0)))
         traj = traj_from_xyz(rng.uniform(-1, 1, size=(30, 3)))
         ad = average_deviation(traj, path)
-        worst = max(point_path_deviation(p, path) for p in traj.pos)
+        worst = max(one_row(p, path) for p in traj.pos)
         assert 0.0 <= ad <= worst
 
 

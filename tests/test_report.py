@@ -21,7 +21,7 @@ from decisive.report import (
 )
 
 
-def sample_table():
+def sample_table(bravo_potential=2.2905):
     table = ReportTable(
         "Ranking",
         [
@@ -31,7 +31,7 @@ def sample_table():
         ],
     )
     table.add_row("alpha", 2.4787, "good")
-    table.add_row("bravo", 2.2905, "none")
+    table.add_row("bravo", bravo_potential, "none")
     return table
 
 
@@ -59,15 +59,13 @@ class TestRenderTable:
     @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_every_format_rejects_a_non_finite_number(self, value, fmt):
-        table = sample_table()
-        table.rows[1][1] = value
+        table = sample_table(bravo_potential=value)
         with pytest.raises(DecisiveError) as exc:
             render_tables([table], fmt)
         assert str(exc.value) == f"Ranking: potential is {value!r}, not a finite number"
 
     def test_json_empty_number_cell_is_null(self):
-        table = sample_table()
-        table.rows[1][1] = None
+        table = sample_table(bravo_potential=None)
         docs = json.loads(render_tables([table], "json"))
         assert docs[0]["rows"][1] == {"sUAS": "bravo", "potential": None, "link": "X"}
 
@@ -130,12 +128,14 @@ def per_cell_reference(table, fmt, ascii_glyphs):
     return ("ok", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 2.675])
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 2.675, 5e-324,
+                                  -5e-324, 1e308, -1e308])
 #: cells of each kind a table may hold
 CELLS = {
     "none": st.none(),
     "float": st.one_of(SPECIAL_FLOATS, st.floats()),
     "int": st.integers(-10**6, 10**6),
+    "bool": st.booleans(),
     "numpy float": st.one_of(SPECIAL_FLOATS, st.floats()).map(np.float64),
     "glyph key": st.sampled_from(sorted(GLYPHS)),
     "string": st.text(alphabet=st.sampled_from('ab ,"\n\r|✓'), max_size=4),
@@ -143,22 +143,34 @@ CELLS = {
 
 
 #: the kinds of cell the table builders put in each kind of column
-COLUMN_CELLS = {"number": ["none", "float", "int", "numpy float"], "glyph": ["none", "glyph key"],
-                "text": sorted(CELLS)}
+COLUMN_CELLS = {"number": ["none", "float", "int", "bool", "numpy float"],
+                "glyph": ["none", "glyph key"], "text": sorted(CELLS)}
+#: cells any row of a column may hold, whatever its other cells
+ODD_CELLS = {"number": [None, math.inf, -math.inf, math.nan], "glyph": [None],
+             "text": [None, math.inf, math.nan]}
 
 
 @st.composite
 def tables(draw):
-    """A table whose columns each hold a few kinds of cell, often one kind only."""
+    """A table whose columns each hold a few kinds of cell, often one kind only, with an
+    empty or non-finite cell at any row."""
     columns, kinds = [], []
     for k in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["number", "glyph", "text"]))
         digits = draw(st.one_of(st.none(), st.integers(0, 4))) if kind == "number" else None
         columns.append(Column(f"c{k}", kind, digits, draw(st.sampled_from(["", "m"]))))
         kinds.append(draw(st.lists(st.sampled_from(COLUMN_CELLS[kind]), min_size=1, max_size=2)))
+    size = draw(st.integers(0, 24))
+    cells = [draw(st.lists(st.one_of([CELLS[kind] for kind in ks]), min_size=size,
+                           max_size=size)) for ks in kinds]
+    for column, column_cells in zip(columns, cells):
+        if size:
+            odd = st.tuples(st.integers(0, size - 1), st.sampled_from(ODD_CELLS[column.kind]))
+            for row, cell in draw(st.lists(odd, max_size=2)):
+                column_cells[row] = cell
     table = ReportTable("T", columns)
-    for _ in range(draw(st.integers(0, 6))):
-        table.add_row(*[draw(st.one_of([CELLS[kind] for kind in ks])) for ks in kinds])
+    for row in zip(*cells):
+        table.add_row(*row)
     return table
 
 
@@ -210,9 +222,51 @@ class TestPlotSvg:
          "plot coordinate is -inf, not a finite number"),
         (lambda: deviation_svg([(-1e308, 0.0), (1e308, 0.1)]),
          "plot coordinate is nan, not a finite number"),
+        # the first overflowing coordinate in sample order: the first sample's y is inf,
+        # the second's x nan; then the second sample's x is nan, its y inf
+        (lambda: deviation_svg([(-1e308, -1e308), (1e308, 1e-320)]),
+         "plot coordinate is inf, not a finite number"),
+        (lambda: deviation_svg([(-1e308, 0.0), (1e308, -1e308)]),
+         "plot coordinate is nan, not a finite number"),
     ])
     def test_non_finite_input_or_coordinate_fails(self, plot, message):
         with pytest.raises(DecisiveError) as exc:
             plot()
         assert str(exc.value) == message
 
+
+def per_sample_deviation_svg(samples):
+    """`deviation_svg` with each polyline coordinate formatted on its own, in sample order."""
+    report._finite("deviation plot", (("sample", t, d) for t, d in samples))
+    w, h, margin = 480, 240, 45.0
+    t0, t1 = samples[0][0], samples[-1][0]
+    span = (t1 - t0) or 1.0
+    d_max = max(d for _, d in samples) or 1.0
+
+    def sx(t):
+        return margin + (w - 2 * margin) * (t - t0) / span
+
+    def sy(d):
+        return h - margin - (h - 2 * margin) * d / d_max
+
+    path = " ".join(f"{report._fmt(sx(t))},{report._fmt(sy(d))}" for t, d in samples)
+    return report._plot(w, h, (sx(t0), sy(0), sx(t1), sy(d_max)),
+                        [f'<polyline points="{path}" fill="none" stroke="black"/>\n'],
+                        "time (s)", 8, "deviation (m)")
+
+
+COORDINATES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 0.005, 2.675]))
+
+
+class TestDeviationPolylineAgreesWithPerSampleFormatting:
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=30))
+    def test_any_samples(self, samples):
+        outcomes = []
+        for render in (deviation_svg, per_sample_deviation_svg):
+            try:
+                outcomes.append(("ok", render(samples)))
+            except DecisiveError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
