@@ -44,8 +44,8 @@ class SagatResponse(NamedTuple):
     correct: bool
 
 
-def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, float]:
-    """Fraction of correct answers per situation element."""
+def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, tuple[int, float]]:
+    """(questions asked, fraction answered correctly) per situation element."""
     if not responses:
         raise DecisiveError("no responses")
     asked: dict[str, int] = {}
@@ -53,7 +53,7 @@ def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, float]:
     for r in responses:
         asked[r.se_id] = asked.get(r.se_id, 0) + 1
         right[r.se_id] = right.get(r.se_id, 0) + (1 if r.correct else 0)
-    return {se: right[se] / asked[se] for se in asked}
+    return {se: (n, right[se] / n) for se, n in asked.items()}
 
 
 def perception_level(responses: Sequence[SagatResponse]) -> str:

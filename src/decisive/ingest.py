@@ -998,6 +998,9 @@ def parse_fis_config(path) -> FisConfig:
         for var_name, var_spec in inputs_spec.items():
             var_spec = _object(var_spec, f"{fis_name}.{var_name}")
             lo, hi = _numbers(var_spec["range"], 2)
+            if not math.isfinite(hi - lo):  # a sweep or a ramp over it would overflow
+                raise ParseError(f"{fis_name}.{var_name}: range [{lo}, {hi}] is wider than "
+                                 "the float range")
             terms = {}
             terms_spec = _fields(var_spec, {"terms": dict},
                                  f"{fis_name}.{var_name}").get("terms", {})

@@ -19,7 +19,7 @@ ASCII_GLYPHS = {"good": "ok", "bad": "bad", "none": "none"}
 class Column(NamedTuple):
     header: str
     kind: str = "text"  # number | glyph | text
-    digits: Optional[int] = None  # rounding applied at render time
+    digits: Optional[int] = None  # fixed digits at render time; a number column needs them
     unit: str = ""
 
 
@@ -43,22 +43,6 @@ class ReportTable:
         return list(zip(*self.cells))
 
 
-def _format_cell(cell, column: Column, ascii_glyphs: bool, title: str) -> str:
-    if cell is None:
-        return ""
-    if column.kind == "glyph":
-        return (ASCII_GLYPHS if ascii_glyphs else GLYPHS)[cell]
-    if column.kind == "number":
-        value = float(cell)
-        if not math.isfinite(value):
-            raise DecisiveError(f"{title}: {_header_text(column)} is {value!r}, "
-                                "not a finite number")
-        if column.digits is None:
-            return repr(value)
-        return f"{value:.{column.digits}f}"
-    return str(cell)
-
-
 def render_table(table: ReportTable, fmt: str = "md", ascii_glyphs: bool = False) -> bytes:
     """Render one table as Markdown ("md") or CSV ("csv") to UTF-8 bytes; identical input
     gives identical bytes."""
@@ -71,7 +55,7 @@ def _header_text(col: Column) -> str:
 
 
 def _fixed(values: Sequence, digits: int) -> str:
-    """Each of `values`, floats or None, with `digits` fixed digits ("" for None), separated
+    """Each of `values`, numbers or None, with `digits` fixed digits ("" for None), separated
     by NUL characters: one `%` over the whole column."""
     spec = f"%.{digits}f"
     if None in values:
@@ -80,32 +64,28 @@ def _fixed(values: Sequence, digits: int) -> str:
     return "\0".join([spec] * len(values)) % tuple(values)
 
 
-def _format_column(cells: Sequence, column: Column, ascii_glyphs: bool, title: str) -> list[str]:
-    """`_format_cell` of each of a column's cells, with one formatter for the column
-    when its cells' types allow: one `%` over fixed digits for exact floats and None,
-    text kept as it is."""
-    kinds = set(map(type, cells))
-    if column.kind == "number" and column.digits is not None and kinds <= {float, type(None)}:
-        text = _fixed(cells, column.digits)
-        # a finite float with fixed digits has no "n"; "inf" and "nan" fail per cell
-        if "n" not in text:
-            return text.split("\0") if cells else []
-    elif column.kind == "text" and kinds <= {str}:
-        return list(cells)
-    return [_format_cell(cell, column, ascii_glyphs, title) for cell in cells]
-
-
 def _cell_texts(table: ReportTable, ascii_glyphs: bool) -> list[list[str]]:
-    """Every column's formatted cells; a non-finite number raises as the first one in row
-    order."""
-    try:
-        return [_format_column(c, col, ascii_glyphs, table.title)
-                for c, col in zip(table.cells, table.columns)]
-    except DecisiveError:
-        # another column may hold an earlier bad cell: the row loop raises at the first
-        rows = [[_format_cell(cell, col, ascii_glyphs, table.title)
-                 for cell, col in zip(row, table.columns)] for row in table.rows]
-        return [list(column) for column in zip(*rows)]
+    """Every column's formatted cells, "" for None: a number column is one `%` over the
+    column, a glyph column one lookup and a text column one `str` per cell. A non-finite
+    number raises as the first one in row order."""
+    glyphs = {**(ASCII_GLYPHS if ascii_glyphs else GLYPHS), None: ""}
+    texts, bad = [], []
+    for k, (cells, column) in enumerate(zip(table.cells, table.columns)):
+        if column.kind == "number":
+            joined = _fixed(cells, column.digits)
+            column_texts = joined.split("\0") if cells else []
+            if "n" in joined:  # "inf" or "nan": a finite number's fixed digits hold no "n"
+                bad.append((next(r for r, text in enumerate(column_texts) if "n" in text), k))
+        elif column.kind == "glyph":
+            column_texts = list(map(glyphs.__getitem__, cells))
+        else:
+            column_texts = ["" if cell is None else str(cell) for cell in cells]
+        texts.append(column_texts)
+    if bad:
+        row, k = min(bad)
+        raise DecisiveError(f"{table.title}: {_header_text(table.columns[k])} is "
+                            f"{float(table.cells[k][row])!r}, not a finite number")
+    return texts
 
 
 def _escaped(texts: list[str], special: str, escape) -> list[str]:

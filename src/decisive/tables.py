@@ -375,9 +375,8 @@ def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> li
         "SAGAT correct rate",
         [Column("element"), Column("asked", "number", 0), Column("correct rate", "number", 3)],
     )
-    asked = Counter(r.se_id for r in responses)
     for se in sorted(rates):
-        rate_table.add_row(se, asked[se], rates[se])
+        rate_table.add_row(se, *rates[se])
 
     osa_table = ReportTable(
         "Operator situation awareness",

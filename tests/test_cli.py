@@ -903,6 +903,10 @@ LOAD_ERRORS = {
                            "mc.crashes.low: (1.25, 0.0, 0.0) not ordered"),
     "fis-term-outside-range": (cfis_with(set_term("high", [1.75, 3, 4])),
                                "mc.crashes.high: (1.75, 3.0, 4.0) outside range [0.0, 3.0]"),
+    # each end is a float, but the width between them is not
+    "fis-range-wider-than-floats": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[-1e308, 1e308])),
+        "mc.crashes: range [-1e+308, 1e+308] is wider than the float range"),
     "fis-unknown-term": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0]["if"].update(
         crashes="few")), "mc rule 0: unknown term 'few'"),
     "fis-cyclic-cascade": (cfis_with(lambda doc: doc["cascade"]["combined"].append("combined")),

@@ -72,7 +72,7 @@ def response(participant, se, level, correct, q="q"):
 class TestSagat:
     def test_correct_rate(self):
         rs = [response("p1", "alt", 1, c) for c in (True, True, True, False)]
-        assert sagat_correct_rates(rs)["alt"] == pytest.approx(0.75)
+        assert sagat_correct_rates(rs)["alt"] == (4, pytest.approx(0.75))
 
     def test_recount_oracle(self):
         rng = random.Random(31)
@@ -82,7 +82,8 @@ class TestSagat:
         rates = sagat_correct_rates(rs)
         for se in {r.se_id for r in rs}:
             mine = [r for r in rs if r.se_id == se]
-            assert rates[se] == pytest.approx(sum(r.correct for r in mine) / len(mine))
+            right = sum(r.correct for r in mine)
+            assert rates[se] == (len(mine), pytest.approx(right / len(mine)))
 
     def test_perception_levels(self):
         assert perception_level([response("p", "se", 1, False)]) == "undetected"

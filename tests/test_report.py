@@ -103,10 +103,25 @@ class TestRenderTable:
         assert blob.count("### Ranking") == 2
 
 
+def format_cell(cell, column, ascii_glyphs, title):
+    """One cell's text on its own: a number through `float` and `format`."""
+    if cell is None:
+        return ""
+    if column.kind == "glyph":
+        return (report.ASCII_GLYPHS if ascii_glyphs else GLYPHS)[cell]
+    if column.kind == "number":
+        value = float(cell)
+        if not math.isfinite(value):
+            raise DecisiveError(f"{title}: {report._header_text(column)} is {value!r}, "
+                                "not a finite number")
+        return f"{value:.{column.digits}f}"
+    return str(cell)
+
+
 def per_cell_reference(table, fmt, ascii_glyphs):
     """`table` rendered one cell at a time in row order, or the first bad cell's error."""
     try:
-        rows = [[report._format_cell(cell, col, ascii_glyphs, table.title) for cell, col in
+        rows = [[format_cell(cell, col, ascii_glyphs, table.title) for cell, col in
                  zip(row, table.columns)] for row in table.rows]
     except DecisiveError as exc:
         return ("error", str(exc))
@@ -157,7 +172,7 @@ def tables(draw):
     columns, kinds = [], []
     for k in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["number", "glyph", "text"]))
-        digits = draw(st.one_of(st.none(), st.integers(0, 4))) if kind == "number" else None
+        digits = draw(st.integers(0, 4)) if kind == "number" else None
         columns.append(Column(f"c{k}", kind, digits, draw(st.sampled_from(["", "m"]))))
         kinds.append(draw(st.lists(st.sampled_from(COLUMN_CELLS[kind]), min_size=1, max_size=2)))
     size = draw(st.integers(0, 24))
@@ -185,10 +200,18 @@ class TestColumnsAgreeWithPerCellRendering:
         assert got == per_cell_reference(table, fmt, ascii_glyphs)
 
     def test_first_bad_cell_in_row_order(self):
-        table = ReportTable("T", [Column("a", "number", 2), Column("b", "number")])
+        table = ReportTable("T", [Column("a", "number", 2), Column("b", "number", 1)])
         table.add_row(1.0, math.inf)  # the second column's bad cell comes first in row order
         table.add_row(math.nan, 2.0)
         with pytest.raises(DecisiveError, match=r"^T: b is inf, not a finite number$"):
+            render_table(table, "md")
+
+    def test_later_column_with_an_earlier_bad_row_is_named(self):
+        table = ReportTable("T", [Column("a", "number", 0), Column("b", "number", 2)])
+        table.add_row(1, 0.5)
+        table.add_row(None, math.nan)  # the first bad cell: an earlier row than column a's
+        table.add_row(math.inf, 1.5)
+        with pytest.raises(DecisiveError, match=r"^T: b is nan, not a finite number$"):
             render_table(table, "md")
 
 
