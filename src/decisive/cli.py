@@ -199,9 +199,9 @@ def cmd_sa(args) -> int:
     from . import tables
     from .ingest import parse_sa_weights, parse_sagat
 
-    responses = parse_sagat(args.sagat)
+    sagat = parse_sagat(args.sagat)
     weights, missions = parse_sa_weights(args.weights) if args.weights else (None, {})
-    return _emit_tables(tables.sa_tables(responses, weights, missions), args)
+    return _emit_tables(tables.sa_tables(sagat, weights, missions), args)
 
 
 def cmd_trust(args) -> int:

@@ -5,13 +5,10 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from itertools import compress
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DataQualityWarning, DecisiveError
-from .stats import (MannWhitneyResult, iqr_filter, mann_whitney, mean_std, tally_summary,
-                    welch_t)
-
-PERCEPTION_VALUES = {"undetected": 0.0, "detected": 0.5, "comprehended": 1.0}
+from .stats import MannWhitneyResult, iqr_filter, mann_whitney, tally_summary, welch_t
 
 
 class SeParams(NamedTuple):
@@ -36,50 +33,38 @@ def attention_allocation(params: Sequence[SeParams]) -> dict[str, float]:
     return {se: a / total for se, a in resources.items()}
 
 
-class SagatResponse(NamedTuple):
-    participant: str
-    question_id: str
-    se_id: str
-    sa_level: int  # 1 = perception, 2 = comprehension
-    correct: bool
+class SagatColumns(NamedTuple):
+    """SAGAT answers a column at a time: answer k is entry k of each list."""
+
+    participants: list[str]
+    question_ids: list[str]
+    se_ids: list[str]
+    sa_levels: list[int]  # 1 = perception, 2 = comprehension
+    correct: list[bool]
 
 
-def sagat_correct_rates(responses: Sequence[SagatResponse]) -> dict[str, tuple[int, float]]:
+def sagat_correct_rates(sagat: SagatColumns) -> dict[str, tuple[int, float]]:
     """(questions asked, fraction answered correctly) per situation element."""
-    if not responses:
+    if not sagat.se_ids:
         raise DecisiveError("no responses")
-    asked: dict[str, int] = {}
-    right: dict[str, int] = {}
-    for r in responses:
-        asked[r.se_id] = asked.get(r.se_id, 0) + 1
-        right[r.se_id] = right.get(r.se_id, 0) + (1 if r.correct else 0)
+    asked = Counter(sagat.se_ids)
+    right = Counter(compress(sagat.se_ids, sagat.correct))
     return {se: (n, right[se] / n) for se, n in asked.items()}
 
 
-def perception_level(responses: Sequence[SagatResponse]) -> str:
-    """Perception class for one participant/element from their answers.
+def perception_vectors(sagat: SagatColumns) -> dict[str, dict[str, float]]:
+    """Per-participant p(SE) in {0, 0.5, 1} derived from their SAGAT answers.
 
-    Correct at level 2 means the element was comprehended; otherwise correct
-    at level 1 means detected; otherwise undetected.
+    An element answered correctly at level 2 was comprehended (1.0); otherwise
+    correctly at level 1, detected (0.5); otherwise undetected (0.0).
     """
-    if any(r.correct and r.sa_level == 2 for r in responses):
-        return "comprehended"
-    if any(r.correct and r.sa_level == 1 for r in responses):
-        return "detected"
-    return "undetected"
-
-
-def perception_vectors(responses: Sequence[SagatResponse]) -> dict[str, dict[str, float]]:
-    """Per-participant p(SE) in {0, 0.5, 1} derived from their SAGAT answers."""
-    grouped: dict[str, dict[str, list[SagatResponse]]] = {}
-    for r in responses:
-        grouped.setdefault(r.participant, {}).setdefault(r.se_id, []).append(r)
-    return {
-        participant: {
-            se: PERCEPTION_VALUES[perception_level(rs)] for se, rs in by_se.items()
-        }
-        for participant, by_se in grouped.items()
-    }
+    best: dict[str, dict[str, int]] = {}
+    for participant, se, level, correct in zip(sagat.participants, sagat.se_ids,
+                                               sagat.sa_levels, sagat.correct):
+        levels = best.setdefault(participant, {})
+        levels[se] = max(levels.get(se, 0), level if correct else 0)
+    return {participant: {se: level / 2 for se, level in levels.items()}
+            for participant, levels in best.items()}
 
 
 def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
@@ -95,29 +80,19 @@ def osa(weights: Mapping[str, float], perception: Mapping[str, float]) -> float:
     return sum(w * perception[se] for se, w in weights.items()) / total
 
 
-def osa_by_mission(
+def osa_by_participant(
     weights: Mapping[str, float],
     vectors: Mapping[str, Mapping[str, float]],
-    missions: Mapping[str, Sequence[str]],
-) -> dict[str, tuple[float, float]]:
-    """Per-mission (mean, std) of OSA over participants, plus an 'overall' row.
-
-    Each mission names the elements it cares about; weights are restricted to
-    that subset and renormalized inside `osa`.
-    """
-    groups = {name: list(ses) for name, ses in missions.items()}
-    groups["overall"] = sorted(weights)
+    elements: Iterable[str],
+) -> dict[str, float]:
+    """OSA of each participant, in `vectors`' order, over the weighted elements of
+    `elements`, in its order, that they answered about. A participant with no such
+    element is left out."""
     out = {}
-    for name, elements in groups.items():
-        scores = []
-        for perception in vectors.values():
-            applicable = {
-                se: weights[se] for se in elements if se in weights and se in perception
-            }
-            if applicable:
-                scores.append(osa(applicable, {se: perception[se] for se in applicable}))
-        if scores:
-            out[name] = mean_std(scores)
+    for participant, perception in vectors.items():
+        applicable = {se: weights[se] for se in elements if se in weights and se in perception}
+        if applicable:
+            out[participant] = osa(applicable, perception)
     return out
 
 

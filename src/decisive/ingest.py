@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from .cfis import FisConfig
     from .core import Campaign, ObstacleGeometry, Trajectory
     from .field import Criterion, NlosPosition
-    from .human_factors import SagatResponse, SurveyColumns
+    from .human_factors import SagatColumns, SurveyColumns
     from .mapping import FiducialGroundTruth, FiducialObservation
     from .nav import ReferencePath
     from .ncap import AutonomyCapabilities, FeatureTable
@@ -849,17 +849,17 @@ def _sa_level(text: str, line) -> int:
     return int(level)
 
 
-#: the SAGAT columns, in SagatResponse's order, each with the converter of its text
+#: the SAGAT columns, in SagatColumns' order, each with the converter of its text
 SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id": _stripped,
                  "sa_level": _sa_level, "correct": _boolean}
 
 
 @_total
-def parse_sagat(path) -> list[SagatResponse]:
-    from .human_factors import SagatResponse
+def parse_sagat(path) -> SagatColumns:
+    from .human_factors import SagatColumns
 
     _, columns = _csv_table(*_header_and_body(path), SAGAT_COLUMNS)
-    return [SagatResponse(*values) for values in zip(*columns)]
+    return SagatColumns(*columns)
 
 
 @_total

@@ -361,13 +361,15 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
 
 # --- sa ----------------------------------------------------------------------
 
-def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> list[ReportTable]:
-    """SAGAT rates, OSA per participant, OSA by mission; no `weights` weighs every element 1."""
+def sa_tables(sagat, weights: dict[str, float] | None, missions: dict) -> list[ReportTable]:
+    """SAGAT rates, OSA per participant, OSA by mission; no `weights` weighs every element 1.
+    The mission table's "overall" row is the OSA table's mean and std; it takes the place of
+    a mission of that name."""
     from . import human_factors as hf
     from .stats import mean_std
 
-    rates = hf.sagat_correct_rates(responses)
-    vectors = hf.perception_vectors(responses)
+    rates = hf.sagat_correct_rates(sagat)
+    vectors = hf.perception_vectors(sagat)
     if weights is None:
         weights = {se: 1.0 for se in rates}
 
@@ -382,30 +384,27 @@ def sa_tables(responses, weights: dict[str, float] | None, missions: dict) -> li
         "Operator situation awareness",
         [Column("participant"), Column("OSA", "number", 3)],
     )
-    scores = []
-    for participant in sorted(vectors):
-        perception = vectors[participant]
-        applicable = {se: w for se, w in weights.items() if se in perception}
-        if not applicable:
-            continue
-        value = hf.osa(applicable, {se: perception[se] for se in applicable})
-        scores.append(value)
-        osa_table.add_row(participant, value)
+    by_participant = hf.osa_by_participant(weights, vectors, weights)
+    participants = sorted(by_participant)
+    scores = [by_participant[p] for p in participants]
+    grid = {}
     if scores:
-        mean, std = mean_std(scores)
-        osa_table.add_row("mean", mean)
-        osa_table.add_row("std", std)
+        grid["overall"] = mean, std = mean_std(scores)
+        osa_table.cells = [participants + ["mean", "std"], scores + [mean, std]]
 
     tables = [rate_table, osa_table]
-    grid = hf.osa_by_mission(weights, vectors, missions)
+    for name, elements in missions.items():
+        if name != "overall":
+            mission_scores = hf.osa_by_participant(weights, vectors, elements)
+            if mission_scores:
+                grid[name] = mean_std(list(mission_scores.values()))
     if len(grid) > 1:  # more than the overall row
         mission_table = ReportTable(
             "OSA by mission",
             [Column("mission"), Column("mean", "number", 2), Column("std", "number", 2)],
         )
         for name in sorted(grid):
-            mean, std = grid[name]
-            mission_table.add_row(name, mean, std)
+            mission_table.add_row(name, *grid[name])
         tables.append(mission_table)
     return tables
 

@@ -89,7 +89,9 @@ COMPUTATION_FAILURES = {
                            "demo: no rule fired for {'x': 1.5}"),
     "cfis-zero-test-score": (lambda: cfis.predictive_score({"a": 0.0}), "a=0.0 outside (0, 1]"),
     # human factors
-    "hf-rates-no-responses": (lambda: human_factors.sagat_correct_rates([]), "no responses"),
+    "hf-rates-no-responses": (
+        lambda: human_factors.sagat_correct_rates(human_factors.SagatColumns([], [], [], [], [])),
+        "no responses"),
     "hf-osa-zero-weights": (lambda: human_factors.osa({"a": 0.0}, {"a": 1.0}),
                             "weights must sum to a positive value"),
     "hf-trust-empty-condition": (

@@ -2,26 +2,28 @@ import random
 import sys
 import warnings
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decisive import human_factors, ingest, stats
+from decisive import human_factors, ingest, stats, tables
 from decisive.cli import main
 from decisive.errors import DataQualityWarning, DecisiveError
 from decisive.human_factors import (
-    SagatResponse,
+    SagatColumns,
     SeParams,
     SurveyColumns,
     attention_allocation,
     osa,
-    perception_level,
+    osa_by_participant,
     perception_vectors,
     sagat_correct_rates,
     trust_pipeline,
 )
 from decisive.ingest import ParseReport
+from decisive.report import render_tables
 from decisive.stats import mann_whitney, mean_std
 from test_cli import CAMPAIGN, TRUST
 from test_stats import reference_iqr_filter, reference_welch_t
@@ -65,37 +67,220 @@ class TestAttentionAllocation:
         assert sum(GOLDEN_F_COLUMN) == pytest.approx(1.0, abs=1e-9)
 
 
+class Answer(NamedTuple):
+    """One SAGAT answer, a row as the row-based reference below reads it."""
+
+    participant: str
+    question_id: str
+    se_id: str
+    sa_level: int  # 1 = perception, 2 = comprehension
+    correct: bool
+
+
 def response(participant, se, level, correct, q="q"):
-    return SagatResponse(participant, q, se, level, correct)
+    return Answer(participant, q, se, level, correct)
+
+
+def sagat(rows):
+    """SagatColumns holding `rows`, Answers in file order."""
+    return SagatColumns(*map(list, zip(*rows))) if rows else SagatColumns([], [], [], [], [])
 
 
 class TestSagat:
     def test_correct_rate(self):
         rs = [response("p1", "alt", 1, c) for c in (True, True, True, False)]
-        assert sagat_correct_rates(rs)["alt"] == (4, pytest.approx(0.75))
+        assert sagat_correct_rates(sagat(rs))["alt"] == (4, pytest.approx(0.75))
 
     def test_recount_oracle(self):
         rng = random.Random(31)
         rs = []
         for i in range(200):
             rs.append(response(f"p{i % 7}", f"se{i % 5}", rng.choice([1, 2]), rng.random() < 0.6, q=f"q{i}"))
-        rates = sagat_correct_rates(rs)
+        rates = sagat_correct_rates(sagat(rs))
         for se in {r.se_id for r in rs}:
             mine = [r for r in rs if r.se_id == se]
             right = sum(r.correct for r in mine)
             assert rates[se] == (len(mine), pytest.approx(right / len(mine)))
 
-    def test_perception_levels(self):
-        assert perception_level([response("p", "se", 1, False)]) == "undetected"
-        assert perception_level([response("p", "se", 1, True)]) == "detected"
-        assert perception_level(
-            [response("p", "se", 1, True), response("p", "se", 2, True)]
-        ) == "comprehended"
+    @pytest.mark.parametrize("answers, expected", [
+        ([(1, False)], 0.0),
+        ([(2, False), (1, False)], 0.0),
+        ([(1, True)], 0.5),
+        ([(1, True), (2, False)], 0.5),
+        ([(2, True)], 1.0),
+        ([(1, True), (2, True)], 1.0),
+        ([(2, True), (1, False)], 1.0),
+    ])
+    def test_perception_levels(self, answers, expected):
+        rs = [response("p", "se", level, correct) for level, correct in answers]
+        assert perception_vectors(sagat(rs)) == {"p": {"se": expected}}
+        assert REFERENCE_PERCEPTION[reference_perception_level(rs)] == expected
 
     def test_all_undetected_vector(self):
         rs = [response("p1", f"se{i}", 1, False, q=f"q{i}") for i in range(4)]
-        vec = perception_vectors(rs)["p1"]
+        vec = perception_vectors(sagat(rs))["p1"]
         assert all(v == 0.0 for v in vec.values())
+
+
+# --- the row-based SA scoring the column code replaced, kept as its reference ---------------
+
+REFERENCE_PERCEPTION = {"undetected": 0.0, "detected": 0.5, "comprehended": 1.0}
+
+
+def reference_perception_level(rows) -> str:
+    """Correct at level 2 means comprehended; otherwise correct at level 1, detected."""
+    if any(r.correct and r.sa_level == 2 for r in rows):
+        return "comprehended"
+    if any(r.correct and r.sa_level == 1 for r in rows):
+        return "detected"
+    return "undetected"
+
+
+def reference_correct_rates(rows):
+    if not rows:
+        raise DecisiveError("no responses")
+    asked, right = {}, {}
+    for r in rows:
+        asked[r.se_id] = asked.get(r.se_id, 0) + 1
+        right[r.se_id] = right.get(r.se_id, 0) + (1 if r.correct else 0)
+    return {se: (n, right[se] / n) for se, n in asked.items()}
+
+
+def reference_vectors(rows):
+    grouped = {}
+    for r in rows:
+        grouped.setdefault(r.participant, {}).setdefault(r.se_id, []).append(r)
+    return {participant: {se: REFERENCE_PERCEPTION[reference_perception_level(rs)]
+                          for se, rs in by_se.items()}
+            for participant, by_se in grouped.items()}
+
+
+def reference_osa_by_mission(weights, vectors, missions):
+    """Per-mission (mean, std) of OSA over participants in file order, plus an "overall"
+    row over the sorted weighted elements."""
+    groups = {name: list(ses) for name, ses in missions.items()}
+    groups["overall"] = sorted(weights)
+    out = {}
+    for name, elements in groups.items():
+        scores = []
+        for perception in vectors.values():
+            applicable = {se: weights[se] for se in elements
+                          if se in weights and se in perception}
+            if applicable:
+                scores.append(osa(applicable, {se: perception[se] for se in applicable}))
+        if scores:
+            out[name] = mean_std(scores)
+    return out
+
+
+def reference_sa_tables(rows, weights, missions):
+    """`tables.sa_tables` a row at a time: each table as (title, headers, rows)."""
+    rates = reference_correct_rates(rows)
+    vectors = reference_vectors(rows)
+    if weights is None:
+        weights = {se: 1.0 for se in rates}
+    out = [("SAGAT correct rate", ["element", "asked", "correct rate"],
+            [(se, *rates[se]) for se in sorted(rates)])]
+    osa_rows, scores = [], []
+    for participant in sorted(vectors):
+        perception = vectors[participant]
+        applicable = {se: w for se, w in weights.items() if se in perception}
+        if not applicable:
+            continue
+        value = osa(applicable, {se: perception[se] for se in applicable})
+        scores.append(value)
+        osa_rows.append((participant, value))
+    if scores:
+        mean, std = mean_std(scores)
+        osa_rows += [("mean", mean), ("std", std)]
+    out.append(("Operator situation awareness", ["participant", "OSA"], osa_rows))
+    grid = reference_osa_by_mission(weights, vectors, missions)
+    if len(grid) > 1:
+        out.append(("OSA by mission", ["mission", "mean", "std"],
+                    [(name, *grid[name]) for name in sorted(grid)]))
+    return out
+
+
+def outcome(compute):
+    try:
+        return ("ok", compute())
+    except DecisiveError as exc:
+        return ("error", str(exc))
+
+
+ELEMENTS = ["alt", "hdg", "fuel", "wx"]
+
+
+@st.composite
+def sa_inputs(draw):
+    """SAGAT answers over a few participants and elements, repeated (participant, element)
+    pairs and both levels included, with no weights or weights over any elements (zero
+    weights and elements no one answered about included), and missions over any elements,
+    one of them perhaps named "overall"."""
+    rows = draw(st.lists(st.builds(
+        Answer, st.sampled_from(["p3", "p1", "p2", "p10"]), st.sampled_from(["q1", "q2"]),
+        st.sampled_from(ELEMENTS), st.sampled_from([1, 2]), st.booleans()), max_size=40))
+    weight = st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.01, 10.0)
+    weights = draw(st.none() | st.dictionaries(st.sampled_from(ELEMENTS + ["gps"]), weight,
+                                               min_size=1))
+    missions = draw(st.dictionaries(
+        st.sampled_from(["aviate", "navigate", "overall", "z"]),
+        st.lists(st.sampled_from(ELEMENTS + ["gps"]), max_size=5), max_size=3))
+    return rows, weights, missions
+
+
+class TestColumnsAgreeWithRowReference:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=sa_inputs())
+    def test_any_answers(self, inputs):
+        rows, weights, missions = inputs
+        columns = sagat(rows)
+        assert outcome(lambda: sagat_correct_rates(columns)) == outcome(
+            lambda: reference_correct_rates(rows))
+        vectors, expected = perception_vectors(columns), reference_vectors(rows)
+        # dict order included
+        assert [(p, list(v.items())) for p, v in vectors.items()] == [
+            (p, list(v.items())) for p, v in expected.items()]
+
+        got = outcome(lambda: [(t.title, [c.header for c in t.columns], t.rows)
+                               for t in tables.sa_tables(columns, weights, missions)])
+        want = outcome(lambda: reference_sa_tables(rows, weights, missions))
+        # the overall row is the OSA table's mean and std, where the reference summed each
+        # participant's weights in sorted order and took participants in file order
+        got_overall, want_overall = pop_overall(got), pop_overall(want)
+        assert got == want
+        assert got_overall == pytest.approx(want_overall, rel=1e-12, abs=1e-15)
+
+    def test_overall_row_on_a_rounding_tie(self):
+        # OSA 0.25, 1.0, 0.5 and 1/6 for p3, p2, p1, p4 (file order) under unit weights: the
+        # std is 0.375 exactly, which the two summation orders round to either side of
+        rows = [response("p3", "a", 1, True), response("p4", "b", 1, False),
+                response("p3", "c", 2, False), response("p2", "a", 2, True),
+                response("p1", "a", 1, True), response("p4", "a", 2, False),
+                response("p4", "c", 1, True)]
+        weights, missions = {"a": 1.0, "b": 1.0, "c": 1.0}, {"m": ["a"]}
+        _, osa_table, mission_table = tables.sa_tables(sagat(rows), weights, missions)
+        _, std = osa_table.rows[-1]
+        assert std < 0.375
+        assert mission_table.rows[-1] == ("overall", osa_table.rows[-2][1], std)
+        text = render_tables([osa_table, mission_table], "md").decode()
+        assert "| std | 0.375 |" in text
+        assert "| overall | 0.48 | 0.37 |" in text
+        # the row-based reference's std lies above the tie, so it printed 0.38 there
+        (_, _, want_std), = [row for row in reference_sa_tables(rows, weights, missions)[2][2]
+                             if row[0] == "overall"]
+        assert want_std > 0.375 and "%.2f" % want_std == "0.38"
+
+
+def pop_overall(result):
+    """The mission table's "overall" (mean, std), taken out of an ("ok", tables) result;
+    () for no mission table."""
+    if result[0] != "ok" or len(result[1]) < 3:
+        return ()
+    title, headers, rows = result[1][2]
+    (overall,) = [row[1:] for row in rows if row[0] == "overall"]
+    result[1][2] = (title, headers, [row for row in rows if row[0] != "overall"])
+    return overall
 
 
 class TestOsa:
@@ -125,20 +310,19 @@ class TestOsa:
         assert mean == pytest.approx(0.3)
 
     def test_by_mission_grid(self):
-        from decisive.human_factors import osa_by_mission
-
         weights = {"alt": 1.0, "heading": 1.0, "landolt": 2.0}
         vectors = {
             "p1": {"alt": 1.0, "heading": 1.0, "landolt": 0.0},
             "p2": {"alt": 0.5, "heading": 1.0, "landolt": 0.5},
         }
-        grid = osa_by_mission(weights, vectors, {"aviate": ["alt", "heading"]})
-        assert set(grid) == {"aviate", "overall"}
-        assert grid["aviate"][0] == pytest.approx((1.0 + 0.75) / 2)
+        aviate = osa_by_participant(weights, vectors, ["alt", "heading"])
+        assert mean_std(list(aviate.values()))[0] == pytest.approx((1.0 + 0.75) / 2)
         # overall weights: alt 0.25, heading 0.25, landolt 0.5
         p1 = 0.25 * 1.0 + 0.25 * 1.0 + 0.5 * 0.0
         p2 = 0.25 * 0.5 + 0.25 * 1.0 + 0.5 * 0.5
-        assert grid["overall"][0] == pytest.approx((p1 + p2) / 2)
+        overall = osa_by_participant(weights, vectors, weights)
+        assert overall == {"p1": pytest.approx(p1), "p2": pytest.approx(p2)}
+        assert mean_std(list(overall.values()))[0] == pytest.approx((p1 + p2) / 2)
 
 
 def survey(rows):

@@ -742,6 +742,19 @@ class TestColumnReaderAcrossChunks:
             assert code == 0 and "error" not in err and "duplicate" not in err
 
     @pytest.mark.parametrize("where", WHERE)
+    def test_field_past_the_csv_limit_in_a_later_chunk_defers_to_the_row_loop(self, tmp_path,
+                                                                              where):
+        row = self.later_row(where)
+        lines = list(self.LINES)
+        lines[row] = "p" * (csv.field_size_limit() + 1) + ",CTPA,i0,4,true,A\n"
+        p = write(tmp_path / "s.csv", self.HEADER + "".join(lines))
+        header, body, _ = ingest._header_and_body(p)
+        assert ingest._csv_columns(header, body, ingest.SURVEY_COLUMNS) is None
+        code, out, err = agrees_with_row_loop(lambda: trust_outcome(p), fast=False)
+        assert (code, out, err) == (
+            1, "", f"error: malformed input (field larger than field limit (131072)) (at {p})\n")
+
+    @pytest.mark.parametrize("where", WHERE)
     def test_repeated_key_in_a_later_chunk_is_read_by_the_columns(self, tmp_path, where):
         row = self.later_row(where)
         lines = list(self.LINES)
@@ -1011,9 +1024,9 @@ class TestSagat:
             "participant_id,question_id,se_id,sa_level,correct\n"
             "p1,q1,altitude,1,true\np1,q2,altitude,2,false\n",
         )
-        responses = parse_sagat(p)
-        assert len(responses) == 2
-        assert responses[0].sa_level == 1
+        sagat = parse_sagat(p)
+        assert len(sagat.participants) == 2
+        assert sagat.sa_levels[0] == 1
 
     def test_bad_level(self, tmp_path):
         p = write(

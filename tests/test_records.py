@@ -135,7 +135,7 @@ def test_bad_value_fails_in_its_parser(tmp_path, name):
 RECORDS = [decisive.cfis.TriangularMf, decisive.core.ObstacleGeometry, decisive.core.TrialRecord,
            decisive.core.EnvironmentProfile, decisive.field.NlosPosition,
            decisive.field.Criterion, decisive.human_factors.SeParams,
-           decisive.human_factors.SagatResponse, decisive.mapping.FiducialObservation,
+           decisive.human_factors.SagatColumns, decisive.mapping.FiducialObservation,
            decisive.mapping.FiducialGroundTruth, decisive.nav.ReferencePath,
            decisive.ncap.Feature, decisive.report.Column]
 
