@@ -44,7 +44,6 @@ def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
 
 
 class LinguisticVariable(NamedTuple):
-    name: str
     lo: float
     hi: float
     terms: dict[str, TriangularMf]
@@ -77,7 +76,6 @@ class Fis(NamedTuple):
 class FisConfig(NamedTuple):
     """A set of axis systems plus the wiring that combines them."""
 
-    name: str
     fis: dict[str, Fis]
     cascade: dict[str, tuple[str, ...]]  # combined fis name -> axis fis names
     ideal_inputs: dict[str, dict[str, float]]

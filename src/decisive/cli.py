@@ -22,9 +22,7 @@ DEFAULT_FIS = Path(__file__).parent / "configs" / "takeoff_land.json"
 
 
 def _diag(message: str) -> None:
-    color = sys.stderr.isatty() and not os.environ.get("DECISIVE_NO_COLOR")
-    prefix = "\x1b[31merror:\x1b[0m" if color else "error:"
-    print(f"{prefix} {message}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
 
 
 def _show_warning(message, *_) -> None:

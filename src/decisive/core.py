@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 if TYPE_CHECKING:
     import numpy as np
 
-Vec3 = tuple[float, float, float]
-
 OA_CATEGORIES = ("OA-A1", "OA-B1", "OA-B2", "OA-B3", "OA-B4", "OA-C1")
 CR_CATEGORIES = ("CR-A1", "CR-A2", "CR-A3", "CR-B1", "CR-B2", "CR-B3", "CR-B4", "CR-C1")
 APERTURE_TIERS = ("A1", "A2", "A3", "B1")
@@ -63,7 +61,6 @@ class TrialRecord(NamedTuple):
     suas_id: str
     outcome: str  # success | failure
     collisions: int = 0
-    rollovers: int = 0
     # one of OA_CATEGORIES, CR_CATEGORIES and APERTURE_TIERS
     oa_category: Optional[str] = None
     cr_category: Optional[str] = None
@@ -72,26 +69,14 @@ class TrialRecord(NamedTuple):
     duration: float = 0.0  # minutes
     laps: Optional[int] = None
     telemetry: Optional[Path] = None  # resolved against the manifest's directory
-    notes: str = ""
-
-
-class EnvironmentProfile(NamedTuple):
-    """Where a test ran: lighting class, dimensions, surfaces, obstructions."""
-
-    lighting: str = "lighted"  # lighted (lux >= 100 when measured) | dark (lux < 1)
-    dims: Optional[Vec3] = None  # (W, L, H) meters
-    surfaces: tuple[str, ...] = ()
-    obstructions: tuple[tuple[int, str], ...] = ()
-    indoor: bool = True
-    lux: Optional[float] = None
 
 
 class Campaign(NamedTuple):
     """A full evaluation: sUAS under test, test definitions, trials, telemetry refs."""
 
-    suas: dict  # suas_id -> descriptor dict
+    suas: set  # suas ids
     tests: dict  # test_id -> ingest.CampaignTest
-    environments: dict  # env_id -> EnvironmentProfile
+    environments: set  # environment ids
     trials: tuple[TrialRecord, ...]
 
     def trials_for_test(self, test_id: str) -> list[TrialRecord]:

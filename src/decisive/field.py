@@ -10,12 +10,10 @@ FIGURE8_LAP_M = 13.0  # nominal length of one figure-8 lap
 class NlosPosition(NamedTuple):
     """One OCU position in a comms range test."""
 
-    label: str
     distance: float  # meters, > 0
     obstructions: tuple[tuple[int, str], ...] = ()
     connect: str = "none"  # good | bad | none
     fly: str = "not_possible"  # possible | not_possible
-    latency_ms: Optional[float] = None
 
 
 def endurance_metrics(laps: int, duration_min: float) -> tuple[float, float]:

@@ -37,7 +37,6 @@ class SagatColumns(NamedTuple):
     """SAGAT answers a column at a time: answer k is entry k of each list."""
 
     participants: list[str]
-    question_ids: list[str]
     se_ids: list[str]
     sa_levels: list[int]  # 1 = perception, 2 = comprehension
     correct: list[bool]

@@ -526,11 +526,12 @@ def _nlos_positions(value) -> tuple[NlosPosition, ...]:
     positions = []
     for e in _json(value, list):
         e = _json(e, dict)
-        latency = e.get("latency_ms")
-        position = NlosPosition(
-            _json(e["label"], str), _json(e["distance"], float),
-            _obstructions(e.get("obstructions", [])), e.get("connect", "none"),
-            e.get("fly", "not_possible"), None if latency is None else _json(latency, float))
+        _json(e["label"], str)  # checked, not kept, as is latency_ms
+        position = NlosPosition(_json(e["distance"], float),
+                                _obstructions(e.get("obstructions", [])),
+                                e.get("connect", "none"), e.get("fly", "not_possible"))
+        if e.get("latency_ms") is not None:
+            _json(e["latency_ms"], float)
         if position.distance <= 0:
             raise ValueError("distance must be positive")
         if position.connect not in ("good", "bad", "none"):
@@ -675,7 +676,8 @@ def _object(value, owner: str) -> dict:
         raise ParseError(f"{owner}: {exc}")
 
 
-#: the kind of each environment field, named as in EnvironmentProfile, and of each trial field
+#: the kind of each environment field and of each trial field; of the environment fields
+#: only lighting and lux are read once typed
 _ENVIRONMENT_FIELDS = {"lighting": str, "dims": lambda v: _numbers(v, 3), "indoor": bool,
                        "surfaces": lambda v: tuple(_json(s, str) for s in _json(v, list)),
                        "obstructions": _obstructions, "lux": float}
@@ -692,7 +694,6 @@ def parse_campaign(path) -> Campaign:
         CR_CATEGORIES,
         OA_CATEGORIES,
         Campaign,
-        EnvironmentProfile,
         TrialRecord,
     )
 
@@ -705,29 +706,29 @@ def parse_campaign(path) -> Campaign:
     blocks = _fields(doc, dict.fromkeys(("suas", "environments", "tests", "trials"), list),
                      "manifest")
 
-    suas = {}
+    suas = set()
     for entry in blocks.get("suas", []):
         entry = _object(entry, "sUAS entry")
         if "id" not in entry:
             raise ParseError("sUAS entry missing 'id'")
-        suas[_json(entry["id"], str)] = entry
+        suas.add(_json(entry["id"], str))
 
-    environments = {}
+    environments = set()
     for entry in blocks.get("environments", []):
         entry = _object(entry, "environment entry")
         env_id = entry.get("id")
         if env_id is None:
             raise ParseError("environment entry missing 'id'")
         name = f"environment {env_id}"
-        environment = EnvironmentProfile(**_fields(entry, _ENVIRONMENT_FIELDS, name))
-        lighting, lux = environment.lighting, environment.lux
+        environment = _fields(entry, _ENVIRONMENT_FIELDS, name)
+        lighting, lux = environment.get("lighting", "lighted"), environment.get("lux")
         if lighting not in ("lighted", "dark"):
             raise ParseError(f"{name}: lighting must be lighted or dark")
         if lux is not None and lighting == "lighted" and lux < 100:
             raise ParseError(f"{name}: lighted requires measured lux >= 100")
         if lux is not None and lighting == "dark" and lux >= 1:
             raise ParseError(f"{name}: dark requires measured lux < 1")
-        environments[env_id] = environment
+        environments.add(env_id)
 
     tests = {}
     for entry in blocks.get("tests", []):
@@ -766,7 +767,6 @@ def parse_campaign(path) -> Campaign:
             suas_id=typed["suas_id"],
             outcome=entry.get("outcome", "success"),
             collisions=typed.get("collisions", 0),
-            rollovers=typed.get("rollovers", 0),
             oa_category=entry.get("oa_category"),
             cr_category=entry.get("cr_category"),
             aperture_tier=entry.get("aperture_tier"),
@@ -774,7 +774,6 @@ def parse_campaign(path) -> Campaign:
             duration=typed.get("duration_min", 0.0),
             laps=typed.get("laps"),
             telemetry=telemetry,
-            notes=entry.get("notes", ""),
         )
         if trial.outcome not in ("success", "failure"):
             raise ParseError(f"trial {trial_id}: outcome must be success or failure")
@@ -849,7 +848,8 @@ def _sa_level(text: str, line) -> int:
     return int(level)
 
 
-#: the SAGAT columns, in SagatColumns' order, each with the converter of its text
+#: the SAGAT columns, each with the converter of its text; all but question_id, which is
+#: checked and not kept, in SagatColumns' order
 SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id": _stripped,
                  "sa_level": _sa_level, "correct": _boolean}
 
@@ -858,8 +858,8 @@ SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id":
 def parse_sagat(path) -> SagatColumns:
     from .human_factors import SagatColumns
 
-    _, columns = _csv_table(*_header_and_body(path), SAGAT_COLUMNS)
-    return SagatColumns(*columns)
+    _, (participants, _, *columns) = _csv_table(*_header_and_body(path), SAGAT_COLUMNS)
+    return SagatColumns(participants, *columns)
 
 
 @_total
@@ -1023,7 +1023,7 @@ def parse_fis_config(path) -> FisConfig:
                 if target not in terms:
                     raise ParseError(
                         f"{fis_name}.{var_name}: alias {alias!r} names unknown term {target!r}")
-            var = LinguisticVariable(var_name, lo, hi, terms, aliases)
+            var = LinguisticVariable(lo, hi, terms, aliases)
             if not var.covered():
                 _warn(path, f"{fis_name}: variable {var_name!r} has membership gaps")
             inputs[var_name] = var
@@ -1087,12 +1087,7 @@ def parse_fis_config(path) -> FisConfig:
             if var_name not in ideal_inputs[axis]:
                 raise ParseError(f"ideal_inputs: {axis}: missing input {var_name!r}")
 
-    return FisConfig(
-        name=doc.get("name", Path(str(path)).stem),
-        fis=systems,
-        cascade=cascade,
-        ideal_inputs=ideal_inputs,
-    )
+    return FisConfig(fis=systems, cascade=cascade, ideal_inputs=ideal_inputs)
 
 
 # --- cfis scores -----------------------------------------------------------------
@@ -1119,8 +1114,9 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
     A file whose columns are exactly suas_id,test_id,score holds precomputed
     scores, and an empty score fails. Any other file holds FIS inputs, one
     number column per name in `variables`, NaN for an empty or absent cell. A
-    number that is not finite fails. A repeated (suas_id, test_id) pair warns;
-    both rows are returned, and the later one is the pair's score.
+    file with no rows fails, as does a number that is not finite. A repeated
+    (suas_id, test_id) pair warns; both rows are returned, and the later one is
+    the pair's score.
     """
     header, body, start = _header_and_body(path)
     precomputed = set(header) == {"suas_id", "test_id", "score"}
@@ -1128,6 +1124,8 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
                   **({"score": _number} if precomputed else dict.fromkeys(variables, _fis_input))}
     optional = () if precomputed else variables
     lines, (suas_ids, test_ids, *numbers) = _csv_table(header, body, start, converters, optional)
+    if not lines:
+        raise ParseError("no score rows")
     _repeated_keys(path, lines, [suas_ids, test_ids],
                    lambda key: f"duplicate score for {key[0]}/{key[1]}; keeping the later row")
     return ScoreColumns(precomputed, suas_ids, test_ids, dict(zip(list(converters)[2:], numbers)),

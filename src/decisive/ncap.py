@@ -68,39 +68,34 @@ def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
     return encoded
 
 
-class WeightScheme(NamedTuple):
-    """Normalized feature weights (uniform, degree-of-autonomy, or explicit)."""
+def uniform_weights(feature_names: Sequence[str]) -> dict[str, float]:
+    """Equal normalized weights."""
+    w = 1.0 / len(feature_names)
+    return {name: w for name in feature_names}
 
-    weights: dict[str, float]
 
-    @classmethod
-    def uniform(cls, feature_names: Sequence[str]) -> "WeightScheme":
-        w = 1.0 / len(feature_names)
-        return cls({name: w for name in feature_names})
+def degree_of_autonomy_weights(degrees: Mapping[str, int]) -> dict[str, float]:
+    """Raw weight 2^-n per feature, n the degree of separation from pure autonomy, normalized."""
+    return explicit_weights({name: 2.0 ** (-float(n)) for name, n in degrees.items()})
 
-    @classmethod
-    def degree_of_autonomy(cls, degrees: Mapping[str, int]) -> "WeightScheme":
-        """Raw weight 2^-n per feature, n the degree of separation from pure autonomy."""
-        raw = {name: 2.0 ** (-float(n)) for name, n in degrees.items()}
-        return cls.explicit(raw)
 
-    @classmethod
-    def explicit(cls, raw: Mapping[str, float]) -> "WeightScheme":
-        total = sum(abs(w) for w in raw.values())
-        if total <= 0:
-            raise DecisiveError("weights must not all be zero")
-        return cls({name: w / total for name, w in raw.items()})
+def explicit_weights(raw: Mapping[str, float]) -> dict[str, float]:
+    """`raw` normalized by the sum of its absolute values."""
+    total = sum(abs(w) for w in raw.values())
+    if total <= 0:
+        raise DecisiveError("weights must not all be zero")
+    return {name: w / total for name, w in raw.items()}
 
 
 def weighted_product(
     values: Mapping[str, float],
-    scheme: WeightScheme,
+    weights: Mapping[str, float],
     directions: Mapping[str, str],
 ) -> float:
     """P = prod(v_i ^ (s_i * w_i)) with s_i = -1 for lower-is-better features; each v_i is
     positive, as `encode_features` makes it."""
     p = 1.0
-    for name, w in scheme.weights.items():
+    for name, w in weights.items():
         v = values[name]
         sign = -1.0 if directions[name] == "lower_better" else 1.0
         p *= v ** (sign * w)
@@ -129,14 +124,15 @@ class NcapResult(NamedTuple):
 
 
 def component_potential(
-    table: FeatureTable, scheme: Optional[WeightScheme] = None
+    table: FeatureTable, weights: Optional[Mapping[str, float]] = None
 ) -> dict[str, float]:
-    """Weighted-product potential per system; defaults to uniform weights."""
-    if scheme is None:
-        scheme = WeightScheme.uniform([f.name for f in table.features])
+    """Weighted-product potential per system, from normalized feature weights; defaults to
+    uniform weights."""
+    if weights is None:
+        weights = uniform_weights([f.name for f in table.features])
     encoded = encode_features(table)
     directions = {f.name: f.direction for f in table.features}
-    return {sid: weighted_product(encoded[sid], scheme, directions) for sid in table.values}
+    return {sid: weighted_product(encoded[sid], weights, directions) for sid in table.values}
 
 
 def autonomy_distances(scores: Mapping[str, tuple[int, float]]) -> list[NcapResult]:

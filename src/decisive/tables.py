@@ -16,11 +16,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataQualityWarning, DecisiveError, ParseError
+from .ingest import (
+    parse_capabilities,
+    parse_feature_sheet,
+    parse_feature_weights,
+    parse_scores,
+    parse_telemetry,
+)
 from .report import Column, ReportTable
 
 if TYPE_CHECKING:
     from .core import Campaign
-    from .ncap import WeightScheme
 
 #: success-probability thresholds reported next to every completion rate
 COMPLETION_P0 = (0.70, 0.85)
@@ -31,7 +37,6 @@ COMPLETION_P0 = (0.70, 0.85)
 def nav_tables(campaign: Campaign) -> list[ReportTable]:
     from . import nav as nav_mod
     from .core import APERTURE_TIERS, tests_of_kind
-    from .ingest import parse_telemetry
     from .stats import mean_std
 
     deviation = ReportTable("Path deviation", [
@@ -85,7 +90,6 @@ def nav_tables(campaign: Campaign) -> list[ReportTable]:
 def collision_tables(campaign: Campaign) -> list[ReportTable]:
     from . import collision as coll
     from .core import CR_CATEGORIES, OA_CATEGORIES, tests_of_kind
-    from .ingest import parse_telemetry
 
     tables = []
     numeric = ReportTable("Obstacle avoidance and severity", [
@@ -250,30 +254,29 @@ CAMPAIGN_TABLES = {"nav": nav_tables, "collision": collision_tables, "field": fi
 
 # --- ncap --------------------------------------------------------------------
 
-def _load_weight_scheme(weights_arg: str, sheet, features: Path) -> WeightScheme:
+def _load_weights(weights_arg: str, sheet, features: Path) -> dict[str, float]:
+    """The normalized feature weights `--weights` names: uniform, degree or a weight file."""
     from . import ncap as ncap_mod
-    from .ingest import parse_feature_weights
 
     names = [f.name for f in sheet.table.features]
     if weights_arg == "uniform":
-        return ncap_mod.WeightScheme.uniform(names)
+        return ncap_mod.uniform_weights(names)
     if weights_arg == "degree":
         missing = [n for n in names if n not in sheet.degrees]
         if missing:
             raise ParseError(f"no degree-of-autonomy for features: {', '.join(missing)}",
                              str(features))
-        return ncap_mod.WeightScheme.degree_of_autonomy(sheet.degrees)
-    return ncap_mod.WeightScheme.explicit(parse_feature_weights(weights_arg, names))
+        return ncap_mod.degree_of_autonomy_weights(sheet.degrees)
+    return ncap_mod.explicit_weights(parse_feature_weights(weights_arg, names))
 
 
 def ncap_results(features: Path, weights_arg: str, caps: Path | None) -> list:
     """Ranked NcapResults for a feature sheet, a weight scheme and optional capability flags."""
     from . import ncap as ncap_mod
-    from .ingest import parse_capabilities, parse_feature_sheet
 
     sheet = parse_feature_sheet(features)
-    scheme = _load_weight_scheme(weights_arg, sheet, features)
-    potentials = ncap_mod.component_potential(sheet.table, scheme)
+    weights = _load_weights(weights_arg, sheet, features)
+    potentials = ncap_mod.component_potential(sheet.table, weights)
 
     caps_by_id = dict(sheet.capabilities)
     if caps:
@@ -305,7 +308,6 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
     import numpy as np
 
     from . import cfis as cfis_mod
-    from .ingest import parse_scores
 
     axis_vars = {name: tuple(fis.inputs) for name, fis in config.fis.items()
                  if name not in config.cascade}

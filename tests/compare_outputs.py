@@ -62,7 +62,7 @@ def invocations(scratch: Path) -> list[tuple[Path, list[str]]]:
 
 
 def run(src: Path, cwd: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    env = {**os.environ, "PYTHONPATH": str(src), "DECISIVE_NO_COLOR": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-m", "decisive.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr

@@ -123,7 +123,7 @@ GRID = 8  # triangle corners and many inputs sit on eighths of the range, so sho
 
 
 @st.composite
-def variables(draw, name):
+def variables(draw):
     lo = draw(st.sampled_from([0.0, -1.0, 0.5]))
     hi = lo + draw(st.sampled_from([1.0, 3.0, 2.4]))
     corners = st.integers(0, GRID).map(lambda k: lo + (hi - lo) * k / GRID)
@@ -132,12 +132,12 @@ def variables(draw, name):
         a, b, c = sorted(draw(st.lists(corners, min_size=3, max_size=3)))
         terms[f"t{t}"] = TriangularMf(a, b, c, lo, hi)
     aliases = {"alias": "t0"} if draw(st.booleans()) else {}
-    return LinguisticVariable(name, lo, hi, terms, aliases)
+    return LinguisticVariable(lo, hi, terms, aliases)
 
 
 @st.composite
 def systems(draw, name, var_names):
-    inputs = {v: draw(variables(v)) for v in var_names}
+    inputs = {v: draw(variables()) for v in var_names}
     levels = {f"o{k}": draw(st.floats(0.0, 1.0)) for k in range(3)}
     rules = []
     for _ in range(draw(st.integers(1, 6))):
@@ -166,7 +166,7 @@ def configs_and_rows(draw):
     wiring = tuple(draw(st.permutations(sorted(axes)))[:draw(st.integers(1, n_axes))])
     ideal_inputs = {name: {v: draw(cell(var)) for v, var in fis.inputs.items()}
                     for name, fis in axes.items() if draw(st.booleans())}
-    config = FisConfig("random", {**axes, "comb": combiner}, {"comb": wiring}, ideal_inputs)
+    config = FisConfig({**axes, "comb": combiner}, {"comb": wiring}, ideal_inputs)
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         row = {}
@@ -241,7 +241,7 @@ class TestMembership:
         med = TriangularMf(0.5, 1.5, 2.5, 0.0, 3.0)
         assert 0.0 <= mf_column(med, np.array([x]))[0] <= 1.0
 
-    @given(var=variables("x"), data=st.data())
+    @given(var=variables(), data=st.data())
     def test_column_bit_identical_to_scalar(self, var, data):
         xs = data.draw(st.lists(cell(var), min_size=1, max_size=20))
         for mf in var.terms.values():
@@ -271,7 +271,7 @@ class TestMembership:
         assert column.shape == (len(self.XS),)
         assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, x)) for x in self.XS]
 
-    @given(var=variables("x"), points=st.integers(1, 64))
+    @given(var=variables(), points=st.integers(1, 64))
     def test_covered_equals_scalar_sweep(self, var, points):
         sweep = (var.lo + (var.hi - var.lo) * i / points for i in range(points + 1))
         expected = all(max(mf_eval(mf, x) for mf in var.terms.values()) > 0.0 for x in sweep)
@@ -296,7 +296,7 @@ class TestFisEval:
     def test_scale_free_in_rule_strength(self):
         # two symmetric configs where all memberships double: output unchanged
         var = LinguisticVariable(
-            "x", 0.0, 1.0,
+            0.0, 1.0,
             {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
              "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)},
             {},
@@ -311,7 +311,7 @@ class TestFisEval:
 
     def test_no_rule_fired(self):
         var = LinguisticVariable(
-            "x", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}, {}
+            0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}, {}
         )
         fis = Fis("gappy", {"x": var}, {"bad": 0.0}, (Rule((("x", "lo", False),), "bad"),))
         with pytest.raises(DecisiveError, match=r"^gappy: no rule fired for \{'x': 0.9\}$"):
@@ -366,7 +366,6 @@ class TestCascade:
     def test_three_axis_fold(self, config):
         # a third axis folds through the same combining table
         cfg = FisConfig(
-            name="threeway",
             fis={"mc": config.fis["mc"], "ec": config.fis["ec"],
                  "hi": config.fis["mc"], "combined": config.fis["combined"]},
             cascade={"combined": ("mc", "ec", "hi")},
@@ -394,12 +393,12 @@ class TestCascade:
 
 def one_axis(ideal: float) -> FisConfig:
     """One axis whose score is its input, v in [0, 1], and whose ideal run sets v = `ideal`."""
-    var = LinguisticVariable("v", 0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
-                                             "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)}, {})
+    var = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
+                                        "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)}, {})
     axis = Fis("x", {"v": var}, {"bad": 0.0, "good": 1.0},
                (Rule((("v", "lo", False),), "bad"), Rule((("v", "hi", False),), "good")))
     combiner = Fis("comb", {}, {"bad": 0.0}, ())
-    return FisConfig("one", {"x": axis, "comb": combiner}, {"comb": ("x",)}, {"x": {"v": ideal}})
+    return FisConfig({"x": axis, "comb": combiner}, {"comb": ("x",)}, {"x": {"v": ideal}})
 
 
 class TestNormalizedScore:
@@ -449,7 +448,7 @@ class TestCascadeErrors:
         assert str(exc.value) == "r0: row matches no axis inputs (at f:2)"
 
     def test_row_with_only_an_unwired_axis(self, config):
-        cfg = FisConfig("mc only", config.fis, {"combined": ("mc",)}, config.ideal_inputs)
+        cfg = FisConfig(config.fis, {"combined": ("mc",)}, config.ideal_inputs)
         with pytest.raises(ParseError) as exc:
             score_rows(cfg, [MC_IDEAL, EC_EASY])
         assert str(exc.value) == "r1: row matches no axis that 'combined' combines (at f:3)"
@@ -459,7 +458,7 @@ class TestCascadeErrors:
         cfg = one_axis(0.0)
         gappy = Fis("x", cfg.fis["x"].inputs, {"bad": 0.0},
                     (Rule((("v", "lo", False), ("v", "hi", False)), "bad"),))
-        cfg = FisConfig("gappy", {"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
+        cfg = FisConfig({"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
         with pytest.raises(DecisiveError, match=r"^r0: x: no rule fired for \{'v': 1.0\}"):
             score_rows(cfg, [{"v": 1.0}])
 
@@ -491,8 +490,8 @@ class TestPredictiveScore:
 class TestShippedConfig:
     def test_coverage_of_every_variable(self, config):
         for fis in config.fis.values():
-            for var in fis.inputs.values():
-                assert var.covered(1000), f"{fis.name}.{var.name} has gaps"
+            for name, var in fis.inputs.items():
+                assert var.covered(1000), f"{fis.name}.{name} has gaps"
 
     def test_sweep_outputs_in_unit_interval(self, config):
         for fis in config.fis.values():

@@ -1141,6 +1141,11 @@ LOAD_ERRORS = {
             "bad connect value 'ok'"),
            ("endurance-indoor", "nlos_positions", "fly", lambda p: p[0].update(fly="maybe"),
             "bad fly value 'maybe'"),
+           # checked, though no table reads them
+           ("endurance-indoor", "nlos_positions", "label-number", lambda p: p[0].update(label=5),
+            "expected a string, got 5"),
+           ("endurance-indoor", "nlos_positions", "latency-text",
+            lambda p: p[0].update(latency_ms="slow"), 'expected a number, got "slow"'),
            ("map-loop", "fiducials", "no-traversal", lambda f: f[0].update(min_traversal=0),
             "min_traversal must be positive"))},
     "manifest-criteria-file-missing": (
@@ -1196,6 +1201,14 @@ LOAD_ERRORS = {
         file_case("s.csv", (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0]
                   + "\nalpha,t1,,,,,,,\n", lambda scores: ["cfis", "--scores", scores], 2),
         "alpha/t1: row matches no axis inputs"),
+    # a scores file of either kind with a header and no rows
+    "cfis-inputs-header-only": (
+        file_case("s.csv", (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0] + "\n",
+                  lambda scores: ["cfis", "--scores", scores]),
+        "no score rows"),
+    "cfis-scores-header-only": (
+        file_case("s.csv", "suas_id,test_id,score\n", lambda scores: ["cfis", "--scores", scores]),
+        "no score rows"),
 }
 
 
@@ -1203,6 +1216,12 @@ class TestLoadErrorsNameTheFile:
     @pytest.mark.parametrize("name", sorted(LOAD_ERRORS))
     def test_input_error_line(self, capsys, tmp_path, name):
         case, message = LOAD_ERRORS[name]
+        argv, bad = case(tmp_path)
+        assert run(capsys, *argv) == (1, "", f"error: {message} (at {bad})\n")
+
+    def test_error_line_is_plain_on_a_terminal(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        case, message = LOAD_ERRORS["sa-no-elements"]
         argv, bad = case(tmp_path)
         assert run(capsys, *argv) == (1, "", f"error: {message} (at {bad})\n")
 

@@ -17,7 +17,7 @@ from decisive.core import ObstacleGeometry, Trajectory
 from decisive.errors import DecisiveError, ParseError
 from decisive.human_factors import SurveyColumns
 from decisive.mapping import FiducialGroundTruth, FiducialObservation
-from decisive.ncap import Feature, FeatureTable, WeightScheme
+from decisive.ncap import Feature, FeatureTable
 
 
 def still(n=5):
@@ -43,7 +43,7 @@ def features(*feats, **values):
 
 
 def one_term_fis():
-    x = LinguisticVariable("x", 0.0, 2.0, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, 2.0)}, {})
+    x = LinguisticVariable(0.0, 2.0, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, 2.0)}, {})
     return Fis("demo", {"x": x}, {"good": 1.0}, (Rule((("x", "low", False),), "good"),))
 
 
@@ -82,7 +82,7 @@ COMPUTATION_FAILURES = {
     "ncap-absent-everywhere": (
         lambda: ncap.encode_features(features(Feature("t", "higher_better"), alpha={})),
         "t: absent for every system"),
-    "ncap-zero-weights": (lambda: WeightScheme.explicit({"t": 0.0}),
+    "ncap-zero-weights": (lambda: ncap.explicit_weights({"t": 0.0}),
                           "weights must not all be zero"),
     "ncap-no-systems": (lambda: ncap.autonomy_distances({}), "no systems to rank"),
     "cfis-no-rule-fired": (lambda: cfis.fis_eval(one_term_fis(), {"x": 1.5}),
@@ -90,7 +90,7 @@ COMPUTATION_FAILURES = {
     "cfis-zero-test-score": (lambda: cfis.predictive_score({"a": 0.0}), "a=0.0 outside (0, 1]"),
     # human factors
     "hf-rates-no-responses": (
-        lambda: human_factors.sagat_correct_rates(human_factors.SagatColumns([], [], [], [], [])),
+        lambda: human_factors.sagat_correct_rates(human_factors.SagatColumns([], [], [], [])),
         "no responses"),
     "hf-osa-zero-weights": (lambda: human_factors.osa({"a": 0.0}, {"a": 1.0}),
                             "weights must sum to a positive value"),

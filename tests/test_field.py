@@ -31,19 +31,19 @@ class TestEndurance:
 
 def positions(specs):
     return [
-        NlosPosition(label, dist, ((1, "drywall"),), connect, fly)
-        for label, dist, connect, fly in specs
+        NlosPosition(dist, ((1, "drywall"),), connect, fly)
+        for dist, connect, fly in specs
     ]
 
 
 class TestNlos:
     def test_good_through_second_wall(self):
         found = positions([
-            ("X", 5.0, "good", "possible"),
-            ("1", 14.0, "good", "possible"),
-            ("2", 20.0, "good", "possible"),
-            ("3", 25.0, "none", "not_possible"),
-            ("4", 27.0, "none", "not_possible"),
+            (5.0, "good", "possible"),
+            (14.0, "good", "possible"),
+            (20.0, "good", "possible"),
+            (25.0, "none", "not_possible"),
+            (27.0, "none", "not_possible"),
         ])
         static, flying = nlos_max_performance(found)
         assert static.distance == 20.0
@@ -51,20 +51,20 @@ class TestNlos:
 
     def test_all_failed(self):
         static, flying = nlos_max_performance(
-            positions([("1", 5.0, "none", "not_possible")])
+            positions([(5.0, "none", "not_possible")])
         )
         assert static is None and flying is None
 
     def test_all_good(self):
         static, _ = nlos_max_performance(
-            positions([("1", 5.0, "good", "possible"), ("2", 31.0, "good", "possible")])
+            positions([(5.0, "good", "possible"), (31.0, "good", "possible")])
         )
         assert static.distance == 31.0
 
     def test_monotone_in_added_positions(self):
-        base = positions([("1", 10.0, "good", "possible")])
+        base = positions([(10.0, "good", "possible")])
         static_before, _ = nlos_max_performance(base)
-        farther = base + positions([("2", 15.0, "good", "possible")])
+        farther = base + positions([(15.0, "good", "possible")])
         static_after, _ = nlos_max_performance(farther)
         assert static_after.distance >= static_before.distance
 

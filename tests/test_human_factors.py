@@ -82,8 +82,11 @@ def response(participant, se, level, correct, q="q"):
 
 
 def sagat(rows):
-    """SagatColumns holding `rows`, Answers in file order."""
-    return SagatColumns(*map(list, zip(*rows))) if rows else SagatColumns([], [], [], [], [])
+    """SagatColumns holding `rows`, Answers in file order; the record keeps no question ids."""
+    if not rows:
+        return SagatColumns([], [], [], [])
+    participants, _, *columns = map(list, zip(*rows))
+    return SagatColumns(participants, *columns)
 
 
 class TestSagat:

@@ -319,9 +319,9 @@ class TestCampaign:
                                     "collisions": 2.0, "rollovers": 1, "duration_min": 8}])
         campaign = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
         trial = campaign.trials[0]
-        assert (trial.laps, trial.t_collision, trial.collisions, trial.rollovers,
-                trial.duration) == (20, 3.0, 2, 1, 8.0)
-        assert all(isinstance(n, int) for n in (trial.laps, trial.collisions, trial.rollovers))
+        assert (trial.laps, trial.t_collision, trial.collisions,
+                trial.duration) == (20, 3.0, 2, 8.0)
+        assert all(isinstance(n, int) for n in (trial.laps, trial.collisions))
         assert isinstance(trial.duration, float)
 
     def test_absent_trial_counts_default_to_zero(self, tmp_path):
@@ -329,7 +329,7 @@ class TestCampaign:
                                     "outcome": "success", "collisions": None}])
         campaign = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
         trial = campaign.trials[0]
-        assert (trial.collisions, trial.rollovers, trial.duration) == (0, 0, 0.0)
+        assert (trial.collisions, trial.duration) == (0, 0.0)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_number_names_the_file(self, tmp_path, constant):
@@ -391,8 +391,7 @@ class TestCampaignTests:
         assert campaign.tests["oa-wall"].obstacle == ObstacleGeometry(
             "plane_segment", (0.0, 0.0), (3.0, 0.0), 2.0, "wall")
         field = campaign.tests["endurance-indoor"]
-        assert field.nlos_positions[1] == NlosPosition("1", 14.0, ((1, "drywall"),), "good",
-                                                       "possible")
+        assert field.nlos_positions[1] == NlosPosition(14.0, ((1, "drywall"),), "good", "possible")
         assert field.criteria == tuple(parse_criteria(SAMPLE / "criteria.json"))
         assert field.criteria[0] == Criterion("hd_video_min", "min", 120)
         assert field.responses["bravo"]["battery_type"] == "Li-ion"

@@ -10,11 +10,13 @@ from decisive.ncap import (
     AutonomyCapabilities,
     Feature,
     FeatureTable,
-    WeightScheme,
     autonomy_distances,
     autonomy_level,
     component_potential,
+    degree_of_autonomy_weights,
     encode_features,
+    explicit_weights,
+    uniform_weights,
     weighted_product,
 )
 
@@ -79,28 +81,28 @@ class TestWeightedProduct:
 
     def test_all_ones_identity(self):
         values = {f"f{i}": 1.0 for i in range(5)}
-        scheme = WeightScheme.uniform(list(values))
+        weights = uniform_weights(list(values))
         directions = {k: "higher_better" for k in values}
-        assert weighted_product(values, scheme, directions) == pytest.approx(1.0)
+        assert weighted_product(values, weights, directions) == pytest.approx(1.0)
 
     def test_doubling_law_of_exponents(self):
         names = [f"f{i}" for i in range(10)]
         values = {n: 2.0 + i for i, n in enumerate(names)}
-        scheme = WeightScheme.uniform(names)
+        weights = uniform_weights(names)
         directions = {n: "higher_better" for n in names}
-        base = weighted_product(values, scheme, directions)
+        base = weighted_product(values, weights, directions)
         values2 = dict(values, f0=2.0 * values["f0"])
-        assert weighted_product(values2, scheme, directions) == pytest.approx(
+        assert weighted_product(values2, weights, directions) == pytest.approx(
             base * 2.0**0.1
         )
 
     def test_monotone_in_directions(self):
         names = ["up", "down"]
-        scheme = WeightScheme.uniform(names)
+        weights = uniform_weights(names)
         directions = {"up": "higher_better", "down": "lower_better"}
-        base = weighted_product({"up": 2.0, "down": 2.0}, scheme, directions)
-        more_up = weighted_product({"up": 3.0, "down": 2.0}, scheme, directions)
-        more_down = weighted_product({"up": 2.0, "down": 3.0}, scheme, directions)
+        base = weighted_product({"up": 2.0, "down": 2.0}, weights, directions)
+        more_up = weighted_product({"up": 3.0, "down": 2.0}, weights, directions)
+        more_down = weighted_product({"up": 2.0, "down": 3.0}, weights, directions)
         assert more_up > base
         assert more_down < base
 
@@ -119,20 +121,20 @@ class TestWeightedProduct:
 
 class TestWeightSchemes:
     def test_uniform_sums_to_one(self):
-        scheme = WeightScheme.uniform([f"f{i}" for i in range(10)])
-        assert sum(scheme.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        weights = uniform_weights([f"f{i}" for i in range(10)])
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_degree_of_autonomy(self):
-        scheme = WeightScheme.degree_of_autonomy({"a": 1, "b": 2})
+        weights = degree_of_autonomy_weights({"a": 1, "b": 2})
         # raw 0.5 and 0.25 normalize to 2/3 and 1/3
-        assert scheme.weights["a"] == pytest.approx(2 / 3)
-        assert scheme.weights["b"] == pytest.approx(1 / 3)
+        assert weights["a"] == pytest.approx(2 / 3)
+        assert weights["b"] == pytest.approx(1 / 3)
 
     @given(ws=st.lists(st.floats(0.01, 5.0), min_size=2, max_size=12))
     def test_explicit_normalizes(self, ws):
         raw = {f"f{i}": w for i, w in enumerate(ws)}
-        scheme = WeightScheme.explicit(raw)
-        assert sum(abs(w) for w in scheme.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        weights = explicit_weights(raw)
+        assert sum(abs(w) for w in weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAutonomyLevel:

@@ -1,10 +1,11 @@
 """Each check on an input value runs once, in the parser that reads the value.
 
-The records hold fields only. Each case edits one value in a copy of the sample
-input that carries it, runs the CLI, and expects its exact `error:` line and
-exit code: each check that moved from a record into its parser, and the parser
-checks that made a record's own check redundant. The manifest entry checks (outcome, duration, lighting, lux) and the
-SEEV parameter and FIS term checks are cases of `test_cli.py`'s
+The records hold fields only, and only fields something reads (the last test).
+Each case edits one value in a copy of the sample input that carries it, runs
+the CLI, and expects its exact `error:` line and exit code: each check that
+moved from a record into its parser, and the parser checks that made a record's
+own check redundant. The manifest entry checks (outcome, duration, lighting,
+lux) and the SEEV parameter and FIS term checks are cases of `test_cli.py`'s
 `TestValidate.test_bad_entry_value_names_the_entry` and `LOAD_ERRORS` tables.
 """
 
@@ -26,6 +27,7 @@ import decisive.nav
 import decisive.ncap
 import decisive.report
 from decisive.cli import main
+from test_surface import ROOT_FILES, TREES
 
 REPO = Path(__file__).resolve().parents[1]
 SAMPLE = REPO / "sample_campaign"
@@ -133,8 +135,7 @@ def test_bad_value_fails_in_its_parser(tmp_path, name):
 
 #: the records, each a NamedTuple of fields
 RECORDS = [decisive.cfis.TriangularMf, decisive.core.ObstacleGeometry, decisive.core.TrialRecord,
-           decisive.core.EnvironmentProfile, decisive.field.NlosPosition,
-           decisive.field.Criterion, decisive.human_factors.SeParams,
+           decisive.field.NlosPosition, decisive.field.Criterion, decisive.human_factors.SeParams,
            decisive.human_factors.SagatColumns, decisive.mapping.FiducialObservation,
            decisive.mapping.FiducialGroundTruth, decisive.nav.ReferencePath,
            decisive.ncap.Feature, decisive.report.Column]
@@ -160,3 +161,36 @@ def test_only_the_listed_classes_define_init():
     }
     assert defining - exceptions <= BUILT
     assert not defining & {r.__name__ for r in RECORDS}
+
+
+#: the one record whose fields are not all read by name: `cli.cmd_validate` counts the
+#: `suas` and `environments` blocks of a Campaign through its `_fields`
+FIELDS_READ_AS_A_WHOLE = {("core", "Campaign")}
+
+
+def _strings(tree):
+    """The string constants of `tree`, docstrings aside."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings}
+
+
+def test_every_record_field_is_read():
+    """A field is read where `.field` is loaded in the package, the acceptance suite or the
+    benchmark, or where a package module names it in a string, as `tables` does for
+    `getattr(trial, attr)`; `ingest`'s strings are input keys, not reads."""
+    trees = [*TREES.values(), *(ast.parse(p.read_text(encoding="utf-8")) for p in ROOT_FILES)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= {text for module, tree in TREES.items() if module != "ingest"
+             for text in _strings(tree)}
+    unread = [f"{module}.{node.name}.{item.target.id}"
+              for module, tree in TREES.items() for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and (module, node.name) not in FIELDS_READ_AS_A_WHOLE
+              and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    assert not unread, f"record fields nothing reads: {', '.join(unread)}"
