@@ -44,8 +44,6 @@ class SagatColumns(NamedTuple):
 
 def sagat_correct_rates(sagat: SagatColumns) -> dict[str, tuple[int, float]]:
     """(questions asked, fraction answered correctly) per situation element."""
-    if not sagat.se_ids:
-        raise DecisiveError("no responses")
     asked = Counter(sagat.se_ids)
     right = Counter(compress(sagat.se_ids, sagat.correct))
     return {se: (n, right[se] / n) for se, n in asked.items()}

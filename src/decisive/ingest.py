@@ -250,13 +250,15 @@ def _csv_table(header: list[str], body: str, start: int, converters: dict,
                optional=()) -> tuple[Sequence[int], list[list]]:
     """The file line of each data row of `body`, the text after `header` from file line
     `start` on, and each of `converters`' columns: `_csv_columns`' when it can read the
-    whole text, else the row loop's, which alone reports a bad row."""
+    whole text, else the row loop's, which alone reports a bad row. A text of no row fails."""
     columns = _csv_columns(header, body, converters, optional)
-    if columns is not None:
+    if columns is not None:  # the split vouches only for text of at least one row
         return range(start, start + len(columns[0])), columns
     rows = [(line, *values)
             for line, values in _csv_rows(header, body, start, converters, optional)]
-    lines, *columns = map(list, zip(*rows)) if rows else [[] for _ in range(len(converters) + 1)]
+    if not rows:
+        raise ParseError("no data rows")
+    lines, *columns = map(list, zip(*rows))
     return lines, columns
 
 
@@ -708,15 +710,15 @@ def parse_campaign(path) -> Campaign:
 
     suas = set()
     for entry in blocks.get("suas", []):
-        entry = _object(entry, "sUAS entry")
-        if "id" not in entry:
+        suas_id = _fields(_object(entry, "sUAS entry"), {"id": str}, "sUAS entry").get("id")
+        if suas_id is None:
             raise ParseError("sUAS entry missing 'id'")
-        suas.add(_json(entry["id"], str))
+        suas.add(suas_id)
 
     environments = set()
     for entry in blocks.get("environments", []):
         entry = _object(entry, "environment entry")
-        env_id = entry.get("id")
+        env_id = _fields(entry, {"id": str}, "environment entry").get("id")
         if env_id is None:
             raise ParseError("environment entry missing 'id'")
         name = f"environment {env_id}"
@@ -733,13 +735,13 @@ def parse_campaign(path) -> Campaign:
     tests = {}
     for entry in blocks.get("tests", []):
         entry = _object(entry, "test entry")
-        test_id = entry.get("test_id")
+        test_id = _fields(entry, {"test_id": str}, "test entry").get("test_id")
         if test_id is None:
             raise ParseError("test entry missing 'test_id'")
         env_ref = _fields(entry, {"environment": str}, f"test {test_id}").get("environment")
         if env_ref is not None and env_ref not in environments:
             raise ParseError(f"test {test_id} references environment {env_ref!r}")
-        tests[_json(test_id, str)] = _campaign_test(entry, path)
+        tests[test_id] = _campaign_test(entry, path)
 
     trials = []
     for entry in blocks.get("trials", []):
@@ -916,16 +918,27 @@ _FEATURE_FIELDS = {"name": str, "direction": str, "degree": _count,
 
 
 def _feature_value(ordinal_map):
-    """The kind of a system's value of a feature: "N/A", a token of `ordinal_map`, or a number."""
+    """The kind of a system's value of a feature: "N/A", or a token of `ordinal_map` or a
+    number, either standing for a number > 0."""
     from .ncap import ABSENT
 
-    tokens = {ABSENT, *(ordinal_map or ())}
-    return lambda v: v if isinstance(v, str) and v in tokens else _json(v, float)
+    ordinal_map = ordinal_map or {}
+
+    def convert(v):
+        if v == ABSENT:
+            return v
+        token = isinstance(v, str) and v in ordinal_map
+        number = ordinal_map[v] if token else _json(v, float)
+        if not number > 0:
+            raise ValueError(f"must be > 0, got {json.dumps(v)}"
+                             + (f", which maps to {number:g}" if token else ""))
+        return v if token else number
+    return convert
 
 
 @_total
 def parse_feature_sheet(path) -> FeatureSheet:
-    from .ncap import Feature, FeatureTable
+    from .ncap import ABSENT, Feature, FeatureTable
 
     doc = _json(_load_json(path), dict)
     blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet")
@@ -962,6 +975,11 @@ def parse_feature_sheet(path) -> FeatureSheet:
         values[sid] = _fields(given, value_fields, f"system {sid}")
         if "capabilities" in system:
             capabilities[sid] = _capabilities(system["capabilities"])
+    if not values:
+        raise ParseError("feature sheet has no systems")
+    for f in features:  # an ordinal feature no system has takes the rank floor
+        if not f.ordinal_map and all(row.get(f.name, ABSENT) == ABSENT for row in values.values()):
+            raise ParseError(f"feature {f.name!r}: absent for every system")
 
     return FeatureSheet(FeatureTable(tuple(features), values), capabilities, degrees)
 
@@ -979,7 +997,10 @@ def parse_feature_weights(path, names) -> dict[str, float]:
     missing = [n for n in names if n not in raw]
     if missing:
         raise ParseError(f"weight file lacks features: {', '.join(missing)}")
-    return {n: _json(raw[n], float) for n in names}
+    weights = {n: _json(raw[n], float) for n in names}
+    if not any(weights.values()):
+        raise ParseError("weights must not all be zero")
+    return weights
 
 
 # --- FIS configuration ----------------------------------------------------------
@@ -1114,9 +1135,8 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
     A file whose columns are exactly suas_id,test_id,score holds precomputed
     scores, and an empty score fails. Any other file holds FIS inputs, one
     number column per name in `variables`, NaN for an empty or absent cell. A
-    file with no rows fails, as does a number that is not finite. A repeated
-    (suas_id, test_id) pair warns; both rows are returned, and the later one is
-    the pair's score.
+    number that is not finite fails. A repeated (suas_id, test_id) pair warns;
+    both rows are returned, and the later one is the pair's score.
     """
     header, body, start = _header_and_body(path)
     precomputed = set(header) == {"suas_id", "test_id", "score"}
@@ -1124,8 +1144,6 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
                   **({"score": _number} if precomputed else dict.fromkeys(variables, _fis_input))}
     optional = () if precomputed else variables
     lines, (suas_ids, test_ids, *numbers) = _csv_table(header, body, start, converters, optional)
-    if not lines:
-        raise ParseError("no score rows")
     _repeated_keys(path, lines, [suas_ids, test_ids],
                    lambda key: f"duplicate score for {key[0]}/{key[1]}; keeping the later row")
     return ScoreColumns(precomputed, suas_ids, test_ids, dict(zip(list(converters)[2:], numbers)),

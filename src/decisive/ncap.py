@@ -11,7 +11,7 @@ import math
 import warnings
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import DataQualityWarning, DecisiveError
+from .errors import DataQualityWarning
 
 #: sentinel for a feature the platform simply does not have
 ABSENT = "N/A"
@@ -31,40 +31,23 @@ class FeatureTable(NamedTuple):
 
 
 def encode_features(table: FeatureTable) -> dict[str, dict[str, float]]:
-    """Encode every system's feature values to strictly positive numbers.
+    """Encode every system's feature values to the positive numbers `ingest` vouches for.
 
     Ordinal tokens map through the feature's ordinal map. An absent value
     inherits the minimum encoded value of that feature across the cohort
-    (floor 1 for ordinal features): lacking the component scores no better
-    than the worst system that has it.
+    (floor 1 for an ordinal feature no system has): lacking the component
+    scores no better than the worst system that has it.
     """
     encoded: dict[str, dict[str, float]] = {sid: {} for sid in table.values}
     for feat in table.features:
-        nums: dict[str, float] = {}
-        absent: list[str] = []
+        nums = {}
         for sid, row in table.values.items():
             raw = row.get(feat.name, ABSENT)
-            if raw == ABSENT or raw is None:
-                absent.append(sid)
-                continue
-            if isinstance(raw, str):  # `ingest` reads a token only from the ordinal map
-                value = float(feat.ordinal_map[raw])
-            else:
-                value = float(raw)
-            if not value > 0 or not math.isfinite(value):
-                raise DecisiveError(f"{feat.name}={value} for {sid} (must be > 0)")
-            nums[sid] = value
-        if absent:
-            if nums:
-                fill = min(nums.values())
-            elif feat.ordinal_map:
-                fill = 1.0  # rank floor when no system has the component
-            else:
-                raise DecisiveError(f"{feat.name}: absent for every system")
-            for sid in absent:
-                nums[sid] = fill
-        for sid, value in nums.items():
-            encoded[sid][feat.name] = value
+            if raw != ABSENT:  # any other string is a token of the ordinal map
+                nums[sid] = float(feat.ordinal_map[raw] if isinstance(raw, str) else raw)
+        fill = min(nums.values(), default=1.0)
+        for sid, row in encoded.items():
+            row[feat.name] = nums.get(sid, fill)
     return encoded
 
 
@@ -76,14 +59,13 @@ def uniform_weights(feature_names: Sequence[str]) -> dict[str, float]:
 
 def degree_of_autonomy_weights(degrees: Mapping[str, int]) -> dict[str, float]:
     """Raw weight 2^-n per feature, n the degree of separation from pure autonomy, normalized."""
-    return explicit_weights({name: 2.0 ** (-float(n)) for name, n in degrees.items()})
+    least = min(degrees.values())  # scaled by 2^least, the least degree's raw weight is 1, not 0
+    return explicit_weights({name: 2.0 ** (least - n) for name, n in degrees.items()})
 
 
 def explicit_weights(raw: Mapping[str, float]) -> dict[str, float]:
     """`raw` normalized by the sum of its absolute values."""
-    total = sum(abs(w) for w in raw.values())
-    if total <= 0:
-        raise DecisiveError("weights must not all be zero")
+    total = sum(abs(w) for w in raw.values())  # `ingest` rejects all-zero weights
     return {name: w / total for name, w in raw.items()}
 
 
@@ -142,8 +124,6 @@ def autonomy_distances(scores: Mapping[str, tuple[int, float]]) -> list[NcapResu
     every other system's relative distance is the coordinate-space distance to
     the best one. Ties on the absolute distance break by level then id.
     """
-    if not scores:
-        raise DecisiveError("no systems to rank")
     absolute = {
         sid: math.hypot(float(n_al), n_cp) for sid, (n_al, n_cp) in scores.items()
     }

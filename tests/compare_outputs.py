@@ -11,10 +11,13 @@ with this checkout's `src` on PYTHONPATH, both from the same working
 directory. The invocations are every golden command of the acceptance suite,
 `sa` without `--weights`, and the benchmark's `campaign`, `survey-large` and
 `scores` workloads generated from seed 61, each table command in every
-`--format`. Every invocation whose stdout, stderr or exit code differs is
-printed, and the script exits 1 if any does. The workload inputs are written
-by `bench/workloads.build` into the temporary directory; nothing in the
-repository is written.
+`--format`; then each case of `test_cli`'s tables of load errors, malformed
+side files, run errors and warning lines, so that error and warning lines
+are compared too. Every invocation whose stdout, stderr or exit code differs
+is printed, a case by its name, and the script exits 1 if any does. The
+workload inputs are written by `bench/workloads.build`, and each case's
+files by the case, in a directory of its own under the temporary directory;
+nothing in the repository is written.
 """
 
 import io
@@ -29,6 +32,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "tests"), str(REPO / "src"), str(REPO / "bench")]
 
 import test_acceptance  # noqa: E402
+import test_cli  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("campaign", "survey-large", "scores")
@@ -47,8 +51,8 @@ def in_each_format(argv: list[str]) -> list[list[str]]:
     return [argv + ["--format", fmt] for fmt in FORMATS]
 
 
-def invocations(scratch: Path) -> list[tuple[Path, list[str]]]:
-    """(working directory, CLI arguments) of every compared invocation."""
+def invocations(scratch: Path) -> list[tuple[str, Path, list[str]]]:
+    """(label, working directory, CLI arguments) of every compared invocation."""
     golden = list(test_acceptance.GOLDEN_COMMANDS.values())
     sa = test_acceptance.GOLDEN_COMMANDS["sa.md"]
     golden.append(sa[:sa.index("--weights")])
@@ -58,6 +62,11 @@ def invocations(scratch: Path) -> list[tuple[Path, list[str]]]:
         workdir.mkdir(parents=True)
         wl = workloads.build(name, SEED, workdir, REPO)
         out += [(workdir, each) for argv in wl.invocations for each in in_each_format(argv)]
+    out = [(f"{' '.join(argv)}  [in {cwd}]", cwd, argv) for cwd, argv in out]
+    for k, (name, case) in enumerate(test_cli.table_cases()):
+        workdir = scratch / "cases" / str(k)
+        workdir.mkdir(parents=True)
+        out.append((name, workdir, [str(arg) for arg in case(workdir)]))
     return out
 
 
@@ -79,14 +88,14 @@ def compare(ref: str) -> int:
                                                if hasattr(tarfile, "data_filter") else {}))
         runs = invocations(scratch)
         differ = 0
-        for cwd, argv in runs:
+        for label, cwd, argv in runs:
             theirs = run(scratch / "ref" / "src", cwd, argv)
             ours = run(REPO / "src", cwd, argv)
             streams = [name for name, a, b in zip(("exit code", "stdout", "stderr"), theirs, ours)
                        if a != b]
             if streams:
                 differ += 1
-                print(f"differ ({', '.join(streams)}): {' '.join(argv)}  [in {cwd}]")
+                print(f"differ ({', '.join(streams)}): {label}")
     print(f"{differ} of {len(runs)} invocations differ from {ref}")
     return 1 if differ else 0
 

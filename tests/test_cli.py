@@ -829,6 +829,10 @@ class TestMalformedSideFiles:
         assert err == f"error: cannot parse 'abc' as a number (at {scores}:3)\n"
 
 
+def feature_names():
+    return [f["name"] for f in json.loads((CAMPAIGN / "features.json").read_text())["features"]]
+
+
 def ncap_partial_weights(tmp_path):
     weights = write(tmp_path / "w.json", json.dumps({"flight_time": 1, "charge_time": 1}))
     return ["ncap", "--features", CAMPAIGN / "features.json", "--weights", weights], weights
@@ -1027,6 +1031,17 @@ LOAD_ERRORS = {
     "manifest-environment-without-id": (
         manifest_with(lambda doc: doc["environments"][0].pop("id")),
         "environment entry missing 'id'"),
+    # an entry's id must be a string, and its error names the entry
+    "manifest-suas-id-number": (manifest_with(lambda doc: doc["suas"][0].update(id=5)),
+                                "sUAS entry: bad 'id' field (expected a string, got 5)"),
+    "manifest-test-id-number": (manifest_with(lambda doc: doc["tests"][0].update(test_id=5)),
+                                "test entry: bad 'test_id' field (expected a string, got 5)"),
+    "manifest-environment-id-array": (
+        manifest_with(lambda doc: doc["environments"][0].update(id=[1])),
+        "environment entry: bad 'id' field (expected a string, got [1])"),
+    "manifest-environment-id-number": (
+        manifest_with(lambda doc: doc["environments"][0].update(id=5)),
+        "environment entry: bad 'id' field (expected a string, got 5)"),
     "manifest-unknown-environment": (
         manifest_with(lambda doc: doc["tests"][0].update(environment="yard")),
         "test wall-follow-1m references environment 'yard'"),
@@ -1088,6 +1103,15 @@ LOAD_ERRORS = {
     "survey-score-9": (survey_row("p1,CTPA,i1,9,true,caged"), "score '9' outside 1..7"),
     "survey-manip-pass": (survey_row("p1,CTPA,i1,4,maybe,caged"),
                           "cannot parse 'maybe' as a boolean"),
+    # a survey or SAGAT file with a header and no rows
+    "sa-no-responses": (
+        file_case("sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n",
+                  lambda sagat: ["sa", "--sagat", sagat]),
+        "no data rows"),
+    "trust-header-only": (
+        file_case("s.csv", "participant_id,instrument,item_id,score,manip_pass,condition\n",
+                  lambda survey: ["trust", "--survey", survey, *TRUST]),
+        "no data rows"),
     "sagat-level-3": (
         file_case("sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n"
                   "p1,q1,altitude,3,true\n", lambda sagat: ["sa", "--sagat", sagat], 2),
@@ -1189,6 +1213,24 @@ LOAD_ERRORS = {
                               "feature 'flight_time': direction must be 'higher' or 'lower'"),
     "features-system-without-id": (ncap_with(lambda doc: doc["systems"][0].pop("id")),
                                    "system missing 'id'"),
+    "ncap-no-systems": (ncap_with(lambda doc: doc.update(systems=[])),
+                        "feature sheet has no systems"),
+    # a value, or the value its ordinal token maps to, must be positive
+    "ncap-zero-value": (ncap_with(lambda doc: doc["systems"][0]["values"].update(fov=0)),
+                        "system alpha: bad 'fov' field (must be > 0, got 0)"),
+    "ncap-token-maps-to-zero": (
+        ncap_with(lambda doc: [doc["features"][2]["ordinal_map"].update(HD=0),
+                               doc["systems"][0]["values"].update(stream_resolution="HD")]),
+        "system alpha: bad 'stream_resolution' field (must be > 0, got \"HD\", which maps to 0)"),
+    # a feature without an ordinal map has no floor to fill in when no system has it
+    "ncap-absent-everywhere": (
+        ncap_with(lambda doc: [system["values"].update(fov="N/A") for system in doc["systems"]]),
+        "feature 'fov': absent for every system"),
+    "ncap-zero-weights": (
+        file_case("w.json", json.dumps(dict.fromkeys(feature_names(), 0)),
+                  lambda weights: ["ncap", "--features", CAMPAIGN / "features.json",
+                                   "--weights", weights]),
+        "weights must not all be zero"),
     # an FIS rule naming what the system does not have
     "fis-rule-unknown-variable": (
         cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update({"if": {"wind": "low"}})),
@@ -1205,10 +1247,10 @@ LOAD_ERRORS = {
     "cfis-inputs-header-only": (
         file_case("s.csv", (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0] + "\n",
                   lambda scores: ["cfis", "--scores", scores]),
-        "no score rows"),
+        "no data rows"),
     "cfis-scores-header-only": (
         file_case("s.csv", "suas_id,test_id,score\n", lambda scores: ["cfis", "--scores", scores]),
-        "no score rows"),
+        "no data rows"),
 }
 
 
@@ -1246,20 +1288,6 @@ def telemetry(name, *rows):
 def argv_of(case):
     """A case giving only the argv of `case`, which also gives the file it makes wrong."""
     return lambda tmp_path: case(tmp_path)[0]
-
-
-def feature_names():
-    return [f["name"] for f in json.loads((CAMPAIGN / "features.json").read_text())["features"]]
-
-
-def zero_weights(tmp_path):
-    weights = write(tmp_path / "w.json", json.dumps(dict.fromkeys(feature_names(), 0)))
-    return ["ncap", "--features", CAMPAIGN / "features.json", "--weights", weights]
-
-
-def header_only_sagat(tmp_path):
-    sagat = write(tmp_path / "sagat.csv", "participant_id,question_id,se_id,sa_level,correct\n")
-    return ["sa", "--sagat", sagat]
 
 
 def zero_sa_weights(tmp_path):
@@ -1331,17 +1359,7 @@ RUN_ERRORS = {
                                 (3.5, 1.5, 0, 1, 0, -0.5, 0)),
                       "metrics", "--test", "collision"),
         2, "error: trial t006: differentiation needs at least 3 samples"),
-    "sa-no-responses": (header_only_sagat, 2, "error: no responses"),
     "sa-zero-weights": (zero_sa_weights, 2, "error: weights must sum to a positive value"),
-    "ncap-zero-value": (argv_of(ncap_with(lambda doc: doc["systems"][0]["values"].update(fov=0))),
-                        2, "error: fov=0.0 for alpha (must be > 0)"),
-    "ncap-absent-everywhere": (
-        argv_of(ncap_with(lambda doc: [system["values"].update(fov="N/A")
-                                       for system in doc["systems"]])),
-        2, "error: fov: absent for every system"),
-    "ncap-zero-weights": (zero_weights, 2, "error: weights must not all be zero"),
-    "ncap-no-systems": (argv_of(ncap_with(lambda doc: doc.update(systems=[]))), 2,
-                        "error: no systems to rank"),
     "cfis-no-rule-fired": (cfis_one_rule, 2, "error: alpha/takeoff-easy: mc: no rule fired for "
                            "{'crashes': 0.0, 'completion': 1.0, 'rollovers': 0.0} "
                            f"(at {CAMPAIGN / 'cfis_scores.csv'}:2)"),
@@ -1370,6 +1388,19 @@ class TestRunErrors:
         line = line(tmp_path) if callable(line) else line
         assert (got_code, out, err.splitlines()[-1]) == (code, "", line)
         assert err.count("error:") == 1
+
+
+def table_cases():
+    """(name, a function of a fresh directory giving the argv run there) of each case in the
+    tables of load errors, malformed side files, run errors and warning lines."""
+    for name, (case, _) in LOAD_ERRORS.items():
+        yield f"load error {name}", lambda d, case=case: case(d)[0]
+    for name, case in SIDE_FILE_ERRORS.items():
+        yield f"side file {name}", lambda d, case=case: case(d)[0]
+    for name, (case, _, _) in RUN_ERRORS.items():
+        yield f"run error {name}", case
+    for case in WARNING_LINES:
+        yield f"warning {case.__name__}", lambda d, case=case: case(d)[0]
 
 
 def with_entry(directory, entry_id, key, value):

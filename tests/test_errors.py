@@ -11,13 +11,12 @@ each one, and `test_raises.py` checks that every raise in the package has one.
 
 import pytest
 
-from decisive import cfis, collision, human_factors, mapping, ncap
+from decisive import cfis, collision, human_factors, mapping
 from decisive.cfis import Fis, LinguisticVariable, Rule, TriangularMf
 from decisive.core import ObstacleGeometry, Trajectory
 from decisive.errors import DecisiveError, ParseError
 from decisive.human_factors import SurveyColumns
 from decisive.mapping import FiducialGroundTruth, FiducialObservation
-from decisive.ncap import Feature, FeatureTable
 
 
 def still(n=5):
@@ -36,10 +35,6 @@ def two_samples():
 
 
 WALL = ObstacleGeometry("plane_segment", (0.0, 5.0), (3.0, 5.0), 2.0)
-
-
-def features(*feats, **values):
-    return FeatureTable(tuple(feats), values)
 
 
 def one_term_fis():
@@ -75,23 +70,11 @@ COMPUTATION_FAILURES = {
                               "need >= 3 matched fiducials, have 2"),
     "mapping-coincident-fiducials": (lambda: mapping.global_error(*matched(*[(1, 1)] * 3)),
                                      "all matched fiducials coincide on the map"),
-    # autonomy
-    "ncap-zero-value": (
-        lambda: ncap.encode_features(features(Feature("t", "higher_better"), alpha={"t": 0})),
-        "t=0.0 for alpha (must be > 0)"),
-    "ncap-absent-everywhere": (
-        lambda: ncap.encode_features(features(Feature("t", "higher_better"), alpha={})),
-        "t: absent for every system"),
-    "ncap-zero-weights": (lambda: ncap.explicit_weights({"t": 0.0}),
-                          "weights must not all be zero"),
-    "ncap-no-systems": (lambda: ncap.autonomy_distances({}), "no systems to rank"),
+    # fuzzy inference
     "cfis-no-rule-fired": (lambda: cfis.fis_eval(one_term_fis(), {"x": 1.5}),
                            "demo: no rule fired for {'x': 1.5}"),
     "cfis-zero-test-score": (lambda: cfis.predictive_score({"a": 0.0}), "a=0.0 outside (0, 1]"),
     # human factors
-    "hf-rates-no-responses": (
-        lambda: human_factors.sagat_correct_rates(human_factors.SagatColumns([], [], [], [])),
-        "no responses"),
     "hf-osa-zero-weights": (lambda: human_factors.osa({"a": 0.0}, {"a": 1.0}),
                             "weights must sum to a positive value"),
     "hf-trust-empty-condition": (

@@ -216,13 +216,14 @@ ELEMENTS = ["alt", "hdg", "fuel", "wx"]
 
 @st.composite
 def sa_inputs(draw):
-    """SAGAT answers over a few participants and elements, repeated (participant, element)
-    pairs and both levels included, with no weights or weights over any elements (zero
-    weights and elements no one answered about included), and missions over any elements,
-    one of them perhaps named "overall"."""
+    """SAGAT answers, at least one as in any file the parser accepts, over a few participants
+    and elements, repeated (participant, element) pairs and both levels included, with no
+    weights or weights over any elements (zero weights and elements no one answered about
+    included), and missions over any elements, one of them perhaps named "overall"."""
     rows = draw(st.lists(st.builds(
         Answer, st.sampled_from(["p3", "p1", "p2", "p10"]), st.sampled_from(["q1", "q2"]),
-        st.sampled_from(ELEMENTS), st.sampled_from([1, 2]), st.booleans()), max_size=40))
+        st.sampled_from(ELEMENTS), st.sampled_from([1, 2]), st.booleans()), min_size=1,
+        max_size=40))
     weight = st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.01, 10.0)
     weights = draw(st.none() | st.dictionaries(st.sampled_from(ELEMENTS + ["gps"]), weight,
                                                min_size=1))

@@ -1,10 +1,14 @@
+import json
 import math
+import re
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decisive.errors import DecisiveError
+from decisive.errors import DataQualityWarning, ParseError
+from decisive.ingest import parse_feature_sheet
 from decisive.ncap import (
     ABSENT,
     AutonomyCapabilities,
@@ -61,13 +65,13 @@ class TestEncodeFeatures:
         # alpha has no thermal camera; bravo's rank-1 value is the cohort floor
         assert encoded["alpha"]["thermal_resolution"] == 1.0
 
-    def test_zero_value_rejected(self):
-        table = FeatureTable(
-            (Feature("speed", "higher_better"),),
-            {"a": {"speed": 0.0}},
-        )
-        with pytest.raises(DecisiveError, match=r"speed=0.0 for a \(must be > 0\)"):
-            encode_features(table)
+    def test_zero_value_fails_at_load(self, tmp_path):
+        sheet = tmp_path / "f.json"
+        sheet.write_text(json.dumps({"features": [{"name": "speed", "direction": "higher"}],
+                                     "systems": [{"id": "a", "values": {"speed": 0.0}}]}))
+        with pytest.raises(ParseError, match=re.escape(
+                f"system a: bad 'speed' field (must be > 0, got 0.0) (at {sheet})")):
+            parse_feature_sheet(sheet)
 
 
 class TestWeightedProduct:
@@ -130,6 +134,11 @@ class TestWeightSchemes:
         assert weights["a"] == pytest.approx(2 / 3)
         assert weights["b"] == pytest.approx(1 / 3)
 
+    def test_degree_beyond_the_float_exponents(self):
+        # 2^-1100 is 0 as a float, yet the weights still normalize to 2/3 and 1/3
+        weights = degree_of_autonomy_weights({"a": 1100, "b": 1101})
+        assert weights == {"a": pytest.approx(2 / 3), "b": pytest.approx(1 / 3)}
+
     @given(ws=st.lists(st.floats(0.01, 5.0), min_size=2, max_size=12))
     def test_explicit_normalizes(self, ws):
         raw = {f"f{i}": w for i, w in enumerate(ws)}
@@ -177,3 +186,63 @@ class TestAutonomyDistances:
             results = autonomy_distances({"a": (0, 5.0), "b": (3, 4.0)})
         assert results[0].suas_id == "b"
         assert results[0].relative_distance == 0.0
+
+
+#: the ordinal map of the drawn ordinal features, its tokens split by the sign of their value
+ORDINAL = {"off": 0, "down": -1.5, "mid": 2, "top": 5.5}
+UNSET = object()  # a value left out of its system's `values`
+ABSENT_VALUES = st.sampled_from(["N/A", None, UNSET])
+NON_POSITIVE = st.floats(-1e3, -1e-3) | st.integers(-50, -1) | st.sampled_from([0, 0.0])
+
+
+@st.composite
+def feature_sheets(draw):
+    """Feature-sheet JSON of 1-4 features, some ordinal, and 0-4 systems. A value is a number
+    in [1e-3, 1e3], a token of an ordinal feature, "N/A", null or unset, and about one in
+    ten is a number or token that is not positive."""
+    features = [{"name": f"f{i}", "direction": draw(st.sampled_from(["higher", "lower"])),
+                 "degree": draw(st.sampled_from([0, 1, 2, 5, 1100])),
+                 **({"ordinal_map": ORDINAL} if draw(st.booleans()) else {})}
+                for i in range(draw(st.integers(1, 4)))]
+    systems = []
+    for k in range(draw(st.integers(0, 4))):
+        values = {}
+        for f in features:
+            tokens = sorted(ORDINAL) if "ordinal_map" in f else []
+            positive = [t for t in tokens if ORDINAL[t] > 0]
+            if draw(st.integers(0, 9)) == 9:
+                value = draw(NON_POSITIVE | st.sampled_from(sorted(set(tokens) - set(positive))
+                                                            or [0]))
+            else:
+                value = draw(st.floats(1e-3, 1e3) | ABSENT_VALUES
+                             | st.sampled_from(positive or ["N/A"]))
+            if value is not UNSET:
+                values[f["name"]] = value
+        systems.append({"id": f"s{k}", "values": values})
+    return {"features": features, "systems": systems}
+
+
+@pytest.fixture(scope="module")
+def sheet_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sheets")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=feature_sheets())
+def test_every_sheet_the_parser_accepts_ranks(sheet_dir, doc):
+    path = sheet_dir / "sheet.json"
+    path.write_text(json.dumps(doc))
+    try:
+        sheet = parse_feature_sheet(path)
+    except ParseError:
+        return
+    names = [f.name for f in sheet.table.features]
+    for weights in (uniform_weights(names), degree_of_autonomy_weights(sheet.degrees)):
+        potentials = component_potential(sheet.table, weights)
+        assert list(potentials) == list(sheet.table.values)
+        assert all(p > 0 and math.isfinite(p) for p in potentials.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataQualityWarning)  # a tie between systems
+            results = autonomy_distances({sid: (int(sid[1:]) % 5, p)
+                                          for sid, p in potentials.items()})
+        assert sorted(r.rank for r in results) == list(range(1, len(potentials) + 1))

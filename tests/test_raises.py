@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import decisive
-from test_cli import LOAD_ERRORS, RUN_ERRORS, SIDE_FILE_ERRORS, WARNING_LINES, call
+from test_cli import call, table_cases
 from test_ingest import MAGNITUDES, SCALED, run_probe
 
 PACKAGE = Path(decisive.__file__).parent
@@ -44,14 +44,8 @@ def raises() -> dict[tuple[str, int], str]:
 
 def runs():
     """Each run of the table: (name, a function that runs it in a fresh directory)."""
-    for name, (case, _) in LOAD_ERRORS.items():
-        yield f"load error {name}", lambda d, case=case: call(*case(d)[0])
-    for name, case in SIDE_FILE_ERRORS.items():
-        yield f"side file {name}", lambda d, case=case: call(*case(d)[0])
-    for name, (case, _, _) in RUN_ERRORS.items():
-        yield f"run error {name}", lambda d, case=case: call(*case(d))
-    for case in WARNING_LINES:
-        yield f"warning {case.__name__}", lambda d, case=case: call(*case(d)[0])
+    for name, argv in table_cases():
+        yield name, lambda d, argv=argv: call(*argv(d))
     for name, (edit, argv, _, _) in MAGNITUDES.items():
         yield f"magnitude {name}", lambda d, edit=edit, argv=argv: run_probe(d, edit, argv)
     for name, (scale, argv) in SCALED.items():
