@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .core import ObstacleGeometry, Trajectory, TrialRecord
 from .errors import DecisiveError
+from .nav import segment_distance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,18 +38,9 @@ def distance_to_obstacle(traj: Trajectory, obstacle: ObstacleGeometry) -> tuple[
     """
     import numpy as np
 
-    p0 = np.asarray(obstacle.p0, dtype=float)
-    p1 = np.asarray(obstacle.p1, dtype=float)
-    d = p1 - p0
-    denom = float(d @ d)
-
-    xy = traj.pos[:, :2]
-    s = (xy - p0) @ d / denom
-    if obstacle.kind == "plane_segment":
-        s = np.clip(s, 0.0, 1.0)
-    nearest = p0 + s[:, None] * d
-    plan = np.linalg.norm(xy - nearest, axis=1)
-
+    plan = segment_distance(traj.pos[:, :2], np.asarray(obstacle.p0, dtype=float),
+                            np.asarray(obstacle.p1, dtype=float),
+                            obstacle.kind == "plane_segment")
     z = traj.pos[:, 2]
     vert = np.maximum(0.0, np.maximum(-z, z - obstacle.height))
     series = np.hypot(plan, vert)

@@ -513,7 +513,7 @@ def _obstacle(spec) -> ObstacleGeometry:
                                 spec.get("material", "wall"))
     if obstacle.kind not in ("plane_segment", "infinite_plane"):
         raise ValueError("kind must be plane_segment or infinite_plane")
-    if obstacle.kind == "plane_segment" and obstacle.p0 == obstacle.p1:
+    if obstacle.p0 == obstacle.p1:
         raise ValueError("segment endpoints must differ")
     if not obstacle.height > 0:
         raise ValueError("height must be positive")

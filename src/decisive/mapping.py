@@ -7,6 +7,7 @@ blocks, and each fiducial's traversal and turns. A metric here only computes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -64,7 +65,9 @@ def global_error(
     minimize sum((s * d_map - d_gt)^2) over all matched fiducial pairs; the
     reported error is the mean |s * d_map - d_gt| converted to cm. Only
     pairwise distances are compared, so rotation and translation of the map
-    never enter.
+    never enter. Map coordinates are first divided by their largest magnitude,
+    so no map unit enters either: no distance or sum of the fit overflows or
+    underflows at any scale of the map.
     """
     gt_by_id = {g.fiducial_id: g.gt_xy for g in truth}
     located: dict[str, tuple[float, float]] = {}
@@ -75,13 +78,11 @@ def global_error(
     if len(ids) < 3:
         raise DecisiveError(f"need >= 3 matched fiducials, have {len(ids)}")
 
-    d_map, d_gt = [], []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            a, b = located[ids[i]], located[ids[j]]
-            g, h = gt_by_id[ids[i]], gt_by_id[ids[j]]
-            d_map.append(math.hypot(a[0] - b[0], a[1] - b[1]))
-            d_gt.append(math.hypot(g[0] - h[0], g[1] - h[1]))
+    top = max(abs(c) for xy in located.values() for c in xy) or 1.0  # 0: all at the origin
+    scaled = {i: (x / top, y / top) for i, (x, y) in located.items()}
+    pairs = list(itertools.combinations(ids, 2))
+    d_map = [math.dist(scaled[i], scaled[j]) for i, j in pairs]
+    d_gt = [math.dist(gt_by_id[i], gt_by_id[j]) for i, j in pairs]
 
     denom = sum(m * m for m in d_map)
     if denom == 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -47,10 +48,25 @@ def deviation_series(pos, path: ReferencePath) -> np.ndarray:
     pos = np.asarray(pos, dtype=float)
     best = np.full(len(pos), np.inf)
     for a, b in path.segments():
-        ab = b - a
-        s = np.clip((pos - a) @ ab / (ab @ ab), 0.0, 1.0)
-        np.minimum(best, np.linalg.norm(pos - (a + s[:, None] * ab), axis=1), out=best)
+        np.minimum(best, segment_distance(pos, a, b, True), out=best)
     return best
+
+
+def segment_distance(points, a, b, bounded: bool) -> np.ndarray:
+    """Distance from each row of `points` to the segment a-b, or to the whole line through
+    a and b when not `bounded`; a and b differ.
+
+    The projection is taken on the unit direction and every length with `hypot`, which
+    scales before it squares, so no finite distance overflows on the way.
+    """
+    import numpy as np
+
+    ab = b - a
+    length = math.hypot(*ab)
+    s = (points - a) @ (ab / length) / length
+    if bounded:
+        s = np.clip(s, 0.0, 1.0)
+    return functools.reduce(np.hypot, (points - (a + s[:, None] * ab)).T)
 
 
 def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
@@ -75,9 +91,7 @@ def waypoint_error(final_pos: Sequence[float], waypoint: Sequence[float]) -> flo
     Altitude is ignored: the vehicle has landed, so any z difference is
     tracker noise.
     """
-    fx, fy = float(final_pos[0]), float(final_pos[1])
-    wx, wy = float(waypoint[0]), float(waypoint[1])
-    return math.hypot(fx - wx, fy - wy)
+    return math.dist(final_pos[:2], waypoint[:2])
 
 
 def traversal_speed(length_m: float, duration_min: float) -> float:

@@ -11,7 +11,7 @@ import math
 import warnings
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import DataQualityWarning
+from .errors import DataQualityWarning, DecisiveError
 
 #: sentinel for a feature the platform simply does not have
 ABSENT = "N/A"
@@ -64,9 +64,11 @@ def degree_of_autonomy_weights(degrees: Mapping[str, int]) -> dict[str, float]:
 
 
 def explicit_weights(raw: Mapping[str, float]) -> dict[str, float]:
-    """`raw` normalized by the sum of its absolute values."""
-    total = sum(abs(w) for w in raw.values())  # `ingest` rejects all-zero weights
-    return {name: w / total for name, w in raw.items()}
+    """`raw` normalized by the sum of its absolute values. Each weight is first divided by
+    the largest magnitude, so the sum cannot overflow."""
+    top = max(map(abs, raw.values()))  # `ingest` rejects all-zero weights
+    total = sum(abs(w) / top for w in raw.values())
+    return {name: w / top / total for name, w in raw.items()}
 
 
 def weighted_product(
@@ -75,12 +77,16 @@ def weighted_product(
     directions: Mapping[str, str],
 ) -> float:
     """P = prod(v_i ^ (s_i * w_i)) with s_i = -1 for lower-is-better features; each v_i is
-    positive, as `encode_features` makes it."""
+    positive, as `encode_features` makes it. A factor beyond the float range, a tiny v_i
+    to a negative power, fails naming the feature."""
     p = 1.0
     for name, w in weights.items():
         v = values[name]
         sign = -1.0 if directions[name] == "lower_better" else 1.0
-        p *= v ** (sign * w)
+        try:
+            p *= v ** (sign * w)
+        except OverflowError:
+            raise DecisiveError(f"feature {name}: {v!r} ** {sign * w!r} overflows") from None
     return p
 
 
@@ -114,7 +120,13 @@ def component_potential(
         weights = uniform_weights([f.name for f in table.features])
     encoded = encode_features(table)
     directions = {f.name: f.direction for f in table.features}
-    return {sid: weighted_product(encoded[sid], weights, directions) for sid in table.values}
+    potentials = {}
+    for sid in table.values:
+        try:
+            potentials[sid] = weighted_product(encoded[sid], weights, directions)
+        except DecisiveError as exc:
+            raise DecisiveError(f"{sid}: component potential: {exc}") from None
+    return potentials
 
 
 def autonomy_distances(scores: Mapping[str, tuple[int, float]]) -> list[NcapResult]:
@@ -142,6 +154,6 @@ def autonomy_distances(scores: Mapping[str, tuple[int, float]]) -> list[NcapResu
     results = []
     for rank, sid in enumerate(ordered, start=1):
         n_al, n_cp = scores[sid]
-        rel = 0.0 if sid == best else math.hypot(float(n_al) - bx, n_cp - by)
+        rel = 0.0 if sid == best else math.dist((float(n_al), n_cp), (bx, by))
         results.append(NcapResult(sid, n_al, n_cp, absolute[sid], rel, rank))
     return results

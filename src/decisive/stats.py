@@ -184,13 +184,13 @@ def mann_whitney(a: Iterable[float] | Mapping[float, int],
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation of one or more values; std is 0 for
-    a single value."""
+    a single value. The deviations' root sum of squares is a `hypot`, which scales before
+    it squares, so no finite std overflows."""
     vals = [float(v) for v in values]
     m = sum(vals) / len(vals)
     if len(vals) == 1:
         return m, 0.0
-    var = sum((v - m) ** 2 for v in vals) / (len(vals) - 1)
-    return m, math.sqrt(var)
+    return m, math.hypot(*(v - m for v in vals)) / math.sqrt(len(vals) - 1)
 
 
 def tally_summary(tally: Mapping[int, int]) -> tuple[int, float, Optional[float]]:

@@ -1155,6 +1155,9 @@ LOAD_ERRORS = {
             "kind must be plane_segment or infinite_plane"),
            ("oa-wall", "obstacle", "one-point", lambda o: o.update(p1=o["p0"]),
             "segment endpoints must differ"),
+           ("oa-wall", "obstacle", "one-point-plane",
+            lambda o: o.update(kind="infinite_plane", p1=o["p0"]),
+            "segment endpoints must differ"),
            ("oa-wall", "obstacle", "flat", lambda o: o.update(height=0),
             "height must be positive"),
            ("oa-wall", "obstacle", "glass", lambda o: o.update(material="glass"),
@@ -1327,6 +1330,16 @@ def item_in_one_condition(tmp_path):
     return ["trust", "--survey", survey, "--condition-a", "A", "--condition-b", "B"]
 
 
+def tiny_weight_alone(tmp_path):
+    """Every system weighs 5e-324 (lower is better), and the weight file puts all the weight
+    on `weight`: the factor 5e-324 ** -1 is beyond the float range."""
+    sheet = edited(tmp_path, CAMPAIGN / "features.json", lambda doc: [
+        system["values"].update(weight=5e-324) for system in doc["systems"]], "sheet.json")
+    weights = write(tmp_path / "w.json",
+                    json.dumps({name: int(name == "weight") for name in feature_names()}))
+    return ["ncap", "--features", sheet, "--weights", weights]
+
+
 # runs that fail once their inputs load, and the two plot options a kind needs: (case giving
 # the argv, exit code, the last line of stderr, the error, or a function of the run's directory
 # giving it)
@@ -1368,6 +1381,8 @@ RUN_ERRORS = {
         lambda tmp_path: "error: alpha/t1: row matches no axis that 'combined' combines "
                          f"(at {tmp_path / 's.csv'}:2)"),
     "cfis-zero-score": (zero_score, 2, "error: alpha/t1=0.0 outside (0, 1]"),
+    "ncap-potential-overflows": (tiny_weight_alone, 2, "error: alpha: component potential: "
+                                 "feature weight: 5e-324 ** -1.0 overflows"),
     "trust-unknown-condition": (
         lambda tmp_path: ["trust", "--survey", CAMPAIGN / "surveys.csv",
                           "--condition-a", "caged", "--condition-b", "open"],

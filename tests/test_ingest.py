@@ -1599,6 +1599,23 @@ def with_path_file(edit):
     return both
 
 
+#: a path far on the negative x side, whose distance from a sample at x = +1.7e308 overflows
+FAR_PATH = [[-1.7e308, 1, 1], [-1.6e308, 1, 1]]
+
+
+def far_path(edit):
+    """`edit`, then FAR_PATH as the manifest's wall-follow path and in a file path.json."""
+    def both(directory):
+        edit(directory)
+        manifest = directory / "campaign.json"
+        doc = json.loads(manifest.read_text())
+        next(t for t in doc["tests"] if t["test_id"] == "wall-follow-1m")["path"] = {
+            "vertices": FAR_PATH}
+        manifest.write_text(json.dumps(doc))
+        write(directory / "path.json", json.dumps({"vertices": FAR_PATH}))
+    return both
+
+
 def zero_acceleration(edit):
     """`edit`, then `ax,ay,az` columns of 0 added to oa_alpha_3.csv, so nothing is derived."""
     def both(directory):
@@ -1626,9 +1643,22 @@ def plot_deviation(d):
 MAGNITUDES = {
     **{f"collision vx 1.7e308, {fmt}": (HUGE_VX, metrics("collision", fmt), fmt, None)
        for fmt in ("md", "json")},
-    **{f"nav x {x}, {fmt}": (set_cells("wf_alpha_1.csv", 1, {6: x}), metrics("nav", fmt), fmt,
-                             (2, "error: Path deviation: mean AD (m) is inf, not a finite number"))
-       for x in ("1e200", "1.7e308") for fmt in ("md", "json")},
+    # the deviation is finite, however large; the bravo row and the alpha mean show it
+    **{f"nav x {x}, md": (set_cells("wf_alpha_1.csv", 1, {6: x}), metrics("nav", "md"), "md",
+                          (0, "| wall-follow-1m | bravo | 2 | 0.040 0.049 | 0.045 | 0.007 |"))
+       for x in ("1e200", "1.7e308")},
+    **{f"nav x {x}, json": (set_cells("wf_alpha_1.csv", 1, {6: x}), metrics("nav", "json"),
+                            "json", (0, f'        "mean AD (m)": {mean},'))
+       for x, mean in (("1e200", "2.73224043715847e+197"),
+                       ("1.7e308", "4.6448087431693986e+305"))},
+    # the one distance from +1.7e308 to the path overflows
+    **{f"nav x 1.7e308, path at -1.7e308, {fmt}": (
+        far_path(set_cells("wf_alpha_1.csv", 1, {6: "1.7e308"})), metrics("nav", fmt), fmt,
+        (2, "error: Path deviation: mean AD (m) is inf, not a finite number"))
+       for fmt in ("md", "json")},
+    "deviation plot x 1.7e308, path at -1.7e308": (
+        far_path(set_cells("wf_alpha_1.csv", 1, {6: "1.7e308"})), plot_deviation, "svg",
+        (2, "error: deviation plot: sample at (0.25, inf) is not a finite point")),
     **{f"deviation plot x {x}": (with_path_file(set_cells("wf_alpha_1.csv", 1, {6: x})),
                                  plot_deviation, "svg", None)
        for x in ("1e200", "1e306", "1.7e308")},
@@ -1661,7 +1691,7 @@ def test_every_stderr_line_of_a_run_is_a_diagnostic(tmp_path):
     """numpy's overflow warning prints as a `warning:` line too; in a subprocess, because
     pytest records the warnings of a run in its own process."""
     directory = shutil.copytree(SAMPLE, tmp_path / "sample")
-    set_cells("wf_alpha_1.csv", 1, {6: "1e200"})(directory)
+    far_path(set_cells("wf_alpha_1.csv", 1, {6: "1.7e308"}))(directory)
     argv = [str(a) for a in metrics("nav", "md")(directory)]
     done = subprocess.run([sys.executable, "-m", "decisive.cli", *argv], capture_output=True,
                           text=True, timeout=60,

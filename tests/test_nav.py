@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from decisive.core import Trajectory
 from decisive.nav import (
@@ -9,6 +11,7 @@ from decisive.nav import (
     average_deviation,
     deviation_series,
     deviation_summary,
+    segment_distance,
     traversal_speed,
     waypoint_error,
 )
@@ -83,6 +86,77 @@ class TestDeviationSeries:
     def test_no_samples(self):
         path = ReferencePath(((0, 0, 0), (1, 0, 0)))
         assert deviation_series(np.empty((0, 3)), path).shape == (0,)
+
+
+def squared_projection(points, a, b, bounded):
+    """The per-segment formula the kernel replaced: the projection over the squared length
+    and `np.linalg.norm` of the residual. Exact in arithmetic; it overflows or underflows
+    where the squares leave the float range."""
+    ab = b - a
+    s = (points - a) @ ab / (ab @ ab)
+    if bounded:
+        s = np.clip(s, 0.0, 1.0)
+    return np.linalg.norm(points - (a + s[:, None] * ab), axis=1)
+
+
+#: coordinates on a 1/64 grid within +-1,000, so no square the reference takes leaves the
+#: normal range and every power-of-two scale below is exact
+GRID = st.integers(-64_000, 64_000).map(lambda i: i / 64)
+POINT = st.tuples(GRID, GRID, GRID)
+
+
+@st.composite
+def path_and_samples(draw):
+    """A path, free, collinear or zig-zag and maybe closed, and samples: free points, every
+    vertex, and one far-away point repeated."""
+    n = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["free", "collinear", "zigzag"]))
+    if shape == "free":
+        verts = draw(st.lists(POINT, min_size=n, max_size=n))
+    else:
+        a, d = np.array(draw(POINT)), np.array(draw(POINT))
+        steps = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+        verts = [a + k * d for k in steps]
+        if shape == "zigzag":
+            verts = [v + (k % 2) * np.array([0.0, 0.0, 5.0]) for k, v in enumerate(verts)]
+    verts = [tuple(map(float, v)) for v in verts]
+    assume(all(u != v for u, v in zip(verts, verts[1:])))
+    path = ReferencePath(tuple(verts), closed=draw(st.booleans()))
+    far = np.array(draw(POINT)) + 2.0 ** 20
+    samples = (draw(st.lists(POINT, max_size=10)) + list(verts)
+               + [tuple(far)] * draw(st.integers(1, 3)))
+    return path, np.array(samples, dtype=float)
+
+
+class TestSegmentDistance:
+    @given(path_and_samples(), st.integers(-900, 900))
+    def test_matches_the_squared_projection_and_scales_exactly(self, drawn, power):
+        """Within a few ulps of the magnitudes involved, bounded and unbounded; and a
+        power-of-two scale of every input scales every distance by exactly that power."""
+        path, points = drawn
+        k = 2.0 ** power
+        for a, b in path.segments():
+            for bounded in (True, False):
+                got = segment_distance(points, a, b, bounded)
+                want = squared_projection(points, a, b, bounded)
+                magnitude = np.linalg.norm(points - a, axis=1) + np.linalg.norm(b - a)
+                assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * magnitude)
+                scaled = segment_distance(k * points, k * a, k * b, bounded)
+                assert np.array_equal(scaled, k * got)
+
+    def test_unbounded_measures_to_the_line(self):
+        a, b = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+        points = np.array([[5.0, 2.0], [-3.0, -1.0]])
+        assert segment_distance(points, a, b, False).tolist() == [2.0, 1.0]
+        assert segment_distance(points, a, b, True) == pytest.approx([math.hypot(4, 2),
+                                                                      math.hypot(3, 1)])
+
+    def test_a_huge_but_finite_distance_stays_finite(self):
+        a, b = np.array([0.0, 1.0, 1.0]), np.array([3.0, 1.0, 1.0])
+        points = np.array([[1e200, 1.0, 1.0], [1e308, 1e308, 1.0]])
+        got = segment_distance(points, a, b, True)
+        assert got[0] == pytest.approx(1e200)
+        assert got[1] == pytest.approx(math.hypot(1e308, 1e308))
 
 
 class TestOneSampleDeviation:
