@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 from .core import ObstacleGeometry, Trajectory, TrialRecord
 from .errors import DecisiveError
 from .nav import segment_distance
+from .stats import mean
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,9 +103,7 @@ def flight_metrics(
 
 def aggregate_flights(per_flight: Sequence[float]) -> float:
     """Flight-set value: mean of one or more per-flight metric values."""
-    import numpy as np
-
-    return float(np.mean(per_flight))
+    return mean(per_flight)
 
 
 def masi(traj: Trajectory) -> float:

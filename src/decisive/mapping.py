@@ -12,6 +12,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DecisiveError
+from .stats import mean
 
 #: difficulty thresholds: fixed constants fitted to the ten labeled example
 #: fiducials; no input or argument sets them
@@ -88,8 +89,7 @@ def global_error(
     if denom == 0:
         raise DecisiveError("all matched fiducials coincide on the map")
     s = sum(m * g for m, g in zip(d_map, d_gt)) / denom
-    mean_err_m = sum(abs(s * m - g) for m, g in zip(d_map, d_gt)) / len(d_map)
-    return 100.0 * mean_err_m
+    return 100.0 * mean([abs(s * m - g) for m, g in zip(d_map, d_gt)])
 
 
 def fiducial_coverage(

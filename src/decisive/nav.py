@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Trajectory
 from .errors import DataQualityWarning
-from .stats import mean_std
+from .stats import mean, mean_std
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,9 +71,7 @@ def segment_distance(points, a, b, bounded: bool) -> np.ndarray:
 
 def average_deviation(traj: Trajectory, path: ReferencePath) -> float:
     """Mean per-sample deviation from the path, equal weight per recorded sample."""
-    import numpy as np
-
-    return float(np.mean(deviation_series(traj.pos, path)))
+    return mean(deviation_series(traj.pos, path).tolist())
 
 
 def deviation_summary(flights: Sequence[tuple[Trajectory, ReferencePath]]) -> DeviationSummary:

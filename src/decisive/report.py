@@ -158,7 +158,8 @@ def render_tables(tables: Sequence[ReportTable], fmt: str = "md", ascii_glyphs: 
 # --- SVG plots -------------------------------------------------------------------
 
 def _fmt(value: float) -> str:
-    """A plot coordinate; finite inputs may still overflow when scaled."""
+    """A plot coordinate; finite inputs whose difference or ratio passes the float range
+    still give a non-finite one."""
     if not math.isfinite(value):
         raise DecisiveError(f"plot coordinate is {value!r}, not a finite number")
     return f"{value:.2f}"
@@ -209,10 +210,10 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
     y_max = max(4.0, math.ceil(max(p[2] for p in points)))
 
     def sx(x):
-        return margin + (w - 2 * margin) * x / x_max
+        return margin + (w - 2 * margin) * (x / x_max)
 
     def sy(y):
-        return h - margin - (h - 2 * margin) * y / y_max
+        return h - margin - (h - 2 * margin) * (y / y_max)
 
     ticks = 4
     marks = [f'<text x="{_fmt(sx(i))}" y="{_fmt(sy(0) + 18)}" font-size="11" '
@@ -234,7 +235,8 @@ def ncap_scatter_svg(points: Sequence[tuple[str, float, float]]) -> bytes:
 
 
 def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
-    """Standalone SVG polyline of (t seconds, deviation meters) samples, at least one."""
+    """Standalone SVG polyline of (t seconds, deviation meters) samples, at least one; each
+    coordinate is divided by its axis range before it is scaled, so no deviation overflows."""
     _finite("deviation plot", (("sample", t, d) for t, d in samples))
     w, h, margin = 480, 240, 45.0
     t0 = samples[0][0]
@@ -243,10 +245,10 @@ def deviation_svg(samples: Sequence[tuple[float, float]]) -> bytes:
     d_max = max(d for _, d in samples) or 1.0
 
     def sx(t):
-        return margin + (w - 2 * margin) * (t - t0) / span
+        return margin + (w - 2 * margin) * ((t - t0) / span)
 
     def sy(d):
-        return h - margin - (h - 2 * margin) * d / d_max
+        return h - margin - (h - 2 * margin) * (d / d_max)
 
     xs, ys = [sx(t) for t, _ in samples], [sy(d) for _, d in samples]
     texts = [_fixed(c, 2) for c in (xs, ys)]

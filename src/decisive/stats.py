@@ -182,12 +182,27 @@ def mann_whitney(a: Iterable[float] | Mapping[float, int],
     return MannWhitneyResult(u, p, "normal")
 
 
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean of one or more floats: `sum / len` wherever that sum is finite.
+
+    When finite values sum past the float range, they are summed again times 2**-e, with
+    e the binary exponent of the largest magnitude. A power of two scales exactly, so no
+    mean of finite values overflows; the clamp keeps the last rounding inside the values.
+    """
+    total = sum(values)
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return total / len(values)
+    scale = 2.0 ** -math.frexp(max(map(abs, values)))[1]
+    scaled = sum(v * scale for v in values) / len(values) / scale
+    return min(max(scaled, min(values)), max(values))
+
+
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation of one or more values; std is 0 for
     a single value. The deviations' root sum of squares is a `hypot`, which scales before
     it squares, so no finite std overflows."""
     vals = [float(v) for v in values]
-    m = sum(vals) / len(vals)
+    m = mean(vals)
     if len(vals) == 1:
         return m, 0.0
     return m, math.hypot(*(v - m for v in vals)) / math.sqrt(len(vals) - 1)

@@ -1651,6 +1651,12 @@ MAGNITUDES = {
                             "json", (0, f'        "mean AD (m)": {mean},'))
        for x, mean in (("1e200", "2.73224043715847e+197"),
                        ("1.7e308", "4.6448087431693986e+305"))},
+    # every deviation is ~1.6e308, so the flights' deviations sum past the float range
+    "nav, path at -1.6e308, md": (
+        far_path(lambda d: None), metrics("nav", "md"), "md",
+        (0, "| wall-follow-1m | bravo | 2 | {0} {0} | {0} | 0.000 |".format("%.3f" % 1.6e308))),
+    "nav, path at -1.6e308, json": (far_path(lambda d: None), metrics("nav", "json"), "json",
+                                    (0, '        "mean AD (m)": 1.6e+308,')),
     # the one distance from +1.7e308 to the path overflows
     **{f"nav x 1.7e308, path at -1.7e308, {fmt}": (
         far_path(set_cells("wf_alpha_1.csv", 1, {6: "1.7e308"})), metrics("nav", fmt), fmt,
@@ -1661,7 +1667,11 @@ MAGNITUDES = {
         (2, "error: deviation plot: sample at (0.25, inf) is not a finite point")),
     **{f"deviation plot x {x}": (with_path_file(set_cells("wf_alpha_1.csv", 1, {6: x})),
                                  plot_deviation, "svg", None)
-       for x in ("1e200", "1e306", "1.7e308")},
+       for x in ("1e200", "1e306")},
+    # the largest deviation is the y axis's top, whatever its size
+    "deviation plot x 1.7e308": (
+        with_path_file(set_cells("wf_alpha_1.csv", 1, {6: "1.7e308"})), plot_deviation, "svg",
+        (0, '<line x1="45.00" y1="195.00" x2="45.00" y2="45.00" stroke="black"/>')),
     # each time is finite, but the time span is not
     "deviation plot t +-1.7e308": (
         with_path_file(set_cells("wf_alpha_1.csv", 0, {1: "-1.7e308", 122: "1.7e308"})),

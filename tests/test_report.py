@@ -227,6 +227,11 @@ class TestPlotSvg:
         points = [("alpha", 3.0, 2.48), ("bravo", 1.0, 2.69)]
         assert ncap_scatter_svg(points) == ncap_scatter_svg(points)
 
+    def test_scatter_huge_potential_stays_on_the_canvas(self):
+        svg = ncap_scatter_svg([("alpha", 3.0, 1e308)])
+        xml.dom.minidom.parseString(svg)
+        assert '<circle cx="335.00" cy="50.00" r="4" fill="black"/>' in svg.decode("utf-8")
+
     def test_deviation_polyline(self):
         samples = [(0.0, 0.0), (1.0, 0.1), (2.0, 0.05)]
         svg = deviation_svg(samples)
@@ -240,9 +245,7 @@ class TestPlotSvg:
          "ncap scatter: alpha at (nan, 2.48) is not a finite point"),
         (lambda: deviation_svg([(0.0, 0.0), (1.0, math.nan)]),
          "deviation plot: sample at (1.0, nan) is not a finite point"),
-        # finite inputs whose scaled coordinates overflow
-        (lambda: ncap_scatter_svg([("alpha", 3.0, 1e308)]),
-         "plot coordinate is -inf, not a finite number"),
+        # finite inputs whose time span or deviation ratio overflows
         (lambda: deviation_svg([(-1e308, 0.0), (1e308, 0.1)]),
          "plot coordinate is nan, not a finite number"),
         # the first overflowing coordinate in sample order: the first sample's y is inf,
@@ -267,10 +270,10 @@ def per_sample_deviation_svg(samples):
     d_max = max(d for _, d in samples) or 1.0
 
     def sx(t):
-        return margin + (w - 2 * margin) * (t - t0) / span
+        return margin + (w - 2 * margin) * ((t - t0) / span)
 
     def sy(d):
-        return h - margin - (h - 2 * margin) * d / d_max
+        return h - margin - (h - 2 * margin) * (d / d_max)
 
     path = " ".join(f"{report._fmt(sx(t))},{report._fmt(sy(d))}" for t, d in samples)
     return report._plot(w, h, (sx(t0), sy(0), sx(t1), sy(d_max)),

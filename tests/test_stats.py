@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from decisive.stats import (
     completion_rate,
     iqr_filter,
     mann_whitney,
+    mean,
     mean_std,
     quartiles,
     tally_summary,
@@ -407,6 +409,41 @@ class TestRankCounts:
         # ranks: 1 -> 1, 2 -> 2, the three 3s -> 4, 5 -> 6
         assert blocks == [(2, 1), (4, 1), (8, 3), (12, 1)]
         assert (doubled_a, tie_term) == (2 + 8 + 8, 24)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: finite floats with the ends of the float range drawn often
+NEAR_RANGE_END = st.one_of(
+    FINITE,
+    st.floats(min_value=1e307, max_value=sys.float_info.max),
+    st.floats(min_value=-sys.float_info.max, max_value=-1e307),
+    st.sampled_from([1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]))
+
+
+class TestMean:
+    @given(st.lists(FINITE, min_size=1, max_size=50))
+    def test_plain_quotient_wherever_the_sum_is_finite(self, values):
+        total = sum(values)
+        if math.isfinite(total):
+            assert mean(values) == total / len(values)
+
+    @given(st.lists(NEAR_RANGE_END, min_size=1, max_size=50))
+    def test_finite_values_give_a_finite_mean_between_their_ends(self, values):
+        m = mean(values)
+        lo, hi = min(values), max(values)
+        assert math.isfinite(m)
+        assert lo - 4 * math.ulp(lo) <= m <= hi + 4 * math.ulp(hi)
+
+    def test_values_whose_sum_overflows(self):
+        assert sum([1.6e308] * 3) == math.inf
+        assert mean([1.6e308] * 3) == 1.6e308
+        assert mean([-1.7e308, -1.6e308]) == pytest.approx(-1.65e308, rel=1e-15)
+        for n in range(2, 60):  # the scaled mean may round up to 1.0, which would overflow
+            assert mean([sys.float_info.max] * n) == sys.float_info.max
+
+    def test_a_non_finite_value_stays_in_the_mean(self):
+        assert mean([1.0, math.inf]) == math.inf
+        assert math.isnan(mean([1e308, 1e308, math.nan]))
 
 
 class TestMeanStd:
