@@ -15,7 +15,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DataQualityWarning, DecisiveError, ParseError
+from .errors import DataQualityWarning, DecisiveError, ParseError, located
 
 
 class TriangularMf(NamedTuple):
@@ -151,7 +151,7 @@ class _Failures:
         text = f"{label}: {message(row)}"
         if issubclass(error, ParseError):
             raise error(text, location)
-        raise error(f"{text} (at {location})")
+        raise error(located(text, None, location))
 
 
 def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],

@@ -10,9 +10,9 @@ the row starts on. The survey, SAGAT and scores files read through `_csv_table`,
 which first tries `_csv_columns`, and telemetry first tries one numpy call; each
 defers to the row loop when it cannot vouch for the whole text. A repeated
 response or score key is found once, on the columns read (`_repeated_keys`).
-This module alone decides the type of a JSON value: each value a parser reads
-goes through `_json`, `_numbers`, `_count` or `_fields`, so a wrong type fails
-at load, naming its file. Every other check on an input value is made here
+This module alone decides the type of a JSON value: every object a parser reads
+goes through `_fields`, which types each key and names the object and key, so a
+wrong type fails at load, naming its file. Every other check on an input value is made here
 too, once, in the function that reads the value; the records built hold
 fields only. UTF-8 (a byte-order mark is dropped), '.' decimal separator, ','
 delimiter. A parser imports the domain types it builds when it runs, so a
@@ -387,16 +387,15 @@ def parse_criteria(path) -> list[Criterion]:
     from .field import OPS, Criterion
 
     out = []
-    for field_name, spec in _json(_load_json(path), dict).items():
-        try:
-            op, value = _json(spec, dict)["op"], spec["value"]
-            if op not in OPS:
-                raise ValueError(f"unknown criterion op {op!r}")
-            if op in ("min", "max", "contains"):  # an `equals` value may be of any type
-                value = _json(value, str if op == "contains" else float)
-            out.append(Criterion(field_name, op, value))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"criterion {field_name!r}: {exc}")
+    for field_name, spec in _fields(_load_json(path), object, "criteria file").items():
+        owner = f"criterion {field_name!r}"
+        op = _fields(spec, {"op": str}, owner, required=("op",))["op"]
+        if op not in OPS:
+            raise ParseError(f"{owner}: unknown criterion op {op!r}")
+        # an `equals` value may be of any type
+        kind = {"min": float, "max": float, "contains": str}.get(op, object)
+        out.append(Criterion(field_name, op,
+                             _fields(spec, {"value": kind}, owner, required=("value",))["value"]))
     return out
 
 
@@ -455,11 +454,12 @@ class CampaignTest(NamedTuple):
 
 
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", float: "a number",
-               bool: "a boolean"}
+               bool: "a boolean", object: "any value"}
 
 
 def _json(value, kind):
-    """`value` if it is a JSON value of `kind`: dict, list, str, bool, or float for any number."""
+    """`value` if it is a JSON value of `kind`: dict, list, str, bool, float for any number,
+    or object for any value."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number if kind is float else isinstance(value, kind)):
         raise TypeError(f"expected {_JSON_NAMES[kind]}, got {json.dumps(value)}")
@@ -487,8 +487,17 @@ def _count(value) -> int:
     return int(number)
 
 
+def _strings(value) -> tuple[str, ...]:
+    return tuple(_json(s, str) for s in _json(value, list))
+
+
 def _obstructions(value) -> tuple[tuple[int, str], ...]:
-    return tuple((_count(count), _json(material, str)) for count, material in _json(value, list))
+    """[[count, material], ...]: each a pair of a whole number and a string."""
+    pairs = _json(value, list)
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise TypeError(f"expected a [count, material] pair, got {json.dumps(pair)}")
+    return tuple((_count(count), _json(material, str)) for count, material in pairs)
 
 
 def _reference_path(spec) -> ReferencePath:
@@ -630,9 +639,9 @@ _TEST_BLOCKS = {
 _SIDE_FILES = {"criteria": parse_criteria, "observations": parse_fiducial_observations}
 
 
-def _campaign_test(entry: dict, manifest: Path) -> CampaignTest:
+def _campaign_test(entry: dict, test_id: str, kind: str | None, manifest: Path) -> CampaignTest:
     """A test entry as a CampaignTest; a test of an unknown kind keeps no blocks."""
-    test_id, kind, blocks = entry["test_id"], entry.get("kind"), {}
+    blocks = {}
     for key, convert in _TEST_BLOCKS.get(kind, {}).items():
         value = entry.get(key)
         if not value and key != "obstacle":  # every block but a collision obstacle is optional
@@ -658,69 +667,69 @@ def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
     return tuple(_SIDE_FILES[key](path))
 
 
-def _fields(entry: dict, kinds: dict, owner: str) -> dict:
-    """The keys of `kinds` in `entry`, not null, each read as its `_json` kind or converter."""
+def _read(value, kind):
+    """`value` read as `kind`: a `_json` kind or a converter."""
+    return _json(value, kind) if kind in _JSON_NAMES else kind(value)
+
+
+def _fields(value, kinds, owner: str, required=()) -> dict:
+    """`value`, a JSON object, as the keys of `kinds` it holds, not null, each read as its
+    kind; `kinds` maps a key to its kind, or is the kind of every key of a map whose keys
+    are data. A `required` key must be there. An error names `owner`, and the key if one:
+    `OWNER: bad 'KEY' field (REASON)` or `OWNER missing 'KEY'`."""
+    try:
+        value = _json(value, dict)
+    except TypeError as exc:
+        raise ParseError(f"{owner}: {exc}")
     out = {}
-    for key, kind in kinds.items():
-        if entry.get(key) is not None:
-            try:
-                out[key] = _json(entry[key], kind) if kind in _JSON_NAMES else kind(entry[key])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{owner}: bad {key!r} field ({exc})")
+    for key, kind in (kinds if isinstance(kinds, dict) else dict.fromkeys(value, kinds)).items():
+        if value.get(key) is None:
+            if key in required:
+                raise ParseError(f"{owner} missing {key!r}")
+            continue
+        try:
+            out[key] = _read(value[key], kind)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{owner}: bad {key!r} field ({exc})")
     return out
 
 
-def _object(value, owner: str) -> dict:
-    """`value` if it is a JSON object, else a ParseError naming its `owner`."""
-    try:
-        return _json(value, dict)
-    except TypeError as exc:
-        raise ParseError(f"{owner}: {exc}")
+def _map(kind=object):
+    """A `_fields` converter of a JSON object whose keys are data: each key not null, its
+    value read as `kind`."""
+    return lambda value: {k: _read(v, kind) for k, v in _json(value, dict).items()
+                          if v is not None}
 
 
 #: the kind of each environment field and of each trial field; of the environment fields
 #: only lighting and lux are read once typed
 _ENVIRONMENT_FIELDS = {"lighting": str, "dims": lambda v: _numbers(v, 3), "indoor": bool,
-                       "surfaces": lambda v: tuple(_json(s, str) for s in _json(v, list)),
-                       "obstructions": _obstructions, "lux": float}
-_TRIAL_FIELDS = {"trial_id": str, "test_id": str, "suas_id": str, "telemetry": str,
-                 "laps": _count, "collisions": _count, "rollovers": _count,
-                 "t_collision_s": float, "duration_min": float}
+                       "surfaces": _strings, "obstructions": _obstructions, "lux": float}
+_TRIAL_FIELDS = {"test_id": str, "suas_id": str, "outcome": str, "oa_category": str,
+                 "cr_category": str, "aperture_tier": str, "telemetry": str, "laps": _count,
+                 "collisions": _count, "rollovers": _count, "t_collision_s": float,
+                 "duration_min": float}
 
 
 @_total
 def parse_campaign(path) -> Campaign:
     """Load and cross-validate a campaign manifest, converting every test block it reads."""
-    from .core import (
-        APERTURE_TIERS,
-        CR_CATEGORIES,
-        OA_CATEGORIES,
-        Campaign,
-        TrialRecord,
-    )
+    from .core import APERTURE_TIERS, CR_CATEGORIES, OA_CATEGORIES, Campaign, TrialRecord
 
     path = Path(path)
-    doc = _json(_load_json(path), dict)
-
-    version = _fields(doc, {"schema_version": _count}, "manifest").get("schema_version")
+    doc = _fields(_load_json(path), {"schema_version": _count, **dict.fromkeys(
+        ("suas", "environments", "tests", "trials"), list)}, "manifest",
+                  required=("schema_version",))
+    version = doc.get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
         raise ParseError(f"schema_version {version!r}")
-    blocks = _fields(doc, dict.fromkeys(("suas", "environments", "tests", "trials"), list),
-                     "manifest")
 
-    suas = set()
-    for entry in blocks.get("suas", []):
-        suas_id = _fields(_object(entry, "sUAS entry"), {"id": str}, "sUAS entry").get("id")
-        if suas_id is None:
-            raise ParseError("sUAS entry missing 'id'")
-        suas.add(suas_id)
+    suas = {_fields(entry, {"id": str}, "sUAS entry", required=("id",))["id"]
+            for entry in doc.get("suas", [])}
 
     environments = set()
-    for entry in blocks.get("environments", []):
-        entry = _object(entry, "environment entry")
-        env_id = _fields(entry, {"id": str}, "environment entry").get("id")
-        if env_id is None:
-            raise ParseError("environment entry missing 'id'")
+    for entry in doc.get("environments", []):
+        env_id = _fields(entry, {"id": str}, "environment entry", required=("id",))["id"]
         name = f"environment {env_id}"
         environment = _fields(entry, _ENVIRONMENT_FIELDS, name)
         lighting, lux = environment.get("lighting", "lighted"), environment.get("lux")
@@ -733,31 +742,25 @@ def parse_campaign(path) -> Campaign:
         environments.add(env_id)
 
     tests = {}
-    for entry in blocks.get("tests", []):
-        entry = _object(entry, "test entry")
-        test_id = _fields(entry, {"test_id": str}, "test entry").get("test_id")
-        if test_id is None:
-            raise ParseError("test entry missing 'test_id'")
-        env_ref = _fields(entry, {"environment": str}, f"test {test_id}").get("environment")
+    for entry in doc.get("tests", []):
+        test_id = _fields(entry, {"test_id": str}, "test entry", required=("test_id",))["test_id"]
+        typed = _fields(entry, {"environment": str, "kind": str}, f"test {test_id}")
+        env_ref = typed.get("environment")
         if env_ref is not None and env_ref not in environments:
             raise ParseError(f"test {test_id} references environment {env_ref!r}")
-        tests[test_id] = _campaign_test(entry, path)
+        tests[test_id] = _campaign_test(entry, test_id, typed.get("kind"), path)
 
     trials = []
-    for entry in blocks.get("trials", []):
-        entry = _object(entry, "trial entry")
-        typed = _fields(entry, _TRIAL_FIELDS, f"trial {entry.get('trial_id', '?')}")
-        trial_id = typed.get("trial_id", "?")
+    for entry in doc.get("trials", []):
+        trial_id = _fields(entry, {"trial_id": str}, "trial entry").get("trial_id", "?")
+        typed = _fields(entry, _TRIAL_FIELDS, f"trial {trial_id}")
         if typed.get("test_id") not in tests:
             raise ParseError(f"trial {trial_id} references unknown test {typed.get('test_id')!r}")
         if typed.get("suas_id") not in suas:
             raise ParseError(f"trial {trial_id} references unknown sUAS {typed.get('suas_id')!r}")
-        for key, vocab in (
-            ("oa_category", OA_CATEGORIES),
-            ("cr_category", CR_CATEGORIES),
-            ("aperture_tier", APERTURE_TIERS),
-        ):
-            value = entry.get(key)
+        for key, vocab in (("oa_category", OA_CATEGORIES), ("cr_category", CR_CATEGORIES),
+                           ("aperture_tier", APERTURE_TIERS)):
+            value = typed.get(key)
             if value is not None and value not in vocab:
                 raise ParseError(f"trial {trial_id}: {key} {value!r}")
         telemetry = typed.get("telemetry") and path.parent / typed["telemetry"]
@@ -767,11 +770,11 @@ def parse_campaign(path) -> Campaign:
             trial_id=trial_id,
             test_id=typed["test_id"],
             suas_id=typed["suas_id"],
-            outcome=entry.get("outcome", "success"),
+            outcome=typed.get("outcome", "success"),
             collisions=typed.get("collisions", 0),
-            oa_category=entry.get("oa_category"),
-            cr_category=entry.get("cr_category"),
-            aperture_tier=entry.get("aperture_tier"),
+            oa_category=typed.get("oa_category"),
+            cr_category=typed.get("cr_category"),
+            aperture_tier=typed.get("aperture_tier"),
             t_collision=typed.get("t_collision_s"),
             duration=typed.get("duration_min", 0.0),
             laps=typed.get("laps"),
@@ -873,23 +876,24 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
     """
     from .human_factors import SeParams, attention_allocation
 
-    doc = _json(_load_json(path), dict)
-    missions = {name: [_json(se, str) for se in _json(elements, list)]
-                for name, elements in _json(doc.get("missions", {}), dict).items()}
-    if "params" in doc:
+    doc = _load_json(path)
+    typed = _fields(doc, {"missions": _map(_strings), "params": _map(), "weights": _map(float)},
+                    "weight file")
+    missions = typed.get("missions", {})
+    if "params" in typed:
         seev = ("saliency", "effort", "expectancy", "value")
         params = []
-        for se, spec in _json(doc["params"], dict).items():
-            numbers = _numbers([spec[k] for k in seev])
-            for name, number in zip(seev, numbers):
+        for se, spec in typed["params"].items():
+            numbers = _fields(spec, dict.fromkeys(seev, float), se, required=seev)
+            for name, number in numbers.items():
                 if number <= 0:
                     raise ParseError(f"{se}: {name} must be > 0")
-            params.append(SeParams(se, *numbers))
+            params.append(SeParams(se, *numbers.values()))
         if not params:
             raise ParseError("no situation elements")
         return attention_allocation(params), missions
-    weights = doc.get("weights", {k: v for k, v in doc.items() if k != "missions"})
-    weights = {se: _json(w, float) for se, w in _json(weights, dict).items()}
+    weights = typed["weights"] if "weights" in typed else _fields(
+        {k: v for k, v in doc.items() if k != "missions"}, float, "weight file")
     for se, weight in weights.items():
         if weight < 0:
             raise ParseError(f"{se}: weight must be >= 0")
@@ -906,15 +910,21 @@ class FeatureSheet(NamedTuple):
     degrees: dict[str, int]
 
 
-def _capabilities(flags) -> AutonomyCapabilities:
+def _capabilities(flags, sid: str) -> AutonomyCapabilities:
+    """System `sid`'s capability flags; a flag that is not one of the four fails, as a
+    misspelled one would lower the autonomy level."""
     from .ncap import AutonomyCapabilities
 
-    return AutonomyCapabilities(**{k: _json(v, bool) for k, v in _json(flags, dict).items()})
+    owner = f"system {sid} capabilities"
+    flags = _fields(flags, bool, owner)
+    for flag in flags:
+        if flag not in AutonomyCapabilities._fields:
+            raise ParseError(f"{owner}: unknown flag {flag!r}")
+    return AutonomyCapabilities(**flags)
 
 
 #: the kind of each feature field
-_FEATURE_FIELDS = {"name": str, "direction": str, "degree": _count,
-                   "ordinal_map": lambda v: {k: _json(n, float) for k, n in _json(v, dict).items()}}
+_FEATURE_FIELDS = {"direction": str, "degree": _count, "ordinal_map": _map(float)}
 
 
 def _feature_value(ordinal_map):
@@ -940,8 +950,7 @@ def _feature_value(ordinal_map):
 def parse_feature_sheet(path) -> FeatureSheet:
     from .ncap import ABSENT, Feature, FeatureTable
 
-    doc = _json(_load_json(path), dict)
-    blocks = _fields(doc, {"features": list, "systems": list}, "feature sheet")
+    blocks = _fields(_load_json(path), {"features": list, "systems": list}, "feature sheet")
     if not blocks.get("features"):
         raise ParseError("feature sheet has no features")
 
@@ -949,13 +958,8 @@ def parse_feature_sheet(path) -> FeatureSheet:
     features = []
     degrees = {}
     for entry in blocks["features"]:
-        entry = _object(entry, "feature entry")
-        typed = _fields(entry, _FEATURE_FIELDS, f"feature {entry.get('name')!r}")
-        name = typed.get("name")
-        if name is None:
-            raise ParseError("feature missing 'name'")
-        if "direction" not in typed:
-            raise ParseError(f"feature {name!r} has no direction")
+        name = _fields(entry, {"name": str}, "feature entry", required=("name",))["name"]
+        typed = _fields(entry, _FEATURE_FIELDS, f"feature {name!r}", required=("direction",))
         direction = direction_map.get(typed["direction"])
         if direction is None:
             raise ParseError(f"feature {name!r}: direction must be 'higher' or 'lower'")
@@ -967,14 +971,11 @@ def parse_feature_sheet(path) -> FeatureSheet:
     values = {}
     capabilities = {}
     for system in blocks.get("systems", []):
-        system = _object(system, "system entry")
-        sid = _fields(system, {"id": str}, "system").get("id")
-        if sid is None:
-            raise ParseError("system missing 'id'")
-        given = _fields(system, {"values": dict}, f"system {sid}").get("values", {})
-        values[sid] = _fields(given, value_fields, f"system {sid}")
-        if "capabilities" in system:
-            capabilities[sid] = _capabilities(system["capabilities"])
+        sid = _fields(system, {"id": str}, "system entry", required=("id",))["id"]
+        typed = _fields(system, {"values": dict, "capabilities": object}, f"system {sid}")
+        values[sid] = _fields(typed.get("values", {}), value_fields, f"system {sid}")
+        if "capabilities" in typed:
+            capabilities[sid] = _capabilities(typed["capabilities"], sid)
     if not values:
         raise ParseError("feature sheet has no systems")
     for f in features:  # an ordinal feature no system has takes the rank floor
@@ -987,17 +988,17 @@ def parse_feature_sheet(path) -> FeatureSheet:
 @_total
 def parse_capabilities(path) -> dict[str, AutonomyCapabilities]:
     """A `--caps` file: {"<system id>": {"perception": true, ...}, ...}."""
-    return {sid: _capabilities(flags) for sid, flags in _json(_load_json(path), dict).items()}
+    systems = _fields(_load_json(path), object, "capability file")
+    return {sid: _capabilities(flags, sid) for sid, flags in systems.items()}
 
 
 @_total
 def parse_feature_weights(path, names) -> dict[str, float]:
     """An explicit weight file: {"<feature>": weight, ...} covering every name in `names`."""
-    raw = _json(_load_json(path), dict)
-    missing = [n for n in names if n not in raw]
+    weights = _fields(_load_json(path), dict.fromkeys(names, float), "weight file")
+    missing = [n for n in names if n not in weights]
     if missing:
         raise ParseError(f"weight file lacks features: {', '.join(missing)}")
-    weights = {n: _json(raw[n], float) for n in names}
     if not any(weights.values()):
         raise ParseError("weights must not all be zero")
     return weights
@@ -1009,23 +1010,23 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 def parse_fis_config(path) -> FisConfig:
     from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
 
-    doc = _json(_load_json(path), dict)
+    doc = _fields(_load_json(path), {"fis": _map(), "cascade": _map(_strings),
+                                     "ideal_inputs": _map(_map(float))}, "FIS config")
 
     systems = {}
-    for fis_name, spec in _json(doc.get("fis", {}), dict).items():
-        spec = _object(spec, fis_name)
+    for fis_name, spec in doc.get("fis", {}).items():
+        spec = _fields(spec, {"inputs": _map(), "outputs": _map(float), "rules": list}, fis_name)
         inputs = {}
-        inputs_spec = _fields(spec, {"inputs": dict}, fis_name).get("inputs", {})
-        for var_name, var_spec in inputs_spec.items():
-            var_spec = _object(var_spec, f"{fis_name}.{var_name}")
-            lo, hi = _numbers(var_spec["range"], 2)
+        for var_name, var_spec in spec.get("inputs", {}).items():
+            var_spec = _fields(var_spec, {"range": lambda v: _numbers(v, 2), "terms": _map(),
+                                          "aliases": _map(str)},
+                               f"{fis_name}.{var_name}", required=("range",))
+            lo, hi = var_spec["range"]
             if not math.isfinite(hi - lo):  # a sweep or a ramp over it would overflow
                 raise ParseError(f"{fis_name}.{var_name}: range [{lo}, {hi}] is wider than "
                                  "the float range")
             terms = {}
-            terms_spec = _fields(var_spec, {"terms": dict},
-                                 f"{fis_name}.{var_name}").get("terms", {})
-            for term, tup in terms_spec.items():
+            for term, tup in var_spec.get("terms", {}).items():
                 try:
                     points = _numbers(tup)
                     if len(points) != 3:
@@ -1039,7 +1040,7 @@ def parse_fis_config(path) -> FisConfig:
                     raise ParseError(f"{fis_name}.{var_name}.{term}: {exc}")
             if not terms:
                 raise ParseError(f"{fis_name}.{var_name} has no terms")
-            aliases = _json(var_spec.get("aliases", {}), dict)
+            aliases = var_spec.get("aliases", {})
             for alias, target in aliases.items():
                 if target not in terms:
                     raise ParseError(
@@ -1049,7 +1050,7 @@ def parse_fis_config(path) -> FisConfig:
                 _warn(path, f"{fis_name}: variable {var_name!r} has membership gaps")
             inputs[var_name] = var
 
-        outputs = {k: _json(v, float) for k, v in _json(spec.get("outputs", {}), dict).items()}
+        outputs = spec.get("outputs", {})
         for level, value in outputs.items():
             if not 0.0 <= value <= 1.0:
                 raise ParseError(f"{fis_name}: output {level}={value} outside [0, 1]")
@@ -1057,20 +1058,19 @@ def parse_fis_config(path) -> FisConfig:
         rules = []
         for i, rule_spec in enumerate(spec.get("rules", [])):
             owner = f"{fis_name} rule {i}"
-            rule_spec = _object(rule_spec, owner)
-            conditions = _fields(rule_spec, {"if": dict}, owner).get("if")
-            if not conditions:  # a rule without conditions would fire on every row
+            rule = _fields(rule_spec, {"if": _map(str), "then": str}, owner, required=("then",))
+            if not rule.get("if"):  # a rule without conditions would fire on every row
                 raise ParseError(f"{owner}: no 'if' conditions")
             antecedents = []
-            for var_name, term in conditions.items():
+            for var_name, term in rule["if"].items():
                 if var_name not in inputs:
                     raise ParseError(f"{owner}: unknown variable {var_name!r}")
-                negated = _json(term, str).startswith("not ")
+                negated = term.startswith("not ")
                 bare = term[4:] if negated else term
                 if not inputs[var_name].has_term(bare):
                     raise ParseError(f"{owner}: unknown term {term!r}")
                 antecedents.append((var_name, bare, negated))
-            consequent = _fields(rule_spec, {"then": str}, owner).get("then")
+            consequent = rule["then"]
             if consequent not in outputs:
                 raise ParseError(f"{owner}: unknown output {consequent!r}")
             rules.append(Rule(tuple(antecedents), consequent))
@@ -1078,20 +1078,18 @@ def parse_fis_config(path) -> FisConfig:
             raise ParseError(f"{fis_name}: at least one rule required")
         systems[fis_name] = Fis(fis_name, inputs, outputs, tuple(rules))
 
-    cascade = {}
-    stages = _json(doc.get("cascade", {}), dict)
-    for combined, axes in stages.items():
+    cascade = doc.get("cascade", {})
+    for combined, axes in cascade.items():
         if combined not in systems:
             raise ParseError(f"cascade target {combined!r} not defined")
-        for axis in _json(axes, list):
+        for axis in axes:
             if axis not in systems:
                 raise ParseError(f"cascade input {axis!r} not defined")
             # the cascade runs one combining stage over axis systems only
-            if axis in stages:
+            if axis in cascade:
                 raise ParseError(f"cascade stage {combined!r} takes combining stage {axis!r}")
         if not axes:  # every row would fail
             raise ParseError(f"cascade stage {combined!r} combines no axis")
-        cascade[combined] = tuple(axes)
     if len(cascade) != 1:
         raise ParseError("config must declare exactly one combining stage")
     (combiner,) = cascade
@@ -1099,13 +1097,12 @@ def parse_fis_config(path) -> FisConfig:
         raise ParseError(f"{combiner}: a combining stage takes 2 inputs, "
                          f"not {len(systems[combiner].inputs)}")
 
-    ideal_inputs = {}
-    for axis, vals in _json(doc.get("ideal_inputs", {}), dict).items():
+    ideal_inputs = doc.get("ideal_inputs", {})
+    for axis, vals in ideal_inputs.items():
         if axis not in systems or axis in cascade:
             raise ParseError(f"ideal_inputs: {axis!r} is not an axis system")
-        ideal_inputs[axis] = {k: _json(v, float) for k, v in _json(vals, dict).items()}
         for var_name in systems[axis].inputs:
-            if var_name not in ideal_inputs[axis]:
+            if var_name not in vals:
                 raise ParseError(f"ideal_inputs: {axis}: missing input {var_name!r}")
 
     return FisConfig(fis=systems, cascade=cascade, ideal_inputs=ideal_inputs)

@@ -946,10 +946,10 @@ LOAD_ERRORS = {
     # a required key that is missing is named as such
     "fis-variable-without-range": (
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["completion"].pop("range")),
-        "missing key 'range'"),
+        "mc.completion missing 'range'"),
     "plot-path-without-vertices": (plot_path_without_vertices, "missing key 'vertices'"),
     "sa-param-without-saliency": (sa_with(lambda doc: doc["params"]["altitude"].pop("saliency")),
-                                  "missing key 'saliency'"),
+                                  "altitude missing 'saliency'"),
     # a reference to another entry must be a string
     "fis-rule-then-array": (
         cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0].update(then=["good"])),
@@ -1175,6 +1175,16 @@ LOAD_ERRORS = {
             lambda p: p[0].update(latency_ms="slow"), 'expected a number, got "slow"'),
            ("map-loop", "fiducials", "no-traversal", lambda f: f[0].update(min_traversal=0),
             "min_traversal must be positive"))},
+    # an obstruction is a [count, material] pair, in a position or an environment
+    "manifest-nlos-obstruction-not-a-pair": (
+        manifest_with(lambda doc: named(doc, "endurance-indoor")["nlos_positions"][0].update(
+            obstructions=[[1]])),
+        "test endurance-indoor: bad 'nlos_positions' block "
+        "(expected a [count, material] pair, got [1])"),
+    "manifest-environment-obstruction-not-a-pair": (
+        manifest_with(lambda doc: doc["environments"][0].update(obstructions=[[2, "wall", 1]])),
+        "environment lab: bad 'obstructions' field "
+        "(expected a [count, material] pair, got [2, \"wall\", 1])"),
     "manifest-criteria-file-missing": (
         manifest_with(lambda doc: named(doc, "endurance-indoor").update(criteria="nope.json")),
         "test endurance-indoor: criteria file 'nope.json' not found"),
@@ -1209,13 +1219,21 @@ LOAD_ERRORS = {
         "trial t011: duration must be non-negative"),
     # a feature sheet's features and systems
     "features-without-name": (ncap_with(lambda doc: doc["features"][0].pop("name")),
-                              "feature missing 'name'"),
+                              "feature entry missing 'name'"),
     "features-without-direction": (ncap_with(lambda doc: doc["features"][0].pop("direction")),
-                                   "feature 'flight_time' has no direction"),
+                                   "feature 'flight_time' missing 'direction'"),
     "features-direction-up": (ncap_with(lambda doc: doc["features"][0].update(direction="up")),
                               "feature 'flight_time': direction must be 'higher' or 'lower'"),
     "features-system-without-id": (ncap_with(lambda doc: doc["systems"][0].pop("id")),
-                                   "system missing 'id'"),
+                                   "system entry missing 'id'"),
+    # a capability flag that is not one of the four, in the sheet or a --caps file
+    "features-unknown-capability": (
+        ncap_with(lambda doc: doc["systems"][0]["capabilities"].update(flying=True)),
+        "system alpha capabilities: unknown flag 'flying'"),
+    "ncap-caps-unknown-flag": (
+        file_case("caps.json", json.dumps({"bravo": {"perception": True, "flying": True}}),
+                  lambda caps: ["ncap", "--features", CAMPAIGN / "features.json", "--caps", caps]),
+        "system bravo capabilities: unknown flag 'flying'"),
     "ncap-no-systems": (ncap_with(lambda doc: doc.update(systems=[])),
                         "feature sheet has no systems"),
     # a value, or the value its ordinal token maps to, must be positive

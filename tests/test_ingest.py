@@ -356,7 +356,7 @@ class TestCampaign:
         p = write(tmp_path / "c.json", json.dumps(doc))
         with pytest.raises(ParseError) as exc:
             parse_campaign(p)
-        assert str(exc.value) == (f"trial {trial_id}: bad 'trial_id' field "
+        assert str(exc.value) == ("trial entry: bad 'trial_id' field "
                                   f"(expected a string, got {json.dumps(trial_id)}) (at {p})")
 
     def test_absent_or_null_trial_id_reads_as_unknown(self, tmp_path):
@@ -1147,7 +1147,7 @@ class TestFeatureSheet:
         doc = self.sheet(features=[{"name": "flight_time"}])
         p = write(tmp_path / "f.json", json.dumps(doc))
         with pytest.raises(ParseError, match=re.escape(
-                f"feature 'flight_time' has no direction (at {p})")):
+                f"feature 'flight_time' missing 'direction' (at {p})")):
             parse_feature_sheet(p)
 
     def test_na_parses_as_absent(self, tmp_path):

@@ -8,18 +8,23 @@ the printed rounding. Otherwise the run exits 2 with one `error:` line; it never
 exits 0 with another value. k ranges over the powers of ten that keep every
 scaled input a normal float, since below that range the input itself loses
 digits. An exception escaping `main` is the traceback the CLI would print, so
-each property also holds that none does.
+each property also holds that none does. The last property puts a value of
+any shape in place of any node of a JSON input: the run gives its output, or
+one error line that names where the value is, never Python's own words.
 """
 
+import copy
 import decimal
+import functools
 import json
+import operator
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from test_ingest import FEATURES, SAMPLE, entries, run_probe, well_formed
+from test_ingest import FEATURES, JSON_INPUTS, SAMPLE, entries, run_probe, well_formed
 
 #: the least and the largest positive normal float
 TINY, HUGE = 2.2250738585072014e-308, 1.7976931348623157e308
@@ -283,3 +288,56 @@ def test_any_number_in_a_numeric_cell_gives_output_or_one_error(target, cell, nu
         well_formed(fmt, out)
     else:
         assert code in (1, 2) and out == "" and len(errors) == 1
+
+
+# --- any value in place of a JSON node -----------------------------------------------------
+
+#: what a node is replaced with: a value of each JSON type, arrays and an object that hold
+#: one, or DROP, which deletes the node's key
+DROP = "drop"
+NODE_VALUES = (5, "x", [1], {"k": 1}, None, True, [[1]], [], DROP)
+#: (file, path) of every node of each JSON input but the `plot --path` file, whose reader
+#: leaves a missing key's message as it is; () is the whole document
+NODES = [(name, path) for name, (doc, _) in JSON_INPUTS.items() if name != "path.json"
+         for path in [(), *(where for where, _ in entries(doc))]]
+#: Python's own words for a value of the wrong shape, which no error line may show
+LEAKS = ("object is not", "indices must", "unhashable", "unpack", "unexpected keyword")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(NODES), st.sampled_from(NODE_VALUES))
+# each once failed with Python's words or no entry named
+@example(("fis.json", ("fis", "mc", "rules")), 5)
+@example(("fis.json", ("fis", "mc", "inputs", "crashes", "aliases", "many")), [1])
+@example(("fis.json", ("fis", "mc", "inputs", "crashes", "range")), DROP)
+@example(("sa_weights.json", ("params", "altitude")), [1])
+@example(("sa_weights.json", ("missions", "aviate", 0)), 5)
+@example(("campaign.json", ("tests", 0, "kind")), [1])
+@example(("campaign.json", ("tests", 3, "nlos_positions", 0, "obstructions")), [[1]])
+@example(("criteria.json", ("hd_video_min", "op")), DROP)
+@example(("caps.json", ("alpha",)), {"k": 1})
+@example(("weights.json", ("flight_time",)), "x")
+@example(("campaign.json", ()), 5)
+def test_any_value_for_a_json_node_gives_output_or_one_named_error(node, value):
+    name, path = node
+    assume(path or value != DROP)
+    doc = copy.deepcopy(JSON_INPUTS[name][0])
+    if not path:
+        doc = value
+    else:
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if value == DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, errors = run_probe(Path(tmp), lambda d: (d / name).write_text(json.dumps(doc)),
+                                      JSON_INPUTS[name][1])
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and len(errors) == 1
+        assert not errors[0].startswith(("error: malformed input", "error: missing key"))
+        assert not any(leak in errors[0] for leak in LEAKS), errors[0]
+    else:
+        assert not errors
