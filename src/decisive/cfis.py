@@ -9,6 +9,7 @@ across tests into a predictive mission score.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -90,7 +91,7 @@ def fis_eval(fis: Fis, inputs: Mapping[str, float]) -> float:
 
 
 def _no_rule(fis: Fis, inputs: Mapping[str, float]) -> str:
-    return f"{fis.name}: no rule fired for {inputs}"
+    return f"{fis.name}: no rule fired for {json.dumps(inputs)}"
 
 
 def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray]):

@@ -80,9 +80,7 @@ def _total(fn):
             return fn(path, *args, **kwargs)
         except ParseError as exc:
             error = exc
-        except KeyError as exc:
-            error = ParseError(f"missing key {exc}")
-        except (TypeError, AttributeError, ValueError, IndexError, csv.Error) as exc:
+        except (TypeError, AttributeError, ValueError, KeyError, IndexError, csv.Error) as exc:
             error = ParseError(f"malformed input ({exc})")
         if error.source is None:
             error.source = str(path)
@@ -389,9 +387,7 @@ def parse_criteria(path) -> list[Criterion]:
     out = []
     for field_name, spec in _fields(_load_json(path), object, "criteria file").items():
         owner = f"criterion {field_name!r}"
-        op = _fields(spec, {"op": str}, owner, required=("op",))["op"]
-        if op not in OPS:
-            raise ParseError(f"{owner}: unknown criterion op {op!r}")
+        op = _fields(spec, {"op": _one_of(*OPS)}, owner, required=("op",))["op"]
         # an `equals` value may be of any type
         kind = {"min": float, "max": float, "contains": str}.get(op, object)
         out.append(Criterion(field_name, op,
@@ -491,6 +487,16 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(_json(s, str) for s in _json(value, list))
 
 
+def _one_of(*choices: str):
+    """A `_fields` converter of a JSON string that must be one of `choices`."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(map(json.dumps, choices))}, "
+                             f"got {json.dumps(value)}")
+        return value
+    return convert
+
+
 def _obstructions(value) -> tuple[tuple[int, str], ...]:
     """[[count, material], ...]: each a pair of a whole number and a string."""
     pairs = _json(value, list)
@@ -500,134 +506,128 @@ def _obstructions(value) -> tuple[tuple[int, str], ...]:
     return tuple((_count(count), _json(material, str)) for count, material in pairs)
 
 
-def _reference_path(spec) -> ReferencePath:
+def _reference_path(spec, owner: str) -> ReferencePath:
     from .nav import ReferencePath
 
-    spec = _json(spec, dict)
-    path = ReferencePath(tuple(_numbers(v, 3) for v in _json(spec["vertices"], list)),
-                         _json(spec.get("closed", False), bool))
+    vertices = lambda v: tuple(_numbers(vertex, 3) for vertex in _json(v, list))  # noqa: E731
+    path = ReferencePath(**_fields(spec, {"vertices": vertices, "closed": bool}, owner,
+                                   required=("vertices",)))
     if len(path.vertices) < 2:
-        raise ValueError("path needs at least two vertices")
+        raise ParseError(f"{owner}: needs at least two vertices")
     if any(a == b for a, b in zip(path.vertices, path.vertices[1:])):
-        raise ValueError("consecutive vertices must differ")
+        raise ParseError(f"{owner}: consecutive vertices must differ")
     return path
 
 
-def _obstacle(spec) -> ObstacleGeometry:
+def _obstacle(spec, owner: str) -> ObstacleGeometry:
     from .core import OBSTACLE_MATERIALS, ObstacleGeometry
 
-    spec = _json(spec, dict)
-    obstacle = ObstacleGeometry(spec.get("kind", "plane_segment"), _numbers(spec["p0"], 2),
-                                _numbers(spec["p1"], 2), _json(spec["height"], float),
-                                spec.get("material", "wall"))
-    if obstacle.kind not in ("plane_segment", "infinite_plane"):
-        raise ValueError("kind must be plane_segment or infinite_plane")
+    point = lambda v: _numbers(v, 2)  # noqa: E731
+    obstacle = ObstacleGeometry(**{"kind": "plane_segment", **_fields(spec, {
+        "kind": _one_of("plane_segment", "infinite_plane"), "p0": point, "p1": point,
+        "height": float, "material": _one_of(*OBSTACLE_MATERIALS)}, owner,
+        required=("p0", "p1", "height"))})
     if obstacle.p0 == obstacle.p1:
-        raise ValueError("segment endpoints must differ")
+        raise ParseError(f"{owner}: segment endpoints must differ")
     if not obstacle.height > 0:
-        raise ValueError("height must be positive")
-    if obstacle.material not in OBSTACLE_MATERIALS:
-        raise ValueError(f"unknown obstacle material {obstacle.material!r}")
+        raise ParseError(f"{owner}: height must be positive")
     return obstacle
 
 
-def _nlos_positions(value) -> tuple[NlosPosition, ...]:
+def _nlos_positions(value, owner: str) -> tuple[NlosPosition, ...]:
     from .field import NlosPosition
 
     positions = []
-    for e in _json(value, list):
-        e = _json(e, dict)
-        _json(e["label"], str)  # checked, not kept, as is latency_ms
-        position = NlosPosition(_json(e["distance"], float),
-                                _obstructions(e.get("obstructions", [])),
-                                e.get("connect", "none"), e.get("fly", "not_possible"))
-        if e.get("latency_ms") is not None:
-            _json(e["latency_ms"], float)
+    for k, entry in enumerate(_json(value, list)):
+        name = f"{owner} {k}"
+        # checked, not kept
+        _fields(entry, {"label": str, "latency_ms": float}, name, required=("label",))
+        position = NlosPosition(**_fields(entry, {
+            "distance": float, "obstructions": _obstructions,
+            "connect": _one_of("good", "bad", "none"), "fly": _one_of("possible", "not_possible"),
+        }, name, required=("distance",)))
         if position.distance <= 0:
-            raise ValueError("distance must be positive")
-        if position.connect not in ("good", "bad", "none"):
-            raise ValueError(f"bad connect value {position.connect!r}")
-        if position.fly not in ("possible", "not_possible"):
-            raise ValueError(f"bad fly value {position.fly!r}")
+            raise ParseError(f"{name}: distance must be positive")
         positions.append(position)
     return tuple(positions)
 
 
-def _fiducials(value) -> tuple[FiducialGroundTruth, ...]:
+#: the kind of each key of a fiducial, all required, in FiducialGroundTruth's order
+_FIDUCIAL_FIELDS = {"id": str, "xy": lambda v: _numbers(v, 2), "min_traversal": float,
+                    "min_turns": _count}
+
+
+def _fiducials(value, owner: str) -> tuple[FiducialGroundTruth, ...]:
     from .mapping import FiducialGroundTruth
 
     fiducials = []
-    for e in _json(value, list):
-        e = _json(e, dict)
-        fiducial = FiducialGroundTruth(_json(e["id"], str), _numbers(e["xy"], 2),
-                                       _json(e["min_traversal"], float), _count(e["min_turns"]))
+    for k, entry in enumerate(_json(value, list)):
+        name = f"{owner} {k}"
+        fiducial = FiducialGroundTruth(
+            *_fields(entry, _FIDUCIAL_FIELDS, name, required=tuple(_FIDUCIAL_FIELDS)).values())
         if fiducial.min_traversal <= 0:
-            raise ValueError("min_traversal must be positive")
+            raise ParseError(f"{name}: min_traversal must be positive")
         fiducials.append(fiducial)
     return tuple(fiducials)
 
 
-def _pair(value, first: str, second: str, convert) -> tuple:
-    value = _json(value, dict)
-    return convert(value[first]), convert(value[second])
-
-
-def _shape_classes(value) -> dict[str, str]:
+def _shape_classes(value, owner: str) -> dict[str, str]:
     from .mapping import SHAPE_CLASSES
 
-    classes = {k: _json(c, str) for k, c in _json(value, dict).items()}
-    for c in classes.values():
-        if c not in SHAPE_CLASSES:
-            raise ValueError(f"bad shape class {c!r}")
-    return classes
+    return _fields(value, _one_of(*SHAPE_CLASSES), owner)
 
 
-def _dimensions(value) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    reported, truth = _pair(value, "reported", "truth", _numbers)
+def _dimensions(value, owner: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    reported, truth = _fields(value, {"reported": _numbers, "truth": _numbers}, owner,
+                              required=("reported", "truth")).values()
     if len(reported) != len(truth):
-        raise ValueError(f"{len(reported)} reported vs {len(truth)} truth values")
+        raise ParseError(f"{owner}: {len(reported)} reported vs {len(truth)} truth values")
     if not truth:
-        raise ValueError("no dimensions")
+        raise ParseError(f"{owner}: no dimensions")
     if any(g <= 0 for g in truth):
-        raise ValueError("ground-truth dimensions must be positive")
+        raise ParseError(f"{owner}: ground-truth dimensions must be positive")
     return reported, truth
 
 
-def _fov(value) -> tuple[int, int]:
-    visible, total = _pair(value, "visible", "total", _count)
+def _fov(value, owner: str) -> tuple[int, int]:
+    visible, total = _fields(value, {"visible": _count, "total": _count}, owner,
+                             required=("visible", "total")).values()
     if total == 0:
-        raise ValueError("total must be positive")
+        raise ParseError(f"{owner}: total must be positive")
     if visible > total:
-        raise ValueError(f"visible count {visible} outside [0, {total}]")
+        raise ParseError(f"{owner}: visible count {visible} outside [0, {total}]")
     return visible, total
 
 
-def _acuity_levels(value) -> tuple[float, ...]:
+def _acuity_levels(value, owner: str) -> tuple[float, ...]:
     from .mapping import ACUITY_LEVELS_MM
 
     levels = _numbers(value)
     for level in levels:
         if not any(abs(level - known) < 1e-9 for known in ACUITY_LEVELS_MM):
-            raise ValueError(f"{level} mm is not an acuity level")
+            raise ParseError(f"{owner}: {level} mm is not an acuity level")
     return levels
 
 
-#: each category's blocks, named as in the manifest and in CampaignTest, with their converters
+#: each category's blocks, named as in the manifest and in CampaignTest, with their readers; a
+#: reader takes the block and its owner, `test <id> <block>`, reads each object in it with
+#: `_fields` and names an entry of an array by its index, `test <id> <block> <k>`
 _TEST_BLOCKS = {
     "nav": {
         "path": _reference_path,
-        "waypoint": lambda v: _numbers(v, 2, 3),
-        "length_m": lambda v: _json(v, float),
+        "waypoint": lambda v, owner: _numbers(v, 2, 3),
+        "length_m": lambda v, owner: _json(v, float),
     },
     "collision": {"obstacle": _obstacle},
     "field": {
         "nlos_positions": _nlos_positions,
-        "criteria": lambda v: _json(v, str),  # a file beside the manifest, see _SIDE_FILES
-        "responses": lambda v: {suas: _json(r, dict) for suas, r in _json(v, dict).items()},
+        # a file beside the manifest, see _SIDE_FILES
+        "criteria": lambda v, owner: _json(v, str),
+        "responses": lambda v, owner: _fields(v, dict, owner),
     },
     "mapping": {
         "fiducials": _fiducials,
-        "observations": lambda v: _json(v, str),
+        "observations": lambda v, owner: _json(v, str),
         "shape_classes": _shape_classes,
         "dimensions": _dimensions,
         "fov": _fov,
@@ -640,19 +640,15 @@ _SIDE_FILES = {"criteria": parse_criteria, "observations": parse_fiducial_observ
 
 
 def _campaign_test(entry: dict, test_id: str, kind: str | None, manifest: Path) -> CampaignTest:
-    """A test entry as a CampaignTest; a test of an unknown kind keeps no blocks."""
-    blocks = {}
-    for key, convert in _TEST_BLOCKS.get(kind, {}).items():
-        value = entry.get(key)
-        if not value and key != "obstacle":  # every block but a collision obstacle is optional
-            continue
-        try:
-            blocks[key] = convert(value)
-        except (TypeError, ValueError, KeyError, AttributeError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ParseError(f"test {test_id}: bad {key!r} block ({reason})")
-        if key in _SIDE_FILES:
-            blocks[key] = _side_file(test_id, key, blocks[key], manifest)
+    """A test entry as a CampaignTest; a test of an unknown kind keeps no blocks. Every block
+    but a collision obstacle is optional, and an empty one is skipped as an absent one is."""
+    owner = f"test {test_id}"
+    readers = {key: functools.partial(read, owner=f"{owner} {key}")
+               for key, read in _TEST_BLOCKS.get(kind, {}).items()}
+    blocks = _fields({key: value for key, value in entry.items() if value or key == "obstacle"},
+                     readers, owner, required=("obstacle",))
+    for key in _SIDE_FILES.keys() & blocks.keys():
+        blocks[key] = _side_file(test_id, key, blocks[key], manifest)
     return CampaignTest(test_id, kind, **blocks)
 
 
@@ -701,14 +697,10 @@ def _map(kind=object):
                           if v is not None}
 
 
-#: the kind of each environment field and of each trial field; of the environment fields
-#: only lighting and lux are read once typed
-_ENVIRONMENT_FIELDS = {"lighting": str, "dims": lambda v: _numbers(v, 3), "indoor": bool,
-                       "surfaces": _strings, "obstructions": _obstructions, "lux": float}
-_TRIAL_FIELDS = {"test_id": str, "suas_id": str, "outcome": str, "oa_category": str,
-                 "cr_category": str, "aperture_tier": str, "telemetry": str, "laps": _count,
-                 "collisions": _count, "rollovers": _count, "t_collision_s": float,
-                 "duration_min": float}
+#: the kind of each environment field; only lighting and lux are read once typed
+_ENVIRONMENT_FIELDS = {"lighting": _one_of("lighted", "dark"), "dims": lambda v: _numbers(v, 3),
+                       "indoor": bool, "surfaces": _strings, "obstructions": _obstructions,
+                       "lux": float}
 
 
 @_total
@@ -733,8 +725,6 @@ def parse_campaign(path) -> Campaign:
         name = f"environment {env_id}"
         environment = _fields(entry, _ENVIRONMENT_FIELDS, name)
         lighting, lux = environment.get("lighting", "lighted"), environment.get("lux")
-        if lighting not in ("lighted", "dark"):
-            raise ParseError(f"{name}: lighting must be lighted or dark")
         if lux is not None and lighting == "lighted" and lux < 100:
             raise ParseError(f"{name}: lighted requires measured lux >= 100")
         if lux is not None and lighting == "dark" and lux >= 1:
@@ -750,19 +740,19 @@ def parse_campaign(path) -> Campaign:
             raise ParseError(f"test {test_id} references environment {env_ref!r}")
         tests[test_id] = _campaign_test(entry, test_id, typed.get("kind"), path)
 
+    trial_fields = {"test_id": str, "suas_id": str, "outcome": _one_of("success", "failure"),
+                    "oa_category": _one_of(*OA_CATEGORIES), "cr_category": _one_of(*CR_CATEGORIES),
+                    "aperture_tier": _one_of(*APERTURE_TIERS), "telemetry": str, "laps": _count,
+                    "collisions": _count, "rollovers": _count, "t_collision_s": float,
+                    "duration_min": float}
     trials = []
     for entry in doc.get("trials", []):
         trial_id = _fields(entry, {"trial_id": str}, "trial entry").get("trial_id", "?")
-        typed = _fields(entry, _TRIAL_FIELDS, f"trial {trial_id}")
-        if typed.get("test_id") not in tests:
-            raise ParseError(f"trial {trial_id} references unknown test {typed.get('test_id')!r}")
-        if typed.get("suas_id") not in suas:
-            raise ParseError(f"trial {trial_id} references unknown sUAS {typed.get('suas_id')!r}")
-        for key, vocab in (("oa_category", OA_CATEGORIES), ("cr_category", CR_CATEGORIES),
-                           ("aperture_tier", APERTURE_TIERS)):
-            value = typed.get(key)
-            if value is not None and value not in vocab:
-                raise ParseError(f"trial {trial_id}: {key} {value!r}")
+        typed = _fields(entry, trial_fields, f"trial {trial_id}", required=("test_id", "suas_id"))
+        if typed["test_id"] not in tests:
+            raise ParseError(f"trial {trial_id} references unknown test {typed['test_id']!r}")
+        if typed["suas_id"] not in suas:
+            raise ParseError(f"trial {trial_id} references unknown sUAS {typed['suas_id']!r}")
         telemetry = typed.get("telemetry") and path.parent / typed["telemetry"]
         if telemetry and not telemetry.is_file():
             raise ParseError(f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found")
@@ -780,8 +770,6 @@ def parse_campaign(path) -> Campaign:
             laps=typed.get("laps"),
             telemetry=telemetry,
         )
-        if trial.outcome not in ("success", "failure"):
-            raise ParseError(f"trial {trial_id}: outcome must be success or failure")
         if trial.duration < 0:
             raise ParseError(f"trial {trial_id}: duration must be non-negative")
         trials.append(trial)
@@ -794,7 +782,7 @@ def parse_campaign(path) -> Campaign:
 @_total
 def parse_reference_path(path) -> ReferencePath:
     """A reference path file, shaped like a nav test's `path`: vertices + closed flag."""
-    return _reference_path(_load_json(path))
+    return _reference_path(_load_json(path), "path file")
 
 
 # --- surveys --------------------------------------------------------------------
@@ -924,7 +912,8 @@ def _capabilities(flags, sid: str) -> AutonomyCapabilities:
 
 
 #: the kind of each feature field
-_FEATURE_FIELDS = {"direction": str, "degree": _count, "ordinal_map": _map(float)}
+_FEATURE_FIELDS = {"direction": _one_of("higher", "lower"), "degree": _count,
+                   "ordinal_map": _map(float)}
 
 
 def _feature_value(ordinal_map):
@@ -954,16 +943,13 @@ def parse_feature_sheet(path) -> FeatureSheet:
     if not blocks.get("features"):
         raise ParseError("feature sheet has no features")
 
-    direction_map = {"higher": "higher_better", "lower": "lower_better"}
     features = []
     degrees = {}
     for entry in blocks["features"]:
         name = _fields(entry, {"name": str}, "feature entry", required=("name",))["name"]
         typed = _fields(entry, _FEATURE_FIELDS, f"feature {name!r}", required=("direction",))
-        direction = direction_map.get(typed["direction"])
-        if direction is None:
-            raise ParseError(f"feature {name!r}: direction must be 'higher' or 'lower'")
-        features.append(Feature(name, direction, typed.get("ordinal_map") or None))
+        features.append(Feature(name, f"{typed['direction']}_better",
+                                typed.get("ordinal_map") or None))
         if "degree" in typed:
             degrees[name] = typed["degree"]
 
@@ -1006,6 +992,14 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 
 # --- FIS configuration ----------------------------------------------------------
 
+def _range(value) -> tuple[float, float]:
+    """An FIS variable's range: two numbers, the lower first."""
+    lo, hi = _numbers(value, 2)
+    if lo > hi:
+        raise ValueError(f"expected [lo, hi] with lo <= hi, got {json.dumps(value)}")
+    return lo, hi
+
+
 @_total
 def parse_fis_config(path) -> FisConfig:
     from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
@@ -1018,7 +1012,7 @@ def parse_fis_config(path) -> FisConfig:
         spec = _fields(spec, {"inputs": _map(), "outputs": _map(float), "rules": list}, fis_name)
         inputs = {}
         for var_name, var_spec in spec.get("inputs", {}).items():
-            var_spec = _fields(var_spec, {"range": lambda v: _numbers(v, 2), "terms": _map(),
+            var_spec = _fields(var_spec, {"range": _range, "terms": _map(),
                                           "aliases": _map(str)},
                                f"{fis_name}.{var_name}", required=("range",))
             lo, hi = var_spec["range"]

@@ -11,15 +11,15 @@ with this checkout's `src` on PYTHONPATH, both from the same working
 directory. The invocations are every golden command of the acceptance suite,
 `sa` without `--weights`, and the benchmark's `campaign`, `survey-large` and
 `scores` workloads generated from seed 61, each table command in every
-`--format`; then each case of `test_cli`'s tables of load errors, malformed
-side files, run errors and warning lines, so that error and warning lines
-are compared too; then each of `test_ingest`'s huge values, its command run
-on a copy of the sample campaign that the case edits. Every invocation whose
-stdout, stderr or exit code differs is printed, a case by its name, and the
-script exits 1 if any does. The workload inputs are written by
-`bench/workloads.build`, and each case's files by the case, in a directory
-of its own under the temporary directory; nothing in the repository is
-written.
+`--format`; then each case of `test_cli`'s tables of load errors, run
+errors and warning lines, so that error and warning lines are compared too;
+then each of `test_ingest`'s huge values and of `test_records`' bad values,
+its command run on a copy of the sample campaign that the case edits. Every
+invocation whose stdout, stderr or exit code differs is printed, a case by
+its name, and the script exits 1 if any does. The workload inputs are
+written by `bench/workloads.build`, and each case's files by the case, in a
+directory of its own under the temporary directory; nothing in the
+repository is written.
 """
 
 import io
@@ -37,6 +37,7 @@ sys.path[:0] = [str(REPO / "tests"), str(REPO / "src"), str(REPO / "bench")]
 import test_acceptance  # noqa: E402
 import test_cli  # noqa: E402
 import test_ingest  # noqa: E402
+import test_records  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("campaign", "survey-large", "scores")
@@ -75,6 +76,10 @@ def invocations(scratch: Path) -> list[tuple[str, Path, list[str]]]:
         sample = shutil.copytree(test_ingest.SAMPLE, scratch / "magnitudes" / str(k))
         edit(sample)
         out.append((f"magnitude {name}", sample, [str(arg) for arg in argv(sample)]))
+    for k, (name, (target, edit, argv, _)) in enumerate(test_records.CASES.items()):
+        sample = shutil.copytree(test_records.SAMPLE, scratch / "records" / str(k))
+        edit(sample / target)
+        out.append((f"bad value {name}", sample, [str(arg) for arg in argv(sample)]))
     return out
 
 

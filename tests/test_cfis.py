@@ -314,7 +314,7 @@ class TestFisEval:
             0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}, {}
         )
         fis = Fis("gappy", {"x": var}, {"bad": 0.0}, (Rule((("x", "lo", False),), "bad"),))
-        with pytest.raises(DecisiveError, match=r"^gappy: no rule fired for \{'x': 0.9\}$"):
+        with pytest.raises(DecisiveError, match=r'^gappy: no rule fired for \{"x": 0.9\}$'):
             fis_eval(fis, {"x": 0.9})
 
     @given(data=st.data())
@@ -434,8 +434,8 @@ class TestCascadeErrors:
             score_rows(config, [MC_IDEAL, self.NO_RULE])
         assert type(exc.value) is DecisiveError
         assert str(exc.value) == (
-            "r1: ec: no rule fired for {'roll': 10.0, 'pitch': 0.0, "
-            "'lateral_obstruction': 1.2, 'vertical_obstruction': 0.6} (at f:3)")
+            'r1: ec: no rule fired for {"roll": 10.0, "pitch": 0.0, '
+            '"lateral_obstruction": 1.2, "vertical_obstruction": 0.6} (at f:3)')
 
     def test_no_axis_row_after_no_rule_row(self, config):
         with pytest.raises(DecisiveError, match=r"^r0: ec: ") as exc:
@@ -459,7 +459,7 @@ class TestCascadeErrors:
         gappy = Fis("x", cfg.fis["x"].inputs, {"bad": 0.0},
                     (Rule((("v", "lo", False), ("v", "hi", False)), "bad"),))
         cfg = FisConfig({"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
-        with pytest.raises(DecisiveError, match=r"^r0: x: no rule fired for \{'v': 1.0\}"):
+        with pytest.raises(DecisiveError, match=r'^r0: x: no rule fired for \{"v": 1.0\}'):
             score_rows(cfg, [{"v": 1.0}])
 
 

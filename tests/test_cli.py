@@ -96,8 +96,10 @@ class TestValidate:
         assert "lux" in err
 
     @pytest.mark.parametrize("block, change, message", [
-        ("trials", {"outcome": "maybe"}, "trial t001: outcome must be success or failure"),
-        ("environments", {"lighting": "dim"}, "environment lab: lighting must be lighted or dark"),
+        ("trials", {"outcome": "maybe"}, "trial t001: bad 'outcome' field (expected one of "
+         "\"success\", \"failure\", got \"maybe\")"),
+        ("environments", {"lighting": "dim"}, "environment lab: bad 'lighting' field (expected "
+         "one of \"lighted\", \"dark\", got \"dim\")"),
         ("environments", {"lux": 5}, "environment lab: lighted requires measured lux >= 100"),
         ("environments", {"lighting": "dark", "lux": 1}, "environment lab: dark requires "
          "measured lux < 1"),
@@ -288,8 +290,8 @@ class TestCfis:
         code, _out, err = run(capsys, "cfis", "--scores", scores)
         assert code == 2
         assert err == (
-            "error: alpha/takeoff: ec: no rule fired for {'roll': 10.0, 'pitch': 0.0, "
-            f"'lateral_obstruction': 1.2, 'vertical_obstruction': 0.6}} (at {scores}:2)\n")
+            'error: alpha/takeoff: ec: no rule fired for {"roll": 10.0, "pitch": 0.0, '
+            f'"lateral_obstruction": 1.2, "vertical_obstruction": 0.6}} (at {scores}:2)\n')
 
     def test_no_rule_error_is_the_same_under_any_hash_seed(self, tmp_path):
         scores = write(tmp_path / "scores.csv",
@@ -779,47 +781,7 @@ def ncap_caps_perception_no(tmp_path):
     return ["ncap", "--features", CAMPAIGN / "features.json", "--caps", caps], caps
 
 
-# inputs that fail at load with exit 1, naming their file, by case name
-SIDE_FILE_ERRORS = {case.__name__: case for case in (
-    sa_params_list, ncap_caps_list, ncap_caps_unknown_flag, ncap_weight_not_a_number,
-    plot_path_list, plot_path_without_vertices, ncap_weight_nan, fis_config_infinity,
-    ncap_caps_perception_no)}
-SIDE_FILE_ERRORS["manifest_nan"] = manifest_literal("t011", "duration_min", "NaN")
-# a value of the wrong JSON type: each of these exits 0 with a wrong answer, or crashes, if
-# the loader converts it loosely
-SIDE_FILE_ERRORS.update({
-    "fis-ideal-input-true": cfis_with(
-        lambda doc: doc["ideal_inputs"]["mc"].update(completion=True)),
-    "fis-range-false": cfis_with(
-        lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[False, 3])),
-    "criteria-min-array-validate": sample_with(
-        "criteria.json", lambda doc: doc["hd_video_min"].update(value=[1, 2]), "validate"),
-    "criteria-min-array-metrics": sample_with(
-        "criteria.json", lambda doc: doc["hd_video_min"].update(value=[1, 2]),
-        "metrics", "--test", "field"),
-    "fov-visible-fraction": sample_with(
-        "campaign.json", lambda doc: named(doc, "map-loop")["fov"].update(visible=2.5), "validate"),
-    "min-turns-fraction": sample_with(
-        "campaign.json", lambda doc: named(doc, "map-loop")["fiducials"][0].update(min_turns=1.5),
-        "validate"),
-    "degree-fraction": ncap_with(lambda doc: doc["features"][0].update(degree=2.7),
-                                 "--weights", "degree"),
-    "environment-indoor-string": sample_with(
-        "campaign.json", lambda doc: doc["environments"][0].update(indoor="no"), "validate"),
-    "sa-mission-not-an-array": sa_with(lambda doc: doc.update(missions={"m": True})),
-})
-
-
 class TestMalformedSideFiles:
-    @pytest.mark.parametrize("name", list(SIDE_FILE_ERRORS))
-    def test_input_error_names_the_file(self, capsys, tmp_path, name):
-        argv, bad = SIDE_FILE_ERRORS[name](tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and f"(at {bad})" in err
-
     def test_non_numeric_score_names_the_line(self, capsys, tmp_path):
         scores = write(tmp_path / "scores.csv",
                        "suas_id,test_id,score\nalpha,t1,0.5\nalpha,t2,abc\n")
@@ -907,6 +869,10 @@ LOAD_ERRORS = {
                            "mc.crashes.low: (1.25, 0.0, 0.0) not ordered"),
     "fis-term-outside-range": (cfis_with(set_term("high", [1.75, 3, 4])),
                                "mc.crashes.high: (1.75, 3.0, 4.0) outside range [0.0, 3.0]"),
+    # a range's ends out of order, named by the range rather than its first term
+    "fis-range-descending": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[5, 1])),
+        "mc.crashes: bad 'range' field (expected [lo, hi] with lo <= hi, got [5, 1])"),
     # each end is a float, but the width between them is not
     "fis-range-wider-than-floats": (
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[-1e308, 1e308])),
@@ -947,7 +913,7 @@ LOAD_ERRORS = {
     "fis-variable-without-range": (
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["completion"].pop("range")),
         "mc.completion missing 'range'"),
-    "plot-path-without-vertices": (plot_path_without_vertices, "missing key 'vertices'"),
+    "plot-path-without-vertices": (plot_path_without_vertices, "path file missing 'vertices'"),
     "sa-param-without-saliency": (sa_with(lambda doc: doc["params"]["altitude"].pop("saliency")),
                                   "altitude missing 'saliency'"),
     # a reference to another entry must be a string
@@ -1061,18 +1027,19 @@ LOAD_ERRORS = {
     **{f"map-{key}-{label}": (
         manifest_with(lambda doc, key=key, value=value: named(doc, "map-loop").update(
             {key: value})),
-        f"test map-loop: bad {key!r} block ({reason})")
+        f"test map-loop {key}{reason}")
        for key, label, value, reason in (
-           ("shape_classes", "unknown-class", {"A": "round"}, "bad shape class 'round'"),
+           ("shape_classes", "unknown-class", {"A": "round"}, ": bad 'A' field (expected one of "
+            "\"complete\", \"incomplete\", \"shifted\", got \"round\")"),
            ("dimensions", "length-mismatch", {"reported": [1], "truth": [1, 2]},
-            "1 reported vs 2 truth values"),
-           ("dimensions", "empty", {"reported": [], "truth": []}, "no dimensions"),
+            ": 1 reported vs 2 truth values"),
+           ("dimensions", "empty", {"reported": [], "truth": []}, ": no dimensions"),
            ("dimensions", "zero-truth", {"reported": [1], "truth": [0]},
-            "ground-truth dimensions must be positive"),
-           ("fov", "zero-total", {"visible": 0, "total": 0}, "total must be positive"),
+            ": ground-truth dimensions must be positive"),
+           ("fov", "zero-total", {"visible": 0, "total": 0}, ": total must be positive"),
            ("fov", "visible-above-total", {"visible": 17, "total": 16},
-            "visible count 17 outside [0, 16]"),
-           ("acuity_levels", "unknown-level", [8, 7], "7.0 mm is not an acuity level"))},
+            ": visible count 17 outside [0, 16]"),
+           ("acuity_levels", "unknown-level", [8, 7], ": 7.0 mm is not an acuity level"))},
     # a telemetry file's header and rows
     "telemetry-empty": (telemetry_text(""), "file is empty"),
     "telemetry-without-z": (telemetry_text("t,x,y\n0,0,1\n"), "missing column 'z'"),
@@ -1092,12 +1059,12 @@ LOAD_ERRORS = {
                              "telemetry needs at least two samples"),
     # a reference path file
     "path-one-vertex": (file_case("path.json", '{"vertices": [[0, 1, 1]]}', deviation_path),
-                        "malformed input (path needs at least two vertices)"),
+                        "path file: needs at least two vertices"),
     "path-repeated-vertex": (
         file_case("path.json", '{"vertices": [[0, 1, 1], [0, 1, 1]]}', deviation_path),
-        "malformed input (consecutive vertices must differ)"),
+        "path file: consecutive vertices must differ"),
     "path-planar-vertex": (file_case("path.json", '{"vertices": [[0, 1], [3, 1]]}', deviation_path),
-                           "malformed input (expected 3 numbers, got 2)"),
+                           "path file: bad 'vertices' field (expected 3 numbers, got 2)"),
     # a survey or SAGAT row
     "survey-instrument": (survey_row("p1,XYZ,i1,4,true,caged"), "instrument 'XYZ'"),
     "survey-score-9": (survey_row("p1,CTPA,i1,9,true,caged"), "score '9' outside 1..7"),
@@ -1142,44 +1109,51 @@ LOAD_ERRORS = {
     "criteria-unknown-op": (
         sample_with("criteria.json", lambda doc: doc["hd_video_min"].update(op="between"),
                     "validate"),
-        "criterion 'hd_video_min': unknown criterion op 'between'"),
-    # a manifest's test blocks
+        "criterion 'hd_video_min': bad 'op' field (expected one of \"equals\", \"min\", "
+        "\"max\", \"contains\", got \"between\")"),
+    # a manifest's test blocks: a block that is an object, or an entry of one that is an array,
+    # is named as `test <id> <block>` or `test <id> <block> <index>`
     **{f"manifest-{test_id}-{key}-{label}": (
         manifest_with(lambda doc, test_id=test_id, key=key, edit=edit: edit(
             named(doc, test_id)[key])),
-        f"test {test_id}: bad {key!r} block ({reason})")
+        f"test {test_id}{reason}")
        for test_id, key, label, edit, reason in (
            ("wall-follow-1m", "waypoint", "four-numbers", lambda w: w.append(0),
-            "expected 2 or 3 numbers, got 4"),
+            ": bad 'waypoint' field (expected 2 or 3 numbers, got 4)"),
            ("oa-wall", "obstacle", "kind", lambda o: o.update(kind="cylinder"),
-            "kind must be plane_segment or infinite_plane"),
+            " obstacle: bad 'kind' field (expected one of \"plane_segment\", "
+            "\"infinite_plane\", got \"cylinder\")"),
            ("oa-wall", "obstacle", "one-point", lambda o: o.update(p1=o["p0"]),
-            "segment endpoints must differ"),
+            " obstacle: segment endpoints must differ"),
            ("oa-wall", "obstacle", "one-point-plane",
             lambda o: o.update(kind="infinite_plane", p1=o["p0"]),
-            "segment endpoints must differ"),
+            " obstacle: segment endpoints must differ"),
            ("oa-wall", "obstacle", "flat", lambda o: o.update(height=0),
-            "height must be positive"),
+            " obstacle: height must be positive"),
            ("oa-wall", "obstacle", "glass", lambda o: o.update(material="glass"),
-            "unknown obstacle material 'glass'"),
+            " obstacle: bad 'material' field (expected one of \"wall\", \"mesh\", "
+            "\"chain_link\", \"door_closed\", \"door_45\", \"door_open\", got \"glass\")"),
            ("endurance-indoor", "nlos_positions", "at-zero", lambda p: p[0].update(distance=0),
-            "distance must be positive"),
+            " nlos_positions 0: distance must be positive"),
            ("endurance-indoor", "nlos_positions", "connect", lambda p: p[0].update(connect="ok"),
-            "bad connect value 'ok'"),
+            " nlos_positions 0: bad 'connect' field (expected one of \"good\", \"bad\", "
+            "\"none\", got \"ok\")"),
            ("endurance-indoor", "nlos_positions", "fly", lambda p: p[0].update(fly="maybe"),
-            "bad fly value 'maybe'"),
+            " nlos_positions 0: bad 'fly' field (expected one of \"possible\", "
+            "\"not_possible\", got \"maybe\")"),
            # checked, though no table reads them
            ("endurance-indoor", "nlos_positions", "label-number", lambda p: p[0].update(label=5),
-            "expected a string, got 5"),
+            " nlos_positions 0: bad 'label' field (expected a string, got 5)"),
            ("endurance-indoor", "nlos_positions", "latency-text",
-            lambda p: p[0].update(latency_ms="slow"), 'expected a number, got "slow"'),
+            lambda p: p[0].update(latency_ms="slow"),
+            " nlos_positions 0: bad 'latency_ms' field (expected a number, got \"slow\")"),
            ("map-loop", "fiducials", "no-traversal", lambda f: f[0].update(min_traversal=0),
-            "min_traversal must be positive"))},
+            " fiducials 0: min_traversal must be positive"))},
     # an obstruction is a [count, material] pair, in a position or an environment
     "manifest-nlos-obstruction-not-a-pair": (
         manifest_with(lambda doc: named(doc, "endurance-indoor")["nlos_positions"][0].update(
             obstructions=[[1]])),
-        "test endurance-indoor: bad 'nlos_positions' block "
+        "test endurance-indoor nlos_positions 0: bad 'obstructions' field "
         "(expected a [count, material] pair, got [1])"),
     "manifest-environment-obstruction-not-a-pair": (
         manifest_with(lambda doc: doc["environments"][0].update(obstructions=[[2, "wall", 1]])),
@@ -1192,7 +1166,8 @@ LOAD_ERRORS = {
     "manifest-version-2": (manifest_with(lambda doc: doc.update(schema_version=2)),
                            "schema_version 2"),
     "manifest-lighting-dim": (manifest_with(lambda doc: doc["environments"][0].update(
-        lighting="dim")), "environment lab: lighting must be lighted or dark"),
+        lighting="dim")), "environment lab: bad 'lighting' field (expected one of \"lighted\", "
+        "\"dark\", got \"dim\")"),
     "manifest-lighted-at-5-lux": (manifest_with(lambda doc: doc["environments"][0].update(lux=5)),
                                   "environment lab: lighted requires measured lux >= 100"),
     "manifest-dark-at-5-lux": (manifest_with(lambda doc: doc["environments"][0].update(
@@ -1207,13 +1182,15 @@ LOAD_ERRORS = {
         "trial t001 references unknown sUAS 'zulu'"),
     "manifest-trial-category": (
         manifest_with(lambda doc: trial(doc, "t006").update(oa_category="OA-Z9")),
-        "trial t006: oa_category 'OA-Z9'"),
+        "trial t006: bad 'oa_category' field (expected one of \"OA-A1\", \"OA-B1\", \"OA-B2\", "
+        "\"OA-B3\", \"OA-B4\", \"OA-C1\", got \"OA-Z9\")"),
     "manifest-trial-telemetry-missing": (
         manifest_with(lambda doc: trial(doc, "t001").update(telemetry="gone.csv")),
         "trial t001: telemetry file 'gone.csv' not found"),
     "manifest-trial-outcome": (
         manifest_with(lambda doc: trial(doc, "t001").update(outcome="maybe")),
-        "trial t001: outcome must be success or failure"),
+        "trial t001: bad 'outcome' field (expected one of \"success\", \"failure\", "
+        "got \"maybe\")"),
     "manifest-trial-negative-duration": (
         manifest_with(lambda doc: trial(doc, "t011").update(duration_min=-1)),
         "trial t011: duration must be non-negative"),
@@ -1223,7 +1200,8 @@ LOAD_ERRORS = {
     "features-without-direction": (ncap_with(lambda doc: doc["features"][0].pop("direction")),
                                    "feature 'flight_time' missing 'direction'"),
     "features-direction-up": (ncap_with(lambda doc: doc["features"][0].update(direction="up")),
-                              "feature 'flight_time': direction must be 'higher' or 'lower'"),
+                              "feature 'flight_time': bad 'direction' field (expected one of "
+                              "\"higher\", \"lower\", got \"up\")"),
     "features-system-without-id": (ncap_with(lambda doc: doc["systems"][0].pop("id")),
                                    "system entry missing 'id'"),
     # a capability flag that is not one of the four, in the sheet or a --caps file
@@ -1272,6 +1250,52 @@ LOAD_ERRORS = {
     "cfis-scores-header-only": (
         file_case("s.csv", "suas_id,test_id,score\n", lambda scores: ["cfis", "--scores", scores]),
         "no data rows"),
+    # a side file of the wrong JSON type, or with a non-finite literal
+    "sa_params_list": (sa_params_list,
+                       "weight file: bad 'params' field (expected an object, got [1, 2])"),
+    "ncap_caps_list": (ncap_caps_list, "capability file: expected an object, got [1]"),
+    "ncap_caps_unknown_flag": (ncap_caps_unknown_flag,
+                               "system alpha capabilities: unknown flag 'teleport'"),
+    "ncap_weight_not_a_number": (
+        ncap_weight_not_a_number,
+        "weight file: bad 'flight_time' field (expected a number, got [1])"),
+    "plot_path_list": (plot_path_list, "path file: expected an object, got [1, 2]"),
+    "ncap_weight_nan": (ncap_weight_nan, "invalid JSON: NaN is not a number"),
+    "fis_config_infinity": (fis_config_infinity, "invalid JSON: Infinity is not a number"),
+    "ncap_caps_perception_no": (
+        ncap_caps_perception_no,
+        "system bravo capabilities: bad 'perception' field (expected a boolean, got \"no\")"),
+    "manifest_nan": (manifest_literal("t011", "duration_min", "NaN"),
+                     "invalid JSON: NaN is not a number"),
+    # a value of the wrong JSON type: each of these exits 0 with a wrong answer, or crashes, if
+    # the loader converts it loosely
+    "fis-ideal-input-true": (
+        cfis_with(lambda doc: doc["ideal_inputs"]["mc"].update(completion=True)),
+        "FIS config: bad 'ideal_inputs' field (expected a number, got true)"),
+    "fis-range-false": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[False, 3])),
+        "mc.crashes: bad 'range' field (expected a number, got false)"),
+    **{f"criteria-min-array-{argv[0]}": (
+        sample_with("criteria.json", lambda doc: doc["hd_video_min"].update(value=[1, 2]),
+                    *argv),
+        "criterion 'hd_video_min': bad 'value' field (expected a number, got [1, 2])")
+       for argv in (["validate"], ["metrics", "--test", "field"])},
+    "fov-visible-fraction": (
+        manifest_with(lambda doc: named(doc, "map-loop")["fov"].update(visible=2.5)),
+        "test map-loop fov: bad 'visible' field (expected a non-negative integer, got 2.5)"),
+    "min-turns-fraction": (
+        manifest_with(lambda doc: named(doc, "map-loop")["fiducials"][0].update(min_turns=1.5)),
+        "test map-loop fiducials 0: bad 'min_turns' field "
+        "(expected a non-negative integer, got 1.5)"),
+    "degree-fraction": (
+        ncap_with(lambda doc: doc["features"][0].update(degree=2.7), "--weights", "degree"),
+        "feature 'flight_time': bad 'degree' field (expected a non-negative integer, got 2.7)"),
+    "environment-indoor-string": (
+        manifest_with(lambda doc: doc["environments"][0].update(indoor="no")),
+        "environment lab: bad 'indoor' field (expected a boolean, got \"no\")"),
+    "sa-mission-not-an-array": (
+        sa_with(lambda doc: doc.update(missions={"m": True})),
+        "weight file: bad 'missions' field (expected an array, got true)"),
 }
 
 
@@ -1392,7 +1416,7 @@ RUN_ERRORS = {
         2, "error: trial t006: differentiation needs at least 3 samples"),
     "sa-zero-weights": (zero_sa_weights, 2, "error: weights must sum to a positive value"),
     "cfis-no-rule-fired": (cfis_one_rule, 2, "error: alpha/takeoff-easy: mc: no rule fired for "
-                           "{'crashes': 0.0, 'completion': 1.0, 'rollovers': 0.0} "
+                           '{"crashes": 0.0, "completion": 1.0, "rollovers": 0.0} '
                            f"(at {CAMPAIGN / 'cfis_scores.csv'}:2)"),
     "cfis-row-with-only-an-unwired-axis": (
         unwired_axis_row, 1,
@@ -1425,11 +1449,9 @@ class TestRunErrors:
 
 def table_cases():
     """(name, a function of a fresh directory giving the argv run there) of each case in the
-    tables of load errors, malformed side files, run errors and warning lines."""
+    tables of load errors, run errors and warning lines."""
     for name, (case, _) in LOAD_ERRORS.items():
         yield f"load error {name}", lambda d, case=case: case(d)[0]
-    for name, case in SIDE_FILE_ERRORS.items():
-        yield f"side file {name}", lambda d, case=case: case(d)[0]
     for name, (case, _, _) in RUN_ERRORS.items():
         yield f"run error {name}", case
     for case in WARNING_LINES:
@@ -1470,7 +1492,9 @@ class TestMalformedTestBlocks:
             ["validate", manifest], ["metrics", manifest, "--test", kind], ["report", manifest])]
         err = results[0][2]
         assert results == [(1, "", err)] * 3
-        assert err.startswith(f"error: {owner}: ") and err.endswith(f"(at {manifest})\n")
+        # the entry names itself, or the block names itself within it
+        assert err.startswith((f"error: {owner}: ", f"error: {owner} {key}"))
+        assert err.endswith(f"(at {manifest})\n")
         assert key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("test_id, kind, key, other", [
@@ -1548,6 +1572,8 @@ class TestValidateAgreesWithMetrics:
         assert "Traceback" not in validated[2] + err
         if code == 1:
             assert (out, err) == ("", validated[2])
-            assert err.startswith(f"error: test {test_id}: ") and err.endswith(f"(at {manifest})\n")
+            assert err.startswith((f"error: test {test_id}: ", f"error: test {test_id} {key}",
+                                   f"error: test {test_id} missing {key!r}"))
+            assert err.endswith(f"(at {manifest})\n")
         else:
             assert code == 0 and out.startswith("### ")

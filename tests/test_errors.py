@@ -72,7 +72,7 @@ COMPUTATION_FAILURES = {
                                      "all matched fiducials coincide on the map"),
     # fuzzy inference
     "cfis-no-rule-fired": (lambda: cfis.fis_eval(one_term_fis(), {"x": 1.5}),
-                           "demo: no rule fired for {'x': 1.5}"),
+                           'demo: no rule fired for {"x": 1.5}'),
     "cfis-zero-test-score": (lambda: cfis.predictive_score({"a": 0.0}), "a=0.0 outside (0, 1]"),
     # human factors
     "hf-osa-zero-weights": (lambda: human_factors.osa({"a": 0.0}, {"a": 1.0}),

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from decisive import ingest
 from decisive.cli import main
 from decisive.errors import DataQualityWarning, DecisiveError, ParseError
-from decisive.core import ObstacleGeometry
+from decisive.core import APERTURE_TIERS, CR_CATEGORIES, ObstacleGeometry
 from decisive.field import Criterion, NlosPosition
 from decisive.ingest import (
     CampaignTest,
@@ -262,18 +262,24 @@ class TestCampaign:
             "outcome": "success", "oa_category": "OA-B5",
         }])
         p = write(tmp_path / "c.json", json.dumps(doc))
-        with pytest.raises(ParseError, match=re.escape(f"trial t1: oa_category 'OA-B5' (at {p})")):
+        with pytest.raises(ParseError) as exc:
             parse_campaign(p)
+        assert str(exc.value) == (
+            "trial t1: bad 'oa_category' field (expected one of \"OA-A1\", \"OA-B1\", \"OA-B2\", "
+            f"\"OA-B3\", \"OA-B4\", \"OA-C1\", got \"OA-B5\") (at {p})")
 
-    @pytest.mark.parametrize("key, value", [("cr_category", "CR-Z9"), ("aperture_tier", "Z9")])
-    def test_unknown_cr_category_and_aperture_tier(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key, value, vocabulary", [
+        ("cr_category", "CR-Z9", CR_CATEGORIES), ("aperture_tier", "Z9", APERTURE_TIERS)])
+    def test_unknown_cr_category_and_aperture_tier(self, tmp_path, key, value, vocabulary):
         doc = manifest_doc(trials=[{
             "trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha", key: value,
         }])
         p = write(tmp_path / "c.json", json.dumps(doc))
         with pytest.raises(ParseError) as exc:
             parse_campaign(p)
-        assert str(exc.value) == f"trial t1: {key} {value!r} (at {p})"
+        choices = ", ".join(map(json.dumps, vocabulary))
+        assert str(exc.value) == (f"trial t1: bad {key!r} field (expected one of {choices}, "
+                                  f"got {json.dumps(value)}) (at {p})")
 
     def test_dangling_test_reference(self, tmp_path):
         doc = manifest_doc(trials=[{
@@ -419,22 +425,22 @@ class TestCampaignTests:
         assert self.load(tmp_path, test) == CampaignTest("x", "thermal")
 
     @pytest.mark.parametrize("test, message", [
-        ({"kind": "collision"}, "bad 'obstacle' block (expected an object, got null)"),
-        ({"kind": "nav", "waypoint": [1, "2"]}, "bad 'waypoint' block (expected a number, got \"2\")"),
+        ({"kind": "collision"}, " missing 'obstacle'"),
+        ({"kind": "nav", "waypoint": [1, "2"]}, ": bad 'waypoint' field (expected a number, got \"2\")"),
         ({"kind": "nav", "path": {"vertices": [[0, 0], [1, 1]]}},
-         "bad 'path' block (expected 3 numbers, got 2)"),
+         " path: bad 'vertices' field (expected 3 numbers, got 2)"),
         ({"kind": "mapping", "fiducials": [{"id": "A", "xy": [0, 0], "min_traversal": 5}]},
-         "bad 'fiducials' block (missing key 'min_turns')"),
+         " fiducials 0 missing 'min_turns'"),
         ({"kind": "mapping", "dimensions": {"reported": [1], "truth": [1, 2]}},
-         "bad 'dimensions' block (1 reported vs 2 truth values)"),
+         " dimensions: 1 reported vs 2 truth values"),
         ({"kind": "field", "responses": {"alpha": "yes"}},
-         "bad 'responses' block (expected an object, got \"yes\")"),
+         " responses: bad 'alpha' field (expected an object, got \"yes\")"),
     ])
     def test_bad_block_names_test_and_manifest(self, tmp_path, test, message):
         p = write(tmp_path / "c.json", json.dumps(manifest_doc(tests=[{"test_id": "t1", **test}])))
         with pytest.raises(ParseError) as exc:
             parse_campaign(p)
-        assert str(exc.value) == f"test t1: {message} (at {p})"
+        assert str(exc.value) == f"test t1{message} (at {p})"
 
     def test_side_file_is_parsed_at_load(self, tmp_path):
         criteria = write(tmp_path / "criteria.json", '{"hd_video_min": {"op": "near"}}')

@@ -2,7 +2,7 @@
 
 One fixed table of in-process `cli.main` runs goes under a tracer that records
 the lines run in the package's own frames. The table is the CLI tests' tables
-themselves: the load errors, malformed side files, run errors, huge values and
+themselves: the load errors, run errors, warning lines, huge values and
 scaled inputs. A `raise` statement that no run executes is a check that no
 input reaches (or one the tables do not pin yet), and the test names it. One
 raise is exempt, named below with its reason.

@@ -65,59 +65,65 @@ def write_path(vertices):
 VALIDATE = lambda d: ["validate", d / "campaign.json"]  # noqa: E731
 PLOT = lambda d: ["plot", "--kind", "deviation", "--telemetry", d / "wf_alpha_1.csv",  # noqa: E731
                   "--path", d / "path.json"]
-OBSTACLE = "test oa-wall: bad 'obstacle' block ({})"
-NLOS = "test endurance-indoor: bad 'nlos_positions' block ({})"
-PATH = "test wall-follow-1m: bad 'path' block ({})"
+OBSTACLE = "test oa-wall obstacle{}"
+NLOS = "test endurance-indoor nlos_positions 1{}"
+PATH = "test wall-follow-1m path: {}"
 
 #: case -> (the file of the sample campaign copy it edits, the edit, the command, the error
 #: line after "error: ", with {file} for the edited file)
 CASES = {
     "obstacle-kind": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
         kind="sphere")), VALIDATE,
-        OBSTACLE.format("kind must be plane_segment or infinite_plane") + " (at {file})"),
+        OBSTACLE.format(": bad 'kind' field (expected one of \"plane_segment\", "
+                        "\"infinite_plane\", got \"sphere\")") + " (at {file})"),
     "obstacle-endpoints": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
-        p1=[0.0, 0.0])), VALIDATE, OBSTACLE.format("segment endpoints must differ") + " (at {file})"),
+        p1=[0.0, 0.0])), VALIDATE, OBSTACLE.format(": segment endpoints must differ") + " (at {file})"),
     "obstacle-height": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
-        height=0)), VALIDATE, OBSTACLE.format("height must be positive") + " (at {file})"),
+        height=0)), VALIDATE, OBSTACLE.format(": height must be positive") + " (at {file})"),
     "obstacle-material": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
         material="glass")), VALIDATE,
-        OBSTACLE.format("unknown obstacle material 'glass'") + " (at {file})"),
+        OBSTACLE.format(": bad 'material' field (expected one of \"wall\", \"mesh\", "
+                        "\"chain_link\", \"door_closed\", \"door_45\", \"door_open\", "
+                        "got \"glass\")") + " (at {file})"),
     "nlos-distance": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
         "nlos_positions"][1].update(distance=0)), VALIDATE,
-        NLOS.format("distance must be positive") + " (at {file})"),
+        NLOS.format(": distance must be positive") + " (at {file})"),
     "nlos-connect": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
         "nlos_positions"][1].update(connect="ok")), VALIDATE,
-        NLOS.format("bad connect value 'ok'") + " (at {file})"),
+        NLOS.format(": bad 'connect' field (expected one of \"good\", \"bad\", \"none\", "
+                    "got \"ok\")") + " (at {file})"),
     "nlos-fly": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
         "nlos_positions"][1].update(fly="maybe")), VALIDATE,
-        NLOS.format("bad fly value 'maybe'") + " (at {file})"),
+        NLOS.format(": bad 'fly' field (expected one of \"possible\", \"not_possible\", "
+                    "got \"maybe\")") + " (at {file})"),
     "fiducial-min-traversal": ("campaign.json", edit_test("map-loop", lambda t: t[
         "fiducials"][1].update(min_traversal=0)), VALIDATE,
-        "test map-loop: bad 'fiducials' block (min_traversal must be positive) (at {file})"),
+        "test map-loop fiducials 1: min_traversal must be positive (at {file})"),
     "path-one-vertex": ("campaign.json", edit_test("wall-follow-1m", lambda t: t["path"].update(
         vertices=[[0, 1, 1]])), VALIDATE,
-        PATH.format("path needs at least two vertices") + " (at {file})"),
+        PATH.format("needs at least two vertices") + " (at {file})"),
     "path-repeated-vertex": ("campaign.json", edit_test("wall-follow-1m", lambda t: t[
         "path"].update(vertices=[[0, 1, 1], [0.0, 1.0, 1.0], [3, 1, 1]])), VALIDATE,
         PATH.format("consecutive vertices must differ") + " (at {file})"),
     "plot-path-one-vertex": ("path.json", write_path([[0, 1, 1]]), PLOT,
-                             "malformed input (path needs at least two vertices) (at {file})"),
+                             "path file: needs at least two vertices (at {file})"),
     "plot-path-repeated-vertex": ("path.json", write_path([[0, 1, 1], [0, 1, 1]]), PLOT,
-                                  "malformed input (consecutive vertices must differ) (at {file})"),
+                                  "path file: consecutive vertices must differ (at {file})"),
     "criterion-op": ("criteria.json", edit_json(lambda doc: doc["hd_video_min"].update(
-        op="between")), VALIDATE, "criterion 'hd_video_min': unknown criterion op 'between' "
-        "(at {file})"),
+        op="between")), VALIDATE, "criterion 'hd_video_min': bad 'op' field (expected one of "
+        "\"equals\", \"min\", \"max\", \"contains\", got \"between\") (at {file})"),
     "fiducial-mapped-state": ("fiducials.csv", edit_cell(3, 4, "blurred"), VALIDATE,
                               "bad mapped state 'blurred' (at {file}:3)"),
     # a record used to repeat each of these parser checks
     "fiducial-half": ("fiducials.csv", edit_cell(3, 1, "3"), VALIDATE,
                       "half must be 1 or 2, got '3' (at {file}:3)"),
     "fiducial-min-turns": ("campaign.json", edit_test("map-loop", lambda t: t[
-        "fiducials"][1].update(min_turns=-1)), VALIDATE, "test map-loop: bad 'fiducials' block "
-        "(expected a non-negative integer, got -1) (at {file})"),
+        "fiducials"][1].update(min_turns=-1)), VALIDATE, "test map-loop fiducials 1: bad "
+        "'min_turns' field (expected a non-negative integer, got -1) (at {file})"),
     "feature-direction": ("features.json", edit_json(lambda doc: doc["features"][1].update(
         direction="sideways")), lambda d: ["ncap", "--features", d / "features.json"],
-        "feature 'charge_time': direction must be 'higher' or 'lower' (at {file})"),
+        "feature 'charge_time': bad 'direction' field (expected one of \"higher\", \"lower\", "
+        "got \"sideways\") (at {file})"),
 }
 
 

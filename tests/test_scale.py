@@ -296,12 +296,13 @@ def test_any_number_in_a_numeric_cell_gives_output_or_one_error(target, cell, nu
 #: one, or DROP, which deletes the node's key
 DROP = "drop"
 NODE_VALUES = (5, "x", [1], {"k": 1}, None, True, [[1]], [], DROP)
-#: (file, path) of every node of each JSON input but the `plot --path` file, whose reader
-#: leaves a missing key's message as it is; () is the whole document
-NODES = [(name, path) for name, (doc, _) in JSON_INPUTS.items() if name != "path.json"
+#: (file, path) of every node of each JSON input; () is the whole document
+NODES = [(name, path) for name, (doc, _) in JSON_INPUTS.items()
          for path in [(), *(where for where, _ in entries(doc))]]
-#: Python's own words for a value of the wrong shape, which no error line may show
-LEAKS = ("object is not", "indices must", "unhashable", "unpack", "unexpected keyword")
+#: Python's own words for a value of the wrong shape, and its reprs of a value, which no
+#: error line may show
+LEAKS = ("object is not", "indices must", "unhashable", "unpack", "unexpected keyword", "None",
+         "{'")
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -318,6 +319,10 @@ LEAKS = ("object is not", "indices must", "unhashable", "unpack", "unexpected ke
 @example(("caps.json", ("alpha",)), {"k": 1})
 @example(("weights.json", ("flight_time",)), "x")
 @example(("campaign.json", ()), 5)
+@example(("campaign.json", ("tests", 3, "nlos_positions", 0, "connect")), None)
+@example(("path.json", ("closed",)), None)
+@example(("campaign.json", ("trials", 15, "test_id")), None)
+@example(("fis.json", ("fis", "mc", "rules", 0)), DROP)
 def test_any_value_for_a_json_node_gives_output_or_one_named_error(node, value):
     name, path = node
     assume(path or value != DROP)
