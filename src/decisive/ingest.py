@@ -6,17 +6,19 @@ Non-fatal issues are DataQualityWarnings, issued by `_warn` where found. A CSV
 file is read once, as its header and the text after it; the header fails at a
 needed column it lacks or repeats (`_columns`). One row loop, `_csv_rows`, reads
 the data rows from that text and alone reports a bad one, naming the file line
-the row starts on. The survey, SAGAT and scores files read through `_csv_table`,
-which first tries `_csv_columns`, and telemetry first tries one numpy call; each
-defers to the row loop when it cannot vouch for the whole text. A repeated
-response or score key is found once, on the columns read (`_repeated_keys`).
-This module alone decides the type of a JSON value: every object a parser reads
-goes through `_fields`, which types each key and names the object and key, so a
-wrong type fails at load, naming its file. Every other check on an input value is made here
-too, once, in the function that reads the value; the records built hold
-fields only. UTF-8 (a byte-order mark is dropped), '.' decimal separator, ','
-delimiter. A parser imports the domain types it builds when it runs, so a
-subcommand loads only the modules of the files it reads.
+the row starts on. The survey, SAGAT, fiducial and scores files read through
+`_csv_table`, which first tries `_csv_columns`, and telemetry first tries one
+numpy call; each defers to the row loop when it cannot vouch for the whole
+text. A repeated response or score key is found once, on the columns read
+(`_repeated_keys`). This module alone decides the type of a JSON value: every
+object a parser reads, and every map whose keys are data, goes through
+`_fields`, which types each key and names the object or map and the key, so a
+wrong type fails at load, naming its file; `_load_json` fails at a repeated
+key. Every other check on an input value is made here too, once, in the
+function that reads the value; the records built hold fields only. UTF-8 (a
+byte-order mark is dropped), '.' decimal separator, ',' delimiter. A parser
+imports the domain types it builds when it runs, so a subcommand loads only
+the modules of the files it reads.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ def _load_json(path):
     def non_finite(name):
         raise ParseError(f"invalid JSON: {name} is not a number")
 
+    def unique(pairs):  # json would keep a repeated key's last value
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in collections.Counter(k for k, _ in pairs).items() if n > 1)
+            raise ParseError(f"invalid JSON: key {key!r} appears more than once")
+        return obj
+
     def finite(text):
         value = float(text)
         if not math.isfinite(value):
@@ -101,7 +110,8 @@ def _load_json(path):
 
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=non_finite, parse_float=finite)
+            return json.load(fh, parse_constant=non_finite, parse_float=finite,
+                             object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}")
 
@@ -166,12 +176,20 @@ def _columns(header: list[str], names, optional=()) -> dict[str, int]:
     return idx
 
 
-def _rows_of_width(body: str, start: int, width: int):
-    """(file line, row) for each row of `body`, the text from file line `start` on, with a
-    non-blank cell, raising at the first one with fewer than `width` fields. A row's line is
-    the one it starts on, past any quoted cell that spans lines; newline="" keeps a lone
-    carriage return ending a row, as when csv reads the file. All rows are split first, so
-    a csv error anywhere comes before a bad row."""
+def _csv_rows(header: list[str], body: str, start: int, converters: dict, optional=()):
+    """(line, values) for each data row of `body`, the text after `header` from file line
+    `start` on, raising at the first bad line; a row of blank cells is skipped.
+
+    `values` holds each of `converters`' columns, its text converted with the
+    line number. A column in `optional` reads "" where the header or a short
+    row lacks it; a row that stops before another needed column fails. A row's
+    line is the one it starts on, past any quoted cell that spans lines;
+    newline="" keeps a lone carriage return ending a row, as when csv reads the
+    file. All rows are split first, so a csv error anywhere comes before a bad row.
+    """
+    idx = _columns(header, converters, optional)
+    width = max(i for name, i in idx.items() if name not in optional) + 1
+    cells = [(idx.get(name, math.inf), convert) for name, convert in converters.items()]
     reader = csv.reader(io.StringIO(body, newline=""))
     rows, line = [], start
     for row in reader:
@@ -182,21 +200,6 @@ def _rows_of_width(body: str, start: int, width: int):
             continue
         if len(row) < width:
             raise ParseError(f"row has {len(row)} fields, needs {width}", line)
-        yield line, row
-
-
-def _csv_rows(header: list[str], body: str, start: int, converters: dict, optional=()):
-    """(line, values) for each data row of `body`, the text after `header` from file line
-    `start` on, raising at the first bad line.
-
-    `values` holds each of `converters`' columns, its text converted with the
-    line number. A column in `optional` reads "" where the header or a short
-    row lacks it; a row that stops before another needed column fails.
-    """
-    idx = _columns(header, converters, optional)
-    width = max(i for name, i in idx.items() if name not in optional) + 1
-    cells = [(idx.get(name, math.inf), convert) for name, convert in converters.items()]
-    for line, row in _rows_of_width(body, start, width):
         yield line, [convert(row[i] if i < len(row) else "", line) for i, convert in cells]
 
 
@@ -294,6 +297,24 @@ def _boolean(text: str, line: int) -> bool:
     if lowered in ("0", "false", "no", "n"):
         return False
     raise ParseError(f"cannot parse {text!r} as a boolean", line)
+
+
+def _text(text: str, line) -> str:
+    return text
+
+
+def _stripped(text: str, line) -> str:
+    return text.strip()
+
+
+def _one_or_two(column: str):
+    """The converter of a column whose cells are 1 or 2: a fiducial half, a SAGAT SA level."""
+    def convert(text: str, line) -> int:
+        value = _number(text, line)
+        if value not in (1.0, 2.0):
+            raise ParseError(f"{column} {text!r} must be 1 or 2", line)
+        return int(value)
+    return convert
 
 
 # --- telemetry -----------------------------------------------------------------
@@ -397,34 +418,26 @@ def parse_criteria(path) -> list[Criterion]:
 
 # --- fiducial observations -----------------------------------------------------
 
-FIDUCIAL_COLUMNS = ("fiducial_id", "half", "x", "y", "mapped")
-
-
 @_total
 def parse_fiducial_observations(path) -> list[FiducialObservation]:
+    """Split-cylinder fiducial observations. A `missing` half has no position, so its row
+    may stop before x and y, which are converted on the other rows only."""
     from .mapping import MAPPED_STATES, FiducialObservation
 
-    header, body, start = _header_and_body(path)
-    idx = _columns(header, FIDUCIAL_COLUMNS)
-    # a missing fiducial has no position, so its row may stop before x and y
-    unmapped_width = max(idx["fiducial_id"], idx["half"], idx["mapped"]) + 1
-    mapped_width = max(idx.values()) + 1
-    out = []
-    for line, row in _rows_of_width(body, start, unmapped_width):
-        mapped = row[idx["mapped"]].strip()
-        if mapped == "missing":
-            xy = None
-        else:
-            if len(row) < mapped_width:
-                raise ParseError(f"row has {len(row)} fields, needs {mapped_width}", line)
-            xy = (_number(row[idx["x"]], line), _number(row[idx["y"]], line))
-        half = _number(row[idx["half"]], line)
-        if half not in (1.0, 2.0):
-            raise ParseError(f"half must be 1 or 2, got {row[idx['half']]!r}", line)
+    def state(text: str, line) -> str:
+        mapped = text.strip()
         if mapped not in MAPPED_STATES:
             raise ParseError(f"bad mapped state {mapped!r}", line)
-        out.append(FiducialObservation(row[idx["fiducial_id"]].strip(), int(half), xy, mapped))
-    return out
+        return mapped
+
+    header, body, start = _header_and_body(path)
+    converters = {"fiducial_id": _stripped, "half": _one_or_two("half"), "x": _text,
+                  "y": _text, "mapped": state}
+    _columns(header, converters)  # a short row may lack x and y, the header may not
+    lines, columns = _csv_table(header, body, start, converters, optional=("x", "y"))
+    return [FiducialObservation(fiducial_id, half, None if mapped == "missing" else
+                                (_number(x, line), _number(y, line)), mapped)
+            for line, fiducial_id, half, x, y, mapped in zip(lines, *columns)]
 
 
 # --- campaign manifest ----------------------------------------------------------
@@ -663,16 +676,12 @@ def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
     return tuple(_SIDE_FILES[key](path))
 
 
-def _read(value, kind):
-    """`value` read as `kind`: a `_json` kind or a converter."""
-    return _json(value, kind) if kind in _JSON_NAMES else kind(value)
-
-
 def _fields(value, kinds, owner: str, required=()) -> dict:
     """`value`, a JSON object, as the keys of `kinds` it holds, not null, each read as its
-    kind; `kinds` maps a key to its kind, or is the kind of every key of a map whose keys
-    are data. A `required` key must be there. An error names `owner`, and the key if one:
-    `OWNER: bad 'KEY' field (REASON)` or `OWNER missing 'KEY'`."""
+    kind: a `_json` kind or a converter. `kinds` maps a key to its kind, or is the kind of
+    every key of a map whose keys are data, which `owner` then names. A `required` key must
+    be there. An error names `owner`, and the key if one: `OWNER: bad 'KEY' field (REASON)`
+    or `OWNER missing 'KEY'`."""
     try:
         value = _json(value, dict)
     except TypeError as exc:
@@ -684,17 +693,10 @@ def _fields(value, kinds, owner: str, required=()) -> dict:
                 raise ParseError(f"{owner} missing {key!r}")
             continue
         try:
-            out[key] = _read(value[key], kind)
+            out[key] = _json(value[key], kind) if kind in _JSON_NAMES else kind(value[key])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{owner}: bad {key!r} field ({exc})")
     return out
-
-
-def _map(kind=object):
-    """A `_fields` converter of a JSON object whose keys are data: each key not null, its
-    value read as `kind`."""
-    return lambda value: {k: _read(v, kind) for k, v in _json(value, dict).items()
-                          if v is not None}
 
 
 #: the kind of each environment field; only lighting and lux are read once typed
@@ -801,10 +803,6 @@ def _score(text: str, line) -> int:
     return int(score)
 
 
-def _stripped(text: str, line) -> str:
-    return text.strip()
-
-
 #: the survey's columns, in SurveyColumns' order, each with the converter of its text;
 #: the first three are a response's key
 SURVEY_COLUMNS = {"participant_id": _stripped, "instrument": _instrument, "item_id": _stripped,
@@ -834,17 +832,10 @@ def parse_survey(path) -> tuple[SurveyColumns, ParseReport]:
     return survey, ParseReport({"responses": len(survey.participant_ids)})
 
 
-def _sa_level(text: str, line) -> int:
-    level = _number(text, line)
-    if level not in (1.0, 2.0):
-        raise ParseError(f"sa_level {text!r} must be 1 or 2", line)
-    return int(level)
-
-
 #: the SAGAT columns, each with the converter of its text; all but question_id, which is
 #: checked and not kept, in SagatColumns' order
 SAGAT_COLUMNS = {"participant_id": _stripped, "question_id": _stripped, "se_id": _stripped,
-                 "sa_level": _sa_level, "correct": _boolean}
+                 "sa_level": _one_or_two("sa_level"), "correct": _boolean}
 
 
 @_total
@@ -865,13 +856,12 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
     from .human_factors import SeParams, attention_allocation
 
     doc = _load_json(path)
-    typed = _fields(doc, {"missions": _map(_strings), "params": _map(), "weights": _map(float)},
-                    "weight file")
-    missions = typed.get("missions", {})
+    typed = _fields(doc, dict.fromkeys(("missions", "params", "weights"), dict), "weight file")
+    missions = _fields(typed.get("missions", {}), _strings, "weight file missions")
     if "params" in typed:
         seev = ("saliency", "effort", "expectancy", "value")
         params = []
-        for se, spec in typed["params"].items():
+        for se, spec in _fields(typed["params"], object, "weight file params").items():
             numbers = _fields(spec, dict.fromkeys(seev, float), se, required=seev)
             for name, number in numbers.items():
                 if number <= 0:
@@ -880,8 +870,9 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
         if not params:
             raise ParseError("no situation elements")
         return attention_allocation(params), missions
-    weights = typed["weights"] if "weights" in typed else _fields(
-        {k: v for k, v in doc.items() if k != "missions"}, float, "weight file")
+    weights = (_fields(typed["weights"], float, "weight file weights") if "weights" in typed
+               else _fields({k: v for k, v in doc.items() if k != "missions"}, float,
+                            "weight file"))
     for se, weight in weights.items():
         if weight < 0:
             raise ParseError(f"{se}: weight must be >= 0")
@@ -913,7 +904,7 @@ def _capabilities(flags, sid: str) -> AutonomyCapabilities:
 
 #: the kind of each feature field
 _FEATURE_FIELDS = {"direction": _one_of("higher", "lower"), "degree": _count,
-                   "ordinal_map": _map(float)}
+                   "ordinal_map": dict}
 
 
 def _feature_value(ordinal_map):
@@ -947,9 +938,10 @@ def parse_feature_sheet(path) -> FeatureSheet:
     degrees = {}
     for entry in blocks["features"]:
         name = _fields(entry, {"name": str}, "feature entry", required=("name",))["name"]
-        typed = _fields(entry, _FEATURE_FIELDS, f"feature {name!r}", required=("direction",))
-        features.append(Feature(name, f"{typed['direction']}_better",
-                                typed.get("ordinal_map") or None))
+        owner = f"feature {name!r}"
+        typed = _fields(entry, _FEATURE_FIELDS, owner, required=("direction",))
+        ordinal_map = _fields(typed.get("ordinal_map", {}), float, f"{owner} ordinal_map")
+        features.append(Feature(name, f"{typed['direction']}_better", ordinal_map or None))
         if "degree" in typed:
             degrees[name] = typed["degree"]
 
@@ -1000,51 +992,51 @@ def _range(value) -> tuple[float, float]:
     return lo, hi
 
 
+def _points(lo: float, hi: float):
+    """The kind of an FIS term over the range [lo, hi]: three ordered points inside it."""
+    def convert(value):
+        points = _numbers(value, 3)
+        if not lo <= points[0] <= points[1] <= points[2] <= hi:
+            raise ValueError(f"expected 3 ordered points in [{lo}, {hi}], got {json.dumps(value)}")
+        return points
+    return convert
+
+
 @_total
 def parse_fis_config(path) -> FisConfig:
     from .cfis import Fis, FisConfig, LinguisticVariable, Rule, TriangularMf
 
-    doc = _fields(_load_json(path), {"fis": _map(), "cascade": _map(_strings),
-                                     "ideal_inputs": _map(_map(float))}, "FIS config")
+    doc = _fields(_load_json(path), dict.fromkeys(("fis", "cascade", "ideal_inputs"), dict),
+                  "FIS config")
 
     systems = {}
-    for fis_name, spec in doc.get("fis", {}).items():
-        spec = _fields(spec, {"inputs": _map(), "outputs": _map(float), "rules": list}, fis_name)
+    for fis_name, spec in _fields(doc.get("fis", {}), object, "fis").items():
+        spec = _fields(spec, {"inputs": dict, "outputs": dict, "rules": list}, fis_name)
         inputs = {}
-        for var_name, var_spec in spec.get("inputs", {}).items():
-            var_spec = _fields(var_spec, {"range": _range, "terms": _map(),
-                                          "aliases": _map(str)},
-                               f"{fis_name}.{var_name}", required=("range",))
+        for var_name, var_spec in _fields(spec.get("inputs", {}), object,
+                                          f"{fis_name} inputs").items():
+            owner = f"{fis_name}.{var_name}"
+            var_spec = _fields(var_spec, {"range": _range, "terms": dict, "aliases": dict}, owner,
+                               required=("range",))
             lo, hi = var_spec["range"]
             if not math.isfinite(hi - lo):  # a sweep or a ramp over it would overflow
-                raise ParseError(f"{fis_name}.{var_name}: range [{lo}, {hi}] is wider than "
-                                 "the float range")
-            terms = {}
-            for term, tup in var_spec.get("terms", {}).items():
-                try:
-                    points = _numbers(tup)
-                    if len(points) != 3:
-                        raise ValueError(f"need 3 points, got {tup}")
-                    if not points[0] <= points[1] <= points[2]:
-                        raise ValueError(f"{points} not ordered")
-                    if not (lo <= points[0] and points[2] <= hi):
-                        raise ValueError(f"{points} outside range [{lo}, {hi}]")
-                    terms[term] = TriangularMf(*points, lo, hi)
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(f"{fis_name}.{var_name}.{term}: {exc}")
+                raise ParseError(f"{owner}: range [{lo}, {hi}] is wider than the float range")
+            terms = {term: TriangularMf(*points, lo, hi) for term, points in _fields(
+                var_spec.get("terms", {}), _points(lo, hi), f"{owner} terms").items()}
             if not terms:
-                raise ParseError(f"{fis_name}.{var_name} has no terms")
-            aliases = var_spec.get("aliases", {})
+                raise ParseError(f"{owner} has no terms")
+            aliases = _fields(var_spec.get("aliases", {}), str, f"{owner} aliases")
             for alias, target in aliases.items():
+                if alias in terms:  # the alias would hide the term from every rule
+                    raise ParseError(f"{owner}: alias {alias!r} is also a term")
                 if target not in terms:
-                    raise ParseError(
-                        f"{fis_name}.{var_name}: alias {alias!r} names unknown term {target!r}")
+                    raise ParseError(f"{owner}: alias {alias!r} names unknown term {target!r}")
             var = LinguisticVariable(lo, hi, terms, aliases)
             if not var.covered():
                 _warn(path, f"{fis_name}: variable {var_name!r} has membership gaps")
             inputs[var_name] = var
 
-        outputs = spec.get("outputs", {})
+        outputs = _fields(spec.get("outputs", {}), float, f"{fis_name} outputs")
         for level, value in outputs.items():
             if not 0.0 <= value <= 1.0:
                 raise ParseError(f"{fis_name}: output {level}={value} outside [0, 1]")
@@ -1052,17 +1044,18 @@ def parse_fis_config(path) -> FisConfig:
         rules = []
         for i, rule_spec in enumerate(spec.get("rules", [])):
             owner = f"{fis_name} rule {i}"
-            rule = _fields(rule_spec, {"if": _map(str), "then": str}, owner, required=("then",))
-            if not rule.get("if"):  # a rule without conditions would fire on every row
+            rule = _fields(rule_spec, {"if": dict, "then": str}, owner, required=("then",))
+            conditions = _fields(rule.get("if", {}), str, f"{owner} if")
+            if not conditions:  # a rule without conditions would fire on every row
                 raise ParseError(f"{owner}: no 'if' conditions")
             antecedents = []
-            for var_name, term in rule["if"].items():
+            for var_name, term in conditions.items():
                 if var_name not in inputs:
                     raise ParseError(f"{owner}: unknown variable {var_name!r}")
                 negated = term.startswith("not ")
                 bare = term[4:] if negated else term
                 if not inputs[var_name].has_term(bare):
-                    raise ParseError(f"{owner}: unknown term {term!r}")
+                    raise ParseError(f"{owner}: unknown term {term!r} of {var_name!r}")
                 antecedents.append((var_name, bare, negated))
             consequent = rule["then"]
             if consequent not in outputs:
@@ -1072,7 +1065,7 @@ def parse_fis_config(path) -> FisConfig:
             raise ParseError(f"{fis_name}: at least one rule required")
         systems[fis_name] = Fis(fis_name, inputs, outputs, tuple(rules))
 
-    cascade = doc.get("cascade", {})
+    cascade = _fields(doc.get("cascade", {}), _strings, "cascade")
     for combined, axes in cascade.items():
         if combined not in systems:
             raise ParseError(f"cascade target {combined!r} not defined")
@@ -1091,10 +1084,11 @@ def parse_fis_config(path) -> FisConfig:
         raise ParseError(f"{combiner}: a combining stage takes 2 inputs, "
                          f"not {len(systems[combiner].inputs)}")
 
-    ideal_inputs = doc.get("ideal_inputs", {})
-    for axis, vals in ideal_inputs.items():
+    ideal_inputs = {}
+    for axis, vals in _fields(doc.get("ideal_inputs", {}), object, "ideal_inputs").items():
         if axis not in systems or axis in cascade:
             raise ParseError(f"ideal_inputs: {axis!r} is not an axis system")
+        vals = ideal_inputs[axis] = _fields(vals, float, f"ideal_inputs {axis}")
         for var_name in systems[axis].inputs:
             if var_name not in vals:
                 raise ParseError(f"ideal_inputs: {axis}: missing input {var_name!r}")
@@ -1139,10 +1133,6 @@ def parse_scores(path, variables: list[str]) -> ScoreColumns:
                    lambda key: f"duplicate score for {key[0]}/{key[1]}; keeping the later row")
     return ScoreColumns(precomputed, suas_ids, test_ids, dict(zip(list(converters)[2:], numbers)),
                         lines)
-
-
-def _text(text: str, line) -> str:
-    return text
 
 
 def _fis_input(text: str, line) -> float:

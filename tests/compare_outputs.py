@@ -13,13 +13,13 @@ directory. The invocations are every golden command of the acceptance suite,
 `scores` workloads generated from seed 61, each table command in every
 `--format`; then each case of `test_cli`'s tables of load errors, run
 errors and warning lines, so that error and warning lines are compared too;
-then each of `test_ingest`'s huge values and of `test_records`' bad values,
-its command run on a copy of the sample campaign that the case edits. Every
-invocation whose stdout, stderr or exit code differs is printed, a case by
-its name, and the script exits 1 if any does. The workload inputs are
-written by `bench/workloads.build`, and each case's files by the case, in a
-directory of its own under the temporary directory; nothing in the
-repository is written.
+then each of `test_ingest`'s huge values, of `test_records`' bad values and
+of `test_scale`'s JSON-node examples, its command run on a copy of the sample
+campaign that the case edits. Every invocation whose stdout, stderr or exit
+code differs is printed, a case by its name, and the script exits 1 if any
+does. The workload inputs are written by `bench/workloads.build`, and each
+case's files by the case, in a directory of its own under the temporary
+directory; nothing in the repository is written.
 """
 
 import io
@@ -38,6 +38,7 @@ import test_acceptance  # noqa: E402
 import test_cli  # noqa: E402
 import test_ingest  # noqa: E402
 import test_records  # noqa: E402
+import test_scale  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("campaign", "survey-large", "scores")
@@ -80,6 +81,12 @@ def invocations(scratch: Path) -> list[tuple[str, Path, list[str]]]:
         sample = shutil.copytree(test_records.SAMPLE, scratch / "records" / str(k))
         edit(sample / target)
         out.append((f"bad value {name}", sample, [str(arg) for arg in argv(sample)]))
+    for k, ((name, path), value) in enumerate(test_scale.NODE_EXAMPLES):
+        sample = shutil.copytree(test_ingest.SAMPLE, scratch / "nodes" / str(k))
+        test_scale.node_edit(name, path, value)(sample)
+        argv = test_ingest.JSON_INPUTS[name][1](sample)
+        out.append((f"JSON node {name} {list(path)} <- {value!r}", sample,
+                    [str(arg) for arg in argv]))
     return out
 
 

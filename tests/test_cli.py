@@ -719,6 +719,13 @@ def fis_config_infinity(tmp_path):
     return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"], config
 
 
+def fis_rule_repeats_then(tmp_path):
+    text = DEFAULT_FIS.read_text().replace('"then": "very_good"',
+                                           '"then": "very_good", "then": "very_bad"', 1)
+    config = write(tmp_path / "fis.json", text)
+    return ["cfis", "--fis", config, "--scores", CAMPAIGN / "cfis_scores.csv"], config
+
+
 def manifest_literal(trial_id, key, literal):
     """A case: `validate` on a sample copy whose trial `trial_id` has `key` written as `literal`."""
     def case(tmp_path):
@@ -832,12 +839,13 @@ def survey_row(row):
                      + row + "\n", lambda survey: ["trust", "--survey", survey, *TRUST], 2)
 
 
-def fiducials_text(text, line):
-    """A case: `validate` on a sample copy whose fiducial observations are `text`."""
+def fiducials_text(text, line=None):
+    """A case: `validate` on a sample copy whose fiducial observations are `text`, wrong in
+    that file, or at `line`."""
     def case(tmp_path):
         directory = campaign_copy(tmp_path)
         bad = write(directory / "fiducials.csv", text)
-        return ["validate", directory / "campaign.json"], f"{bad}:{line}"
+        return ["validate", directory / "campaign.json"], bad if line is None else f"{bad}:{line}"
     return case
 
 
@@ -864,11 +872,13 @@ LOAD_ERRORS = {
         sa_with(lambda doc: [doc.pop("params"), doc.update(altitude=1, heading=-0.5)]),
         "heading: weight must be >= 0"),
     "fis-two-point-term": (cfis_with(set_term("low", [0, 1])),
-                           "mc.crashes.low: need 3 points, got [0, 1]"),
+                           "mc.crashes terms: bad 'low' field (expected 3 numbers, got 2)"),
     "fis-unordered-term": (cfis_with(set_term("low", [1.25, 0, 0])),
-                           "mc.crashes.low: (1.25, 0.0, 0.0) not ordered"),
+                           "mc.crashes terms: bad 'low' field (expected 3 ordered points in "
+                           "[0.0, 3.0], got [1.25, 0, 0])"),
     "fis-term-outside-range": (cfis_with(set_term("high", [1.75, 3, 4])),
-                               "mc.crashes.high: (1.75, 3.0, 4.0) outside range [0.0, 3.0]"),
+                               "mc.crashes terms: bad 'high' field (expected 3 ordered points in "
+                               "[0.0, 3.0], got [1.75, 3, 4])"),
     # a range's ends out of order, named by the range rather than its first term
     "fis-range-descending": (
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[5, 1])),
@@ -878,7 +888,7 @@ LOAD_ERRORS = {
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[-1e308, 1e308])),
         "mc.crashes: range [-1e+308, 1e+308] is wider than the float range"),
     "fis-unknown-term": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0]["if"].update(
-        crashes="few")), "mc rule 0: unknown term 'few'"),
+        crashes="few")), "mc rule 0: unknown term 'few' of 'crashes'"),
     "fis-cyclic-cascade": (cfis_with(lambda doc: doc["cascade"]["combined"].append("combined")),
                            "cascade stage 'combined' takes combining stage 'combined'"),
     "fis-no-combining-stage": (cfis_with(lambda doc: doc["cascade"].clear()),
@@ -1100,10 +1110,12 @@ LOAD_ERRORS = {
         "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 "
         "(char 1)"),
     # fiducial observations, a side file of the manifest
+    # a mapped half's row that stops before x and y
     "fiducials-short-row": (fiducials_text("fiducial_id,half,mapped,x,y\nA,1,complete\n", 2),
-                            "row has 3 fields, needs 5"),
+                            "cannot parse '' as a number"),
     "fiducials-half-3": (fiducials_text("fiducial_id,half,x,y,mapped\nA,3,0,0,complete\n", 2),
-                         "half must be 1 or 2, got '3'"),
+                         "half '3' must be 1 or 2"),
+    "fiducials-header-only": (fiducials_text("fiducial_id,half,x,y,mapped\n"), "no data rows"),
     "fiducials-state": (fiducials_text("fiducial_id,half,x,y,mapped\nA,1,0,0,blurry\n", 2),
                         "bad mapped state 'blurry'"),
     "criteria-unknown-op": (
@@ -1271,7 +1283,7 @@ LOAD_ERRORS = {
     # the loader converts it loosely
     "fis-ideal-input-true": (
         cfis_with(lambda doc: doc["ideal_inputs"]["mc"].update(completion=True)),
-        "FIS config: bad 'ideal_inputs' field (expected a number, got true)"),
+        "ideal_inputs mc: bad 'completion' field (expected a number, got true)"),
     "fis-range-false": (
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[False, 3])),
         "mc.crashes: bad 'range' field (expected a number, got false)"),
@@ -1295,7 +1307,32 @@ LOAD_ERRORS = {
         "environment lab: bad 'indoor' field (expected a boolean, got \"no\")"),
     "sa-mission-not-an-array": (
         sa_with(lambda doc: doc.update(missions={"m": True})),
-        "weight file: bad 'missions' field (expected an array, got true)"),
+        "weight file missions: bad 'm' field (expected an array, got true)"),
+    # an entry of a map whose keys are data is named by its key, under an owner naming the map
+    "fis-output-text": (cfis_with(lambda doc: doc["fis"]["mc"]["outputs"].update(good="x")),
+                        "mc outputs: bad 'good' field (expected a number, got \"x\")"),
+    "fis-alias-array": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"]["aliases"].update(many=[1])),
+        "mc.crashes aliases: bad 'many' field (expected a string, got [1])"),
+    "fis-rule-condition-number": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0]["if"].update(crashes=5)),
+        "mc rule 0 if: bad 'crashes' field (expected a string, got 5)"),
+    "fis-cascade-text": (cfis_with(lambda doc: doc["cascade"].update(combined="mc")),
+                         "cascade: bad 'combined' field (expected an array, got \"mc\")"),
+    "sa-weight-text": (
+        sa_with(lambda doc: [doc.pop("params"), doc.update(weights={"altitude": "x"})]),
+        "weight file weights: bad 'altitude' field (expected a number, got \"x\")"),
+    "features-ordinal-map-text": (
+        ncap_with(lambda doc: doc["features"][2]["ordinal_map"].update(FHD="x")),
+        "feature 'stream_resolution' ordinal_map: bad 'FHD' field (expected a number, "
+        "got \"x\")"),
+    # an alias named as a term would hide that term from every rule
+    "fis-alias-is-a-term": (
+        cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"]["aliases"].update(low="high")),
+        "mc.crashes: alias 'low' is also a term"),
+    # a JSON object that repeats a key, which json alone would read as its last value
+    "fis-rule-repeats-then": (fis_rule_repeats_then,
+                              "invalid JSON: key 'then' appears more than once"),
 }
 
 

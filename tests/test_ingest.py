@@ -1203,7 +1203,8 @@ class TestFisConfig:
         doc["fis"]["mc"]["inputs"]["crashes"]["terms"]["low"] = [2, 1, 3]
         p = write(tmp_path / "f.json", json.dumps(doc))
         with pytest.raises(ParseError, match=re.escape(
-                f"mc.crashes.low: (2.0, 1.0, 3.0) not ordered (at {p})")):
+                f"mc.crashes terms: bad 'low' field (expected 3 ordered points in [0.0, 3.0], "
+                f"got [2, 1, 3]) (at {p})")):
             parse_fis_config(p)
 
     def test_truncated_tuple(self, tmp_path):
@@ -1211,7 +1212,7 @@ class TestFisConfig:
         doc["fis"]["mc"]["inputs"]["crashes"]["terms"]["low"] = [0.7, 1]
         p = write(tmp_path / "f.json", json.dumps(doc))
         with pytest.raises(ParseError, match=re.escape(
-                f"mc.crashes.low: need 3 points, got [0.7, 1] (at {p})")):
+                f"mc.crashes terms: bad 'low' field (expected 3 numbers, got 2) (at {p})")):
             parse_fis_config(p)
 
     def test_unknown_term_in_rule(self, tmp_path):
@@ -1219,7 +1220,7 @@ class TestFisConfig:
         doc["fis"]["mc"]["rules"][0]["if"]["crashes"] = "not medium"
         p = write(tmp_path / "f.json", json.dumps(doc))
         with pytest.raises(ParseError, match=re.escape(
-                f"mc rule 0: unknown term 'not medium' (at {p})")):
+                f"mc rule 0: unknown term 'not medium' of 'crashes' (at {p})")):
             parse_fis_config(p)
 
     def test_cyclic_cascade(self, tmp_path):
@@ -1761,7 +1762,7 @@ class TestFiducialObservations:
     def test_missing_row_may_stop_before_position(self, tmp_path):
         p = write(tmp_path / "f.csv",
                   "fiducial_id,half,mapped,x,y\nA,2,missing\nB,1,complete\n")
-        with pytest.raises(ParseError, match=re.escape(f"row has 3 fields, needs 5 (at {p}:3)")):
+        with pytest.raises(ParseError, match=re.escape(f"cannot parse '' as a number (at {p}:3)")):
             parse_fiducial_observations(p)
         obs = parse_fiducial_observations(write(tmp_path / "g.csv",
                                                  "fiducial_id,half,mapped,x,y\nA,2,missing\n"))

@@ -116,7 +116,7 @@ CASES = {
                               "bad mapped state 'blurred' (at {file}:3)"),
     # a record used to repeat each of these parser checks
     "fiducial-half": ("fiducials.csv", edit_cell(3, 1, "3"), VALIDATE,
-                      "half must be 1 or 2, got '3' (at {file}:3)"),
+                      "half '3' must be 1 or 2 (at {file}:3)"),
     "fiducial-min-turns": ("campaign.json", edit_test("map-loop", lambda t: t[
         "fiducials"][1].update(min_turns=-1)), VALIDATE, "test map-loop fiducials 1: bad "
         "'min_turns' field (expected a non-negative integer, got -1) (at {file})"),

@@ -10,7 +10,8 @@ scaled input a normal float, since below that range the input itself loses
 digits. An exception escaping `main` is the traceback the CLI would print, so
 each property also holds that none does. The last property puts a value of
 any shape in place of any node of a JSON input: the run gives its output, or
-one error line that names where the value is, never Python's own words.
+one error line that names where the value is, never Python's own words; an
+entry of a map whose keys are data is named by its key.
 """
 
 import copy
@@ -305,27 +306,33 @@ LEAKS = ("object is not", "indices must", "unhashable", "unpack", "unexpected ke
          "{'")
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(NODES), st.sampled_from(NODE_VALUES))
-# each once failed with Python's words or no entry named
-@example(("fis.json", ("fis", "mc", "rules")), 5)
-@example(("fis.json", ("fis", "mc", "inputs", "crashes", "aliases", "many")), [1])
-@example(("fis.json", ("fis", "mc", "inputs", "crashes", "range")), DROP)
-@example(("sa_weights.json", ("params", "altitude")), [1])
-@example(("sa_weights.json", ("missions", "aviate", 0)), 5)
-@example(("campaign.json", ("tests", 0, "kind")), [1])
-@example(("campaign.json", ("tests", 3, "nlos_positions", 0, "obstructions")), [[1]])
-@example(("criteria.json", ("hd_video_min", "op")), DROP)
-@example(("caps.json", ("alpha",)), {"k": 1})
-@example(("weights.json", ("flight_time",)), "x")
-@example(("campaign.json", ()), 5)
-@example(("campaign.json", ("tests", 3, "nlos_positions", 0, "connect")), None)
-@example(("path.json", ("closed",)), None)
-@example(("campaign.json", ("trials", 15, "test_id")), None)
-@example(("fis.json", ("fis", "mc", "rules", 0)), DROP)
-def test_any_value_for_a_json_node_gives_output_or_one_named_error(node, value):
-    name, path = node
-    assume(path or value != DROP)
+#: the maps whose keys are data, by file, each the path to the map with "*" for any key or
+#: index: a parser reads one with `_fields(value, kind, owner)`, so an error about an entry
+#: names its key
+DATA_MAPS = {
+    "fis.json": [("fis",), ("fis", "*", "inputs"), ("fis", "*", "outputs"),
+                 ("fis", "*", "inputs", "*", "terms"), ("fis", "*", "inputs", "*", "aliases"),
+                 ("fis", "*", "rules", "*", "if"), ("cascade",), ("ideal_inputs",),
+                 ("ideal_inputs", "*")],
+    "sa_weights.json": [("params",), ("missions",)],
+    "features.json": [("features", "*", "ordinal_map"), ("systems", "*", "values"),
+                      ("systems", "*", "capabilities")],
+    "campaign.json": [("tests", "*", "shape_classes"), ("tests", "*", "responses")],
+    "criteria.json": [()],
+    "caps.json": [(), ("*",)],
+    "weights.json": [()],
+}
+
+
+def in_data_map(name: str, path: tuple) -> bool:
+    """Whether the node at `path` of JSON input `name` is an entry of a map whose keys are data."""
+    return any(len(where) == len(path) - 1 and all(w in ("*", p) for w, p in zip(where, path))
+               for where in DATA_MAPS.get(name, ()))
+
+
+def node_edit(name: str, path: tuple, value):
+    """An edit of a sample copy writing JSON input `name` with the node at `path` replaced by
+    `value`, or deleted for DROP."""
     doc = copy.deepcopy(JSON_INPUTS[name][0])
     if not path:
         doc = value
@@ -335,14 +342,56 @@ def test_any_value_for_a_json_node_gives_output_or_one_named_error(node, value):
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(value)
+    return lambda directory: (directory / name).write_text(json.dumps(doc))
 
+
+#: nodes and values that each once failed with Python's words or no entry named; the sweep
+#: runs each, and tests/compare_outputs.py replays them
+NODE_EXAMPLES = [
+    (("fis.json", ("fis", "mc", "rules")), 5),
+    (("fis.json", ("fis", "mc", "inputs", "crashes", "aliases", "many")), [1]),
+    (("fis.json", ("fis", "mc", "inputs", "crashes", "range")), DROP),
+    (("sa_weights.json", ("params", "altitude")), [1]),
+    (("sa_weights.json", ("missions", "aviate", 0)), 5),
+    (("campaign.json", ("tests", 0, "kind")), [1]),
+    (("campaign.json", ("tests", 3, "nlos_positions", 0, "obstructions")), [[1]]),
+    (("criteria.json", ("hd_video_min", "op")), DROP),
+    (("caps.json", ("alpha",)), {"k": 1}),
+    (("weights.json", ("flight_time",)), "x"),
+    (("campaign.json", ()), 5),
+    (("campaign.json", ("tests", 3, "nlos_positions", 0, "connect")), None),
+    (("path.json", ("closed",)), None),
+    (("campaign.json", ("trials", 15, "test_id")), None),
+    (("fis.json", ("fis", "mc", "rules", 0)), DROP),
+    (("fis.json", ("ideal_inputs", "mc", "crashes")), "x"),
+    (("fis.json", ("fis", "mc", "outputs", "good")), "x"),
+]
+
+
+def node_examples(test):
+    """`test` with each of NODE_EXAMPLES as an explicit example."""
+    for node, value in NODE_EXAMPLES:
+        test = example(node, value)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(NODES), st.sampled_from(NODE_VALUES))
+@node_examples
+def test_any_value_for_a_json_node_gives_output_or_one_named_error(node, value):
+    name, path = node
+    assume(path or value != DROP)
     with tempfile.TemporaryDirectory() as tmp:
-        code, out, errors = run_probe(Path(tmp), lambda d: (d / name).write_text(json.dumps(doc)),
+        code, out, errors = run_probe(Path(tmp), node_edit(name, path, value),
                                       JSON_INPUTS[name][1])
     assert code in (0, 1, 2)
     if code:
         assert out == "" and len(errors) == 1
         assert not errors[0].startswith(("error: malformed input", "error: missing key"))
         assert not any(leak in errors[0] for leak in LEAKS), errors[0]
+        # a value put in an entry's place fails naming the entry; a deleted one may fail
+        # wherever it is missed
+        if value not in (DROP, None) and in_data_map(name, path):
+            assert str(path[-1]) in errors[0], errors[0]
     else:
         assert not errors
