@@ -131,33 +131,9 @@ class CascadeColumns(NamedTuple):
     normalized: np.ndarray
 
 
-class _Failures:
-    """The rows each stage fails, in the order one row meets the stages."""
-
-    def __init__(self, where: Callable[[int], tuple[str, str]]):
-        self.where = where
-        self.stages = []  # (failing rows, error type, row -> message)
-
-    def add(self, rows: np.ndarray, error: type, message: Callable[[int], str]) -> None:
-        if len(rows):
-            self.stages.append((rows, error, message))
-
-    def raise_first(self) -> None:
-        """Raise the error of the first failing row, from the first stage it fails."""
-        if not self.stages:
-            return
-        row = min(int(rows[0]) for rows, _, _ in self.stages)
-        error, message = next((e, m) for rows, e, m in self.stages if row in rows)
-        label, location = self.where(row)
-        text = f"{label}: {message(row)}"
-        if issubclass(error, ParseError):
-            raise error(text, location)
-        raise error(located(text, None, location))
-
-
 def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
                     where: Callable[[int], tuple[str, str]]) -> CascadeColumns:
-    """Evaluate the cascade over many rows at once, one numpy pass per stage.
+    """Evaluate the cascade over many rows at once, each stage on whole columns.
 
     `columns` holds every axis input variable as one equal-length column of
     row values, NaN for an empty cell. A row runs each axis system whose
@@ -169,80 +145,84 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
     so each ideal axis is scored once. The normalized score is the fraction of
     the ideal combined score, capped at 1.
 
-    `where(row)` names a row (label, location) for its error; it is called
-    for the one row that raises, so no other row's name is built. The first
-    failing row raises, with the error of the first stage it fails: no axis
-    inputs or no wired axis (ParseError), or an axis, the combining stage or
-    the ideal run firing no rule, or an ideal score that is not positive
-    (DecisiveError).
-    The config's shape (one two-input combining stage, complete
-    `ideal_inputs`, a wired axis) is checked when it loads.
+    The first failing row raises, with the error of the first stage it fails:
+    no axis inputs or no wired axis (ParseError), or an axis, the combining
+    stage or the ideal run firing no rule, or an ideal score that is not
+    positive (DecisiveError). Each stage keeps only its own first failing row,
+    which is exact: the stage holding the overall first failing row has it as
+    its first. `where(row)` names a row (label, location) and is called for the
+    one row that raises. The config's shape (one two-input combining stage,
+    complete `ideal_inputs`, a wired axis) is checked when it loads.
     """
-    failures = _Failures(where)
+    failures = []  # (first failing row, error type, message) of each stage that fails
+
+    def fail(rows: np.ndarray, error: type, message: Callable[[int], str]) -> None:
+        if rows.any():
+            row = int(np.argmax(rows))
+            failures.append((row, error, message(row)))
+
     systems = {name: fis for name, fis in config.fis.items() if name not in config.cascade}
     active = {name: ~np.isnan([columns[v] for v in fis.inputs]).any(axis=0)
               for name, fis in systems.items()}
-    unmatched = ~np.any(list(active.values()), axis=0)
-    failures.add(np.flatnonzero(unmatched), ParseError, lambda i: "row matches no axis inputs")
+    fail(~np.any(list(active.values()), axis=0), ParseError,
+         lambda i: "row matches no axis inputs")
 
     axes = {}
     for name, fis in systems.items():
-        rows = np.flatnonzero(active[name])
-        scores, fired = _fis_columns(fis, {v: columns[v][rows] for v in fis.inputs})
-        axes[name] = np.full(len(unmatched), np.nan)
-        axes[name][rows] = scores
-        failures.add(rows[~fired], DecisiveError, lambda i, fis=fis: _no_rule(
+        scores, fired = _fis_columns(fis, {v: columns[v] for v in fis.inputs})
+        axes[name] = np.where(active[name], scores, np.nan)
+        fail(active[name] & ~fired, DecisiveError, lambda i: _no_rule(
             fis, {v: float(columns[v][i]) for v in fis.inputs}))
 
     ((combiner_name, wiring),) = config.cascade.items()
     combiner = config.fis[combiner_name]
-    combined = _combine(combiner, wiring, axes, active, failures)
+    combined = _combine(combiner, wiring, axes, active, fail)
 
     ideal_axes = dict(axes)
     for name, fis in systems.items():
-        rows = np.flatnonzero(active[name])
-        if name not in config.ideal_inputs or not len(rows):
+        if name not in config.ideal_inputs or not active[name].any():
             continue
         try:
             score = fis_eval(fis, config.ideal_inputs[name])
         except DecisiveError as exc:
             score = math.nan
-            failures.add(rows, DecisiveError, lambda i, text=str(exc): text)
+            fail(active[name], DecisiveError, lambda i: str(exc))
         ideal_axes[name] = np.where(active[name], score, np.nan)
-    ideal = _combine(combiner, wiring, ideal_axes, active, failures)
-    failures.add(np.flatnonzero(ideal <= 0), DecisiveError,
-                 lambda i: "ideal-run score must be positive")
+    ideal = _combine(combiner, wiring, ideal_axes, active, fail)
+    fail(ideal <= 0, DecisiveError, lambda i: "ideal-run score must be positive")
 
-    failures.raise_first()
+    if failures:
+        row, error, message = min(failures, key=lambda failure: failure[0])  # first stage at a tie
+        label, location = where(row)
+        text = f"{label}: {message}"
+        if issubclass(error, ParseError):
+            raise error(text, location)
+        raise error(located(text, None, location))
     return CascadeColumns(axes, combined, np.minimum(1.0, combined / ideal))
 
 
 def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarray],
-             active: Mapping[str, np.ndarray], failures: _Failures) -> np.ndarray:
+             active: Mapping[str, np.ndarray], fail: Callable) -> np.ndarray:
     """Each row's combined score: its active wired axes folded in wiring order.
 
     A row takes the score of its first active wired axis as it is; each
-    further one goes through the combiner with the row's score so far.
+    further one goes through the combiner with the row's score so far. The
+    combiner runs on whole columns, and only when some row has two active
+    wired axes.
     """
     combined = np.full(len(axes[wiring[0]]), np.nan)
     started = np.zeros(len(combined), dtype=bool)
     for axis in wiring:
-        first = active[axis] & ~started
-        combined[first] = axes[axis][first]
-        rows = np.flatnonzero(active[axis] & started)
-        if len(rows):
-            var_a, var_b = combiner.inputs
-            left, right = combined[rows], axes[axis][rows]
-            combined[rows], fired = _fis_columns(combiner, {var_a: left, var_b: right})
-
-            def message(i, rows=rows, left=left, right=right):
-                k = np.searchsorted(rows, i)
-                return _no_rule(combiner, {var_a: float(left[k]), var_b: float(right[k])})
-
-            failures.add(rows[~fired], DecisiveError, message)
+        both = active[axis] & started
+        if both.any():
+            inputs = dict(zip(combiner.inputs, (combined, axes[axis])))
+            folded, fired = _fis_columns(combiner, inputs)
+            fail(both & ~fired, DecisiveError, lambda i: _no_rule(
+                combiner, {v: float(column[i]) for v, column in inputs.items()}))
+            combined = np.where(both, folded, combined)
+        combined = np.where(started, combined, axes[axis])
         started |= active[axis]
-    failures.add(np.flatnonzero(~started), ParseError,
-                 lambda i: f"row matches no axis that {combiner.name!r} combines")
+    fail(~started, ParseError, lambda i: f"row matches no axis that {combiner.name!r} combines")
     return combined
 
 

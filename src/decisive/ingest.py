@@ -419,9 +419,11 @@ def parse_criteria(path) -> list[Criterion]:
 # --- fiducial observations -----------------------------------------------------
 
 @_total
-def parse_fiducial_observations(path) -> list[FiducialObservation]:
+def parse_fiducial_observations(path, fiducial_ids=None) -> list[FiducialObservation]:
     """Split-cylinder fiducial observations. A `missing` half has no position, so its row
-    may stop before x and y, which are converted on the other rows only."""
+    may stop before x and y, which are converted on the other rows only. A repeated
+    (fiducial_id, half) warns, and its later row takes the earlier one's place; an id that
+    is not in `fiducial_ids`, when given, warns at its line."""
     from .mapping import MAPPED_STATES, FiducialObservation
 
     def state(text: str, line) -> str:
@@ -435,6 +437,15 @@ def parse_fiducial_observations(path) -> list[FiducialObservation]:
                   "y": _text, "mapped": state}
     _columns(header, converters)  # a short row may lack x and y, the header may not
     lines, columns = _csv_table(header, body, start, converters, optional=("x", "y"))
+    kept = _repeated_keys(
+        path, lines, [columns[0], list(map(str, columns[1]))],
+        lambda key: f"duplicate observation for {key[0]} half {key[1]}; keeping the later row")
+    if kept is not None:
+        lines, columns = [lines[i] for i in kept], [[column[i] for i in kept] for column in columns]
+    if fiducial_ids is not None:
+        for line, fiducial_id in zip(lines, columns[0]):
+            if fiducial_id not in fiducial_ids:
+                _warn(path, f"fiducial {fiducial_id!r} is not one of the test's fiducials", line)
     return [FiducialObservation(fiducial_id, half, None if mapped == "missing" else
                                 (_number(x, line), _number(y, line)), mapped)
             for line, fiducial_id, half, x, y, mapped in zip(lines, *columns)]
@@ -648,8 +659,11 @@ _TEST_BLOCKS = {
     },
 }
 
-#: the blocks that name a file beside the manifest, with the parser of that file
-_SIDE_FILES = {"criteria": parse_criteria, "observations": parse_fiducial_observations}
+#: the blocks that name a file beside the manifest, each with the parser of that file given
+#: the test's blocks; fiducial observations resolve against the test's fiducials
+_SIDE_FILES = {"criteria": lambda path, blocks: parse_criteria(path),
+               "observations": lambda path, blocks: parse_fiducial_observations(
+                   path, {g.fiducial_id for g in blocks.get("fiducials", ())})}
 
 
 def _campaign_test(entry: dict, test_id: str, kind: str | None, manifest: Path) -> CampaignTest:
@@ -661,19 +675,19 @@ def _campaign_test(entry: dict, test_id: str, kind: str | None, manifest: Path) 
     blocks = _fields({key: value for key, value in entry.items() if value or key == "obstacle"},
                      readers, owner, required=("obstacle",))
     for key in _SIDE_FILES.keys() & blocks.keys():
-        blocks[key] = _side_file(test_id, key, blocks[key], manifest)
+        blocks[key] = _side_file(test_id, key, blocks, manifest)
     return CampaignTest(test_id, kind, **blocks)
 
 
-def _side_file(test_id: str, key: str, name: str, manifest: Path) -> tuple:
+def _side_file(test_id: str, key: str, blocks: dict, manifest: Path) -> tuple:
     """The parsed contents of the file, beside the manifest, that a test's `key` block names.
 
     A malformed file fails with its parser's error, which names that file.
     """
-    path = manifest.parent / name
+    path = manifest.parent / blocks[key]
     if not path.is_file():
-        raise ParseError(f"test {test_id}: {key} file {name!r} not found")
-    return tuple(_SIDE_FILES[key](path))
+        raise ParseError(f"test {test_id}: {key} file {blocks[key]!r} not found")
+    return tuple(_SIDE_FILES[key](path, blocks))
 
 
 def _fields(value, kinds, owner: str, required=()) -> dict:
@@ -851,7 +865,8 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
     """Attention weights per element, and the missions, of an `sa --weights` file.
 
     Weights come from SEEV `params`, an explicit `weights` map, or the top
-    level itself; `missions` maps a mission name to the elements it covers.
+    level itself; `missions` maps a mission name to the elements it covers, and an element
+    that the file does not weigh warns.
     """
     from .human_factors import SeParams, attention_allocation
 
@@ -869,13 +884,18 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
             params.append(SeParams(se, *numbers.values()))
         if not params:
             raise ParseError("no situation elements")
-        return attention_allocation(params), missions
-    weights = (_fields(typed["weights"], float, "weight file weights") if "weights" in typed
-               else _fields({k: v for k, v in doc.items() if k != "missions"}, float,
-                            "weight file"))
-    for se, weight in weights.items():
-        if weight < 0:
-            raise ParseError(f"{se}: weight must be >= 0")
+        weights = attention_allocation(params)
+    else:
+        weights = (_fields(typed["weights"], float, "weight file weights") if "weights" in typed
+                   else _fields({k: v for k, v in doc.items() if k != "missions"}, float,
+                                "weight file"))
+        for se, weight in weights.items():
+            if weight < 0:
+                raise ParseError(f"{se}: weight must be >= 0")
+    for mission, elements in missions.items():
+        for se in elements:
+            if se not in weights:
+                _warn(path, f"mission {mission!r}: element {se!r} has no weight")
     return weights, missions
 
 

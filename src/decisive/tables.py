@@ -366,7 +366,8 @@ def cfis_tables(config, scores_path: Path) -> list[ReportTable]:
 def sa_tables(sagat, weights: dict[str, float] | None, missions: dict) -> list[ReportTable]:
     """SAGAT rates, OSA per participant, OSA by mission; no `weights` weighs every element 1.
     The mission table's "overall" row is the OSA table's mean and std; it takes the place of
-    a mission of that name."""
+    a mission of that name. A weighted element that no SAGAT answer names warns, and so does
+    an answered element with no weight."""
     from . import human_factors as hf
     from .stats import mean_std
 
@@ -374,6 +375,14 @@ def sa_tables(sagat, weights: dict[str, float] | None, missions: dict) -> list[R
     vectors = hf.perception_vectors(sagat)
     if weights is None:
         weights = {se: 1.0 for se in rates}
+    for se in weights:
+        if se not in rates:
+            warnings.warn(f"SA element {se!r} has a weight but no SAGAT answer",
+                          DataQualityWarning)
+    for se in rates:
+        if se not in weights:
+            warnings.warn(f"SAGAT element {se!r} has no weight; it is left out of OSA",
+                          DataQualityWarning)
 
     rate_table = ReportTable(
         "SAGAT correct rate",

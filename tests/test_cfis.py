@@ -401,6 +401,22 @@ def one_axis(ideal: float) -> FisConfig:
     return FisConfig({"x": axis, "comb": combiner}, {"comb": ("x",)}, {"x": {"v": ideal}})
 
 
+def combining_gap() -> FisConfig:
+    """Axes x, scoring its input v, and y, scoring w where z > 0 and firing no rule at
+    w = 1, z = 0; wired (x, y) into a combiner that fires only where both inputs are above 0."""
+    unit = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
+                                         "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)}, {})
+    levels = {"bad": 0.0, "good": 1.0}
+    x = Fis("x", {"v": unit}, levels,
+            (Rule((("v", "lo", False),), "bad"), Rule((("v", "hi", False),), "good")))
+    y = Fis("y", {"w": unit, "z": unit}, levels,
+            (Rule((("w", "lo", False),), "bad"),
+             Rule((("w", "hi", False), ("z", "hi", False)), "good")))
+    comb = Fis("comb", {"p": unit, "q": unit}, levels,
+               (Rule((("p", "hi", False), ("q", "hi", False)), "good"),))
+    return FisConfig({"x": x, "y": y, "comb": comb}, {"comb": ("x", "y")}, {})
+
+
 class TestNormalizedScore:
     def test_equal_to_ideal(self):
         assert score_rows(one_axis(0.9), [{"v": 0.9}]).normalized[0] == 1.0
@@ -461,6 +477,26 @@ class TestCascadeErrors:
         cfg = FisConfig({"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
         with pytest.raises(DecisiveError, match=r'^r0: x: no rule fired for \{"v": 1.0\}'):
             score_rows(cfg, [{"v": 1.0}])
+
+    def test_combining_stage_names_the_first_failing_rows_own_inputs(self):
+        # r0 skips x, so r1 is the first row the combiner folds; r2 fails it too
+        rows = [{"w": 0.5, "z": 1.0}, {"v": 0.25, "w": 0.0, "z": 1.0},
+                {"v": 0.0, "w": 0.75, "z": 1.0}]
+        with pytest.raises(DecisiveError) as exc:
+            score_rows(combining_gap(), rows)
+        assert type(exc.value) is DecisiveError
+        assert str(exc.value) == 'r1: comb: no rule fired for {"p": 0.25, "q": 0.0} (at f:3)'
+
+    def test_skipped_axis_reports_no_rule_of_its_own(self):
+        # r0 skips y (no z), and its w = 1 fires none of y's rules; r1 fails the combiner
+        cfg = combining_gap()
+        skipping = {"v": 0.5, "w": 1.0}
+        scored = score_rows(cfg, [skipping])
+        assert math.isnan(scored.axes["y"][0])
+        assert scored.combined[0] == 0.5
+        with pytest.raises(DecisiveError) as exc:
+            score_rows(cfg, [skipping, {"v": 0.25, "w": 0.0, "z": 1.0}])
+        assert str(exc.value) == 'r1: comb: no rule fired for {"p": 0.25, "q": 0.0} (at f:3)'
 
 
 class TestPredictiveScore:

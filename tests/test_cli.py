@@ -647,11 +647,70 @@ def coincident_fiducials(tmp_path):
             "warning: map-loop: global error skipped: all matched fiducials coincide on the map")
 
 
+def edited_observation(tmp_path, row, text):
+    """`metrics --test mapping` on a sample copy whose observation `row` (a CSV line) reads
+    `text`, and that observation file."""
+    campaign = campaign_copy(tmp_path)
+    observations = campaign / "fiducials.csv"
+    lines = observations.read_text().splitlines()
+    observations.write_text("\n".join(text if line == row else line for line in lines) + "\n")
+    return ["metrics", campaign / "campaign.json", "--test", "mapping"], observations
+
+
+def repeated_fiducial_half(tmp_path):
+    argv, observations = edited_observation(tmp_path, "A,2,0.000000,0.000000,complete",
+                                            "A,1,0.000000,0.000000,complete")
+    return argv, (f"warning: duplicate observation for A half 1; keeping the later row "
+                  f"(at {observations}:3)")
+
+
+def unknown_fiducial(tmp_path):
+    argv, observations = edited_observation(tmp_path, "B,1,160.000000,0.000000,complete",
+                                            "b,1,160.000000,0.000000,complete")
+    return argv, f"warning: fiducial 'b' is not one of the test's fiducials (at {observations}:4)"
+
+
+def edited_sa_weights(tmp_path, edit):
+    """`sa` with the sample SAGAT answers and a copy of the sample weights that `edit` changes."""
+    doc = json.loads((CAMPAIGN / "sa_weights.json").read_text())
+    edit(doc)
+    weights = write(tmp_path / "w.json", json.dumps(doc))
+    return ["sa", "--sagat", CAMPAIGN / "sagat.csv", "--weights", weights], weights
+
+
+def unknown_mission_element(tmp_path):
+    argv, weights = edited_sa_weights(
+        tmp_path, lambda doc: doc["missions"].update(bogus=["nonexistent"]))
+    return argv, f"warning: mission 'bogus': element 'nonexistent' has no weight (at {weights})"
+
+
+def misspelled_mission_element(tmp_path):
+    argv, weights = edited_sa_weights(
+        tmp_path, lambda doc: doc["missions"]["aviate"].append("altitud"))
+    return argv, f"warning: mission 'aviate': element 'altitud' has no weight (at {weights})"
+
+
+def misspelled_weight_key(doc):
+    doc["params"]["altitud"] = doc["params"].pop("altitude")
+
+
+def weight_without_answer(tmp_path):
+    argv, _ = edited_sa_weights(tmp_path, misspelled_weight_key)
+    return argv, "warning: SA element 'altitud' has a weight but no SAGAT answer"
+
+
+def answer_without_weight(tmp_path):
+    argv, _ = edited_sa_weights(tmp_path, misspelled_weight_key)
+    return argv, "warning: SAGAT element 'altitude' has no weight; it is left out of OSA"
+
+
 # inputs that give a warning, and exit 0: each case gives the argv and the warning line
 WARNING_LINES = (unknown_column, duplicate_survey_row, duplicate_survey_row_after_two_line_header,
                  duplicate_score_pair_after_two_line_cell, item_count_mismatch, membership_gap,
                  single_flight, removed_participant, iqr_note, global_error_skipped,
-                 coincident_fiducials)
+                 coincident_fiducials, repeated_fiducial_half, unknown_fiducial,
+                 unknown_mission_element, misspelled_mission_element, weight_without_answer,
+                 answer_without_weight)
 
 
 class TestWarningLines:

@@ -246,9 +246,19 @@ class TestColumnsAgreeWithRowReference:
         assert [(p, list(v.items())) for p, v in vectors.items()] == [
             (p, list(v.items())) for p, v in expected.items()]
 
-        got = outcome(lambda: [(t.title, [c.header for c in t.columns], t.rows)
-                               for t in tables.sa_tables(columns, weights, missions)])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            got = outcome(lambda: [(t.title, [c.header for c in t.columns], t.rows)
+                                   for t in tables.sa_tables(columns, weights, missions)])
         want = outcome(lambda: reference_sa_tables(rows, weights, missions))
+        # each weighted element no answer names, then each answered element with no weight
+        answered = list(dict.fromkeys(row.se_id for row in rows))
+        unresolved = [] if weights is None else [
+            *(f"SA element {se!r} has a weight but no SAGAT answer"
+              for se in weights if se not in answered),
+            *(f"SAGAT element {se!r} has no weight; it is left out of OSA"
+              for se in answered if se not in weights)]
+        assert [str(w.message) for w in record] == unresolved
         # the overall row is the OSA table's mean and std, where the reference summed each
         # participant's weights in sorted order and took participants in file order
         got_overall, want_overall = pop_overall(got), pop_overall(want)

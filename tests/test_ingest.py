@@ -1768,6 +1768,24 @@ class TestFiducialObservations:
                                                  "fiducial_id,half,mapped,x,y\nA,2,missing\n"))
         assert obs[0].map_xy is None
 
+    def test_repeated_half_warns_and_keeps_the_later_row(self, tmp_path):
+        p = write(tmp_path / "f.csv", "fiducial_id,half,x,y,mapped\nA,1,0,0,complete\n"
+                                      "B,1,1,1,complete\nA,1,2,3,partial\n")
+        with pytest.warns(DataQualityWarning) as record:
+            obs = parse_fiducial_observations(p)
+        assert [str(w.message) for w in record] == [
+            f"duplicate observation for A half 1; keeping the later row (at {p}:4)"]
+        assert [(o.fiducial_id, o.map_xy) for o in obs] == [("A", (2.0, 3.0)), ("B", (1.0, 1.0))]
+
+    def test_id_outside_the_given_fiducials_warns_at_its_line(self, tmp_path):
+        p = write(tmp_path / "f.csv", "fiducial_id,half,x,y,mapped\nA,1,0,0,complete\n"
+                                      "b,1,,,missing\n")
+        with pytest.warns(DataQualityWarning) as record:
+            obs = parse_fiducial_observations(p, {"A", "B"})
+        assert [str(w.message) for w in record] == [
+            f"fiducial 'b' is not one of the test's fiducials (at {p}:3)"]
+        assert len(obs) == 2
+
 
 class TestRepeatedColumns:
     @pytest.mark.parametrize("parser, header, column", [

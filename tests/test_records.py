@@ -147,7 +147,7 @@ RECORDS = [decisive.cfis.TriangularMf, decisive.core.ObstacleGeometry, decisive.
            decisive.ncap.Feature, decisive.report.Column]
 
 #: the only classes of the package, exception types aside, that build themselves
-BUILT = {"Trajectory", "ReportTable", "_Failures", "_Parser"}
+BUILT = {"Trajectory", "ReportTable", "_Parser"}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
