@@ -198,7 +198,9 @@ def cascade_columns(config: FisConfig, columns: Mapping[str, np.ndarray],
         if issubclass(error, ParseError):
             raise error(text, location)
         raise error(located(text, None, location))
-    return CascadeColumns(axes, combined, np.minimum(1.0, combined / ideal))
+    # a row at or above the ideal scores 1.0 undivided: a subnormal ideal would overflow
+    return CascadeColumns(axes, combined, np.divide(combined, ideal, out=np.ones_like(combined),
+                                                    where=combined < ideal))
 
 
 def _combine(combiner: Fis, wiring: tuple[str, ...], axes: Mapping[str, np.ndarray],

@@ -59,14 +59,14 @@ class TrialRecord(NamedTuple):
     trial_id: str
     test_id: str
     suas_id: str
-    outcome: str  # success | failure
+    outcome: str = "success"  # or failure
     collisions: int = 0
     # one of OA_CATEGORIES, CR_CATEGORIES and APERTURE_TIERS
     oa_category: Optional[str] = None
     cr_category: Optional[str] = None
     aperture_tier: Optional[str] = None
-    t_collision: Optional[float] = None
-    duration: float = 0.0  # minutes
+    t_collision_s: Optional[float] = None
+    duration_min: float = 0.0
     laps: Optional[int] = None
     telemetry: Optional[Path] = None  # resolved against the manifest's directory
 

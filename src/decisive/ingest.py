@@ -14,11 +14,12 @@ text. A repeated response or score key is found once, on the columns read
 object a parser reads, and every map whose keys are data, goes through
 `_fields`, which types each key and names the object or map and the key, so a
 wrong type fails at load, naming its file; `_load_json` fails at a repeated
-key. Every other check on an input value is made here too, once, in the
-function that reads the value; the records built hold fields only. UTF-8 (a
-byte-order mark is dropped), '.' decimal separator, ',' delimiter. A parser
-imports the domain types it builds when it runs, so a subcommand loads only
-the modules of the files it reads.
+key. A check on one JSON value is part of its kind (`_one_of`, `_number_in`),
+so it fails as a wrong type does; a check that compares values is made here
+too, once, in the function that reads them. The records built hold fields
+only. UTF-8 (a byte-order mark is dropped), '.' decimal separator, ','
+delimiter. A parser imports the domain types it builds when it runs, so a
+subcommand loads only the modules of the files it reads.
 """
 
 from __future__ import annotations
@@ -521,6 +522,22 @@ def _one_of(*choices: str):
     return convert
 
 
+def _number_in(low: float, high: float = math.inf, open_low: bool = False):
+    """A `_fields` kind of a JSON number in [low, high], or in (low, high] when `open_low`."""
+    bound = (f"{'>' if open_low else '>='} {low:g}" if high == math.inf
+             else f"in {'(' if open_low else '['}{low:g}, {high:g}]")
+
+    def convert(value):
+        number = _json(value, float)
+        if number < low or (open_low and number == low) or number > high:
+            raise ValueError(f"expected a number {bound}, got {json.dumps(value)}")
+        return number
+    return convert
+
+
+_positive = _number_in(0, open_low=True)
+
+
 def _obstructions(value) -> tuple[tuple[int, str], ...]:
     """[[count, material], ...]: each a pair of a whole number and a string."""
     pairs = _json(value, list)
@@ -530,17 +547,21 @@ def _obstructions(value) -> tuple[tuple[int, str], ...]:
     return tuple((_count(count), _json(material, str)) for count, material in pairs)
 
 
+def _vertices(value) -> tuple[tuple[float, ...], ...]:
+    """A path's vertices: at least two points of 3 numbers, each unlike the one before."""
+    vertices = tuple(_numbers(vertex, 3) for vertex in _json(value, list))
+    if len(vertices) < 2:
+        raise ValueError(f"expected at least two vertices, got {len(vertices)}")
+    if any(a == b for a, b in zip(vertices, vertices[1:])):
+        raise ValueError("expected consecutive vertices to differ")
+    return vertices
+
+
 def _reference_path(spec, owner: str) -> ReferencePath:
     from .nav import ReferencePath
 
-    vertices = lambda v: tuple(_numbers(vertex, 3) for vertex in _json(v, list))  # noqa: E731
-    path = ReferencePath(**_fields(spec, {"vertices": vertices, "closed": bool}, owner,
+    return ReferencePath(**_fields(spec, {"vertices": _vertices, "closed": bool}, owner,
                                    required=("vertices",)))
-    if len(path.vertices) < 2:
-        raise ParseError(f"{owner}: needs at least two vertices")
-    if any(a == b for a, b in zip(path.vertices, path.vertices[1:])):
-        raise ParseError(f"{owner}: consecutive vertices must differ")
-    return path
 
 
 def _obstacle(spec, owner: str) -> ObstacleGeometry:
@@ -549,50 +570,37 @@ def _obstacle(spec, owner: str) -> ObstacleGeometry:
     point = lambda v: _numbers(v, 2)  # noqa: E731
     obstacle = ObstacleGeometry(**{"kind": "plane_segment", **_fields(spec, {
         "kind": _one_of("plane_segment", "infinite_plane"), "p0": point, "p1": point,
-        "height": float, "material": _one_of(*OBSTACLE_MATERIALS)}, owner,
+        "height": _positive, "material": _one_of(*OBSTACLE_MATERIALS)}, owner,
         required=("p0", "p1", "height"))})
     if obstacle.p0 == obstacle.p1:
         raise ParseError(f"{owner}: segment endpoints must differ")
-    if not obstacle.height > 0:
-        raise ParseError(f"{owner}: height must be positive")
     return obstacle
 
 
 def _nlos_positions(value, owner: str) -> tuple[NlosPosition, ...]:
     from .field import NlosPosition
 
-    positions = []
-    for k, entry in enumerate(_json(value, list)):
-        name = f"{owner} {k}"
-        # checked, not kept
-        _fields(entry, {"label": str, "latency_ms": float}, name, required=("label",))
-        position = NlosPosition(**_fields(entry, {
-            "distance": float, "obstructions": _obstructions,
-            "connect": _one_of("good", "bad", "none"), "fly": _one_of("possible", "not_possible"),
-        }, name, required=("distance",)))
-        if position.distance <= 0:
-            raise ParseError(f"{name}: distance must be positive")
-        positions.append(position)
-    return tuple(positions)
+    # label and latency_ms are checked, not kept: the check always holds a label, so it
+    # filters no entry out
+    return tuple(NlosPosition(**_fields(entry, {
+        "distance": _positive, "obstructions": _obstructions,
+        "connect": _one_of("good", "bad", "none"), "fly": _one_of("possible", "not_possible"),
+    }, name, required=("distance",)))
+        for name, entry in ((f"{owner} {k}", entry) for k, entry in enumerate(_json(value, list)))
+        if _fields(entry, {"label": str, "latency_ms": float}, name, required=("label",)))
 
 
 #: the kind of each key of a fiducial, all required, in FiducialGroundTruth's order
-_FIDUCIAL_FIELDS = {"id": str, "xy": lambda v: _numbers(v, 2), "min_traversal": float,
+_FIDUCIAL_FIELDS = {"id": str, "xy": lambda v: _numbers(v, 2), "min_traversal": _positive,
                     "min_turns": _count}
 
 
 def _fiducials(value, owner: str) -> tuple[FiducialGroundTruth, ...]:
     from .mapping import FiducialGroundTruth
 
-    fiducials = []
-    for k, entry in enumerate(_json(value, list)):
-        name = f"{owner} {k}"
-        fiducial = FiducialGroundTruth(
-            *_fields(entry, _FIDUCIAL_FIELDS, name, required=tuple(_FIDUCIAL_FIELDS)).values())
-        if fiducial.min_traversal <= 0:
-            raise ParseError(f"{name}: min_traversal must be positive")
-        fiducials.append(fiducial)
-    return tuple(fiducials)
+    return tuple(FiducialGroundTruth(*_fields(entry, _FIDUCIAL_FIELDS, f"{owner} {k}",
+                                              required=tuple(_FIDUCIAL_FIELDS)).values())
+                 for k, entry in enumerate(_json(value, list)))
 
 
 def _shape_classes(value, owner: str) -> dict[str, str]:
@@ -602,22 +610,19 @@ def _shape_classes(value, owner: str) -> dict[str, str]:
 
 
 def _dimensions(value, owner: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    reported, truth = _fields(value, {"reported": _numbers, "truth": _numbers}, owner,
-                              required=("reported", "truth")).values()
+    reported, truth = _fields(value, {"reported": _numbers,
+                                      "truth": lambda v: tuple(map(_positive, _json(v, list)))},
+                              owner, required=("reported", "truth")).values()
     if len(reported) != len(truth):
         raise ParseError(f"{owner}: {len(reported)} reported vs {len(truth)} truth values")
     if not truth:
         raise ParseError(f"{owner}: no dimensions")
-    if any(g <= 0 for g in truth):
-        raise ParseError(f"{owner}: ground-truth dimensions must be positive")
     return reported, truth
 
 
 def _fov(value, owner: str) -> tuple[int, int]:
-    visible, total = _fields(value, {"visible": _count, "total": _count}, owner,
-                             required=("visible", "total")).values()
-    if total == 0:
-        raise ParseError(f"{owner}: total must be positive")
+    visible, total = _fields(value, {"visible": _count, "total": lambda v: _count(_positive(v))},
+                             owner, required=("visible", "total")).values()
     if visible > total:
         raise ParseError(f"{owner}: visible count {visible} outside [0, {total}]")
     return visible, total
@@ -750,45 +755,35 @@ def parse_campaign(path) -> Campaign:
     tests = {}
     for entry in doc.get("tests", []):
         test_id = _fields(entry, {"test_id": str}, "test entry", required=("test_id",))["test_id"]
+        if test_id in tests:  # a later entry would replace the test
+            raise ParseError(f"test_id {test_id!r} appears more than once")
         typed = _fields(entry, {"environment": str, "kind": str}, f"test {test_id}")
         env_ref = typed.get("environment")
         if env_ref is not None and env_ref not in environments:
             raise ParseError(f"test {test_id} references environment {env_ref!r}")
         tests[test_id] = _campaign_test(entry, test_id, typed.get("kind"), path)
 
+    # the kind of each key a TrialRecord keeps, named as its field
     trial_fields = {"test_id": str, "suas_id": str, "outcome": _one_of("success", "failure"),
-                    "oa_category": _one_of(*OA_CATEGORIES), "cr_category": _one_of(*CR_CATEGORIES),
-                    "aperture_tier": _one_of(*APERTURE_TIERS), "telemetry": str, "laps": _count,
-                    "collisions": _count, "rollovers": _count, "t_collision_s": float,
-                    "duration_min": float}
+                    "collisions": _count, "oa_category": _one_of(*OA_CATEGORIES),
+                    "cr_category": _one_of(*CR_CATEGORIES),
+                    "aperture_tier": _one_of(*APERTURE_TIERS), "t_collision_s": float,
+                    "duration_min": _number_in(0), "laps": _count}
     trials = []
     for entry in doc.get("trials", []):
         trial_id = _fields(entry, {"trial_id": str}, "trial entry").get("trial_id", "?")
-        typed = _fields(entry, trial_fields, f"trial {trial_id}", required=("test_id", "suas_id"))
+        owner = f"trial {trial_id}"
+        typed = _fields(entry, trial_fields, owner, required=("test_id", "suas_id"))
+        # rollovers is checked, not kept
+        file = _fields(entry, {"telemetry": str, "rollovers": _count}, owner).get("telemetry")
         if typed["test_id"] not in tests:
             raise ParseError(f"trial {trial_id} references unknown test {typed['test_id']!r}")
         if typed["suas_id"] not in suas:
             raise ParseError(f"trial {trial_id} references unknown sUAS {typed['suas_id']!r}")
-        telemetry = typed.get("telemetry") and path.parent / typed["telemetry"]
+        telemetry = file and path.parent / file
         if telemetry and not telemetry.is_file():
-            raise ParseError(f"trial {trial_id}: telemetry file {typed['telemetry']!r} not found")
-        trial = TrialRecord(
-            trial_id=trial_id,
-            test_id=typed["test_id"],
-            suas_id=typed["suas_id"],
-            outcome=typed.get("outcome", "success"),
-            collisions=typed.get("collisions", 0),
-            oa_category=typed.get("oa_category"),
-            cr_category=typed.get("cr_category"),
-            aperture_tier=typed.get("aperture_tier"),
-            t_collision=typed.get("t_collision_s"),
-            duration=typed.get("duration_min", 0.0),
-            laps=typed.get("laps"),
-            telemetry=telemetry,
-        )
-        if trial.duration < 0:
-            raise ParseError(f"trial {trial_id}: duration must be non-negative")
-        trials.append(trial)
+            raise ParseError(f"trial {trial_id}: telemetry file {file!r} not found")
+        trials.append(TrialRecord(trial_id, **typed, telemetry=telemetry))
 
     if not trials:
         _warn(path, "no trials")
@@ -875,23 +870,17 @@ def parse_sa_weights(path) -> tuple[dict[str, float], dict]:
     missions = _fields(typed.get("missions", {}), _strings, "weight file missions")
     if "params" in typed:
         seev = ("saliency", "effort", "expectancy", "value")
-        params = []
-        for se, spec in _fields(typed["params"], object, "weight file params").items():
-            numbers = _fields(spec, dict.fromkeys(seev, float), se, required=seev)
-            for name, number in numbers.items():
-                if number <= 0:
-                    raise ParseError(f"{se}: {name} must be > 0")
-            params.append(SeParams(se, *numbers.values()))
+        params = [SeParams(se, *_fields(spec, dict.fromkeys(seev, _positive), se,
+                                        required=seev).values())
+                  for se, spec in _fields(typed["params"], object, "weight file params").items()]
         if not params:
             raise ParseError("no situation elements")
         weights = attention_allocation(params)
     else:
-        weights = (_fields(typed["weights"], float, "weight file weights") if "weights" in typed
-                   else _fields({k: v for k, v in doc.items() if k != "missions"}, float,
+        weights = (_fields(typed["weights"], _number_in(0), "weight file weights")
+                   if "weights" in typed
+                   else _fields({k: v for k, v in doc.items() if k != "missions"}, _number_in(0),
                                 "weight file"))
-        for se, weight in weights.items():
-            if weight < 0:
-                raise ParseError(f"{se}: weight must be >= 0")
     for mission, elements in missions.items():
         for se in elements:
             if se not in weights:
@@ -984,9 +973,13 @@ def parse_feature_sheet(path) -> FeatureSheet:
 
 
 @_total
-def parse_capabilities(path) -> dict[str, AutonomyCapabilities]:
-    """A `--caps` file: {"<system id>": {"perception": true, ...}, ...}."""
+def parse_capabilities(path, system_ids) -> dict[str, AutonomyCapabilities]:
+    """A `--caps` file: {"<system id>": {"perception": true, ...}, ...}; a system that is not
+    one of `system_ids`, the feature sheet's, warns."""
     systems = _fields(_load_json(path), object, "capability file")
+    for sid in systems:
+        if sid not in system_ids:
+            _warn(path, f"system {sid!r} is not one of the feature sheet's systems")
     return {sid: _capabilities(flags, sid) for sid, flags in systems.items()}
 
 
@@ -1005,10 +998,12 @@ def parse_feature_weights(path, names) -> dict[str, float]:
 # --- FIS configuration ----------------------------------------------------------
 
 def _range(value) -> tuple[float, float]:
-    """An FIS variable's range: two numbers, the lower first."""
+    """An FIS variable's range: two numbers, the lower first, no wider than a float holds."""
     lo, hi = _numbers(value, 2)
     if lo > hi:
         raise ValueError(f"expected [lo, hi] with lo <= hi, got {json.dumps(value)}")
+    if not math.isfinite(hi - lo):  # a sweep or a ramp over it would overflow
+        raise ValueError(f"expected a width within the float range, got {json.dumps(value)}")
     return lo, hi
 
 
@@ -1039,8 +1034,6 @@ def parse_fis_config(path) -> FisConfig:
             var_spec = _fields(var_spec, {"range": _range, "terms": dict, "aliases": dict}, owner,
                                required=("range",))
             lo, hi = var_spec["range"]
-            if not math.isfinite(hi - lo):  # a sweep or a ramp over it would overflow
-                raise ParseError(f"{owner}: range [{lo}, {hi}] is wider than the float range")
             terms = {term: TriangularMf(*points, lo, hi) for term, points in _fields(
                 var_spec.get("terms", {}), _points(lo, hi), f"{owner} terms").items()}
             if not terms:
@@ -1056,10 +1049,7 @@ def parse_fis_config(path) -> FisConfig:
                 _warn(path, f"{fis_name}: variable {var_name!r} has membership gaps")
             inputs[var_name] = var
 
-        outputs = _fields(spec.get("outputs", {}), float, f"{fis_name} outputs")
-        for level, value in outputs.items():
-            if not 0.0 <= value <= 1.0:
-                raise ParseError(f"{fis_name}: output {level}={value} outside [0, 1]")
+        outputs = _fields(spec.get("outputs", {}), _number_in(0, 1), f"{fis_name} outputs")
 
         rules = []
         for i, rule_spec in enumerate(spec.get("rules", [])):

@@ -79,7 +79,7 @@ def nav_tables(campaign: Campaign) -> list[ReportTable]:
                 counts = Counter(t.aperture_tier for t in tiered)
                 tiers.add_row(test_id, suas_id, *[counts[tier] for tier in APERTURE_TIERS])
             if test.length_m:
-                total = sum(t.duration for t in mine)
+                total = sum(t.duration_min for t in mine)
                 if total > 0:
                     length = test.length_m * len(mine)
                     speed.add_row(test_id, suas_id, length, total,
@@ -106,7 +106,7 @@ def collision_tables(campaign: Campaign) -> list[ReportTable]:
             traj, _ = parse_telemetry(trial.telemetry)
             collided = trial.collisions > 0
             try:
-                m = coll.flight_metrics(traj, test.obstacle, collided, trial.t_collision)
+                m = coll.flight_metrics(traj, test.obstacle, collided, trial.t_collision_s)
             except DecisiveError as exc:
                 raise DecisiveError(f"trial {trial.trial_id}: {exc}") from None
             numeric.add_row(test_id, trial.suas_id, trial.trial_id, trial.collisions,
@@ -171,9 +171,9 @@ def field_tables(campaign: Campaign) -> list[ReportTable]:
         for suas_id in sorted({t.suas_id for t in trials}):
             mine = [t for t in trials if t.suas_id == suas_id]
             for trial in mine:
-                if trial.laps is not None and trial.duration > 0:
-                    distance, avg = field_mod.endurance_metrics(trial.laps, trial.duration)
-                    endurance.add_row(test_id, suas_id, trial.duration, distance, avg)
+                if trial.laps is not None and trial.duration_min > 0:
+                    distance, avg = field_mod.endurance_metrics(trial.laps, trial.duration_min)
+                    endurance.add_row(test_id, suas_id, trial.duration_min, distance, avg)
             successes = sum(1 for t in mine if t.outcome == "success")
             failures = len(mine) - successes
             if mine:
@@ -280,7 +280,7 @@ def ncap_results(features: Path, weights_arg: str, caps: Path | None) -> list:
 
     caps_by_id = dict(sheet.capabilities)
     if caps:
-        caps_by_id.update(parse_capabilities(caps))
+        caps_by_id.update(parse_capabilities(caps, potentials))
     missing = [sid for sid in potentials if sid not in caps_by_id]
     if missing:
         raise ParseError(f"no capability flags for: {', '.join(sorted(missing))}", str(features))

@@ -5,9 +5,10 @@ Run from the repository root:
 
     python3 tests/compare_outputs.py REF
 
-`REF` is extracted with `git archive` into a temporary directory. Each
-invocation below runs as a subprocess once with that tree's `src` and once
-with this checkout's `src` on PYTHONPATH, both from the same working
+`REF` is extracted with `git archive` into a temporary directory; without
+one argument naming a commit, the script prints a usage line and exits 2.
+Each invocation below runs as a subprocess once with that tree's `src` and
+once with this checkout's `src` on PYTHONPATH, both from the same working
 directory. The invocations are every golden command of the acceptance suite,
 `sa` without `--weights`, and the benchmark's `campaign`, `survey-large` and
 `scores` workloads generated from seed 61, each table command in every
@@ -120,7 +121,14 @@ def compare(ref: str) -> int:
     return 1 if differ else 0
 
 
+def is_commit(ref: str) -> bool:
+    return not ref.startswith("-") and subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"], cwd=REPO,
+        capture_output=True).returncode == 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit(f"usage: {sys.argv[0]} REF")
+    if len(sys.argv) != 2 or not is_commit(sys.argv[1]):
+        print(f"usage: {sys.argv[0]} REF, a commit of this repository", file=sys.stderr)
+        sys.exit(2)
     sys.exit(compare(sys.argv[1]))

@@ -103,7 +103,7 @@ class TestValidate:
         ("environments", {"lux": 5}, "environment lab: lighted requires measured lux >= 100"),
         ("environments", {"lighting": "dark", "lux": 1}, "environment lab: dark requires "
          "measured lux < 1"),
-        ("trials", {"duration_min": -1}, "trial t001: duration must be non-negative"),
+        ("trials", {"duration_min": -1}, "trial t001: bad 'duration_min' field (expected a number >= 0, got -1)"),
     ], ids=["outcome", "lighting", "lux", "dark-lux", "duration"])
     def test_bad_entry_value_names_the_entry(self, capsys, tmp_path, block, change, message):
         manifest = campaign_copy(tmp_path) / "campaign.json"
@@ -202,6 +202,25 @@ class TestMetrics:
         assert target.read_text().startswith("### Path deviation")
 
 
+ZULU_CAPS = {"zulu": {"perception": True, "modeling": True, "planning": False,
+                     "execution": False}}
+
+
+def caps_of_unknown_system(tmp_path, *argv):
+    """`argv` with a `--caps` file that flags a system the sample feature sheet lacks."""
+    caps = write(tmp_path / "caps.json", json.dumps(ZULU_CAPS))
+    return ([*argv, "--features", CAMPAIGN / "features.json", "--caps", caps],
+            f"warning: system 'zulu' is not one of the feature sheet's systems (at {caps})")
+
+
+def ncap_caps_unknown_system(tmp_path):
+    return caps_of_unknown_system(tmp_path, "ncap")
+
+
+def scatter_caps_unknown_system(tmp_path):
+    return caps_of_unknown_system(tmp_path, "plot", "--kind", "ncap-scatter")
+
+
 class TestNcap:
     def test_uniform_weights_csv(self, capsys):
         code, out, _err = run(capsys, "ncap", "--features", CAMPAIGN / "features.json",
@@ -245,12 +264,26 @@ class TestNcap:
         assert code == 1
         assert "capability" in err
 
+    @pytest.mark.parametrize("case", [ncap_caps_unknown_system, scatter_caps_unknown_system])
+    def test_caps_of_an_unknown_system_change_no_output(self, capsys, tmp_path, case):
+        argv, line = case(tmp_path)
+        assert run(capsys, *argv) == (0, run(capsys, *argv[:-2])[1], line + "\n")
+
 
 class TestCfis:
     def test_scores_pipeline(self, capsys):
         code, out, _err = run(capsys, "cfis", "--scores", CAMPAIGN / "cfis_scores.csv")
         assert code == 0
         assert "Predictive mission score" in out
+
+    def test_subnormal_ideal_score_prints_no_warning(self, capsys, tmp_path):
+        # the ideal run scores about 2.2e-313, and a score divided by it would overflow
+        config = edited(tmp_path, DEFAULT_FIS, lambda doc: doc["fis"]["combined"]["outputs"].update(
+            very_good=2.2e-313, medium=2.2e-313), "fis.json")
+        code, out, err = run(capsys, "cfis", "--fis", config, "--scores",
+                             CAMPAIGN / "cfis_scores.csv")
+        assert (code, err) == (0, "")
+        assert "| alpha | takeoff-hard | 1.000 | 0.544 | 0.685 | 1.00 |" in out
 
     def test_precomputed_scores(self, capsys, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -710,7 +743,7 @@ WARNING_LINES = (unknown_column, duplicate_survey_row, duplicate_survey_row_afte
                  single_flight, removed_participant, iqr_note, global_error_skipped,
                  coincident_fiducials, repeated_fiducial_half, unknown_fiducial,
                  unknown_mission_element, misspelled_mission_element, weight_without_answer,
-                 answer_without_weight)
+                 answer_without_weight, ncap_caps_unknown_system, scatter_caps_unknown_system)
 
 
 class TestWarningLines:
@@ -915,21 +948,21 @@ def manifest_with(edit):
 # inputs found wrong only once their file is read: (case, the error message before "(at FILE)")
 LOAD_ERRORS = {
     "sa-zero-saliency": (sa_with(lambda doc: doc["params"]["altitude"].update(saliency=0)),
-                         "altitude: saliency must be > 0"),
+                         "altitude: bad 'saliency' field (expected a number > 0, got 0)"),
     "sa-zero-effort": (sa_with(lambda doc: doc["params"]["heading"].update(effort=0)),
-                       "heading: effort must be > 0"),
+                       "heading: bad 'effort' field (expected a number > 0, got 0)"),
     "sa-negative-expectancy": (sa_with(lambda doc: doc["params"]["heading"].update(
-        expectancy=-1)), "heading: expectancy must be > 0"),
+        expectancy=-1)), "heading: bad 'expectancy' field (expected a number > 0, got -1)"),
     "sa-zero-value": (sa_with(lambda doc: doc["params"]["battery"].update(value=0.0)),
-                      "battery: value must be > 0"),
+                      "battery: bad 'value' field (expected a number > 0, got 0.0)"),
     "sa-no-elements": (sa_with(lambda doc: doc.update(params={})), "no situation elements"),
     "sa-negative-weight": (
         sa_with(lambda doc: [doc.pop("params"), doc.update(weights={"landolt_red": -2,
                                                                     "altitude": 1})]),
-        "landolt_red: weight must be >= 0"),
+        "weight file weights: bad 'landolt_red' field (expected a number >= 0, got -2)"),
     "sa-negative-top-level-weight": (
         sa_with(lambda doc: [doc.pop("params"), doc.update(altitude=1, heading=-0.5)]),
-        "heading: weight must be >= 0"),
+        "weight file: bad 'heading' field (expected a number >= 0, got -0.5)"),
     "fis-two-point-term": (cfis_with(set_term("low", [0, 1])),
                            "mc.crashes terms: bad 'low' field (expected 3 numbers, got 2)"),
     "fis-unordered-term": (cfis_with(set_term("low", [1.25, 0, 0])),
@@ -945,7 +978,8 @@ LOAD_ERRORS = {
     # each end is a float, but the width between them is not
     "fis-range-wider-than-floats": (
         cfis_with(lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(range=[-1e308, 1e308])),
-        "mc.crashes: range [-1e+308, 1e+308] is wider than the float range"),
+        "mc.crashes: bad 'range' field (expected a width within the float range, "
+        "got [-1e+308, 1e+308])"),
     "fis-unknown-term": (cfis_with(lambda doc: doc["fis"]["mc"]["rules"][0]["if"].update(
         crashes="few")), "mc rule 0: unknown term 'few' of 'crashes'"),
     "fis-cyclic-cascade": (cfis_with(lambda doc: doc["cascade"]["combined"].append("combined")),
@@ -1082,7 +1116,8 @@ LOAD_ERRORS = {
         "test wall-follow-1m references environment 'yard'"),
     # the FIS config's outputs, rules, aliases and cascade wiring
     "fis-output-above-one": (cfis_with(lambda doc: doc["fis"]["mc"]["outputs"].update(good=1.5)),
-                             "mc: output good=1.5 outside [0, 1]"),
+                             "mc outputs: bad 'good' field (expected a number in [0, 1], "
+                             "got 1.5)"),
     "fis-no-rules": (cfis_with(lambda doc: doc["fis"]["mc"].update(rules=[])),
                      "mc: at least one rule required"),
     "fis-alias-to-unknown-term": (
@@ -1104,8 +1139,9 @@ LOAD_ERRORS = {
             ": 1 reported vs 2 truth values"),
            ("dimensions", "empty", {"reported": [], "truth": []}, ": no dimensions"),
            ("dimensions", "zero-truth", {"reported": [1], "truth": [0]},
-            ": ground-truth dimensions must be positive"),
-           ("fov", "zero-total", {"visible": 0, "total": 0}, ": total must be positive"),
+            ": bad 'truth' field (expected a number > 0, got 0)"),
+           ("fov", "zero-total", {"visible": 0, "total": 0},
+            ": bad 'total' field (expected a number > 0, got 0)"),
            ("fov", "visible-above-total", {"visible": 17, "total": 16},
             ": visible count 17 outside [0, 16]"),
            ("acuity_levels", "unknown-level", [8, 7], ": 7.0 mm is not an acuity level"))},
@@ -1128,10 +1164,11 @@ LOAD_ERRORS = {
                              "telemetry needs at least two samples"),
     # a reference path file
     "path-one-vertex": (file_case("path.json", '{"vertices": [[0, 1, 1]]}', deviation_path),
-                        "path file: needs at least two vertices"),
+                        "path file: bad 'vertices' field (expected at least two vertices, "
+                        "got 1)"),
     "path-repeated-vertex": (
         file_case("path.json", '{"vertices": [[0, 1, 1], [0, 1, 1]]}', deviation_path),
-        "path file: consecutive vertices must differ"),
+        "path file: bad 'vertices' field (expected consecutive vertices to differ)"),
     "path-planar-vertex": (file_case("path.json", '{"vertices": [[0, 1], [3, 1]]}', deviation_path),
                            "path file: bad 'vertices' field (expected 3 numbers, got 2)"),
     # a survey or SAGAT row
@@ -1200,12 +1237,12 @@ LOAD_ERRORS = {
             lambda o: o.update(kind="infinite_plane", p1=o["p0"]),
             " obstacle: segment endpoints must differ"),
            ("oa-wall", "obstacle", "flat", lambda o: o.update(height=0),
-            " obstacle: height must be positive"),
+            " obstacle: bad 'height' field (expected a number > 0, got 0)"),
            ("oa-wall", "obstacle", "glass", lambda o: o.update(material="glass"),
             " obstacle: bad 'material' field (expected one of \"wall\", \"mesh\", "
             "\"chain_link\", \"door_closed\", \"door_45\", \"door_open\", got \"glass\")"),
            ("endurance-indoor", "nlos_positions", "at-zero", lambda p: p[0].update(distance=0),
-            " nlos_positions 0: distance must be positive"),
+            " nlos_positions 0: bad 'distance' field (expected a number > 0, got 0)"),
            ("endurance-indoor", "nlos_positions", "connect", lambda p: p[0].update(connect="ok"),
             " nlos_positions 0: bad 'connect' field (expected one of \"good\", \"bad\", "
             "\"none\", got \"ok\")"),
@@ -1219,7 +1256,7 @@ LOAD_ERRORS = {
             lambda p: p[0].update(latency_ms="slow"),
             " nlos_positions 0: bad 'latency_ms' field (expected a number, got \"slow\")"),
            ("map-loop", "fiducials", "no-traversal", lambda f: f[0].update(min_traversal=0),
-            " fiducials 0: min_traversal must be positive"))},
+            " fiducials 0: bad 'min_traversal' field (expected a number > 0, got 0)"))},
     # an obstruction is a [count, material] pair, in a position or an environment
     "manifest-nlos-obstruction-not-a-pair": (
         manifest_with(lambda doc: named(doc, "endurance-indoor")["nlos_positions"][0].update(
@@ -1245,6 +1282,11 @@ LOAD_ERRORS = {
         lighting="dark", lux=5)), "environment lab: dark requires measured lux < 1"),
     "manifest-test-without-id": (manifest_with(lambda doc: doc["tests"].append({"kind": "nav"})),
                                  "test entry missing 'test_id'"),
+    # a later test of the same id would replace the earlier one
+    "manifest-repeated-test-id": (
+        manifest_with(lambda doc: doc["tests"].append({**named(doc, "wall-follow-1m"), "path": {
+            "vertices": [[0, 0, 0], [100, 100, 0]]}})),
+        "test_id 'wall-follow-1m' appears more than once"),
     "manifest-trial-unknown-test": (
         manifest_with(lambda doc: trial(doc, "t001").update(test_id="nope")),
         "trial t001 references unknown test 'nope'"),
@@ -1264,7 +1306,7 @@ LOAD_ERRORS = {
         "got \"maybe\")"),
     "manifest-trial-negative-duration": (
         manifest_with(lambda doc: trial(doc, "t011").update(duration_min=-1)),
-        "trial t011: duration must be non-negative"),
+        "trial t011: bad 'duration_min' field (expected a number >= 0, got -1)"),
     # a feature sheet's features and systems
     "features-without-name": (ncap_with(lambda doc: doc["features"][0].pop("name")),
                               "feature entry missing 'name'"),

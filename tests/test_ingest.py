@@ -325,17 +325,17 @@ class TestCampaign:
                                     "collisions": 2.0, "rollovers": 1, "duration_min": 8}])
         campaign = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
         trial = campaign.trials[0]
-        assert (trial.laps, trial.t_collision, trial.collisions,
-                trial.duration) == (20, 3.0, 2, 8.0)
+        assert (trial.laps, trial.t_collision_s, trial.collisions,
+                trial.duration_min) == (20, 3.0, 2, 8.0)
         assert all(isinstance(n, int) for n in (trial.laps, trial.collisions))
-        assert isinstance(trial.duration, float)
+        assert isinstance(trial.duration_min, float)
 
     def test_absent_trial_counts_default_to_zero(self, tmp_path):
         doc = manifest_doc(trials=[{"trial_id": "t1", "test_id": "oa-wall", "suas_id": "alpha",
                                     "outcome": "success", "collisions": None}])
         campaign = parse_campaign(write(tmp_path / "c.json", json.dumps(doc)))
         trial = campaign.trials[0]
-        assert (trial.collisions, trial.duration) == (0, 0.0)
+        assert (trial.collisions, trial.duration_min) == (0, 0.0)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_number_names_the_file(self, tmp_path, constant):
@@ -1354,6 +1354,65 @@ class TestJsonInputFuzz:
             assert code == 1 and errors[-1].endswith(f"(at {target})")
         if code:
             assert code in (1, 2) and out.getvalue() == "" and errors
+
+
+def manifest_block(doc, test_id, block):
+    return next(t for t in doc["tests"] if t["test_id"] == test_id)[block]
+
+
+POSITIVE = ((0, False), (-0.0, False), (5e-324, True))
+NON_NEGATIVE = ((-5e-324, False), (0, True), (-0.0, True))
+#: each bounded JSON number: (its sample input, the edit of that input's document that sets
+#: it, its key, its parser, (value, accepted) at each side of its bound)
+BOUNDS = {
+    "obstacle height": ("campaign.json", lambda doc, v: manifest_block(doc, "oa-wall", "obstacle")
+                        .update(height=v), "height", parse_campaign, POSITIVE),
+    "nlos distance": ("campaign.json", lambda doc, v: manifest_block(
+        doc, "endurance-indoor", "nlos_positions")[0].update(distance=v), "distance",
+        parse_campaign, POSITIVE),
+    "fiducial min_traversal": ("campaign.json", lambda doc, v: manifest_block(
+        doc, "map-loop", "fiducials")[0].update(min_traversal=v), "min_traversal",
+        parse_campaign, POSITIVE),
+    "dimension truth": ("campaign.json", lambda doc, v: manifest_block(
+        doc, "map-loop", "dimensions").update(reported=[1], truth=[v]), "truth",
+        parse_campaign, POSITIVE),
+    # a count: 5e-324 is not a whole number
+    "fov total": ("campaign.json", lambda doc, v: manifest_block(doc, "map-loop", "fov").update(
+        visible=0, total=v), "total", parse_campaign, ((0, False), (5e-324, False), (1, True))),
+    "trial duration_min": ("campaign.json", lambda doc, v: doc["trials"][0].update(
+        duration_min=v), "duration_min", parse_campaign, NON_NEGATIVE),
+    "SEEV saliency": ("sa_weights.json", lambda doc, v: doc["params"]["altitude"].update(
+        saliency=v), "saliency", ingest.parse_sa_weights, POSITIVE),
+    "SEEV effort": ("sa_weights.json", lambda doc, v: doc["params"]["altitude"].update(
+        effort=v), "effort", ingest.parse_sa_weights, POSITIVE),
+    "SA weight": ("sa_weights.json", lambda doc, v: [doc.clear(), doc.update(
+        weights={"altitude": v})], "altitude", ingest.parse_sa_weights, NON_NEGATIVE),
+    "SA top-level weight": ("sa_weights.json", lambda doc, v: [doc.clear(), doc.update(
+        altitude=v)], "altitude", ingest.parse_sa_weights, NON_NEGATIVE),
+    "FIS output": ("fis.json", lambda doc, v: doc["fis"]["mc"]["outputs"].update(good=v), "good",
+                   parse_fis_config, ((0.0, True), (1.0, True), (1.0000000000000002, False),
+                                      (-5e-324, False))),
+}
+
+
+class TestBounds:
+    """Each bounded number accepts and rejects the values at its bound that its parser did when
+    it checked the bound after typing the number."""
+
+    @pytest.mark.parametrize("name, value, accepted", [
+        (name, value, accepted) for name, (*_, sides) in BOUNDS.items() for value, accepted in sides])
+    def test_value_at_the_bound(self, tmp_path, name, value, accepted):
+        input_name, edit, key, parse, _ = BOUNDS[name]
+        doc = copy.deepcopy(JSON_INPUTS[input_name][0])
+        edit(doc, value)
+        directory = shutil.copytree(SAMPLE, tmp_path / "sample")
+        target = write(directory / input_name, json.dumps(doc))
+        if accepted:
+            parse(target)
+        else:
+            with pytest.raises(ParseError, match=re.escape(f"bad {key!r} field (expected ")
+                               + ".*" + re.escape(f", got {json.dumps(value)}) (at {target})")):
+                parse(target)
 
 
 #: every CSV input, by its name in a copy of the sample campaign: the columns that hold ids,

@@ -79,7 +79,8 @@ CASES = {
     "obstacle-endpoints": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
         p1=[0.0, 0.0])), VALIDATE, OBSTACLE.format(": segment endpoints must differ") + " (at {file})"),
     "obstacle-height": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
-        height=0)), VALIDATE, OBSTACLE.format(": height must be positive") + " (at {file})"),
+        height=0)), VALIDATE,
+        OBSTACLE.format(": bad 'height' field (expected a number > 0, got 0)") + " (at {file})"),
     "obstacle-material": ("campaign.json", edit_test("oa-wall", lambda t: t["obstacle"].update(
         material="glass")), VALIDATE,
         OBSTACLE.format(": bad 'material' field (expected one of \"wall\", \"mesh\", "
@@ -87,7 +88,7 @@ CASES = {
                         "got \"glass\")") + " (at {file})"),
     "nlos-distance": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
         "nlos_positions"][1].update(distance=0)), VALIDATE,
-        NLOS.format(": distance must be positive") + " (at {file})"),
+        NLOS.format(": bad 'distance' field (expected a number > 0, got 0)") + " (at {file})"),
     "nlos-connect": ("campaign.json", edit_test("endurance-indoor", lambda t: t[
         "nlos_positions"][1].update(connect="ok")), VALIDATE,
         NLOS.format(": bad 'connect' field (expected one of \"good\", \"bad\", \"none\", "
@@ -98,17 +99,22 @@ CASES = {
                     "got \"maybe\")") + " (at {file})"),
     "fiducial-min-traversal": ("campaign.json", edit_test("map-loop", lambda t: t[
         "fiducials"][1].update(min_traversal=0)), VALIDATE,
-        "test map-loop fiducials 1: min_traversal must be positive (at {file})"),
+        "test map-loop fiducials 1: bad 'min_traversal' field (expected a number > 0, got 0) "
+        "(at {file})"),
     "path-one-vertex": ("campaign.json", edit_test("wall-follow-1m", lambda t: t["path"].update(
         vertices=[[0, 1, 1]])), VALIDATE,
-        PATH.format("needs at least two vertices") + " (at {file})"),
+        PATH.format("bad 'vertices' field (expected at least two vertices, got 1)")
+        + " (at {file})"),
     "path-repeated-vertex": ("campaign.json", edit_test("wall-follow-1m", lambda t: t[
         "path"].update(vertices=[[0, 1, 1], [0.0, 1.0, 1.0], [3, 1, 1]])), VALIDATE,
-        PATH.format("consecutive vertices must differ") + " (at {file})"),
+        PATH.format("bad 'vertices' field (expected consecutive vertices to differ)")
+        + " (at {file})"),
     "plot-path-one-vertex": ("path.json", write_path([[0, 1, 1]]), PLOT,
-                             "path file: needs at least two vertices (at {file})"),
+                             "path file: bad 'vertices' field (expected at least two "
+                             "vertices, got 1) (at {file})"),
     "plot-path-repeated-vertex": ("path.json", write_path([[0, 1, 1], [0, 1, 1]]), PLOT,
-                                  "path file: consecutive vertices must differ (at {file})"),
+                                  "path file: bad 'vertices' field (expected consecutive "
+                                  "vertices to differ) (at {file})"),
     "criterion-op": ("criteria.json", edit_json(lambda doc: doc["hd_video_min"].update(
         op="between")), VALIDATE, "criterion 'hd_video_min': bad 'op' field (expected one of "
         "\"equals\", \"min\", \"max\", \"contains\", got \"between\") (at {file})"),
