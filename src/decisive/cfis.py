@@ -53,9 +53,17 @@ class LinguisticVariable(NamedTuple):
     def has_term(self, term: str) -> bool:
         return term in self.terms or term in self.aliases
 
-    def covered(self, sweep_points: int = 1000) -> bool:
-        """True when some term has positive membership everywhere in range."""
-        x = self.lo + (self.hi - self.lo) * np.arange(sweep_points + 1) / sweep_points
+    def decisive_points(self) -> np.ndarray:
+        """The range ends and every term corner, sorted and distinct, and a point inside each
+        gap between neighbours, `a / 2 + b / 2` so that no range overflows. In exact arithmetic
+        each membership, and its negation, is zero throughout a gap or positive throughout."""
+        corners = sorted({self.lo, self.hi, *(p for mf in self.terms.values() for p in mf[:3])})
+        return np.array(sorted({*corners, *(a / 2 + b / 2 for a, b in zip(corners, corners[1:]))}))
+
+    def covered(self) -> bool:
+        """True when some term has positive membership everywhere in range, decided on the
+        decisive points."""
+        x = self.decisive_points()
         peak = np.max([mf_column(mf, x) for mf in self.terms.values()], axis=0)
         return bool((peak > 0.0).all())
 
@@ -241,23 +249,14 @@ def predictive_score(test_scores: Mapping[str, Optional[float]]) -> float:
     return math.exp(sum(map(weight.__mul__, map(math.log, present.values()))))
 
 
-def sweep_outputs(fis: Fis, points_per_axis: int, seed: int = 0) -> list[float]:
-    """Outputs over a quasi-random input sweep; points that fire no rule are skipped.
-
-    Sparse rulebases can leave corners of the input space uncovered; those
-    points are surfaced as a warning rather than failing the sweep.
-    """
-    import random
-
-    rng = random.Random(seed)
-    draws = [[var.lo + (var.hi - var.lo) * rng.random() for var in fis.inputs.values()]
-             for _ in range(points_per_axis)]
-    columns = np.array(draws, dtype=float).reshape(points_per_axis, len(fis.inputs))
-    outputs, fired = _fis_columns(fis, dict(zip(fis.inputs, columns.T)))
+def sweep_outputs(fis: Fis) -> list[float]:
+    """Outputs over the product grid of the inputs' decisive points. Each grid point stands
+    for a cell of the input space, a breakpoint or the gap between two in each input, and fires
+    as all of it does; cells that fire no rule are skipped, and one warning counts them."""
+    grid = np.meshgrid(*(var.decisive_points() for var in fis.inputs.values()), indexing="ij")
+    outputs, fired = _fis_columns(fis, dict(zip(fis.inputs, (axis.ravel() for axis in grid))))
     silent = int(np.count_nonzero(~fired))
     if silent:
-        warnings.warn(
-            f"{fis.name}: {silent}/{points_per_axis} sweep points fired no rule",
-            DataQualityWarning,
-        )
+        warnings.warn(f"{fis.name}: {silent}/{fired.size} input cells fired no rule",
+                      DataQualityWarning)
     return outputs[fired].tolist()

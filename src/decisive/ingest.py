@@ -1008,11 +1008,14 @@ def _range(value) -> tuple[float, float]:
 
 
 def _points(lo: float, hi: float):
-    """The kind of an FIS term over the range [lo, hi]: three ordered points inside it."""
+    """The kind of an FIS term over the range [lo, hi]: three ordered points inside it, the
+    first below the last (a term of zero width would have membership 1 at every input)."""
     def convert(value):
         points = _numbers(value, 3)
         if not lo <= points[0] <= points[1] <= points[2] <= hi:
             raise ValueError(f"expected 3 ordered points in [{lo}, {hi}], got {json.dumps(value)}")
+        if not points[0] < points[2]:
+            raise ValueError(f"expected the first point below the last, got {json.dumps(value)}")
         return points
     return convert
 

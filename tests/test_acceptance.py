@@ -202,9 +202,9 @@ def shipped_config():
 class TestCriterion7:
     def test_sweep_outputs_bounded(self, shipped_config):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # sparse stages may skip points
+            warnings.simplefilter("ignore")  # sparse stages skip the input cells no rule covers
             for fis in shipped_config.fis.values():
-                outputs = sweep_outputs(fis, 10_000, seed=11)
+                outputs = sweep_outputs(fis)
                 assert outputs
                 assert all(0.0 <= o <= 1.0 for o in outputs)
 
@@ -220,7 +220,7 @@ class TestCriterion7:
     def test_term_coverage(self, shipped_config):
         for fis in shipped_config.fis.values():
             for var in fis.inputs.values():
-                assert var.covered(1000)
+                assert var.covered()
 
 
 # --- 8. attention allocation and situation awareness -------------------------------

@@ -1,6 +1,8 @@
+import bisect
+import itertools
 import math
-import random
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from decisive.cfis import (
     LinguisticVariable,
     Rule,
     TriangularMf,
+    _fis_columns,
     cascade_columns,
     fis_eval,
     mf_column,
@@ -212,6 +215,43 @@ def fis_scalar(fis: Fis, inputs) -> float | None:
     return None if den == 0.0 else num / den
 
 
+def breakpoints(var: LinguisticVariable) -> list[float]:
+    """The range ends and every term corner, sorted and distinct."""
+    return sorted({var.lo, var.hi, *(p for mf in var.terms.values() for p in mf[:3])})
+
+
+def representative(var: LinguisticVariable, x: float) -> float:
+    """The decisive point of the cell holding `x`: its clamped value if that is a breakpoint,
+    else the point of the gap it lies in."""
+    x = min(max(x, var.lo), var.hi)
+    corners = breakpoints(var)
+    if x in corners:
+        return x
+    k = bisect.bisect(corners, x)
+    return corners[k - 1] / 2 + corners[k] / 2
+
+
+def fires_exactly(fis: Fis, inputs) -> bool:
+    """Whether some rule fires on `inputs` in exact arithmetic: `mf_eval`'s cases on fractions,
+    where no ramp rounds to 0 just past its foot or to 1 just short of its apex."""
+    def mu(mf, x):
+        x = min(max(Fraction(x), Fraction(mf.lo)), Fraction(mf.hi))
+        a, b, c = map(Fraction, mf[:3])
+        if (a == b and x <= b) or (b == c and x >= b):
+            return Fraction(1)
+        if x <= a or x >= c:
+            return Fraction(0)
+        return (x - a) / (b - a) if x < b else (c - x) / (c - b) if x > b else Fraction(1)
+
+    def strength(var_name, term, negated):
+        var = fis.inputs[var_name]
+        m = mu(var.terms[var.aliases.get(term, term)], inputs[var_name])
+        return 1 - m if negated else m
+
+    return any(all(strength(*antecedent) > 0 for antecedent in rule.antecedents)
+               for rule in fis.rules)
+
+
 class TestMembership:
     def test_left_shoulder_apex(self):
         low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
@@ -271,11 +311,26 @@ class TestMembership:
         assert column.shape == (len(self.XS),)
         assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, x)) for x in self.XS]
 
-    @given(var=variables(), points=st.integers(1, 64))
-    def test_covered_equals_scalar_sweep(self, var, points):
-        sweep = (var.lo + (var.hi - var.lo) * i / points for i in range(points + 1))
-        expected = all(max(mf_eval(mf, x) for mf in var.terms.values()) > 0.0 for x in sweep)
-        assert var.covered(points) is expected
+    @given(var=variables(), samples=st.integers(1, 64))
+    def test_covered_equals_scalar_sweep(self, var, samples):
+        points = var.decisive_points().tolist()
+        corners = breakpoints(var)
+        # sorted and distinct, every breakpoint, and one point inside each gap between two
+        assert points == sorted(set(points)) and set(corners) <= set(points)
+        inside = [sum(a < p < b for p in points) for a, b in zip(corners, corners[1:])]
+        assert inside == [1] * (len(corners) - 1)
+        expected = all(max(mf_eval(mf, x) for mf in var.terms.values()) > 0.0 for x in points)
+        assert var.covered() is expected
+        if expected:  # covered at the decisive points, so at every point of a uniform sweep
+            sweep = (var.lo + (var.hi - var.lo) * i / samples for i in range(samples + 1))
+            assert all(max(mf_eval(mf, x) for mf in var.terms.values()) > 0.0 for x in sweep)
+
+    @pytest.mark.parametrize("hi", [2.0, 3.0])
+    def test_feet_that_touch_leave_a_gap_on_any_range(self, hi):
+        # low and high are both 0 at x = 1, which a sweep of 1,001 points over [0, 3] misses
+        var = LinguisticVariable(0.0, hi, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, hi),
+                                           "high": TriangularMf(1.0, hi, hi, 0.0, hi)}, {})
+        assert var.covered() is False
 
 
 class TestFisEval:
@@ -328,18 +383,35 @@ class TestFisEval:
         else:
             assert bits(fis_eval(fis, inputs)) == bits(expected)
 
-    @given(data=st.data(), seed=st.integers(0, 99))
-    def test_sweep_bit_identical_to_scalar_rule_loop(self, data, seed):
+    @given(data=st.data())
+    def test_sweep_bit_identical_to_scalar_rule_loop(self, data):
         fis = data.draw(systems("s", [f"v{j}" for j in range(data.draw(st.integers(1, 3)))]))
-        # the sweep draws point by point, input by input, and skips points that fire no rule
-        rng = random.Random(seed)
-        points = [{v: var.lo + (var.hi - var.lo) * rng.random() for v, var in fis.inputs.items()}
-                  for _ in range(20)]
-        expected = [fis_scalar(fis, p) for p in points]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            outputs = sweep_outputs(fis, 20, seed=seed)
+        # the sweep runs the grid in row-major order of the inputs' decisive points
+        grid = [dict(zip(fis.inputs, p))
+                for p in itertools.product(*(var.decisive_points().tolist()
+                                             for var in fis.inputs.values()))]
+        expected = [fis_scalar(fis, p) for p in grid]
+        silent = expected.count(None)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            outputs = sweep_outputs(fis)
         assert [bits(o) for o in outputs] == [bits(o) for o in expected if o is not None]
+        assert [str(w.message) for w in record] == (
+            [f"s: {silent}/{len(grid)} input cells fired no rule"] if silent else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_each_row_fires_as_its_cell_representative(self, data):
+        fis = data.draw(systems("s", [f"v{j}" for j in range(data.draw(st.integers(1, 3)))]))
+        rows = data.draw(st.lists(st.fixed_dictionaries(
+            {v: cell(var) for v, var in fis.inputs.items()}), min_size=1, max_size=20))
+        cells = [{v: representative(var, row[v]) for v, var in fis.inputs.items()}
+                 for row in rows]
+        _, fired = _fis_columns(fis, {v: np.array([c[v] for c in cells]) for v in fis.inputs})
+        # the representatives, which the sweep's grid holds, fire as the rows do in exact
+        # arithmetic, and as `fis_scalar` says
+        assert fired.tolist() == [fires_exactly(fis, row) for row in rows]
+        assert fired.tolist() == [fis_scalar(fis, c) is not None for c in cells]
 
 
 class TestCascade:
@@ -527,20 +599,25 @@ class TestShippedConfig:
     def test_coverage_of_every_variable(self, config):
         for fis in config.fis.values():
             for name, var in fis.inputs.items():
-                assert var.covered(1000), f"{fis.name}.{name} has gaps"
+                assert var.covered(), f"{fis.name}.{name} has gaps"
+
+    # input cells of the shipped stages that fire no rule, of the grid's cells; mc's lie at
+    # crashes = 0 or at rollovers = 0 (81 each), where low is 1 and "not low" 0
+    SILENT_CELLS = {"mc": "162/2197", "ec": "21942/24167"}
 
     def test_sweep_outputs_in_unit_interval(self, config):
         for fis in config.fis.values():
-            if fis.name == "ec":  # the shipped ec rulebase leaves input regions unscored
-                with pytest.warns(DataQualityWarning, match="fired no rule"):
-                    outputs = sweep_outputs(fis, 2000, seed=7)
-            else:
-                outputs = sweep_outputs(fis, 2000, seed=7)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                outputs = sweep_outputs(fis)
+            expected = ([f"{fis.name}: {self.SILENT_CELLS[fis.name]} input cells fired no rule"]
+                        if fis.name in self.SILENT_CELLS else [])
+            assert [str(w.message) for w in record] == expected
+            assert all(w.category is DataQualityWarning for w in record)
             assert outputs, f"{fis.name}: sweep produced nothing"
             assert all(0.0 <= o <= 1.0 for o in outputs)
 
-    def test_mc_and_combined_fire_everywhere(self, config):
-        for name in ("mc", "combined"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                sweep_outputs(config.fis[name], 2000, seed=7)
+    def test_combined_fires_everywhere(self, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(sweep_outputs(config.fis["combined"])) == 25

@@ -285,6 +285,16 @@ class TestCfis:
         assert (code, err) == (0, "")
         assert "| alpha | takeoff-hard | 1.000 | 0.544 | 0.685 | 1.00 |" in out
 
+    def test_range_near_the_float_limit_prints_no_warning(self, capsys, tmp_path):
+        # the decisive points of [0, 1.7e308] are finite: a gap's point is a / 2 + b / 2
+        config = edited(tmp_path, DEFAULT_FIS, lambda doc: doc["fis"]["mc"]["inputs"].update(
+            crashes={"range": [0, 1.7e308], "aliases": {"many": "high"}, "terms": {
+                "low": [0, 0, 1.5e308], "medium": [1e308, 1.6e308, 1.7e308],
+                "high": [1.6e308, 1.7e308, 1.7e308]}}), "fis.json")
+        code, _out, err = run(capsys, "cfis", "--fis", config, "--scores",
+                              CAMPAIGN / "cfis_scores.csv")
+        assert (code, err) == (0, "")
+
     def test_precomputed_scores(self, capsys, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text(
@@ -639,6 +649,17 @@ def membership_gap(tmp_path):
             f"warning: mc: variable 'crashes' has membership gaps (at {config})")
 
 
+def feet_touching_at_one(tmp_path):
+    """Crashes terms low and high whose feet touch at 1 on the range [0, 3], which no point of
+    a uniform 1,001-point sweep hits; the scores have no row at 1 crash."""
+    config = edited(tmp_path, DEFAULT_FIS, lambda doc: doc["fis"]["mc"]["inputs"]["crashes"].update(
+        terms={"low": [0, 0, 1], "high": [1, 3, 3]}), "fis.json")
+    header, *rows = (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()
+    scores = write(tmp_path / "s.csv", "\n".join([header, *rows[:2]]) + "\n")
+    return (["cfis", "--fis", config, "--scores", scores],
+            f"warning: mc: variable 'crashes' has membership gaps (at {config})")
+
+
 def single_flight(tmp_path):
     manifest = campaign_copy(tmp_path) / "campaign.json"
     doc = json.loads(manifest.read_text())
@@ -740,10 +761,11 @@ def answer_without_weight(tmp_path):
 # inputs that give a warning, and exit 0: each case gives the argv and the warning line
 WARNING_LINES = (unknown_column, duplicate_survey_row, duplicate_survey_row_after_two_line_header,
                  duplicate_score_pair_after_two_line_cell, item_count_mismatch, membership_gap,
-                 single_flight, removed_participant, iqr_note, global_error_skipped,
-                 coincident_fiducials, repeated_fiducial_half, unknown_fiducial,
-                 unknown_mission_element, misspelled_mission_element, weight_without_answer,
-                 answer_without_weight, ncap_caps_unknown_system, scatter_caps_unknown_system)
+                 feet_touching_at_one, single_flight, removed_participant, iqr_note,
+                 global_error_skipped, coincident_fiducials, repeated_fiducial_half,
+                 unknown_fiducial, unknown_mission_element, misspelled_mission_element,
+                 weight_without_answer, answer_without_weight, ncap_caps_unknown_system,
+                 scatter_caps_unknown_system)
 
 
 class TestWarningLines:
@@ -965,6 +987,10 @@ LOAD_ERRORS = {
         "weight file: bad 'heading' field (expected a number >= 0, got -0.5)"),
     "fis-two-point-term": (cfis_with(set_term("low", [0, 1])),
                            "mc.crashes terms: bad 'low' field (expected 3 numbers, got 2)"),
+    # a term of zero width would have membership 1 at every input
+    "fis-zero-width-term": (cfis_with(set_term("two", [2, 2, 2])),
+                            "mc.crashes terms: bad 'two' field (expected the first point below "
+                            "the last, got [2, 2, 2])"),
     "fis-unordered-term": (cfis_with(set_term("low", [1.25, 0, 0])),
                            "mc.crashes terms: bad 'low' field (expected 3 ordered points in "
                            "[0.0, 3.0], got [1.25, 0, 0])"),
@@ -1510,6 +1536,14 @@ def item_in_one_condition(tmp_path):
     return ["trust", "--survey", survey, "--condition-a", "A", "--condition-b", "B"]
 
 
+def zero_crashes_many_rollovers(tmp_path):
+    """A row the shipped mission stage fires no rule on: at crashes = 0, low is 1 and "not low"
+    0, and no rule takes low crashes with rollovers above 1.25 and completion below 0.7."""
+    header = (CAMPAIGN / "cfis_scores.csv").read_text().splitlines()[0]
+    scores = write(tmp_path / "s.csv", f"{header}\nalpha,t1,0,2,0.5,0,0,1.2,0.6\n")
+    return ["cfis", "--scores", scores]
+
+
 def tiny_weight_alone(tmp_path):
     """Every system weighs 5e-324 (lower is better), and the weight file puts all the weight
     on `weight`: the factor 5e-324 ** -1 is beyond the float range."""
@@ -1560,6 +1594,10 @@ RUN_ERRORS = {
         unwired_axis_row, 1,
         lambda tmp_path: "error: alpha/t1: row matches no axis that 'combined' combines "
                          f"(at {tmp_path / 's.csv'}:2)"),
+    "cfis-mc-zero-crashes-many-rollovers": (
+        zero_crashes_many_rollovers, 2,
+        lambda tmp_path: 'error: alpha/t1: mc: no rule fired for {"crashes": 0.0, '
+                         f'"completion": 0.5, "rollovers": 2.0}} (at {tmp_path / "s.csv"}:2)'),
     "cfis-zero-score": (zero_score, 2, "error: alpha/t1=0.0 outside (0, 1]"),
     "ncap-potential-overflows": (tiny_weight_alone, 2, "error: alpha: component potential: "
                                  "feature weight: 5e-324 ** -1.0 overflows"),
