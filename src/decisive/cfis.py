@@ -20,22 +20,15 @@ from .errors import DataQualityWarning, DecisiveError, ParseError, located
 
 
 class TriangularMf(NamedTuple):
-    """Triangle (a, b, c) over [lo, hi], with lo <= a <= b <= c <= hi; a == b or b == c
-    makes a shoulder."""
+    """Triangle (a, b, c), with a <= b <= c; a == b or b == c makes a shoulder."""
 
     a: float
     b: float
     c: float
-    lo: float
-    hi: float
 
 
 def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
-    """Degree of membership in [0, 1] of every element of `x`, each clamped into the
-    variable range first."""
-    # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
-    x = np.where(mf.lo > x, mf.lo, x)
-    x = np.where(mf.hi < x, mf.hi, x)
+    """Degree of membership in [0, 1] of every element of `x`."""
     # the lower of the two ramps, each above 1 on the other side of the apex and +inf for
     # a shoulder; clipping keeps a -0.0 ramp value
     rising = (x - mf.a) / (mf.b - mf.a) if mf.a < mf.b else np.inf
@@ -47,17 +40,19 @@ def mf_column(mf: TriangularMf, x: np.ndarray) -> np.ndarray:
 class LinguisticVariable(NamedTuple):
     lo: float
     hi: float
-    terms: dict[str, TriangularMf]
-    aliases: dict[str, str]  # e.g. many -> high
+    terms: dict[str, TriangularMf]  # by canonical name: the loader resolves aliases
 
-    def has_term(self, term: str) -> bool:
-        return term in self.terms or term in self.aliases
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """`x` clamped into [lo, hi] elementwise."""
+        # min(max(x, lo), hi) as Python takes it, which keeps x when equal: -0.0 stays -0.0
+        x = np.where(self.lo > x, self.lo, x)
+        return np.where(self.hi < x, self.hi, x)
 
     def decisive_points(self) -> np.ndarray:
         """The range ends and every term corner, sorted and distinct, and a point inside each
         gap between neighbours, `a / 2 + b / 2` so that no range overflows. In exact arithmetic
         each membership, and its negation, is zero throughout a gap or positive throughout."""
-        corners = sorted({self.lo, self.hi, *(p for mf in self.terms.values() for p in mf[:3])})
+        corners = sorted({self.lo, self.hi, *(p for mf in self.terms.values() for p in mf)})
         return np.array(sorted({*corners, *(a / 2 + b / 2 for a, b in zip(corners, corners[1:]))}))
 
     def covered(self) -> bool:
@@ -69,16 +64,15 @@ class LinguisticVariable(NamedTuple):
 
 
 class Rule(NamedTuple):
-    """IF conjunction of (variable, term[, negated]) THEN output level."""
+    """IF conjunction of (variable, term, negated) THEN output level."""
 
-    antecedents: tuple[tuple[str, str, bool], ...]  # (variable, term, negated)
-    consequent: str
+    antecedents: tuple[tuple[str, str, bool], ...]  # (variable, canonical term, negated)
+    level: float
 
 
 class Fis(NamedTuple):
     name: str
     inputs: dict[str, LinguisticVariable]
-    output_levels: dict[str, float]
     rules: tuple[Rule, ...]
 
 
@@ -107,24 +101,25 @@ def _fis_columns(fis: Fis, inputs: Mapping[str, np.ndarray]):
 
     Each output is the strength-weighted average of the fired rules' output
     levels. A rule's strength is the minimum antecedent membership, with
-    negated antecedents contributing 1 - membership. Each (variable, term)
+    negated antecedents contributing 1 - membership. Each input column is
+    clamped into its variable's range once, and each (variable, term)
     membership column is computed once.
     """
     size = len(next(iter(inputs.values())))
+    clamped = {v: var.clamp(inputs[v]) for v, var in fis.inputs.items()}
     memberships = {}
     num = np.zeros(size)
     den = np.zeros(size)
     for rule in fis.rules:
         strength = np.ones(size)
         for var_name, term, negated in rule.antecedents:
-            var = fis.inputs[var_name]
-            key = (var_name, var.aliases.get(term, term))
-            if key not in memberships:
-                memberships[key] = mf_column(var.terms[key[1]], inputs[var_name])
-            mu = memberships[key]
+            if (var_name, term) not in memberships:
+                memberships[var_name, term] = mf_column(fis.inputs[var_name].terms[term],
+                                                        clamped[var_name])
+            mu = memberships[var_name, term]
             strength = np.minimum(strength, 1.0 - mu if negated else mu)
         fired = strength > 0.0
-        np.add(num, strength * fis.output_levels[rule.consequent], out=num, where=fired)
+        np.add(num, strength * rule.level, out=num, where=fired)
         np.add(den, strength, out=den, where=fired)
     fired = den != 0.0
     return np.divide(num, den, out=np.full(size, np.nan), where=fired), fired

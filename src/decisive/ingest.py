@@ -1031,13 +1031,14 @@ def parse_fis_config(path) -> FisConfig:
     for fis_name, spec in _fields(doc.get("fis", {}), object, "fis").items():
         spec = _fields(spec, {"inputs": dict, "outputs": dict, "rules": list}, fis_name)
         inputs = {}
+        names = {}  # variable -> every name a rule may give a term, each -> the term
         for var_name, var_spec in _fields(spec.get("inputs", {}), object,
                                           f"{fis_name} inputs").items():
             owner = f"{fis_name}.{var_name}"
             var_spec = _fields(var_spec, {"range": _range, "terms": dict, "aliases": dict}, owner,
                                required=("range",))
             lo, hi = var_spec["range"]
-            terms = {term: TriangularMf(*points, lo, hi) for term, points in _fields(
+            terms = {term: TriangularMf(*points) for term, points in _fields(
                 var_spec.get("terms", {}), _points(lo, hi), f"{owner} terms").items()}
             if not terms:
                 raise ParseError(f"{owner} has no terms")
@@ -1047,10 +1048,11 @@ def parse_fis_config(path) -> FisConfig:
                     raise ParseError(f"{owner}: alias {alias!r} is also a term")
                 if target not in terms:
                     raise ParseError(f"{owner}: alias {alias!r} names unknown term {target!r}")
-            var = LinguisticVariable(lo, hi, terms, aliases)
+            var = LinguisticVariable(lo, hi, terms)
             if not var.covered():
                 _warn(path, f"{fis_name}: variable {var_name!r} has membership gaps")
             inputs[var_name] = var
+            names[var_name] = dict(zip(terms, terms), **aliases)
 
         outputs = _fields(spec.get("outputs", {}), _number_in(0, 1), f"{fis_name} outputs")
 
@@ -1067,16 +1069,15 @@ def parse_fis_config(path) -> FisConfig:
                     raise ParseError(f"{owner}: unknown variable {var_name!r}")
                 negated = term.startswith("not ")
                 bare = term[4:] if negated else term
-                if not inputs[var_name].has_term(bare):
+                if bare not in names[var_name]:
                     raise ParseError(f"{owner}: unknown term {term!r} of {var_name!r}")
-                antecedents.append((var_name, bare, negated))
-            consequent = rule["then"]
-            if consequent not in outputs:
-                raise ParseError(f"{owner}: unknown output {consequent!r}")
-            rules.append(Rule(tuple(antecedents), consequent))
+                antecedents.append((var_name, names[var_name][bare], negated))
+            if rule["then"] not in outputs:
+                raise ParseError(f"{owner}: unknown output {rule['then']!r}")
+            rules.append(Rule(tuple(antecedents), outputs[rule["then"]]))
         if not rules:
             raise ParseError(f"{fis_name}: at least one rule required")
-        systems[fis_name] = Fis(fis_name, inputs, outputs, tuple(rules))
+        systems[fis_name] = Fis(fis_name, inputs, tuple(rules))
 
     cascade = _fields(doc.get("cascade", {}), _strings, "cascade")
     for combined, axes in cascade.items():

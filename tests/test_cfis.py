@@ -133,24 +133,22 @@ def variables(draw):
     terms = {}
     for t in range(draw(st.integers(1, 3))):
         a, b, c = sorted(draw(st.lists(corners, min_size=3, max_size=3)))
-        terms[f"t{t}"] = TriangularMf(a, b, c, lo, hi)
-    aliases = {"alias": "t0"} if draw(st.booleans()) else {}
-    return LinguisticVariable(lo, hi, terms, aliases)
+        terms[f"t{t}"] = TriangularMf(a, b, c)
+    return LinguisticVariable(lo, hi, terms)
 
 
 @st.composite
 def systems(draw, name, var_names):
     inputs = {v: draw(variables()) for v in var_names}
-    levels = {f"o{k}": draw(st.floats(0.0, 1.0)) for k in range(3)}
+    levels = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
     rules = []
     for _ in range(draw(st.integers(1, 6))):
         used = draw(st.lists(st.sampled_from(var_names), min_size=1, unique=True))
         antecedents = tuple(
-            (v, draw(st.sampled_from(sorted(inputs[v].terms) + sorted(inputs[v].aliases))),
-             draw(st.booleans()))
+            (v, draw(st.sampled_from(sorted(inputs[v].terms))), draw(st.booleans()))
             for v in used)
-        rules.append(Rule(antecedents, draw(st.sampled_from(sorted(levels)))))
-    return Fis(name, inputs, levels, tuple(rules))
+        rules.append(Rule(antecedents, draw(st.sampled_from(levels))))
+    return Fis(name, inputs, tuple(rules))
 
 
 def cell(var):
@@ -181,9 +179,13 @@ def configs_and_rows(draw):
     return config, rows
 
 
+def clamp(var: LinguisticVariable, x: float) -> float:
+    """Scalar reference for `LinguisticVariable.clamp`."""
+    return min(max(x, var.lo), var.hi)
+
+
 def mf_eval(mf: TriangularMf, x: float) -> float:
-    """Scalar reference for `mf_column`: one value, clamped into range, case by case."""
-    x = min(max(x, mf.lo), mf.hi)
+    """Scalar reference for `mf_column`: one value, case by case."""
     if mf.a == mf.b and x <= mf.b:
         return 1.0
     if mf.b == mf.c and x >= mf.b:
@@ -205,25 +207,25 @@ def fis_scalar(fis: Fis, inputs) -> float | None:
         strength = 1.0
         for var_name, term, negated in rule.antecedents:
             var = fis.inputs[var_name]
-            mu = mf_eval(var.terms[var.aliases.get(term, term)], float(inputs[var_name]))
+            mu = mf_eval(var.terms[term], clamp(var, float(inputs[var_name])))
             strength = min(strength, 1.0 - mu if negated else mu)
             if strength == 0.0:
                 break
         if strength > 0.0:
-            num += strength * fis.output_levels[rule.consequent]
+            num += strength * rule.level
             den += strength
     return None if den == 0.0 else num / den
 
 
 def breakpoints(var: LinguisticVariable) -> list[float]:
     """The range ends and every term corner, sorted and distinct."""
-    return sorted({var.lo, var.hi, *(p for mf in var.terms.values() for p in mf[:3])})
+    return sorted({var.lo, var.hi, *(p for mf in var.terms.values() for p in mf)})
 
 
 def representative(var: LinguisticVariable, x: float) -> float:
     """The decisive point of the cell holding `x`: its clamped value if that is a breakpoint,
     else the point of the gap it lies in."""
-    x = min(max(x, var.lo), var.hi)
+    x = clamp(var, x)
     corners = breakpoints(var)
     if x in corners:
         return x
@@ -235,8 +237,8 @@ def fires_exactly(fis: Fis, inputs) -> bool:
     """Whether some rule fires on `inputs` in exact arithmetic: `mf_eval`'s cases on fractions,
     where no ramp rounds to 0 just past its foot or to 1 just short of its apex."""
     def mu(mf, x):
-        x = min(max(Fraction(x), Fraction(mf.lo)), Fraction(mf.hi))
-        a, b, c = map(Fraction, mf[:3])
+        x = Fraction(x)
+        a, b, c = map(Fraction, mf)
         if (a == b and x <= b) or (b == c and x >= b):
             return Fraction(1)
         if x <= a or x >= c:
@@ -245,7 +247,7 @@ def fires_exactly(fis: Fis, inputs) -> bool:
 
     def strength(var_name, term, negated):
         var = fis.inputs[var_name]
-        m = mu(var.terms[var.aliases.get(term, term)], inputs[var_name])
+        m = mu(var.terms[term], clamp(var, inputs[var_name]))
         return 1 - m if negated else m
 
     return any(all(strength(*antecedent) > 0 for antecedent in rule.antecedents)
@@ -254,62 +256,59 @@ def fires_exactly(fis: Fis, inputs) -> bool:
 
 class TestMembership:
     def test_left_shoulder_apex(self):
-        low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
+        low = TriangularMf(0.0, 0.0, 1.25)
         assert mf_column(low, np.array([0.0])).tolist() == [1.0]
 
     def test_ramp_midpoint(self):
-        low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
+        low = TriangularMf(0.0, 0.0, 1.25)
         assert mf_column(low, np.array([0.625])).tolist() == pytest.approx([0.5])
 
     def test_interior_triangle(self):
-        med = TriangularMf(0.5, 1.5, 2.5, 0.0, 3.0)
+        med = TriangularMf(0.5, 1.5, 2.5)
         assert mf_column(med, np.array([1.0])).tolist() == pytest.approx([0.5])
         assert mf_column(med, np.array([1.5, 3.0])).tolist() == [1.0, 0.0]
 
     def test_right_shoulder(self):
-        high = TriangularMf(0.7, 1.0, 1.0, 0.0, 1.0)
+        high = TriangularMf(0.7, 1.0, 1.0)
         assert mf_column(high, np.array([1.0])).tolist() == [1.0]
-
-    def test_clamping_outliers(self):
-        high = TriangularMf(1.75, 3.0, 3.0, 0.0, 3.0)
-        assert mf_column(high, np.array([99.0])).tolist() == [1.0]  # clamped to hi
-        low = TriangularMf(0.0, 0.0, 1.25, 0.0, 3.0)
-        assert mf_column(low, np.array([-5.0])).tolist() == [1.0]  # clamped to lo
 
     @given(x=st.floats(-1, 4))
     def test_bounded(self, x):
-        med = TriangularMf(0.5, 1.5, 2.5, 0.0, 3.0)
+        med = TriangularMf(0.5, 1.5, 2.5)
         assert 0.0 <= mf_column(med, np.array([x]))[0] <= 1.0
 
     @given(var=variables(), data=st.data())
     def test_column_bit_identical_to_scalar(self, var, data):
         xs = data.draw(st.lists(cell(var), min_size=1, max_size=20))
         for mf in var.terms.values():
-            column = mf_column(mf, np.array(xs))
-            assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, x)) for x in xs]
+            column = mf_column(mf, var.clamp(np.array(xs)))
+            assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, clamp(var, x)))
+                                                          for x in xs]
 
     def test_column_keeps_the_sign_of_zero(self):
-        # Python's max(-0.0, 0.0) keeps -0.0, and the ramp then gives -0.0
-        ramp = TriangularMf(0.0, 0.125, 0.125, 0.0, 1.0)
+        # the ramp gives -0.0 at -0.0, and clipping keeps it
+        ramp = TriangularMf(0.0, 0.125, 0.125)
         assert bits(mf_column(ramp, np.array([-0.0]))[0]) == bits(mf_eval(ramp, -0.0)) == "-0x0.0p+0"
 
     XS = [-5.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 99.0]
 
-    @pytest.mark.parametrize("mf", [
-        TriangularMf(1.0, 1.0, 1.0, 0.0, 3.0),  # a == b == c: 1 everywhere
-        TriangularMf(0.0, 0.0, 0.0, 0.0, 3.0),  # a == b == c == lo
-        TriangularMf(3.0, 3.0, 3.0, 0.0, 3.0),  # a == b == c == hi
-        TriangularMf(0.0, 1.0, 2.0, 0.0, 3.0),  # a == lo: the rising ramp starts at the clamp
-        TriangularMf(0.0, 0.0, 2.0, 0.0, 3.0),  # a == b == lo: a left shoulder
-        TriangularMf(0.0, 1.5, 3.0, 0.0, 3.0),  # a == lo and c == hi
-        TriangularMf(-1.0, -0.0, 1.0, -1.0, 1.0),  # the apex at -0.0
-        TriangularMf(-1.0, 0.0, 0.0, -1.0, 1.0),  # a right shoulder at 0.0
-        TriangularMf(-0.0, 0.5, 1.0, -0.0, 1.0),  # a == lo == -0.0
+    @pytest.mark.parametrize("mf, lo, hi", [
+        (TriangularMf(1.0, 1.0, 1.0), 0.0, 3.0),  # a == b == c: 1 everywhere
+        (TriangularMf(0.0, 0.0, 0.0), 0.0, 3.0),  # a == b == c == lo
+        (TriangularMf(3.0, 3.0, 3.0), 0.0, 3.0),  # a == b == c == hi
+        (TriangularMf(0.0, 1.0, 2.0), 0.0, 3.0),  # a == lo: the rising ramp starts at the clamp
+        (TriangularMf(0.0, 0.0, 2.0), 0.0, 3.0),  # a == b == lo: a left shoulder
+        (TriangularMf(0.0, 1.5, 3.0), 0.0, 3.0),  # a == lo and c == hi
+        (TriangularMf(-1.0, -0.0, 1.0), -1.0, 1.0),  # the apex at -0.0
+        (TriangularMf(-1.0, 0.0, 0.0), -1.0, 1.0),  # a right shoulder at 0.0
+        (TriangularMf(-0.0, 0.5, 1.0), -0.0, 1.0),  # a == lo == -0.0
     ])
-    def test_edge_triangles_bit_identical_to_scalar(self, mf):
-        column = mf_column(mf, np.array(self.XS))
+    def test_edge_triangles_bit_identical_to_scalar(self, mf, lo, hi):
+        var = LinguisticVariable(lo, hi, {"t": mf})
+        column = mf_column(mf, var.clamp(np.array(self.XS)))
         assert column.shape == (len(self.XS),)
-        assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, x)) for x in self.XS]
+        assert [bits(m) for m in column.tolist()] == [bits(mf_eval(mf, clamp(var, x)))
+                                                      for x in self.XS]
 
     @given(var=variables(), samples=st.integers(1, 64))
     def test_covered_equals_scalar_sweep(self, var, samples):
@@ -328,9 +327,57 @@ class TestMembership:
     @pytest.mark.parametrize("hi", [2.0, 3.0])
     def test_feet_that_touch_leave_a_gap_on_any_range(self, hi):
         # low and high are both 0 at x = 1, which a sweep of 1,001 points over [0, 3] misses
-        var = LinguisticVariable(0.0, hi, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, hi),
-                                           "high": TriangularMf(1.0, hi, hi, 0.0, hi)}, {})
+        var = LinguisticVariable(0.0, hi, {"low": TriangularMf(0.0, 0.0, 1.0),
+                                           "high": TriangularMf(1.0, hi, hi)})
         assert var.covered() is False
+
+
+class TestClamp:
+    SHOULDERS = LinguisticVariable(0.0, 3.0, {"low": TriangularMf(0.0, 0.0, 1.25),
+                                              "high": TriangularMf(1.75, 3.0, 3.0)})
+
+    def test_clamping_outliers(self):
+        x = self.SHOULDERS.clamp(np.array([99.0, -5.0, 1.5]))
+        assert x.tolist() == [3.0, 0.0, 1.5]
+        high, low = self.SHOULDERS.terms["high"], self.SHOULDERS.terms["low"]
+        assert mf_column(high, x[:1]).tolist() == [1.0]  # clamped to hi
+        assert mf_column(low, x[1:2]).tolist() == [1.0]  # clamped to lo
+
+    @given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    def test_column_bit_identical_to_scalar(self, xs):
+        column = self.SHOULDERS.clamp(np.array(xs))
+        assert [bits(x) for x in column.tolist()] == [bits(clamp(self.SHOULDERS, x)) for x in xs]
+
+    def test_keeps_the_sign_of_zero(self):
+        # Python's max(-0.0, 0.0) keeps -0.0, and so does the clamp
+        x = self.SHOULDERS.clamp(np.array([-0.0, 0.0]))
+        assert [bits(v) for v in x.tolist()] == [bits(clamp(self.SHOULDERS, v)) for v in (-0.0, 0.0)]
+        assert [bits(v) for v in x.tolist()] == ["-0x0.0p+0", "0x0.0p+0"]
+
+    def test_shipped_outliers_score_as_the_range_ends(self, config):
+        mc = config.fis["mc"]
+        outside = fis_eval(mc, {"crashes": -5.0, "rollovers": 99.0, "completion": 2.0})
+        assert bits(outside) == bits(fis_eval(mc, {"crashes": 0.0, "rollovers": 3.0,
+                                                   "completion": 1.0}))
+
+    @given(data=st.data())
+    def test_outside_the_range_evaluates_as_its_end(self, data):
+        fis = data.draw(systems("s", [f"v{j}" for j in range(data.draw(st.integers(1, 3)))]))
+        outside, ends = {}, {}
+        for v, var in fis.inputs.items():
+            span = var.hi - var.lo
+            below = data.draw(st.booleans())
+            beyond = data.draw(st.floats(0.0, span, exclude_min=True))
+            outside[v] = var.lo - beyond if below else var.hi + beyond
+            ends[v] = var.lo if below else var.hi
+
+        def outcome(inputs):
+            try:
+                return bits(fis_eval(fis, inputs))
+            except DecisiveError:
+                return None
+
+        assert outcome(outside) == outcome(ends)
 
 
 class TestFisEval:
@@ -345,30 +392,25 @@ class TestFisEval:
     def test_output_bounded_by_fired_consequents(self, config):
         mc = config.fis["mc"]
         out = fis_eval(mc, {"crashes": 1.0, "rollovers": 0.4, "completion": 0.8})
-        levels = sorted(mc.output_levels.values())
+        levels = sorted(rule.level for rule in mc.rules)
         assert levels[0] <= out <= levels[-1]
 
     def test_scale_free_in_rule_strength(self):
         # two symmetric configs where all memberships double: output unchanged
         var = LinguisticVariable(
             0.0, 1.0,
-            {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
-             "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)},
-            {},
+            {"lo": TriangularMf(0.0, 0.0, 1.0),
+             "hi": TriangularMf(0.0, 1.0, 1.0)},
         )
-        fis = Fis(
-            "demo", {"x": var}, {"bad": 0.0, "good": 1.0},
-            (Rule((("x", "lo", False),), "bad"), Rule((("x", "hi", False),), "good")),
-        )
+        fis = Fis("demo", {"x": var},
+                  (Rule((("x", "lo", False),), 0.0), Rule((("x", "hi", False),), 1.0)))
         # weighted average is invariant to common scaling of the strengths
         out = fis_eval(fis, {"x": 0.25})
         assert out == pytest.approx(0.25)
 
     def test_no_rule_fired(self):
-        var = LinguisticVariable(
-            0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4, 0.0, 1.0)}, {}
-        )
-        fis = Fis("gappy", {"x": var}, {"bad": 0.0}, (Rule((("x", "lo", False),), "bad"),))
+        var = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 0.4)})
+        fis = Fis("gappy", {"x": var}, (Rule((("x", "lo", False),), 0.0),))
         with pytest.raises(DecisiveError, match=r'^gappy: no rule fired for \{"x": 0.9\}$'):
             fis_eval(fis, {"x": 0.9})
 
@@ -465,27 +507,26 @@ class TestCascade:
 
 def one_axis(ideal: float) -> FisConfig:
     """One axis whose score is its input, v in [0, 1], and whose ideal run sets v = `ideal`."""
-    var = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
-                                        "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)}, {})
-    axis = Fis("x", {"v": var}, {"bad": 0.0, "good": 1.0},
-               (Rule((("v", "lo", False),), "bad"), Rule((("v", "hi", False),), "good")))
-    combiner = Fis("comb", {}, {"bad": 0.0}, ())
+    var = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0),
+                                        "hi": TriangularMf(0.0, 1.0, 1.0)})
+    axis = Fis("x", {"v": var},
+               (Rule((("v", "lo", False),), 0.0), Rule((("v", "hi", False),), 1.0)))
+    combiner = Fis("comb", {}, ())
     return FisConfig({"x": axis, "comb": combiner}, {"comb": ("x",)}, {"x": {"v": ideal}})
 
 
 def combining_gap() -> FisConfig:
     """Axes x, scoring its input v, and y, scoring w where z > 0 and firing no rule at
     w = 1, z = 0; wired (x, y) into a combiner that fires only where both inputs are above 0."""
-    unit = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0, 0.0, 1.0),
-                                         "hi": TriangularMf(0.0, 1.0, 1.0, 0.0, 1.0)}, {})
-    levels = {"bad": 0.0, "good": 1.0}
-    x = Fis("x", {"v": unit}, levels,
-            (Rule((("v", "lo", False),), "bad"), Rule((("v", "hi", False),), "good")))
-    y = Fis("y", {"w": unit, "z": unit}, levels,
-            (Rule((("w", "lo", False),), "bad"),
-             Rule((("w", "hi", False), ("z", "hi", False)), "good")))
-    comb = Fis("comb", {"p": unit, "q": unit}, levels,
-               (Rule((("p", "hi", False), ("q", "hi", False)), "good"),))
+    unit = LinguisticVariable(0.0, 1.0, {"lo": TriangularMf(0.0, 0.0, 1.0),
+                                         "hi": TriangularMf(0.0, 1.0, 1.0)})
+    x = Fis("x", {"v": unit},
+            (Rule((("v", "lo", False),), 0.0), Rule((("v", "hi", False),), 1.0)))
+    y = Fis("y", {"w": unit, "z": unit},
+            (Rule((("w", "lo", False),), 0.0),
+             Rule((("w", "hi", False), ("z", "hi", False)), 1.0)))
+    comb = Fis("comb", {"p": unit, "q": unit},
+               (Rule((("p", "hi", False), ("q", "hi", False)), 1.0),))
     return FisConfig({"x": x, "y": y, "comb": comb}, {"comb": ("x", "y")}, {})
 
 
@@ -544,8 +585,8 @@ class TestCascadeErrors:
     def test_axis_fails_before_ideal_run(self):
         # the ideal run scores v = 0 as 0; the observed axis fires no rule first
         cfg = one_axis(0.0)
-        gappy = Fis("x", cfg.fis["x"].inputs, {"bad": 0.0},
-                    (Rule((("v", "lo", False), ("v", "hi", False)), "bad"),))
+        gappy = Fis("x", cfg.fis["x"].inputs,
+                    (Rule((("v", "lo", False), ("v", "hi", False)), 0.0),))
         cfg = FisConfig({"x": gappy, "comb": cfg.fis["comb"]}, cfg.cascade, {})
         with pytest.raises(DecisiveError, match=r'^r0: x: no rule fired for \{"v": 1.0\}'):
             score_rows(cfg, [{"v": 1.0}])

@@ -38,8 +38,8 @@ WALL = ObstacleGeometry("plane_segment", (0.0, 5.0), (3.0, 5.0), 2.0)
 
 
 def one_term_fis():
-    x = LinguisticVariable(0.0, 2.0, {"low": TriangularMf(0.0, 0.0, 1.0, 0.0, 2.0)}, {})
-    return Fis("demo", {"x": x}, {"good": 1.0}, (Rule((("x", "low", False),), "good"),))
+    x = LinguisticVariable(0.0, 2.0, {"low": TriangularMf(0.0, 0.0, 1.0)})
+    return Fis("demo", {"x": x}, (Rule((("x", "low", False),), 1.0),))
 
 
 def survey(*rows):

@@ -1244,10 +1244,37 @@ class TestFisConfig:
         from decisive.cli import DEFAULT_FIS
 
         config = parse_fis_config(DEFAULT_FIS)
-        assert len(config.fis["mc"].rules) == 10
-        mc = config.fis["mc"].inputs
-        assert mc["crashes"].aliases == {"many": "high"}
-        assert {"crashes", "completion", "rollovers"} == set(mc)
+        rules = config.fis["mc"].rules
+        assert len(rules) == 10
+        assert {"crashes", "completion", "rollovers"} == set(config.fis["mc"].inputs)
+        # the alias "many" resolves to the term it names when the config loads
+        assert rules[2].antecedents[0] == ("crashes", "high", False)
+        assert rules[9].antecedents[0] == ("crashes", "high", True)
+        doc = json.loads(Path(DEFAULT_FIS).read_text())
+        for name, fis in config.fis.items():
+            spec = doc["fis"][name]
+            assert [rule.level for rule in fis.rules] == [
+                spec["outputs"][rule["then"]] for rule in spec["rules"]]
+
+    def test_aliases_resolve_at_load(self, tmp_path):
+        from decisive.cli import DEFAULT_FIS
+
+        doc = json.loads(Path(DEFAULT_FIS).read_text())
+        for rule in doc["fis"]["mc"]["rules"]:
+            rule["if"] = {v: term.replace("many", "high") for v, term in rule["if"].items()}
+        spelled = write(tmp_path / "spelled.json", json.dumps(doc))
+        assert parse_fis_config(spelled).fis == parse_fis_config(DEFAULT_FIS).fis
+
+        def cfis(path):
+            out, err = io.StringIO(), io.StringIO()
+            scores = Path(__file__).resolve().parents[1] / "sample_campaign" / "cfis_scores.csv"
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["cfis", "--fis", str(path), "--scores", str(scores)])
+            return code, out.getvalue(), err.getvalue()
+
+        code, out, err = cfis(spelled)
+        assert (code, err) == (0, "") and out
+        assert cfis(DEFAULT_FIS) == (code, out, err)
 
 
 FIS_CONFIG = Path(ingest.__file__).parent / "configs" / "takeoff_land.json"
